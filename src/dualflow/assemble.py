@@ -4,6 +4,12 @@ Matrix sparsity patterns are computed once per (test space, trial space)
 pair and cached; repeated assembly only refills the CSR value array, in
 a fixed cell order, so all operators are bitwise reproducible.
 
+The step is linear in each known field, so only the rotation R(omega)
+and the convection G(u) are assembled per step.  Every source term is a
+static matrix built once per space pair and cached next to the pattern:
+the weak curl Lc (giving both l = Lc omega and the curl rhs Lc^T u),
+buoyancy, baroclinic, the wall Neumann term and the particle drift.
+
 Index convention: for every matrix A produced here, A[i, j] pairs test
 function i against trial function j.
 
@@ -46,32 +52,34 @@ class _Pattern:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
+def _cached(row_space, col_space, key, build):
+    """The object `key` on the (row_space, col_space) pair, built once by
+    `build()` and kept in row_space's cache.  Cached operators are shared
+    between callers and must not be modified in place."""
+    cache = row_space._cache.setdefault("operators", {})
+    full = (key, id(col_space))
+    if full not in cache:
+        cache[full] = (col_space, build())  # keep col_space alive so its id stays unique
+    return cache[full][1]
+
+
 def _pattern(row_space, col_space):
-    key = ("pat", id(col_space))
-    cache = row_space._cache.setdefault("patterns", {})
-    if key not in cache:
-        pat = _Pattern(
-            row_space.cell_dofs, col_space.cell_dofs, (row_space.dim, col_space.dim)
-        )
-        cache[key] = (col_space, pat)  # keep col_space alive so its id stays unique
-    return cache[key][1]
+    return _cached(row_space, col_space, "pattern", lambda: _Pattern(
+        row_space.cell_dofs, col_space.cell_dofs, (row_space.dim, col_space.dim)
+    ))
 
 
 def assemble_mass(space, qdegree):
     """Mass matrix <trial, test>; SPD for CG/DG/RT alike."""
     tab = space.volume_data(qdegree)
-    if space.family == "RT":
-        local = kernels.mass_vec(tab.weights, tab.val)
-    else:
-        local = kernels.mass_ref(tab.weights, tab.val)
-    return _pattern(space, space).build(local)
+    pair = kernels.pairing_vec if space.family == "RT" else kernels.pairing
+    return _pattern(space, space).build(pair(tab.weights, tab.val, tab.val))
 
 
 def assemble_curlcurl(space, qdegree):
     """<curl trial, curl test> on a scalar space; equals the stiffness form."""
     tab = space.volume_data(qdegree)
-    local = kernels.gradgrad(tab.weights, tab.grad)
-    return _pattern(space, space).build(local)
+    return _pattern(space, space).build(kernels.pairing_vec(tab.weights, tab.grad, tab.grad))
 
 
 def assemble_div(U, Q, qdegree):
@@ -82,39 +90,37 @@ def assemble_div(U, Q, qdegree):
         raise ValueError(f"incompatible pair RT_{U.degree} / DG_{Q.degree}")
     utab = U.volume_data(qdegree)
     qtab = Q.volume_data(qdegree)
-    local = kernels.div_pairing(utab.weights, utab.div, qtab.val)
-    D = _pattern(Q, U).build(local)
+    D = _pattern(Q, U).build(kernels.pairing(utab.weights, qtab.val, utab.div))
     P = D.T.tocsr()
     return D, P
+
+
+def _weak_curl(U, W, qdegree):
+    """Static Lc[a, k] = <curl w_k, u_a>, curl w = (dw/dy, -dw/dx)."""
+    def build():
+        utab = U.volume_data(qdegree)
+        wtab = W.volume_data(qdegree)
+        curl = np.stack([wtab.grad[..., 1], -wtab.grad[..., 0]], axis=-1)
+        return _pattern(U, W).build(kernels.pairing_vec(utab.weights, utab.val, curl))
+
+    return _cached(U, W, ("curl", qdegree), build)
 
 
 def assemble_rotation(omega, U, qdegree):
     """Rotation operator R[i,j] = <omega x u_j, u_i> (exactly skew) and
     the vector l[i] = <curl omega, u_i>."""
-    W, mesh = omega.space, U.mesh
+    W = omega.space
     utab = U.volume_data(qdegree)
     wtab = W.volume_data(qdegree)
     wq = kernels.field_scalar(W.cell_dofs, omega.coefficients, wtab.val)
-    local = kernels.rotation(utab.weights, wq, utab.val)
-    R = _pattern(U, U).build(local)
-    gw = kernels.field_scalar_grad(W.cell_dofs, omega.coefficients, wtab.grad)
-    curl_w = np.stack([gw[..., 1], -gw[..., 0]], axis=-1)
-    lv = np.zeros(U.dim)
-    kernels.scatter_vector(lv, U.cell_dofs, kernels.vec_dot(utab.weights, curl_w, utab.val))
-    return R, lv
+    R = _pattern(U, U).build(kernels.rotation(utab.weights, wq, utab.val))
+    return R, _weak_curl(U, W, qdegree) @ omega.coefficients
 
 
-def _convection_matrix(u, u_extra, W, qdegree):
-    """G[a,b] = <w_b, div(u_adv w_a)> with u_adv = u + u_extra (constant)."""
-    U = u.space
-    utab = U.volume_data(qdegree)
+def _convection_matrix(uq, duq, W, qdegree):
+    """G[a,b] = <w_b, div(u w_a)> from u and div u at the quadrature points."""
     wtab = W.volume_data(qdegree)
-    uq = kernels.field_vec(U.cell_dofs, u.coefficients, utab.val)
-    if u_extra is not None:
-        uq = uq + np.asarray(u_extra, dtype=float)[None, None, :]
-    duq = kernels.field_div(U.cell_dofs, u.coefficients, utab.div)
-    local = kernels.convection(wtab.weights, wtab.val, wtab.grad, uq, duq)
-    return _pattern(W, W).build(local)
+    return _pattern(W, W).build(kernels.convection(wtab.weights, wtab.val, wtab.grad, uq, duq))
 
 
 def skew_part(G):
@@ -125,20 +131,56 @@ def skew_part(G):
 def assemble_vorticity_convection(u, W, qdegree):
     """The matrix G with G[a,b] = <w_b, div(u w_a)>; the scheme applies
     its exact skew part."""
-    return _convection_matrix(u, None, W, qdegree)
+    U = u.space
+    utab = U.volume_data(qdegree)
+    uq = kernels.field_vec(U.cell_dofs, u.coefficients, utab.val)
+    duq = kernels.field_div(U.cell_dofs, u.coefficients, utab.div)
+    return _convection_matrix(uq, duq, W, qdegree)
 
 
 def assemble_wall_mass(space, tag, qdegree):
-    """Boundary mass matrix <trial, test> over one tagged wall."""
-    tab = space.boundary_data(tag, qdegree)
-    if len(tab.edges) == 0:
-        return sp.csr_matrix((space.dim, space.dim))
-    local = np.einsum("eq,eqa,eqb->eab", tab.weights, tab.val, tab.val)
-    rows = np.repeat(tab.dofs, tab.dofs.shape[1], axis=1).ravel()
-    cols = np.tile(tab.dofs, (1, tab.dofs.shape[1])).ravel()
-    B = sp.csr_matrix((local.ravel(), (rows, cols)), shape=(space.dim, space.dim))
+    """Boundary mass matrix <trial, test> over one tagged wall (static)."""
+    def build():
+        tab = space.boundary_data(tag, qdegree)
+        return _boundary_matrix(tab, tab, kernels.pairing(tab.weights, tab.val, tab.val),
+                                (space.dim, space.dim))
+
+    return _cached(space, space, ("wall", tag, qdegree), build)
+
+
+def _boundary_matrix(row_tab, col_tab, local, shape):
+    if len(row_tab.edges) == 0:
+        return sp.csr_matrix(shape)
+    rows = np.repeat(row_tab.dofs, col_tab.dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_tab.dofs, (1, row_tab.dofs.shape[1])).ravel()
+    B = sp.csr_matrix((local.ravel(), (rows, cols)), shape=shape)
     B.sum_duplicates()
     return B
+
+
+def assemble_particle_drift(u_s, W, qdegree, bdegree, paper_literal_signs=False):
+    """Static part of the particle transport operator: the exact skew part
+    of the constant settling drift <w_b, div(u_s e_g w_a)> plus the
+    settling terms u_s (s1 B_top + B_bottom / 2) on the top and bottom
+    walls, s1 = +1/2 (or -1/2 with `paper_literal_signs`)."""
+    from .mesh import TAG_BOTTOM, TAG_TOP
+
+    if u_s < 0:
+        raise ValueError(f"settling speed must be nonnegative, got {u_s}")
+
+    def build():
+        if u_s == 0.0:
+            return sp.csr_matrix((W.dim, W.dim))
+        wtab = W.volume_data(qdegree)
+        C, nq = wtab.weights.shape
+        drift = np.broadcast_to(np.array(GRAVITY, dtype=float), (C, nq, 2))
+        G = _convection_matrix(drift, np.zeros((C, nq)), W, qdegree)
+        s1 = -0.5 if paper_literal_signs else 0.5
+        B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
+        B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
+        return (u_s * skew_part(G) + u_s * (s1 * B1 + 0.5 * B3)).tocsr()
+
+    return _cached(W, W, ("drift", u_s, qdegree, bdegree, paper_literal_signs), build)
 
 
 def assemble_particle_convection(u, u_s, W, qdegree, bdegree, paper_literal_signs=False):
@@ -146,84 +188,73 @@ def assemble_particle_convection(u, u_s, W, qdegree, bdegree, paper_literal_sign
     settling boundary terms on the top and bottom walls.
 
     The volume part is the exact skew part of <w_b, div(u_p w_a)> with
-    u_p = u + u_s * e_g.  Both wall terms enter with +u_s/2 so that
-    pairing against the constant test function reduces the operator to
-    the bottom-wall settling outflux; `paper_literal_signs` flips the
-    top-wall term for comparison, which breaks global mass conservation.
+    u_p = u + u_s * e_g.  It is linear in u_p, so it is the skew part of
+    the convection by u plus the static drift of assemble_particle_drift.
+    Both wall terms enter with +u_s/2 so that pairing against the
+    constant test function reduces the operator to the bottom-wall
+    settling outflux; `paper_literal_signs` flips the top-wall term for
+    comparison, which breaks global mass conservation.
     """
-    if u_s < 0:
-        raise ValueError(f"settling speed must be nonnegative, got {u_s}")
-    from .mesh import TAG_BOTTOM, TAG_TOP
-
-    extra = (GRAVITY[0] * u_s, GRAVITY[1] * u_s)
-    G = _convection_matrix(u, extra, W, qdegree)
-    A = skew_part(G)
-    if u_s != 0.0:
-        B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
-        B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
-        s1 = -0.5 if paper_literal_signs else 0.5
-        A = A + u_s * (s1 * B1 + 0.5 * B3)
-    return A
+    drift = assemble_particle_drift(u_s, W, qdegree, bdegree, paper_literal_signs)
+    return skew_part(assemble_vorticity_convection(u, W, qdegree)) + drift
 
 
 def assemble_buoyancy(phi, U, qdegree, gravity=GRAVITY):
-    """b[i] = <phi e_g, u_i>."""
+    """b[i] = <phi e_g, u_i>, from the static matrix B[i, k] = <w_k e_g, u_i>."""
     W = phi.space
-    utab = U.volume_data(qdegree)
-    wtab = W.volume_data(qdegree)
-    pq = kernels.field_scalar(W.cell_dofs, phi.coefficients, wtab.val)
-    F = np.empty(pq.shape + (2,))
-    F[..., 0] = pq * gravity[0]
-    F[..., 1] = pq * gravity[1]
-    out = np.zeros(U.dim)
-    kernels.scatter_vector(out, U.cell_dofs, kernels.vec_dot(utab.weights, F, utab.val))
-    return out
+
+    def build():
+        utab = U.volume_data(qdegree)
+        wtab = W.volume_data(qdegree)
+        g_dot_u = gravity[0] * utab.val[..., 0] + gravity[1] * utab.val[..., 1]
+        return _pattern(U, W).build(kernels.pairing(utab.weights, g_dot_u, wtab.val))
+
+    return _cached(U, W, ("buoyancy", qdegree, tuple(gravity)), build) @ phi.coefficients
 
 
 def assemble_baroclinic(phi, W, qdegree, gravity=GRAVITY):
-    """c[i] = <grad phi x e_g, w_i>; with e_g=(0,-1) this is -d(phi)/dx."""
+    """c[i] = <grad phi x e_g, w_i>; with e_g=(0,-1) this is -d(phi)/dx.
+    Built from the static matrix Cb[i, k] = <grad p_k x e_g, w_i>."""
     P = phi.space
-    ptab = P.volume_data(qdegree)
-    wtab = W.volume_data(qdegree)
-    gp = kernels.field_scalar_grad(P.cell_dofs, phi.coefficients, ptab.grad)
-    fq = gp[..., 0] * gravity[1] - gp[..., 1] * gravity[0]
-    out = np.zeros(W.dim)
-    kernels.scatter_vector(out, W.cell_dofs, kernels.vec_scalar(wtab.weights, fq, wtab.val))
-    return out
+
+    def build():
+        ptab = P.volume_data(qdegree)
+        wtab = W.volume_data(qdegree)
+        cross = ptab.grad[..., 0] * gravity[1] - ptab.grad[..., 1] * gravity[0]
+        return _pattern(W, P).build(kernels.pairing(wtab.weights, wtab.val, cross))
+
+    return _cached(W, P, ("baroclinic", qdegree, tuple(gravity)), build) @ phi.coefficients
 
 
 def assemble_curl_rhs(u, W, qdegree):
-    """r[i] = <u, curl w_i>, the right-hand side of the weak curl recovery."""
-    U = u.space
-    utab = U.volume_data(qdegree)
-    wtab = W.volume_data(qdegree)
-    uq = kernels.field_vec(U.cell_dofs, u.coefficients, utab.val)
-    out = np.zeros(W.dim)
-    kernels.scatter_vector(out, W.cell_dofs, kernels.vec_rotgrad(wtab.weights, uq, wtab.grad))
-    return out
+    """r[i] = <u, curl w_i>, the right-hand side of the weak curl recovery.
+    Same integrand as the vector l of assemble_rotation: r = Lc^T u."""
+    return _weak_curl(u.space, W, qdegree).T @ u.coefficients
 
 
 def assemble_vorticity_neumann(omega_tilde, W, bdegree, walls=None):
-    """g[i] = <w_i, grad(omega_tilde).n> over the no-slip walls.
+    """g[i] = <w_i, grad(omega_tilde).n> over the no-slip walls, from the
+    static wall matrix Nn[i, k] = <w_i, grad(w_k).n>.
 
     Uses the identity (curl w) x n = grad(w).n, evaluated one-sidedly
     from the boundary cells.
     """
     from .mesh import TAG_BOTTOM, TAG_TOP
 
-    walls = walls if walls is not None else (TAG_TOP, TAG_BOTTOM)
+    walls = tuple(walls) if walls is not None else (TAG_TOP, TAG_BOTTOM)
     Wt = omega_tilde.space
-    out = np.zeros(W.dim)
-    for tag in walls:
-        tab = W.boundary_data(tag, bdegree)
-        if len(tab.edges) == 0:
-            continue
-        ttab = Wt.boundary_data(tag, bdegree)
-        g = np.einsum("eqnd,en->eqd", ttab.grad, omega_tilde.coefficients[ttab.dofs])
-        gn = np.einsum("eqd,ed->eq", g, tab.normals)
-        local = np.einsum("eq,eqa->ea", tab.weights * gn, tab.val)
-        np.add.at(out, tab.dofs.ravel(), local.ravel())
-    return out
+
+    def build():
+        out = sp.csr_matrix((W.dim, Wt.dim))
+        for tag in walls:
+            tab = W.boundary_data(tag, bdegree)
+            ttab = Wt.boundary_data(tag, bdegree)
+            gn = np.einsum("eqnd,ed->eqn", ttab.grad, tab.normals)
+            local = kernels.pairing(tab.weights, tab.val, gn)
+            out = out + _boundary_matrix(tab, ttab, local, out.shape)
+        return out.tocsr()
+
+    return _cached(W, Wt, ("neumann", bdegree, walls), build) @ omega_tilde.coefficients
 
 
 def assemble_gradient_dot(space, qdegree, direction=GRAVITY):

@@ -6,6 +6,7 @@ import sys
 
 from .config import ConfigError, parse_config_file
 from .elements import UnsupportedElementError
+from .io import CheckpointError
 from .linsolve import SolverError
 from .mesh import MeshError, mesh_stats
 from .spaces import space_dimension
@@ -107,7 +108,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ConfigError, MeshError, UnsupportedElementError, SolverError, StartupError,
-            OSError, ValueError) as exc:
+            CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,10 @@ A run writes, under the configured output directory:
   checkpoint_XXXXXXXX.ckpt  state dumps every checkpoint_every steps
   checkpoint_final.ckpt     always written on normal completion
 
-Resuming from a checkpoint into the same directory appends to the CSV
-and reproduces the uninterrupted run bitwise.
+Resuming from a checkpoint at step k into the same directory first cuts
+the CSV back to its rows through step k, then appends to it, and
+reproduces the uninterrupted run bitwise.  Checkpoints are written
+atomically.
 """
 
 import os
@@ -96,6 +98,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     if checkpoint is not None:
         data = dfio.load_checkpoint(checkpoint)
         state = dfio.restore_state(data, model)
+        dfio.truncate_csv_for_resume(csv_path, state.k, out["csv_every"])
         engine = Engine.restored(model, data["scalars"])
         startup = None
         _maybe(log, f"resumed from {checkpoint} at step {state.k}")

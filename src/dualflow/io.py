@@ -46,6 +46,41 @@ class CsvWriter:
         self.close()
 
 
+def truncate_csv_for_resume(path, k, csv_every):
+    """Prepare `path` for a run resumed at step k.
+
+    Drops the rows after step k (an earlier run went past k, or crashed
+    after writing them) and a torn last line, so the resumed run appends
+    exactly what an uninterrupted run writes.  Refuses with
+    CheckpointError when the rows through the last step at or before k
+    that `csv_every` selects are not all there, or the header is not
+    this version's.
+    """
+    expected = (k // csv_every) * csv_every
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        if expected > 0:
+            raise CheckpointError(f"{path} is missing; resuming at step {k} needs its rows "
+                                  f"through step {expected}")
+        return
+    with open(path, "r+b") as fh:
+        header = fh.readline()
+        if header != (",".join(CSV_COLUMNS) + "\n").encode("ascii"):
+            raise CheckpointError(f"{path} does not start with the expected CSV header")
+        keep = fh.tell()
+        last = 0
+        for line in iter(fh.readline, b""):
+            if not line.endswith(b"\n"):
+                break
+            step = int(line.split(b",", 1)[0])
+            if step > k:
+                break
+            last, keep = step, fh.tell()
+        if last != expected:
+            raise CheckpointError(f"{path} ends at step {last}; resuming at step {k} needs "
+                                  f"its rows through step {expected}")
+        fh.truncate(keep)
+
+
 def read_csv(path):
     """CSV rows as a dict of numpy arrays keyed by column name."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -137,7 +172,11 @@ _FIELD_ORDER = ("u_half", "omega", "phi", "p_bar", "omega_tilde")
 
 
 def save_checkpoint(path, state, engine, model):
-    """Versioned header plus raw float64 dof vectors; lossless round trip."""
+    """Versioned header plus raw float64 dof vectors; lossless round trip.
+
+    Written to a temporary file in the same directory and renamed over
+    `path`, so a crash mid-write leaves the previous checkpoint intact.
+    """
     fields = {}
     for name in _FIELD_ORDER:
         fld = getattr(state, name)
@@ -159,10 +198,17 @@ def save_checkpoint(path, state, engine, model):
         "scalars " + " ".join(f"{k}={float(v).hex()}" for k, v in scalars.items()),
         "END",
     ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for v in fields.values():
-            fh.write(v.tobytes())
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(header) + "\n").encode("ascii"))
+            for v in fields.values():
+                fh.write(v.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -1,355 +1,79 @@
-"""Hot assembly kernels: numba-jitted loops with a pure-numpy fallback.
+"""Assembly kernels: batched-matmul quadrature and CSR scatter, numpy only.
 
-Every kernel exists twice: an einsum/ufunc implementation in
-``NUMPY_IMPL`` and an @njit loop in ``NUMBA_IMPL``.  The active backend
-is chosen once at import from the environment variable DUALFLOW_NUMBA:
+A quadrature kernel contracts the quadrature axis of every cell at once
+with one batched ``np.matmul``: a local matrix is
 
-    DUALFLOW_NUMBA=0      force the numpy path
-    DUALFLOW_NUMBA=1      force numba (ImportError if unavailable)
-    unset / auto          numba if importable, else numpy
+    local[c, a, b] = sum_q wdet[c, q] * test[c, q, a] * trial[c, q, b]
+                   = (wdet[c, :, None] * test[c])^T @ trial[c],
 
-All kernels accumulate in a fixed cell order, so results are
-deterministic run to run; within one backend, repeated runs are bitwise
-identical.  ``benchmarks/assembly_bench.py`` compares the two.
+and a field at the quadrature points is the tabulation times the cell's
+coefficient vector.  Shared reference tables of shape (nq, n) broadcast
+over the cells.  The kernels are leaves: none calls another public
+kernel, so a tracer that wraps them counts each contraction once.
+
+Every kernel accumulates in a fixed order, so repeated runs are bitwise
+identical at fixed BLAS threading.
 """
-
-import os
 
 import numpy as np
 
-_ENV = os.environ.get("DUALFLOW_NUMBA", "auto").strip().lower()
-if _ENV in ("0", "false", "off", "numpy"):
-    _NUMBA = None
-else:
-    try:
-        import numba as _NUMBA
-    except ImportError:
-        if _ENV in ("1", "true", "on", "numba"):
-            raise
-        _NUMBA = None
 
-NUMBA_ENABLED = _NUMBA is not None
+def _pair(wdet, test, trial):
+    return np.matmul(np.swapaxes(wdet[..., None] * test, -1, -2), trial)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
+def pairing(wdet, test, trial):
+    """local[c,a,b] = sum_q wdet[c,q] test[c,q,a] trial[c,q,b] for scalar
+    tables, each either per cell (C, nq, n) or shared (nq, n)."""
+    return _pair(wdet, test, trial)
 
 
-def _mass_ref_np(wdet, val):
-    return np.einsum("cq,qa,qb->cab", wdet, val, val)
+def pairing_vec(wdet, test, trial):
+    """local[c,a,b] = sum_q wdet[c,q] test[c,q,a,:] . trial[c,q,b,:] for
+    vector tables of shape (C, nq, n, 2)."""
+    return _pair(wdet, test[..., 0], trial[..., 0]) + _pair(wdet, test[..., 1], trial[..., 1])
 
 
-def _mass_vec_np(wdet, val):
-    return np.einsum("cq,cqad,cqbd->cab", wdet, val, val)
+def rotation(wdet, wq, val):
+    """R[c,a,b] = E - E^T with E[c,a,b] = sum_q w*omega val_y[a] val_x[b]:
+    <omega x u_b, u_a>, exactly skew by construction."""
+    E = _pair(wdet * wq, val[..., 1], val[..., 0])
+    return E - np.swapaxes(E, 1, 2)
 
 
-def _gradgrad_np(wdet, grad):
-    return np.einsum("cq,cqad,cqbd->cab", wdet, grad, grad)
+def convection(wdet, val, grad, uq, duq):
+    """G[c,a,b] = sum_q w * val_b * (u . grad_a + div(u) val_a); a = test."""
+    adv = grad[..., 0] * uq[..., 0, None] + grad[..., 1] * uq[..., 1, None] + duq[..., None] * val
+    return _pair(wdet, adv, val)
 
 
-def _div_pairing_np(wdet, div, qval):
-    # rows: DG test functions, cols: RT trial divergences
-    return np.einsum("cq,qa,cqb->cab", wdet, qval, div)
+def field_scalar(dofs, coef, val):
+    """Scalar field at the quadrature points, (C, nq), from a shared table."""
+    return coef[dofs] @ val.T
 
 
-def _convection_np(wdet, val, grad, uq, duq):
-    # G[c,a,b] = sum_q w * val_b * (u . grad_a + div(u) val_a); a = test
-    adv = np.einsum("cqad,cqd->cqa", grad, uq)
-    adv += duq[:, :, None] * val[None, :, :]
-    return np.einsum("cq,qb,cqa->cab", wdet, val, adv)
+def field_scalar_grad(dofs, coef, grad):
+    """Gradient of a scalar field at the quadrature points, (C, nq, 2)."""
+    c = coef[dofs][:, :, None]
+    return np.concatenate([grad[..., 0] @ c, grad[..., 1] @ c], axis=-1)
 
 
-def _rotation_np(wdet, wq, val):
-    # E[c,a,b] = sum_q w*omega * val_y[a] * val_x[b]; R = E - E^T (exact skew)
-    E = np.einsum("cq,cqa,cqb->cab", wdet * wq, val[..., 1], val[..., 0])
-    return E - np.transpose(E, (0, 2, 1))
+def field_vec(dofs, coef, val):
+    """Vector (RT) field at the quadrature points, (C, nq, 2)."""
+    c = coef[dofs][:, :, None]
+    return np.concatenate([val[..., 0] @ c, val[..., 1] @ c], axis=-1)
 
 
-def _field_scalar_np(dofs, coef, val):
-    return coef[dofs] @ val.T  # (C,n) @ (n,nq)^T -> (C,nq)
+def field_div(dofs, coef, div):
+    """Divergence of an RT field at the quadrature points, (C, nq)."""
+    return (div @ coef[dofs][:, :, None])[..., 0]
 
 
-def _field_scalar_grad_np(dofs, coef, grad):
-    return np.einsum("cqnd,cn->cqd", grad, coef[dofs])
+def scatter_matrix(data, pos, local):
+    """data[pos] += local, accumulated in cell order."""
+    data += np.bincount(pos.ravel(), weights=local.ravel(), minlength=len(data))
 
 
-def _field_vec_np(dofs, coef, val):
-    return np.einsum("cqnd,cn->cqd", val, coef[dofs])
-
-
-def _field_div_np(dofs, coef, div):
-    return np.einsum("cqn,cn->cq", div, coef[dofs])
-
-
-def _vec_dot_np(wdet, F, val):
-    # out[c,a] = sum_q w * F . val_a   (RT test functions)
-    return np.einsum("cq,cqd,cqad->ca", wdet, F, val)
-
-
-def _vec_scalar_np(wdet, fq, val):
-    # out[c,a] = sum_q w * f * val_a   (scalar test functions)
-    return np.einsum("cq,qa->ca", wdet * fq, val)
-
-
-def _vec_rotgrad_np(wdet, F, grad):
-    # out[c,a] = sum_q w * (F_x grad_a_y - F_y grad_a_x) = <F, curl test_a>
-    return np.einsum("cq,cqa->ca", wdet, F[..., 0, None] * grad[..., 1] - F[..., 1, None] * grad[..., 0])
-
-
-def _scatter_matrix_np(data, pos, local):
-    np.add.at(data, pos.ravel(), local.ravel())
-
-
-def _scatter_vector_np(out, dofs, local):
-    np.add.at(out, dofs.ravel(), local.ravel())
-
-
-NUMPY_IMPL = {
-    "mass_ref": _mass_ref_np,
-    "mass_vec": _mass_vec_np,
-    "gradgrad": _gradgrad_np,
-    "div_pairing": _div_pairing_np,
-    "convection": _convection_np,
-    "rotation": _rotation_np,
-    "field_scalar": _field_scalar_np,
-    "field_scalar_grad": _field_scalar_grad_np,
-    "field_vec": _field_vec_np,
-    "field_div": _field_div_np,
-    "vec_dot": _vec_dot_np,
-    "vec_scalar": _vec_scalar_np,
-    "vec_rotgrad": _vec_rotgrad_np,
-    "scatter_matrix": _scatter_matrix_np,
-    "scatter_vector": _scatter_vector_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if NUMBA_ENABLED:
-    njit = _NUMBA.njit
-
-    @njit(cache=True)
-    def _mass_ref_nb_core(wdet, val, out):
-        C, nq = wdet.shape
-        n = val.shape[1]
-        for c in range(C):
-            for a in range(n):
-                for b in range(n):
-                    s = 0.0
-                    for q in range(nq):
-                        s += wdet[c, q] * val[q, a] * val[q, b]
-                    out[c, a, b] = s
-
-    @njit(cache=True)
-    def _mass_vec_nb_core(wdet, val, out):
-        C, nq, n, _ = val.shape
-        for c in range(C):
-            for a in range(n):
-                for b in range(n):
-                    s = 0.0
-                    for q in range(nq):
-                        s += wdet[c, q] * (val[c, q, a, 0] * val[c, q, b, 0] + val[c, q, a, 1] * val[c, q, b, 1])
-                    out[c, a, b] = s
-
-    @njit(cache=True)
-    def _div_pairing_nb_core(wdet, div, qval, out):
-        C, nq, nb = div.shape
-        na = qval.shape[1]
-        for c in range(C):
-            for a in range(na):
-                for b in range(nb):
-                    s = 0.0
-                    for q in range(nq):
-                        s += wdet[c, q] * qval[q, a] * div[c, q, b]
-                    out[c, a, b] = s
-
-    @njit(cache=True)
-    def _convection_nb_core(wdet, val, grad, uq, duq, out):
-        C, nq, n, _ = grad.shape
-        for c in range(C):
-            for a in range(n):
-                for b in range(n):
-                    s = 0.0
-                    for q in range(nq):
-                        adv = grad[c, q, a, 0] * uq[c, q, 0] + grad[c, q, a, 1] * uq[c, q, 1] + duq[c, q] * val[q, a]
-                        s += wdet[c, q] * val[q, b] * adv
-                    out[c, a, b] = s
-
-    @njit(cache=True)
-    def _rotation_nb_core(wdet, wq, val, out):
-        C, nq, n, _ = val.shape
-        for c in range(C):
-            for a in range(n):
-                for b in range(n):
-                    s = 0.0
-                    for q in range(nq):
-                        s += wdet[c, q] * wq[c, q] * val[c, q, a, 1] * val[c, q, b, 0]
-                    out[c, a, b] = s
-        for c in range(C):
-            for a in range(n):
-                for b in range(a + 1, n):
-                    d = out[c, a, b] - out[c, b, a]
-                    out[c, a, b] = d
-                    out[c, b, a] = -d
-                out[c, a, a] = 0.0
-
-    @njit(cache=True)
-    def _field_scalar_nb_core(dofs, coef, val, out):
-        C, n = dofs.shape
-        nq = val.shape[0]
-        for c in range(C):
-            for q in range(nq):
-                s = 0.0
-                for a in range(n):
-                    s += coef[dofs[c, a]] * val[q, a]
-                out[c, q] = s
-
-    @njit(cache=True)
-    def _field_scalar_grad_nb_core(dofs, coef, grad, out):
-        C, nq, n, _ = grad.shape
-        for c in range(C):
-            for q in range(nq):
-                gx = 0.0
-                gy = 0.0
-                for a in range(n):
-                    cc = coef[dofs[c, a]]
-                    gx += cc * grad[c, q, a, 0]
-                    gy += cc * grad[c, q, a, 1]
-                out[c, q, 0] = gx
-                out[c, q, 1] = gy
-
-    @njit(cache=True)
-    def _field_vec_nb_core(dofs, coef, val, out):
-        C, nq, n, _ = val.shape
-        for c in range(C):
-            for q in range(nq):
-                ux = 0.0
-                uy = 0.0
-                for a in range(n):
-                    cc = coef[dofs[c, a]]
-                    ux += cc * val[c, q, a, 0]
-                    uy += cc * val[c, q, a, 1]
-                out[c, q, 0] = ux
-                out[c, q, 1] = uy
-
-    @njit(cache=True)
-    def _field_div_nb_core(dofs, coef, div, out):
-        C, nq, n = div.shape
-        for c in range(C):
-            for q in range(nq):
-                s = 0.0
-                for a in range(n):
-                    s += coef[dofs[c, a]] * div[c, q, a]
-                out[c, q] = s
-
-    @njit(cache=True)
-    def _vec_dot_nb_core(wdet, F, val, out):
-        C, nq, n, _ = val.shape
-        for c in range(C):
-            for a in range(n):
-                s = 0.0
-                for q in range(nq):
-                    s += wdet[c, q] * (F[c, q, 0] * val[c, q, a, 0] + F[c, q, 1] * val[c, q, a, 1])
-                out[c, a] = s
-
-    @njit(cache=True)
-    def _vec_scalar_nb_core(wdet, fq, val, out):
-        C, nq = wdet.shape
-        n = val.shape[1]
-        for c in range(C):
-            for a in range(n):
-                s = 0.0
-                for q in range(nq):
-                    s += wdet[c, q] * fq[c, q] * val[q, a]
-                out[c, a] = s
-
-    @njit(cache=True)
-    def _vec_rotgrad_nb_core(wdet, F, grad, out):
-        C, nq, n, _ = grad.shape
-        for c in range(C):
-            for a in range(n):
-                s = 0.0
-                for q in range(nq):
-                    s += wdet[c, q] * (F[c, q, 0] * grad[c, q, a, 1] - F[c, q, 1] * grad[c, q, a, 0])
-                out[c, a] = s
-
-    @njit(cache=True)
-    def _scatter_matrix_nb(data, pos, local):
-        C, na, nb = local.shape
-        for c in range(C):
-            for a in range(na):
-                for b in range(nb):
-                    data[pos[c, a, b]] += local[c, a, b]
-
-    @njit(cache=True)
-    def _scatter_vector_nb(out, dofs, local):
-        C, n = local.shape
-        for c in range(C):
-            for a in range(n):
-                out[dofs[c, a]] += local[c, a]
-
-    def _wrap3(core, shape_fn):
-        def run(*args):
-            out = np.empty(shape_fn(*args))
-            core(*args, out)
-            return out
-        return run
-
-    NUMBA_IMPL = {
-        "mass_ref": _wrap3(_mass_ref_nb_core, lambda w, v: (w.shape[0], v.shape[1], v.shape[1])),
-        "mass_vec": _wrap3(_mass_vec_nb_core, lambda w, v: (w.shape[0], v.shape[2], v.shape[2])),
-        "gradgrad": _wrap3(_mass_vec_nb_core, lambda w, g: (w.shape[0], g.shape[2], g.shape[2])),
-        "div_pairing": _wrap3(_div_pairing_nb_core, lambda w, d, qv: (w.shape[0], qv.shape[1], d.shape[2])),
-        "convection": _wrap3(_convection_nb_core, lambda w, v, g, u, du: (w.shape[0], g.shape[2], g.shape[2])),
-        "rotation": _wrap3(_rotation_nb_core, lambda w, wq, v: (w.shape[0], v.shape[2], v.shape[2])),
-        "field_scalar": _wrap3(_field_scalar_nb_core, lambda d, c, v: (d.shape[0], v.shape[0])),
-        "field_scalar_grad": _wrap3(_field_scalar_grad_nb_core, lambda d, c, g: (d.shape[0], g.shape[1], 2)),
-        "field_vec": _wrap3(_field_vec_nb_core, lambda d, c, v: (d.shape[0], v.shape[1], 2)),
-        "field_div": _wrap3(_field_div_nb_core, lambda d, c, v: (d.shape[0], v.shape[1])),
-        "vec_dot": _wrap3(_vec_dot_nb_core, lambda w, F, v: (w.shape[0], v.shape[2])),
-        "vec_scalar": _wrap3(_vec_scalar_nb_core, lambda w, f, v: (w.shape[0], v.shape[1])),
-        "vec_rotgrad": _wrap3(_vec_rotgrad_nb_core, lambda w, F, g: (w.shape[0], g.shape[2])),
-        "scatter_matrix": _scatter_matrix_nb,
-        "scatter_vector": _scatter_vector_nb,
-    }
-else:
-    NUMBA_IMPL = None
-
-ACTIVE = NUMBA_IMPL if NUMBA_ENABLED else NUMPY_IMPL
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-def backends():
-    """Available backends by name (for tests and benchmarks)."""
-    out = {"numpy": NUMPY_IMPL}
-    if NUMBA_ENABLED:
-        out["numba"] = NUMBA_IMPL
-    return out
-
-
-def use_backend(name):
-    """Rebind the module-level kernels to one backend (benchmark support)."""
-    global ACTIVE, BACKEND
-    impl = backends()[name]
-    ACTIVE, BACKEND = impl, name
-    g = globals()
-    for key, fn in impl.items():
-        g[key] = fn
-
-
-mass_ref = ACTIVE["mass_ref"]
-mass_vec = ACTIVE["mass_vec"]
-gradgrad = ACTIVE["gradgrad"]
-div_pairing = ACTIVE["div_pairing"]
-convection = ACTIVE["convection"]
-rotation = ACTIVE["rotation"]
-field_scalar = ACTIVE["field_scalar"]
-field_scalar_grad = ACTIVE["field_scalar_grad"]
-field_vec = ACTIVE["field_vec"]
-field_div = ACTIVE["field_div"]
-vec_dot = ACTIVE["vec_dot"]
-vec_scalar = ACTIVE["vec_scalar"]
-vec_rotgrad = ACTIVE["vec_rotgrad"]
-scatter_matrix = ACTIVE["scatter_matrix"]
-scatter_vector = ACTIVE["scatter_vector"]
+def scatter_vector(out, dofs, local):
+    """out[dofs] += local, accumulated in cell order."""
+    out += np.bincount(dofs.ravel(), weights=local.ravel(), minlength=len(out))

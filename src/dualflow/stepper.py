@@ -9,10 +9,12 @@ for u^{1/2}, every step is a fixed sequence of single linear solves:
   3. vorticity transport      (N/dt + (C + nu L)/2) om^{k+1} = ... + sources
   4. velocity/pressure saddle (M/dt + R/2) u^{k+3/2} - D^T p = f,  D u = 0
 
-with K = skew transport + diffusion, C the skew vorticity convection,
-R the (exactly skew) rotation.  The skewness of R and C is what keeps
-kinetic energy and enstrophy free of artificial dissipation; the
-divergence constraint is enforced to solver precision every step.
+with C = skew(G(u^{k+1/2})) the skew convection, assembled once and
+shared by steps 2 and 3, K = C + settling drift and wall terms +
+diffusion, and R the (exactly skew) rotation.  The skewness of R and C
+is what keeps kinetic energy and enstrophy free of artificial
+dissipation; the divergence constraint is enforced to solver precision
+every step.
 
 The homogeneous mode (periodic box, no particles) drops steps 1-2 and
 the wall terms and uses a prescribed viscosity instead of Gr^(-1/2).
@@ -175,13 +177,12 @@ class Model:
         self._lu_curl = CachedLU(self.Nw_c)
 
         if physics.mode == "turbidity":
-            from .mesh import TAG_BOTTOM, TAG_TOP
+            from .mesh import TAG_BOTTOM
 
-            self.B_top = assemble.assemble_wall_mass(self.W, TAG_TOP, self.bdeg)
             self.B_bottom = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg)
             self.grad_dot_g = assemble.assemble_gradient_dot(self.W, self.qdeg, physics.gravity)
         else:
-            self.B_top = self.B_bottom = None
+            self.B_bottom = None
             self.grad_dot_g = None
 
         self.nu = physics.effective_viscosity
@@ -222,21 +223,26 @@ class Model:
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
-    def solve_transport(self, u, phi, dt):
-        """Particle step: midpoint skew transport plus diffusion."""
-        A_du = assemble.assemble_particle_convection(
-            u, self.physics.settling_velocity, self.W, self.qdeg, self.bdeg,
+    def convection(self, u):
+        """Skew vorticity convection C = skew(G(u)); one assembly per step
+        serves both transport solves."""
+        return assemble.skew_part(assemble.assemble_vorticity_convection(u, self.W, self.qdeg))
+
+    def solve_transport(self, C, phi, dt):
+        """Particle step: midpoint skew transport plus diffusion, with C the
+        skew convection by the midpoint velocity."""
+        drift = assemble.assemble_particle_drift(
+            self.physics.settling_velocity, self.W, self.qdeg, self.bdeg,
             paper_literal_signs=self.paper_literal_signs,
         )
-        K = A_du + self.kappa * self.L
+        K = C + drift + self.kappa * self.L
         Mdt = (1.0 / dt) * self.Nw
         rhs = (Mdt - 0.5 * K) @ phi.coefficients
         coef, rep = lu_solve(LinearSystem((Mdt + 0.5 * K).tocsr(), rhs), rtol=self.solver_tol)
         return Field(self.W, coef), rep
 
-    def solve_vorticity(self, u, omega, dt, phi_mid=None, omega_tilde=None):
-        """Vorticity step: skew convection, midpoint viscosity, wall/baroclinic sources."""
-        C = assemble.skew_part(assemble.assemble_vorticity_convection(u, self.W, self.qdeg))
+    def solve_vorticity(self, C, omega, dt, phi_mid=None, omega_tilde=None):
+        """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic sources."""
         K = (C + self.nu * self.L)[self.iw][:, self.iw]
         Mdt = (1.0 / dt) * self.Nw_c
         rhs = (Mdt - 0.5 * K) @ omega.coefficients[self.iw]
@@ -286,10 +292,11 @@ def step_turbidity(state, model):
     u, omega, phi = state.u_half, state.omega, state.phi
     try:
         omega_tilde, rep1 = model.curl_h(u)                       # step 1
-        phi_new, rep2 = model.solve_transport(u, phi, dt)         # step 2
+        C = model.convection(u)
+        phi_new, rep2 = model.solve_transport(C, phi, dt)         # step 2
         phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi.coefficients))
         omega_new, rep3 = model.solve_vorticity(                  # step 3
-            u, omega, dt, phi_mid=phi_mid, omega_tilde=omega_tilde
+            C, omega, dt, phi_mid=phi_mid, omega_tilde=omega_tilde
         )
         u_new, p_new, l_vec, b_vec, rep4 = model.solve_momentum(  # step 4
             omega_new, u, dt, phi_buoy=phi_new
@@ -329,7 +336,7 @@ def step_homogeneous(state, model):
     k = state.k
     u, omega = state.u_half, state.omega
     try:
-        omega_new, rep3 = model.solve_vorticity(u, omega, dt)
+        omega_new, rep3 = model.solve_vorticity(model.convection(u), omega, dt)
         u_new, p_new, l_vec, _, rep4 = model.solve_momentum(omega_new, u, dt)
         div = _check_div(model, u_new, "step 4")
     except SolverError as exc:

@@ -133,6 +133,69 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
         dfio.restore_state(data, model2)
 
 
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
+    path = tmp_path / "c.ckpt"
+    dfio.save_checkpoint(str(path), state, eng, model)
+    before = path.read_bytes()
+    state, _ = step_turbidity(state, model)
+
+    class FailingFile:
+        """Writes the header, then fails on the first payload vector."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(dfio, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        dfio.save_checkpoint(str(path), state, eng, model)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt"]
+
+
+def csv_with_steps(path, steps, torn=None):
+    rows = [",".join(CSV_COLUMNS)] + [f"{k},{k * 1e-3!r}" + ",0.5" * (len(CSV_COLUMNS) - 2) for k in steps]
+    path.write_text("\n".join(rows) + "\n" + (torn or ""))
+    return path
+
+
+def test_resume_csv_cut_back_to_checkpoint_step(tmp_path):
+    path = csv_with_steps(tmp_path / "a.csv", range(1, 7), torn="7,0.00")
+    want = csv_with_steps(tmp_path / "b.csv", range(1, 4)).read_bytes()
+    dfio.truncate_csv_for_resume(str(path), 3, 1)
+    assert path.read_bytes() == want
+    # csv_every = 2: the row of step 2 is the last one written at or before step 3
+    path = csv_with_steps(tmp_path / "c.csv", (2, 4, 6))
+    dfio.truncate_csv_for_resume(str(path), 3, 2)
+    assert dfio.read_csv(str(path))["step"].tolist() == [2.0]
+    # before the first CSV row, a missing file is fine; after it, refused
+    dfio.truncate_csv_for_resume(str(tmp_path / "none.csv"), 1, 2)
+    with pytest.raises(dfio.CheckpointError, match="missing"):
+        dfio.truncate_csv_for_resume(str(tmp_path / "none.csv"), 3, 1)
+
+
+@pytest.mark.parametrize("steps,torn", [((1, 2), None), ((1, 2), "3,0.00"), ((), None)])
+def test_resume_refuses_csv_missing_rows(tmp_path, steps, torn):
+    path = csv_with_steps(tmp_path / "a.csv", steps, torn=torn)
+    with pytest.raises(dfio.CheckpointError, match="through step 3"):
+        dfio.truncate_csv_for_resume(str(path), 3, 1)
+
+
 def test_cli_check_ok(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(lock_cfg_text(tmp_path / "o"))
@@ -189,6 +252,35 @@ def test_cli_run_and_resume_bitwise(tmp_path):
     ck_a = (tmp_path / "outA" / "checkpoint_final.ckpt").read_bytes()
     ck_b = (tmp_path / "outB" / "checkpoint_final.ckpt").read_bytes()
     assert ck_a == ck_b
+
+
+def test_cli_resume_after_crash_bitwise(tmp_path):
+    """A run that went past its checkpoint (here to step 6, then a torn CSV
+    row) and is resumed from step 3 rewrites steps 4-6 exactly once."""
+    text = lock_cfg_text(tmp_path / "outA", t_end=0.006, extra="checkpoint_every = 3")
+    (tmp_path / "a.cfg").write_text(text)
+    assert run_cli(["run", "--config", str(tmp_path / "a.cfg")], cwd=tmp_path).returncode == 0
+    (tmp_path / "b.cfg").write_text(text.replace("outA", "outB"))
+    assert run_cli(["run", "--config", str(tmp_path / "b.cfg")], cwd=tmp_path).returncode == 0
+    with open(tmp_path / "outB" / "timeseries.csv", "a") as fh:
+        fh.write("7,0.00")
+    proc = run_cli(
+        ["resume", "--config", str(tmp_path / "b.cfg"),
+         "--checkpoint", str(tmp_path / "outB" / "checkpoint_00000003.ckpt")],
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("timeseries.csv", "checkpoint_final.ckpt"):
+        assert (tmp_path / "outA" / name).read_bytes() == (tmp_path / "outB" / name).read_bytes()
+    # with the CSV gone, the resume refuses instead of writing a partial series
+    (tmp_path / "outB" / "timeseries.csv").unlink()
+    proc = run_cli(
+        ["resume", "--config", str(tmp_path / "b.cfg"),
+         "--checkpoint", str(tmp_path / "outB" / "checkpoint_00000003.ckpt")],
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "timeseries.csv is missing" in proc.stderr
 
 
 def test_cli_homogeneous_taylor_green(tmp_path):

@@ -1,94 +1,258 @@
-"""The numba kernels must agree with the numpy reference implementations."""
+"""The assembled operators must agree with a per-quadrature-point oracle.
+
+The oracle is the three-operand einsum quadrature that the package used
+before its kernels became batched matmuls and its source terms static
+matrices: every operator is rebuilt here from the tabulations with
+einsum and an unbuffered scatter (np.add.at), straight from its
+integral, and compared to the package's to 1e-13 relative.  The cases
+are the desk lock-exchange channel at N=2 and a periodic box at N=1.
+"""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dualflow import kernels
+from dualflow import assemble
+from dualflow.mesh import (
+    TAG_BOTTOM,
+    TAG_TOP,
+    ChannelGeometry,
+    build_channel_mesh,
+    build_periodic_rect_mesh,
+)
+from dualflow.spaces import Field, make_space
 
+RTOL = 1e-13
+G = assemble.GRAVITY
 
-def make_inputs(seed=0, C=11, nq=6, n=5, m=4):
-    rng = np.random.default_rng(seed)
-    return {
-        "wdet": rng.random((C, nq)) + 0.1,
-        "val": rng.standard_normal((nq, n)),
-        "grad": rng.standard_normal((C, nq, n, 2)),
-        "vvals": rng.standard_normal((C, nq, m, 2)),
-        "divs": rng.standard_normal((C, nq, m)),
-        "qval": rng.standard_normal((nq, 3)),
-        "uq": rng.standard_normal((C, nq, 2)),
-        "duq": rng.standard_normal((C, nq)),
-        "wq": rng.standard_normal((C, nq)),
-        "F": rng.standard_normal((C, nq, 2)),
-        "fq": rng.standard_normal((C, nq)),
-        "dofs": rng.integers(0, 40, size=(C, n)).astype(np.int64),
-        "mdofs": rng.integers(0, 40, size=(C, m)).astype(np.int64),
-        "coef": rng.standard_normal(40),
-    }
+# ---------------------------------------------------------------------------
+# oracle kernels: one einsum per integral
 
 
-CALLS = {
-    "mass_ref": lambda d: ("wdet", "val"),
-    "mass_vec": lambda d: ("wdet", "vvals"),
-    "gradgrad": lambda d: ("wdet", "grad"),
-    "div_pairing": lambda d: ("wdet", "divs", "qval"),
-    "convection": lambda d: ("wdet", "val", "grad", "uq", "duq"),
-    "rotation": lambda d: ("wdet", "wq", "vvals"),
-    "field_scalar": lambda d: ("dofs", "coef", "val"),
-    "field_scalar_grad": lambda d: ("dofs", "coef", "grad"),
-    "field_vec": lambda d: ("mdofs", "coef", "vvals"),
-    "field_div": lambda d: ("mdofs", "coef", "divs"),
-    "vec_dot": lambda d: ("wdet", "F", "vvals"),
-    "vec_scalar": lambda d: ("wdet", "fq", "val"),
-    "vec_rotgrad": lambda d: ("wdet", "F", "grad"),
-}
+def o_field_scalar(dofs, coef, val):
+    return np.einsum("qn,cn->cq", val, coef[dofs])
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend not active")
-@pytest.mark.parametrize("name", sorted(CALLS))
-def test_backends_agree(name):
-    data = make_inputs()
-    args = [data[k] for k in CALLS[name](data)]
-    ref = kernels.NUMPY_IMPL[name](*args)
-    out = kernels.NUMBA_IMPL[name](*args)
-    assert out.shape == ref.shape
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    assert np.max(np.abs(out - ref)) < 1e-13 * scale
+def o_field_scalar_grad(dofs, coef, grad):
+    return np.einsum("cqnd,cn->cqd", grad, coef[dofs])
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend not active")
-def test_scatter_backends_agree():
-    data = make_inputs()
-    C, n = data["dofs"].shape
-    rng = np.random.default_rng(1)
-    local = rng.standard_normal((C, n, n))
-    pos = rng.integers(0, 60, size=(C, n, n)).astype(np.int64)
-    a = np.zeros(60)
-    b = np.zeros(60)
-    kernels.NUMPY_IMPL["scatter_matrix"](a, pos, local)
-    kernels.NUMBA_IMPL["scatter_matrix"](b, pos, local)
-    assert np.max(np.abs(a - b)) < 1e-14
-    va = np.zeros(40)
-    vb = np.zeros(40)
-    vec = rng.standard_normal((C, n))
-    kernels.NUMPY_IMPL["scatter_vector"](va, data["dofs"], vec)
-    kernels.NUMBA_IMPL["scatter_vector"](vb, data["dofs"], vec)
-    assert np.max(np.abs(va - vb)) < 1e-14
+def o_field_vec(dofs, coef, val):
+    return np.einsum("cqnd,cn->cqd", val, coef[dofs])
 
 
-def test_rotation_exactly_skew_both_backends():
-    data = make_inputs()
-    for name, impl in kernels.backends().items():
-        out = impl["rotation"](data["wdet"], data["wq"], data["vvals"])
-        assert np.max(np.abs(out + np.transpose(out, (0, 2, 1)))) == 0.0, name
+def o_field_div(dofs, coef, div):
+    return np.einsum("cqn,cn->cq", div, coef[dofs])
 
 
-def test_active_backend_matches_env():
-    import os
+def o_rotation(wdet, wq, val):
+    E = np.einsum("cq,cqa,cqb->cab", wdet * wq, val[..., 1], val[..., 0])
+    return E - np.transpose(E, (0, 2, 1))
 
-    env = os.environ.get("DUALFLOW_NUMBA", "auto").lower()
-    if env in ("0", "false", "off", "numpy"):
-        assert kernels.BACKEND == "numpy"
-    elif env in ("1", "true", "on", "numba"):
-        assert kernels.BACKEND == "numba"
+
+def o_convection(wdet, val, grad, uq, duq):
+    adv = np.einsum("cqad,cqd->cqa", grad, uq) + duq[:, :, None] * val[None, :, :]
+    return np.einsum("cq,qb,cqa->cab", wdet, val, adv)
+
+
+def o_matrix(row_dofs, col_dofs, local, shape):
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=shape)
+
+
+def o_vector(dofs, local, n):
+    out = np.zeros(n)
+    np.add.at(out, dofs.ravel(), local.ravel())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# oracle operators
+
+
+def o_mass(space, q):
+    tab = space.volume_data(q)
+    if space.family == "RT":
+        local = np.einsum("cq,cqad,cqbd->cab", tab.weights, tab.val, tab.val)
     else:
-        assert kernels.BACKEND in ("numba", "numpy")
+        local = np.einsum("cq,qa,qb->cab", tab.weights, tab.val, tab.val)
+    return o_matrix(space.cell_dofs, space.cell_dofs, local, (space.dim, space.dim))
+
+
+def o_curlcurl(W, q):
+    tab = W.volume_data(q)
+    local = np.einsum("cq,cqad,cqbd->cab", tab.weights, tab.grad, tab.grad)
+    return o_matrix(W.cell_dofs, W.cell_dofs, local, (W.dim, W.dim))
+
+
+def o_div(U, Q, q):
+    utab, qtab = U.volume_data(q), Q.volume_data(q)
+    local = np.einsum("cq,qa,cqb->cab", utab.weights, qtab.val, utab.div)
+    return o_matrix(Q.cell_dofs, U.cell_dofs, local, (Q.dim, U.dim))
+
+
+def o_rotation_ops(omega, U, q):
+    W = omega.space
+    utab, wtab = U.volume_data(q), W.volume_data(q)
+    wq = o_field_scalar(W.cell_dofs, omega.coefficients, wtab.val)
+    R = o_matrix(U.cell_dofs, U.cell_dofs, o_rotation(utab.weights, wq, utab.val), (U.dim, U.dim))
+    gw = o_field_scalar_grad(W.cell_dofs, omega.coefficients, wtab.grad)
+    curl_w = np.stack([gw[..., 1], -gw[..., 0]], axis=-1)
+    local = np.einsum("cq,cqd,cqad->ca", utab.weights, curl_w, utab.val)
+    return R, o_vector(U.cell_dofs, local, U.dim)
+
+
+def o_convection_matrix(u, extra, W, q):
+    U = u.space
+    utab, wtab = U.volume_data(q), W.volume_data(q)
+    uq = o_field_vec(U.cell_dofs, u.coefficients, utab.val) + np.asarray(extra)[None, None, :]
+    duq = o_field_div(U.cell_dofs, u.coefficients, utab.div)
+    local = o_convection(wtab.weights, wtab.val, wtab.grad, uq, duq)
+    return o_matrix(W.cell_dofs, W.cell_dofs, local, (W.dim, W.dim))
+
+
+def o_wall_mass(W, tag, b):
+    tab = W.boundary_data(tag, b)
+    local = np.einsum("eq,eqa,eqb->eab", tab.weights, tab.val, tab.val)
+    return o_matrix(tab.dofs, tab.dofs, local, (W.dim, W.dim))
+
+
+def o_particle(u, u_s, W, q, b, paper_literal_signs):
+    Gm = o_convection_matrix(u, (G[0] * u_s, G[1] * u_s), W, q)
+    A = 0.5 * (Gm.T - Gm)
+    s1 = -0.5 if paper_literal_signs else 0.5
+    return A + u_s * (s1 * o_wall_mass(W, TAG_TOP, b) + 0.5 * o_wall_mass(W, TAG_BOTTOM, b))
+
+
+def o_buoyancy(phi, U, q):
+    W = phi.space
+    utab, wtab = U.volume_data(q), W.volume_data(q)
+    pq = o_field_scalar(W.cell_dofs, phi.coefficients, wtab.val)
+    F = np.stack([pq * G[0], pq * G[1]], axis=-1)
+    local = np.einsum("cq,cqd,cqad->ca", utab.weights, F, utab.val)
+    return o_vector(U.cell_dofs, local, U.dim)
+
+
+def o_baroclinic(phi, W, q):
+    P = phi.space
+    ptab, wtab = P.volume_data(q), W.volume_data(q)
+    gp = o_field_scalar_grad(P.cell_dofs, phi.coefficients, ptab.grad)
+    fq = gp[..., 0] * G[1] - gp[..., 1] * G[0]
+    local = np.einsum("cq,qa->ca", wtab.weights * fq, wtab.val)
+    return o_vector(W.cell_dofs, local, W.dim)
+
+
+def o_curl_rhs(u, W, q):
+    U = u.space
+    utab, wtab = U.volume_data(q), W.volume_data(q)
+    F = o_field_vec(U.cell_dofs, u.coefficients, utab.val)
+    rot = F[..., 0, None] * wtab.grad[..., 1] - F[..., 1, None] * wtab.grad[..., 0]
+    local = np.einsum("cq,cqa->ca", wtab.weights, rot)
+    return o_vector(W.cell_dofs, local, W.dim)
+
+
+def o_neumann(omega, W, b):
+    out = np.zeros(W.dim)
+    for tag in (TAG_TOP, TAG_BOTTOM):
+        tab = W.boundary_data(tag, b)
+        g = np.einsum("eqnd,en->eqd", tab.grad, omega.coefficients[tab.dofs])
+        gn = np.einsum("eqd,ed->eq", g, tab.normals)
+        local = np.einsum("eq,eqa->ea", tab.weights * gn, tab.val)
+        out += o_vector(tab.dofs, local, W.dim)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cases
+
+
+class Case:
+    def __init__(self, mesh, N, seed):
+        self.N = N
+        self.W = make_space(mesh, "CG", N)
+        self.U = make_space(mesh, "RT", N)
+        self.Q = make_space(mesh, "DG", N - 1)
+        self.q = 2 * N + 2
+        self.b = N + 2
+        rng = np.random.default_rng(seed)
+        self.omega = Field(self.W, rng.standard_normal(self.W.dim))
+        self.phi = Field(self.W, rng.standard_normal(self.W.dim))
+        self.u = Field(self.U, rng.standard_normal(self.U.dim))
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """The desk lock-exchange channel of configs/lock_exchange.cfg at N=2."""
+    geom = ChannelGeometry(length=13.0, height=1.0, lock_length=1.0)
+    return Case(build_channel_mesh(geom, 50, 5, "crisscross"), 2, seed=1)
+
+
+@pytest.fixture(scope="module")
+def periodic():
+    return Case(build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 8, 8, "left"), 1, seed=2)
+
+
+@pytest.fixture(params=["desk", "periodic"])
+def case(request):
+    return request.getfixturevalue(request.param)
+
+
+def assert_close(got, ref):
+    if sp.issparse(ref):
+        got, ref = sp.csr_matrix(got), ref.tocsr()
+        err = abs(got - ref).max()
+        scale = abs(ref).max()
+    else:
+        err = np.max(np.abs(got - ref))
+        scale = np.max(np.abs(ref))
+    assert scale > 0
+    assert err <= RTOL * scale, f"error {err:.3e} at scale {scale:.3e}"
+
+
+def test_static_matrices_match_oracle(case):
+    for space in (case.W, case.U, case.Q):
+        assert_close(assemble.assemble_mass(space, case.q), o_mass(space, case.q))
+    assert_close(assemble.assemble_curlcurl(case.W, case.q), o_curlcurl(case.W, case.q))
+    D, P = assemble.assemble_div(case.U, case.Q, case.q)
+    assert_close(D, o_div(case.U, case.Q, case.q))
+
+
+def test_rotation_and_viscous_vector_match_oracle(case):
+    R, l = assemble.assemble_rotation(case.omega, case.U, case.q)
+    R_ref, l_ref = o_rotation_ops(case.omega, case.U, case.q)
+    assert_close(R, R_ref)
+    assert_close(l, l_ref)
+
+
+def test_convection_matches_oracle(case):
+    Gm = assemble.assemble_vorticity_convection(case.u, case.W, case.q)
+    assert_close(Gm, o_convection_matrix(case.u, (0.0, 0.0), case.W, case.q))
+
+
+@pytest.mark.parametrize("paper_literal_signs", [False, True])
+def test_particle_operator_matches_oracle(case, paper_literal_signs):
+    u_s = 0.02
+    A = assemble.assemble_particle_convection(
+        case.u, u_s, case.W, case.q, case.b, paper_literal_signs=paper_literal_signs
+    )
+    assert_close(A, o_particle(case.u, u_s, case.W, case.q, case.b, paper_literal_signs))
+
+
+def test_sources_match_oracle(case):
+    assert_close(assemble.assemble_buoyancy(case.phi, case.U, case.q), o_buoyancy(case.phi, case.U, case.q))
+    assert_close(assemble.assemble_baroclinic(case.phi, case.W, case.q), o_baroclinic(case.phi, case.W, case.q))
+    assert_close(assemble.assemble_curl_rhs(case.u, case.W, case.q), o_curl_rhs(case.u, case.W, case.q))
+
+
+def test_vorticity_neumann_matches_oracle(desk):
+    got = assemble.assemble_vorticity_neumann(desk.omega, desk.W, desk.b)
+    assert_close(got, o_neumann(desk.omega, desk.W, desk.b))
+
+
+def test_rotation_and_convection_exactly_skew(case):
+    R, _ = assemble.assemble_rotation(case.omega, case.U, case.q)
+    C = assemble.skew_part(assemble.assemble_vorticity_convection(case.u, case.W, case.q))
+    for A in (R, C):
+        assert abs(A).max() > 0
+        assert abs(A + A.T).max() == 0.0
