@@ -9,6 +9,8 @@ and the convection G(u) are assembled per step.  Every source term is a
 static matrix built once per space pair and cached next to the pattern:
 the weak curl Lc (giving both l = Lc omega and the curl rhs Lc^T u),
 buoyancy, baroclinic, the wall Neumann term and the particle drift.
+The discrete curl Z (CG stream function -> RT velocity) is cached the
+same way; it involves no quadrature.
 
 Index convention: for every matrix A produced here, A[i, j] pairs test
 function i against trial function j.
@@ -23,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
+from .elements import reference_curl
 
 GRAVITY = (0.0, -1.0)
 
@@ -104,6 +107,29 @@ def _weak_curl(U, W, qdegree):
         return _pattern(U, W).build(kernels.pairing_vec(utab.weights, utab.val, curl))
 
     return _cached(U, W, ("curl", qdegree), build)
+
+
+def curl_matrix(W, U):
+    """Static discrete curl Z[a, k] = RT dof a of curl w_k (U.dim x W.dim).
+
+    The reference matrix of elements.reference_curl with the RT dof signs
+    applied; no geometry enters.  An edge row is taken from the edge's
+    first cell and an interior row from its own cell, so every row is
+    written once.
+    """
+    def build():
+        Zloc = reference_curl(W.element, U.element)
+        edge_cells = U.mesh.edge_cells[U.mesh.cell_edges, 0]  # (C, 3)
+        own = np.ones(U.cell_dofs.shape, dtype=bool)
+        for loc, cols in enumerate(U.element.edge_dofs):
+            own[:, cols] = (edge_cells[:, loc] == np.arange(len(edge_cells)))[:, None]
+        keep = own[:, :, None] & (Zloc != 0.0)[None, :, :]
+        vals = U.cell_dof_signs[:, :, None] * Zloc[None, :, :]
+        rows = np.broadcast_to(U.cell_dofs[:, :, None], keep.shape)
+        cols = np.broadcast_to(W.cell_dofs[:, None, :], keep.shape)
+        return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(U.dim, W.dim))
+
+    return _cached(U, W, "discrete_curl", build)
 
 
 def assemble_rotation(omega, U, qdegree):

@@ -59,7 +59,6 @@ SCHEMA = {
         "seed": (int, 0),
     },
     "solver": {
-        "strategy": (str, "lu"),
         "tolerance": (float, 1e-10),
     },
     "output": {
@@ -203,8 +202,6 @@ def _validate(cfg, lines_of):
         err("initial", "kind", "turbidity mode uses the lock initial condition")
     if init["interface_width"] is not None and init["interface_width"] <= 0:
         err("initial", "interface_width", "must be positive")
-    if cfg["solver"]["strategy"] not in ("lu", "schur"):
-        err("solver", "strategy", "must be lu or schur")
     if cfg["solver"]["tolerance"] <= 0:
         err("solver", "tolerance", "must be positive")
     out = cfg["output"]

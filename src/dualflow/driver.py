@@ -59,7 +59,6 @@ def build_model(cfg, mesh=None):
         mesh, cfg.discretization["degree"], physics, time,
         paper_literal_signs=cfg.flags["paper_literal_signs"],
         solver_tol=cfg.solver["tolerance"],
-        saddle_strategy=cfg.solver["strategy"],
     )
 
 

@@ -188,6 +188,37 @@ class RTElement:
         return vals, divs
 
 
+def reference_curl(cg, rt):
+    """Z[i, n] = RT dof i of curl w_n, curl w = (dw/dy, -dw/dx), on the
+    reference cell: the curl of a CG_N basis function is exactly in RT_N.
+
+    Both dof kinds are metric-free.  The flux of curl w through an edge
+    traversed from a to b is the derivative of w along the edge, so an
+    edge moment is the integral of dw/dt against the edge's Legendre
+    polynomial; the Piola pullback of a physical curl is the reference
+    curl, so the interior moments are reference integrals too.
+    """
+    N = rt.degree
+    Z = np.zeros((rt.ndof, cg.ndof))
+    t, wt = interval_rule(2 * N + 1)
+    for e, (a, b) in enumerate(LOCAL_EDGES):
+        pa, pb = REF_VERTICES[a], REF_VERTICES[b]
+        _, grad = cg.tabulate(pa[None, :] + t[:, None] * (pb - pa)[None, :])
+        dwdt = grad @ (pb - pa)
+        for m, row in enumerate(rt.edge_dofs[e]):
+            leg = np.ones_like(t) if m == 0 else 2.0 * t - 1.0
+            Z[row] = (wt * leg) @ dwdt
+    if rt.n_interior:
+        rule = triangle_rule(2 * N)
+        _, grad = cg.tabulate(rule.points)
+        Z[rt.interior_dofs[0]] = rule.weights @ grad[..., 1]
+        Z[rt.interior_dofs[1]] = -(rule.weights @ grad[..., 0])
+    # basis functions that vanish on an edge have no flux through it; the
+    # rounding of the edge points leaves ~1e-16 there instead of zero
+    Z[np.abs(Z) < 1e-12] = 0.0
+    return Z
+
+
 _CACHE = {}
 
 

@@ -5,6 +5,7 @@ repr), so CSV rows are bitwise reproducible and resume-exact; checkpoint
 arrays are raw little-endian float64, lossless by construction.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .diagnostics import CSV_COLUMNS
 
 CHECKPOINT_MAGIC = "DUALFLOW-CKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _fmt(x):
@@ -170,6 +171,40 @@ class CheckpointError(RuntimeError):
 
 _FIELD_ORDER = ("u_half", "omega", "phi", "p_bar", "omega_tilde")
 
+# what each part of a run's identity covers
+IDENTITY = {
+    "mesh": "vertex coordinates, cells and wall tags",
+    "physics": "mode, viscosity, diffusivity, settling velocity and gravity",
+    "discretization": "degree and sign convention",
+}
+
+
+def _digest(*items):
+    h = hashlib.sha256()
+    for item in items:
+        a = np.ascontiguousarray(item)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def run_identity(model):
+    """Digest of each IDENTITY part of the run `model` computes.
+
+    The mesh digest is computed once per mesh; the other two hash a few
+    numbers and follow `model.physics` if it is replaced.
+    """
+    mesh, phys = model.mesh, model.physics
+    if "digest" not in mesh._cache:
+        mesh._cache["digest"] = _digest(mesh.periodic, mesh.vertices, mesh.cells,
+                                        mesh.cell_coords, mesh.edge_tags)
+    u_s = phys.settling_velocity if phys.mode == "turbidity" else 0.0
+    return {
+        "mesh": mesh._cache["digest"],
+        "physics": _digest(phys.mode, model.nu, model.kappa, u_s, phys.gravity),
+        "discretization": _digest(model.degree, model.paper_literal_signs),
+    }
+
 
 def save_checkpoint(path, state, engine, model):
     """Versioned header plus raw float64 dof vectors; lossless round trip.
@@ -193,6 +228,7 @@ def save_checkpoint(path, state, engine, model):
         f"degree {model.degree}",
         f"k {state.k}",
         f"dt {float(model.time.dt).hex()}",
+        "identity " + " ".join(f"{k}={v}" for k, v in run_identity(model).items()),
         "fields " + " ".join(fields),
         "dims " + " ".join(str(len(v)) for v in fields.values()),
         "scalars " + " ".join(f"{k}={float(v).hex()}" for k, v in scalars.items()),
@@ -247,13 +283,15 @@ def load_checkpoint(path):
         "degree": int(meta["degree"]),
         "k": int(meta["k"]),
         "dt": float.fromhex(meta["dt"]),
+        "identity": dict(tok.partition("=")[::2] for tok in meta["identity"].split()),
         "fields": fields,
         "scalars": scalars,
     }
 
 
 def restore_state(data, model):
-    """Rebuild a SimulationState from checkpoint data, validating shapes."""
+    """Rebuild a SimulationState from checkpoint data written by the same
+    run: mode, degree, dt, identity and field lengths must all match."""
     from .spaces import Field
     from .stepper import SimulationState
 
@@ -265,6 +303,11 @@ def restore_state(data, model):
         raise CheckpointError("checkpoint polynomial degree does not match configuration")
     if abs(data["dt"] - model.time.dt) > 0.0:
         raise CheckpointError("checkpoint time step does not match configuration")
+    for part, digest in run_identity(model).items():
+        if data["identity"].get(part) != digest:
+            raise CheckpointError(
+                f"checkpoint {part} ({IDENTITY[part]}) does not match the configured run"
+            )
     spaces = {"u_half": model.U, "omega": model.W, "phi": model.W,
               "p_bar": model.Q, "omega_tilde": model.W}
     kwargs = {}

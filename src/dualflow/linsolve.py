@@ -1,14 +1,12 @@
-"""Sparse linear algebra: direct LU, CG, and the velocity-pressure saddle solve.
+"""Sparse linear algebra: direct LU with iterative refinement.
 
-Every solve re-checks its own residual and reports it truthfully; the
-saddle solver pins one pressure dof to remove the constant nullspace and
-mean-projects the pressure afterwards.  A monolithic LU on the full
-block system is the default (and the oracle for any alternative
-strategy); a dense Schur-complement path exists for cross-checking on
-small problems.
+Every solve re-checks its own residual and reports it truthfully.  A
+factorization of a matrix that does not change between steps is kept in
+a CachedLU and reused.  Pressure-like vectors are defined up to a
+constant and are reported with zero mean (project_out_constant).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,17 +22,15 @@ class SolverReport:
     iterations: int
     residual: float
     reused_factorization: bool = False
-    strategy: str = "lu"
 
 
 @dataclass
 class LinearSystem:
-    """A sparse system with optional constrained dofs and nullspace note."""
+    """A sparse system with optional constrained dofs."""
 
     matrix: sp.spmatrix
     rhs: np.ndarray
     constrained: tuple = None      # (indices, values)
-    nullspace: str = None          # e.g. "constant"
 
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=float)
@@ -64,10 +60,8 @@ class CachedLU:
     def __init__(self, matrix):
         self.matrix = matrix.tocsc()
         self._lu = spla.splu(self.matrix)
-        self.uses = 0
 
     def solve(self, rhs):
-        self.uses += 1
         return self._lu.solve(rhs)
 
 
@@ -115,95 +109,7 @@ def lu_solve(system, rtol=1e-10, max_refine=2, cached=None):
     return x, SolverReport(iterations=0, residual=res, reused_factorization=cached is not None)
 
 
-def cg_solve(system, tol=1e-12, max_iter=None):
-    """Conjugate gradients for SPD systems (on the free dofs)."""
-    A, b = system.matrix.tocsr(), system.rhs
-    split = _split(system)
-    if split is None:
-        Ar, br, free = A, b, None
-    else:
-        free, idx, vals = split
-        Ar = A[free][:, free]
-        br = b[free] - A[free][:, idx] @ vals
-    n = Ar.shape[0]
-    max_iter = max_iter if max_iter is not None else 10 * n
-    if not np.any(br):
-        xr, iters = np.zeros(n), 0
-    else:
-        count = {"n": 0}
-
-        def cb(_):
-            count["n"] += 1
-
-        xr, info = spla.cg(Ar, br, rtol=tol, atol=0.0, maxiter=max_iter, callback=cb)
-        iters = count["n"]
-        if info > 0:
-            raise SolverError(f"CG did not converge within {max_iter} iterations (residual info={info})")
-    res = _residual_inf(Ar, xr, br)
-    if split is None:
-        x = xr
-    else:
-        x = np.zeros(A.shape[0])
-        x[free] = xr
-        x[idx] = vals
-    return x, SolverReport(iterations=iters, residual=res, strategy="cg")
-
-
 def project_out_constant(q, mass_q, ones_q, area):
     """Shift a pressure-like coefficient vector to zero mean."""
     mean = float(ones_q @ (mass_q @ q)) / area
     return q - mean * ones_q
-
-
-def solve_saddle(A, D, f, mass_q, ones_q, area, rtol=1e-10, strategy="lu", max_refine=2):
-    """Solve [[A, -D^T], [D, 0]] (u, p) = (f, 0) with zero-mean pressure.
-
-    A must have an SPD symmetric part and D full row rank up to the
-    constant pressure mode, which is removed by pinning dof 0 and
-    restored as a zero-mean pressure.
-    """
-    nu, npr = A.shape[0], D.shape[0]
-    if strategy == "lu":
-        D2 = D.tocsr(copy=True)
-        pin = sp.csr_matrix((np.ones(1), (np.zeros(1, dtype=int), np.zeros(1, dtype=int))), shape=(npr, npr))
-        start = D2.indptr[0]
-        stop = D2.indptr[1]
-        D2.data[start:stop] = 0.0  # row 0 replaced by the pin
-        K = sp.bmat([[A, -D.T], [D2, pin]], format="csc")
-        rhs = np.concatenate([f, np.zeros(npr)])
-        try:
-            lu = spla.splu(K)
-        except RuntimeError as exc:
-            raise SolverError(f"saddle factorization failed: {exc}") from None
-        x = lu.solve(rhs)
-        target = rtol * (1.0 + float(np.max(np.abs(rhs))))
-        res = float(np.max(np.abs(K @ x - rhs)))
-        refinements = 0
-        while res > target and refinements < max_refine:
-            x = x + lu.solve(rhs - K @ x)
-            res = float(np.max(np.abs(K @ x - rhs)))
-            refinements += 1
-        u, p = x[:nu], x[nu:]
-    elif strategy == "schur":
-        if nu + npr > 4000:
-            raise SolverError("schur strategy is a dense cross-check; system too large")
-        Ad = A.toarray()
-        Dd = D.toarray()
-        AinvDt = np.linalg.solve(Ad, Dd.T)
-        Ainvf = np.linalg.solve(Ad, f)
-        S = Dd @ AinvDt
-        g = -(Dd @ Ainvf)
-        S[0, :] = 0.0
-        S[0, 0] = 1.0
-        g[0] = 0.0
-        p = np.linalg.solve(S, g)
-        u = Ainvf + AinvDt @ p
-    else:
-        raise ValueError(f"unknown saddle strategy {strategy!r}")
-
-    p = project_out_constant(p, mass_q, ones_q, area)
-    res_mom = float(np.max(np.abs(A @ u - D.T @ p - f))) if nu else 0.0
-    res_div = float(np.max(np.abs(D @ u))) if npr else 0.0
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
-        raise SolverError("saddle solve produced non-finite values")
-    return u, p, SolverReport(iterations=0, residual=max(res_mom, res_div), strategy=strategy)

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assemble import curl_matrix
 from .elements import LOCAL_EDGES, REF_VERTICES, UnsupportedElementError, get_element
 from .quadrature import interval_rule, triangle_rule
-from . import kernels
 
 FAMILIES = ("CG", "RT", "DG")
 
@@ -309,20 +309,15 @@ def project(space, fn, qdegree=None):
     return Field(space, coef)
 
 
-def _edge_orientation_data(mesh, e):
-    """Geometry of edge e in its global (lo->hi) orientation."""
-    c = mesh.edge_cells[e, 0]
-    loc = mesh.edge_local[e, 0]
-    a, b = LOCAL_EDGES[loc]
-    pa, pb = mesh.cell_coords[c, a, :], mesh.cell_coords[c, b, :]
-    ra, rb = REF_VERTICES[a], REF_VERTICES[b]
-    if mesh.cells[c, a] > mesh.cells[c, b]:  # local direction opposes global
-        pa, pb = pb, pa
-        ra, rb = rb, ra
-    tang = pb - pa
-    length = float(np.hypot(*tang))
-    normal = np.array([tang[1], -tang[0]]) / length
-    return c, pa, pb, ra, rb, normal, length
+def _oriented_edges(mesh):
+    """End points (E, 2) of every edge in its global (lo->hi) orientation,
+    in the geometric coordinates of the edge's first cell."""
+    c = mesh.edge_cells[:, 0]
+    ends = np.asarray(LOCAL_EDGES)[mesh.edge_local[:, 0]]
+    a, b = ends[:, 0], ends[:, 1]
+    flip = mesh.cells[c, a] > mesh.cells[c, b]  # local direction opposes global
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    return mesh.cell_coords[c, a], mesh.cell_coords[c, b]
 
 
 def interpolate(space, fn, qdegree=None):
@@ -341,14 +336,16 @@ def interpolate(space, fn, qdegree=None):
 
     N = space.degree
     t1, w1 = interval_rule(2 * N + 3)
-    for e in range(mesh.num_edges):
-        _, pa, pb, _, _, normal, length = _edge_orientation_data(mesh, e)
-        pts = pa[None, :] + t1[:, None] * (pb - pa)[None, :]
-        fx, fy = fn(pts[:, 0], pts[:, 1])
-        un = np.asarray(fx) * normal[0] + np.asarray(fy) * normal[1]
-        for m in range(N):
-            leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
-            coef[N * e + m] = length * np.sum(w1 * un * leg)
+    pa, pb = _oriented_edges(mesh)
+    tang = pb - pa
+    pts = pa[:, None, :] + t1[None, :, None] * tang[:, None, :]
+    fx, fy = fn(pts[..., 0], pts[..., 1])
+    # length * (u . n) with n = (t_y, -t_x) / length
+    flux = np.asarray(fx) * tang[:, 1, None] - np.asarray(fy) * tang[:, 0, None]
+    flux = np.broadcast_to(flux, pts.shape[:2])
+    for m in range(N):
+        leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
+        coef[m:N * mesh.num_edges:N] = flux @ (w1 * leg)
     if space.element.n_interior:
         rule = triangle_rule(qdegree if qdegree is not None else 2 * N + 2)
         J, det, Jinv = mesh.jacobians()
@@ -371,40 +368,10 @@ def discrete_curl(psi, rt_space):
     """Exact RT representation of the vector curl (d/dy, -d/dx) of a CG field."""
     if psi.space.family != "CG":
         raise ValueError("discrete_curl expects a CG field")
-    mesh = rt_space.mesh
-    if mesh is not psi.space.mesh:
+    if rt_space.mesh is not psi.space.mesh:
         raise ValueError("spaces live on different meshes")
     rt_space._require_tabulation()
-    N = rt_space.degree
-    coef = np.zeros(rt_space.dim)
-    t1, w1 = interval_rule(2 * N + 1)
-    elem = psi.space.element
-    _, _, Jinv = mesh.jacobians()
-    for e in range(mesh.num_edges):
-        c, pa, pb, ra, rb, normal, length = _edge_orientation_data(mesh, e)
-        rpts = ra[None, :] + t1[:, None] * (rb - ra)[None, :]
-        _, rgrad = elem.tabulate(rpts)
-        grad = np.einsum("qne,ed->qnd", rgrad, Jinv[c])
-        gpsi = np.einsum("qnd,n->qd", grad, psi.coefficients[psi.space.cell_dofs[c]])
-        # (curl psi).n = psi_y n_x - psi_x n_y = derivative along the oriented edge
-        un = gpsi[:, 1] * normal[0] - gpsi[:, 0] * normal[1]
-        for m in range(N):
-            leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
-            coef[N * e + m] = length * np.sum(w1 * un * leg)
-    if rt_space.element.n_interior:
-        qdeg = 2 * N + 2
-        wtab = psi.space.volume_data(qdeg)
-        rule = triangle_rule(qdeg)
-        J, det, Jinv = mesh.jacobians()
-        gpsi = kernels.field_scalar_grad(psi.space.cell_dofs, psi.coefficients, wtab.grad)
-        F = np.stack([gpsi[..., 1], -gpsi[..., 0]], axis=-1)
-        pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
-        moments = np.einsum("q,cqe->ce", rule.weights, pull)
-        ni = rt_space.element.n_interior
-        base = N * mesh.num_edges
-        for k in range(ni):
-            coef[base + ni * np.arange(mesh.num_cells) + k] = moments[:, k]
-    return Field(rt_space, coef)
+    return Field(rt_space, curl_matrix(psi.space, rt_space) @ psi.coefficients)
 
 
 def tabulate(space, cell, ref_points, strict=True):

@@ -7,14 +7,25 @@ for u^{1/2}, every step is a fixed sequence of single linear solves:
   1. weak curl recovery       N om~ = <u^{k+1/2}, curl xi>
   2. particle transport       (M/dt + K/2) phi^{k+1} = (M/dt - K/2) phi^k
   3. vorticity transport      (N/dt + (C + nu L)/2) om^{k+1} = ... + sources
-  4. velocity/pressure saddle (M/dt + R/2) u^{k+3/2} - D^T p = f,  D u = 0
+  4. momentum                 (M/dt + R/2) u^{k+3/2} - D^T p = f,  D u = 0
 
 with C = skew(G(u^{k+1/2})) the skew convection, assembled once and
 shared by steps 2 and 3, K = C + settling drift and wall terms +
 diffusion, and R the (exactly skew) rotation.  The skewness of R and C
 is what keeps kinetic energy and enstrophy free of artificial
-dissipation; the divergence constraint is enforced to solver precision
-every step.
+dissipation.
+
+Step 4 is solved in the divergence-free subspace.  By the exact sequence
+CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
+zero normal trace is u = Z psi, with Z the discrete curl: on the channel
+psi ranges over the CG dofs off the walls, on the torus over all CG dofs
+but one plus the two constant (harmonic) velocities.  So
+
+  4a. stream function   Z^T (M/dt + R/2) Z psi = Z^T f,   u = Z psi
+  4b. pressure          D D^T p = D (A u - f),  one dof pinned, zero mean
+
+with Z^T R Z made exactly skew and Z^T M Z static.  D u = 0 holds by
+construction and is still checked to 1e-10 every step.
 
 The homogeneous mode (periodic box, no particles) drops steps 1-2 and
 the wall terms and uses a prescribed viscosity instead of Gr^(-1/2).
@@ -24,16 +35,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assemble
 from .linsolve import (
     CachedLU,
     LinearSystem,
     SolverError,
+    SolverReport,
     lu_solve,
-    solve_saddle,
+    project_out_constant,
 )
-from .mesh import TAG_LEFT, TAG_RIGHT
+from .mesh import TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
     Field,
     constant_coefficients,
@@ -131,7 +144,7 @@ class Model:
     """Spaces, static operators and cached factorizations for one run."""
 
     def __init__(self, mesh, degree, physics, time, paper_literal_signs=False,
-                 solver_tol=1e-10, saddle_strategy="lu"):
+                 solver_tol=1e-10):
         if physics.mode == "turbidity" and mesh.periodic:
             raise ValueError("turbidity mode needs a tagged channel mesh")
         if physics.mode == "homogeneous" and not mesh.periodic:
@@ -142,7 +155,6 @@ class Model:
         self.time = time
         self.paper_literal_signs = paper_literal_signs
         self.solver_tol = solver_tol
-        self.saddle_strategy = saddle_strategy
 
         self.W = make_space(mesh, "CG", degree)
         self.U = make_space(mesh, "RT", degree)
@@ -162,7 +174,7 @@ class Model:
         self.M = assemble.assemble_mass(self.U, self.qdeg)
         self.Nw = assemble.assemble_mass(self.W, self.qdeg)
         self.L = assemble.assemble_curlcurl(self.W, self.qdeg)
-        self.D, self.P = assemble.assemble_div(self.U, self.Q, self.qdeg)
+        self.D, _ = assemble.assemble_div(self.U, self.Q, self.qdeg)
         self.MQ = assemble.assemble_mass(self.Q, self.qdeg)
 
         self.ones_w = constant_coefficients(self.W)
@@ -170,11 +182,16 @@ class Model:
         self.area = mesh.total_area()
         self.y_w = interpolate(self.W, lambda x, y: y).coefficients
 
-        self.M_r = self.M[self.iu][:, self.iu].tocsr()
-        self.D_r = self.D[:, self.iu].tocsr()
         self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
-        self.L_c = self.L[self.iw][:, self.iw].tocsr()
         self._lu_curl = CachedLU(self.Nw_c)
+
+        self.Z = self._stream_basis()
+        self.Zt = self.Z.T.tocsr()
+        self.ZMZ = (self.Zt @ self.M @ self.Z).tocsr()
+        self.D_r = self.D[:, self.iu].tocsr()
+        # D D^T annihilates the constant pressure: pin dof 0
+        self.DDt_pinned = (self.D_r @ self.D_r.T)[1:, 1:].tocsr()
+        self._lu_pressure = CachedLU(self.DDt_pinned)
 
         if physics.mode == "turbidity":
             from .mesh import TAG_BOTTOM
@@ -185,8 +202,33 @@ class Model:
             self.B_bottom = None
             self.grad_dot_g = None
 
-        self.nu = physics.effective_viscosity
-        self.kappa = physics.particle_diffusivity if physics.mode == "turbidity" else 0.0
+    def _stream_basis(self):
+        """Z: the discrete curl restricted to a basis of the divergence-free
+        velocities with zero normal trace (U.dim x n_psi)."""
+        Z = assemble.curl_matrix(self.W, self.U)
+        if self.mesh.periodic:
+            harmonic = [interpolate(self.U, lambda x, y, e=e: e).coefficients
+                        for e in ((1.0, 0.0), (0.0, 1.0))]
+            # psi is defined up to a constant: drop CG dof 0
+            Z = sp.hstack([Z[:, 1:], sp.csc_matrix(np.column_stack(harmonic))]).tocsr()
+        else:
+            Z = Z[:, free_dofs(self.W, wall_trace_dofs(self.W, WALL_TAGS))].tocsr()
+        expected = len(self.iu) - (self.Q.dim - 1)
+        if Z.shape[1] != expected:
+            raise ValueError(
+                f"the stream-function basis has {Z.shape[1]} functions but the mesh has "
+                f"{expected} divergence-free velocities: a channel mesh must be simply "
+                "connected and a periodic one a torus"
+            )
+        return Z
+
+    @property
+    def nu(self):
+        return self.physics.effective_viscosity
+
+    @property
+    def kappa(self):
+        return self.physics.particle_diffusivity if self.physics.mode == "turbidity" else 0.0
 
     # -- scalar functionals -------------------------------------------------
 
@@ -255,25 +297,31 @@ class Model:
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
+    def reduced_rotation(self, R):
+        """Z^T R Z for the rotation R, made exactly skew."""
+        return -assemble.skew_part(self.Zt @ (R @ self.Z))
+
     def solve_momentum(self, omega, u_old, dt, phi_buoy=None):
-        """Velocity/pressure saddle step with rotation at the midpoint velocity."""
+        """Momentum step with rotation at the midpoint velocity: stream
+        function solve for u = Z psi, then pressure recovery."""
         R, l = assemble.assemble_rotation(omega, self.U, self.qdeg)
-        R_r = R[self.iu][:, self.iu]
-        Mdt = (1.0 / dt) * self.M_r
-        A = (Mdt + 0.5 * R_r).tocsr()
-        uo = u_old.coefficients[self.iu]
-        f = (Mdt - 0.5 * R_r) @ uo - self.nu * l[self.iu]
+        uo = u_old.coefficients
+        f = (self.M @ uo) / dt - 0.5 * (R @ uo) - self.nu * l
         b = None
         if phi_buoy is not None:
             b = assemble.assemble_buoyancy(phi_buoy, self.U, self.qdeg, self.physics.gravity)
-            f = f + b[self.iu]
-        u_red, p, rep = solve_saddle(
-            A, self.D_r, f, self.MQ, self.ones_q, self.area,
-            rtol=self.solver_tol, strategy=self.saddle_strategy,
-        )
-        coef = np.zeros(self.U.dim)
-        coef[self.iu] = u_red
-        return Field(self.U, coef), Field(self.Q, p), l, b, rep
+            f = f + b
+        A = (self.ZMZ / dt + 0.5 * self.reduced_rotation(R)).tocsr()
+        psi, rep = lu_solve(LinearSystem(A, self.Zt @ f), rtol=self.solver_tol)
+        u = self.Z @ psi
+        # D^T p = A u - f on the free dofs; the residual lies in range(D^T)
+        r = ((self.M @ u) / dt + 0.5 * (R @ u) - f)[self.iu]
+        p = np.zeros(self.Q.dim)
+        p[1:], _ = lu_solve(LinearSystem(self.DDt_pinned, (self.D_r @ r)[1:]),
+                            rtol=self.solver_tol, cached=self._lu_pressure)
+        p = project_out_constant(p, self.MQ, self.ones_q, self.area)
+        res = max(rep.residual, float(np.max(np.abs(r - self.D_r.T @ p))))
+        return Field(self.U, u), Field(self.Q, p), l, b, SolverReport(iterations=0, residual=res)
 
 
 def _check_div(model, u, where):
@@ -428,7 +476,7 @@ class StartupReport:
 def initialize(model, ic=None):
     """Implicit startup: fixed-point iteration for u^{1/2} over [0, dt/2].
 
-    Each pass solves the momentum saddle with the rotation frozen at the
+    Each pass solves the momentum step with the rotation frozen at the
     current vorticity iterate and (in turbidity mode) buoyancy frozen at
     phi^0; the vorticity iterate is then refreshed as the weak curl of
     the midpoint velocity.

