@@ -184,11 +184,17 @@ def _boundary_matrix(row_tab, col_tab, local, shape):
     return B
 
 
-def assemble_particle_drift(u_s, W, qdegree, bdegree, paper_literal_signs=False):
+def assemble_particle_drift(u_s, W, qdegree, bdegree):
     """Static part of the particle transport operator: the exact skew part
     of the constant settling drift <w_b, div(u_s e_g w_a)> plus the
-    settling terms u_s (s1 B_top + B_bottom / 2) on the top and bottom
-    walls, s1 = +1/2 (or -1/2 with `paper_literal_signs`)."""
+    settling terms u_s (B_top + B_bottom) / 2 on the top and bottom walls.
+
+    The transport operator is skew(G(u)) + this drift: the volume part is
+    the skew part of <w_b, div(u_p w_a)> with u_p = u + u_s e_g, which is
+    linear in u_p.  Both wall terms enter with +u_s/2 so that pairing
+    against the constant test function reduces the operator to the
+    bottom-wall settling outflux, which conserves particle mass.
+    """
     from .mesh import TAG_BOTTOM, TAG_TOP
 
     if u_s < 0:
@@ -201,28 +207,11 @@ def assemble_particle_drift(u_s, W, qdegree, bdegree, paper_literal_signs=False)
         C, nq = wtab.weights.shape
         drift = np.broadcast_to(np.array(GRAVITY, dtype=float), (C, nq, 2))
         G = _convection_matrix(drift, np.zeros((C, nq)), W, qdegree)
-        s1 = -0.5 if paper_literal_signs else 0.5
         B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
         B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
-        return (u_s * skew_part(G) + u_s * (s1 * B1 + 0.5 * B3)).tocsr()
+        return (u_s * skew_part(G) + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()
 
-    return _cached(W, W, ("drift", u_s, qdegree, bdegree, paper_literal_signs), build)
-
-
-def assemble_particle_convection(u, u_s, W, qdegree, bdegree, paper_literal_signs=False):
-    """Skew transport operator for the particle field, including the
-    settling boundary terms on the top and bottom walls.
-
-    The volume part is the exact skew part of <w_b, div(u_p w_a)> with
-    u_p = u + u_s * e_g.  It is linear in u_p, so it is the skew part of
-    the convection by u plus the static drift of assemble_particle_drift.
-    Both wall terms enter with +u_s/2 so that pairing against the
-    constant test function reduces the operator to the bottom-wall
-    settling outflux; `paper_literal_signs` flips the top-wall term for
-    comparison, which breaks global mass conservation.
-    """
-    drift = assemble_particle_drift(u_s, W, qdegree, bdegree, paper_literal_signs)
-    return skew_part(assemble_vorticity_convection(u, W, qdegree)) + drift
+    return _cached(W, W, ("drift", u_s, qdegree, bdegree), build)
 
 
 def assemble_buoyancy(phi, U, qdegree, gravity=GRAVITY):
@@ -291,22 +280,4 @@ def assemble_gradient_dot(space, qdegree, direction=GRAVITY):
     local = np.einsum("cq,cqa->ca", tab.weights, fq)
     out = np.zeros(space.dim)
     kernels.scatter_vector(out, space.cell_dofs, local)
-    return out
-
-
-def assemble_weighted_flux(space, weight_fn, qdegree):
-    """Static vector v[i] = integral over the whole boundary of
-    weight(x) grad(w_i).n; used by the cross-literature dissipation
-    variant."""
-    from .mesh import WALL_TAGS
-
-    out = np.zeros(space.dim)
-    for tag in WALL_TAGS:
-        tab = space.boundary_data(tag, qdegree)
-        if len(tab.edges) == 0:
-            continue
-        wq = weight_fn(tab.points[..., 0], tab.points[..., 1])
-        gn = np.einsum("eqnd,ed->eqn", tab.grad, tab.normals)
-        local = np.einsum("eq,eqn->en", tab.weights * wq, gn)
-        np.add.at(out, tab.dofs.ravel(), local.ravel())
     return out

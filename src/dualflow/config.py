@@ -5,7 +5,7 @@ sections or keys, type mismatches and constraint violations are fatal
 and reported with their line number.
 """
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -13,15 +13,6 @@ class ConfigError(ValueError):
         self.line = line
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
-
-
-def _bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "on", "1"):
-        return True
-    if t in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 # (type, default) per key; REQUIRED means the key must be present.
@@ -58,17 +49,11 @@ SCHEMA = {
         "kind": (str, None),  # lock | taylor_green | random; default by mode
         "seed": (int, 0),
     },
-    "solver": {
-        "tolerance": (float, 1e-10),
-    },
     "output": {
         "dir": (str, "out"),
         "csv_every": (int, 1),
         "vtk_every": (int, 0),
         "checkpoint_every": (int, 0),
-    },
-    "flags": {
-        "paper_literal_signs": (bool, False),
     },
 }
 
@@ -82,12 +67,7 @@ class RunConfig:
     discretization: dict
     time: dict
     initial: dict
-    solver: dict
     output: dict
-    flags: dict
-
-    def section(self, name):
-        return getattr(self, name)
 
 
 def parse_config(text):
@@ -119,9 +99,7 @@ def parse_config(text):
             raise ConfigError(f"duplicate key {section}.{key}", lineno)
         typ, _default = SCHEMA[section][key]
         try:
-            if typ is bool:
-                parsed = _bool(val)
-            elif typ is int:
+            if typ is int:
                 parsed = int(val)
             elif typ is float:
                 parsed = float(val)
@@ -155,26 +133,24 @@ def parse_config(text):
     return RunConfig(**cfg)
 
 
-def _loc(lines_of, sec, key):
-    return lines_of.get((sec, key))
-
-
 def _validate(cfg, lines_of):
     def err(sec, key, msg):
-        raise ConfigError(f"{sec}.{key}: {msg}", _loc(lines_of, sec, key))
+        raise ConfigError(f"{sec}.{key}: {msg}", lines_of.get((sec, key)))
 
     mesh, phys, time = cfg["mesh"], cfg["physics"], cfg["time"]
     if phys["mode"] not in ("turbidity", "homogeneous"):
         err("physics", "mode", f"must be turbidity or homogeneous, got {phys['mode']!r}")
     if mesh["pattern"] not in ("left", "right", "crisscross"):
         err("mesh", "pattern", f"unknown pattern {mesh['pattern']!r}")
-    if mesh["length"] <= 0 or mesh["height"] <= 0:
-        err("mesh", "length", "channel extents must be positive")
+    for key in ("length", "height"):
+        if mesh[key] <= 0:
+            err("mesh", key, "channel extents must be positive")
     if phys["mode"] == "turbidity" and not (mesh["length"] > mesh["lock_length"] > 0):
         err("mesh", "lock_length", "need length > lock_length > 0")
     min_n = 2 if phys["mode"] == "homogeneous" else 1
-    if mesh["nx"] < min_n or mesh["ny"] < min_n:
-        err("mesh", "nx", f"resolution must be at least {min_n} in each direction")
+    for key in ("nx", "ny"):
+        if mesh[key] < min_n:
+            err("mesh", key, f"resolution must be at least {min_n} in each direction")
     if phys["grashof"] <= 0:
         err("physics", "grashof", "must be positive")
     if phys["schmidt"] <= 0:
@@ -200,15 +176,16 @@ def _validate(cfg, lines_of):
         err("initial", "kind", f"unknown initial condition {init['kind']!r}")
     if phys["mode"] == "turbidity" and init["kind"] != "lock":
         err("initial", "kind", "turbidity mode uses the lock initial condition")
+    if phys["mode"] == "homogeneous" and init["kind"] == "lock":
+        err("initial", "kind", "homogeneous mode has no particles: use taylor_green or random")
     if init["interface_width"] is not None and init["interface_width"] <= 0:
         err("initial", "interface_width", "must be positive")
-    if cfg["solver"]["tolerance"] <= 0:
-        err("solver", "tolerance", "must be positive")
     out = cfg["output"]
     if out["csv_every"] < 1:
         err("output", "csv_every", "must be at least 1")
-    if out["vtk_every"] < 0 or out["checkpoint_every"] < 0:
-        err("output", "vtk_every", "cadences must be nonnegative (0 disables)")
+    for key in ("vtk_every", "checkpoint_every"):
+        if out[key] < 0:
+            err("output", key, "cadences must be nonnegative (0 disables)")
 
 
 def parse_config_file(path):

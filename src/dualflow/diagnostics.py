@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assemble
-from .spaces import Field
 
 CSV_COLUMNS = (
     "step", "t", "K", "Ep", "eps_v", "eps_s", "Ev", "Es", "E_res",
@@ -92,22 +91,21 @@ class FrontTracker:
         self.columns = np.linspace(xmin, xmax, num_columns + 1)
         t, w = interval_rule(2 * num_samples - 1)
         ys = ymin + t * (ymax - ymin)
-        rows, cols, vals = [], [], []
-        elem = space.element
-        for i, x in enumerate(self.columns):
-            for wq, y in zip(w, ys):
+        cells, refs = [], []
+        for x in self.columns:
+            for y in ys:
                 c = mesh.locate_cell((x, y))
                 if c < 0:
                     raise ValueError(f"front sample point ({x}, {y}) not inside the mesh")
-                ref = mesh.reference_coords(c, mesh.wrap_point((x, y)))
-                bv, _ = elem.tabulate(ref[None, :])
-                for dof, v in zip(space.cell_dofs[c], bv[0]):
-                    rows.append(i)
-                    cols.append(int(dof))
-                    vals.append(wq * v)
+                cells.append(c)
+                refs.append(mesh.reference_coords(c, mesh.wrap_point((x, y))))
+        bv, _ = space.element.tabulate(np.array(refs))  # (points, cell dofs)
         # one sparse apply per step: row i = depth average over column i
+        rows = np.repeat(np.arange(len(self.columns)), len(ys) * bv.shape[1])
+        vals = np.tile(w, len(self.columns))[:, None] * bv
         self.sampler = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(len(self.columns), space.dim)
+            (vals.ravel(), (rows, space.cell_dofs[cells].ravel())),
+            shape=(len(self.columns), space.dim),
         )
 
     def depth_averages(self, phi):
@@ -117,33 +115,6 @@ class FrontTracker:
         avg = self.depth_averages(phi)
         hits = np.flatnonzero(avg >= self.threshold)
         return float(self.columns[hits[-1]]) if len(hits) else float(self.xmin)
-
-
-def front_position(model, phi, threshold=0.01, num_columns=None):
-    """One-shot front position (builds a fresh sampling plan)."""
-    return FrontTracker(model, threshold=threshold, num_columns=num_columns).position(phi)
-
-
-def eps_s_ref1_variant(model, phi, u_s=None, kappa=None):
-    """Settling-dissipation variant used by the adapted-mesh reference:
-
-        -u_s <e_g, grad phi> - kappa * { <grad phi, grad y> - contour y grad(phi).n }
-
-    Emitted for cross-literature comparison only; never enters E_res.
-    """
-    u_s = model.physics.settling_velocity if u_s is None else u_s
-    kappa = model.physics.particle_diffusivity if kappa is None else kappa
-    if "_ref1_gdot" not in model.__dict__:
-        model.__dict__["_ref1_gdot"] = assemble.assemble_gradient_dot(
-            model.W, model.qdeg, model.physics.gravity
-        )
-        model.__dict__["_ref1_flux"] = assemble.assemble_weighted_flux(
-            model.W, lambda x, y: y, model.bdeg
-        )
-    grad_term = float(model.__dict__["_ref1_gdot"] @ phi.coefficients)  # <grad phi, e_g>
-    grad_y = -grad_term  # grad y = (0,1) = -e_g, exactly, at every quadrature point
-    flux = float(model.__dict__["_ref1_flux"] @ phi.coefficients)
-    return -u_s * grad_term - kappa * (grad_y - flux)
 
 
 class Engine:
@@ -227,7 +198,3 @@ class Engine:
             )
         return row
 
-
-def ledger_update(engine, prev_state, new_state, audit):
-    """Functional wrapper over Engine.update (one row per completed step)."""
-    return engine.update(prev_state, new_state, audit)

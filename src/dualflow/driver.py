@@ -55,11 +55,7 @@ def build_model(cfg, mesh=None):
         startup_tol=cfg.time["startup_tol"],
         startup_max_iter=cfg.time["startup_max_iter"],
     )
-    return Model(
-        mesh, cfg.discretization["degree"], physics, time,
-        paper_literal_signs=cfg.flags["paper_literal_signs"],
-        solver_tol=cfg.solver["tolerance"],
-    )
+    return Model(mesh, cfg.discretization["degree"], physics, time)
 
 
 def make_initial_condition(cfg):

@@ -40,12 +40,6 @@ class CsvWriter:
     def close(self):
         self._fh.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def truncate_csv_for_resume(path, k, csv_every):
     """Prepare `path` for a run resumed at step k.
@@ -170,6 +164,7 @@ class CheckpointError(RuntimeError):
 
 
 _FIELD_ORDER = ("u_half", "omega", "phi", "p_bar", "omega_tilde")
+_SCALAR_ORDER = ("Ev", "Es", "K_half0", "Ep0", "m_p0", "base_exchange")  # Engine accumulators
 
 # what each part of a run's identity covers
 IDENTITY = {
@@ -202,7 +197,8 @@ def run_identity(model):
     return {
         "mesh": mesh._cache["digest"],
         "physics": _digest(phys.mode, model.nu, model.kappa, u_s, phys.gravity),
-        "discretization": _digest(model.degree, model.paper_literal_signs),
+        # the sign convention is fixed; hashed so older checkpoints still match
+        "discretization": _digest(model.degree, False),
     }
 
 
@@ -217,11 +213,7 @@ def save_checkpoint(path, state, engine, model):
         fld = getattr(state, name)
         if fld is not None:
             fields[name] = np.ascontiguousarray(fld.coefficients, dtype="<f8")
-    scalars = {
-        "Ev": engine.Ev, "Es": engine.Es,
-        "K_half0": engine.K_half0, "Ep0": engine.Ep0,
-        "m_p0": engine.m_p0, "base_exchange": engine.base_exchange,
-    }
+    scalars = {name: getattr(engine, name) for name in _SCALAR_ORDER}
     header = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         f"mode {model.physics.mode}",
@@ -248,45 +240,65 @@ def save_checkpoint(path, state, engine, model):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; a malformed file raises CheckpointError naming
+    `path` and the missing or bad header line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"END\n")
     if end < 0:
-        raise CheckpointError("checkpoint header is missing its END marker")
-    header = raw[:end].decode("ascii").splitlines()
-    blob = raw[end + 4:]
-    first = header[0].split()
-    if first[0] != CHECKPOINT_MAGIC:
-        raise CheckpointError("not a dualflow checkpoint")
-    if int(first[1]) != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {first[1]}")
+        raise CheckpointError(f"{path}: checkpoint header is missing its END marker")
+    try:
+        header = raw[:end].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: checkpoint header is not ASCII text") from None
+    first = header[0].split() if header else []
+    if not first or first[0] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a dualflow checkpoint")
+    if first[1:] != [str(CHECKPOINT_VERSION)]:
+        raise CheckpointError(f"{path}: unsupported checkpoint version line {header[0]!r}")
     meta = {}
     for line in header[1:]:
         key, _, rest = line.partition(" ")
         meta[key] = rest
-    names = meta["fields"].split()
-    dims = [int(d) for d in meta["dims"].split()]
+
+    def parse(key, convert):
+        if key not in meta:
+            raise CheckpointError(f"{path}: checkpoint header has no {key!r} line")
+        try:
+            return convert(meta[key])
+        except ValueError:
+            raise CheckpointError(f"{path}: bad checkpoint header line "
+                                  f"{key + ' ' + meta[key]!r}") from None
+
+    def pairs(text, convert=str):
+        return {k: convert(v) for k, _, v in (tok.partition("=") for tok in text.split())}
+
+    data = {
+        "mode": parse("mode", str),
+        "degree": parse("degree", int),
+        "k": parse("k", int),
+        "dt": parse("dt", float.fromhex),
+        "identity": parse("identity", pairs),
+        "scalars": parse("scalars", lambda text: pairs(text, float.fromhex)),
+    }
+    missing = [name for name in _SCALAR_ORDER if name not in data["scalars"]]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint scalars line lacks {' '.join(missing)}")
+    names = parse("fields", str.split)
+    dims = parse("dims", lambda text: [int(d) for d in text.split()])
+    if len(dims) != len(names) or min(dims, default=0) < 0:
+        raise CheckpointError(f"{path}: checkpoint dims {dims} do not fit fields {names}")
+    blob = raw[end + 4:]
     expected = 8 * sum(dims)
     if len(blob) != expected:
-        raise CheckpointError(f"checkpoint payload is {len(blob)} bytes, expected {expected}")
-    fields = {}
+        raise CheckpointError(f"{path}: checkpoint payload is {len(blob)} bytes, "
+                              f"expected {expected}")
+    data["fields"] = {}
     off = 0
     for name, dim in zip(names, dims):
-        fields[name] = np.frombuffer(blob, dtype="<f8", count=dim, offset=off).copy()
+        data["fields"][name] = np.frombuffer(blob, dtype="<f8", count=dim, offset=off).copy()
         off += 8 * dim
-    scalars = {}
-    for tok in meta["scalars"].split():
-        key, _, val = tok.partition("=")
-        scalars[key] = float.fromhex(val)
-    return {
-        "mode": meta["mode"],
-        "degree": int(meta["degree"]),
-        "k": int(meta["k"]),
-        "dt": float.fromhex(meta["dt"]),
-        "identity": dict(tok.partition("=")[::2] for tok in meta["identity"].split()),
-        "fields": fields,
-        "scalars": scalars,
-    }
+    return data
 
 
 def restore_state(data, model):
@@ -312,6 +324,8 @@ def restore_state(data, model):
               "p_bar": model.Q, "omega_tilde": model.W}
     kwargs = {}
     for name, coef in data["fields"].items():
+        if name not in spaces:
+            raise CheckpointError(f"checkpoint field {name!r} is not a state field")
         space = spaces[name]
         if len(coef) != space.dim:
             raise CheckpointError(

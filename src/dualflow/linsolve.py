@@ -9,8 +9,10 @@ constant and are reported with zero mean (project_out_constant).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+RTOL = 1e-10      # relative residual every solve must reach
+MAX_REFINE = 2    # refinement passes allowed to reach it
 
 
 class SolverError(RuntimeError):
@@ -22,36 +24,6 @@ class SolverReport:
     iterations: int
     residual: float
     reused_factorization: bool = False
-
-
-@dataclass
-class LinearSystem:
-    """A sparse system with optional constrained dofs."""
-
-    matrix: sp.spmatrix
-    rhs: np.ndarray
-    constrained: tuple = None      # (indices, values)
-
-    def __post_init__(self):
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        n = self.matrix.shape[0]
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise SolverError(f"matrix is not square: {self.matrix.shape}")
-        if self.rhs.shape != (n,):
-            raise SolverError("rhs length does not match matrix")
-
-
-def _split(system):
-    n = system.matrix.shape[0]
-    if system.constrained is None:
-        return None
-    idx, vals = system.constrained
-    idx = np.asarray(idx, dtype=np.int64)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), idx.shape)
-    mask = np.ones(n, dtype=bool)
-    mask[idx] = False
-    free = np.flatnonzero(mask)
-    return free, idx, vals
 
 
 class CachedLU:
@@ -69,43 +41,40 @@ def _residual_inf(A, x, b):
     return float(np.max(np.abs(A @ x - b))) if A.shape[0] else 0.0
 
 
-def lu_solve(system, rtol=1e-10, max_refine=2, cached=None):
-    """Direct solve with constraint elimination and iterative refinement.
+def lu_solve(A, b, cached=None):
+    """Direct solve of A x = b with iterative refinement.  With a CachedLU
+    `cached`, A is None and the factor's own matrix is solved.
 
-    Postcondition: ||Ax - b||_inf <= rtol * (1 + ||b||_inf) on the free
-    block, or SolverError.
+    Postcondition: ||Ax - b||_inf <= RTOL * (1 + ||b||_inf), or SolverError.
     """
-    A, b = system.matrix.tocsr(), system.rhs
-    split = _split(system)
-    if split is None:
-        br = b
-        Ar = cached.matrix if cached is not None else A.tocsc()
+    if cached is not None:
+        if A is not None:
+            raise SolverError("pass either a matrix or a cached factor, not both")
+        A = cached.matrix
     else:
-        free, idx, vals = split
-        Ar = A[free][:, free].tocsc()
-        br = b[free] - A[free][:, idx] @ vals
+        A = A.tocsc()
+    b = np.asarray(b, dtype=float)
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise SolverError(f"matrix is not square: {A.shape}")
+    if b.shape != (n,):
+        raise SolverError("rhs length does not match matrix")
     try:
-        lu = cached if cached is not None else CachedLU(Ar)
+        lu = cached if cached is not None else CachedLU(A)
     except RuntimeError as exc:
         raise SolverError(f"LU factorization failed: {exc}") from None
-    xr = lu.solve(br)
-    target = rtol * ((1.0 + float(np.max(np.abs(br)))) if len(br) else 1.0)
-    res = _residual_inf(Ar, xr, br)
+    x = lu.solve(b)
+    target = RTOL * ((1.0 + float(np.max(np.abs(b)))) if n else 1.0)
+    res = _residual_inf(A, x, b)
     refinements = 0
-    while res > target and refinements < max_refine:
-        xr = xr + lu.solve(br - (Ar @ xr))
-        res = _residual_inf(Ar, xr, br)
+    while res > target and refinements < MAX_REFINE:
+        x = x + lu.solve(b - (A @ x))
+        res = _residual_inf(A, x, b)
         refinements += 1
-    if not np.all(np.isfinite(xr)):
+    if not np.all(np.isfinite(x)):
         raise SolverError("singular system: LU produced non-finite values")
     if res > target:
         raise SolverError(f"LU residual {res:.3e} exceeds tolerance {target:.3e}")
-    if split is None:
-        x = xr
-    else:
-        x = np.zeros(A.shape[0])
-        x[free] = xr
-        x[idx] = vals
     return x, SolverReport(iterations=0, residual=res, reused_factorization=cached is not None)
 
 

@@ -62,6 +62,3 @@ def triangle_rule(degree):
 def reference_monomial_integral(a, b):
     """Exact integral of x^a y^b over the reference triangle."""
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-
-
-quadrature_rule = triangle_rule

@@ -230,10 +230,6 @@ class Field:
         return Field(self.space, self.coefficients.copy())
 
 
-def zero_field(space):
-    return Field(space, np.zeros(space.dim))
-
-
 def constant_coefficients(space, value=1.0):
     """Coefficients of the constant function (Lagrange-type scalar spaces)."""
     if space.family == "RT":
@@ -288,7 +284,7 @@ def _call_scalar(fn, x, y):
 def project(space, fn, qdegree=None):
     """L2 projection of an analytic function onto the space."""
     from .assemble import assemble_mass
-    from .linsolve import LinearSystem, lu_solve
+    from .linsolve import lu_solve
 
     space._require_tabulation()
     qdegree = qdegree if qdegree is not None else 2 * max(space.degree, 1) + 2
@@ -305,7 +301,7 @@ def project(space, fn, qdegree=None):
         local = np.einsum("cq,qn->cn", tab.weights * fq, tab.val)
     np.add.at(rhs, space.cell_dofs.ravel(), local.ravel())
     M = assemble_mass(space, qdegree)
-    coef, _ = lu_solve(LinearSystem(M, rhs))
+    coef, _ = lu_solve(M, rhs)
     return Field(space, coef)
 
 

@@ -38,14 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assemble
-from .linsolve import (
-    CachedLU,
-    LinearSystem,
-    SolverError,
-    SolverReport,
-    lu_solve,
-    project_out_constant,
-)
+from .linsolve import CachedLU, SolverError, SolverReport, lu_solve, project_out_constant
 from .mesh import TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
     Field,
@@ -143,8 +136,7 @@ class StepAudit:
 class Model:
     """Spaces, static operators and cached factorizations for one run."""
 
-    def __init__(self, mesh, degree, physics, time, paper_literal_signs=False,
-                 solver_tol=1e-10):
+    def __init__(self, mesh, degree, physics, time):
         if physics.mode == "turbidity" and mesh.periodic:
             raise ValueError("turbidity mode needs a tagged channel mesh")
         if physics.mode == "homogeneous" and not mesh.periodic:
@@ -153,8 +145,6 @@ class Model:
         self.degree = degree
         self.physics = physics
         self.time = time
-        self.paper_literal_signs = paper_literal_signs
-        self.solver_tol = solver_tol
 
         self.W = make_space(mesh, "CG", degree)
         self.U = make_space(mesh, "RT", degree)
@@ -190,8 +180,7 @@ class Model:
         self.ZMZ = (self.Zt @ self.M @ self.Z).tocsr()
         self.D_r = self.D[:, self.iu].tocsr()
         # D D^T annihilates the constant pressure: pin dof 0
-        self.DDt_pinned = (self.D_r @ self.D_r.T)[1:, 1:].tocsr()
-        self._lu_pressure = CachedLU(self.DDt_pinned)
+        self._lu_pressure = CachedLU((self.D_r @ self.D_r.T)[1:, 1:].tocsr())
 
         if physics.mode == "turbidity":
             from .mesh import TAG_BOTTOM
@@ -261,7 +250,7 @@ class Model:
         """Weak curl recovery: find om~ with <om~, xi> = <u, curl xi>."""
         r = assemble.assemble_curl_rhs(u, self.W, self.qdeg)
         coef = np.zeros(self.W.dim)
-        sol, rep = lu_solve(LinearSystem(self.Nw_c, r[self.iw]), cached=self._lu_curl)
+        sol, rep = lu_solve(None, r[self.iw], cached=self._lu_curl)
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
@@ -274,13 +263,12 @@ class Model:
         """Particle step: midpoint skew transport plus diffusion, with C the
         skew convection by the midpoint velocity."""
         drift = assemble.assemble_particle_drift(
-            self.physics.settling_velocity, self.W, self.qdeg, self.bdeg,
-            paper_literal_signs=self.paper_literal_signs,
+            self.physics.settling_velocity, self.W, self.qdeg, self.bdeg
         )
         K = C + drift + self.kappa * self.L
         Mdt = (1.0 / dt) * self.Nw
         rhs = (Mdt - 0.5 * K) @ phi.coefficients
-        coef, rep = lu_solve(LinearSystem((Mdt + 0.5 * K).tocsr(), rhs), rtol=self.solver_tol)
+        coef, rep = lu_solve(Mdt + 0.5 * K, rhs)
         return Field(self.W, coef), rep
 
     def solve_vorticity(self, C, omega, dt, phi_mid=None, omega_tilde=None):
@@ -293,7 +281,7 @@ class Model:
         if omega_tilde is not None:
             rhs = rhs + self.nu * assemble.assemble_vorticity_neumann(omega_tilde, self.W, self.bdeg)[self.iw]
         coef = np.zeros(self.W.dim)
-        sol, rep = lu_solve(LinearSystem((Mdt + 0.5 * K).tocsr(), rhs), rtol=self.solver_tol)
+        sol, rep = lu_solve(Mdt + 0.5 * K, rhs)
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
@@ -312,13 +300,12 @@ class Model:
             b = assemble.assemble_buoyancy(phi_buoy, self.U, self.qdeg, self.physics.gravity)
             f = f + b
         A = (self.ZMZ / dt + 0.5 * self.reduced_rotation(R)).tocsr()
-        psi, rep = lu_solve(LinearSystem(A, self.Zt @ f), rtol=self.solver_tol)
+        psi, rep = lu_solve(A, self.Zt @ f)
         u = self.Z @ psi
         # D^T p = A u - f on the free dofs; the residual lies in range(D^T)
         r = ((self.M @ u) / dt + 0.5 * (R @ u) - f)[self.iu]
         p = np.zeros(self.Q.dim)
-        p[1:], _ = lu_solve(LinearSystem(self.DDt_pinned, (self.D_r @ r)[1:]),
-                            rtol=self.solver_tol, cached=self._lu_pressure)
+        p[1:], _ = lu_solve(None, (self.D_r @ r)[1:], cached=self._lu_pressure)
         p = project_out_constant(p, self.MQ, self.ones_q, self.area)
         res = max(rep.residual, float(np.max(np.abs(r - self.D_r.T @ p))))
         return Field(self.U, u), Field(self.Q, p), l, b, SolverReport(iterations=0, residual=res)
@@ -518,9 +505,3 @@ def initialize(model, ic=None):
     )
     return state, StartupReport(iterations=iterations, update=history[-1], residual_history=history)
 
-
-def run(config, **kwargs):
-    """Execute a configured run; see driver.run for the full signature."""
-    from .driver import run as _run
-
-    return _run(config, **kwargs)

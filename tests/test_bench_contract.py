@@ -1,0 +1,96 @@
+"""The names the step-time benchmark's tracer (perfbench/spans.py) wraps
+and measures must exist in the package.
+
+The tracer is loaded read-only from its file.  A deletion or rename that
+would break a traced benchmark run (`perfbench/run.py --trace 1`) fails
+here instead.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from dualflow import driver
+from dualflow.config import parse_config
+from dualflow.linsolve import lu_solve
+
+SPANS_FILE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "spans.py")
+
+TINY = """
+[mesh]
+length = 1.0
+height = 1.0
+nx = 4
+ny = 4
+
+[physics]
+mode = homogeneous
+nu = 0.01
+
+[discretization]
+degree = 1
+
+[time]
+dt = 1e-2
+t_end = 2e-2
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_is_a_module(spans):
+    for layer in spans.LAYERS:
+        importlib.import_module(f"dualflow.{layer}")
+
+
+def test_every_traced_method_exists(spans):
+    for layer, quals in spans.METHODS.items():
+        module = importlib.import_module(f"dualflow.{layer}")
+        for qual in quals:
+            cls_name, meth = qual.split(".")
+            assert meth in vars(getattr(module, cls_name)), f"dualflow.{layer}.{qual}"
+
+
+def test_lu_solve_report_has_residual(spans):
+    A = sp.identity(3, format="csr")
+    b = np.array([1.0, 2.0, 3.0])
+    result = lu_solve(A, b)
+    assert spans.MEASURES["linsolve.lu_solve"](result, (A, b)) == 0.0
+
+
+def test_run_entry_point_signature():
+    params = inspect.signature(driver.run).parameters
+    assert {"on_step", "collect_rows", "checkpoint"} <= set(params)
+
+
+def test_traced_run_measures_startup_and_solves(spans, tmp_path):
+    for layer in spans.LAYERS:
+        importlib.import_module(f"dualflow.{layer}")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        driver.run(parse_config(TINY.format(out=tmp_path)), collect_rows=False)
+    finally:
+        tracer.uninstall()
+    values = {}
+    for name, layer, t0, t1, parent, phase, value in tracer.spans:
+        values.setdefault(f"{layer}.{name}", []).append(value)
+    [iterations] = values["stepper.initialize"]
+    assert isinstance(iterations, int) and iterations >= 1
+    assert all(r is not None and r >= 0.0 for r in values["linsolve.lu_solve"])
+    assert "stepper.step" in values and "diagnostics.Engine.update" in values

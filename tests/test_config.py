@@ -39,7 +39,6 @@ def test_baseline_parses():
     assert cfg.mesh["length"] == 13.0
     assert cfg.discretization["degree"] == 4  # accepted for dof accounting
     assert cfg.initial["kind"] == "lock"
-    assert cfg.flags["paper_literal_signs"] is False
 
 
 def test_degree4_run_rejected_with_clear_error(tmp_path):
@@ -73,12 +72,23 @@ def test_negative_dt_names_key_and_line():
 
 
 def test_unknown_key_rejected_with_line():
-    text = BASELINE + "\n[solver]\nfancy = yes\n"
+    text = BASELINE + "fancy = yes\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     msg = str(exc.value)
-    assert "solver.fancy" in msg
-    assert f"line {len(BASELINE.splitlines()) + 3}" in msg
+    assert "output.fancy" in msg
+    assert f"line {len(BASELINE.splitlines()) + 1}" in msg
+
+
+@pytest.mark.parametrize("section, key", [("solver", "tolerance = 1e-10"),
+                                          ("flags", "paper_literal_signs = true")])
+def test_removed_options_rejected_with_line(section, key):
+    text = BASELINE + f"\n[{section}]\n{key}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    msg = str(exc.value)
+    assert f"[{section}]" in msg
+    assert f"line {len(BASELINE.splitlines()) + 2}" in msg
 
 
 def test_unknown_section_rejected():
@@ -100,8 +110,7 @@ def test_duplicate_key_rejected():
         parse_config(text)
 
 
-def test_homogeneous_defaults():
-    text = """
+HOMOGENEOUS = """
 [mesh]
 length = 6.283185307179586
 height = 6.283185307179586
@@ -116,8 +125,39 @@ nu = 0.01
 dt = 1e-3
 t_end = 0.5
 """
-    cfg = parse_config(text)
+
+
+def test_homogeneous_defaults():
+    cfg = parse_config(HOMOGENEOUS)
     assert cfg.initial["kind"] == "taylor_green"
+
+
+def test_homogeneous_rejects_lock_initial():
+    text = HOMOGENEOUS + "\n[initial]\nkind = lock\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    msg = str(exc.value)
+    assert "initial.kind" in msg
+    assert f"line {text.splitlines().index('kind = lock') + 1}" in msg
+
+
+MISPLACED = [  # (key, BASELINE line, its replacement)
+    ("mesh.length", "length = 13.0", "length = -1"),
+    ("mesh.height", "height = 1.0", "height = -1"),
+    ("mesh.nx", "nx = 50", "nx = 0"),
+    ("mesh.ny", "ny = 5", "ny = 0"),
+    ("output.vtk_every", "dir = out", "dir = out\nvtk_every = -1"),
+    ("output.checkpoint_every", "dir = out", "dir = out\ncheckpoint_every = -1"),
+]
+
+
+@pytest.mark.parametrize("key, old, new", MISPLACED, ids=[case[0] for case in MISPLACED])
+def test_validation_names_offending_key_and_line(key, old, new):
+    text = BASELINE.replace(old, new, 1)
+    bad = new.splitlines()[-1]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(f"line {text.splitlines().index(bad) + 1}: {key}:")
 
 
 def test_turbidity_rejects_non_lock_initial():

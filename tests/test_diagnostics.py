@@ -11,14 +11,37 @@ from dualflow.stepper import (
     initialize,
     step_turbidity,
 )
-from dualflow.diagnostics import (
-    Engine,
-    FrontTracker,
-    eps_s_ref1_variant,
-    front_position,
-    sedimentation_rate,
-    suspended_mass,
-)
+from dualflow import assemble
+from dualflow.diagnostics import Engine, FrontTracker, sedimentation_rate, suspended_mass
+from dualflow.mesh import WALL_TAGS
+
+
+def weighted_flux(space, weight_fn, qdegree):
+    """v[i] = integral over the whole boundary of weight(x) grad(w_i).n."""
+    out = np.zeros(space.dim)
+    for tag in WALL_TAGS:
+        tab = space.boundary_data(tag, qdegree)
+        if len(tab.edges) == 0:
+            continue
+        wq = weight_fn(tab.points[..., 0], tab.points[..., 1])
+        gn = np.einsum("eqnd,ed->eqn", tab.grad, tab.normals)
+        local = np.einsum("eq,eqn->en", tab.weights * wq, gn)
+        np.add.at(out, tab.dofs.ravel(), local.ravel())
+    return out
+
+
+def eps_s_ref1(model, phi, u_s, kappa):
+    """Settling dissipation in the form of the adapted-mesh reference:
+
+        -u_s <e_g, grad phi> - kappa * { <grad phi, grad y> - contour y grad(phi).n }
+
+    A cross-literature comparison of the budget's eps_s; never part of a run.
+    """
+    gdot = assemble.assemble_gradient_dot(model.W, model.qdeg, model.physics.gravity)
+    grad_term = float(gdot @ phi.coefficients)  # <grad phi, e_g>
+    grad_y = -grad_term  # grad y = (0,1) = -e_g, exactly, at every quadrature point
+    flux = float(weighted_flux(model.W, lambda x, y: y, model.bdeg) @ phi.coefficients)
+    return -u_s * grad_term - kappa * (grad_y - flux)
 
 
 def make_model(L=13.0, nx=26, ny=2, N=1, u_s=0.02, dt=1e-3, lock=1.0, height=1.0):
@@ -97,9 +120,9 @@ def test_sedimentation_rate_examples():
 def test_front_position_trivial_cases():
     model = make_model(nx=52, ny=4)
     zero = Field(model.W, np.zeros(model.W.dim))
-    assert front_position(model, zero) == pytest.approx(-1.0)
+    assert FrontTracker(model).position(zero) == pytest.approx(-1.0)
     ones = Field(model.W, constant_coefficients(model.W))
-    assert front_position(model, ones) == pytest.approx(12.0)
+    assert FrontTracker(model).position(ones) == pytest.approx(12.0)
     # sharp lock indicator (nodal, ringing-free): front within one column of x = 0
     from dualflow.spaces import interpolate
 
@@ -111,12 +134,13 @@ def test_front_position_trivial_cases():
 
 def test_eps_s_ref1_examples():
     model = make_model(L=2.0, nx=4, ny=2, lock=1.0, u_s=0.02)
+    u_s, kappa = model.physics.settling_velocity, model.kappa
     const = project(model.W, lambda x, y: 0.8, model.qdeg)
-    assert abs(eps_s_ref1_variant(model, const)) < 1e-12
+    assert abs(eps_s_ref1(model, const, u_s, kappa)) < 1e-12
     # phi = 1 - y on a unit-height channel: value = -u_s * area... per unit area
     phi = project(model.W, lambda x, y: 1.0 - y, model.qdeg)
     # -u_s <e_g, grad phi> = -u_s * area; diffusive bracket vanishes
-    assert abs(eps_s_ref1_variant(model, phi) + 0.02 * model.area) < 1e-12
+    assert abs(eps_s_ref1(model, phi, u_s, kappa) + 0.02 * model.area) < 1e-12
 
 
 def test_eps_s_ref1_matches_budget_form_on_torus():
@@ -131,8 +155,8 @@ def test_eps_s_ref1_matches_budget_form_on_torus():
     mean = model.integral_w(coef) / model.area
     phi = Field(model.W, coef - mean * ones)
     u_s, kappa = 0.02, 1e-3
-    ref1 = eps_s_ref1_variant(model, phi, u_s=u_s, kappa=kappa)
-    gdot = model.__dict__["_ref1_gdot"]
+    ref1 = eps_s_ref1(model, phi, u_s, kappa)
+    gdot = assemble.assemble_gradient_dot(model.W, model.qdeg, model.physics.gravity)
     budget_form = u_s * model.integral_w(phi.coefficients) - kappa * float(gdot @ phi.coefficients)
     assert abs(ref1 - budget_form) < 1e-10
 

@@ -156,6 +156,46 @@ def test_checkpoint_identity_in_header(tmp_path):
     assert set(data["identity"]) == set(dfio.IDENTITY)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"END\n", "not a dualflow checkpoint"),
+    (b"DUALFLOW-CKPT 2\nmode turbidity\ndegree 1\nk 0\nEND\n", "no 'dt' line"),
+    (b"DUALFLOW-CKPT x\nEND\n", "version line 'DUALFLOW-CKPT x'"),
+], ids=["end_only", "no_dt", "bad_version"])
+def test_malformed_checkpoint_refused(tmp_path, content, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(content)
+    with pytest.raises(dfio.CheckpointError, match=message) as exc:
+        dfio.load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"\nfields ", b"\nfieldz ", "no 'fields' line"),
+    (b"\nscalars Ev=", b"\nscalars Ex=", "scalars line lacks Ev"),
+], ids=["no_fields", "no_Ev"])
+def test_checkpoint_with_header_line_lost_refused(tmp_path, old, new, message):
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    path = tmp_path / "c.ckpt"
+    dfio.save_checkpoint(str(path), state, Engine(model, state), model)
+    raw = path.read_bytes()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, new))
+    with pytest.raises(dfio.CheckpointError, match=message):
+        dfio.load_checkpoint(str(path))
+
+
+def test_cli_resume_malformed_checkpoint(tmp_path):
+    cfgfile = tmp_path / "a.cfg"
+    cfgfile.write_text(lock_cfg_text(tmp_path / "o"))
+    (tmp_path / "bad.ckpt").write_bytes(b"END\n")
+    proc = run_cli(["resume", "--config", str(cfgfile), "--checkpoint", "bad.ckpt"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "bad.ckpt" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)

@@ -118,11 +118,10 @@ def o_wall_mass(W, tag, b):
     return o_matrix(tab.dofs, tab.dofs, local, (W.dim, W.dim))
 
 
-def o_particle(u, u_s, W, q, b, paper_literal_signs):
+def o_particle(u, u_s, W, q, b):
     Gm = o_convection_matrix(u, (G[0] * u_s, G[1] * u_s), W, q)
     A = 0.5 * (Gm.T - Gm)
-    s1 = -0.5 if paper_literal_signs else 0.5
-    return A + u_s * (s1 * o_wall_mass(W, TAG_TOP, b) + 0.5 * o_wall_mass(W, TAG_BOTTOM, b))
+    return A + 0.5 * u_s * (o_wall_mass(W, TAG_TOP, b) + o_wall_mass(W, TAG_BOTTOM, b))
 
 
 def o_buoyancy(phi, U, q):
@@ -230,13 +229,12 @@ def test_convection_matches_oracle(case):
     assert_close(Gm, o_convection_matrix(case.u, (0.0, 0.0), case.W, case.q))
 
 
-@pytest.mark.parametrize("paper_literal_signs", [False, True])
-def test_particle_operator_matches_oracle(case, paper_literal_signs):
+def test_particle_operator_matches_oracle(case):
+    """The transport operator as the step builds it: skew(G(u)) + drift."""
     u_s = 0.02
-    A = assemble.assemble_particle_convection(
-        case.u, u_s, case.W, case.q, case.b, paper_literal_signs=paper_literal_signs
-    )
-    assert_close(A, o_particle(case.u, u_s, case.W, case.q, case.b, paper_literal_signs))
+    A = assemble.skew_part(assemble.assemble_vorticity_convection(case.u, case.W, case.q))
+    A = A + assemble.assemble_particle_drift(u_s, case.W, case.q, case.b)
+    assert_close(A, o_particle(case.u, u_s, case.W, case.q, case.b))
 
 
 def test_sources_match_oracle(case):

@@ -3,13 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dualflow.assemble import assemble_div, assemble_mass
-from dualflow.linsolve import (
-    CachedLU,
-    LinearSystem,
-    SolverError,
-    lu_solve,
-    project_out_constant,
-)
+from dualflow.linsolve import CachedLU, SolverError, lu_solve, project_out_constant
 from dualflow.mesh import ChannelGeometry, build_channel_mesh
 from dualflow.spaces import (
     Field,
@@ -31,14 +25,14 @@ def channel():
 
 def test_lu_identity():
     b = np.array([3.0, -1.0, 2.0])
-    x, rep = lu_solve(LinearSystem(sp.identity(3, format="csr"), b))
+    x, rep = lu_solve(sp.identity(3, format="csr"), b)
     assert np.allclose(x, b)
     assert rep.iterations == 0
 
 
 def test_lu_2x2_hand_solve():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x, _ = lu_solve(LinearSystem(A, np.array([3.0, 3.0])))
+    x, _ = lu_solve(A, np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
 
@@ -53,25 +47,27 @@ def test_lu_report_is_truthful(channel):
     M = assemble_mass(W, 6)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(W.dim)
-    x, rep = lu_solve(LinearSystem(M, b))
+    x, rep = lu_solve(M, b)
     assert abs(M @ x - b).max() <= rep.residual + 1e-16
     assert rep.residual <= 1e-10 * (1 + abs(b).max())
 
 
-def test_lu_constrained_dofs(channel):
-    W = make_space(channel, "CG", 1)
-    M = assemble_mass(W, 4)
-    idx = np.array([0, 5])
-    vals = np.array([1.5, -2.0])
-    b = np.zeros(W.dim)
-    x, _ = lu_solve(LinearSystem(M, b, constrained=(idx, vals)))
-    assert x[0] == 1.5 and x[5] == -2.0
+def test_lu_rejects_bad_shapes():
+    with pytest.raises(SolverError, match="not square"):
+        lu_solve(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
+    with pytest.raises(SolverError, match="rhs length"):
+        lu_solve(sp.identity(3, format="csr"), np.ones(2))
+    cached = CachedLU(sp.identity(3, format="csc"))
+    with pytest.raises(SolverError, match="rhs length"):
+        lu_solve(None, np.ones(2), cached=cached)
+    with pytest.raises(SolverError, match="not both"):
+        lu_solve(sp.identity(3, format="csr"), np.ones(3), cached=cached)
 
 
 def test_lu_singular_reported():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
-        lu_solve(LinearSystem(A, np.array([1.0, 0.0])))
+        lu_solve(A, np.array([1.0, 0.0]))
 
 
 def test_cached_lu_reuse(channel):
@@ -81,7 +77,7 @@ def test_cached_lu_reuse(channel):
     rng = np.random.default_rng(1)
     for _ in range(3):
         b = rng.standard_normal(W.dim)
-        x, rep = lu_solve(LinearSystem(M, b), cached=cached)
+        x, rep = lu_solve(None, b, cached=cached)
         assert rep.reused_factorization
         assert abs(M @ x - b).max() < 1e-10
 

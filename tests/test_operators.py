@@ -8,11 +8,10 @@ from dualflow.assemble import (
     assemble_curlcurl,
     assemble_div,
     assemble_mass,
-    assemble_particle_convection,
+    assemble_particle_drift,
     assemble_rotation,
     assemble_vorticity_convection,
     assemble_vorticity_neumann,
-    assemble_wall_mass,
     skew_part,
 )
 from dualflow.mesh import (
@@ -197,12 +196,18 @@ def test_vorticity_convection_conserves_constants(channel):
     assert abs(ones @ (C @ om)) < 1e-12 * np.max(np.abs(om))
 
 
+def particle_transport(u, u_s, W, qdegree, bdegree):
+    """The particle transport operator as the step builds it."""
+    C = skew_part(assemble_vorticity_convection(u, W, qdegree))
+    return C + assemble_particle_drift(u_s, W, qdegree, bdegree)
+
+
 def test_particle_convection_zero_inputs(channel):
     W, U, _ = spaces_for(channel, 1)
-    A = assemble_particle_convection(Field(U, np.zeros(U.dim)), 0.0, W, 4, 3)
+    A = particle_transport(Field(U, np.zeros(U.dim)), 0.0, W, 4, 3)
     assert abs(A).max() == 0.0
     with pytest.raises(ValueError):
-        assemble_particle_convection(Field(U, np.zeros(U.dim)), -0.1, W, 4, 3)
+        assemble_particle_drift(-0.1, W, 4, 3)
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -213,7 +218,7 @@ def test_particle_mass_identity(channel, N):
     rng = np.random.default_rng(N + 3)
     u = solenoidal_velocity(channel, N, rng)
     u_s = 0.02
-    A = assemble_particle_convection(u, u_s, W, 2 * N + 2, N + 2)
+    A = particle_transport(u, u_s, W, 2 * N + 2, N + 2)
     phi = Field(W, rng.standard_normal(W.dim))
     ones = constant_coefficients(W)
     got = ones @ (A @ phi.coefficients)
@@ -234,18 +239,6 @@ def test_particle_mass_identity(channel, N):
         phi_e = vals @ phi.coefficients[W.cell_dofs[c]]
         total += length * np.sum(wq * phi_e)
     assert abs(got - u_s * total) < 1e-12 * max(1.0, abs(got))
-
-
-def test_particle_convection_paper_literal_flag(channel):
-    W, U, _ = spaces_for(channel, 1)
-    rng = np.random.default_rng(4)
-    u = Field(U, rng.standard_normal(U.dim))
-    u_s = 0.05
-    A_ours = assemble_particle_convection(u, u_s, W, 4, 3)
-    A_paper = assemble_particle_convection(u, u_s, W, 4, 3, paper_literal_signs=True)
-    B1 = assemble_wall_mass(W, TAG_TOP, 3)
-    diff = (A_paper - A_ours) + u_s * B1
-    assert abs(diff).max() < 1e-14
 
 
 def test_buoyancy_examples(square2):
@@ -307,7 +300,7 @@ def test_curl_rhs_examples(channel):
 
 def test_curl_rhs_mean_on_torus():
     """omega_tilde = curl_h u has zero mean on a torus (no circulation)."""
-    from dualflow.linsolve import LinearSystem, lu_solve
+    from dualflow.linsolve import lu_solve
 
     mesh = build_periodic_rect_mesh(1.0, 1.0, 4, 4, "left")
     W = make_space(mesh, "CG", 1)
@@ -317,7 +310,7 @@ def test_curl_rhs_mean_on_torus():
     u = discrete_curl(psi, U)
     r = assemble_curl_rhs(u, W, 4)
     M = assemble_mass(W, 4)
-    om, _ = lu_solve(LinearSystem(M, r))
+    om, _ = lu_solve(M, r)
     ones = constant_coefficients(W)
     assert abs(ones @ (M @ om)) < 1e-12
 

@@ -237,14 +237,14 @@ def test_div_rt_lands_in_dg(channel, degree):
     utab = U.volume_data(qdeg)
     duq = kernels.field_div(U.cell_dofs, u.coefficients, utab.div)
     # project into DG via mass solve
-    from dualflow.linsolve import LinearSystem, lu_solve
+    from dualflow.linsolve import lu_solve
 
     qtab = Q.volume_data(qdeg)
     rhs = np.zeros(Q.dim)
     local = np.einsum("cq,qn->cn", utab.weights * duq, qtab.val)
     np.add.at(rhs, Q.cell_dofs.ravel(), local.ravel())
     M = assemble_mass(Q, qdeg)
-    coef, _ = lu_solve(LinearSystem(M, rhs))
+    coef, _ = lu_solve(M, rhs)
     dq = kernels.field_scalar(Q.cell_dofs, coef, qtab.val)
     assert np.max(np.abs(dq - duq)) < 1e-12 * max(1.0, np.max(np.abs(duq)))
 
