@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import kernels
 from .elements import reference_curl
 
-GRAVITY = (0.0, -1.0)
+GRAVITY = (0.0, -1.0)  # unit direction e_g of gravity
 
 
 class _Pattern:
@@ -214,20 +214,20 @@ def assemble_particle_drift(u_s, W, qdegree, bdegree):
     return _cached(W, W, ("drift", u_s, qdegree, bdegree), build)
 
 
-def assemble_buoyancy(phi, U, qdegree, gravity=GRAVITY):
+def assemble_buoyancy(phi, U, qdegree):
     """b[i] = <phi e_g, u_i>, from the static matrix B[i, k] = <w_k e_g, u_i>."""
     W = phi.space
 
     def build():
         utab = U.volume_data(qdegree)
         wtab = W.volume_data(qdegree)
-        g_dot_u = gravity[0] * utab.val[..., 0] + gravity[1] * utab.val[..., 1]
+        g_dot_u = GRAVITY[0] * utab.val[..., 0] + GRAVITY[1] * utab.val[..., 1]
         return _pattern(U, W).build(kernels.pairing(utab.weights, g_dot_u, wtab.val))
 
-    return _cached(U, W, ("buoyancy", qdegree, tuple(gravity)), build) @ phi.coefficients
+    return _cached(U, W, ("buoyancy", qdegree), build) @ phi.coefficients
 
 
-def assemble_baroclinic(phi, W, qdegree, gravity=GRAVITY):
+def assemble_baroclinic(phi, W, qdegree):
     """c[i] = <grad phi x e_g, w_i>; with e_g=(0,-1) this is -d(phi)/dx.
     Built from the static matrix Cb[i, k] = <grad p_k x e_g, w_i>."""
     P = phi.space
@@ -235,10 +235,10 @@ def assemble_baroclinic(phi, W, qdegree, gravity=GRAVITY):
     def build():
         ptab = P.volume_data(qdegree)
         wtab = W.volume_data(qdegree)
-        cross = ptab.grad[..., 0] * gravity[1] - ptab.grad[..., 1] * gravity[0]
+        cross = ptab.grad[..., 0] * GRAVITY[1] - ptab.grad[..., 1] * GRAVITY[0]
         return _pattern(W, P).build(kernels.pairing(wtab.weights, wtab.val, cross))
 
-    return _cached(W, P, ("baroclinic", qdegree, tuple(gravity)), build) @ phi.coefficients
+    return _cached(W, P, ("baroclinic", qdegree), build) @ phi.coefficients
 
 
 def assemble_curl_rhs(u, W, qdegree):
@@ -272,11 +272,10 @@ def assemble_vorticity_neumann(omega_tilde, W, bdegree, walls=None):
     return _cached(W, Wt, ("neumann", bdegree, walls), build) @ omega_tilde.coefficients
 
 
-def assemble_gradient_dot(space, qdegree, direction=GRAVITY):
-    """Static vector gvec[i] = <grad w_i, direction>; phi^T gvec = <grad phi, e>."""
+def assemble_gradient_dot(space, qdegree):
+    """Static vector gvec[i] = <grad w_i, e_g>; phi^T gvec = <grad phi, e_g>."""
     tab = space.volume_data(qdegree)
-    d = np.asarray(direction, dtype=float)
-    fq = tab.grad[..., 0] * d[0] + tab.grad[..., 1] * d[1]
+    fq = tab.grad[..., 0] * GRAVITY[0] + tab.grad[..., 1] * GRAVITY[1]
     local = np.einsum("cq,cqa->ca", tab.weights, fq)
     out = np.zeros(space.dim)
     kernels.scatter_vector(out, space.cell_dofs, local)

@@ -1,8 +1,8 @@
 """Run configuration: INI-style text with strict validation.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  Unknown
-sections or keys, type mismatches and constraint violations are fatal
-and reported with their line number.
+sections or keys, keys the chosen mode never reads, type mismatches and
+constraint violations are fatal and reported with their line number.
 """
 
 from dataclasses import dataclass
@@ -58,6 +58,14 @@ SCHEMA = {
 }
 
 MANDATORY_SECTIONS = ("mesh", "time")
+
+# keys a mode never reads; setting one is an error, not a silent no-op
+UNREAD = {
+    "turbidity": (("physics", "nu"),),
+    "homogeneous": (("physics", "grashof"), ("physics", "schmidt"),
+                    ("physics", "settling_velocity"), ("mesh", "lock_length"),
+                    ("mesh", "import"), ("initial", "interface_width")),
+}
 
 
 @dataclass
@@ -138,8 +146,11 @@ def _validate(cfg, lines_of):
         raise ConfigError(f"{sec}.{key}: {msg}", lines_of.get((sec, key)))
 
     mesh, phys, time = cfg["mesh"], cfg["physics"], cfg["time"]
-    if phys["mode"] not in ("turbidity", "homogeneous"):
+    if phys["mode"] not in UNREAD:
         err("physics", "mode", f"must be turbidity or homogeneous, got {phys['mode']!r}")
+    for sec, key in UNREAD[phys["mode"]]:
+        if (sec, key) in lines_of:
+            err(sec, key, f"is not read in {phys['mode']} mode")
     if mesh["pattern"] not in ("left", "right", "crisscross"):
         err("mesh", "pattern", f"unknown pattern {mesh['pattern']!r}")
     for key in ("length", "height"):
@@ -178,6 +189,8 @@ def _validate(cfg, lines_of):
         err("initial", "kind", "turbidity mode uses the lock initial condition")
     if phys["mode"] == "homogeneous" and init["kind"] == "lock":
         err("initial", "kind", "homogeneous mode has no particles: use taylor_green or random")
+    if init["kind"] != "random" and ("initial", "seed") in lines_of:
+        err("initial", "seed", "is read only by kind = random")
     if init["interface_width"] is not None and init["interface_width"] <= 0:
         err("initial", "interface_width", "must be positive")
     out = cfg["output"]

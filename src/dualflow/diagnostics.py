@@ -12,6 +12,8 @@ rates.  The telescoped budget identity pins E_res^k to
 which the engine re-evaluates independently each step; the gap between
 the two is reported as `eres_gap` and is solver-precision small.  E_res
 is therefore purely the staggering mismatch and scales linearly in dt.
+Without particles Ep = Es = 0 and the right side is 0, so `eres_gap`
+is E_res itself.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,12 @@ CSV_COLUMNS = (
     "enstrophy", "total_vorticity", "m_p_ratio", "mdot_s", "x_f",
     "phi_min", "phi_max", "div_inf",
 )
+
+# the Engine's running scalars, saved in checkpoints in this order
+ACCUMULATORS = ("Ev", "Es", "K_half0", "Ep0", "m_p0", "base_exchange")
+
+FRONT_THRESHOLD = 0.01  # depth-averaged concentration that marks the front
+FRONT_SAMPLES = 8       # Gauss points per column in the depth average
 
 
 @dataclass
@@ -71,25 +79,23 @@ class FrontTracker:
     """Front position from depth-averaged concentration thresholding.
 
     Columns are sampled at mesh-resolution spacing across the channel;
-    the front is the right-most column whose depth average exceeds the
-    threshold (domain left edge if none does).  The evaluation plan
+    the front is the right-most column whose depth average reaches
+    FRONT_THRESHOLD (domain left edge if none does).  The evaluation plan
     (cells and reference points) is built once and reused every step.
     """
 
-    def __init__(self, model, threshold=0.01, num_columns=None, num_samples=8):
+    def __init__(self, model):
         import scipy.sparse as sp
 
         from .quadrature import interval_rule
 
         mesh = model.mesh
         space = model.W
-        self.threshold = threshold
         xmin, xmax, ymin, ymax = mesh.bbox
         self.xmin = xmin
-        if num_columns is None:
-            num_columns = max(2, int(round((xmax - xmin) / mesh.h_min())))
+        num_columns = max(2, int(round((xmax - xmin) / mesh.h_min())))
         self.columns = np.linspace(xmin, xmax, num_columns + 1)
-        t, w = interval_rule(2 * num_samples - 1)
+        t, w = interval_rule(2 * FRONT_SAMPLES - 1)
         ys = ymin + t * (ymax - ymin)
         cells, refs = [], []
         for x in self.columns:
@@ -113,48 +119,37 @@ class FrontTracker:
 
     def position(self, phi):
         avg = self.depth_averages(phi)
-        hits = np.flatnonzero(avg >= self.threshold)
+        hits = np.flatnonzero(avg >= FRONT_THRESHOLD)
         return float(self.columns[hits[-1]]) if len(hits) else float(self.xmin)
 
 
 class Engine:
-    """Accumulates the discrete budget along a run."""
+    """Accumulates the discrete budget along a run.  Without particles
+    (homogeneous mode) Ep, Es and the particle columns stay 0."""
 
-    def __init__(self, model, state0, front_threshold=0.01, front_columns=None):
-        self.model = model
-        self.turbidity = model.physics.mode == "turbidity"
+    def __init__(self, model, state0):
+        self._attach(model)
         self.K_half0 = model.kinetic_energy(state0.u_half)
-        self.Ev = 0.0
-        self.Es = 0.0
+        self.Ev = self.Es = self.Ep0 = self.m_p0 = self.base_exchange = 0.0
         if self.turbidity:
             self.Ep0 = model.potential_energy(state0.phi)
             self.m_p0 = model.integral_w(state0.phi.coefficients)
-            b0 = assemble.assemble_buoyancy(state0.phi, model.U, model.qdeg, model.physics.gravity)
+            b0 = assemble.assemble_buoyancy(state0.phi, model.U, model.qdeg)
             self.base_exchange = float(b0 @ state0.u_half.coefficients)
-            self.front = FrontTracker(model, threshold=front_threshold, num_columns=front_columns)
-        else:
-            self.Ep0 = 0.0
-            self.m_p0 = 0.0
-            self.base_exchange = 0.0
-            self.front = None
 
     @classmethod
-    def restored(cls, model, scalars, front_threshold=0.01, front_columns=None):
-        """Rebuild an engine from checkpointed accumulator scalars."""
+    def restored(cls, model, scalars):
+        """Rebuild an engine from checkpointed ACCUMULATORS scalars."""
         eng = cls.__new__(cls)
-        eng.model = model
-        eng.turbidity = model.physics.mode == "turbidity"
-        eng.front = (
-            FrontTracker(model, threshold=front_threshold, num_columns=front_columns)
-            if eng.turbidity else None
-        )
-        eng.Ev = scalars["Ev"]
-        eng.Es = scalars["Es"]
-        eng.K_half0 = scalars["K_half0"]
-        eng.Ep0 = scalars["Ep0"]
-        eng.m_p0 = scalars["m_p0"]
-        eng.base_exchange = scalars["base_exchange"]
+        eng._attach(model)
+        for name in ACCUMULATORS:
+            setattr(eng, name, scalars[name])
         return eng
+
+    def _attach(self, model):
+        self.model = model
+        self.turbidity = model.physics.mode == "turbidity"
+        self.front = FrontTracker(model) if self.turbidity else None
 
     def update(self, prev_state, new_state, audit):
         """Ledger row for the step prev_state -> new_state."""
@@ -166,35 +161,24 @@ class Engine:
         self.Ev += dt * audit.eps_v
         self.Es += dt * audit.eps_s
         K = model.kinetic_energy(new_state.u_half)
-        enstrophy = model.enstrophy(new_state.omega)
-        total_vorticity = model.total_vorticity(new_state.omega)
+        phi = new_state.phi
+        Ep = ratio = mdot_s = x_f = phi_min = phi_max = 0.0
         if self.turbidity:
-            phi = new_state.phi
             Ep = model.potential_energy(phi)
-            E_res = K + Ep + self.Ev + self.Es - self.K_half0 - self.Ep0
-            identity = 0.5 * dt * (audit.exchange - self.base_exchange)
             ratio = suspended_mass(model, phi, self.m_p0) if self.m_p0 != 0.0 else 0.0
-            row = LedgerRow(
-                step=k, t=k * dt, K=K, Ep=Ep, eps_v=audit.eps_v, eps_s=audit.eps_s,
-                Ev=self.Ev, Es=self.Es, E_res=E_res, enstrophy=enstrophy,
-                total_vorticity=total_vorticity,
-                m_p_ratio=ratio,
-                mdot_s=sedimentation_rate(model, phi),
-                x_f=self.front.position(phi),
-                phi_min=float(phi.coefficients.min()),
-                phi_max=float(phi.coefficients.max()),
-                div_inf=audit.div_inf,
-                mass_residual=audit.mass_residual,
-                eres_gap=E_res - identity,
-                exchange=audit.exchange,
-            )
-        else:
-            E_res = K + self.Ev - self.K_half0
-            row = LedgerRow(
-                step=k, t=k * dt, K=K, Ep=0.0, eps_v=audit.eps_v, eps_s=0.0,
-                Ev=self.Ev, Es=0.0, E_res=E_res, enstrophy=enstrophy,
-                total_vorticity=total_vorticity, m_p_ratio=0.0, mdot_s=0.0,
-                x_f=0.0, phi_min=0.0, phi_max=0.0, div_inf=audit.div_inf,
-            )
-        return row
-
+            mdot_s = sedimentation_rate(model, phi)
+            x_f = self.front.position(phi)
+            phi_min, phi_max = float(phi.coefficients.min()), float(phi.coefficients.max())
+        E_res = K + Ep + self.Ev + self.Es - self.K_half0 - self.Ep0
+        identity = 0.5 * dt * (audit.exchange - self.base_exchange)
+        return LedgerRow(
+            step=k, t=k * dt, K=K, Ep=Ep, eps_v=audit.eps_v, eps_s=audit.eps_s,
+            Ev=self.Ev, Es=self.Es, E_res=E_res,
+            enstrophy=model.enstrophy(new_state.omega),
+            total_vorticity=model.total_vorticity(new_state.omega),
+            m_p_ratio=ratio, mdot_s=mdot_s, x_f=x_f, phi_min=phi_min, phi_max=phi_max,
+            div_inf=audit.div_inf,
+            mass_residual=audit.mass_residual,
+            eres_gap=E_res - identity,
+            exchange=audit.exchange,
+        )

@@ -36,7 +36,8 @@ def build_mesh(cfg):
         return build_periodic_rect_mesh(m["length"], m["height"], m["nx"], m["ny"], m["pattern"])
     geom = ChannelGeometry(length=m["length"], height=m["height"], lock_length=m["lock_length"])
     if m["import"]:
-        return read_mesh_text(m["import"], geom)
+        with open(m["import"], "r", encoding="utf-8") as fh:
+            return read_mesh_text(fh.read(), geom)
     return build_channel_mesh(geom, m["nx"], m["ny"], m["pattern"])
 
 

@@ -10,7 +10,8 @@ import os
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS
+from .assemble import GRAVITY
+from .diagnostics import ACCUMULATORS, CSV_COLUMNS
 
 CHECKPOINT_MAGIC = "DUALFLOW-CKPT"
 CHECKPOINT_VERSION = 2
@@ -164,7 +165,6 @@ class CheckpointError(RuntimeError):
 
 
 _FIELD_ORDER = ("u_half", "omega", "phi", "p_bar", "omega_tilde")
-_SCALAR_ORDER = ("Ev", "Es", "K_half0", "Ep0", "m_p0", "base_exchange")  # Engine accumulators
 
 # what each part of a run's identity covers
 IDENTITY = {
@@ -196,7 +196,7 @@ def run_identity(model):
     u_s = phys.settling_velocity if phys.mode == "turbidity" else 0.0
     return {
         "mesh": mesh._cache["digest"],
-        "physics": _digest(phys.mode, model.nu, model.kappa, u_s, phys.gravity),
+        "physics": _digest(phys.mode, model.nu, model.kappa, u_s, GRAVITY),
         # the sign convention is fixed; hashed so older checkpoints still match
         "discretization": _digest(model.degree, False),
     }
@@ -213,7 +213,7 @@ def save_checkpoint(path, state, engine, model):
         fld = getattr(state, name)
         if fld is not None:
             fields[name] = np.ascontiguousarray(fld.coefficients, dtype="<f8")
-    scalars = {name: getattr(engine, name) for name in _SCALAR_ORDER}
+    scalars = {name: getattr(engine, name) for name in ACCUMULATORS}
     header = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         f"mode {model.physics.mode}",
@@ -281,7 +281,7 @@ def load_checkpoint(path):
         "identity": parse("identity", pairs),
         "scalars": parse("scalars", lambda text: pairs(text, float.fromhex)),
     }
-    missing = [name for name in _SCALAR_ORDER if name not in data["scalars"]]
+    missing = [name for name in ACCUMULATORS if name not in data["scalars"]]
     if missing:
         raise CheckpointError(f"{path}: checkpoint scalars line lacks {' '.join(missing)}")
     names = parse("fields", str.split)

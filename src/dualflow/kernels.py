@@ -52,12 +52,6 @@ def field_scalar(dofs, coef, val):
     return coef[dofs] @ val.T
 
 
-def field_scalar_grad(dofs, coef, grad):
-    """Gradient of a scalar field at the quadrature points, (C, nq, 2)."""
-    c = coef[dofs][:, :, None]
-    return np.concatenate([grad[..., 0] @ c, grad[..., 1] @ c], axis=-1)
-
-
 def field_vec(dofs, coef, val):
     """Vector (RT) field at the quadrature points, (C, nq, 2)."""
     c = coef[dofs][:, :, None]

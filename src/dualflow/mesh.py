@@ -417,20 +417,12 @@ def _build_render_arrays(mesh, lx, ly, nx, ny, pattern):
     mesh.render_vertex_map = np.asarray(vmap, dtype=np.int64)
 
 
-def read_mesh_text(source, geom):
-    """Import a triangulation from plain text: 'V E C', V x-y lines, C cell lines.
+def read_mesh_text(text, geom):
+    """Parse a triangulation from plain text: 'V E C', V x-y lines, C cell lines.
 
     Boundary tags are inferred geometrically from the channel geometry
     (tolerance 1e-9).  Negatively oriented cells are reoriented.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, ValueError):
-            text = str(source)
     tokens = text.split()
     if len(tokens) < 3:
         raise MeshError("mesh file too short: expected header 'V E C'")

@@ -6,7 +6,6 @@ and exactness for any requested polynomial degree.  The reference
 triangle has vertices (0,0), (1,0), (0,1) and area 1/2.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +56,3 @@ def triangle_rule(degree):
     pts = np.column_stack([(uu * (1.0 - vv)).ravel(), vv.ravel()])
     wts = np.outer(wu, wv).ravel()
     return QuadratureRule(points=pts, weights=wts, degree=degree)
-
-
-def reference_monomial_integral(a, b):
-    """Exact integral of x^a y^b over the reference triangle."""
-    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)

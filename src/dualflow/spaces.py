@@ -226,9 +226,6 @@ class Field:
                 f"coefficient length {self.coefficients.shape} does not match space dim {self.space.dim}"
             )
 
-    def copy(self):
-        return Field(self.space, self.coefficients.copy())
-
 
 def constant_coefficients(space, value=1.0):
     """Coefficients of the constant function (Lagrange-type scalar spaces)."""
@@ -368,57 +365,3 @@ def discrete_curl(psi, rt_space):
         raise ValueError("spaces live on different meshes")
     rt_space._require_tabulation()
     return Field(rt_space, curl_matrix(psi.space, rt_space) @ psi.coefficients)
-
-
-def tabulate(space, cell, ref_points, strict=True):
-    """Physical basis data of one cell at reference points.
-
-    Returns a dict with 'val' plus 'grad' (scalar families) or 'div'
-    (RT); RT values are Piola-mapped with the cell's dof signs folded
-    in.  In strict mode, points outside the reference triangle raise.
-    """
-    space._require_tabulation()
-    pts = np.asarray(ref_points, dtype=float).reshape(-1, 2)
-    if strict:
-        tol = 1e-12
-        bad = (pts[:, 0] < -tol) | (pts[:, 1] < -tol) | (pts.sum(axis=1) > 1.0 + tol)
-        if np.any(bad):
-            raise ValueError(f"reference point outside the unit triangle: {pts[bad][0]}")
-    mesh = space.mesh
-    J, det, Jinv = mesh.jacobians()
-    if space.family == "RT":
-        rval, rdiv = space.element.tabulate(pts)
-        val = np.einsum("de,qne->qnd", J[cell], rval) / det[cell]
-        val = val * space.cell_dof_signs[cell][None, :, None]
-        div = rdiv / det[cell] * space.cell_dof_signs[cell][None, :]
-        return {"val": val, "div": div}
-    rval, rgrad = space.element.tabulate(pts)
-    grad = np.einsum("qne,ed->qnd", rgrad, Jinv[cell])
-    return {"val": rval, "grad": grad}
-
-
-def evaluate_in_cell(field, cell, point):
-    """Evaluate a field at a physical point using a specific cell's data."""
-    space = field.space
-    space._require_tabulation()
-    mesh = space.mesh
-    ref = mesh.reference_coords(cell, np.asarray(point, dtype=float))[None, :]
-    dofs = space.cell_dofs[cell]
-    coefs = field.coefficients[dofs]
-    if space.family == "RT":
-        rval, _ = space.element.tabulate(ref)
-        J, det, _ = mesh.jacobians()
-        phys = (J[cell] @ rval[0].T).T / det[cell]
-        phys *= space.cell_dof_signs[cell][:, None]
-        return phys.T @ coefs
-    rval, _ = space.element.tabulate(ref)
-    return float(rval[0] @ coefs)
-
-
-def evaluate(field, point, tol=1e-10):
-    """Evaluate a field at a physical point (periodic points are wrapped)."""
-    mesh = field.space.mesh
-    c = mesh.locate_cell(point, tol=tol)
-    if c < 0:
-        raise ValueError(f"point {point} lies outside the mesh")
-    return evaluate_in_cell(field, c, mesh.wrap_point(point))

@@ -27,8 +27,10 @@ but one plus the two constant (harmonic) velocities.  So
 with Z^T R Z made exactly skew and Z^T M Z static.  D u = 0 holds by
 construction and is still checked to 1e-10 every step.
 
-The homogeneous mode (periodic box, no particles) drops steps 1-2 and
-the wall terms and uses a prescribed viscosity instead of Gr^(-1/2).
+Both modes take this one step.  The homogeneous mode (periodic box, no
+particles) skips steps 1-2, the baroclinic and wall sources of step 3,
+the buoyancy of step 4 and the particle bookkeeping, and uses a
+prescribed viscosity instead of Gr^(-1/2).
 """
 
 import math
@@ -67,7 +69,6 @@ class PhysicsConfig:
     schmidt: float = 1.0
     settling_velocity: float = 0.02
     nu: float = 0.0  # homogeneous mode only
-    gravity: tuple = (0.0, -1.0)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -79,9 +80,6 @@ class PhysicsConfig:
                 raise ValueError("settling velocity must be nonnegative")
         elif self.nu < 0:
             raise ValueError("viscosity must be nonnegative")
-        gx, gy = self.gravity
-        if abs(math.hypot(gx, gy) - 1.0) > 1e-12:
-            raise ValueError("gravity direction must be a unit vector")
 
     @property
     def effective_viscosity(self):
@@ -127,7 +125,7 @@ class StepAudit:
     reports: dict
     div_inf: float
     eps_v: float
-    exchange: float          # <phi^{k+1} e_g, u^{k+3/2}>
+    exchange: float = 0.0    # <phi^{k+1} e_g, u^{k+3/2}>
     eps_s: float = 0.0
     mass_residual: float = 0.0
     phi_mid_bottom: float = 0.0  # int_{Gamma3} phi^{k+1/2}
@@ -186,7 +184,7 @@ class Model:
             from .mesh import TAG_BOTTOM
 
             self.B_bottom = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg)
-            self.grad_dot_g = assemble.assemble_gradient_dot(self.W, self.qdeg, physics.gravity)
+            self.grad_dot_g = assemble.assemble_gradient_dot(self.W, self.qdeg)
         else:
             self.B_bottom = None
             self.grad_dot_g = None
@@ -277,7 +275,7 @@ class Model:
         Mdt = (1.0 / dt) * self.Nw_c
         rhs = (Mdt - 0.5 * K) @ omega.coefficients[self.iw]
         if phi_mid is not None:
-            rhs = rhs + assemble.assemble_baroclinic(phi_mid, self.W, self.qdeg, self.physics.gravity)[self.iw]
+            rhs = rhs + assemble.assemble_baroclinic(phi_mid, self.W, self.qdeg)[self.iw]
         if omega_tilde is not None:
             rhs = rhs + self.nu * assemble.assemble_vorticity_neumann(omega_tilde, self.W, self.bdeg)[self.iw]
         coef = np.zeros(self.W.dim)
@@ -297,7 +295,7 @@ class Model:
         f = (self.M @ uo) / dt - 0.5 * (R @ uo) - self.nu * l
         b = None
         if phi_buoy is not None:
-            b = assemble.assemble_buoyancy(phi_buoy, self.U, self.qdeg, self.physics.gravity)
+            b = assemble.assemble_buoyancy(phi_buoy, self.U, self.qdeg)
             f = f + b
         A = (self.ZMZ / dt + 0.5 * self.reduced_rotation(R)).tocsr()
         psi, rep = lu_solve(A, self.Zt @ f)
@@ -318,77 +316,48 @@ def _check_div(model, u, where):
     return d
 
 
-def step_turbidity(state, model):
-    """Advance one step of the particle-laden scheme; returns (state, audit)."""
-    if model.physics.mode != "turbidity":
-        raise ValueError("step_turbidity requires a turbidity-mode model")
+def step(state, model):
+    """Advance one step; returns (state, audit).  Without particles
+    (homogeneous mode) steps 1-2 and the particle bookkeeping are skipped."""
     dt = model.time.dt
-    k = state.k
     u, omega, phi = state.u_half, state.omega, state.phi
+    particles = model.physics.mode == "turbidity"
+    reports = {}
+    phi_new = phi_mid = omega_tilde = None
     try:
-        omega_tilde, rep1 = model.curl_h(u)                       # step 1
         C = model.convection(u)
-        phi_new, rep2 = model.solve_transport(C, phi, dt)         # step 2
-        phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi.coefficients))
-        omega_new, rep3 = model.solve_vorticity(                  # step 3
+        if particles:
+            omega_tilde, reports["curl"] = model.curl_h(u)                # step 1
+            phi_new, reports["transport"] = model.solve_transport(C, phi, dt)  # step 2
+            phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi.coefficients))
+        omega_new, reports["vorticity"] = model.solve_vorticity(          # step 3
             C, omega, dt, phi_mid=phi_mid, omega_tilde=omega_tilde
         )
-        u_new, p_new, l_vec, b_vec, rep4 = model.solve_momentum(  # step 4
+        u_new, p_new, l_vec, b_vec, reports["momentum"] = model.solve_momentum(  # step 4
             omega_new, u, dt, phi_buoy=phi_new
         )
         div = _check_div(model, u_new, "step 4")
     except SolverError as exc:
-        raise SolverError(f"step {k + 1} failed: {exc}") from exc
+        raise SolverError(f"step {state.k + 1} failed: {exc}") from exc
 
-    u_s = model.physics.settling_velocity
-    phi_mid_bottom = model.bottom_integral(phi_mid.coefficients)
-    mass_residual = (
-        model.integral_w(phi_new.coefficients - phi.coefficients)
-        + dt * u_s * phi_mid_bottom
-    )
     eps_v = model.nu * float(l_vec @ (0.5 * (u.coefficients + u_new.coefficients)))
-    eps_s = u_s * model.integral_w(phi_mid.coefficients) - model.kappa * float(
-        model.grad_dot_g @ phi_mid.coefficients
-    )
-    exchange = float(b_vec @ u_new.coefficients)
-    audit = StepAudit(
-        reports={"curl": rep1, "transport": rep2, "vorticity": rep3, "momentum": rep4},
-        div_inf=div, eps_v=eps_v, eps_s=eps_s, exchange=exchange,
-        mass_residual=mass_residual, phi_mid_bottom=phi_mid_bottom,
-    )
+    audit = StepAudit(reports=reports, div_inf=div, eps_v=eps_v)
+    if particles:
+        u_s = model.physics.settling_velocity
+        audit.phi_mid_bottom = model.bottom_integral(phi_mid.coefficients)
+        audit.mass_residual = (
+            model.integral_w(phi_new.coefficients - phi.coefficients)
+            + dt * u_s * audit.phi_mid_bottom
+        )
+        audit.eps_s = u_s * model.integral_w(phi_mid.coefficients) - model.kappa * float(
+            model.grad_dot_g @ phi_mid.coefficients
+        )
+        audit.exchange = float(b_vec @ u_new.coefficients)
     new_state = SimulationState(
-        k=k + 1, u_half=u_new, omega=omega_new, phi=phi_new,
+        k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new,
         p_bar=p_new, omega_tilde=omega_tilde,
     )
     return new_state, audit
-
-
-def step_homogeneous(state, model):
-    """Advance one step of the homogeneous periodic scheme."""
-    if model.physics.mode != "homogeneous":
-        raise ValueError("step_homogeneous requires a homogeneous-mode model")
-    dt = model.time.dt
-    k = state.k
-    u, omega = state.u_half, state.omega
-    try:
-        omega_new, rep3 = model.solve_vorticity(model.convection(u), omega, dt)
-        u_new, p_new, l_vec, _, rep4 = model.solve_momentum(omega_new, u, dt)
-        div = _check_div(model, u_new, "step 4")
-    except SolverError as exc:
-        raise SolverError(f"step {k + 1} failed: {exc}") from exc
-    eps_v = model.nu * float(l_vec @ (0.5 * (u.coefficients + u_new.coefficients)))
-    audit = StepAudit(
-        reports={"vorticity": rep3, "momentum": rep4},
-        div_inf=div, eps_v=eps_v, eps_s=0.0, exchange=0.0,
-    )
-    new_state = SimulationState(k=k + 1, u_half=u_new, omega=omega_new, p_bar=p_new)
-    return new_state, audit
-
-
-def step(state, model):
-    if model.physics.mode == "turbidity":
-        return step_turbidity(state, model)
-    return step_homogeneous(state, model)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +429,7 @@ class StartupReport:
     residual_history: list = field(default_factory=list)
 
 
-def initialize(model, ic=None):
+def initialize(model, ic):
     """Implicit startup: fixed-point iteration for u^{1/2} over [0, dt/2].
 
     Each pass solves the momentum step with the rotation frozen at the
@@ -468,8 +437,6 @@ def initialize(model, ic=None):
     phi^0; the vorticity iterate is then refreshed as the weak curl of
     the midpoint velocity.
     """
-    if ic is None:
-        ic = LockInitialCondition() if model.physics.mode == "turbidity" else TaylorGreenInitialCondition()
     u0, omega0, phi0 = ic.build(model)
     tol, cap = model.time.startup_tol, model.time.startup_max_iter
     omega_star = omega0

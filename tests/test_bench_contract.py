@@ -94,3 +94,30 @@ def test_traced_run_measures_startup_and_solves(spans, tmp_path):
     assert isinstance(iterations, int) and iterations >= 1
     assert all(r is not None and r >= 0.0 for r in values["linsolve.lu_solve"])
     assert "stepper.step" in values and "diagnostics.Engine.update" in values
+
+
+def test_engine_set_up_fires_once_per_run(tmp_path, monkeypatch):
+    """perfbench/workloads.py `Runner` subclasses driver.Engine and marks
+    the end of set-up from `__init__` (fresh run) or `restored` (resume).
+    Exactly one of the two must fire per driver.run, or set-up time is
+    counted twice or not at all."""
+    fired = []
+
+    class ReadyEngine(driver.Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fired.append("init")
+
+        @classmethod
+        def restored(cls, *args, **kwargs):
+            engine = super().restored(*args, **kwargs)
+            fired.append("restored")
+            return engine
+
+    monkeypatch.setattr(driver, "Engine", ReadyEngine)
+    cfg = parse_config(TINY.format(out=tmp_path))
+    driver.run(cfg, collect_rows=False)
+    assert fired == ["init"]
+    fired.clear()
+    driver.run(cfg, collect_rows=False, checkpoint=str(tmp_path / "checkpoint_final.ckpt"))
+    assert fired == ["restored"]

@@ -172,3 +172,33 @@ def test_lock_geometry_constraint():
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert "lock_length" in str(exc.value)
+
+
+UNREAD = [  # (key, config, the line that sets it, placed after `anchor`)
+    ("physics.nu", BASELINE, "settling_velocity = 0.02", "nu = 0.5"),
+    ("initial.seed", BASELINE, "dir = out", "[initial]\nseed = 3"),
+    ("physics.grashof", HOMOGENEOUS, "nu = 0.01", "grashof = 10"),
+    ("physics.schmidt", HOMOGENEOUS, "nu = 0.01", "schmidt = 2.0"),
+    ("physics.settling_velocity", HOMOGENEOUS, "nu = 0.01", "settling_velocity = 0.5"),
+    ("mesh.lock_length", HOMOGENEOUS, "ny = 16", "lock_length = 1.0"),
+    ("mesh.import", HOMOGENEOUS, "ny = 16", "import = box.txt"),
+    ("initial.interface_width", HOMOGENEOUS, "t_end = 0.5",
+     "[initial]\nkind = random\ninterface_width = 0.1"),
+    ("initial.seed", HOMOGENEOUS, "t_end = 0.5", "[initial]\nkind = taylor_green\nseed = 3"),
+]
+
+
+@pytest.mark.parametrize("key, base, anchor, added", UNREAD,
+                         ids=[f"{case[0]}-{'turbidity' if case[1] is BASELINE else 'homogeneous'}"
+                              for case in UNREAD])
+def test_keys_the_mode_never_reads_refused_at_line(key, base, anchor, added):
+    text = base.replace(anchor, f"{anchor}\n{added}", 1)
+    bad = added.splitlines()[-1]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(f"line {text.splitlines().index(bad) + 1}: {key}:")
+
+
+def test_seed_accepted_by_random_start():
+    cfg = parse_config(HOMOGENEOUS + "\n[initial]\nkind = random\nseed = 3\n")
+    assert cfg.initial["seed"] == 3

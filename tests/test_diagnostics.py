@@ -9,7 +9,7 @@ from dualflow.stepper import (
     PhysicsConfig,
     TimeConfig,
     initialize,
-    step_turbidity,
+    step,
 )
 from dualflow import assemble
 from dualflow.diagnostics import Engine, FrontTracker, sedimentation_rate, suspended_mass
@@ -37,7 +37,7 @@ def eps_s_ref1(model, phi, u_s, kappa):
 
     A cross-literature comparison of the budget's eps_s; never part of a run.
     """
-    gdot = assemble.assemble_gradient_dot(model.W, model.qdeg, model.physics.gravity)
+    gdot = assemble.assemble_gradient_dot(model.W, model.qdeg)
     grad_term = float(gdot @ phi.coefficients)  # <grad phi, e_g>
     grad_y = -grad_term  # grad y = (0,1) = -e_g, exactly, at every quadrature point
     flux = float(weighted_flux(model.W, lambda x, y: y, model.bdeg) @ phi.coefficients)
@@ -72,7 +72,7 @@ def test_zero_state_ledger_row():
 
     state, _ = initialize(model, IC())
     eng = Engine(model, state)
-    new, audit = step_turbidity(state, model)
+    new, audit = step(state, model)
     row = eng.update(state, new, audit)
     for name in ("K", "Ep", "eps_v", "eps_s", "Ev", "Es", "E_res", "enstrophy"):
         assert abs(getattr(row, name)) < 1e-14, name
@@ -84,7 +84,7 @@ def test_suspended_mass_starts_at_one_and_decays():
     eng = Engine(model, state)
     assert abs(suspended_mass(model, state.phi, eng.m_p0) - 1.0) < 1e-14
     prev = state
-    state, audit = step_turbidity(state, model)
+    state, audit = step(state, model)
     row = eng.update(prev, state, audit)
     expected = 1.0 - model.time.dt * model.physics.settling_velocity * audit.phi_mid_bottom / eng.m_p0
     assert abs(row.m_p_ratio - expected) < 1e-10
@@ -96,7 +96,7 @@ def test_suspended_mass_constant_without_settling():
     eng = Engine(model, state)
     for _ in range(3):
         prev = state
-        state, audit = step_turbidity(state, model)
+        state, audit = step(state, model)
         row = eng.update(prev, state, audit)
         assert abs(row.m_p_ratio - 1.0) < 1e-10
 
@@ -156,7 +156,7 @@ def test_eps_s_ref1_matches_budget_form_on_torus():
     phi = Field(model.W, coef - mean * ones)
     u_s, kappa = 0.02, 1e-3
     ref1 = eps_s_ref1(model, phi, u_s, kappa)
-    gdot = assemble.assemble_gradient_dot(model.W, model.qdeg, model.physics.gravity)
+    gdot = assemble.assemble_gradient_dot(model.W, model.qdeg)
     budget_form = u_s * model.integral_w(phi.coefficients) - kappa * float(gdot @ phi.coefficients)
     assert abs(ref1 - budget_form) < 1e-10
 
@@ -167,7 +167,7 @@ def test_energy_residual_identity_short_run():
     eng = Engine(model, state)
     for _ in range(5):
         prev = state
-        state, audit = step_turbidity(state, model)
+        state, audit = step(state, model)
         row = eng.update(prev, state, audit)
         assert abs(row.eres_gap) < 1e-12
         assert abs(row.mass_residual) < 1e-12
@@ -177,6 +177,6 @@ def test_ledger_requires_consecutive_states():
     model = make_model()
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    new, audit = step_turbidity(state, model)
+    new, audit = step(state, model)
     with pytest.raises(ValueError):
         eng.update(new, new, audit)

@@ -5,7 +5,7 @@ from dualflow import io as dfio
 from dualflow.config import parse_config
 from dualflow.driver import build_model, run
 from dualflow.diagnostics import CSV_COLUMNS, Engine
-from dualflow.stepper import LockInitialCondition, initialize, step_turbidity
+from dualflow.stepper import LockInitialCondition, initialize, step
 
 from conftest import run_cli
 
@@ -106,7 +106,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    state, audit = step_turbidity(state, model)
+    state, audit = step(state, model)
     path = str(tmp_path / "c.ckpt")
     dfio.save_checkpoint(path, state, eng, model)
     data = dfio.load_checkpoint(path)
@@ -204,7 +204,7 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "c.ckpt"
     dfio.save_checkpoint(str(path), state, eng, model)
     before = path.read_bytes()
-    state, _ = step_turbidity(state, model)
+    state, _ = step(state, model)
 
     class FailingFile:
         """Writes the header, then fails on the first payload vector."""
@@ -291,6 +291,16 @@ def test_cli_mesh_info_table1(tmp_path):
     assert "dof_velocity   20328" in out
     assert "dof_pressure   11160" in out
     assert "cells          1116" in out
+
+
+def test_cli_missing_mesh_import_names_file(tmp_path):
+    missing = tmp_path / "no_such_mesh.txt"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(lock_cfg_text(tmp_path / "o").replace("ny = 2", f"ny = 2\nimport = {missing}"))
+    proc = run_cli(["mesh-info", "--config", str(cfgfile)], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and str(missing) in proc.stderr
+    assert "No such file" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_run_and_resume_bitwise(tmp_path):

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from dualflow import kernels
 from dualflow.elements import LOCAL_EDGES, REF_VERTICES, UnsupportedElementError
 from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
 from dualflow.spaces import (
     Field,
     constant_coefficients,
     discrete_curl,
-    evaluate,
-    evaluate_in_cell,
     interpolate,
     make_space,
     normal_trace_dofs,
@@ -18,6 +15,30 @@ from dualflow.spaces import (
     wall_trace_dofs,
 )
 from dualflow.quadrature import interval_rule, triangle_rule
+
+
+def evaluate_in_cell(field, cell, point):
+    """A field at a physical point, from one given cell's basis."""
+    space = field.space
+    mesh = space.mesh
+    ref = mesh.reference_coords(cell, np.asarray(point, dtype=float))[None, :]
+    coefs = field.coefficients[space.cell_dofs[cell]]
+    rval, _ = space.element.tabulate(ref)
+    if space.family == "RT":
+        J, det, _ = mesh.jacobians()
+        phys = (J[cell] @ rval[0].T).T / det[cell]
+        phys *= space.cell_dof_signs[cell][:, None]
+        return phys.T @ coefs
+    return float(rval[0] @ coefs)
+
+
+def evaluate(field, point, tol=1e-10):
+    """A field at a physical point (periodic points are wrapped)."""
+    mesh = field.space.mesh
+    c = mesh.locate_cell(point, tol=tol)
+    if c < 0:
+        raise ValueError(f"point {point} lies outside the mesh")
+    return evaluate_in_cell(field, c, mesh.wrap_point(point))
 
 
 @pytest.fixture
@@ -198,7 +219,7 @@ def edge_loop_curl(psi, U):
         wtab = psi.space.volume_data(qdeg)
         rule = triangle_rule(qdeg)
         J, det, Jinv = mesh.jacobians()
-        gpsi = kernels.field_scalar_grad(psi.space.cell_dofs, psi.coefficients, wtab.grad)
+        gpsi = np.einsum("cqnd,cn->cqd", wtab.grad, psi.coefficients[psi.space.cell_dofs])
         F = np.stack([gpsi[..., 1], -gpsi[..., 0]], axis=-1)
         pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
         moments = np.einsum("q,cqe->ce", rule.weights, pull)
@@ -284,20 +305,3 @@ def test_constant_representable_on_periodic(torus):
     f = Field(W, ones)
     for p in [(0.1, 0.2), (0.99, 0.99), (0.5, 0.0)]:
         assert abs(evaluate(f, p) - 1.0) < 1e-12
-
-
-def test_tabulate_per_cell(channel):
-    from dualflow.spaces import tabulate
-
-    U = make_space(channel, "RT", 2)
-    pts = np.array([[0.2, 0.3], [0.5, 0.25]])
-    out = tabulate(U, 3, pts)
-    assert out["val"].shape == (2, 8, 2)
-    assert out["div"].shape == (2, 8)
-    W = make_space(channel, "CG", 2)
-    out = tabulate(W, 0, pts)
-    assert out["val"].shape == (2, 6)
-    assert np.allclose(out["val"].sum(axis=1), 1.0, atol=1e-13)
-    with pytest.raises(ValueError):
-        tabulate(W, 0, np.array([[0.9, 0.9]]))
-    tabulate(W, 0, np.array([[0.9, 0.9]]), strict=False)

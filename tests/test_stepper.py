@@ -5,6 +5,7 @@ import pytest
 
 from dualflow.assemble import assemble_buoyancy, assemble_rotation
 from dualflow.config import parse_config_file
+from dualflow.diagnostics import Engine
 from dualflow.driver import build_model
 from dualflow.elements import LOCAL_EDGES
 from dualflow.mesh import TAG_BOTTOM, ChannelGeometry, _finalize, build_channel_mesh, build_periodic_rect_mesh
@@ -18,8 +19,7 @@ from dualflow.stepper import (
     TaylorGreenInitialCondition,
     TimeConfig,
     initialize,
-    step_homogeneous,
-    step_turbidity,
+    step,
 )
 
 from saddle_oracle import solve_saddle
@@ -133,7 +133,7 @@ def test_startup_nonconvergence_reported():
 def test_zero_state_is_fixed_point():
     model = turbidity_model(u_s=0.0)
     state, _ = initialize(model, ZeroBuoyancyIC())
-    new, audit = step_turbidity(state, model)
+    new, audit = step(state, model)
     assert np.max(np.abs(new.u_half.coefficients)) < 1e-14
     assert np.max(np.abs(new.phi.coefficients)) < 1e-14
     assert np.max(np.abs(new.omega.coefficients)) < 1e-14
@@ -144,25 +144,35 @@ def test_constant_phi_step_on_channel():
     model = turbidity_model()
     state, _ = initialize(model, ConstantConcentrationIC(0.7))
     model.physics = PhysicsConfig(mode="turbidity", grashof=5e6, schmidt=1.0, settling_velocity=0.0)
-    new, audit = step_turbidity(state, model)
+    new, audit = step(state, model)
     assert np.max(np.abs(new.phi.coefficients - state.phi.coefficients)) < 1e-10
     assert np.max(np.abs(new.u_half.coefficients)) < 1e-10
 
 
-def test_quasi_linearity_single_solves():
-    model = turbidity_model()
-    state, _ = initialize(model, LockInitialCondition())
-    _, audit = step_turbidity(state, model)
-    assert set(audit.reports) == {"curl", "transport", "vorticity", "momentum"}
+@pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
+def test_quasi_linearity_single_solves(mode):
+    if mode == "turbidity":
+        model = turbidity_model()
+        state, _ = initialize(model, LockInitialCondition())
+        solves = {"curl", "transport", "vorticity", "momentum"}
+    else:
+        model = homogeneous_model(nu=0.01)
+        state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=2))
+        solves = {"vorticity", "momentum"}
+    new, audit = step(state, model)
+    assert set(audit.reports) == solves
     for rep in audit.reports.values():
         assert rep.iterations == 0  # direct solves only, no nonlinear iteration
+    if mode == "homogeneous":  # steps 1-2 and the particle bookkeeping are skipped
+        assert new.phi is None and new.omega_tilde is None
+        assert audit.mass_residual == 0.0 and audit.exchange == 0.0
 
 
 def test_per_step_mass_identity_short_run():
     model = turbidity_model(nx=26, ny=2, N=2)
     state, _ = initialize(model, LockInitialCondition())
     for _ in range(5):
-        state, audit = step_turbidity(state, model)
+        state, audit = step(state, model)
         assert abs(audit.mass_residual) < 1e-12
         assert audit.div_inf <= 1e-10
 
@@ -174,7 +184,7 @@ def test_homogeneous_inviscid_conservation_short():
     ens0 = model.enstrophy(state.omega)
     tv0 = model.total_vorticity(state.omega)
     for _ in range(20):
-        state, audit = step_homogeneous(state, model)
+        state, audit = step(state, model)
         assert audit.div_inf <= 1e-10
     assert abs(model.kinetic_energy(state.u_half) - K0) <= 1e-11 * K0
     assert abs(model.enstrophy(state.omega) - ens0) <= 1e-11 * ens0
@@ -188,10 +198,30 @@ def test_homogeneous_viscous_decay_tracks_exact_rate():
     K0 = model.kinetic_energy(state.u_half)
     n = 10
     for _ in range(n):
-        state, _ = step_homogeneous(state, model)
+        state, _ = step(state, model)
     K = model.kinetic_energy(state.u_half)
     exact = np.exp(-4 * 0.01 * n * model.time.dt)  # K ~ e^{-4 nu t}
     assert abs(K / K0 - exact) < 5e-3
+
+
+def test_homogeneous_ledger_rows():
+    """Without particles E_res = K + Ev - K^{1/2} is the whole budget
+    identity (its right side is 0), so eres_gap = E_res stays at
+    solver precision and every particle column reads 0."""
+    model = homogeneous_model(nx=16, ny=16, nu=0.01, dt=1e-2)
+    state, _ = initialize(model, TaylorGreenInitialCondition())
+    eng = Engine(model, state)
+    assert eng.front is None
+    for _ in range(20):
+        prev = state
+        state, audit = step(state, model)
+        row = eng.update(prev, state, audit)
+        assert abs(row.eres_gap) <= 1e-10
+        assert row.eres_gap == row.E_res
+        assert row.Ev > 0.0
+        for name in ("Ep", "eps_s", "Es", "m_p_ratio", "mdot_s", "x_f", "phi_min", "phi_max",
+                     "mass_residual", "exchange"):
+            assert getattr(row, name) == 0.0, name
 
 
 def taylor_green_velocity_error(nx, nu=0.01, dt=1e-2, nsteps=10):
@@ -199,7 +229,7 @@ def taylor_green_velocity_error(nx, nu=0.01, dt=1e-2, nsteps=10):
     model = homogeneous_model(nx=nx, ny=nx, nu=nu, dt=dt)
     state, _ = initialize(model, ic)
     for _ in range(nsteps):
-        state, _ = step_homogeneous(state, model)
+        state, _ = step(state, model)
     t = state.k * model.time.dt + 0.5 * model.time.dt  # velocity lives at half steps
     exact = ic.velocity(t, nu)
     from dualflow import kernels
@@ -217,13 +247,6 @@ def test_taylor_green_error_shrinks_under_refinement():
     assert e8 / e16 > 1.5  # first-order velocity convergence for RT_1
 
 
-def test_step_mode_guards():
-    model = turbidity_model()
-    state, _ = initialize(model, LockInitialCondition())
-    with pytest.raises(ValueError):
-        step_homogeneous(state, model)
-
-
 # ---------------------------------------------------------------------------
 # The stream-function momentum step against the saddle oracle
 
@@ -236,7 +259,7 @@ def desk():
     model = build_model(parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg")))
     state, _ = initialize(model, LockInitialCondition())
     for _ in range(2):
-        state, _ = step_turbidity(state, model)
+        state, _ = step(state, model)
     return model, state
 
 
@@ -246,7 +269,7 @@ def box():
     model = homogeneous_model(nx=8, ny=8, nu=0.01)
     state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=5))
     for _ in range(3):
-        state, _ = step_homogeneous(state, model)
+        state, _ = step(state, model)
     return model, state
 
 
@@ -258,7 +281,7 @@ def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
     Mdt = (1.0 / dt) * model.M[iu][:, iu]
     f = (Mdt - 0.5 * R_r) @ u_old.coefficients[iu] - model.nu * l[iu]
     if phi_buoy is not None:
-        f = f + assemble_buoyancy(phi_buoy, model.U, model.qdeg, model.physics.gravity)[iu]
+        f = f + assemble_buoyancy(phi_buoy, model.U, model.qdeg)[iu]
     A = (Mdt + 0.5 * R_r).tocsr()
     u, p, _ = solve_saddle(A, model.D_r, f, model.MQ, model.ones_q, model.area)
     return u, p
