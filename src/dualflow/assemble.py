@@ -1,16 +1,16 @@
 """Assembly of the discrete operators of the dual-field scheme.
 
-Matrix sparsity patterns are computed once per (test space, trial space)
-pair and cached; repeated assembly only refills the CSR value array, in
-a fixed cell order, so all operators are bitwise reproducible.
+Every function here builds and returns; none keeps what it builds.  The
+only thing cached is a matrix sparsity pattern, computed once per
+(test space, trial space) pair of dof maps and kept on the mesh;
+repeated assembly only refills the CSR value array, in a fixed cell
+order, so all operators are bitwise reproducible.
 
 The step is linear in each known field, so only the rotation R(omega)
-and the convection G(u) are assembled per step.  Every source term is a
-static matrix built once per space pair and cached next to the pattern:
-the weak curl Lc (giving both l = Lc omega and the curl rhs Lc^T u),
-buoyancy, baroclinic, the wall Neumann term and the particle drift.
-The discrete curl Z (CG stream function -> RT velocity) is cached the
-same way; it involves no quadrature.
+and the convection G(u) are assembled per step.  The static operators
+(the weak curl Lc, buoyancy, baroclinic, the wall Neumann term, the
+particle drift and the discrete curl Z) are built once per run by
+stepper.Model, which owns them.
 
 Index convention: for every matrix A produced here, A[i, j] pairs test
 function i against trial function j.
@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from . import kernels
 from .elements import reference_curl
+from .mesh import TAG_BOTTOM, TAG_TOP
 
 GRAVITY = (0.0, -1.0)  # unit direction e_g of gravity
 
@@ -42,10 +43,9 @@ class _Pattern:
         uniq, inverse = np.unique(keys, return_inverse=True)
         self.pos = inverse.reshape(C, na, nb)
         self.indices = (uniq % shape[1]).astype(np.int32)
-        urows = (uniq // shape[1]).astype(np.int64)
+        counts = np.bincount(uniq // shape[1], minlength=shape[0])
         self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        np.add.at(self.indptr, urows + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
+        np.cumsum(counts, out=self.indptr[1:])
         self.nnz = len(uniq)
         self.shape = shape
 
@@ -55,21 +55,15 @@ class _Pattern:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _cached(row_space, col_space, key, build):
-    """The object `key` on the (row_space, col_space) pair, built once by
-    `build()` and kept in row_space's cache.  Cached operators are shared
-    between callers and must not be modified in place."""
-    cache = row_space._cache.setdefault("operators", {})
-    full = (key, id(col_space))
-    if full not in cache:
-        cache[full] = (col_space, build())  # keep col_space alive so its id stays unique
-    return cache[full][1]
-
-
 def _pattern(row_space, col_space):
-    return _cached(row_space, col_space, "pattern", lambda: _Pattern(
-        row_space.cell_dofs, col_space.cell_dofs, (row_space.dim, col_space.dim)
-    ))
+    """The pattern of the (row_space, col_space) pair, built once per mesh.
+    A pattern depends only on the two dof maps, which family and degree fix."""
+    cache = row_space.mesh._cache
+    key = ("pattern", row_space.family, row_space.degree, col_space.family, col_space.degree)
+    if key not in cache:
+        cache[key] = _Pattern(row_space.cell_dofs, col_space.cell_dofs,
+                              (row_space.dim, col_space.dim))
+    return cache[key]
 
 
 def assemble_mass(space, qdegree):
@@ -86,61 +80,56 @@ def assemble_curlcurl(space, qdegree):
 
 
 def assemble_div(U, Q, qdegree):
-    """Divergence pairing D[q, u] = <div u, q> and its exact transpose P."""
+    """Divergence pairing D[q, u] = <div u, q>."""
     if U.mesh is not Q.mesh:
         raise ValueError("velocity and pressure spaces live on different meshes")
     if Q.degree != U.degree - 1:
         raise ValueError(f"incompatible pair RT_{U.degree} / DG_{Q.degree}")
     utab = U.volume_data(qdegree)
     qtab = Q.volume_data(qdegree)
-    D = _pattern(Q, U).build(kernels.pairing(utab.weights, qtab.val, utab.div))
-    P = D.T.tocsr()
-    return D, P
+    return _pattern(Q, U).build(kernels.pairing(utab.weights, qtab.val, utab.div))
 
 
-def _weak_curl(U, W, qdegree):
-    """Static Lc[a, k] = <curl w_k, u_a>, curl w = (dw/dy, -dw/dx)."""
-    def build():
-        utab = U.volume_data(qdegree)
-        wtab = W.volume_data(qdegree)
-        curl = np.stack([wtab.grad[..., 1], -wtab.grad[..., 0]], axis=-1)
-        return _pattern(U, W).build(kernels.pairing_vec(utab.weights, utab.val, curl))
+def assemble_weak_curl(U, W, qdegree):
+    """Weak curl Lc[a, k] = <curl w_k, u_a>, curl w = (dw/dy, -dw/dx).
 
-    return _cached(U, W, ("curl", qdegree), build)
+    Lc omega is the viscous vector l[a] = <curl omega, u_a> of the
+    momentum step, and Lc^T u the right-hand side <u, curl w_k> of the
+    weak curl recovery.
+    """
+    utab = U.volume_data(qdegree)
+    wtab = W.volume_data(qdegree)
+    curl = np.stack([wtab.grad[..., 1], -wtab.grad[..., 0]], axis=-1)
+    return _pattern(U, W).build(kernels.pairing_vec(utab.weights, utab.val, curl))
 
 
 def curl_matrix(W, U):
-    """Static discrete curl Z[a, k] = RT dof a of curl w_k (U.dim x W.dim).
+    """Discrete curl Z[a, k] = RT dof a of curl w_k (U.dim x W.dim).
 
     The reference matrix of elements.reference_curl with the RT dof signs
     applied; no geometry enters.  An edge row is taken from the edge's
     first cell and an interior row from its own cell, so every row is
     written once.
     """
-    def build():
-        Zloc = reference_curl(W.element, U.element)
-        edge_cells = U.mesh.edge_cells[U.mesh.cell_edges, 0]  # (C, 3)
-        own = np.ones(U.cell_dofs.shape, dtype=bool)
-        for loc, cols in enumerate(U.element.edge_dofs):
-            own[:, cols] = (edge_cells[:, loc] == np.arange(len(edge_cells)))[:, None]
-        keep = own[:, :, None] & (Zloc != 0.0)[None, :, :]
-        vals = U.cell_dof_signs[:, :, None] * Zloc[None, :, :]
-        rows = np.broadcast_to(U.cell_dofs[:, :, None], keep.shape)
-        cols = np.broadcast_to(W.cell_dofs[:, None, :], keep.shape)
-        return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(U.dim, W.dim))
-
-    return _cached(U, W, "discrete_curl", build)
+    Zloc = reference_curl(W.element, U.element)
+    edge_cells = U.mesh.edge_cells[U.mesh.cell_edges, 0]  # (C, 3)
+    own = np.ones(U.cell_dofs.shape, dtype=bool)
+    for loc, cols in enumerate(U.element.edge_dofs):
+        own[:, cols] = (edge_cells[:, loc] == np.arange(len(edge_cells)))[:, None]
+    keep = own[:, :, None] & (Zloc != 0.0)[None, :, :]
+    vals = U.cell_dof_signs[:, :, None] * Zloc[None, :, :]
+    rows = np.broadcast_to(U.cell_dofs[:, :, None], keep.shape)
+    cols = np.broadcast_to(W.cell_dofs[:, None, :], keep.shape)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(U.dim, W.dim))
 
 
 def assemble_rotation(omega, U, qdegree):
-    """Rotation operator R[i,j] = <omega x u_j, u_i> (exactly skew) and
-    the vector l[i] = <curl omega, u_i>."""
+    """Rotation operator R[i,j] = <omega x u_j, u_i>, exactly skew."""
     W = omega.space
     utab = U.volume_data(qdegree)
     wtab = W.volume_data(qdegree)
     wq = kernels.field_scalar(W.cell_dofs, omega.coefficients, wtab.val)
-    R = _pattern(U, U).build(kernels.rotation(utab.weights, wq, utab.val))
-    return R, _weak_curl(U, W, qdegree) @ omega.coefficients
+    return _pattern(U, U).build(kernels.rotation(utab.weights, wq, utab.val))
 
 
 def _convection_matrix(uq, duq, W, qdegree):
@@ -165,13 +154,10 @@ def assemble_vorticity_convection(u, W, qdegree):
 
 
 def assemble_wall_mass(space, tag, qdegree):
-    """Boundary mass matrix <trial, test> over one tagged wall (static)."""
-    def build():
-        tab = space.boundary_data(tag, qdegree)
-        return _boundary_matrix(tab, tab, kernels.pairing(tab.weights, tab.val, tab.val),
-                                (space.dim, space.dim))
-
-    return _cached(space, space, ("wall", tag, qdegree), build)
+    """Boundary mass matrix <trial, test> over one tagged wall."""
+    tab = space.boundary_data(tag, qdegree)
+    return _boundary_matrix(tab, tab, kernels.pairing(tab.weights, tab.val, tab.val),
+                            (space.dim, space.dim))
 
 
 def _boundary_matrix(row_tab, col_tab, local, shape):
@@ -195,81 +181,49 @@ def assemble_particle_drift(u_s, W, qdegree, bdegree):
     against the constant test function reduces the operator to the
     bottom-wall settling outflux, which conserves particle mass.
     """
-    from .mesh import TAG_BOTTOM, TAG_TOP
-
     if u_s < 0:
         raise ValueError(f"settling speed must be nonnegative, got {u_s}")
-
-    def build():
-        if u_s == 0.0:
-            return sp.csr_matrix((W.dim, W.dim))
-        wtab = W.volume_data(qdegree)
-        C, nq = wtab.weights.shape
-        drift = np.broadcast_to(np.array(GRAVITY, dtype=float), (C, nq, 2))
-        G = _convection_matrix(drift, np.zeros((C, nq)), W, qdegree)
-        B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
-        B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
-        return (u_s * skew_part(G) + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()
-
-    return _cached(W, W, ("drift", u_s, qdegree, bdegree), build)
+    if u_s == 0.0:
+        return sp.csr_matrix((W.dim, W.dim))
+    wtab = W.volume_data(qdegree)
+    C, nq = wtab.weights.shape
+    drift = np.broadcast_to(np.array(GRAVITY, dtype=float), (C, nq, 2))
+    G = _convection_matrix(drift, np.zeros((C, nq)), W, qdegree)
+    B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
+    B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
+    return (u_s * skew_part(G) + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()
 
 
-def assemble_buoyancy(phi, U, qdegree):
-    """b[i] = <phi e_g, u_i>, from the static matrix B[i, k] = <w_k e_g, u_i>."""
-    W = phi.space
-
-    def build():
-        utab = U.volume_data(qdegree)
-        wtab = W.volume_data(qdegree)
-        g_dot_u = GRAVITY[0] * utab.val[..., 0] + GRAVITY[1] * utab.val[..., 1]
-        return _pattern(U, W).build(kernels.pairing(utab.weights, g_dot_u, wtab.val))
-
-    return _cached(U, W, ("buoyancy", qdegree), build) @ phi.coefficients
+def assemble_buoyancy(U, W, qdegree):
+    """B[i, k] = <w_k e_g, u_i>; the buoyancy vector is b = B phi."""
+    utab = U.volume_data(qdegree)
+    wtab = W.volume_data(qdegree)
+    g_dot_u = GRAVITY[0] * utab.val[..., 0] + GRAVITY[1] * utab.val[..., 1]
+    return _pattern(U, W).build(kernels.pairing(utab.weights, g_dot_u, wtab.val))
 
 
-def assemble_baroclinic(phi, W, qdegree):
-    """c[i] = <grad phi x e_g, w_i>; with e_g=(0,-1) this is -d(phi)/dx.
-    Built from the static matrix Cb[i, k] = <grad p_k x e_g, w_i>."""
-    P = phi.space
-
-    def build():
-        ptab = P.volume_data(qdegree)
-        wtab = W.volume_data(qdegree)
-        cross = ptab.grad[..., 0] * GRAVITY[1] - ptab.grad[..., 1] * GRAVITY[0]
-        return _pattern(W, P).build(kernels.pairing(wtab.weights, wtab.val, cross))
-
-    return _cached(W, P, ("baroclinic", qdegree), build) @ phi.coefficients
+def assemble_baroclinic(W, qdegree):
+    """Cb[i, k] = <grad w_k x e_g, w_i>; the source c = Cb phi is
+    <grad phi x e_g, w_i>, with e_g=(0,-1) this is -d(phi)/dx."""
+    wtab = W.volume_data(qdegree)
+    cross = wtab.grad[..., 0] * GRAVITY[1] - wtab.grad[..., 1] * GRAVITY[0]
+    return _pattern(W, W).build(kernels.pairing(wtab.weights, wtab.val, cross))
 
 
-def assemble_curl_rhs(u, W, qdegree):
-    """r[i] = <u, curl w_i>, the right-hand side of the weak curl recovery.
-    Same integrand as the vector l of assemble_rotation: r = Lc^T u."""
-    return _weak_curl(u.space, W, qdegree).T @ u.coefficients
-
-
-def assemble_vorticity_neumann(omega_tilde, W, bdegree, walls=None):
-    """g[i] = <w_i, grad(omega_tilde).n> over the no-slip walls, from the
-    static wall matrix Nn[i, k] = <w_i, grad(w_k).n>.
+def assemble_vorticity_neumann(W, bdegree):
+    """Nn[i, k] = <w_i, grad(w_k).n> over the top and bottom walls; the
+    wall source is g = Nn omega_tilde.
 
     Uses the identity (curl w) x n = grad(w).n, evaluated one-sidedly
     from the boundary cells.
     """
-    from .mesh import TAG_BOTTOM, TAG_TOP
-
-    walls = tuple(walls) if walls is not None else (TAG_TOP, TAG_BOTTOM)
-    Wt = omega_tilde.space
-
-    def build():
-        out = sp.csr_matrix((W.dim, Wt.dim))
-        for tag in walls:
-            tab = W.boundary_data(tag, bdegree)
-            ttab = Wt.boundary_data(tag, bdegree)
-            gn = np.einsum("eqnd,ed->eqn", ttab.grad, tab.normals)
-            local = kernels.pairing(tab.weights, tab.val, gn)
-            out = out + _boundary_matrix(tab, ttab, local, out.shape)
-        return out.tocsr()
-
-    return _cached(W, Wt, ("neumann", bdegree, walls), build) @ omega_tilde.coefficients
+    out = sp.csr_matrix((W.dim, W.dim))
+    for tag in (TAG_TOP, TAG_BOTTOM):
+        tab = W.boundary_data(tag, bdegree)
+        gn = np.einsum("eqnd,ed->eqn", tab.grad, tab.normals)
+        local = kernels.pairing(tab.weights, tab.val, gn)
+        out = out + _boundary_matrix(tab, tab, local, out.shape)
+    return out.tocsr()
 
 
 def assemble_gradient_dot(space, qdegree):

@@ -1,7 +1,6 @@
 """Command-line interface: run, resume, check, mesh-info."""
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, parse_config_file

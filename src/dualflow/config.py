@@ -23,8 +23,8 @@ SCHEMA = {
         "length": (float, REQUIRED),
         "height": (float, 1.0),
         "lock_length": (float, 1.0),
-        "nx": (int, REQUIRED),
-        "ny": (int, REQUIRED),
+        "nx": (int, None),  # required unless the mesh is imported
+        "ny": (int, None),
         "pattern": (str, "left"),
         "import": (str, None),
     },
@@ -66,6 +66,9 @@ UNREAD = {
                     ("physics", "settling_velocity"), ("mesh", "lock_length"),
                     ("mesh", "import"), ("initial", "interface_width")),
 }
+
+# keys an imported mesh never reads
+IMPORT_UNREAD = (("mesh", "nx"), ("mesh", "ny"), ("mesh", "pattern"))
 
 
 @dataclass
@@ -151,17 +154,24 @@ def _validate(cfg, lines_of):
     for sec, key in UNREAD[phys["mode"]]:
         if (sec, key) in lines_of:
             err(sec, key, f"is not read in {phys['mode']} mode")
-    if mesh["pattern"] not in ("left", "right", "crisscross"):
-        err("mesh", "pattern", f"unknown pattern {mesh['pattern']!r}")
     for key in ("length", "height"):
         if mesh[key] <= 0:
             err("mesh", key, "channel extents must be positive")
     if phys["mode"] == "turbidity" and not (mesh["length"] > mesh["lock_length"] > 0):
         err("mesh", "lock_length", "need length > lock_length > 0")
-    min_n = 2 if phys["mode"] == "homogeneous" else 1
-    for key in ("nx", "ny"):
-        if mesh[key] < min_n:
-            err("mesh", key, f"resolution must be at least {min_n} in each direction")
+    if mesh["import"] is not None:
+        for sec, key in IMPORT_UNREAD:
+            if (sec, key) in lines_of:
+                err(sec, key, "is not read with mesh.import")
+    else:
+        if mesh["pattern"] not in ("left", "right", "crisscross"):
+            err("mesh", "pattern", f"unknown pattern {mesh['pattern']!r}")
+        min_n = 2 if phys["mode"] == "homogeneous" else 1
+        for key in ("nx", "ny"):
+            if mesh[key] is None:
+                raise ConfigError(f"required key mesh.{key} is missing")
+            if mesh[key] < min_n:
+                err("mesh", key, f"resolution must be at least {min_n} in each direction")
     if phys["grashof"] <= 0:
         err("physics", "grashof", "must be positive")
     if phys["schmidt"] <= 0:

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assemble
-
 CSV_COLUMNS = (
     "step", "t", "K", "Ep", "eps_v", "eps_s", "Ev", "Es", "E_res",
     "enstrophy", "total_vorticity", "m_p_ratio", "mdot_s", "x_f",
@@ -134,7 +132,7 @@ class Engine:
         if self.turbidity:
             self.Ep0 = model.potential_energy(state0.phi)
             self.m_p0 = model.integral_w(state0.phi.coefficients)
-            b0 = assemble.assemble_buoyancy(state0.phi, model.U, model.qdeg)
+            b0 = model.buoyancy @ state0.phi.coefficients
             self.base_exchange = float(b0 @ state0.u_half.coefficients)
 
     @classmethod

@@ -41,8 +41,8 @@ def build_mesh(cfg):
     return build_channel_mesh(geom, m["nx"], m["ny"], m["pattern"])
 
 
-def build_model(cfg, mesh=None):
-    mesh = mesh if mesh is not None else build_mesh(cfg)
+def build_model(cfg):
+    mesh = build_mesh(cfg)
     physics = PhysicsConfig(
         mode=cfg.physics["mode"],
         grashof=cfg.physics["grashof"],

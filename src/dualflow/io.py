@@ -187,7 +187,7 @@ def run_identity(model):
     """Digest of each IDENTITY part of the run `model` computes.
 
     The mesh digest is computed once per mesh; the other two hash a few
-    numbers and follow `model.physics` if it is replaced.
+    numbers.
     """
     mesh, phys = model.mesh, model.physics
     if "digest" not in mesh._cache:

@@ -21,9 +21,8 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverReport:
-    iterations: int
+    refinements: int  # refinement passes taken after the first solve
     residual: float
-    reused_factorization: bool = False
 
 
 class CachedLU:
@@ -75,7 +74,7 @@ def lu_solve(A, b, cached=None):
         raise SolverError("singular system: LU produced non-finite values")
     if res > target:
         raise SolverError(f"LU residual {res:.3e} exceeds tolerance {target:.3e}")
-    return x, SolverReport(iterations=0, residual=res, reused_factorization=cached is not None)
+    return x, SolverReport(refinements=refinements, residual=res)
 
 
 def project_out_constant(q, mass_q, ones_q, area):

@@ -221,25 +221,35 @@ def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
     Vertices (and crisscross centroids) are tracked on a doubled integer
     index grid so that periodic edges can be identified by their geometric
     midpoint modulo the period, which stays unambiguous even for nx=ny=2.
+
+    Each cell also gets its vertex ids on the open (unidentified) grid,
+    j(nx+1)+i with the centroids after; a periodic mesh renders on that
+    grid so plots do not smear across the seam.  On a channel the open ids
+    are the canonical ones.
     """
     xs = np.linspace(xmin, xmax, nx + 1)
     ys = np.linspace(ymin, ymax, ny + 1)
     ncx = nx if periodic else nx + 1
     ncy = ny if periodic else ny + 1
 
+    def open_id(i, j):
+        return j * (nx + 1) + i
+
     def vid(i, j):
-        return (j % ncy) * ncx + (i % ncx) if periodic else j * (nx + 1) + i
+        return (j % ncy) * ncx + (i % ncx) if periodic else open_id(i, j)
 
     n_grid = ncx * ncy
     tris = _quad_triangles(pattern)
     use_centroid = pattern == "crisscross"
 
     cells = []
+    open_cells = []
     coords = []
     dcoords = []  # doubled integer coordinates, for periodic edge identity
     for j in range(ny):
         for i in range(nx):
             corner_ids = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
+            open_ids = [open_id(i, j), open_id(i + 1, j), open_id(i + 1, j + 1), open_id(i, j + 1)]
             corner_xy = [
                 (xs[i], ys[j]), (xs[i + 1], ys[j]),
                 (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]),
@@ -250,10 +260,12 @@ def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
             ]
             if use_centroid:
                 corner_ids.append(n_grid + j * nx + i)
+                open_ids.append((nx + 1) * (ny + 1) + j * nx + i)
                 corner_xy.append((0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
                 corner_d.append((2 * i + 1, 2 * j + 1))
             for t in tris:
                 cells.append([corner_ids[k] for k in t])
+                open_cells.append([open_ids[k] for k in t])
                 coords.append([corner_xy[k] for k in t])
                 dcoords.append([corner_d[k] for k in t])
 
@@ -280,11 +292,21 @@ def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
     ekeys = np.stack(
         [key_of(dcoords[:, a, :], dcoords[:, b, :]) for a, b in LOCAL_EDGES], axis=1
     )
-    return _finalize(vertices, cells, cell_coords, ekeys, periodic)
+    mesh = _finalize(vertices, cells, cell_coords, ekeys, periodic)
+    if periodic:
+        open_cells = np.asarray(open_cells, dtype=np.int64)
+        n_open = (nx + 1) * (ny + 1) + (nx * ny if use_centroid else 0)
+        mesh.render_vertices = np.zeros((n_open, 2))
+        mesh.render_vertices[open_cells] = cell_coords
+        mesh.render_vertex_map = np.zeros(n_open, dtype=np.int64)
+        mesh.render_vertex_map[open_cells] = cells
+        mesh.render_cells = open_cells
+    return mesh
 
 
 def _finalize(vertices, cells, cell_coords, edge_keys, periodic):
-    """Build edge arrays from per-cell local-edge keys and orientation signs."""
+    """Build edge arrays from per-cell local-edge keys and orientation signs.
+    The render arrays are the canonical ones."""
     C = len(cells)
     flat = edge_keys.ravel()
     uniq, inverse = np.unique(flat, return_inverse=True)
@@ -337,6 +359,9 @@ def _finalize(vertices, cells, cell_coords, edge_keys, periodic):
             float(cell_coords[..., 0].min()), float(cell_coords[..., 0].max()),
             float(cell_coords[..., 1].min()), float(cell_coords[..., 1].max()),
         ),
+        render_vertices=vertices,
+        render_cells=cells,
+        render_vertex_map=np.arange(len(vertices), dtype=np.int64),
     )
     return mesh
 
@@ -369,9 +394,6 @@ def build_channel_mesh(geom, nx, ny, pattern="left"):
     _tag_boundary(mesh)
     if np.any((mesh.edge_cells[:, 1] < 0) != (mesh.edge_tags > 0)):
         raise MeshError("boundary tagging does not exhaust the boundary")
-    mesh.render_vertices = mesh.vertices
-    mesh.render_cells = mesh.cells
-    mesh.render_vertex_map = np.arange(mesh.num_vertices, dtype=np.int64)
     return mesh
 
 
@@ -385,36 +407,7 @@ def build_periodic_rect_mesh(lx, ly, nx, ny, pattern="left"):
     mesh.periods = (float(lx), float(ly))
     if np.any(mesh.edge_cells[:, 1] < 0):
         raise MeshError("periodic identification left boundary edges behind")
-    # render arrays use the unwrapped grid so plots do not smear across the seam
-    _build_render_arrays(mesh, lx, ly, nx, ny, pattern)
     return mesh
-
-
-def _build_render_arrays(mesh, lx, ly, nx, ny, pattern):
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    nvg = (nx + 1) * (ny + 1)
-    use_centroid = pattern == "crisscross"
-    verts = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
-    vmap = [((j % ny) * nx + (i % nx)) for j in range(ny + 1) for i in range(nx + 1)]
-    tris = _quad_triangles(pattern)
-    cells = []
-    extra = []
-    for j in range(ny):
-        for i in range(nx):
-            ids = [j * (nx + 1) + i, j * (nx + 1) + i + 1,
-                   (j + 1) * (nx + 1) + i + 1, (j + 1) * (nx + 1) + i]
-            if use_centroid:
-                ids.append(nvg + len(extra))
-                extra.append((0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
-                vmap.append(nx * ny + j * nx + i)
-            for t in tris:
-                cells.append([ids[k] for k in t])
-    if extra:
-        verts = np.vstack([verts, np.asarray(extra)])
-    mesh.render_vertices = verts
-    mesh.render_cells = np.asarray(cells, dtype=np.int64)
-    mesh.render_vertex_map = np.asarray(vmap, dtype=np.int64)
 
 
 def read_mesh_text(text, geom):
@@ -456,7 +449,4 @@ def read_mesh_text(text, geom):
         raise MeshError(f"mesh header declares {ne} edges but connectivity gives {mesh.num_edges}")
     mesh.geometry = geom
     _tag_boundary(mesh)
-    mesh.render_vertices = mesh.vertices
-    mesh.render_cells = mesh.cells
-    mesh.render_vertex_map = np.arange(mesh.num_vertices, dtype=np.int64)
     return mesh

@@ -16,16 +16,15 @@ Dof layout:
          the moment-0 dof is orientation-sensitive.
   DG_k : (k+1)(k+2)/2 dofs per cell, no sharing.
 
-Tabulation is supported for N in {1, 2}; spaces of higher degree can
-still be created for dof counting (dof_map is None there).
+Spaces exist for N in {1, 2}; space_dimension counts the dofs of any
+degree.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import curl_matrix
-from .elements import LOCAL_EDGES, REF_VERTICES, UnsupportedElementError, get_element
+from .elements import LOCAL_EDGES, REF_VERTICES, get_element
 from .quadrature import interval_rule, triangle_rule
 
 FAMILIES = ("CG", "RT", "DG")
@@ -80,25 +79,13 @@ class FunctionSpace:
     family: str
     degree: int
     dim: int
-    element: object = None
-    cell_dofs: np.ndarray = None       # (C, nloc) int64
-    cell_dof_signs: np.ndarray = None  # (C, nloc) float64
+    element: object
+    cell_dofs: np.ndarray       # (C, nloc) int64
+    cell_dof_signs: np.ndarray  # (C, nloc) float64
     _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def tabulated(self):
-        return self.cell_dofs is not None
-
-    def _require_tabulation(self):
-        if not self.tabulated:
-            raise UnsupportedElementError(
-                f"{self.family}_{self.degree} space supports dof counting only; "
-                "tabulation is available for degrees 1 and 2"
-            )
 
     def volume_data(self, qdegree):
         """Cached physical tabulation at the degree-`qdegree` triangle rule."""
-        self._require_tabulation()
         key = ("vol", qdegree)
         if key not in self._cache:
             self._cache[key] = self._build_volume(qdegree)
@@ -125,7 +112,6 @@ class FunctionSpace:
 
     def boundary_data(self, tag, qdegree):
         """Cached one-sided tabulation on the wall with the given tag (scalar spaces)."""
-        self._require_tabulation()
         if self.family == "RT":
             raise NotImplementedError("boundary tabulation is only needed for scalar spaces")
         key = ("bnd", tag, qdegree)
@@ -169,14 +155,11 @@ class FunctionSpace:
 
 
 def make_space(mesh, family, degree):
-    """Create a FunctionSpace; tabulation for degrees {1,2}, counting for any."""
+    """Create a FunctionSpace of degree 1 or 2 (UnsupportedElementError otherwise)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     dim = space_dimension(family, degree, mesh.num_vertices, mesh.num_edges, mesh.num_cells)
-    try:
-        element = get_element(family, degree)
-    except UnsupportedElementError:
-        return FunctionSpace(mesh=mesh, family=family, degree=degree, dim=dim)
+    element = get_element(family, degree)
 
     C = mesh.num_cells
     V, E = mesh.num_vertices, mesh.num_edges
@@ -227,11 +210,11 @@ class Field:
             )
 
 
-def constant_coefficients(space, value=1.0):
-    """Coefficients of the constant function (Lagrange-type scalar spaces)."""
+def constant_coefficients(space):
+    """Coefficients of the constant function 1 (Lagrange-type scalar spaces)."""
     if space.family == "RT":
         raise ValueError("constants in RT are not a coefficient pattern; interpolate instead")
-    return np.full(space.dim, float(value))
+    return np.ones(space.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +266,6 @@ def project(space, fn, qdegree=None):
     from .assemble import assemble_mass
     from .linsolve import lu_solve
 
-    space._require_tabulation()
     qdegree = qdegree if qdegree is not None else 2 * max(space.degree, 1) + 2
     tab = space.volume_data(qdegree)
     rhs = np.zeros(space.dim)
@@ -313,9 +295,8 @@ def _oriented_edges(mesh):
     return mesh.cell_coords[c, a], mesh.cell_coords[c, b]
 
 
-def interpolate(space, fn, qdegree=None):
+def interpolate(space, fn):
     """Canonical (dof-functional) interpolation of an analytic function."""
-    space._require_tabulation()
     mesh = space.mesh
     coef = np.zeros(space.dim)
     if space.family in ("CG", "DG"):
@@ -340,7 +321,7 @@ def interpolate(space, fn, qdegree=None):
         leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
         coef[m:N * mesh.num_edges:N] = flux @ (w1 * leg)
     if space.element.n_interior:
-        rule = triangle_rule(qdegree if qdegree is not None else 2 * N + 2)
+        rule = triangle_rule(2 * N + 2)
         J, det, Jinv = mesh.jacobians()
         p0 = mesh.cell_coords[:, 0, :]
         xq = p0[:, None, :] + np.einsum("cde,qe->cqd", J, rule.points)
@@ -355,13 +336,3 @@ def interpolate(space, fn, qdegree=None):
         for k in range(ni):
             coef[base + ni * np.arange(mesh.num_cells) + k] = moments[:, k]
     return Field(space, coef)
-
-
-def discrete_curl(psi, rt_space):
-    """Exact RT representation of the vector curl (d/dy, -d/dx) of a CG field."""
-    if psi.space.family != "CG":
-        raise ValueError("discrete_curl expects a CG field")
-    if rt_space.mesh is not psi.space.mesh:
-        raise ValueError("spaces live on different meshes")
-    rt_space._require_tabulation()
-    return Field(rt_space, curl_matrix(psi.space, rt_space) @ psi.coefficients)

@@ -15,6 +15,13 @@ diffusion, and R the (exactly skew) rotation.  The skewness of R and C
 is what keeps kinetic energy and enstrophy free of artificial
 dissipation.
 
+Model owns every static operator: it builds each once, at construction,
+from the fixed physics and time step.  A step assembles only R and C
+and otherwise multiplies: the viscous vector l = Lc om, the curl rhs
+Lc^T u, the buoyancy b = B phi and the baroclinic and wall sources.
+The one exception is Z^T M Z / dt, scaled per call because the startup
+solves over dt/2.
+
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
 zero normal trace is u = Z psi, with Z the discrete curl: on the channel
@@ -41,11 +48,10 @@ import scipy.sparse as sp
 
 from . import assemble
 from .linsolve import CachedLU, SolverError, SolverReport, lu_solve, project_out_constant
-from .mesh import TAG_LEFT, TAG_RIGHT, WALL_TAGS
+from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
     Field,
     constant_coefficients,
-    discrete_curl,
     free_dofs,
     interpolate,
     make_space,
@@ -62,7 +68,7 @@ class StartupError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhysicsConfig:
     mode: str = "turbidity"
     grashof: float = 5.0e6
@@ -132,7 +138,8 @@ class StepAudit:
 
 
 class Model:
-    """Spaces, static operators and cached factorizations for one run."""
+    """Spaces, static operators and cached factorizations for one run,
+    all built once from the physics and time step it is constructed with."""
 
     def __init__(self, mesh, degree, physics, time):
         if physics.mode == "turbidity" and mesh.periodic:
@@ -143,6 +150,8 @@ class Model:
         self.degree = degree
         self.physics = physics
         self.time = time
+        self.nu = physics.effective_viscosity
+        self.kappa = physics.particle_diffusivity if physics.mode == "turbidity" else 0.0
 
         self.W = make_space(mesh, "CG", degree)
         self.U = make_space(mesh, "RT", degree)
@@ -162,8 +171,11 @@ class Model:
         self.M = assemble.assemble_mass(self.U, self.qdeg)
         self.Nw = assemble.assemble_mass(self.W, self.qdeg)
         self.L = assemble.assemble_curlcurl(self.W, self.qdeg)
-        self.D, _ = assemble.assemble_div(self.U, self.Q, self.qdeg)
+        self.D = assemble.assemble_div(self.U, self.Q, self.qdeg)
         self.MQ = assemble.assemble_mass(self.Q, self.qdeg)
+        self.Lc = assemble.assemble_weak_curl(self.U, self.W, self.qdeg)
+        self.nu_L = self.nu * self.L
+        self.Nw_dt = (1.0 / time.dt) * self.Nw
 
         self.ones_w = constant_coefficients(self.W)
         self.ones_q = constant_coefficients(self.Q)
@@ -171,6 +183,7 @@ class Model:
         self.y_w = interpolate(self.W, lambda x, y: y).coefficients
 
         self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
+        self.Nw_c_dt = (1.0 / time.dt) * self.Nw_c
         self._lu_curl = CachedLU(self.Nw_c)
 
         self.Z = self._stream_basis()
@@ -181,13 +194,15 @@ class Model:
         self._lu_pressure = CachedLU((self.D_r @ self.D_r.T)[1:, 1:].tocsr())
 
         if physics.mode == "turbidity":
-            from .mesh import TAG_BOTTOM
-
+            self.kappa_L = self.kappa * self.L
+            self.drift = assemble.assemble_particle_drift(
+                physics.settling_velocity, self.W, self.qdeg, self.bdeg
+            )
+            self.buoyancy = assemble.assemble_buoyancy(self.U, self.W, self.qdeg)
+            self.baroclinic = assemble.assemble_baroclinic(self.W, self.qdeg)
+            self.neumann = assemble.assemble_vorticity_neumann(self.W, self.bdeg)
             self.B_bottom = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg)
             self.grad_dot_g = assemble.assemble_gradient_dot(self.W, self.qdeg)
-        else:
-            self.B_bottom = None
-            self.grad_dot_g = None
 
     def _stream_basis(self):
         """Z: the discrete curl restricted to a basis of the divergence-free
@@ -208,14 +223,6 @@ class Model:
                 "connected and a periodic one a torus"
             )
         return Z
-
-    @property
-    def nu(self):
-        return self.physics.effective_viscosity
-
-    @property
-    def kappa(self):
-        return self.physics.particle_diffusivity if self.physics.mode == "turbidity" else 0.0
 
     # -- scalar functionals -------------------------------------------------
 
@@ -246,7 +253,7 @@ class Model:
 
     def curl_h(self, u):
         """Weak curl recovery: find om~ with <om~, xi> = <u, curl xi>."""
-        r = assemble.assemble_curl_rhs(u, self.W, self.qdeg)
+        r = self.Lc.T @ u.coefficients
         coef = np.zeros(self.W.dim)
         sol, rep = lu_solve(None, r[self.iw], cached=self._lu_curl)
         coef[self.iw] = sol
@@ -257,29 +264,24 @@ class Model:
         serves both transport solves."""
         return assemble.skew_part(assemble.assemble_vorticity_convection(u, self.W, self.qdeg))
 
-    def solve_transport(self, C, phi, dt):
+    def solve_transport(self, C, phi):
         """Particle step: midpoint skew transport plus diffusion, with C the
         skew convection by the midpoint velocity."""
-        drift = assemble.assemble_particle_drift(
-            self.physics.settling_velocity, self.W, self.qdeg, self.bdeg
-        )
-        K = C + drift + self.kappa * self.L
-        Mdt = (1.0 / dt) * self.Nw
-        rhs = (Mdt - 0.5 * K) @ phi.coefficients
-        coef, rep = lu_solve(Mdt + 0.5 * K, rhs)
+        K = C + self.drift + self.kappa_L
+        rhs = (self.Nw_dt - 0.5 * K) @ phi.coefficients
+        coef, rep = lu_solve(self.Nw_dt + 0.5 * K, rhs)
         return Field(self.W, coef), rep
 
-    def solve_vorticity(self, C, omega, dt, phi_mid=None, omega_tilde=None):
+    def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
         """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic sources."""
-        K = (C + self.nu * self.L)[self.iw][:, self.iw]
-        Mdt = (1.0 / dt) * self.Nw_c
-        rhs = (Mdt - 0.5 * K) @ omega.coefficients[self.iw]
+        K = (C + self.nu_L)[self.iw][:, self.iw]
+        rhs = (self.Nw_c_dt - 0.5 * K) @ omega.coefficients[self.iw]
         if phi_mid is not None:
-            rhs = rhs + assemble.assemble_baroclinic(phi_mid, self.W, self.qdeg)[self.iw]
+            rhs = rhs + (self.baroclinic @ phi_mid.coefficients)[self.iw]
         if omega_tilde is not None:
-            rhs = rhs + self.nu * assemble.assemble_vorticity_neumann(omega_tilde, self.W, self.bdeg)[self.iw]
+            rhs = rhs + self.nu * (self.neumann @ omega_tilde.coefficients)[self.iw]
         coef = np.zeros(self.W.dim)
-        sol, rep = lu_solve(Mdt + 0.5 * K, rhs)
+        sol, rep = lu_solve(self.Nw_c_dt + 0.5 * K, rhs)
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
@@ -287,15 +289,15 @@ class Model:
         """Z^T R Z for the rotation R, made exactly skew."""
         return -assemble.skew_part(self.Zt @ (R @ self.Z))
 
-    def solve_momentum(self, omega, u_old, dt, phi_buoy=None):
-        """Momentum step with rotation at the midpoint velocity: stream
-        function solve for u = Z psi, then pressure recovery."""
-        R, l = assemble.assemble_rotation(omega, self.U, self.qdeg)
+    def solve_momentum(self, omega, u_old, dt, b=None):
+        """Momentum step with rotation at the midpoint velocity and the
+        buoyancy vector b: stream function solve for u = Z psi, then
+        pressure recovery.  Returns (u, p, l, report), l = Lc omega."""
+        R = assemble.assemble_rotation(omega, self.U, self.qdeg)
+        l = self.Lc @ omega.coefficients
         uo = u_old.coefficients
         f = (self.M @ uo) / dt - 0.5 * (R @ uo) - self.nu * l
-        b = None
-        if phi_buoy is not None:
-            b = assemble.assemble_buoyancy(phi_buoy, self.U, self.qdeg)
+        if b is not None:
             f = f + b
         A = (self.ZMZ / dt + 0.5 * self.reduced_rotation(R)).tocsr()
         psi, rep = lu_solve(A, self.Zt @ f)
@@ -303,10 +305,11 @@ class Model:
         # D^T p = A u - f on the free dofs; the residual lies in range(D^T)
         r = ((self.M @ u) / dt + 0.5 * (R @ u) - f)[self.iu]
         p = np.zeros(self.Q.dim)
-        p[1:], _ = lu_solve(None, (self.D_r @ r)[1:], cached=self._lu_pressure)
+        p[1:], prep = lu_solve(None, (self.D_r @ r)[1:], cached=self._lu_pressure)
         p = project_out_constant(p, self.MQ, self.ones_q, self.area)
         res = max(rep.residual, float(np.max(np.abs(r - self.D_r.T @ p))))
-        return Field(self.U, u), Field(self.Q, p), l, b, SolverReport(iterations=0, residual=res)
+        report = SolverReport(refinements=rep.refinements + prep.refinements, residual=res)
+        return Field(self.U, u), Field(self.Q, p), l, report
 
 
 def _check_div(model, u, where):
@@ -323,18 +326,19 @@ def step(state, model):
     u, omega, phi = state.u_half, state.omega, state.phi
     particles = model.physics.mode == "turbidity"
     reports = {}
-    phi_new = phi_mid = omega_tilde = None
+    phi_new = phi_mid = omega_tilde = b = None
     try:
         C = model.convection(u)
         if particles:
             omega_tilde, reports["curl"] = model.curl_h(u)                # step 1
-            phi_new, reports["transport"] = model.solve_transport(C, phi, dt)  # step 2
+            phi_new, reports["transport"] = model.solve_transport(C, phi)  # step 2
             phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi.coefficients))
+            b = model.buoyancy @ phi_new.coefficients
         omega_new, reports["vorticity"] = model.solve_vorticity(          # step 3
-            C, omega, dt, phi_mid=phi_mid, omega_tilde=omega_tilde
+            C, omega, phi_mid=phi_mid, omega_tilde=omega_tilde
         )
-        u_new, p_new, l_vec, b_vec, reports["momentum"] = model.solve_momentum(  # step 4
-            omega_new, u, dt, phi_buoy=phi_new
+        u_new, p_new, l_vec, reports["momentum"] = model.solve_momentum(  # step 4
+            omega_new, u, dt, b=b
         )
         div = _check_div(model, u_new, "step 4")
     except SolverError as exc:
@@ -352,7 +356,7 @@ def step(state, model):
         audit.eps_s = u_s * model.integral_w(phi_mid.coefficients) - model.kappa * float(
             model.grad_dot_g @ phi_mid.coefficients
         )
-        audit.exchange = float(b_vec @ u_new.coefficients)
+        audit.exchange = float(b @ u_new.coefficients)
     new_state = SimulationState(
         k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new,
         p_bar=p_new, omega_tilde=omega_tilde,
@@ -414,8 +418,8 @@ class RandomSolenoidalInitialCondition:
 
     def build(self, model):
         rng = np.random.default_rng(self.seed)
-        psi = Field(model.W, rng.standard_normal(model.W.dim))
-        u0 = discrete_curl(psi, model.U)
+        psi = rng.standard_normal(model.W.dim)
+        u0 = Field(model.U, assemble.curl_matrix(model.W, model.U) @ psi)
         scale = math.sqrt(2.0 * model.kinetic_energy(u0))
         u0 = Field(model.U, u0.coefficients / scale)  # unit L2 norm
         om0, _ = model.curl_h(u0)
@@ -438,6 +442,7 @@ def initialize(model, ic):
     the midpoint velocity.
     """
     u0, omega0, phi0 = ic.build(model)
+    b0 = model.buoyancy @ phi0.coefficients if phi0 is not None else None
     tol, cap = model.time.startup_tol, model.time.startup_max_iter
     omega_star = omega0
     u_prev = u0
@@ -446,9 +451,7 @@ def initialize(model, ic):
     converged = False
     iterations = 0
     for it in range(1, cap + 1):
-        u_new, p, _, _, _ = model.solve_momentum(
-            omega_star, u0, 0.5 * model.time.dt, phi_buoy=phi0
-        )
+        u_new, p, _, _ = model.solve_momentum(omega_star, u0, 0.5 * model.time.dt, b=b0)
         du = u_new.coefficients - u_prev.coefficients
         scale = float(np.linalg.norm(u_new.coefficients))
         rel = float(np.linalg.norm(du)) / (scale if scale > 0 else 1.0)

@@ -18,6 +18,7 @@ def solve_saddle(A, D, f, mass_q, ones_q, area, rtol=1e-10, strategy="lu", max_r
     constant pressure mode, which is removed by pinning dof 0 and
     restored as a zero-mean pressure."""
     nu, npr = A.shape[0], D.shape[0]
+    refinements = 0
     if strategy == "lu":
         D2 = D.tocsr(copy=True)
         pin = sp.csr_matrix((np.ones(1), (np.zeros(1, dtype=int), np.zeros(1, dtype=int))), shape=(npr, npr))
@@ -31,6 +32,7 @@ def solve_saddle(A, D, f, mass_q, ones_q, area, rtol=1e-10, strategy="lu", max_r
             if float(np.max(np.abs(K @ x - rhs))) <= target:
                 break
             x = x + lu.solve(rhs - K @ x)
+            refinements += 1
         u, p = x[:nu], x[nu:]
     elif strategy == "schur":
         if nu + npr > 4000:
@@ -54,4 +56,4 @@ def solve_saddle(A, D, f, mass_q, ones_q, area, rtol=1e-10, strategy="lu", max_r
     res_div = float(np.max(np.abs(D @ u))) if npr else 0.0
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
         raise SolverError("saddle solve produced non-finite values")
-    return u, p, SolverReport(iterations=0, residual=max(res_mom, res_div))
+    return u, p, SolverReport(refinements=refinements, residual=max(res_mom, res_div))

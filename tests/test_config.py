@@ -202,3 +202,21 @@ def test_keys_the_mode_never_reads_refused_at_line(key, base, anchor, added):
 def test_seed_accepted_by_random_start():
     cfg = parse_config(HOMOGENEOUS + "\n[initial]\nkind = random\nseed = 3\n")
     assert cfg.initial["seed"] == 3
+
+
+IMPORTED = BASELINE.replace("nx = 50\nny = 5\npattern = crisscross\n", "import = sim1.txt\n")
+
+
+def test_imported_mesh_needs_no_grid_keys():
+    cfg = parse_config(IMPORTED)
+    assert cfg.mesh["import"] == "sim1.txt"
+    assert cfg.mesh["nx"] is None and cfg.mesh["ny"] is None
+
+
+@pytest.mark.parametrize("key, added", [("mesh.nx", "nx = 999"), ("mesh.ny", "ny = 999"),
+                                        ("mesh.pattern", "pattern = right")])
+def test_grid_keys_refused_with_imported_mesh_at_line(key, added):
+    text = IMPORTED.replace("import = sim1.txt", f"import = sim1.txt\n{added}", 1)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(f"line {text.splitlines().index(added) + 1}: {key}:")

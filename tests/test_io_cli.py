@@ -281,7 +281,7 @@ def test_cli_mesh_info_table1(tmp_path):
     mesh_path = write_sim1_mesh(tmp_path / "sim1.txt")
     cfgfile = tmp_path / "run.cfg"
     text = lock_cfg_text(tmp_path / "o", degree=4).replace(
-        "ny = 2", f"ny = 2\nimport = {mesh_path}"
+        "nx = 13\nny = 2", f"import = {mesh_path}"
     )
     cfgfile.write_text(text)
     proc = run_cli(["mesh-info", "--config", str(cfgfile)], cwd=tmp_path)
@@ -296,7 +296,7 @@ def test_cli_mesh_info_table1(tmp_path):
 def test_cli_missing_mesh_import_names_file(tmp_path):
     missing = tmp_path / "no_such_mesh.txt"
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(lock_cfg_text(tmp_path / "o").replace("ny = 2", f"ny = 2\nimport = {missing}"))
+    cfgfile.write_text(lock_cfg_text(tmp_path / "o").replace("nx = 13\nny = 2", f"import = {missing}"))
     proc = run_cli(["mesh-info", "--config", str(cfgfile)], cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and str(missing) in proc.stderr

@@ -144,3 +144,25 @@ def test_import_reorients_flipped_cells():
     text = "4 5 2\n-0.5 0\n0.5 0\n0.5 1\n-0.5 1\n0 2 1\n0 2 3"
     mesh = read_mesh_text(text, geom)
     assert np.all(signed_areas(mesh) > 0)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (5, 3)])
+@pytest.mark.parametrize("pattern", ["left", "right", "crisscross"])
+def test_render_arrays_match_cells(pattern, nx, ny):
+    """Every render cell is a mesh cell: its render vertices map to the
+    cell's canonical vertices and sit at the cell's (unwrapped) corners."""
+    channel = build_channel_mesh(ChannelGeometry(length=3.0, height=1.0, lock_length=1.0), nx, ny, pattern)
+    torus = build_periodic_rect_mesh(2.0, 1.0, nx, ny, pattern)
+    imported = read_mesh_text(
+        "\n".join([f"{channel.num_vertices} {channel.num_edges} {channel.num_cells}"]
+                  + [f"{float(x)!r} {float(y)!r}" for x, y in channel.vertices]
+                  + [" ".join(str(v) for v in c) for c in channel.cells]),
+        channel.geometry,
+    )
+    for mesh in (channel, torus, imported):
+        assert np.array_equal(mesh.render_vertex_map[mesh.render_cells], mesh.cells)
+        assert np.array_equal(mesh.render_vertices[mesh.render_cells], mesh.cell_coords)
+    # the torus renders on the open grid, seam vertices doubled
+    centroids = nx * ny if pattern == "crisscross" else 0
+    assert len(torus.render_vertices) == (nx + 1) * (ny + 1) + centroids
+    assert len(torus.vertices) == nx * ny + centroids

@@ -6,7 +6,6 @@ from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_re
 from dualflow.spaces import (
     Field,
     constant_coefficients,
-    discrete_curl,
     interpolate,
     make_space,
     normal_trace_dofs,
@@ -15,6 +14,8 @@ from dualflow.spaces import (
     wall_trace_dofs,
 )
 from dualflow.quadrature import interval_rule, triangle_rule
+
+from util_curl import discrete_curl
 
 
 def evaluate_in_cell(field, cell, point):
@@ -86,13 +87,13 @@ def test_cg1_dim_two_cell(square2):
     assert make_space(square2, "CG", 1).dim == 4
 
 
-def test_make_space_counting_only(channel):
-    sp4 = make_space(channel, "CG", 4)
+def test_make_space_refuses_untabulated_degree(channel):
+    """Degree 4 is counted, not built."""
     V, E, C = channel.num_vertices, channel.num_edges, channel.num_cells
-    assert sp4.dim == V + 3 * E + 3 * C
-    assert not sp4.tabulated
-    with pytest.raises(UnsupportedElementError):
-        sp4.volume_data(4)
+    assert space_dimension("CG", 4, V, E, C) == V + 3 * E + 3 * C
+    for family, degree in (("CG", 4), ("RT", 3), ("DG", 2)):
+        with pytest.raises(UnsupportedElementError):
+            make_space(channel, family, degree)
 
 
 @pytest.mark.parametrize("family,degree", [("CG", 1), ("CG", 2), ("RT", 1), ("RT", 2), ("DG", 0), ("DG", 1)])
@@ -181,7 +182,7 @@ def test_de_rham_curl_exactness(mesh_kind, degree, channel, torus):
     W = make_space(mesh, "CG", degree)
     U = make_space(mesh, "RT", degree)
     Q = make_space(mesh, "DG", degree - 1)
-    D, _ = assemble_div(U, Q, 2 * degree + 2)
+    D = assemble_div(U, Q, 2 * degree + 2)
     rng = np.random.default_rng(degree)
     for _ in range(5):
         psi = Field(W, rng.standard_normal(W.dim))

@@ -1,8 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from dualflow import stepper
 from dualflow.assemble import assemble_buoyancy, assemble_rotation
 from dualflow.config import parse_config_file
 from dualflow.diagnostics import Engine
@@ -107,7 +109,8 @@ def test_uniform_force_on_torus_gives_uniform_drift():
     phi0 = project(model.W, lambda x, y: 1.0, model.qdeg)
     om0 = Field(model.W, np.zeros(model.W.dim))
     u0 = Field(model.U, np.zeros(model.U.dim))
-    u_new, _, _, _, _ = model.solve_momentum(om0, u0, 0.5 * model.time.dt, phi_buoy=phi0)
+    b = assemble_buoyancy(model.U, model.W, model.qdeg) @ phi0.coefficients
+    u_new, _, _, _ = model.solve_momentum(om0, u0, 0.5 * model.time.dt, b=b)
     drift = interpolate(model.U, lambda x, y: (np.zeros_like(x), -np.ones_like(x)))
     expected = 0.5 * model.time.dt * drift.coefficients
     assert np.max(np.abs(u_new.coefficients - expected)) < 1e-10
@@ -141,16 +144,15 @@ def test_zero_state_is_fixed_point():
 
 def test_constant_phi_step_on_channel():
     """phi = const is transported exactly; u stays zero (pressure balance)."""
-    model = turbidity_model()
+    model = turbidity_model(u_s=0.0)
     state, _ = initialize(model, ConstantConcentrationIC(0.7))
-    model.physics = PhysicsConfig(mode="turbidity", grashof=5e6, schmidt=1.0, settling_velocity=0.0)
     new, audit = step(state, model)
     assert np.max(np.abs(new.phi.coefficients - state.phi.coefficients)) < 1e-10
     assert np.max(np.abs(new.u_half.coefficients)) < 1e-10
 
 
 @pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
-def test_quasi_linearity_single_solves(mode):
+def test_quasi_linearity_single_solves(mode, monkeypatch):
     if mode == "turbidity":
         model = turbidity_model()
         state, _ = initialize(model, LockInitialCondition())
@@ -159,10 +161,19 @@ def test_quasi_linearity_single_solves(mode):
         model = homogeneous_model(nu=0.01)
         state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=2))
         solves = {"vorticity", "momentum"}
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lu_solve(*args, **kwargs)
+
+    lu_solve = stepper.lu_solve
+    monkeypatch.setattr(stepper, "lu_solve", counted)
     new, audit = step(state, model)
     assert set(audit.reports) == solves
-    for rep in audit.reports.values():
-        assert rep.iterations == 0  # direct solves only, no nonlinear iteration
+    # one linear solve per sub-step, two for the momentum step (stream
+    # function and pressure): no nonlinear iteration
+    assert len(calls) == (5 if mode == "turbidity" else 3)
     if mode == "homogeneous":  # steps 1-2 and the particle bookkeeping are skipped
         assert new.phi is None and new.omega_tilde is None
         assert audit.mass_residual == 0.0 and audit.exchange == 0.0
@@ -276,12 +287,13 @@ def box():
 def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
     """Step 4 as the pinned-pressure velocity/pressure saddle system."""
     iu = model.iu
-    R, l = assemble_rotation(omega, model.U, model.qdeg)
+    R = assemble_rotation(omega, model.U, model.qdeg)
+    l = model.Lc @ omega.coefficients
     R_r = R[iu][:, iu]
     Mdt = (1.0 / dt) * model.M[iu][:, iu]
     f = (Mdt - 0.5 * R_r) @ u_old.coefficients[iu] - model.nu * l[iu]
     if phi_buoy is not None:
-        f = f + assemble_buoyancy(phi_buoy, model.U, model.qdeg)[iu]
+        f = f + (assemble_buoyancy(model.U, model.W, model.qdeg) @ phi_buoy.coefficients)[iu]
     A = (Mdt + 0.5 * R_r).tocsr()
     u, p, _ = solve_saddle(A, model.D_r, f, model.MQ, model.ones_q, model.area)
     return u, p
@@ -291,7 +303,8 @@ def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
 def test_momentum_matches_saddle_oracle(case, request):
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
-    u, p, _, _, rep = model.solve_momentum(state.omega, state.u_half, dt, phi_buoy=state.phi)
+    b = model.buoyancy @ state.phi.coefficients if state.phi is not None else None
+    u, p, _, rep = model.solve_momentum(state.omega, state.u_half, dt, b=b)
     u_ref, p_ref = saddle_momentum(model, state.omega, state.u_half, dt, phi_buoy=state.phi)
     assert np.max(np.abs(u.coefficients[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
     assert np.max(np.abs(p.coefficients - p_ref)) <= 1e-10 * np.max(np.abs(p_ref))
@@ -306,7 +319,7 @@ def test_stream_basis_structure(case, request):
     assert Z.shape[1] == len(model.iu) - (model.Q.dim - 1)
     assert np.max(np.abs((model.D @ Z).toarray())) <= 1e-13
     assert Z[model.u_fixed].count_nonzero() == 0
-    R, _ = assemble_rotation(state.omega, model.U, model.qdeg)
+    R = assemble_rotation(state.omega, model.U, model.qdeg)
     S = model.reduced_rotation(R)
     assert abs(S + S.T).max() == 0.0
 
@@ -333,16 +346,14 @@ def test_model_refuses_channel_with_a_hole():
 
 
 def test_viscosity_and_diffusivity_follow_physics():
-    model = turbidity_model()
-    state, _ = initialize(model, LockInitialCondition())
+    """nu and kappa, and the static operators scaled by them, come from the
+    physics the model is built with; the physics cannot be changed after."""
     physics = PhysicsConfig(mode="turbidity", grashof=1e4, schmidt=2.0, settling_velocity=0.02)
-    model.physics = physics
+    mesh = build_channel_mesh(ChannelGeometry(length=13.0, height=1.0, lock_length=1.0), 20, 3, "left")
+    model = Model(mesh, 1, physics, TimeConfig(dt=1e-3, t_end=1.0))
     assert model.nu == physics.effective_viscosity != 1.0 / np.sqrt(5e6)
     assert model.kappa == physics.particle_diffusivity
-    built = Model(model.mesh, 1, physics, model.time)
-    dt = model.time.dt
-    omega, _ = model.solve_vorticity(model.convection(state.u_half), state.omega, dt,
-                                     omega_tilde=state.omega_tilde)
-    expected, _ = built.solve_vorticity(built.convection(state.u_half), state.omega, dt,
-                                        omega_tilde=state.omega_tilde)
-    assert np.array_equal(omega.coefficients, expected.coefficients)
+    assert (abs(model.nu_L - model.nu * model.L) != 0).nnz == 0
+    assert (abs(model.kappa_L - model.kappa * model.L) != 0).nnz == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.physics.grashof = 5e6
