@@ -106,6 +106,8 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
 
     result = RunResult(model=model, state=state, startup=startup, csv_path=csv_path, engine=engine)
     nsteps = model.time.num_steps
+    # solves that missed the tolerance against their static factor (linsolve.lu_solve)
+    fallbacks = startup.fallbacks if startup is not None else 0
     writer = dfio.CsvWriter(csv_path)
     try:
         if state.k == 0 and out["vtk_every"] > 0:
@@ -113,6 +115,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
         while state.k < nsteps:
             prev = state
             state, audit = step(state, model)
+            fallbacks += sum(rep.fallback for rep in audit.reports.values())
             row = engine.update(prev, state, audit)
             if on_step is not None:
                 on_step(prev, state, audit, row)
@@ -128,7 +131,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
                 )
             if log is not None and (state.k % max(1, nsteps // 10) == 0 or state.k == nsteps):
                 _maybe(log, f"step {state.k}/{nsteps}  t={row.t:.6g}  K={row.K:.6e}  "
-                            f"div={row.div_inf:.2e}")
+                            f"div={row.div_inf:.2e}  fallbacks={fallbacks}")
     finally:
         writer.close()
     result.state = state

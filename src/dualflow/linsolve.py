@@ -1,9 +1,14 @@
-"""Sparse linear algebra: direct LU with iterative refinement.
+"""Sparse linear algebra: LU factors with iterative refinement.
 
 Every solve re-checks its own residual and reports it truthfully.  A
-factorization of a matrix that does not change between steps is kept in
-a CachedLU and reused.  Pressure-like vectors are defined up to a
-constant and are reported with zero mean (project_out_constant).
+matrix that does not change between steps is factored once, in a
+CachedLU.  A per-step matrix that differs from a static one by a small
+term is solved by refinement against the static factor: x = P^-1 b,
+then x += P^-1 (b - A x) against the true A until the residual stops
+halving (the roundoff floor) or after MAX_REFINE passes.  If that misses
+the postcondition, A is factored afresh and the report says so
+(`fallback`).  Pressure-like vectors are defined up to a constant and
+are reported with zero mean (project_out_constant).
 """
 
 from dataclasses import dataclass
@@ -12,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 RTOL = 1e-10      # relative residual every solve must reach
-MAX_REFINE = 2    # refinement passes allowed to reach it
+MAX_REFINE = 8    # refinement passes per factor
 
 
 class SolverError(RuntimeError):
@@ -23,58 +28,77 @@ class SolverError(RuntimeError):
 class SolverReport:
     refinements: int  # refinement passes taken after the first solve
     residual: float
+    fallback: bool = False  # the given factor missed RTOL; A was factored afresh
 
 
 class CachedLU:
-    """LU factorization reusable across solves (matrix must not change)."""
+    """LU factorization of a fixed matrix, reusable across solves.
+
+    The fill-reducing ordering is minimum degree on A^T + A: every matrix
+    factored here is structurally symmetric.
+    """
 
     def __init__(self, matrix):
-        self.matrix = matrix.tocsc()
-        self._lu = spla.splu(self.matrix)
+        try:
+            self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolverError(f"LU factorization failed: {exc}") from None
 
     def solve(self, rhs):
         return self._lu.solve(rhs)
 
 
-def _residual_inf(A, x, b):
-    return float(np.max(np.abs(A @ x - b))) if A.shape[0] else 0.0
+def _inf(r):
+    return float(np.max(np.abs(r))) if r.size else 0.0
 
 
-def lu_solve(A, b, cached=None):
-    """Direct solve of A x = b with iterative refinement.  With a CachedLU
-    `cached`, A is None and the factor's own matrix is solved.
+def _refine(A, b, factor):
+    """x = P^-1 b, then passes x += P^-1 (b - A x) while each one at least
+    halves the residual; a pass that does not lower it is discarded.
+    Returns (x, passes, residual)."""
+    x = factor.solve(b)
+    r = b - A @ x
+    res = _inf(r)
+    passes = 0
+    while res > 0.0 and passes < MAX_REFINE:
+        x_new = x + factor.solve(r)
+        r_new = b - A @ x_new
+        res_new = _inf(r_new)
+        passes += 1
+        if not res_new < res:
+            break
+        halved = res_new <= 0.5 * res
+        x, r, res = x_new, r_new, res_new
+        if not halved:
+            break
+    return x, passes, res
+
+
+def lu_solve(A, b, factor=None):
+    """Solve A x = b by refinement against `factor`, a CachedLU of A or of
+    a matrix near it; without one, A is factored here.
 
     Postcondition: ||Ax - b||_inf <= RTOL * (1 + ||b||_inf), or SolverError.
+    A factor that misses it is replaced by a fresh factor of A, and the
+    report has fallback=True.
     """
-    if cached is not None:
-        if A is not None:
-            raise SolverError("pass either a matrix or a cached factor, not both")
-        A = cached.matrix
-    else:
-        A = A.tocsc()
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape[1] != n:
         raise SolverError(f"matrix is not square: {A.shape}")
     if b.shape != (n,):
         raise SolverError("rhs length does not match matrix")
-    try:
-        lu = cached if cached is not None else CachedLU(A)
-    except RuntimeError as exc:
-        raise SolverError(f"LU factorization failed: {exc}") from None
-    x = lu.solve(b)
-    target = RTOL * ((1.0 + float(np.max(np.abs(b)))) if n else 1.0)
-    res = _residual_inf(A, x, b)
-    refinements = 0
-    while res > target and refinements < MAX_REFINE:
-        x = x + lu.solve(b - (A @ x))
-        res = _residual_inf(A, x, b)
-        refinements += 1
+    target = RTOL * (1.0 + _inf(b))
+    x, passes, res = _refine(A, b, factor if factor is not None else CachedLU(A))
+    fallback = factor is not None and not res <= target
+    if fallback:
+        x, more, res = _refine(A, b, CachedLU(A))
+        passes += more
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system: LU produced non-finite values")
-    if res > target:
+    if not res <= target:
         raise SolverError(f"LU residual {res:.3e} exceeds tolerance {target:.3e}")
-    return x, SolverReport(refinements=refinements, residual=res)
+    return x, SolverReport(refinements=passes, residual=res, fallback=fallback)
 
 
 def project_out_constant(q, mass_q, ones_q, area):

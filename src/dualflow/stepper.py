@@ -19,8 +19,14 @@ Model owns every static operator: it builds each once, at construction,
 from the fixed physics and time step.  A step assembles only R and C
 and otherwise multiplies: the viscous vector l = Lc om, the curl rhs
 Lc^T u, the buoyancy b = B phi and the baroclinic and wall sources.
-The one exception is Z^T M Z / dt, scaled per call because the startup
-solves over dt/2.
+
+No matrix is factored inside the time loop.  Each per-step matrix is a
+static one plus a skew term: M/dt plus the half diffusion (and settling
+drift) plus C/2 in steps 2-3, Z^T M Z/dt plus Z^T R Z/2 in step 4.  Model
+factors the static parts once, and every per-step solve is refined
+against them (linsolve.lu_solve).  Step 4 is solved multiplied by its
+step tau, as (Z^T M Z + tau/2 Z^T R Z) psi = tau Z^T f, so the one
+factor of Z^T M Z serves both dt and the startup's dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -185,13 +191,18 @@ class Model:
         self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
         self.Nw_c_dt = (1.0 / time.dt) * self.Nw_c
         self._lu_curl = CachedLU(self.Nw_c)
+        # the static part of the vorticity matrix; a step adds C/2
+        self.vorticity_static = (self.Nw_c_dt + 0.5 * self.nu_L[self.iw][:, self.iw]).tocsr()
+        self._lu_vorticity = CachedLU(self.vorticity_static)
 
         self.Z = self._stream_basis()
         self.Zt = self.Z.T.tocsr()
         self.ZMZ = (self.Zt @ self.M @ self.Z).tocsr()
+        self._lu_momentum = CachedLU(self.ZMZ)
         self.D_r = self.D[:, self.iu].tocsr()
         # D D^T annihilates the constant pressure: pin dof 0
-        self._lu_pressure = CachedLU((self.D_r @ self.D_r.T)[1:, 1:].tocsr())
+        self.DDt = (self.D_r @ self.D_r.T)[1:, 1:].tocsr()
+        self._lu_pressure = CachedLU(self.DDt)
 
         if physics.mode == "turbidity":
             self.kappa_L = self.kappa * self.L
@@ -203,6 +214,9 @@ class Model:
             self.neumann = assemble.assemble_vorticity_neumann(self.W, self.bdeg)
             self.B_bottom = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg)
             self.grad_dot_g = assemble.assemble_gradient_dot(self.W, self.qdeg)
+            # the static part of the transport matrix; a step adds C/2
+            self.transport_static = (self.Nw_dt + 0.5 * (self.drift + self.kappa_L)).tocsr()
+            self._lu_transport = CachedLU(self.transport_static)
 
     def _stream_basis(self):
         """Z: the discrete curl restricted to a basis of the divergence-free
@@ -255,7 +269,7 @@ class Model:
         """Weak curl recovery: find om~ with <om~, xi> = <u, curl xi>."""
         r = self.Lc.T @ u.coefficients
         coef = np.zeros(self.W.dim)
-        sol, rep = lu_solve(None, r[self.iw], cached=self._lu_curl)
+        sol, rep = lu_solve(self.Nw_c, r[self.iw], self._lu_curl)
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
@@ -266,22 +280,25 @@ class Model:
 
     def solve_transport(self, C, phi):
         """Particle step: midpoint skew transport plus diffusion, with C the
-        skew convection by the midpoint velocity."""
-        K = C + self.drift + self.kappa_L
-        rhs = (self.Nw_dt - 0.5 * K) @ phi.coefficients
-        coef, rep = lu_solve(self.Nw_dt + 0.5 * K, rhs)
+        skew convection by the midpoint velocity.  With A = N/dt + K/2 the
+        rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi."""
+        A = self.transport_static + 0.5 * C
+        x = phi.coefficients
+        rhs = 2.0 * (self.Nw_dt @ x) - A @ x
+        coef, rep = lu_solve(A, rhs, self._lu_transport)
         return Field(self.W, coef), rep
 
     def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
         """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic sources."""
-        K = (C + self.nu_L)[self.iw][:, self.iw]
-        rhs = (self.Nw_c_dt - 0.5 * K) @ omega.coefficients[self.iw]
+        A = self.vorticity_static + 0.5 * C[self.iw][:, self.iw]
+        x = omega.coefficients[self.iw]
+        rhs = 2.0 * (self.Nw_c_dt @ x) - A @ x
         if phi_mid is not None:
             rhs = rhs + (self.baroclinic @ phi_mid.coefficients)[self.iw]
         if omega_tilde is not None:
             rhs = rhs + self.nu * (self.neumann @ omega_tilde.coefficients)[self.iw]
         coef = np.zeros(self.W.dim)
-        sol, rep = lu_solve(self.Nw_c_dt + 0.5 * K, rhs)
+        sol, rep = lu_solve(A, rhs, self._lu_vorticity)
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
@@ -292,23 +309,26 @@ class Model:
     def solve_momentum(self, omega, u_old, dt, b=None):
         """Momentum step with rotation at the midpoint velocity and the
         buoyancy vector b: stream function solve for u = Z psi, then
-        pressure recovery.  Returns (u, p, l, report), l = Lc omega."""
+        pressure recovery.  The stream function system is solved multiplied
+        by dt, against the factor of Z^T M Z.  Returns (u, p, l, report),
+        l = Lc omega, with the residual of the unscaled system."""
         R = assemble.assemble_rotation(omega, self.U, self.qdeg)
         l = self.Lc @ omega.coefficients
         uo = u_old.coefficients
         f = (self.M @ uo) / dt - 0.5 * (R @ uo) - self.nu * l
         if b is not None:
             f = f + b
-        A = (self.ZMZ / dt + 0.5 * self.reduced_rotation(R)).tocsr()
-        psi, rep = lu_solve(A, self.Zt @ f)
+        A = self.ZMZ + (0.5 * dt) * self.reduced_rotation(R)
+        psi, rep = lu_solve(A, dt * (self.Zt @ f), self._lu_momentum)
         u = self.Z @ psi
         # D^T p = A u - f on the free dofs; the residual lies in range(D^T)
         r = ((self.M @ u) / dt + 0.5 * (R @ u) - f)[self.iu]
         p = np.zeros(self.Q.dim)
-        p[1:], prep = lu_solve(None, (self.D_r @ r)[1:], cached=self._lu_pressure)
+        p[1:], prep = lu_solve(self.DDt, (self.D_r @ r)[1:], self._lu_pressure)
         p = project_out_constant(p, self.MQ, self.ones_q, self.area)
-        res = max(rep.residual, float(np.max(np.abs(r - self.D_r.T @ p))))
-        report = SolverReport(refinements=rep.refinements + prep.refinements, residual=res)
+        res = max(rep.residual / dt, float(np.max(np.abs(r - self.D_r.T @ p))))
+        report = SolverReport(refinements=rep.refinements + prep.refinements, residual=res,
+                              fallback=rep.fallback or prep.fallback)
         return Field(self.U, u), Field(self.Q, p), l, report
 
 
@@ -431,6 +451,7 @@ class StartupReport:
     iterations: int
     update: float
     residual_history: list = field(default_factory=list)
+    fallbacks: int = 0  # momentum solves that missed RTOL against the static factor
 
 
 def initialize(model, ic):
@@ -449,9 +470,10 @@ def initialize(model, ic):
     p = Field(model.Q, np.zeros(model.Q.dim))
     history = []
     converged = False
-    iterations = 0
+    iterations = fallbacks = 0
     for it in range(1, cap + 1):
-        u_new, p, _, _ = model.solve_momentum(omega_star, u0, 0.5 * model.time.dt, b=b0)
+        u_new, p, _, rep = model.solve_momentum(omega_star, u0, 0.5 * model.time.dt, b=b0)
+        fallbacks += rep.fallback
         du = u_new.coefficients - u_prev.coefficients
         scale = float(np.linalg.norm(u_new.coefficients))
         rel = float(np.linalg.norm(du)) / (scale if scale > 0 else 1.0)
@@ -473,5 +495,6 @@ def initialize(model, ic):
     state = SimulationState(
         k=0, u_half=u_prev, omega=omega0, phi=phi0, p_bar=p, omega_tilde=omega_tilde,
     )
-    return state, StartupReport(iterations=iterations, update=history[-1], residual_history=history)
+    return state, StartupReport(iterations=iterations, update=history[-1],
+                                residual_history=history, fallbacks=fallbacks)
 

@@ -72,3 +72,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for n in sorted(_LOG.entries):
         desc, status = _LOG.entries[n]
         terminalreporter.write_line(f"criterion {n}: {status} - {desc}")
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every sparse LU factor made from here to the end of the test, in order."""
+    from dualflow import linsolve
+
+    factors = []
+    splu = linsolve.spla.splu
+
+    def recorded(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(linsolve.spla, "splu", recorded)
+    return factors

@@ -387,3 +387,43 @@ dir = tg_out
     # viscous decay: kinetic energy strictly decreases
     assert np.all(np.diff(data["K"]) < 0)
     assert np.all(data["Ep"] == 0.0)  # no particle field in this mode
+
+
+BOX = """
+[mesh]
+length = 6.283185307179586
+height = 6.283185307179586
+nx = 8
+ny = 8
+
+[physics]
+mode = homogeneous
+nu = 0.0
+
+[discretization]
+degree = 1
+
+[initial]
+kind = random
+seed = 3
+
+[time]
+dt = {dt}
+t_end = {t_end}
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("dt, per_step", [(1e-2, 0), (1.0, 2)])
+def test_run_log_counts_fallbacks(tmp_path, dt, per_step):
+    """The progress line carries the running count of solves that missed
+    the tolerance against their static factor and were factored afresh:
+    at dt = 1 the vorticity and stream function solves of every step and
+    the startup's momentum solves, at dt = 1e-2 none."""
+    lines = []
+    result = run(parse_config(BOX.format(dt=dt, t_end=3 * dt, out=tmp_path)), log=lines.append)
+    assert (result.startup.fallbacks > 0) == (per_step > 0)
+    expected = result.startup.fallbacks + 3 * per_step
+    assert lines[-1].startswith("step 3/3") and lines[-1].endswith(f"fallbacks={expected}")

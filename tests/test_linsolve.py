@@ -57,11 +57,9 @@ def test_lu_rejects_bad_shapes():
         lu_solve(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
     with pytest.raises(SolverError, match="rhs length"):
         lu_solve(sp.identity(3, format="csr"), np.ones(2))
-    cached = CachedLU(sp.identity(3, format="csc"))
+    factor = CachedLU(sp.identity(3, format="csc"))
     with pytest.raises(SolverError, match="rhs length"):
-        lu_solve(None, np.ones(2), cached=cached)
-    with pytest.raises(SolverError, match="not both"):
-        lu_solve(sp.identity(3, format="csr"), np.ones(3), cached=cached)
+        lu_solve(sp.identity(3, format="csr"), np.ones(2), factor)
 
 
 def test_lu_singular_reported():
@@ -82,8 +80,43 @@ def test_cached_lu_reuse(channel, monkeypatch):
     rng = np.random.default_rng(1)
     for _ in range(3):
         b = rng.standard_normal(W.dim)
-        x, _ = lu_solve(None, b, cached=cached)
+        x, _ = lu_solve(M, b, cached)
         assert abs(M @ x - b).max() < 1e-10
+
+
+def mass_plus_skew(channel, scale):
+    """The shape of every per-step matrix: a static SPD part plus a skew
+    term; returns (static, static + skew), the skew entries up to
+    `scale` times the largest static one."""
+    W = make_space(channel, "CG", 2)
+    M = assemble_mass(W, 6).tocsr()
+    G = sp.random(W.dim, W.dim, density=0.01, random_state=7, format="csr")
+    return M, (M + scale * abs(M).max() * (G - G.T)).tocsr()
+
+
+def test_refinement_against_a_near_factor(channel, factorizations):
+    M, A = mass_plus_skew(channel, 1e-4)
+    factor = CachedLU(M)
+    factorizations.clear()
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
+    x, rep = lu_solve(A, b, factor)
+    assert factorizations == []
+    assert not rep.fallback
+    assert 1 <= rep.refinements <= linsolve.MAX_REFINE
+    assert abs(A @ x - b).max() <= rep.residual + 1e-16
+    assert rep.residual <= 1e-10 * (1 + abs(b).max())
+
+
+def test_refinement_against_a_far_factor_falls_back(channel, factorizations):
+    M, A = mass_plus_skew(channel, 10.0)
+    factor = CachedLU(M)
+    factorizations.clear()
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    x, rep = lu_solve(A, b, factor)
+    assert len(factorizations) == 1  # the fresh factor of A
+    assert rep.fallback
+    assert abs(A @ x - b).max() <= rep.residual + 1e-16
+    assert rep.residual <= 1e-10 * (1 + abs(b).max())
 
 
 def saddle_blocks(channel, N=1):

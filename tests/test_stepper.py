@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dualflow import stepper
+from dualflow import linsolve, stepper
 from dualflow.assemble import assemble_buoyancy, assemble_rotation
 from dualflow.config import parse_config_file
 from dualflow.diagnostics import Engine
@@ -174,9 +174,52 @@ def test_quasi_linearity_single_solves(mode, monkeypatch):
     # one linear solve per sub-step, two for the momentum step (stream
     # function and pressure): no nonlinear iteration
     assert len(calls) == (5 if mode == "turbidity" else 3)
+    # each against a static factor (A, b, factor)
+    assert all(len(args) == 3 and args[2] is not None for args in calls)
     if mode == "homogeneous":  # steps 1-2 and the particle bookkeeping are skipped
         assert new.phi is None and new.omega_tilde is None
         assert audit.mass_residual == 0.0 and audit.exchange == 0.0
+
+
+@pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
+def test_step_factors_nothing(mode, factorizations):
+    """Every per-step solve is refined against a factor Model built once."""
+    if mode == "turbidity":
+        model = turbidity_model()
+        state, _ = initialize(model, LockInitialCondition())
+    else:
+        model = homogeneous_model(nu=0.01)
+        state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=2))
+    factorizations.clear()  # the static factors of Model and the startup
+    for _ in range(2):
+        state, audit = step(state, model)
+        assert not any(rep.fallback for rep in audit.reports.values())
+    assert factorizations == []
+
+
+def test_large_step_falls_back_to_a_fresh_factor(monkeypatch):
+    """At dt = 1 the skew rotation and convection dominate N/dt, refinement
+    against the static factors cannot reach the tolerance, and each such
+    solve is redone with a fresh factor: reported, and as accurate and
+    conservative as a direct solve."""
+    model = homogeneous_model(nu=0.0, dt=1.0)
+    state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=3))
+    K0 = model.kinetic_energy(state.u_half)
+    solves = []
+
+    def recorded(A, b, factor=None):
+        x, rep = lu_solve(A, b, factor)
+        solves.append((A, b, x, rep))
+        return x, rep
+
+    lu_solve = stepper.lu_solve
+    monkeypatch.setattr(stepper, "lu_solve", recorded)
+    for _ in range(3):
+        state, audit = step(state, model)
+        assert audit.reports["vorticity"].fallback and audit.reports["momentum"].fallback
+    for A, b, x, rep in solves:
+        assert np.max(np.abs(A @ x - b)) <= linsolve.RTOL * (1.0 + np.max(np.abs(b)))
+    assert abs(model.kinetic_energy(state.u_half) - K0) <= 1e-11 * K0
 
 
 def test_per_step_mass_identity_short_run():
@@ -322,6 +365,17 @@ def test_stream_basis_structure(case, request):
     R = assemble_rotation(state.omega, model.U, model.qdeg)
     S = model.reduced_rotation(R)
     assert abs(S + S.T).max() == 0.0
+
+
+def test_pressure_factor_fill_below_colamd(desk, factorizations):
+    """D D^T is structurally symmetric, so CachedLU's minimum-degree
+    ordering on A^T + A fills less than scipy's default COLAMD."""
+    model, _ = desk
+    factorizations.clear()
+    linsolve.CachedLU(model.DDt)
+    linsolve.spla.splu(model.DDt.tocsc(), permc_spec="COLAMD")
+    ours, colamd = factorizations
+    assert ours.nnz < colamd.nnz
 
 
 def test_stream_basis_sizes(desk):
