@@ -1,6 +1,7 @@
 """Command-line interface: run, resume, check, mesh-info."""
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ConfigError, parse_config_file
@@ -49,8 +50,7 @@ def _cmd_check(args):
     cfg = _load(args)
     model = build_model(cfg)
     # one startup pass only: enough to validate assembly and the solves
-    model.time.startup_max_iter = 1
-    model.time.startup_tol = float("inf")
+    model.time = dataclasses.replace(model.time, startup_max_iter=1, startup_tol=float("inf"))
     initialize(model, make_initial_condition(cfg))
     print("config OK; mesh, spaces and one startup iteration validated")
     return 0

@@ -31,6 +31,7 @@ ACCUMULATORS = ("Ev", "Es", "K_half0", "Ep0", "m_p0", "base_exchange")
 
 FRONT_THRESHOLD = 0.01  # depth-averaged concentration that marks the front
 FRONT_SAMPLES = 8       # Gauss points per column in the depth average
+LOCATE_TOL = 1e-12      # reference-coordinate slack of "inside a cell"
 
 
 @dataclass
@@ -78,8 +79,10 @@ class FrontTracker:
 
     Columns are sampled at mesh-resolution spacing across the channel;
     the front is the right-most column whose depth average reaches
-    FRONT_THRESHOLD (domain left edge if none does).  The evaluation plan
-    (cells and reference points) is built once and reused every step.
+    FRONT_THRESHOLD (domain left edge if none does).  The depth averages
+    are one sparse matrix, built once: each sample point is evaluated in
+    the lowest-index cell containing it (within LOCATE_TOL), searched
+    among the cells whose x-extent, widened by that tolerance, holds it.
     """
 
     def __init__(self, model):
@@ -95,20 +98,27 @@ class FrontTracker:
         self.columns = np.linspace(xmin, xmax, num_columns + 1)
         t, w = interval_rule(2 * FRONT_SAMPLES - 1)
         ys = ymin + t * (ymax - ymin)
-        cells, refs = [], []
-        for x in self.columns:
-            for y in ys:
-                c = mesh.locate_cell((x, y))
-                if c < 0:
-                    raise ValueError(f"front sample point ({x}, {y}) not inside the mesh")
-                cells.append(c)
-                refs.append(mesh.reference_coords(c, mesh.wrap_point((x, y))))
-        bv, _ = space.element.tabulate(np.array(refs))  # (points, cell dofs)
+        lo, hi = mesh.cell_coords[..., 0].min(axis=1), mesh.cell_coords[..., 0].max(axis=1)
+        reach = 4 * LOCATE_TOL * (hi - lo)  # a hit within LOCATE_TOL is within 3 LOCATE_TOL widths
+        col, cand = np.nonzero((lo - reach <= self.columns[:, None]) & (self.columns[:, None] <= hi + reach))
+        # every (column, candidate cell) pair gets the reference coordinates of the column's points
+        pts = np.stack(np.broadcast_arrays(self.columns[col, None], ys), axis=-1)  # (pairs, ys, 2)
+        _, _, Jinv = mesh.jacobians()
+        refs = (Jinv[cand, None] @ (pts - mesh.cell_coords[cand, None, 0])[..., None])[..., 0]
+        pair, k = np.nonzero((refs >= -LOCATE_TOL).all(axis=-1) & (refs.sum(axis=-1) <= 1.0 + LOCATE_TOL))
+        # pairs run column by column, cells ascending: a point's first hit is its lowest cell
+        found, first = np.unique(col[pair] * len(ys) + k, return_index=True)
+        missing = np.setdiff1d(np.arange(len(self.columns) * len(ys)), found)
+        if len(missing):
+            x, y = self.columns[missing[0] // len(ys)], ys[missing[0] % len(ys)]
+            raise ValueError(f"front sample point ({x}, {y}) not inside the mesh")
+        pair, k = pair[first], k[first]
+        bv, _ = space.element.tabulate(refs[pair, k])  # (points, cell dofs)
         # one sparse apply per step: row i = depth average over column i
         rows = np.repeat(np.arange(len(self.columns)), len(ys) * bv.shape[1])
         vals = np.tile(w, len(self.columns))[:, None] * bv
         self.sampler = sp.csr_matrix(
-            (vals.ravel(), (rows, space.cell_dofs[cells].ravel())),
+            (vals.ravel(), (rows, space.cell_dofs[cand[pair]].ravel())),
             shape=(len(self.columns), space.dim),
         )
 

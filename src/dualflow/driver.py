@@ -43,20 +43,7 @@ def build_mesh(cfg):
 
 def build_model(cfg):
     mesh = build_mesh(cfg)
-    physics = PhysicsConfig(
-        mode=cfg.physics["mode"],
-        grashof=cfg.physics["grashof"],
-        schmidt=cfg.physics["schmidt"],
-        settling_velocity=cfg.physics["settling_velocity"],
-        nu=cfg.physics["nu"],
-    )
-    time = TimeConfig(
-        dt=cfg.time["dt"],
-        t_end=cfg.time["t_end"],
-        startup_tol=cfg.time["startup_tol"],
-        startup_max_iter=cfg.time["startup_max_iter"],
-    )
-    return Model(mesh, cfg.discretization["degree"], physics, time)
+    return Model(mesh, cfg.discretization["degree"], PhysicsConfig(**cfg.physics), TimeConfig(**cfg.time))
 
 
 def make_initial_condition(cfg):

@@ -1,7 +1,8 @@
 """Triangulated channel and periodic rectangle meshes.
 
 The channel occupies [-L_s, L-L_s] x [0, H] so the lock interface sits at
-x = 0.  Boundary facets carry tags 1..4: top, right, bottom, left.
+x = 0.  Boundary facets carry tags 1..4: top, right, bottom, left, found
+by matching each boundary edge against the walls of the ChannelGeometry.
 Periodic meshes identify opposite-boundary entities; cells keep their own
 (unwrapped) vertex coordinates so geometry is evaluated without wrap
 artifacts.
@@ -10,6 +11,10 @@ Edge orientation is global and deterministic: every edge points from its
 lower canonical vertex index to the higher one, and cell->edge incidence
 signs record whether the cell traverses the edge along or against that
 direction.
+
+Every array is built in whole-mesh passes, without a loop over cells or
+edges.  A mesh holds no point-location index: the one set-up that needs
+to find points in cells (diagnostics.FrontTracker) does its own search.
 """
 
 from dataclasses import dataclass, field
@@ -81,7 +86,6 @@ class Mesh:
     periodic: bool
     bbox: tuple                 # (xmin, xmax, ymin, ymax)
     geometry: ChannelGeometry = None
-    periods: tuple = None       # (lx, ly) for periodic meshes
     render_vertices: np.ndarray = None  # unwrapped vertices for plotting
     render_cells: np.ndarray = None
     render_vertex_map: np.ndarray = None  # render vertex -> canonical vertex
@@ -140,59 +144,6 @@ class Mesh:
     def h_min(self):
         return float(np.min(self.edge_lengths()))
 
-    def wrap_point(self, p):
-        """Map a point into the fundamental domain of a periodic mesh."""
-        if not self.periodic:
-            return np.asarray(p, dtype=float)
-        lx, ly = self.periods
-        x0, _, y0, _ = self.bbox
-        p = np.asarray(p, dtype=float)
-        return np.array([x0 + (p[0] - x0) % lx, y0 + (p[1] - y0) % ly])
-
-    def locate_cell(self, p, tol=1e-12):
-        """Find a cell containing point p (after periodic wrap); -1 if outside."""
-        p = self.wrap_point(p)
-        grid = self._bin_index()
-        nb, x0, y0, dx, dy, bins = grid
-        ix = min(max(int((p[0] - x0) / dx), 0), nb - 1)
-        iy = min(max(int((p[1] - y0) / dy), 0), nb - 1)
-        for c in bins.get((ix, iy), ()):
-            if self._bary_inside(c, p, tol):
-                return c
-        for c in range(self.num_cells):  # fallback, robust for boundary points
-            if self._bary_inside(c, p, tol):
-                return c
-        return -1
-
-    def reference_coords(self, c, p):
-        """Reference coordinates of physical point p within cell c."""
-        _, _, Jinv = self.jacobians()
-        return Jinv[c] @ (np.asarray(p, dtype=float) - self.cell_coords[c, 0, :])
-
-    def _bary_inside(self, c, p, tol):
-        r = self.reference_coords(c, p)
-        return r[0] >= -tol and r[1] >= -tol and r[0] + r[1] <= 1.0 + tol
-
-    def _bin_index(self):
-        if "bins" not in self._cache:
-            nb = max(1, int(np.sqrt(self.num_cells)))
-            x0, x1, y0, y1 = self.bbox
-            dx = (x1 - x0) / nb or 1.0
-            dy = (y1 - y0) / nb or 1.0
-            bins = {}
-            lo = self.cell_coords.min(axis=1)
-            hi = self.cell_coords.max(axis=1)
-            for c in range(self.num_cells):
-                i0 = min(max(int((lo[c, 0] - x0) / dx), 0), nb - 1)
-                i1 = min(max(int((hi[c, 0] - x0) / dx), 0), nb - 1)
-                j0 = min(max(int((lo[c, 1] - y0) / dy), 0), nb - 1)
-                j1 = min(max(int((hi[c, 1] - y0) / dy), 0), nb - 1)
-                for i in range(i0, i1 + 1):
-                    for j in range(j0, j1 + 1):
-                        bins.setdefault((i, j), []).append(c)
-            self._cache["bins"] = (nb, x0, y0, dx, dy, bins)
-        return self._cache["bins"]
-
 
 def mesh_stats(mesh):
     return MeshStats(
@@ -232,58 +183,34 @@ def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
     ncx = nx if periodic else nx + 1
     ncy = ny if periodic else ny + 1
 
-    def open_id(i, j):
-        return j * (nx + 1) + i
-
-    def vid(i, j):
-        return (j % ncy) * ncx + (i % ncx) if periodic else open_id(i, j)
-
     n_grid = ncx * ncy
-    tris = _quad_triangles(pattern)
+    tris = np.asarray(_quad_triangles(pattern))
     use_centroid = pattern == "crisscross"
 
-    cells = []
-    open_cells = []
-    coords = []
-    dcoords = []  # doubled integer coordinates, for periodic edge identity
-    for j in range(ny):
-        for i in range(nx):
-            corner_ids = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-            open_ids = [open_id(i, j), open_id(i + 1, j), open_id(i + 1, j + 1), open_id(i, j + 1)]
-            corner_xy = [
-                (xs[i], ys[j]), (xs[i + 1], ys[j]),
-                (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]),
-            ]
-            corner_d = [
-                (2 * i, 2 * j), (2 * (i + 1), 2 * j),
-                (2 * (i + 1), 2 * (j + 1)), (2 * i, 2 * (j + 1)),
-            ]
-            if use_centroid:
-                corner_ids.append(n_grid + j * nx + i)
-                open_ids.append((nx + 1) * (ny + 1) + j * nx + i)
-                corner_xy.append((0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
-                corner_d.append((2 * i + 1, 2 * j + 1))
-            for t in tris:
-                cells.append([corner_ids[k] for k in t])
-                open_cells.append([open_ids[k] for k in t])
-                coords.append([corner_xy[k] for k in t])
-                dcoords.append([corner_d[k] for k in t])
+    # corners (sw, se, ne, nw, centroid) of every quad, quads in (j, i) order;
+    # only a crisscross triangle uses the centroid
+    q = np.arange(nx * ny)
+    j, i = np.divmod(q, nx)
+    ci = np.stack([i, i + 1, i + 1, i], axis=1)
+    cj = np.stack([j, j, j + 1, j + 1], axis=1)
+    corner_ids = np.column_stack([(cj % ncy) * ncx + ci % ncx, n_grid + q])
+    open_ids = np.column_stack([cj * (nx + 1) + ci, (nx + 1) * (ny + 1) + q])
+    corner_xy = np.stack([xs[ci], ys[cj]], axis=-1)
+    corner_xy = np.concatenate([corner_xy, 0.5 * (corner_xy[:, :1] + corner_xy[:, 2:3])], axis=1)
+    corner_d = np.stack([2 * ci, 2 * cj], axis=-1)  # doubled integer coordinates, for periodic edge identity
+    corner_d = np.concatenate([corner_d, (corner_d[:, :1] + corner_d[:, 2:3]) // 2], axis=1)
+    cells = corner_ids[:, tris].reshape(-1, 3)
+    open_cells = open_ids[:, tris].reshape(-1, 3)
+    cell_coords = corner_xy[:, tris].reshape(-1, 3, 2)
+    dcoords = corner_d[:, tris].reshape(-1, 3, 2)
 
-    nv = n_grid + (nx * ny if use_centroid else 0)
-    vertices = np.zeros((nv, 2))
-    cells = np.asarray(cells, dtype=np.int64)
-    cell_coords = np.asarray(coords, dtype=float)
-    for c in range(len(cells)):
-        for k in range(3):
-            vertices[cells[c, k]] = cell_coords[c, k]
+    vertices = np.zeros((n_grid + (nx * ny if use_centroid else 0), 2))
+    vertices[cells] = cell_coords
     if periodic:
         # canonical representatives live in the fundamental domain
         gx, gy = np.meshgrid(xs[:nx], ys[:ny], indexing="xy")
         vertices[:n_grid, 0] = gx.ravel()
         vertices[:n_grid, 1] = gy.ravel()
-
-    dcoords = np.asarray(dcoords, dtype=np.int64)  # (C, 3or5->3, 2)
-    if periodic:
         sx, sy = 4 * nx, 4 * ny
         key_of = lambda da, db: ((da[..., 0] + db[..., 0]) % sx) * (sy + 1) + (da[..., 1] + db[..., 1]) % sy
     else:
@@ -294,7 +221,6 @@ def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
     )
     mesh = _finalize(vertices, cells, cell_coords, ekeys, periodic)
     if periodic:
-        open_cells = np.asarray(open_cells, dtype=np.int64)
         n_open = (nx + 1) * (ny + 1) + (nx * ny if use_centroid else 0)
         mesh.render_vertices = np.zeros((n_open, 2))
         mesh.render_vertices[open_cells] = cell_coords
@@ -307,35 +233,22 @@ def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
 def _finalize(vertices, cells, cell_coords, edge_keys, periodic):
     """Build edge arrays from per-cell local-edge keys and orientation signs.
     The render arrays are the canonical ones."""
-    C = len(cells)
-    flat = edge_keys.ravel()
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    cell_edges = inverse.reshape(C, 3).astype(np.int64)
-    E = len(uniq)
-
-    edges = np.zeros((E, 2), dtype=np.int64)
-    edge_cells = np.full((E, 2), -1, dtype=np.int64)
-    edge_local = np.full((E, 2), -1, dtype=np.int64)
-    signs = np.zeros((C, 3), dtype=np.int64)
-    seen = np.zeros(E, dtype=bool)
-    for c in range(C):
-        for loc, (a, b) in enumerate(LOCAL_EDGES):
-            e = cell_edges[c, loc]
-            va, vb = cells[c, a], cells[c, b]
-            if va == vb:
-                raise MeshError("degenerate edge after periodic identification (need nx, ny >= 2)")
-            lo, hi = (va, vb) if va < vb else (vb, va)
-            if not seen[e]:
-                edges[e] = (lo, hi)
-                seen[e] = True
-            elif edges[e, 0] != lo or edges[e, 1] != hi:
-                raise MeshError("inconsistent edge identification")
-            signs[c, loc] = 1 if va == lo else -1
-            slot = 0 if edge_cells[e, 0] < 0 else 1
-            if slot == 1 and edge_cells[e, 1] >= 0:
-                raise MeshError("edge shared by more than two cells")
-            edge_cells[e, slot] = c
-            edge_local[e, slot] = loc
+    _, first, inverse = np.unique(edge_keys.ravel(), return_index=True, return_inverse=True)
+    cell_edges = inverse.reshape(-1, 3).astype(np.int64)
+    va, vb = cells[:, [0, 1, 2]].ravel(), cells[:, [1, 2, 0]].ravel()  # LOCAL_EDGES, (cell, local) order
+    if np.any(va == vb):
+        raise MeshError("degenerate edge after periodic identification (need nx, ny >= 2)")
+    lo_hi = np.stack([np.minimum(va, vb), np.maximum(va, vb)], axis=1)
+    edges = lo_hi[first]  # each edge as its first (cell, local) occurrence sees it
+    if np.any(edges[inverse] != lo_hi):
+        raise MeshError("inconsistent edge identification")
+    if np.bincount(inverse).max() > 2:
+        raise MeshError("edge shared by more than two cells")
+    slot = np.ones_like(inverse)  # the first occurrence fills slot 0, the other one slot 1
+    slot[first] = 0
+    edge_cells = np.full((len(first), 2), -1, dtype=np.int64)
+    edge_local = np.full((len(first), 2), -1, dtype=np.int64)
+    edge_cells[inverse, slot], edge_local[inverse, slot] = np.divmod(np.arange(len(inverse)), 3)
 
     # positive orientation check
     d1 = cell_coords[:, 1, :] - cell_coords[:, 0, :]
@@ -350,10 +263,10 @@ def _finalize(vertices, cells, cell_coords, edge_keys, periodic):
         cell_coords=cell_coords,
         edges=edges,
         cell_edges=cell_edges,
-        cell_edge_signs=signs,
+        cell_edge_signs=np.where(va < vb, 1, -1).reshape(-1, 3),
         edge_cells=edge_cells,
         edge_local=edge_local,
-        edge_tags=np.zeros(E, dtype=np.int64),
+        edge_tags=np.zeros(len(edges), dtype=np.int64),
         periodic=periodic,
         bbox=(
             float(cell_coords[..., 0].min()), float(cell_coords[..., 0].max()),
@@ -367,22 +280,20 @@ def _finalize(vertices, cells, cell_coords, edge_keys, periodic):
 
 
 def _tag_boundary(mesh, tol=1e-9):
-    xmin, xmax, ymin, ymax = mesh.bbox
-    for e in np.flatnonzero(mesh.edge_cells[:, 1] < 0):
-        c, loc = mesh.edge_cells[e, 0], mesh.edge_local[e, 0]
-        a, b = LOCAL_EDGES[loc]
-        mid = 0.5 * (mesh.cell_coords[c, a, :] + mesh.cell_coords[c, b, :])
-        if abs(mid[1] - ymax) <= tol:
-            tag = TAG_TOP
-        elif abs(mid[0] - xmax) <= tol:
-            tag = TAG_RIGHT
-        elif abs(mid[1] - ymin) <= tol:
-            tag = TAG_BOTTOM
-        elif abs(mid[0] - xmin) <= tol:
-            tag = TAG_LEFT
-        else:
-            raise MeshError(f"boundary edge {e} at {mid} does not lie on a channel wall")
-        mesh.edge_tags[e] = tag
+    """Tag each boundary edge with the wall of `mesh.geometry` its midpoint
+    lies on, first match of top, right, bottom, left; refuse any other."""
+    geom = mesh.geometry
+    bnd = np.flatnonzero(mesh.edge_cells[:, 1] < 0)
+    c = mesh.edge_cells[bnd, 0]
+    a, b = np.asarray(LOCAL_EDGES)[mesh.edge_local[bnd, 0]].T
+    mid = 0.5 * (mesh.cell_coords[c, a] + mesh.cell_coords[c, b])
+    on_wall = [abs(mid[:, 1] - geom.height) <= tol, abs(mid[:, 0] - geom.xmax) <= tol,
+               abs(mid[:, 1]) <= tol, abs(mid[:, 0] - geom.xmin) <= tol]
+    tags = np.select(on_wall, WALL_TAGS, 0)
+    if not tags.all():
+        k = np.argmin(tags)
+        raise MeshError(f"boundary edge {bnd[k]} at {mid[k]} does not lie on a channel wall")
+    mesh.edge_tags[bnd] = tags
 
 
 def build_channel_mesh(geom, nx, ny, pattern="left"):
@@ -404,7 +315,6 @@ def build_periodic_rect_mesh(lx, ly, nx, ny, pattern="left"):
     if lx <= 0 or ly <= 0:
         raise MeshError("periodic rectangle needs positive extents")
     mesh = _build_structured(0.0, lx, 0.0, ly, nx, ny, pattern, periodic=True)
-    mesh.periods = (float(lx), float(ly))
     if np.any(mesh.edge_cells[:, 1] < 0):
         raise MeshError("periodic identification left boundary edges behind")
     return mesh
@@ -413,8 +323,10 @@ def build_periodic_rect_mesh(lx, ly, nx, ny, pattern="left"):
 def read_mesh_text(text, geom):
     """Parse a triangulation from plain text: 'V E C', V x-y lines, C cell lines.
 
-    Boundary tags are inferred geometrically from the channel geometry
-    (tolerance 1e-9).  Negatively oriented cells are reoriented.
+    The mesh must fill the channel `geom`, [-lock_length, length - lock_length]
+    x [0, height]: every boundary edge must lie on one of its walls
+    (tolerance 1e-9), which also tags it.  Negatively oriented cells are
+    reoriented.
     """
     tokens = text.split()
     if len(tokens) < 3:

@@ -111,7 +111,8 @@ class FunctionSpace:
         return VolumeTab(weights=wdet, points=xq, val=rval, grad=grad)
 
     def boundary_data(self, tag, qdegree):
-        """Cached one-sided tabulation on the wall with the given tag (scalar spaces)."""
+        """Cached one-sided tabulation on the wall with the given tag (scalar
+        spaces), every edge of the wall in one tabulate call."""
         if self.family == "RT":
             raise NotImplementedError("boundary tabulation is only needed for scalar spaces")
         key = ("bnd", tag, qdegree)
@@ -123,34 +124,23 @@ class FunctionSpace:
         mesh = self.mesh
         edges = mesh.wall_edges(tag)
         t1, w1 = interval_rule(qdegree)
-        nqe = len(t1)
-        ne = len(edges)
-        nloc = self.cell_dofs.shape[1]
         cells = mesh.edge_cells[edges, 0]
-        locs = mesh.edge_local[edges, 0]
-        W = np.zeros((ne, nqe))
-        X = np.zeros((ne, nqe, 2))
-        NRM = np.zeros((ne, 2))
-        VAL = np.zeros((ne, nqe, nloc))
-        GRAD = np.zeros((ne, nqe, nloc, 2))
+        a, b = np.asarray(LOCAL_EDGES)[mesh.edge_local[edges, 0]].T
+        pa, pb = mesh.cell_coords[cells, a], mesh.cell_coords[cells, b]
+        tang = pb - pa
+        length = np.hypot(tang[:, 0], tang[:, 1])
+        ra, rb = REF_VERTICES[a], REF_VERTICES[b]
+        rpts = ra[:, None, :] + t1[:, None] * (rb - ra)[:, None, :]  # (ne, nqe, 2)
+        rval, rgrad = self.element.tabulate(rpts)
+        shape = rpts.shape[:2] + rval.shape[1:]  # (ne, nqe, nloc)
         _, _, Jinv = mesh.jacobians()
-        for k in range(ne):
-            c, loc = cells[k], locs[k]
-            a, b = LOCAL_EDGES[loc]
-            pa, pb = mesh.cell_coords[c, a, :], mesh.cell_coords[c, b, :]
-            tang = pb - pa
-            length = float(np.hypot(*tang))
-            NRM[k] = np.array([tang[1], -tang[0]]) / length
-            W[k] = w1 * length
-            X[k] = pa[None, :] + t1[:, None] * tang[None, :]
-            ra, rb = REF_VERTICES[a], REF_VERTICES[b]
-            rpts = ra[None, :] + t1[:, None] * (rb - ra)[None, :]
-            rval, rgrad = self.element.tabulate(rpts)
-            VAL[k] = rval
-            GRAD[k] = np.einsum("qne,ed->qnd", rgrad, Jinv[c])
         return EdgeTab(
             edges=edges, cells=cells, dofs=self.cell_dofs[cells],
-            weights=W, points=X, normals=NRM, val=VAL, grad=GRAD,
+            weights=w1 * length[:, None],
+            points=pa[:, None, :] + t1[:, None] * tang[:, None, :],
+            normals=np.stack([tang[:, 1], -tang[:, 0]], axis=1) / length[:, None],
+            val=rval.reshape(shape),
+            grad=np.einsum("kqne,ked->kqnd", rgrad.reshape(shape + (2,)), Jinv[cells]),
         )
 
 
@@ -235,15 +225,9 @@ def wall_trace_dofs(space, tags):
     if space.family != "CG":
         raise ValueError("trace constraints apply to CG spaces")
     mesh = space.mesh
-    dofs = set()
-    for tag in tags:
-        for e in mesh.wall_edges(tag):
-            va, vb = mesh.edges[e]
-            dofs.add(int(va))
-            dofs.add(int(vb))
-            if space.degree == 2:
-                dofs.add(int(mesh.num_vertices + e))
-    return np.array(sorted(dofs), dtype=np.int64)
+    e = np.flatnonzero(np.isin(mesh.edge_tags, tags))
+    dofs = [mesh.edges[e].ravel()] + ([mesh.num_vertices + e] if space.degree == 2 else [])
+    return np.unique(np.concatenate(dofs))
 
 
 def free_dofs(space, constrained):
@@ -253,7 +237,7 @@ def free_dofs(space, constrained):
 
 
 # ---------------------------------------------------------------------------
-# Projection / interpolation / evaluation
+# Projection / interpolation
 
 
 def _call_scalar(fn, x, y):

@@ -102,7 +102,7 @@ class PhysicsConfig:
         return 1.0 / math.sqrt(self.grashof * self.schmidt**2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeConfig:
     dt: float
     t_end: float

@@ -88,3 +88,22 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(linsolve.spla, "splu", recorded)
     return factors
+
+
+@pytest.fixture
+def channel_with_hole():
+    """A 3x3 `left` channel on [-1, 2] x [0, 1.5] without the two cells of
+    its middle quad, [0, 1] x [0.5, 1], assembled by `_finalize` with no
+    wall tags.  No vertex is orphaned."""
+    import numpy as np
+
+    from dualflow.elements import LOCAL_EDGES
+    from dualflow.mesh import ChannelGeometry, _finalize, build_channel_mesh
+
+    full = build_channel_mesh(ChannelGeometry(length=3.0, height=1.5, lock_length=1.0), 3, 3, "left")
+    centroid = full.cell_coords.mean(axis=1)
+    keep = ~((np.abs(centroid[:, 0] - 0.5) < 0.5) & (np.abs(centroid[:, 1] - 0.75) < 0.25))
+    cells = full.cells[keep]
+    pairs = np.stack([np.sort(cells[:, [a, b]], axis=1) for a, b in LOCAL_EDGES], axis=1)
+    return _finalize(full.vertices, cells, full.cell_coords[keep],
+                     pairs[..., 0] * full.num_vertices + pairs[..., 1], periodic=False)

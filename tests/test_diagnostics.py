@@ -132,6 +132,41 @@ def test_front_position_trivial_cases():
     assert abs(tracker.position(sharp)) <= spacing + 1e-12
 
 
+@pytest.mark.parametrize("imported", [False, True])
+def test_depth_averages_of_a_linear_field(imported):
+    """Each sample point is evaluated in one cell containing it, also where
+    it sits on a shared edge or vertex: the depth average of a linear
+    field is its value at mid-depth in every column."""
+    from types import SimpleNamespace
+
+    from util_sim1 import sim1_mesh_text
+
+    from dualflow.mesh import read_mesh_text
+    from dualflow.spaces import interpolate, make_space
+
+    if imported:
+        mesh = read_mesh_text(*sim1_mesh_text())
+    else:
+        mesh = build_channel_mesh(ChannelGeometry(length=13.0, height=1.0, lock_length=1.0), 50, 5, "crisscross")
+    W = make_space(mesh, "CG", 2)
+    tracker = FrontTracker(SimpleNamespace(mesh=mesh, W=W))
+    phi = interpolate(W, lambda x, y: 0.3 - 0.7 * x + 1.9 * y)
+    expected = 0.3 - 0.7 * tracker.columns + 1.9 * 0.5 * mesh.geometry.height
+    assert np.max(np.abs(tracker.depth_averages(phi) - expected)) < 1e-12
+
+
+def test_front_sampler_refuses_a_point_outside_the_mesh(channel_with_hole):
+    """The column x = 0.5 crosses the hole: its sample points in
+    (0.5, 1) lie in no cell."""
+    from types import SimpleNamespace
+
+    from dualflow.spaces import make_space
+
+    mesh = channel_with_hole
+    with pytest.raises(ValueError, match=r"front sample point \(0\.5, 0\.\d+\) not inside the mesh"):
+        FrontTracker(SimpleNamespace(mesh=mesh, W=make_space(mesh, "CG", 1)))
+
+
 def test_eps_s_ref1_examples():
     model = make_model(L=2.0, nx=4, ny=2, lock=1.0, u_s=0.02)
     u_s, kappa = model.physics.settling_velocity, model.kappa

@@ -1,8 +1,9 @@
-"""Every name a module imports is read somewhere in that module.
+"""Dead-code scans: no linter runs on this tree, so AST scans do two checks.
 
-No linter runs on this tree, so an AST scan of `src/dualflow` and
-`tests` does the one check: an imported name that the module never
-loads (and does not list in `__all__`) is dead code.
+- Every name a module of `src/dualflow` or `tests` imports is read
+  somewhere in that module (or listed in its `__all__`).
+- Every private (`_name`) module-level function or class, and every
+  private method, of `src/dualflow` is read somewhere in the package.
 """
 
 import ast
@@ -36,6 +37,24 @@ def unused_imports(source):
                   if name not in read and name not in exported)
 
 
+def unreferenced_private_names(sources):
+    """(path, line, name) of each private module-level function or class,
+    or private method, that no module in `sources` (path, text) reads."""
+    defined, read = [], set()
+    for path, source in sources:
+        tree = ast.parse(source)
+        for scope in [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]:
+            defined += [(path, node.lineno, node.name) for node in scope.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name.startswith("_") and not node.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [entry for entry in defined if entry[2] not in read]
+
+
 def python_files():
     for folder in SCANNED:
         for name in sorted(os.listdir(os.path.join(ROOT, folder))):
@@ -55,3 +74,20 @@ def test_no_unused_imports(path):
         unused = unused_imports(fh.read())
     assert not unused, f"{path}: imported but never read: " + ", ".join(
         f"{name} (line {line})" for line, name in unused)
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    a = "def _used():\n    pass\ndef _dead():\n    pass\nclass C:\n    def __init__(self):\n        self._m()\n" \
+        "    def _m(self):\n        pass\n    def _n(self):\n        pass\n"
+    b = "from a import _used\n"
+    assert unreferenced_private_names([("a", a), ("b", b)]) == [("a", 3, "_dead"), ("a", 10, "_n")]
+
+
+def test_no_unreferenced_private_names():
+    package = [path for path in python_files() if path.startswith("src/dualflow/")]
+    sources = []
+    for path in package:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            sources.append((path, fh.read()))
+    dead = unreferenced_private_names(sources)
+    assert not dead, "private but never read: " + ", ".join(f"{path}:{line} {name}" for path, line, name in dead)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualflow.elements import LOCAL_EDGES
 from dualflow.mesh import (
     TAG_BOTTOM,
     TAG_LEFT,
@@ -13,6 +14,29 @@ from dualflow.mesh import (
     mesh_stats,
     read_mesh_text,
 )
+
+
+def mesh_text(vertices, cells, num_edges):
+    """A triangulation in the plain-text import format."""
+    return "\n".join([f"{len(vertices)} {num_edges} {len(cells)}"]
+                     + [f"{float(x)!r} {float(y)!r}" for x, y in vertices]
+                     + [" ".join(str(v) for v in c) for c in cells])
+
+
+def assert_incidence_consistent(mesh):
+    """edge_cells/edge_local point back through cell_edges, once for every
+    (cell, local edge); edges are sorted vertex pairs; signs match."""
+    assert np.all(mesh.edge_cells[:, 0] >= 0)
+    e, slot = np.nonzero(mesh.edge_cells >= 0)
+    assert len(e) == 3 * mesh.num_cells
+    c, loc = mesh.edge_cells[e, slot], mesh.edge_local[e, slot]
+    assert len(set(zip(c, loc))) == len(c)
+    assert np.array_equal(mesh.cell_edges[c, loc], e)
+    assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])
+    ends = np.asarray(LOCAL_EDGES)[loc]
+    va, vb = mesh.cells[c, ends[:, 0]], mesh.cells[c, ends[:, 1]]
+    assert np.array_equal(np.sort(np.stack([va, vb], axis=1), axis=1), mesh.edges[e])
+    assert np.array_equal(mesh.cell_edge_signs[c, loc], np.where(va < vb, 1, -1))
 
 
 def signed_areas(mesh):
@@ -129,6 +153,7 @@ def test_import_sim1_sized_mesh():
     assert np.all(signed_areas(mesh) > 0)
     tagged = mesh.edge_tags[mesh.boundary_edges]
     assert len(tagged) == 120
+    assert_incidence_consistent(mesh)
 
 
 def test_import_rejects_bad_header():
@@ -137,6 +162,24 @@ def test_import_rejects_bad_header():
         read_mesh_text("4 5", geom)
     with pytest.raises(MeshError):
         read_mesh_text("4 99 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3", geom)
+
+
+def test_import_refuses_edge_in_three_cells():
+    geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
+    text = "5 7 3\n-0.5 0\n0.5 0\n0 1\n0 0.5\n0 0.25\n0 1 2\n0 1 3\n0 1 4"
+    with pytest.raises(MeshError, match="more than two cells"):
+        read_mesh_text(text, geom)
+
+
+def test_import_must_fill_the_configured_channel():
+    """Walls are the ChannelGeometry's, not the mesh's own extent: a mesh
+    shifted to x in [0, 13] and stretched to height 2 is refused."""
+    geom = ChannelGeometry(length=13.0, height=1.0, lock_length=1.0)
+    base = build_channel_mesh(geom, 13, 2, "left")
+    read_mesh_text(mesh_text(base.vertices, base.cells, base.num_edges), geom)
+    moved = (base.vertices + [1.0, 0.0]) * [1.0, 2.0]
+    with pytest.raises(MeshError, match="does not lie on a channel wall"):
+        read_mesh_text(mesh_text(moved, base.cells, base.num_edges), geom)
 
 
 def test_import_reorients_flipped_cells():
@@ -153,12 +196,7 @@ def test_render_arrays_match_cells(pattern, nx, ny):
     cell's canonical vertices and sit at the cell's (unwrapped) corners."""
     channel = build_channel_mesh(ChannelGeometry(length=3.0, height=1.0, lock_length=1.0), nx, ny, pattern)
     torus = build_periodic_rect_mesh(2.0, 1.0, nx, ny, pattern)
-    imported = read_mesh_text(
-        "\n".join([f"{channel.num_vertices} {channel.num_edges} {channel.num_cells}"]
-                  + [f"{float(x)!r} {float(y)!r}" for x, y in channel.vertices]
-                  + [" ".join(str(v) for v in c) for c in channel.cells]),
-        channel.geometry,
-    )
+    imported = read_mesh_text(mesh_text(channel.vertices, channel.cells, channel.num_edges), channel.geometry)
     for mesh in (channel, torus, imported):
         assert np.array_equal(mesh.render_vertex_map[mesh.render_cells], mesh.cells)
         assert np.array_equal(mesh.render_vertices[mesh.render_cells], mesh.cell_coords)
@@ -166,3 +204,10 @@ def test_render_arrays_match_cells(pattern, nx, ny):
     centroids = nx * ny if pattern == "crisscross" else 0
     assert len(torus.render_vertices) == (nx + 1) * (ny + 1) + centroids
     assert len(torus.vertices) == nx * ny + centroids
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (5, 3), (50, 5)])
+@pytest.mark.parametrize("pattern", ["left", "right", "crisscross"])
+def test_edge_incidence_is_consistent(pattern, nx, ny):
+    assert_incidence_consistent(build_channel_mesh(ChannelGeometry(length=3.0, height=1.0, lock_length=1.0), nx, ny, pattern))
+    assert_incidence_consistent(build_periodic_rect_mesh(2.0, 1.0, nx, ny, pattern))

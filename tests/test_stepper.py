@@ -9,8 +9,7 @@ from dualflow.assemble import assemble_buoyancy, assemble_rotation
 from dualflow.config import parse_config_file
 from dualflow.diagnostics import Engine
 from dualflow.driver import build_model
-from dualflow.elements import LOCAL_EDGES
-from dualflow.mesh import TAG_BOTTOM, ChannelGeometry, _finalize, build_channel_mesh, build_periodic_rect_mesh
+from dualflow.mesh import TAG_BOTTOM, ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
 from dualflow.spaces import Field, interpolate, project
 from dualflow.stepper import (
     LockInitialCondition,
@@ -127,8 +126,7 @@ def test_startup_lock_exchange_converges_quickly():
 
 def test_startup_nonconvergence_reported():
     model = turbidity_model()
-    model.time.startup_max_iter = 1
-    model.time.startup_tol = 1e-16
+    model.time = dataclasses.replace(model.time, startup_max_iter=1, startup_tol=1e-16)
     with pytest.raises(StartupError):
         initialize(model, LockInitialCondition())
 
@@ -384,16 +382,10 @@ def test_stream_basis_sizes(desk):
     assert torus.Z.shape == (3072, 1025)
 
 
-def test_model_refuses_channel_with_a_hole():
+def test_model_refuses_channel_with_a_hole(channel_with_hole):
     """A hole adds a divergence-free velocity (psi constant on the hole,
     not zero) that the stream-function basis does not span."""
-    full = build_channel_mesh(ChannelGeometry(length=3.0, height=3.0, lock_length=1.0), 3, 3, "left")
-    centroid = full.cell_coords.mean(axis=1)
-    keep = ~((np.abs(centroid[:, 0] - 0.5) < 0.5) & (np.abs(centroid[:, 1] - 1.5) < 0.5))
-    cells = full.cells[keep]
-    pairs = np.stack([np.sort(cells[:, [a, b]], axis=1) for a, b in LOCAL_EDGES], axis=1)
-    mesh = _finalize(full.vertices, cells, full.cell_coords[keep],
-                     pairs[..., 0] * full.num_vertices + pairs[..., 1], periodic=False)
+    mesh = channel_with_hole
     mesh.edge_tags[mesh.edge_cells[:, 1] < 0] = TAG_BOTTOM
     with pytest.raises(ValueError, match="simply connected"):
         Model(mesh, 1, PhysicsConfig(mode="turbidity"), TimeConfig(dt=1e-3, t_end=1e-3))
@@ -401,7 +393,8 @@ def test_model_refuses_channel_with_a_hole():
 
 def test_viscosity_and_diffusivity_follow_physics():
     """nu and kappa, and the static operators scaled by them, come from the
-    physics the model is built with; the physics cannot be changed after."""
+    physics the model is built with; neither the physics nor the time
+    settings can be changed after."""
     physics = PhysicsConfig(mode="turbidity", grashof=1e4, schmidt=2.0, settling_velocity=0.02)
     mesh = build_channel_mesh(ChannelGeometry(length=13.0, height=1.0, lock_length=1.0), 20, 3, "left")
     model = Model(mesh, 1, physics, TimeConfig(dt=1e-3, t_end=1.0))
@@ -411,3 +404,5 @@ def test_viscosity_and_diffusivity_follow_physics():
     assert (abs(model.kappa_L - model.kappa * model.L) != 0).nnz == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.physics.grashof = 5e6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.time.dt = 1e-2  # dt is baked into the static operators too
