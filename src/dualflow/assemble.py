@@ -7,7 +7,7 @@ repeated assembly only refills the CSR value array, in a fixed cell
 order, so all operators are bitwise reproducible.
 
 The step is linear in each known field, so only the rotation R(omega)
-and the convection G(u) are assembled per step.  The static operators
+and the skew convection C(u) are assembled per step.  The static operators
 (the weak curl Lc, buoyancy, baroclinic, the wall Neumann term, the
 particle drift and the discrete curl Z) are built once per run by
 stepper.Model, which owns them.
@@ -15,10 +15,11 @@ stepper.Model, which owns them.
 Index convention: for every matrix A produced here, A[i, j] pairs test
 function i against trial function j.
 
-The skew operators are skew *by construction*: the rotation matrix and
-the skew part of the convection matrices are formed as exact
-transpose-differences, so quadratic invariants are conserved to
-round-off regardless of quadrature.
+The skew operators are skew *by construction*: the rotation and the
+vorticity convection are skewed cell by cell before the scatter, and the
+static settling drift is the exact skew part of its assembled matrix,
+so quadratic invariants are conserved to round-off regardless of
+quadrature.
 """
 
 import numpy as np
@@ -132,25 +133,23 @@ def assemble_rotation(omega, U, qdegree):
     return _pattern(U, U).build(kernels.rotation(utab.weights, wq, utab.val))
 
 
-def _convection_matrix(uq, duq, W, qdegree):
-    """G[a,b] = <w_b, div(u w_a)> from u and div u at the quadrature points."""
-    wtab = W.volume_data(qdegree)
-    return _pattern(W, W).build(kernels.convection(wtab.weights, wtab.val, wtab.grad, uq, duq))
-
-
 def skew_part(G):
-    """Exact skew-symmetrization 0.5*(G^T - G) used by the transport steps."""
+    """Exact skew-symmetrization 0.5*(G^T - G) of an assembled matrix."""
     return 0.5 * (G.T.tocsr() - G)
 
 
 def assemble_vorticity_convection(u, W, qdegree):
-    """The matrix G with G[a,b] = <w_b, div(u w_a)>; the scheme applies
-    its exact skew part."""
+    """The skew convection C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)>.
+
+    Each cell's local G is skewed before the scatter, as kernels.rotation
+    does, so C is exactly skew with no global transpose."""
     U = u.space
     utab = U.volume_data(qdegree)
+    wtab = W.volume_data(qdegree)
     uq = kernels.field_vec(U.cell_dofs, u.coefficients, utab.val)
     duq = kernels.field_div(U.cell_dofs, u.coefficients, utab.div)
-    return _convection_matrix(uq, duq, W, qdegree)
+    G = kernels.convection(wtab.weights, wtab.val, wtab.grad, uq, duq)
+    return _pattern(W, W).build(0.5 * (np.swapaxes(G, 1, 2) - G))
 
 
 def assemble_wall_mass(space, tag, qdegree):
@@ -188,7 +187,8 @@ def assemble_particle_drift(u_s, W, qdegree, bdegree):
     wtab = W.volume_data(qdegree)
     C, nq = wtab.weights.shape
     drift = np.broadcast_to(np.array(GRAVITY, dtype=float), (C, nq, 2))
-    G = _convection_matrix(drift, np.zeros((C, nq)), W, qdegree)
+    G = _pattern(W, W).build(
+        kernels.convection(wtab.weights, wtab.val, wtab.grad, drift, np.zeros((C, nq))))
     B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
     B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
     return (u_s * skew_part(G) + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()

@@ -95,6 +95,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     nsteps = model.time.num_steps
     # solves that missed the tolerance against their static factor (linsolve.lu_solve)
     fallbacks = startup.fallbacks if startup is not None else 0
+    max_mass = max_gap = 0.0  # running maxima of the per-step identity gaps
     writer = dfio.CsvWriter(csv_path)
     try:
         if state.k == 0 and out["vtk_every"] > 0:
@@ -104,6 +105,8 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             state, audit = step(state, model)
             fallbacks += sum(rep.fallback for rep in audit.reports.values())
             row = engine.update(prev, state, audit)
+            max_mass = max(max_mass, abs(row.mass_residual))
+            max_gap = max(max_gap, abs(row.eres_gap))
             if on_step is not None:
                 on_step(prev, state, audit, row)
             if collect_rows:
@@ -118,7 +121,8 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
                 )
             if log is not None and (state.k % max(1, nsteps // 10) == 0 or state.k == nsteps):
                 _maybe(log, f"step {state.k}/{nsteps}  t={row.t:.6g}  K={row.K:.6e}  "
-                            f"div={row.div_inf:.2e}  fallbacks={fallbacks}")
+                            f"div={row.div_inf:.2e}  max|mass_residual|={max_mass:.2e}  "
+                            f"max|eres_gap|={max_gap:.2e}  fallbacks={fallbacks}")
     finally:
         writer.close()
     result.state = state

@@ -2,22 +2,28 @@
 
 Every solve re-checks its own residual and reports it truthfully.  A
 matrix that does not change between steps is factored once, in a
-CachedLU.  A per-step matrix that differs from a static one by a small
-term is solved by refinement against the static factor: x = P^-1 b,
-then x += P^-1 (b - A x) against the true A until the residual stops
-halving (the roundoff floor) or after MAX_REFINE passes.  If that misses
-the postcondition, A is factored afresh and the report says so
-(`fallback`).  Pressure-like vectors are defined up to a constant and
-are reported with zero mean (project_out_constant).
+CachedLU.  A per-step operator that differs from a static matrix P by a
+small term is solved by refinement against the factor of P: x = P^-1 b,
+then x += P^-1 (b - A x) against the true A.  Refinement needs A only
+by its product A @ x, so a per-step operator may be an Operator, whose
+matrix is built only if a fresh factor is needed.  Refinement stops at
+the roundoff floor: once ||b - A x||_inf <= eps (||P||_inf ||x||_inf +
+||b||_inf), or when a pass fails to halve the residual, or after
+MAX_REFINE passes.  If that misses the postcondition, A is factored
+afresh and the report says so (`fallback`).  Pressure-like vectors are
+defined up to a constant and are reported with zero mean
+(project_out_constant).
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 RTOL = 1e-10      # relative residual every solve must reach
 MAX_REFINE = 8    # refinement passes per factor
+EPS = np.finfo(float).eps
 
 
 class SolverError(RuntimeError):
@@ -31,14 +37,33 @@ class SolverReport:
     fallback: bool = False  # the given factor missed RTOL; A was factored afresh
 
 
+@dataclass(frozen=True)
+class Operator:
+    """A square operator known by its product `apply(x) = A @ x`; `matrix()`
+    builds A as a sparse matrix, needed only for a fresh factor."""
+
+    n: int
+    apply: Callable
+    matrix: Callable
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    def __matmul__(self, x):
+        return self.apply(x)
+
+
 class CachedLU:
-    """LU factorization of a fixed matrix, reusable across solves.
+    """LU factorization of a fixed matrix, reusable across solves, and the
+    matrix's inf-norm, which sets the roundoff floor of refinement.
 
     The fill-reducing ordering is minimum degree on A^T + A: every matrix
     factored here is structurally symmetric.
     """
 
     def __init__(self, matrix):
+        self.norm = float(abs(matrix).sum(axis=1).max()) if matrix.shape[0] else 0.0
         try:
             self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
@@ -53,14 +78,16 @@ def _inf(r):
 
 
 def _refine(A, b, factor):
-    """x = P^-1 b, then passes x += P^-1 (b - A x) while each one at least
-    halves the residual; a pass that does not lower it is discarded.
+    """x = P^-1 b, then passes x += P^-1 (b - A x) until the residual is at
+    the roundoff floor eps (||P|| ||x|| + ||b||), while each pass at least
+    halves it; a pass that does not lower it is discarded.
     Returns (x, passes, residual)."""
     x = factor.solve(b)
     r = b - A @ x
     res = _inf(r)
     passes = 0
-    while res > 0.0 and passes < MAX_REFINE:
+    b_inf = _inf(b)
+    while res > EPS * (factor.norm * _inf(x) + b_inf) and passes < MAX_REFINE:
         x_new = x + factor.solve(r)
         r_new = b - A @ x_new
         res_new = _inf(r_new)
@@ -74,9 +101,14 @@ def _refine(A, b, factor):
     return x, passes, res
 
 
+def _factor(A):
+    return CachedLU(A.matrix() if isinstance(A, Operator) else A)
+
+
 def lu_solve(A, b, factor=None):
     """Solve A x = b by refinement against `factor`, a CachedLU of A or of
-    a matrix near it; without one, A is factored here.
+    a matrix near it; without one, A is factored here.  A is a sparse
+    matrix or an Operator.
 
     Postcondition: ||Ax - b||_inf <= RTOL * (1 + ||b||_inf), or SolverError.
     A factor that misses it is replaced by a fresh factor of A, and the
@@ -89,10 +121,10 @@ def lu_solve(A, b, factor=None):
     if b.shape != (n,):
         raise SolverError("rhs length does not match matrix")
     target = RTOL * (1.0 + _inf(b))
-    x, passes, res = _refine(A, b, factor if factor is not None else CachedLU(A))
+    x, passes, res = _refine(A, b, factor if factor is not None else _factor(A))
     fallback = factor is not None and not res <= target
     if fallback:
-        x, more, res = _refine(A, b, CachedLU(A))
+        x, more, res = _refine(A, b, _factor(A))
         passes += more
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system: LU produced non-finite values")

@@ -232,7 +232,11 @@ def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
 
 def _finalize(vertices, cells, cell_coords, edge_keys, periodic):
     """Build edge arrays from per-cell local-edge keys and orientation signs.
-    The render arrays are the canonical ones."""
+    The render arrays are the canonical ones.  Every vertex must belong to
+    a cell."""
+    used = np.bincount(cells.ravel(), minlength=len(vertices))
+    if not used.all():
+        raise MeshError(f"vertex {np.argmin(used)} belongs to no cell")
     _, first, inverse = np.unique(edge_keys.ravel(), return_index=True, return_inverse=True)
     cell_edges = inverse.reshape(-1, 3).astype(np.int64)
     va, vb = cells[:, [0, 1, 2]].ravel(), cells[:, [1, 2, 0]].ravel()  # LOCAL_EDGES, (cell, local) order
@@ -340,6 +344,8 @@ def read_mesh_text(text, geom):
         raise MeshError(f"mesh file has {len(tokens)} fields, expected {need}")
     vals = np.asarray(tokens[3:3 + 2 * nv], dtype=float).reshape(nv, 2)
     cells = np.asarray(tokens[3 + 2 * nv:], dtype=np.int64).reshape(nc, 3)
+    if nc < 1:
+        raise MeshError("mesh file has no cells")
     if cells.min() < 0 or cells.max() >= nv:
         raise MeshError("cell vertex index out of range")
 

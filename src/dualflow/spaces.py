@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import LOCAL_EDGES, REF_VERTICES, get_element
+from .mesh import MeshError
 from .quadrature import interval_rule, triangle_rule
 
 FAMILIES = ("CG", "RT", "DG")
@@ -181,7 +182,10 @@ def make_space(mesh, family, degree):
         mesh=mesh, family=family, degree=degree, dim=dim,
         element=element, cell_dofs=dofs.astype(np.int64), cell_dof_signs=signs.astype(float),
     )
-    assert space.cell_dofs.max() + 1 == dim
+    numbered = int(space.cell_dofs.max()) + 1
+    if numbered != dim:
+        raise MeshError(f"the {family}{degree} dof map numbers {numbered} dofs but the mesh "
+                        f"has {dim}: a vertex or edge belongs to no cell")
     return space
 
 

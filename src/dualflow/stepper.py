@@ -9,8 +9,8 @@ for u^{1/2}, every step is a fixed sequence of single linear solves:
   3. vorticity transport      (N/dt + (C + nu L)/2) om^{k+1} = ... + sources
   4. momentum                 (M/dt + R/2) u^{k+3/2} - D^T p = f,  D u = 0
 
-with C = skew(G(u^{k+1/2})) the skew convection, assembled once and
-shared by steps 2 and 3, K = C + settling drift and wall terms +
+with C = (G^T - G)/2 the skew convection by u^{k+1/2}, assembled once
+and shared by steps 2 and 3, K = C + settling drift and wall terms +
 diffusion, and R the (exactly skew) rotation.  The skewness of R and C
 is what keeps kinetic energy and enstrophy free of artificial
 dissipation.
@@ -20,13 +20,20 @@ from the fixed physics and time step.  A step assembles only R and C
 and otherwise multiplies: the viscous vector l = Lc om, the curl rhs
 Lc^T u, the buoyancy b = B phi and the baroclinic and wall sources.
 
-No matrix is factored inside the time loop.  Each per-step matrix is a
-static one plus a skew term: M/dt plus the half diffusion (and settling
-drift) plus C/2 in steps 2-3, Z^T M Z/dt plus Z^T R Z/2 in step 4.  Model
-factors the static parts once, and every per-step solve is refined
-against them (linsolve.lu_solve).  Step 4 is solved multiplied by its
-step tau, as (Z^T M Z + tau/2 Z^T R Z) psi = tau Z^T f, so the one
-factor of Z^T M Z serves both dt and the startup's dt/2.
+No matrix is factored, and no sparse matrix is formed beyond R and C,
+inside the time loop.  Each per-step operator is a static matrix S plus
+a skew term, applied as matrix-vector products (linsolve.Operator):
+
+  transport   y -> S y + C y / 2
+  vorticity   y -> S y + (C pad(y))[iw] / 2,  pad(y) zero off the free dofs
+  momentum    y -> Z^T M Z y + tau/2 Z^T (R (Z y))
+
+so Z^T R Z is never formed.  Model factors each S once, and every
+per-step solve is refined against that factor (linsolve.lu_solve); only
+a solve that falls back to a fresh factor builds its matrix.  Step 4 is
+solved multiplied by its step tau, as (Z^T M Z + tau/2 Z^T R Z) psi =
+tau Z^T f, so the one factor of Z^T M Z serves both dt and the
+startup's dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -37,7 +44,7 @@ but one plus the two constant (harmonic) velocities.  So
   4a. stream function   Z^T (M/dt + R/2) Z psi = Z^T f,   u = Z psi
   4b. pressure          D D^T p = D (A u - f),  one dof pinned, zero mean
 
-with Z^T R Z made exactly skew and Z^T M Z static.  D u = 0 holds by
+with Z^T M Z static and Z^T R Z skew up to roundoff.  D u = 0 holds by
 construction and is still checked to 1e-10 every step.
 
 Both modes take this one step.  The homogeneous mode (periodic box, no
@@ -53,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assemble
-from .linsolve import CachedLU, SolverError, SolverReport, lu_solve, project_out_constant
+from .linsolve import CachedLU, Operator, SolverError, SolverReport, lu_solve, project_out_constant
 from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
     Field,
@@ -180,6 +187,7 @@ class Model:
         self.D = assemble.assemble_div(self.U, self.Q, self.qdeg)
         self.MQ = assemble.assemble_mass(self.Q, self.qdeg)
         self.Lc = assemble.assemble_weak_curl(self.U, self.W, self.qdeg)
+        self.Lct = self.Lc.T.tocsr()
         self.nu_L = self.nu * self.L
         self.Nw_dt = (1.0 / time.dt) * self.Nw
 
@@ -200,8 +208,9 @@ class Model:
         self.ZMZ = (self.Zt @ self.M @ self.Z).tocsr()
         self._lu_momentum = CachedLU(self.ZMZ)
         self.D_r = self.D[:, self.iu].tocsr()
+        self.D_rt = self.D_r.T.tocsr()
         # D D^T annihilates the constant pressure: pin dof 0
-        self.DDt = (self.D_r @ self.D_r.T)[1:, 1:].tocsr()
+        self.DDt = (self.D_r @ self.D_rt)[1:, 1:].tocsr()
         self._lu_pressure = CachedLU(self.DDt)
 
         if physics.mode == "turbidity":
@@ -267,22 +276,54 @@ class Model:
 
     def curl_h(self, u):
         """Weak curl recovery: find om~ with <om~, xi> = <u, curl xi>."""
-        r = self.Lc.T @ u.coefficients
+        r = self.Lct @ u.coefficients
         coef = np.zeros(self.W.dim)
         sol, rep = lu_solve(self.Nw_c, r[self.iw], self._lu_curl)
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
     def convection(self, u):
-        """Skew vorticity convection C = skew(G(u)); one assembly per step
-        serves both transport solves."""
-        return assemble.skew_part(assemble.assemble_vorticity_convection(u, self.W, self.qdeg))
+        """Skew vorticity convection C(u); one assembly per step serves both
+        transport solves."""
+        return assemble.assemble_vorticity_convection(u, self.W, self.qdeg)
+
+    # -- per-step operators: a static matrix plus a skew term, as products --
+
+    def transport_operator(self, C):
+        """N/dt + K/2 = S + C/2, S the static transport matrix."""
+        S = self.transport_static
+        return Operator(S.shape[0], lambda y: S @ y + 0.5 * (C @ y), lambda: S + 0.5 * C)
+
+    def vorticity_operator(self, C):
+        """(N/dt + (C + nu L)/2) on the free dofs = S + C[iw][:, iw]/2,
+        applied through the full-space C on a zero-padded vector."""
+        S, iw = self.vorticity_static, self.iw
+        full = np.zeros(self.W.dim)
+
+        def apply(y):
+            full[iw] = y
+            return S @ y + 0.5 * (C @ full)[iw]
+
+        return Operator(len(iw), apply, lambda: S + 0.5 * C[iw][:, iw])
+
+    def momentum_operator(self, R, tau):
+        """Z^T M Z + tau/2 Z^T R Z, the stream-function system times tau."""
+        Z, Zt, ZMZ = self.Z, self.Zt, self.ZMZ
+        return Operator(ZMZ.shape[0], lambda y: ZMZ @ y + (0.5 * tau) * (Zt @ (R @ (Z @ y))),
+                        lambda: ZMZ + (0.5 * tau) * self.reduced_rotation(R))
+
+    def reduced_rotation(self, R):
+        """Z^T R Z for the rotation R, made exactly skew; formed only for a
+        fresh factor of the momentum operator."""
+        return -assemble.skew_part(self.Zt @ (R @ self.Z))
+
+    # -- sub-solves ----------------------------------------------------------
 
     def solve_transport(self, C, phi):
         """Particle step: midpoint skew transport plus diffusion, with C the
         skew convection by the midpoint velocity.  With A = N/dt + K/2 the
         rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi."""
-        A = self.transport_static + 0.5 * C
+        A = self.transport_operator(C)
         x = phi.coefficients
         rhs = 2.0 * (self.Nw_dt @ x) - A @ x
         coef, rep = lu_solve(A, rhs, self._lu_transport)
@@ -290,7 +331,7 @@ class Model:
 
     def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
         """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic sources."""
-        A = self.vorticity_static + 0.5 * C[self.iw][:, self.iw]
+        A = self.vorticity_operator(C)
         x = omega.coefficients[self.iw]
         rhs = 2.0 * (self.Nw_c_dt @ x) - A @ x
         if phi_mid is not None:
@@ -301,10 +342,6 @@ class Model:
         sol, rep = lu_solve(A, rhs, self._lu_vorticity)
         coef[self.iw] = sol
         return Field(self.W, coef), rep
-
-    def reduced_rotation(self, R):
-        """Z^T R Z for the rotation R, made exactly skew."""
-        return -assemble.skew_part(self.Zt @ (R @ self.Z))
 
     def solve_momentum(self, omega, u_old, dt, b=None):
         """Momentum step with rotation at the midpoint velocity and the
@@ -318,7 +355,7 @@ class Model:
         f = (self.M @ uo) / dt - 0.5 * (R @ uo) - self.nu * l
         if b is not None:
             f = f + b
-        A = self.ZMZ + (0.5 * dt) * self.reduced_rotation(R)
+        A = self.momentum_operator(R, dt)
         psi, rep = lu_solve(A, dt * (self.Zt @ f), self._lu_momentum)
         u = self.Z @ psi
         # D^T p = A u - f on the free dofs; the residual lies in range(D^T)
@@ -326,7 +363,7 @@ class Model:
         p = np.zeros(self.Q.dim)
         p[1:], prep = lu_solve(self.DDt, (self.D_r @ r)[1:], self._lu_pressure)
         p = project_out_constant(p, self.MQ, self.ones_q, self.area)
-        res = max(rep.residual / dt, float(np.max(np.abs(r - self.D_r.T @ p))))
+        res = max(rep.residual / dt, float(np.max(np.abs(r - self.D_rt @ p))))
         report = SolverReport(refinements=rep.refinements + prep.refinements, residual=res,
                               fallback=rep.fallback or prep.fallback)
         return Field(self.U, u), Field(self.Q, p), l, report

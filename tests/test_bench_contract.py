@@ -66,6 +66,15 @@ def test_every_traced_method_exists(spans):
             assert meth in vars(getattr(module, cls_name)), f"dualflow.{layer}.{qual}"
 
 
+def test_convection_metric_has_a_function_to_time(spans):
+    """`assemble.vorticity_convection_ms` and the convection call count time
+    the functions named in CONVECTION; a rename would read 0 silently."""
+    from dualflow import assemble
+
+    assert any(inspect.isfunction(getattr(assemble, name, None)) for name in spans.CONVECTION)
+    assert inspect.isfunction(assemble.assemble_vorticity_convection)
+
+
 def test_lu_solve_report_has_residual(spans):
     A = sp.identity(3, format="csr")
     b = np.array([1.0, 2.0, 3.0])

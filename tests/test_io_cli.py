@@ -356,6 +356,21 @@ def test_cli_resume_after_crash_bitwise(tmp_path):
     assert "error:" in proc.stderr and "timeseries.csv is missing" in proc.stderr
 
 
+def test_cli_progress_line_carries_identity_maxima(tmp_path):
+    """`dualflow run` prints the running maxima of |mass_residual| and
+    |eres_gap|, the two per-step identity gaps of the time series."""
+    (tmp_path / "a.cfg").write_text(lock_cfg_text(tmp_path / "out", t_end=0.003))
+    proc = run_cli(["run", "--config", str(tmp_path / "a.cfg")], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    last = [line for line in proc.stdout.splitlines() if line.startswith("step 3/3")][-1]
+    fields = dict(item.split("=", 1) for item in last.split() if "=" in item)
+    rows = run(parse_config(lock_cfg_text(tmp_path / "ref", t_end=0.003))).rows
+    for name in ("mass_residual", "eres_gap"):
+        worst = max(abs(getattr(row, name)) for row in rows)
+        assert fields[f"max|{name}|"] == f"{worst:.2e}"
+        assert worst > 0.0
+
+
 def test_cli_homogeneous_taylor_green(tmp_path):
     cfgfile = tmp_path / "tg.cfg"
     cfgfile.write_text("""

@@ -119,6 +119,41 @@ def test_refinement_against_a_far_factor_falls_back(channel, factorizations):
     assert rep.residual <= 1e-10 * (1 + abs(b).max())
 
 
+def test_operator_builds_its_matrix_only_to_fall_back(channel, factorizations):
+    """An Operator is refined by its product alone; against a far factor it
+    builds its matrix once, for the one fresh factor."""
+    for scale, fallback in ((1e-4, False), (10.0, True)):
+        M, A = mass_plus_skew(channel, scale)
+        factor = CachedLU(M)
+        factorizations.clear()
+        built = []
+
+        def matrix():
+            built.append(A)
+            return A
+
+        op = linsolve.Operator(A.shape[0], lambda y: A @ y, matrix)
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x, rep = lu_solve(op, b, factor)
+        assert rep.fallback == fallback
+        assert len(built) == len(factorizations) == int(fallback)
+        assert abs(A @ x - b).max() <= rep.residual + 1e-16
+        assert rep.residual <= 1e-10 * (1 + abs(b).max())
+
+
+def test_own_factor_stops_at_the_roundoff_floor(channel):
+    """Against the factor of A itself the first solve is already at
+    eps (||A|| ||x|| + ||b||): no refinement pass."""
+    W = make_space(channel, "CG", 2)
+    M = assemble_mass(W, 6)
+    factor = CachedLU(M)
+    assert factor.norm == abs(M).sum(axis=1).max()
+    b = np.random.default_rng(6).standard_normal(W.dim)
+    x, rep = lu_solve(M, b, factor)
+    assert rep.refinements == 0
+    assert rep.residual <= linsolve.EPS * (factor.norm * abs(x).max() + abs(b).max())
+
+
 def saddle_blocks(channel, N=1):
     U = make_space(channel, "RT", N)
     Q = make_space(channel, "DG", N - 1)

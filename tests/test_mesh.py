@@ -182,6 +182,21 @@ def test_import_must_fill_the_configured_channel():
         read_mesh_text(mesh_text(moved, base.cells, base.num_edges), geom)
 
 
+def test_import_refuses_orphan_vertex():
+    """Vertex 4 is listed but no cell uses it: refused with its index, not
+    left to fail later in the dof map."""
+    geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
+    text = "5 5 2\n-0.5 0\n0.5 0\n0.5 1\n-0.5 1\n0 0.5\n0 1 2\n0 2 3"
+    with pytest.raises(MeshError, match="vertex 4 belongs to no cell"):
+        read_mesh_text(text, geom)
+
+
+def test_import_refuses_zero_cells():
+    geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
+    with pytest.raises(MeshError, match="no cells"):
+        read_mesh_text("3 0 0\n-0.5 0\n0.5 0\n0 1", geom)
+
+
 def test_import_reorients_flipped_cells():
     geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
     text = "4 5 2\n-0.5 0\n0.5 0\n0.5 1\n-0.5 1\n0 2 1\n0 2 3"

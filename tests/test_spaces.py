@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualflow.elements import LOCAL_EDGES, REF_VERTICES, UnsupportedElementError
-from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
+from dualflow.mesh import ChannelGeometry, MeshError, build_channel_mesh, build_periodic_rect_mesh
 from dualflow.spaces import (
     Field,
     constant_coefficients,
@@ -102,6 +102,12 @@ def test_make_space_refuses_untabulated_degree(channel):
     for family, degree in (("CG", 4), ("RT", 3), ("DG", 2)):
         with pytest.raises(UnsupportedElementError):
             make_space(channel, family, degree)
+
+
+def test_make_space_refuses_vertex_outside_every_cell(channel):
+    channel.vertices = np.vstack([channel.vertices, [[0.0, 0.5]]])
+    with pytest.raises(MeshError, match="CG1 dof map numbers .* belongs to no cell"):
+        make_space(channel, "CG", 1)
 
 
 @pytest.mark.parametrize("family,degree", [("CG", 1), ("CG", 2), ("RT", 1), ("RT", 2), ("DG", 0), ("DG", 1)])

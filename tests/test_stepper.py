@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse._compressed import _cs_matrix
 
 from dualflow import linsolve, stepper
 from dualflow.assemble import assemble_buoyancy, assemble_rotation
@@ -363,6 +364,73 @@ def test_stream_basis_structure(case, request):
     R = assemble_rotation(state.omega, model.U, model.qdeg)
     S = model.reduced_rotation(R)
     assert abs(S + S.T).max() == 0.0
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_per_step_operators_match_their_matrices(case, request):
+    """Each per-step operator, applied as products with the static matrices
+    and the assembled R and C, is its assembled matrix to roundoff; the
+    matrix it builds for a fresh factor is that matrix exactly."""
+    model, state = request.getfixturevalue(case)
+    dt = model.time.dt
+    C = model.convection(state.u_half)
+    R = assemble_rotation(state.omega, model.U, model.qdeg)
+    iw = model.iw
+    pairs = [
+        (model.momentum_operator(R, dt), model.ZMZ + (0.5 * dt) * model.reduced_rotation(R)),
+        (model.vorticity_operator(C), model.vorticity_static + 0.5 * C[iw][:, iw]),
+    ]
+    if model.physics.mode == "turbidity":
+        pairs.append((model.transport_operator(C), model.transport_static + 0.5 * C))
+    rng = np.random.default_rng(11)
+    for op, A in pairs:
+        assert op.shape == A.shape
+        for _ in range(2):  # the operator keeps no state between products
+            y = rng.standard_normal(A.shape[0])
+            ref = A @ y
+            assert np.max(np.abs(op @ y - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert abs(op.matrix() - A).max() == 0.0
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
+    """Without a fallback a step constructs exactly two compressed sparse
+    matrices, the assembled R and C; every other per-step operator is
+    applied as products."""
+    model, state = request.getfixturevalue(case)
+    built = []
+    init = _cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.shape)
+
+    monkeypatch.setattr(_cs_matrix, "__init__", counted)
+    _, audit = step(state, model)
+    monkeypatch.undo()
+    assert not any(rep.fallback for rep in audit.reports.values())
+    assert sorted(built) == sorted([(model.U.dim, model.U.dim), (model.W.dim, model.W.dim)])
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_own_factor_solves_take_no_refinement(case, request, monkeypatch):
+    """The weak-curl and pressure systems are solved against factors of
+    themselves: the first solve is at the roundoff floor."""
+    model, state = request.getfixturevalue(case)
+    own = []
+
+    def recorded(A, b, factor=None):
+        x, rep = lu_solve(A, b, factor)
+        if A is model.Nw_c or A is model.DDt:
+            own.append(rep)
+        return x, rep
+
+    lu_solve = stepper.lu_solve
+    monkeypatch.setattr(stepper, "lu_solve", recorded)
+    model.curl_h(state.u_half)
+    step(state, model)
+    assert len(own) == (3 if model.physics.mode == "turbidity" else 2)
+    assert all(rep.refinements == 0 for rep in own)
 
 
 def test_pressure_factor_fill_below_colamd(desk, factorizations):
