@@ -12,12 +12,16 @@ and the skew convection C(u) are assembled per step.  The static operators
 particle drift and the discrete curl Z) are built once per run by
 stepper.Model, which owns them.
 
+R and C evaluate no field at quadrature points.  On an affine cell the
+Piola maps cancel, (J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k /
+det J) . (J^-T grad w_a) = r_k . grad w_a / det J, and the weight's det J
+cancels the remaining 1/det J: both are one reference-tensor contraction.
+
 Index convention: for every matrix A produced here, A[i, j] pairs test
 function i against trial function j.
 
-The skew operators are skew *by construction*: the rotation and the
-vorticity convection are skewed cell by cell before the scatter, and the
-static settling drift is the exact skew part of its assembled matrix,
+The skew operators are skew *by construction*: R and C scatter each
+local entry a < b together with its negative at (b, a), in cell order,
 so quadratic invariants are conserved to round-off regardless of
 quadrature.
 """
@@ -26,8 +30,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .elements import reference_curl
+from .elements import reference_curl, skew_tensors
 from .mesh import TAG_BOTTOM, TAG_TOP
+from .spaces import interpolate
 
 GRAVITY = (0.0, -1.0)  # unit direction e_g of gravity
 
@@ -50,9 +55,9 @@ class _Pattern:
         self.nnz = len(uniq)
         self.shape = shape
 
-    def build(self, local):
-        data = np.zeros(self.nnz)
-        kernels.scatter_matrix(data, self.pos, local)
+    def build(self, local, pos=None):
+        """The matrix of the local matrices, or of local entries at `pos`."""
+        data = kernels.scatter_matrix(self.pos if pos is None else pos, local, self.nnz)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -64,6 +69,22 @@ def _pattern(row_space, col_space):
     if key not in cache:
         cache[key] = _Pattern(row_space.cell_dofs, col_space.cell_dofs,
                               (row_space.dim, col_space.dim))
+    return cache[key]
+
+
+def _skew_pattern(space):
+    """The (space, space) pattern and the positions (pos[a, b], pos[b, a]) of
+    each cell's pairs a < b, swapped where s_a s_b = -1: scattering (P, -P)
+    there adds s_a s_b P at (a, b) and its negative at (b, a), in cell order."""
+    cache = space.mesh._cache
+    key = ("skew", space.family, space.degree)
+    if key not in cache:
+        pattern = _pattern(space, space)
+        a, b = np.triu_indices(space.element.ndof, 1)
+        pos = np.stack([pattern.pos[:, a, b], pattern.pos[:, b, a]], axis=-1)
+        flip = space.cell_dof_signs[:, a] * space.cell_dof_signs[:, b] < 0
+        pos[flip] = pos[flip][:, ::-1]
+        cache[key] = pattern, np.ascontiguousarray(pos)  # ravels without a copy
     return cache[key]
 
 
@@ -127,10 +148,9 @@ def curl_matrix(W, U):
 def assemble_rotation(omega, U, qdegree):
     """Rotation operator R[i,j] = <omega x u_j, u_i>, exactly skew."""
     W = omega.space
-    utab = U.volume_data(qdegree)
-    wtab = W.volume_data(qdegree)
-    wq = kernels.field_scalar(W.cell_dofs, omega.coefficients, wtab.val)
-    return _pattern(U, U).build(kernels.rotation(utab.weights, wq, utab.val))
+    T_R, _ = skew_tensors(W.degree, U.degree, qdegree)
+    pattern, pos = _skew_pattern(U)
+    return pattern.build(kernels.skew_contraction(omega.coefficients[W.cell_dofs], T_R), pos)
 
 
 def skew_part(G):
@@ -139,17 +159,13 @@ def skew_part(G):
 
 
 def assemble_vorticity_convection(u, W, qdegree):
-    """The skew convection C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)>.
-
-    Each cell's local G is skewed before the scatter, as kernels.rotation
-    does, so C is exactly skew with no global transpose."""
+    """The skew convection C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)>,
+    exactly skew."""
     U = u.space
-    utab = U.volume_data(qdegree)
-    wtab = W.volume_data(qdegree)
-    uq = kernels.field_vec(U.cell_dofs, u.coefficients, utab.val)
-    duq = kernels.field_div(U.cell_dofs, u.coefficients, utab.div)
-    G = kernels.convection(wtab.weights, wtab.val, wtab.grad, uq, duq)
-    return _pattern(W, W).build(0.5 * (np.swapaxes(G, 1, 2) - G))
+    _, T_C = skew_tensors(W.degree, U.degree, qdegree)
+    pattern, pos = _skew_pattern(W)
+    coef = u.coefficients[U.cell_dofs] * U.cell_dof_signs
+    return pattern.build(kernels.skew_contraction(coef, T_C), pos)
 
 
 def assemble_wall_mass(space, tag, qdegree):
@@ -169,13 +185,14 @@ def _boundary_matrix(row_tab, col_tab, local, shape):
     return B
 
 
-def assemble_particle_drift(u_s, W, qdegree, bdegree):
-    """Static part of the particle transport operator: the exact skew part
-    of the constant settling drift <w_b, div(u_s e_g w_a)> plus the
-    settling terms u_s (B_top + B_bottom) / 2 on the top and bottom walls.
+def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
+    """Static part of the particle transport operator: the skew convection
+    u_s C(I e_g) by the settling drift, I e_g the interpolant in U of the
+    gravity direction (exact, RT holds constants), plus the settling terms
+    u_s (B_top + B_bottom) / 2 on the top and bottom walls.
 
-    The transport operator is skew(G(u)) + this drift: the volume part is
-    the skew part of <w_b, div(u_p w_a)> with u_p = u + u_s e_g, which is
+    The transport operator is C(u) + this drift: the volume part is the
+    skew part of <w_b, div(u_p w_a)> with u_p = u + u_s e_g, which is
     linear in u_p.  Both wall terms enter with +u_s/2 so that pairing
     against the constant test function reduces the operator to the
     bottom-wall settling outflux, which conserves particle mass.
@@ -184,14 +201,11 @@ def assemble_particle_drift(u_s, W, qdegree, bdegree):
         raise ValueError(f"settling speed must be nonnegative, got {u_s}")
     if u_s == 0.0:
         return sp.csr_matrix((W.dim, W.dim))
-    wtab = W.volume_data(qdegree)
-    C, nq = wtab.weights.shape
-    drift = np.broadcast_to(np.array(GRAVITY, dtype=float), (C, nq, 2))
-    G = _pattern(W, W).build(
-        kernels.convection(wtab.weights, wtab.val, wtab.grad, drift, np.zeros((C, nq))))
+    e_g = interpolate(U, lambda x, y: GRAVITY)
     B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
     B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
-    return (u_s * skew_part(G) + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()
+    return (u_s * assemble_vorticity_convection(e_g, W, qdegree)
+            + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()
 
 
 def assemble_buoyancy(U, W, qdegree):

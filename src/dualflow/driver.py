@@ -13,6 +13,7 @@ atomically.
 """
 
 import os
+import time
 from dataclasses import dataclass, field
 
 from . import io as dfio
@@ -96,6 +97,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     # solves that missed the tolerance against their static factor (linsolve.lu_solve)
     fallbacks = startup.fallbacks if startup is not None else 0
     max_mass = max_gap = 0.0  # running maxima of the per-step identity gaps
+    mark, mark_k = time.perf_counter(), state.k  # wall clock at the last progress line
     writer = dfio.CsvWriter(csv_path)
     try:
         if state.k == 0 and out["vtk_every"] > 0:
@@ -120,9 +122,12 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
                     os.path.join(outdir, f"checkpoint_{state.k:08d}.ckpt"), state, engine, model
                 )
             if log is not None and (state.k % max(1, nsteps // 10) == 0 or state.k == nsteps):
+                now = time.perf_counter()
+                ms = 1e3 * (now - mark) / (state.k - mark_k)
+                mark, mark_k = now, state.k
                 _maybe(log, f"step {state.k}/{nsteps}  t={row.t:.6g}  K={row.K:.6e}  "
                             f"div={row.div_inf:.2e}  max|mass_residual|={max_mass:.2e}  "
-                            f"max|eres_gap|={max_gap:.2e}  fallbacks={fallbacks}")
+                            f"max|eres_gap|={max_gap:.2e}  ms/step={ms:.3g}  fallbacks={fallbacks}")
     finally:
         writer.close()
     result.state = state

@@ -17,6 +17,8 @@ edge changes the sign of moment 0 but leaves moment 1 invariant; the dof
 maps in `spaces` rely on exactly this.
 """
 
+import functools
+
 import numpy as np
 
 from .quadrature import interval_rule, triangle_rule
@@ -217,6 +219,30 @@ def reference_curl(cg, rt):
     # rounding of the edge points leaves ~1e-16 there instead of zero
     Z[np.abs(Z) < 1e-12] = 0.0
     return Z
+
+
+@functools.lru_cache(maxsize=None)
+def skew_tensors(cg_degree, rt_degree, qdegree):
+    """Reference tensors of the rotation and the convection, metric-free on
+    affine cells (see assemble), each skew in (a, b) and kept as its
+    entries a < b, T[k, p] for the p-th pair of np.triu_indices(n, 1):
+      T_R[k, a, b] = sum_q w_q w_k (r_a,y r_b,x - r_a,x r_b,y)
+      T_C[k, a, b] = skew_ab sum_q w_q (r_k . grad w_a + div r_k w_a) w_b
+    with w the CG and r the RT reference basis.  Read-only."""
+    cg, rt = get_element("CG", cg_degree), get_element("RT", rt_degree)
+    rule = triangle_rule(qdegree)
+    w, wg = cg.tabulate(rule.points)
+    r, rdiv = rt.tabulate(rule.points)
+    E = np.einsum("q,qk,qa,qb->kab", rule.weights, w, r[..., 1], r[..., 0])
+    G = (np.einsum("q,qk,qa,qb->kab", rule.weights, rdiv, w, w)
+         + np.einsum("q,qkd,qad,qb->kab", rule.weights, r, wg, w))
+    a, b = np.triu_indices(rt.ndof, 1)
+    T_R = E[:, a, b] - E[:, b, a]
+    a, b = np.triu_indices(cg.ndof, 1)
+    T_C = 0.5 * (G[:, b, a] - G[:, a, b])
+    for T in (T_R, T_C):
+        T.flags.writeable = False
+    return T_R, T_C
 
 
 _CACHE = {}

@@ -1,15 +1,18 @@
-"""Assembly kernels: batched-matmul quadrature and CSR scatter, numpy only.
+"""Assembly kernels: quadrature, reference-tensor contraction and CSR
+scatter, numpy only.
 
-A quadrature kernel contracts the quadrature axis of every cell at once
-with one batched ``np.matmul``: a local matrix is
+A static form is integrated by contracting the quadrature axis of every
+cell at once with one batched ``np.matmul``: a local matrix is
 
     local[c, a, b] = sum_q wdet[c, q] * test[c, q, a] * trial[c, q, b]
-                   = (wdet[c, :, None] * test[c])^T @ trial[c],
+                   = (wdet[c, :, None] * test[c])^T @ trial[c].
 
-and a field at the quadrature points is the tabulation times the cell's
-coefficient vector.  Shared reference tables of shape (nq, n) broadcast
-over the cells.  The kernels are leaves: none calls another public
-kernel, so a tracer that wraps them counts each contraction once.
+Shared reference tables of shape (nq, n) broadcast over the cells.  The
+per-step rotation R(omega) and convection C(u) evaluate no field at
+quadrature points: each is one GEMM of the cells' coefficients with a
+metric-free reference tensor (elements.skew_tensors).  The kernels are
+leaves: none calls another public kernel, so a tracer that wraps them
+counts each contraction once.
 
 Every kernel accumulates in a fixed order, so repeated runs are bitwise
 identical at fixed BLAS threading.
@@ -34,38 +37,18 @@ def pairing_vec(wdet, test, trial):
     return _pair(wdet, test[..., 0], trial[..., 0]) + _pair(wdet, test[..., 1], trial[..., 1])
 
 
-def rotation(wdet, wq, val):
-    """R[c,a,b] = E - E^T with E[c,a,b] = sum_q w*omega val_y[a] val_x[b]:
-    <omega x u_b, u_a>, exactly skew by construction."""
-    E = _pair(wdet * wq, val[..., 1], val[..., 0])
-    return E - np.swapaxes(E, 1, 2)
+def skew_contraction(coef, tensor):
+    """Local entries (a, b) and (b, a) of exactly skew matrices, (C, p, 2) =
+    (P, -P), from the entries a < b of a reference tensor, tensor[k, p]:
+    one (C, k) @ (k, p) GEMM P = coef @ tensor."""
+    P = coef @ tensor
+    return np.stack([P, -P], axis=-1)
 
 
-def convection(wdet, val, grad, uq, duq):
-    """G[c,a,b] = sum_q w * val_b * (u . grad_a + div(u) val_a); a = test."""
-    adv = grad[..., 0] * uq[..., 0, None] + grad[..., 1] * uq[..., 1, None] + duq[..., None] * val
-    return _pair(wdet, adv, val)
-
-
-def field_scalar(dofs, coef, val):
-    """Scalar field at the quadrature points, (C, nq), from a shared table."""
-    return coef[dofs] @ val.T
-
-
-def field_vec(dofs, coef, val):
-    """Vector (RT) field at the quadrature points, (C, nq, 2)."""
-    c = coef[dofs][:, :, None]
-    return np.concatenate([val[..., 0] @ c, val[..., 1] @ c], axis=-1)
-
-
-def field_div(dofs, coef, div):
-    """Divergence of an RT field at the quadrature points, (C, nq)."""
-    return (div @ coef[dofs][:, :, None])[..., 0]
-
-
-def scatter_matrix(data, pos, local):
-    """data[pos] += local, accumulated in cell order."""
-    data += np.bincount(pos.ravel(), weights=local.ravel(), minlength=len(data))
+def scatter_matrix(pos, local, nnz):
+    """The CSR value array: at each position, the sum of the `local` entries
+    that `pos` sends there, accumulated in cell order."""
+    return np.bincount(pos.ravel(), weights=local.ravel(), minlength=nnz)
 
 
 def scatter_vector(out, dofs, local):

@@ -9,10 +9,10 @@ by its product A @ x, so a per-step operator may be an Operator, whose
 matrix is built only if a fresh factor is needed.  Refinement stops at
 the roundoff floor: once ||b - A x||_inf <= eps (||P||_inf ||x||_inf +
 ||b||_inf), or when a pass fails to halve the residual, or after
-MAX_REFINE passes.  If that misses the postcondition, A is factored
-afresh and the report says so (`fallback`).  Pressure-like vectors are
-defined up to a constant and are reported with zero mean
-(project_out_constant).
+MAX_REFINE passes; against A's own factor it takes none.  If that misses
+the postcondition, A is factored afresh and the report says so
+(`fallback`).  Pressure-like vectors are defined up to a constant and
+are reported with zero mean (project_out_constant).
 """
 
 from dataclasses import dataclass
@@ -55,14 +55,15 @@ class Operator:
 
 
 class CachedLU:
-    """LU factorization of a fixed matrix, reusable across solves, and the
-    matrix's inf-norm, which sets the roundoff floor of refinement.
+    """LU factorization of a fixed matrix, reusable across solves, with the
+    matrix and its inf-norm, which sets the roundoff floor of refinement.
 
     The fill-reducing ordering is minimum degree on A^T + A: every matrix
     factored here is structurally symmetric.
     """
 
     def __init__(self, matrix):
+        self.matrix = matrix
         self.norm = float(abs(matrix).sum(axis=1).max()) if matrix.shape[0] else 0.0
         try:
             self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -80,14 +81,16 @@ def _inf(r):
 def _refine(A, b, factor):
     """x = P^-1 b, then passes x += P^-1 (b - A x) until the residual is at
     the roundoff floor eps (||P|| ||x|| + ||b||), while each pass at least
-    halves it; a pass that does not lower it is discarded.
-    Returns (x, passes, residual)."""
+    halves it; a pass that does not lower it is discarded.  Against A's own
+    factor no pass is taken: LU's backward error has a growth constant
+    that the floor leaves out.  Returns (x, passes, residual)."""
     x = factor.solve(b)
     r = b - A @ x
     res = _inf(r)
     passes = 0
     b_inf = _inf(b)
-    while res > EPS * (factor.norm * _inf(x) + b_inf) and passes < MAX_REFINE:
+    while (A is not factor.matrix and res > EPS * (factor.norm * _inf(x) + b_inf)
+           and passes < MAX_REFINE):
         x_new = x + factor.solve(r)
         r_new = b - A @ x_new
         res_new = _inf(r_new)

@@ -216,7 +216,7 @@ class Model:
         if physics.mode == "turbidity":
             self.kappa_L = self.kappa * self.L
             self.drift = assemble.assemble_particle_drift(
-                physics.settling_velocity, self.W, self.qdeg, self.bdeg
+                physics.settling_velocity, self.U, self.W, self.qdeg, self.bdeg
             )
             self.buoyancy = assemble.assemble_buoyancy(self.U, self.W, self.qdeg)
             self.baroclinic = assemble.assemble_baroclinic(self.W, self.qdeg)

@@ -219,7 +219,7 @@ def taylor_green_l2_error(nx):
         divs.append(audit.div_inf)
     t_vel = state.k * dt + 0.5 * dt  # velocity lives at the half step
     exact = ic.velocity(t_vel, nu)
-    from dualflow import kernels
+    import util_fields as kernels
 
     tab = model.U.volume_data(8)
     uq = kernels.field_vec(model.U.cell_dofs, state.u_half.coefficients, tab.val)

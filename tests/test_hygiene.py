@@ -1,9 +1,11 @@
-"""Dead-code scans: no linter runs on this tree, so AST scans do two checks.
+"""Dead-code scans: no linter runs on this tree, so AST scans do three checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
 - Every private (`_name`) module-level function or class, and every
   private method, of `src/dualflow` is read somewhere in the package.
+- Every public function of `dualflow.kernels` is read by another module
+  of the package: a kernel that only tests call is a test helper.
 """
 
 import ast
@@ -37,6 +39,17 @@ def unused_imports(source):
                   if name not in read and name not in exported)
 
 
+def read_names(tree):
+    """Every name, attribute and imported name that `tree` reads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
 def unreferenced_private_names(sources):
     """(path, line, name) of each private module-level function or class,
     or private method, that no module in `sources` (path, text) reads."""
@@ -47,12 +60,19 @@ def unreferenced_private_names(sources):
             defined += [(path, node.lineno, node.name) for node in scope.body
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                         and node.name.startswith("_") and not node.name.endswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-                read.add(node.id if isinstance(node, ast.Name) else node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
+        read |= read_names(tree)
     return [entry for entry in defined if entry[2] not in read]
+
+
+def unread_public_functions(source, others):
+    """(line, name) of each public module-level function of `source` that
+    none of the sources in `others` reads."""
+    read = set()
+    for other in others:
+        read |= read_names(ast.parse(other))
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in read]
 
 
 def python_files():
@@ -91,3 +111,23 @@ def test_no_unreferenced_private_names():
             sources.append((path, fh.read()))
     dead = unreferenced_private_names(sources)
     assert not dead, "private but never read: " + ", ".join(f"{path}:{line} {name}" for path, line, name in dead)
+
+
+def test_scan_finds_an_unread_public_function():
+    kernels = "def used():\n    pass\ndef imported():\n    pass\ndef dead():\n    pass\n" \
+        "def _private():\n    pass\n"
+    others = ["from . import kernels\nkernels.used()\n", "from .kernels import imported\n",
+              "def dead():\n    pass\n"]
+    assert unread_public_functions(kernels, others) == [(5, "dead")]
+
+
+def test_no_dead_kernels():
+    package = [path for path in python_files() if path.startswith("src/dualflow/")]
+    sources = {}
+    for path in package:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    kernels = sources.pop("src/dualflow/kernels.py")
+    dead = unread_public_functions(kernels, sources.values())
+    assert not dead, "kernels no other package module reads: " + ", ".join(
+        f"{name} (line {line})" for line, name in dead)

@@ -358,7 +358,8 @@ def test_cli_resume_after_crash_bitwise(tmp_path):
 
 def test_cli_progress_line_carries_identity_maxima(tmp_path):
     """`dualflow run` prints the running maxima of |mass_residual| and
-    |eres_gap|, the two per-step identity gaps of the time series."""
+    |eres_gap|, the two per-step identity gaps of the time series, and
+    the mean wall ms/step since the previous progress line."""
     (tmp_path / "a.cfg").write_text(lock_cfg_text(tmp_path / "out", t_end=0.003))
     proc = run_cli(["run", "--config", str(tmp_path / "a.cfg")], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -369,6 +370,7 @@ def test_cli_progress_line_carries_identity_maxima(tmp_path):
         worst = max(abs(getattr(row, name)) for row in rows)
         assert fields[f"max|{name}|"] == f"{worst:.2e}"
         assert worst > 0.0
+    assert float(fields["ms/step"]) > 0.0
 
 
 def test_cli_homogeneous_taylor_green(tmp_path):

@@ -5,7 +5,11 @@ before its kernels became batched matmuls and its source terms static
 matrices: every operator is rebuilt here from the tabulations with
 einsum and an unbuffered scatter (np.add.at), straight from its
 integral, and compared to the package's to 1e-13 relative.  The cases
-are the desk lock-exchange channel at N=2 and a periodic box at N=1.
+are the desk lock-exchange channel at N=2, a periodic box at N=1, and
+the imported sim1 mesh at N=1 and N=2.  The first two have one cell area
+each; sim1's barycentric splits give cells of several shapes and areas,
+so a lost Jacobian or det J factor in the package's metric-free
+reference tensors shows there.
 """
 
 import numpy as np
@@ -19,8 +23,11 @@ from dualflow.mesh import (
     ChannelGeometry,
     build_channel_mesh,
     build_periodic_rect_mesh,
+    read_mesh_text,
 )
 from dualflow.spaces import Field, make_space
+
+from util_sim1 import sim1_mesh_text
 
 RTOL = 1e-13
 G = assemble.GRAVITY
@@ -192,7 +199,24 @@ def periodic():
     return Case(build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 8, 8, "left"), 1, seed=2)
 
 
-@pytest.fixture(params=["desk", "periodic"])
+@pytest.fixture(scope="module")
+def sim1_mesh():
+    return read_mesh_text(*sim1_mesh_text())
+
+
+@pytest.fixture(scope="module")
+def sim1_1(sim1_mesh):
+    """The sim1 import mesh (tests/util_sim1.py), whose cell areas vary
+    threefold, at N=1."""
+    return Case(sim1_mesh, 1, seed=3)
+
+
+@pytest.fixture(scope="module")
+def sim1_2(sim1_mesh):
+    return Case(sim1_mesh, 2, seed=4)
+
+
+@pytest.fixture(params=["desk", "periodic", "sim1_1", "sim1_2"])
 def case(request):
     return request.getfixturevalue(request.param)
 
@@ -234,7 +258,7 @@ def test_particle_operator_matches_oracle(case):
     """The transport operator as the step builds it: skew(G(u)) + drift."""
     u_s = 0.02
     A = assemble.assemble_vorticity_convection(case.u, case.W, case.q)
-    A = A + assemble.assemble_particle_drift(u_s, case.W, case.q, case.b)
+    A = A + assemble.assemble_particle_drift(u_s, case.U, case.W, case.q, case.b)
     assert_close(A, o_particle(case.u, u_s, case.W, case.q, case.b))
 
 

@@ -193,7 +193,7 @@ def test_vorticity_convection_conserves_constants(channel):
 def particle_transport(u, u_s, W, qdegree, bdegree):
     """The particle transport operator as the step builds it."""
     C = assemble_vorticity_convection(u, W, qdegree)
-    return C + assemble_particle_drift(u_s, W, qdegree, bdegree)
+    return C + assemble_particle_drift(u_s, u.space, W, qdegree, bdegree)
 
 
 def test_particle_convection_zero_inputs(channel):
@@ -201,7 +201,7 @@ def test_particle_convection_zero_inputs(channel):
     A = particle_transport(Field(U, np.zeros(U.dim)), 0.0, W, 4, 3)
     assert abs(A).max() == 0.0
     with pytest.raises(ValueError):
-        assemble_particle_drift(-0.1, W, 4, 3)
+        assemble_particle_drift(-0.1, U, W, 4, 3)
 
 
 @pytest.mark.parametrize("N", [1, 2])

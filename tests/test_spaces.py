@@ -72,13 +72,13 @@ def l2_error(field, fn, qdegree=8):
     tab = space.volume_data(qdegree)
     x, y = tab.points[..., 0], tab.points[..., 1]
     if space.family == "RT":
-        from dualflow import kernels
+        import util_fields as kernels
 
         uq = kernels.field_vec(space.cell_dofs, field.coefficients, tab.val)
         fx, fy = fn(x, y)
         err = (uq[..., 0] - fx) ** 2 + (uq[..., 1] - fy) ** 2
     else:
-        from dualflow import kernels
+        import util_fields as kernels
 
         vq = kernels.field_scalar(space.cell_dofs, field.coefficients, tab.val)
         err = (vq - fn(x, y)) ** 2
@@ -262,7 +262,7 @@ def test_curl_matrix_matches_edge_loop(mesh_kind, degree, channel, torus):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_div_rt_lands_in_dg(channel, degree):
     """Projecting div(u_h) into DG recovers it pointwise (lossless)."""
-    from dualflow import kernels
+    import util_fields as kernels
     from dualflow.assemble import assemble_mass
 
     U = make_space(channel, "RT", degree)

@@ -11,7 +11,7 @@ from dualflow.config import parse_config_file
 from dualflow.diagnostics import Engine
 from dualflow.driver import build_model
 from dualflow.mesh import TAG_BOTTOM, ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
-from dualflow.spaces import Field, interpolate, project
+from dualflow.spaces import Field, FunctionSpace, interpolate, project
 from dualflow.stepper import (
     LockInitialCondition,
     Model,
@@ -285,7 +285,7 @@ def taylor_green_velocity_error(nx, nu=0.01, dt=1e-2, nsteps=10):
         state, _ = step(state, model)
     t = state.k * model.time.dt + 0.5 * model.time.dt  # velocity lives at half steps
     exact = ic.velocity(t, nu)
-    from dualflow import kernels
+    import util_fields as kernels
 
     tab = model.U.volume_data(8)
     uq = kernels.field_vec(model.U.cell_dofs, state.u_half.coefficients, tab.val)
@@ -410,6 +410,23 @@ def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
     monkeypatch.undo()
     assert not any(rep.fallback for rep in audit.reports.values())
     assert sorted(built) == sorted([(model.U.dim, model.U.dim), (model.W.dim, model.W.dim)])
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_step_evaluates_no_field_at_quadrature_points(case, request, monkeypatch):
+    """R and C are contractions of the coefficients with reference
+    tensors: a step reads no volume tabulation."""
+    model, state = request.getfixturevalue(case)
+    read = []
+    volume_data = FunctionSpace.volume_data
+
+    def recorded(self, qdegree):
+        read.append((self.family, qdegree))
+        return volume_data(self, qdegree)
+
+    monkeypatch.setattr(FunctionSpace, "volume_data", recorded)
+    step(state, model)
+    assert read == []
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
