@@ -153,11 +153,6 @@ def assemble_rotation(omega, U, qdegree):
     return pattern.build(kernels.skew_contraction(omega.coefficients[W.cell_dofs], T_R), pos)
 
 
-def skew_part(G):
-    """Exact skew-symmetrization 0.5*(G^T - G) of an assembled matrix."""
-    return 0.5 * (G.T.tocsr() - G)
-
-
 def assemble_vorticity_convection(u, W, qdegree):
     """The skew convection C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)>,
     exactly skew."""

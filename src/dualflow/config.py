@@ -1,10 +1,12 @@
 """Run configuration: INI-style text with strict validation.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  Unknown
-sections or keys, keys the chosen mode never reads, type mismatches and
-constraint violations are fatal and reported with their line number.
+sections or keys, keys the chosen mode never reads, type mismatches,
+non-finite floats and constraint violations are fatal and reported with
+their line number.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -41,8 +43,6 @@ SCHEMA = {
     "time": {
         "dt": (float, REQUIRED),
         "t_end": (float, REQUIRED),
-        "startup_tol": (float, 1e-10),
-        "startup_max_iter": (int, 25),
     },
     "initial": {
         "interface_width": (float, None),
@@ -120,6 +120,8 @@ def parse_config(text):
             raise ConfigError(
                 f"{section}.{key}: expected {typ.__name__}, got {val!r}", lineno
             ) from None
+        if typ is float and not math.isfinite(parsed):
+            raise ConfigError(f"{section}.{key}: must be finite, got {val!r}", lineno)
         values[section][key] = parsed
         lines_of[(section, key)] = lineno
 
@@ -186,10 +188,6 @@ def _validate(cfg, lines_of):
         err("time", "dt", "must be positive")
     if time["t_end"] < time["dt"]:
         err("time", "t_end", "must be at least one time step")
-    if time["startup_tol"] <= 0:
-        err("time", "startup_tol", "must be positive")
-    if time["startup_max_iter"] < 1:
-        err("time", "startup_max_iter", "must be at least 1")
     init = cfg["initial"]
     if init["kind"] is None:
         init["kind"] = "lock" if phys["mode"] == "turbidity" else "taylor_green"

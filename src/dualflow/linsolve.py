@@ -2,21 +2,21 @@
 
 Every solve re-checks its own residual and reports it truthfully.  A
 matrix that does not change between steps is factored once, in a
-CachedLU.  A per-step operator that differs from a static matrix P by a
-small term is solved by refinement against the factor of P: x = P^-1 b,
-then x += P^-1 (b - A x) against the true A.  Refinement needs A only
-by its product A @ x, so a per-step operator may be an Operator, whose
-matrix is built only if a fresh factor is needed.  Refinement stops at
-the roundoff floor: once ||b - A x||_inf <= eps (||P||_inf ||x||_inf +
-||b||_inf), or when a pass fails to halve the residual, or after
-MAX_REFINE passes; against A's own factor it takes none.  If that misses
-the postcondition, A is factored afresh and the report says so
+CachedLU.  A per-step system A that differs from a static matrix S by a
+small term is solved by refinement against the factor of S: x = S^-1 b,
+then x += S^-1 (b - A x) against the true A.  Refinement needs A only by
+its product, so a per-step system is an Operator: the data S + scale
+E^T K E, with K exactly skew and E a fixed basis, whose matrix is built
+only if a fresh factor is needed.  Refinement stops at the roundoff
+floor: once ||b - A x||_inf <= eps (||S||_inf ||x||_inf + ||b||_inf), or
+when a pass fails to halve the residual, or after MAX_REFINE passes;
+against A's own factor it takes none.  If that misses the
+postcondition, A is factored afresh and the report says so
 (`fallback`).  Pressure-like vectors are defined up to a constant and
 are reported with zero mean (project_out_constant).
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -39,19 +39,31 @@ class SolverReport:
 
 @dataclass(frozen=True)
 class Operator:
-    """A square operator known by its product `apply(x) = A @ x`; `matrix()`
-    builds A as a sparse matrix, needed only for a fresh factor."""
+    """The square system S + scale E^T K E: a static sparse matrix S, an
+    exactly skew sparse K, and a fixed basis E with its transpose E^T
+    (both None for the identity).  It is applied as products; `matrix()`
+    builds it as a sparse matrix, needed only for a fresh factor."""
 
-    n: int
-    apply: Callable
-    matrix: Callable
+    static: object
+    skew: object
+    scale: float
+    basis: object = None
+    basis_t: object = None
 
     @property
     def shape(self):
-        return (self.n, self.n)
+        return self.static.shape
 
-    def __matmul__(self, x):
-        return self.apply(x)
+    def __matmul__(self, y):
+        if self.basis is None:
+            return self.static @ y + self.scale * (self.skew @ y)
+        return self.static @ y + self.scale * (self.basis_t @ (self.skew @ (self.basis @ y)))
+
+    def matrix(self):
+        """S + scale (G - G^T)/2 with G = E^T (K E): the skew term made
+        exactly skew, since E^T K E is skew only to roundoff."""
+        G = self.skew if self.basis is None else self.basis_t @ (self.skew @ self.basis)
+        return self.static + self.scale * (0.5 * (G - G.T))
 
 
 class CachedLU:
@@ -104,10 +116,6 @@ def _refine(A, b, factor):
     return x, passes, res
 
 
-def _factor(A):
-    return CachedLU(A.matrix() if isinstance(A, Operator) else A)
-
-
 def lu_solve(A, b, factor=None):
     """Solve A x = b by refinement against `factor`, a CachedLU of A or of
     a matrix near it; without one, A is factored here.  A is a sparse
@@ -124,10 +132,10 @@ def lu_solve(A, b, factor=None):
     if b.shape != (n,):
         raise SolverError("rhs length does not match matrix")
     target = RTOL * (1.0 + _inf(b))
-    x, passes, res = _refine(A, b, factor if factor is not None else _factor(A))
+    x, passes, res = _refine(A, b, factor) if factor is not None else (None, 0, np.inf)
     fallback = factor is not None and not res <= target
-    if fallback:
-        x, more, res = _refine(A, b, _factor(A))
+    if not res <= target:
+        x, more, res = _refine(A, b, CachedLU(A.matrix() if isinstance(A, Operator) else A))
         passes += more
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system: LU produced non-finite values")

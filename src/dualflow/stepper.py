@@ -21,19 +21,22 @@ and otherwise multiplies: the viscous vector l = Lc om, the curl rhs
 Lc^T u, the buoyancy b = B phi and the baroclinic and wall sources.
 
 No matrix is factored, and no sparse matrix is formed beyond R and C,
-inside the time loop.  Each per-step operator is a static matrix S plus
-a skew term, applied as matrix-vector products (linsolve.Operator):
+inside the time loop.  Each per-step system has one form, a static
+matrix S plus an exactly skew K seen through a fixed basis E,
 
-  transport   y -> S y + C y / 2
-  vorticity   y -> S y + (C pad(y))[iw] / 2,  pad(y) zero off the free dofs
-  momentum    y -> Z^T M Z y + tau/2 Z^T (R (Z y))
+  S + scale E^T K E     (linsolve.Operator, applied as products)
 
-so Z^T R Z is never formed.  Model factors each S once, and every
-per-step solve is refined against that factor (linsolve.lu_solve); only
-a solve that falls back to a fresh factor builds its matrix.  Step 4 is
-solved multiplied by its step tau, as (Z^T M Z + tau/2 Z^T R Z) psi =
-tau Z^T f, so the one factor of Z^T M Z serves both dt and the
-startup's dt/2.
+  transport   S = N/dt + (drift + kappa L)/2,  K = C,  scale 1/2,  E = I
+  vorticity   S = (N/dt + nu L/2) on iw,       K = C,  scale 1/2,  E = P
+  momentum    S = Z^T M Z,                     K = R,  scale tau/2, E = Z
+
+with P the identity's columns at the free vorticity dofs iw (None on
+the torus, where every dof is free), so Z^T R Z is never formed.  Model
+factors each S once, and every per-step solve is refined against that
+factor (linsolve.lu_solve); only a solve that falls back to a fresh
+factor builds its matrix.  Step 4 is solved multiplied by its step tau,
+as (Z^T M Z + tau/2 Z^T R Z) psi = tau Z^T f, so the one factor of
+Z^T M Z serves both dt and the startup's dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -54,7 +57,7 @@ prescribed viscosity instead of Gr^(-1/2).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -196,6 +199,9 @@ class Model:
         self.area = mesh.total_area()
         self.y_w = interpolate(self.W, lambda x, y: y).coefficients
 
+        # the free vorticity dofs as a basis of the CG space: all of it on the torus
+        self.P = None if mesh.periodic else sp.identity(self.W.dim, format="csr")[:, self.iw]
+        self.Pt = None if mesh.periodic else self.P.T.tocsr()
         self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
         self.Nw_c_dt = (1.0 / time.dt) * self.Nw_c
         self._lu_curl = CachedLU(self.Nw_c)
@@ -282,48 +288,11 @@ class Model:
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
-    def convection(self, u):
-        """Skew vorticity convection C(u); one assembly per step serves both
-        transport solves."""
-        return assemble.assemble_vorticity_convection(u, self.W, self.qdeg)
-
-    # -- per-step operators: a static matrix plus a skew term, as products --
-
-    def transport_operator(self, C):
-        """N/dt + K/2 = S + C/2, S the static transport matrix."""
-        S = self.transport_static
-        return Operator(S.shape[0], lambda y: S @ y + 0.5 * (C @ y), lambda: S + 0.5 * C)
-
-    def vorticity_operator(self, C):
-        """(N/dt + (C + nu L)/2) on the free dofs = S + C[iw][:, iw]/2,
-        applied through the full-space C on a zero-padded vector."""
-        S, iw = self.vorticity_static, self.iw
-        full = np.zeros(self.W.dim)
-
-        def apply(y):
-            full[iw] = y
-            return S @ y + 0.5 * (C @ full)[iw]
-
-        return Operator(len(iw), apply, lambda: S + 0.5 * C[iw][:, iw])
-
-    def momentum_operator(self, R, tau):
-        """Z^T M Z + tau/2 Z^T R Z, the stream-function system times tau."""
-        Z, Zt, ZMZ = self.Z, self.Zt, self.ZMZ
-        return Operator(ZMZ.shape[0], lambda y: ZMZ @ y + (0.5 * tau) * (Zt @ (R @ (Z @ y))),
-                        lambda: ZMZ + (0.5 * tau) * self.reduced_rotation(R))
-
-    def reduced_rotation(self, R):
-        """Z^T R Z for the rotation R, made exactly skew; formed only for a
-        fresh factor of the momentum operator."""
-        return -assemble.skew_part(self.Zt @ (R @ self.Z))
-
-    # -- sub-solves ----------------------------------------------------------
-
     def solve_transport(self, C, phi):
         """Particle step: midpoint skew transport plus diffusion, with C the
         skew convection by the midpoint velocity.  With A = N/dt + K/2 the
         rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi."""
-        A = self.transport_operator(C)
+        A = Operator(self.transport_static, C, 0.5)
         x = phi.coefficients
         rhs = 2.0 * (self.Nw_dt @ x) - A @ x
         coef, rep = lu_solve(A, rhs, self._lu_transport)
@@ -331,7 +300,7 @@ class Model:
 
     def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
         """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic sources."""
-        A = self.vorticity_operator(C)
+        A = Operator(self.vorticity_static, C, 0.5, self.P, self.Pt)
         x = omega.coefficients[self.iw]
         rhs = 2.0 * (self.Nw_c_dt @ x) - A @ x
         if phi_mid is not None:
@@ -355,7 +324,7 @@ class Model:
         f = (self.M @ uo) / dt - 0.5 * (R @ uo) - self.nu * l
         if b is not None:
             f = f + b
-        A = self.momentum_operator(R, dt)
+        A = Operator(self.ZMZ, R, 0.5 * dt, self.Z, self.Zt)
         psi, rep = lu_solve(A, dt * (self.Zt @ f), self._lu_momentum)
         u = self.Z @ psi
         # D^T p = A u - f on the free dofs; the residual lies in range(D^T)
@@ -385,7 +354,8 @@ def step(state, model):
     reports = {}
     phi_new = phi_mid = omega_tilde = b = None
     try:
-        C = model.convection(u)
+        # one skew convection C(u) serves both transport solves
+        C = assemble.assemble_vorticity_convection(u, model.W, model.qdeg)
         if particles:
             omega_tilde, reports["curl"] = model.curl_h(u)                # step 1
             phi_new, reports["transport"] = model.solve_transport(C, phi)  # step 2
@@ -487,7 +457,6 @@ class RandomSolenoidalInitialCondition:
 class StartupReport:
     iterations: int
     update: float
-    residual_history: list = field(default_factory=list)
     fallbacks: int = 0  # momentum solves that missed RTOL against the static factor
 
 
@@ -505,7 +474,6 @@ def initialize(model, ic):
     omega_star = omega0
     u_prev = u0
     p = Field(model.Q, np.zeros(model.Q.dim))
-    history = []
     converged = False
     iterations = fallbacks = 0
     for it in range(1, cap + 1):
@@ -514,7 +482,6 @@ def initialize(model, ic):
         du = u_new.coefficients - u_prev.coefficients
         scale = float(np.linalg.norm(u_new.coefficients))
         rel = float(np.linalg.norm(du)) / (scale if scale > 0 else 1.0)
-        history.append(rel)
         u_prev = u_new
         iterations = it
         if rel <= tol:
@@ -525,13 +492,12 @@ def initialize(model, ic):
     if not converged:
         raise StartupError(
             f"startup fixed point did not reach {tol:.1e} within {cap} iterations "
-            f"(last update {history[-1]:.3e})"
+            f"(last update {rel:.3e})"
         )
     _check_div(model, u_prev, "startup")
     omega_tilde, _ = model.curl_h(u_prev)
     state = SimulationState(
         k=0, u_half=u_prev, omega=omega0, phi=phi0, p_bar=p, omega_tilde=omega_tilde,
     )
-    return state, StartupReport(iterations=iterations, update=history[-1],
-                                residual_history=history, fallbacks=fallbacks)
+    return state, StartupReport(iterations=iterations, update=rel, fallbacks=fallbacks)
 

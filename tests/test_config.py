@@ -91,6 +91,15 @@ def test_removed_options_rejected_with_line(section, key):
     assert f"line {len(BASELINE.splitlines()) + 2}" in msg
 
 
+@pytest.mark.parametrize("line", ["startup_tol = 1e-10", "startup_max_iter = 25"])
+def test_removed_startup_keys_rejected_with_line(line):
+    text = BASELINE.replace("t_end = 12.0", f"t_end = 12.0\n{line}")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    key = line.split(" =")[0]
+    assert str(exc.value) == f"line {text.splitlines().index(line) + 1}: unknown key time.{key}"
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config("[turbulence]\nmodel = none\n")
@@ -158,6 +167,27 @@ def test_validation_names_offending_key_and_line(key, old, new):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert str(exc.value).startswith(f"line {text.splitlines().index(bad) + 1}: {key}:")
+
+
+NONFINITE = [  # (key, the config's line, its replacement)
+    ("time.t_end", "t_end = 0.5", "t_end = inf"),
+    ("time.t_end", "t_end = 0.5", "t_end = nan"),
+    ("time.dt", "dt = 1e-3", "dt = nan"),
+    ("physics.nu", "nu = 0.01", "nu = inf"),
+    ("physics.nu", "nu = 0.01", "nu = nan"),
+    ("mesh.length", "length = 6.283185307179586", "length = nan"),
+    ("mesh.height", "height = 6.283185307179586", "height = -inf"),
+]
+
+
+@pytest.mark.parametrize("key, old, new", NONFINITE, ids=[case[2] for case in NONFINITE])
+def test_non_finite_float_refused_at_line(key, old, new):
+    """inf and nan parse as floats; each is refused at its line before it
+    can overflow a step count or reach a factorization."""
+    text = HOMOGENEOUS.replace(old, new, 1)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(f"line {text.splitlines().index(new) + 1}: {key}: must be finite")
 
 
 def test_turbidity_rejects_non_lock_initial():

@@ -1,4 +1,4 @@
-"""Dead-code scans: no linter runs on this tree, so AST scans do three checks.
+"""Dead-code scans: no linter runs on this tree, so AST scans do four checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
@@ -6,6 +6,9 @@
   private method, of `src/dualflow` is read somewhere in the package.
 - Every public function of `dualflow.kernels` is read by another module
   of the package: a kernel that only tests call is a test helper.
+- Every field of a dataclass of `src/dualflow` is read somewhere in
+  `src/dualflow`, `tests` or `perfbench`: as an attribute, or by name as
+  a string (`CSV_COLUMNS` and the benchmark read fields by name).
 """
 
 import ast
@@ -15,6 +18,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCANNED = ("src/dualflow", "tests")
+READERS = SCANNED + ("perfbench",)
 
 
 def unused_imports(source):
@@ -75,8 +79,31 @@ def unread_public_functions(source, others):
             and node.name not in read]
 
 
-def python_files():
-    for folder in SCANNED:
+def unread_dataclass_fields(sources, readers):
+    """(path, line, Class.field) of each field of a dataclass in `sources`
+    (path, text) that no text in `readers` reads, as an attribute load or
+    as a string constant."""
+    fields = []
+    for path, source in sources:
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in cls.decorator_list
+            ):
+                fields += [(path, node.lineno, cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [(path, line, f"{cls}.{name}") for path, line, cls, name in fields if name not in read]
+
+
+def python_files(folders=SCANNED):
+    for folder in folders:
         for name in sorted(os.listdir(os.path.join(ROOT, folder))):
             if name.endswith(".py"):
                 yield f"{folder}/{name}"
@@ -131,3 +158,22 @@ def test_no_dead_kernels():
     dead = unread_public_functions(kernels, sources.values())
     assert not dead, "kernels no other package module reads: " + ", ".join(
         f"{name} (line {line})" for line, name in dead)
+
+
+def test_scan_finds_an_unread_dataclass_field():
+    a = "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass A:\n    x: int\n" \
+        "    y: int = 0\n    z: list = None\n@dataclass\nclass B:\n    w: float\n" \
+        "class C:\n    v: int\n"
+    b = "def f(a, b):\n    a.z = [a.x]\n    return b.w\nCOLUMNS = ('y',)\n"
+    assert unread_dataclass_fields([("a", a)], [a, b]) == [("a", 6, "A.z")]
+
+
+def test_no_unread_dataclass_fields():
+    texts = {}
+    for path in python_files(READERS):
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            texts[path] = fh.read()
+    package = [(path, text) for path, text in texts.items() if path.startswith("src/dualflow/")]
+    unread = unread_dataclass_fields(package, texts.values())
+    assert not unread, "dataclass fields never read: " + ", ".join(
+        f"{path}:{line} {name}" for path, line, name in unread)

@@ -275,6 +275,16 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_cli_run_refuses_infinite_t_end(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(lock_cfg_text(tmp_path / "o", t_end="inf"))
+    proc = run_cli(["run", "--config", str(cfgfile)], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "time.t_end: must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_mesh_info_table1(tmp_path):
     from util_sim1 import write_sim1_mesh
 

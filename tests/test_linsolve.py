@@ -84,14 +84,20 @@ def test_cached_lu_reuse(channel, monkeypatch):
         assert abs(M @ x - b).max() < 1e-10
 
 
-def mass_plus_skew(channel, scale):
-    """The shape of every per-step matrix: a static SPD part plus a skew
-    term; returns (static, static + skew), the skew entries up to
-    `scale` times the largest static one."""
+def mass_and_skew(channel, scale):
+    """The shape of every per-step matrix: a static SPD part and an exactly
+    skew term; returns (static, skew), the skew entries up to `scale`
+    times the largest static one."""
     W = make_space(channel, "CG", 2)
     M = assemble_mass(W, 6).tocsr()
     G = sp.random(W.dim, W.dim, density=0.01, random_state=7, format="csr")
-    return M, (M + scale * abs(M).max() * (G - G.T)).tocsr()
+    return M, (scale * abs(M).max() * (G - G.T)).tocsr()
+
+
+def mass_plus_skew(channel, scale):
+    """(static, static + skew) of mass_and_skew."""
+    M, K = mass_and_skew(channel, scale)
+    return M, (M + K).tocsr()
 
 
 def test_refinement_against_a_near_factor(channel, factorizations):
@@ -119,20 +125,24 @@ def test_refinement_against_a_far_factor_falls_back(channel, factorizations):
     assert rep.residual <= 1e-10 * (1 + abs(b).max())
 
 
-def test_operator_builds_its_matrix_only_to_fall_back(channel, factorizations):
+def test_operator_builds_its_matrix_only_to_fall_back(channel, factorizations, monkeypatch):
     """An Operator is refined by its product alone; against a far factor it
     builds its matrix once, for the one fresh factor."""
+    built = []
+    matrix = linsolve.Operator.matrix
+
+    def recorded(op):
+        built.append(op)
+        return matrix(op)
+
+    monkeypatch.setattr(linsolve.Operator, "matrix", recorded)
     for scale, fallback in ((1e-4, False), (10.0, True)):
-        M, A = mass_plus_skew(channel, scale)
+        M, K = mass_and_skew(channel, scale)
+        A = (M + K).tocsr()
+        op = linsolve.Operator(M, K, 1.0)
+        assert abs(matrix(op) - A).max() == 0.0
         factor = CachedLU(M)
         factorizations.clear()
-        built = []
-
-        def matrix():
-            built.append(A)
-            return A
-
-        op = linsolve.Operator(A.shape[0], lambda y: A @ y, matrix)
         b = np.random.default_rng(3).standard_normal(A.shape[0])
         x, rep = lu_solve(op, b, factor)
         assert rep.fallback == fallback

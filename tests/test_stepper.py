@@ -3,10 +3,11 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse._compressed import _cs_matrix
 
 from dualflow import linsolve, stepper
-from dualflow.assemble import assemble_buoyancy, assemble_rotation
+from dualflow.assemble import assemble_buoyancy, assemble_rotation, assemble_vorticity_convection
 from dualflow.config import parse_config_file
 from dualflow.diagnostics import Engine
 from dualflow.driver import build_model
@@ -362,26 +363,33 @@ def test_stream_basis_structure(case, request):
     assert np.max(np.abs((model.D @ Z).toarray())) <= 1e-13
     assert Z[model.u_fixed].count_nonzero() == 0
     R = assemble_rotation(state.omega, model.U, model.qdeg)
-    S = model.reduced_rotation(R)
+    # the rotation block of the momentum system's fallback matrix
+    zero = sp.csr_matrix(model.ZMZ.shape)
+    S = linsolve.Operator(zero, R, 1.0, model.Z, model.Zt).matrix()
     assert abs(S + S.T).max() == 0.0
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_per_step_operators_match_their_matrices(case, request):
-    """Each per-step operator, applied as products with the static matrices
-    and the assembled R and C, is its assembled matrix to roundoff; the
-    matrix it builds for a fresh factor is that matrix exactly."""
+    """Each per-step operator as the step builds it, applied as products
+    with the static matrices and the assembled R and C, is its assembled
+    matrix to roundoff; the matrix it builds for a fresh factor is that
+    matrix exactly."""
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
-    C = model.convection(state.u_half)
+    C = assemble_vorticity_convection(state.u_half, model.W, model.qdeg)
     R = assemble_rotation(state.omega, model.U, model.qdeg)
     iw = model.iw
+    G = model.Zt @ (R @ model.Z)  # Z^T R Z, skew only to roundoff
     pairs = [
-        (model.momentum_operator(R, dt), model.ZMZ + (0.5 * dt) * model.reduced_rotation(R)),
-        (model.vorticity_operator(C), model.vorticity_static + 0.5 * C[iw][:, iw]),
+        (linsolve.Operator(model.ZMZ, R, 0.5 * dt, model.Z, model.Zt),
+         model.ZMZ + (0.5 * dt) * (-0.5 * (G.T.tocsr() - G))),
+        (linsolve.Operator(model.vorticity_static, C, 0.5, model.P, model.Pt),
+         model.vorticity_static + 0.5 * C[iw][:, iw]),
     ]
     if model.physics.mode == "turbidity":
-        pairs.append((model.transport_operator(C), model.transport_static + 0.5 * C))
+        pairs.append((linsolve.Operator(model.transport_static, C, 0.5),
+                      model.transport_static + 0.5 * C))
     rng = np.random.default_rng(11)
     for op, A in pairs:
         assert op.shape == A.shape
