@@ -7,10 +7,14 @@ repeated assembly only refills the CSR value array, in a fixed cell
 order, so all operators are bitwise reproducible.
 
 The step is linear in each known field, so only the rotation R(omega)
-and the skew convection C(u) are assembled per step.  The static operators
-(the weak curl Lc, buoyancy, baroclinic, the wall Neumann term, the
-particle drift and the discrete curl Z) are built once per run by
-stepper.Model, which owns them.
+and the skew convection C(u) are assembled per step, both as CSR values
+on the (W, W) pattern: C itself, and R seen through the stream-function
+basis, Z^T R Z.  R u is applied per cell; no U x U matrix is formed.  A
+SkewSystem, built once per run, turns those values into the one CSR
+matrix of a per-step system.  The static
+operators (the weak curl Lc, buoyancy, baroclinic, the wall Neumann
+term, the particle drift and the discrete curl Z) are built once per run
+by stepper.Model, which owns them.
 
 R and C evaluate no field at quadrature points.  On an affine cell the
 Piola maps cancel, (J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k /
@@ -20,9 +24,9 @@ cancels the remaining 1/det J: both are one reference-tensor contraction.
 Index convention: for every matrix A produced here, A[i, j] pairs test
 function i against trial function j.
 
-The skew operators are skew *by construction*: R and C scatter each
-local entry a < b together with its negative at (b, a), in cell order,
-so quadratic invariants are conserved to round-off regardless of
+The skew operators are skew *by construction*: Z^T R Z and C scatter
+each local entry a < b together with its negative at (b, a), in cell
+order, so quadratic invariants are conserved to round-off regardless of
 quadrature.
 """
 
@@ -55,9 +59,12 @@ class _Pattern:
         self.nnz = len(uniq)
         self.shape = shape
 
-    def build(self, local, pos=None):
-        """The matrix of the local matrices, or of local entries at `pos`."""
-        data = kernels.scatter_matrix(self.pos if pos is None else pos, local, self.nnz)
+    def build(self, local):
+        """The matrix of the local matrices."""
+        return self.matrix(kernels.scatter_matrix(self.pos, local, self.nnz))
+
+    def matrix(self, data):
+        """The matrix with the CSR values `data` on this pattern."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -73,17 +80,15 @@ def _pattern(row_space, col_space):
 
 
 def _skew_pattern(space):
-    """The (space, space) pattern and the positions (pos[a, b], pos[b, a]) of
-    each cell's pairs a < b, swapped where s_a s_b = -1: scattering (P, -P)
-    there adds s_a s_b P at (a, b) and its negative at (b, a), in cell order."""
+    """The (space, space) pattern of a scalar space and the positions
+    (pos[a, b], pos[b, a]) of each cell's pairs a < b: scattering (P, -P)
+    there adds P at (a, b) and its negative at (b, a), in cell order."""
     cache = space.mesh._cache
     key = ("skew", space.family, space.degree)
     if key not in cache:
         pattern = _pattern(space, space)
         a, b = np.triu_indices(space.element.ndof, 1)
         pos = np.stack([pattern.pos[:, a, b], pattern.pos[:, b, a]], axis=-1)
-        flip = space.cell_dof_signs[:, a] * space.cell_dof_signs[:, b] < 0
-        pos[flip] = pos[flip][:, ::-1]
         cache[key] = pattern, np.ascontiguousarray(pos)  # ravels without a copy
     return cache[key]
 
@@ -146,21 +151,107 @@ def curl_matrix(W, U):
 
 
 def assemble_rotation(omega, U, qdegree):
-    """Rotation operator R[i,j] = <omega x u_j, u_i>, exactly skew."""
+    """The rotation R[i, j] = <omega x u_j, u_i> of the momentum step, seen
+    through the discrete curl Z; no U x U matrix is formed.
+
+    Z is cell-local, Z_c = S_c Z_loc with S_c the RT signs, and R_c =
+    S_c T(omega_c) S_c with T(omega_c) = sum_k omega_k T_R[k].  The signs
+    cancel, so Z^T R Z = sum_c Z_loc^T T(omega_c) Z_loc is one
+    contraction with T_Z (elements.skew_tensors), scattered on the (W, W)
+    pattern like C.  Returns its CSR values, exactly skew.
+    """
     W = omega.space
-    T_R, _ = skew_tensors(W.degree, U.degree, qdegree)
-    pattern, pos = _skew_pattern(U)
-    return pattern.build(kernels.skew_contraction(omega.coefficients[W.cell_dofs], T_R), pos)
+    _, _, T_Z = skew_tensors(W.degree, U.degree, qdegree)
+    pattern, pos = _skew_pattern(W)
+    coef = omega.coefficients[W.cell_dofs]
+    return kernels.scatter_matrix(pos, kernels.skew_contraction(coef, T_Z), pattern.nnz)
+
+
+def apply_rotation(omega, U, qdegree, u):
+    """R u per cell, sum_c S_c T(omega_c) S_c u_c: one GEMM of T_R
+    (elements.skew_tensors) against the cells' outer products of omega
+    and u coefficients, cells last so that the products run along
+    contiguous rows; no matrix is formed."""
+    W = omega.space
+    T_R = skew_tensors(W.degree, U.degree, qdegree)[0]
+    s = U.cell_dof_signs
+    outer = (np.ascontiguousarray(omega.coefficients[W.cell_dofs].T)[:, None, :]
+             * np.ascontiguousarray((u[U.cell_dofs] * s).T)[None, :, :])
+    v = (T_R @ outer.reshape(T_R.shape[1], -1)).T * s
+    return np.bincount(U.cell_dofs.ravel(), weights=v.ravel(), minlength=U.dim)
 
 
 def assemble_vorticity_convection(u, W, qdegree):
-    """The skew convection C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)>,
-    exactly skew."""
+    """The CSR values, on the (W, W) pattern, of the skew convection
+    C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)>, exactly skew."""
     U = u.space
-    _, T_C = skew_tensors(W.degree, U.degree, qdegree)
+    _, T_C, _ = skew_tensors(W.degree, U.degree, qdegree)
     pattern, pos = _skew_pattern(W)
     coef = u.coefficients[U.cell_dofs] * U.cell_dof_signs
-    return pattern.build(kernels.skew_contraction(coef, T_C), pos)
+    return kernels.scatter_matrix(pos, kernels.skew_contraction(coef, T_C), pattern.nnz)
+
+
+class SkewSystem:
+    """A per-step system S + scale K as one CSR matrix on the pattern of
+    its static part S: the (space, space) pattern restricted to `dofs`
+    (all of them if None), then `border` dense rows and columns.
+
+    K comes as its values on the (space, space) pattern and, if
+    bordered, its border columns X (rows in this system's order, the
+    last `border` of them the corner).  The border rows take -X^T and
+    the corner X's entries above the diagonal, so K is exactly skew.
+    `take`, built once, gathers all of it onto this pattern; S is laid
+    onto it once.
+    """
+
+    def __init__(self, S, space, dofs=None, border=0):
+        full = _pattern(space, space)
+        rows = np.repeat(np.arange(space.dim), np.diff(full.indptr))
+        cols, src = full.indices, np.arange(full.nnz)
+        if dofs is not None:
+            where = np.full(space.dim, -1)
+            where[dofs] = np.arange(len(dofs))
+            keep = (where[rows] >= 0) & (where[cols] >= 0)
+            rows, cols, src = where[rows[keep]], where[cols[keep]], src[keep]
+        m = space.dim if dofs is None else len(dofs)
+        size = m + border
+        if border:
+            # the values are followed by X (size x border), -X and a zero
+            r, j = np.divmod(np.arange(m * border), border)
+            x = full.nnz + r * border + j
+            ci, cj = np.divmod(np.arange(border * border), border)
+            corner = np.where(ci < cj, full.nnz + (m + ci) * border + cj,
+                              full.nnz + size * border + (m + cj) * border + ci)
+            corner[ci == cj] = full.nnz + 2 * size * border
+            rows = np.concatenate([rows, r, m + j, m + ci])
+            cols = np.concatenate([cols, m + j, r, m + cj])
+            src = np.concatenate([src, x, x + size * border, corner])
+        keys = rows.astype(np.int64) * size + cols
+        order = np.argsort(keys, kind="stable")  # sorted already but for a border
+        keys, src = keys[order], src[order]
+        S = S.tocoo()
+        wanted = S.row.astype(np.int64) * size + S.col
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        if np.any(keys[at] != wanted):
+            raise ValueError("the static matrix has an entry outside the pattern of its system")
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        self.static = sp.csr_matrix((np.bincount(at, weights=S.data, minlength=len(keys)),
+                                     (keys % size).astype(np.int32), indptr), shape=(size, size))
+        self.take = None if np.array_equal(src, np.arange(len(src))) else src
+
+    def skew_values(self, values, border=None):
+        """K's CSR values on this pattern."""
+        if border is not None:
+            values = np.concatenate([values, border.ravel(), -border.ravel(), [0.0]])
+        return values if self.take is None else values[self.take]
+
+    def matrix(self, scale, values, border=None):
+        """S + scale K, with K given as in skew_values."""
+        S = self.static
+        data = scale * self.skew_values(values, border)
+        data += S.data
+        return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
 
 
 def assemble_wall_mass(space, tag, qdegree):
@@ -199,8 +290,8 @@ def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
     e_g = interpolate(U, lambda x, y: GRAVITY)
     B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
     B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
-    return (u_s * assemble_vorticity_convection(e_g, W, qdegree)
-            + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()
+    C = _pattern(W, W).matrix(assemble_vorticity_convection(e_g, W, qdegree))
+    return (u_s * C + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()
 
 
 def assemble_buoyancy(U, W, qdegree):

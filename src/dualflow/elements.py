@@ -223,26 +223,33 @@ def reference_curl(cg, rt):
 
 @functools.lru_cache(maxsize=None)
 def skew_tensors(cg_degree, rt_degree, qdegree):
-    """Reference tensors of the rotation and the convection, metric-free on
-    affine cells (see assemble), each skew in (a, b) and kept as its
-    entries a < b, T[k, p] for the p-th pair of np.triu_indices(n, 1):
+    """Reference tensors of the rotation, the convection and the rotation
+    in stream-function space, metric-free on affine cells (see assemble),
+    each skew in (a, b), with w the CG and r the RT reference basis:
       T_R[k, a, b] = sum_q w_q w_k (r_a,y r_b,x - r_a,x r_b,y)
       T_C[k, a, b] = skew_ab sum_q w_q (r_k . grad w_a + div r_k w_a) w_b
-    with w the CG and r the RT reference basis.  Read-only."""
+      T_Z[k, a, b] = (Z^T T_R[k] Z)[a, b],  Z = reference_curl
+    T_C and T_Z, which are scattered, are kept as their entries a < b,
+    T[k, p] for the p-th pair of np.triu_indices(n, 1).  T_R, which is
+    applied per cell, is kept whole and laid out for one GEMM,
+    T_R[a, k n + b]: T(omega_c) x_c = T_R @ (omega_c (x) x_c).  Read-only."""
     cg, rt = get_element("CG", cg_degree), get_element("RT", rt_degree)
     rule = triangle_rule(qdegree)
     w, wg = cg.tabulate(rule.points)
     r, rdiv = rt.tabulate(rule.points)
     E = np.einsum("q,qk,qa,qb->kab", rule.weights, w, r[..., 1], r[..., 0])
+    E = E - np.transpose(E, (0, 2, 1))
     G = (np.einsum("q,qk,qa,qb->kab", rule.weights, rdiv, w, w)
          + np.einsum("q,qkd,qad,qb->kab", rule.weights, r, wg, w))
-    a, b = np.triu_indices(rt.ndof, 1)
-    T_R = E[:, a, b] - E[:, b, a]
+    Z = reference_curl(cg, rt)
+    S = np.einsum("am,kab,bn->kmn", Z, E, Z)
+    T_R = np.ascontiguousarray(np.transpose(E, (1, 0, 2))).reshape(rt.ndof, -1)
     a, b = np.triu_indices(cg.ndof, 1)
     T_C = 0.5 * (G[:, b, a] - G[:, a, b])
-    for T in (T_R, T_C):
+    T_Z = S[:, a, b]
+    for T in (T_R, T_C, T_Z):
         T.flags.writeable = False
-    return T_R, T_C
+    return T_R, T_C, T_Z
 
 
 _CACHE = {}

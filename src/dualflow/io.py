@@ -303,7 +303,9 @@ def load_checkpoint(path):
 
 def restore_state(data, model):
     """Rebuild a SimulationState from checkpoint data written by the same
-    run: mode, degree, dt, identity and field lengths must all match."""
+    run: mode, degree, dt, identity and field lengths must all match, and
+    the fields must hold the mode's state: u_half, omega, and phi if and
+    only if in turbidity mode."""
     from .spaces import Field
     from .stepper import SimulationState
 
@@ -320,8 +322,15 @@ def restore_state(data, model):
             raise CheckpointError(
                 f"checkpoint {part} ({IDENTITY[part]}) does not match the configured run"
             )
-    spaces = {"u_half": model.U, "omega": model.W, "phi": model.W,
-              "p_bar": model.Q, "omega_tilde": model.W}
+    spaces = {"u_half": model.U, "omega": model.W, "p_bar": model.Q, "omega_tilde": model.W}
+    needed = ["u_half", "omega"]
+    if model.physics.mode == "turbidity":
+        spaces["phi"] = model.W
+        needed.append("phi")
+    for name in needed:
+        if name not in data["fields"]:
+            raise CheckpointError(f"checkpoint has no field {name!r}, which a "
+                                  f"{model.physics.mode} state needs")
     kwargs = {}
     for name, coef in data["fields"].items():
         if name not in spaces:

@@ -2,16 +2,14 @@
 
 Every solve re-checks its own residual and reports it truthfully.  A
 matrix that does not change between steps is factored once, in a
-CachedLU.  A per-step system A that differs from a static matrix S by a
-small term is solved by refinement against the factor of S: x = S^-1 b,
-then x += S^-1 (b - A x) against the true A.  Refinement needs A only by
-its product, so a per-step system is an Operator: the data S + scale
-E^T K E, with K exactly skew and E a fixed basis, whose matrix is built
-only if a fresh factor is needed.  Refinement stops at the roundoff
+CachedLU.  A per-step system A, one CSR matrix that differs from a
+static matrix S by a small term, is solved by refinement against the
+factor of S: x = S^-1 b, then x += S^-1 (b - A x), one mat-vec with A
+and one triangular solve per pass.  Refinement stops at the roundoff
 floor: once ||b - A x||_inf <= eps (||S||_inf ||x||_inf + ||b||_inf), or
 when a pass fails to halve the residual, or after MAX_REFINE passes;
 against A's own factor it takes none.  If that misses the
-postcondition, A is factored afresh and the report says so
+postcondition, the same A is factored afresh and the report says so
 (`fallback`).  Pressure-like vectors are defined up to a constant and
 are reported with zero mean (project_out_constant).
 """
@@ -37,35 +35,6 @@ class SolverReport:
     fallback: bool = False  # the given factor missed RTOL; A was factored afresh
 
 
-@dataclass(frozen=True)
-class Operator:
-    """The square system S + scale E^T K E: a static sparse matrix S, an
-    exactly skew sparse K, and a fixed basis E with its transpose E^T
-    (both None for the identity).  It is applied as products; `matrix()`
-    builds it as a sparse matrix, needed only for a fresh factor."""
-
-    static: object
-    skew: object
-    scale: float
-    basis: object = None
-    basis_t: object = None
-
-    @property
-    def shape(self):
-        return self.static.shape
-
-    def __matmul__(self, y):
-        if self.basis is None:
-            return self.static @ y + self.scale * (self.skew @ y)
-        return self.static @ y + self.scale * (self.basis_t @ (self.skew @ (self.basis @ y)))
-
-    def matrix(self):
-        """S + scale (G - G^T)/2 with G = E^T (K E): the skew term made
-        exactly skew, since E^T K E is skew only to roundoff."""
-        G = self.skew if self.basis is None else self.basis_t @ (self.skew @ self.basis)
-        return self.static + self.scale * (0.5 * (G - G.T))
-
-
 class CachedLU:
     """LU factorization of a fixed matrix, reusable across solves, with the
     matrix and its inf-norm, which sets the roundoff floor of refinement.
@@ -87,7 +56,7 @@ class CachedLU:
 
 
 def _inf(r):
-    return float(np.max(np.abs(r))) if r.size else 0.0
+    return float(abs(r).max()) if r.size else 0.0
 
 
 def _refine(A, b, factor):
@@ -118,8 +87,7 @@ def _refine(A, b, factor):
 
 def lu_solve(A, b, factor=None):
     """Solve A x = b by refinement against `factor`, a CachedLU of A or of
-    a matrix near it; without one, A is factored here.  A is a sparse
-    matrix or an Operator.
+    a matrix near it; without one, A is factored here.
 
     Postcondition: ||Ax - b||_inf <= RTOL * (1 + ||b||_inf), or SolverError.
     A factor that misses it is replaced by a fresh factor of A, and the
@@ -135,7 +103,7 @@ def lu_solve(A, b, factor=None):
     x, passes, res = _refine(A, b, factor) if factor is not None else (None, 0, np.inf)
     fallback = factor is not None and not res <= target
     if not res <= target:
-        x, more, res = _refine(A, b, CachedLU(A.matrix() if isinstance(A, Operator) else A))
+        x, more, res = _refine(A, b, CachedLU(A))
         passes += more
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system: LU produced non-finite values")

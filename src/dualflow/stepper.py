@@ -16,27 +16,30 @@ is what keeps kinetic energy and enstrophy free of artificial
 dissipation.
 
 Model owns every static operator: it builds each once, at construction,
-from the fixed physics and time step.  A step assembles only R and C
-and otherwise multiplies: the viscous vector l = Lc om, the curl rhs
-Lc^T u, the buoyancy b = B phi and the baroclinic and wall sources.
+from the fixed physics and time step.  A step assembles only C and the
+rotation and otherwise multiplies: the viscous vector l = Lc om, the
+curl rhs Lc^T u, the buoyancy b = B phi and the baroclinic and wall
+sources.
 
-No matrix is factored, and no sparse matrix is formed beyond R and C,
-inside the time loop.  Each per-step system has one form, a static
-matrix S plus an exactly skew K seen through a fixed basis E,
+No matrix is factored inside the time loop, and the only sparse
+matrices formed there are the per-step systems, one CSR matrix each,
+S + scale K on the pattern of S (assemble.SkewSystem):
 
-  S + scale E^T K E     (linsolve.Operator, applied as products)
+  transport   S = N/dt + (drift + kappa L)/2,  K = C,          scale 1/2
+  vorticity   S = (N/dt + nu L/2) on iw,       K = C on iw,    scale 1/2
+  momentum    S = Z^T M Z,                     K = Z^T R Z,    scale tau/2
 
-  transport   S = N/dt + (drift + kappa L)/2,  K = C,  scale 1/2,  E = I
-  vorticity   S = (N/dt + nu L/2) on iw,       K = C,  scale 1/2,  E = P
-  momentum    S = Z^T M Z,                     K = R,  scale tau/2, E = Z
-
-with P the identity's columns at the free vorticity dofs iw (None on
-the torus, where every dof is free), so Z^T R Z is never formed.  Model
-factors each S once, and every per-step solve is refined against that
-factor (linsolve.lu_solve); only a solve that falls back to a fresh
-factor builds its matrix.  Step 4 is solved multiplied by its step tau,
-as (Z^T M Z + tau/2 Z^T R Z) psi = tau Z^T f, so the one factor of
-Z^T M Z serves both dt and the startup's dt/2.
+Model lays each S onto its pattern once; a step adds the values of K,
+which are exactly skew: C's on the CG pattern, taken at the free dofs
+iw by an index built once, and Z^T R Z, assembled per cell in
+stream-function space (assemble.assemble_rotation) with the torus's
+harmonic border.  R itself is never formed: R u is applied per cell.
+Model factors each S once, and every per-step solve is refined against
+that factor (linsolve.lu_solve), one mat-vec and one triangular solve
+per pass; a solve that falls back factors the same matrix afresh.
+Step 4 is solved multiplied by its step tau, as (Z^T M Z + tau/2 Z^T R
+Z) psi = tau Z^T f, so the one factor of Z^T M Z serves both dt and the
+startup's dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -47,7 +50,7 @@ but one plus the two constant (harmonic) velocities.  So
   4a. stream function   Z^T (M/dt + R/2) Z psi = Z^T f,   u = Z psi
   4b. pressure          D D^T p = D (A u - f),  one dof pinned, zero mean
 
-with Z^T M Z static and Z^T R Z skew up to roundoff.  D u = 0 holds by
+with Z^T M Z static and Z^T R Z exactly skew.  D u = 0 holds by
 construction and is still checked to 1e-10 every step.
 
 Both modes take this one step.  The homogeneous mode (periodic box, no
@@ -63,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assemble
-from .linsolve import CachedLU, Operator, SolverError, SolverReport, lu_solve, project_out_constant
+from .linsolve import CachedLU, SolverError, SolverReport, lu_solve, project_out_constant
 from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
     Field,
@@ -124,6 +127,10 @@ class TimeConfig:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one time step")
+        if self.startup_max_iter < 1:
+            raise ValueError(f"startup_max_iter must be at least 1, got {self.startup_max_iter}")
+        if not self.startup_tol > 0:  # refuses NaN too; inf takes one pass
+            raise ValueError(f"startup_tol must be positive, got {self.startup_tol}")
 
     @property
     def num_steps(self):
@@ -199,20 +206,26 @@ class Model:
         self.area = mesh.total_area()
         self.y_w = interpolate(self.W, lambda x, y: y).coefficients
 
-        # the free vorticity dofs as a basis of the CG space: all of it on the torus
-        self.P = None if mesh.periodic else sp.identity(self.W.dim, format="csr")[:, self.iw]
-        self.Pt = None if mesh.periodic else self.P.T.tocsr()
         self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
         self.Nw_c_dt = (1.0 / time.dt) * self.Nw_c
         self._lu_curl = CachedLU(self.Nw_c)
         # the static part of the vorticity matrix; a step adds C/2
         self.vorticity_static = (self.Nw_c_dt + 0.5 * self.nu_L[self.iw][:, self.iw]).tocsr()
         self._lu_vorticity = CachedLU(self.vorticity_static)
+        self.vorticity = assemble.SkewSystem(self.vorticity_static, self.W, self.iw)
 
-        self.Z = self._stream_basis()
+        # the constant (harmonic) velocities, which the torus's stream function misses
+        self.harmonic = None
+        if mesh.periodic:
+            self.harmonic = np.column_stack([interpolate(self.U, lambda x, y, e=e: e).coefficients
+                                             for e in ((1.0, 0.0), (0.0, 1.0))])
+        self.Z, psi_dofs = self._stream_basis()
         self.Zt = self.Z.T.tocsr()
         self.ZMZ = (self.Zt @ self.M @ self.Z).tocsr()
         self._lu_momentum = CachedLU(self.ZMZ)
+        # the static part of the stream-function matrix; a step adds tau/2 Z^T R Z
+        border = 0 if self.harmonic is None else self.harmonic.shape[1]
+        self.momentum = assemble.SkewSystem(self.ZMZ, self.W, psi_dofs, border)
         self.D_r = self.D[:, self.iu].tocsr()
         self.D_rt = self.D_r.T.tocsr()
         # D D^T annihilates the constant pressure: pin dof 0
@@ -232,18 +245,20 @@ class Model:
             # the static part of the transport matrix; a step adds C/2
             self.transport_static = (self.Nw_dt + 0.5 * (self.drift + self.kappa_L)).tocsr()
             self._lu_transport = CachedLU(self.transport_static)
+            self.transport = assemble.SkewSystem(self.transport_static, self.W)
 
     def _stream_basis(self):
         """Z: the discrete curl restricted to a basis of the divergence-free
-        velocities with zero normal trace (U.dim x n_psi)."""
+        velocities with zero normal trace (U.dim x n_psi), then the harmonic
+        velocities; and the CG dofs whose curls it takes."""
         Z = assemble.curl_matrix(self.W, self.U)
         if self.mesh.periodic:
-            harmonic = [interpolate(self.U, lambda x, y, e=e: e).coefficients
-                        for e in ((1.0, 0.0), (0.0, 1.0))]
             # psi is defined up to a constant: drop CG dof 0
-            Z = sp.hstack([Z[:, 1:], sp.csc_matrix(np.column_stack(harmonic))]).tocsr()
+            dofs = np.arange(1, self.W.dim)
+            Z = sp.hstack([Z[:, dofs], sp.csc_matrix(self.harmonic)]).tocsr()
         else:
-            Z = Z[:, free_dofs(self.W, wall_trace_dofs(self.W, WALL_TAGS))].tocsr()
+            dofs = free_dofs(self.W, wall_trace_dofs(self.W, WALL_TAGS))
+            Z = Z[:, dofs].tocsr()
         expected = len(self.iu) - (self.Q.dim - 1)
         if Z.shape[1] != expected:
             raise ValueError(
@@ -251,7 +266,7 @@ class Model:
                 f"{expected} divergence-free velocities: a channel mesh must be simply "
                 "connected and a periodic one a torus"
             )
-        return Z
+        return Z, dofs
 
     # -- scalar functionals -------------------------------------------------
 
@@ -292,7 +307,7 @@ class Model:
         """Particle step: midpoint skew transport plus diffusion, with C the
         skew convection by the midpoint velocity.  With A = N/dt + K/2 the
         rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi."""
-        A = Operator(self.transport_static, C, 0.5)
+        A = self.transport.matrix(0.5, C)
         x = phi.coefficients
         rhs = 2.0 * (self.Nw_dt @ x) - A @ x
         coef, rep = lu_solve(A, rhs, self._lu_transport)
@@ -300,7 +315,7 @@ class Model:
 
     def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
         """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic sources."""
-        A = Operator(self.vorticity_static, C, 0.5, self.P, self.Pt)
+        A = self.vorticity.matrix(0.5, C)
         x = omega.coefficients[self.iw]
         rhs = 2.0 * (self.Nw_c_dt @ x) - A @ x
         if phi_mid is not None:
@@ -318,17 +333,22 @@ class Model:
         pressure recovery.  The stream function system is solved multiplied
         by dt, against the factor of Z^T M Z.  Returns (u, p, l, report),
         l = Lc omega, with the residual of the unscaled system."""
-        R = assemble.assemble_rotation(omega, self.U, self.qdeg)
+        def rotate(v):  # R v, applied per cell
+            return assemble.apply_rotation(omega, self.U, self.qdeg, v)
+
+        K = assemble.assemble_rotation(omega, self.U, self.qdeg)
+        # on the torus, Z^T R Z also has the harmonic columns Z^T R H
+        X = None if self.harmonic is None else self.Zt @ np.column_stack([rotate(h) for h in self.harmonic.T])
         l = self.Lc @ omega.coefficients
         uo = u_old.coefficients
-        f = (self.M @ uo) / dt - 0.5 * (R @ uo) - self.nu * l
+        f = (self.M @ uo) / dt - 0.5 * rotate(uo) - self.nu * l
         if b is not None:
             f = f + b
-        A = Operator(self.ZMZ, R, 0.5 * dt, self.Z, self.Zt)
+        A = self.momentum.matrix(0.5 * dt, K, X)
         psi, rep = lu_solve(A, dt * (self.Zt @ f), self._lu_momentum)
         u = self.Z @ psi
         # D^T p = A u - f on the free dofs; the residual lies in range(D^T)
-        r = ((self.M @ u) / dt + 0.5 * (R @ u) - f)[self.iu]
+        r = ((self.M @ u) / dt + 0.5 * rotate(u) - f)[self.iu]
         p = np.zeros(self.Q.dim)
         p[1:], prep = lu_solve(self.DDt, (self.D_r @ r)[1:], self._lu_pressure)
         p = project_out_constant(p, self.MQ, self.ones_q, self.area)

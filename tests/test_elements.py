@@ -6,6 +6,7 @@ from dualflow.elements import (
     REF_VERTICES,
     UnsupportedElementError,
     get_element,
+    reference_curl,
     skew_tensors,
 )
 from dualflow.quadrature import interval_rule, triangle_rule
@@ -137,13 +138,22 @@ def test_unsupported_elements_raise():
 def test_skew_tensors_exact_memoized_and_read_only(degree):
     """The step's degree-2N+2 rule integrates both reference forms exactly
     (integrand degrees 3N and 3N-1), so a higher rule changes nothing
-    beyond roundoff; the tensors are built once and cannot be written."""
-    T_R, T_C = skew_tensors(degree, degree, 2 * degree + 2)
+    beyond roundoff; T_Z is T_R seen through the reference curl; the
+    tensors are built once and cannot be written."""
+    T_R, T_C, T_Z = skew_tensors(degree, degree, 2 * degree + 2)
     n_rt, n_cg = get_element("RT", degree).ndof, get_element("CG", degree).ndof
-    assert T_R.shape == (n_cg, n_rt * (n_rt - 1) // 2)
+    assert T_R.shape == (n_rt, n_cg * n_rt)
     assert T_C.shape == (n_rt, n_cg * (n_cg - 1) // 2)
-    for T, ref in zip((T_R, T_C), skew_tensors(degree, degree, 12)):
+    assert T_Z.shape == (n_cg, n_cg * (n_cg - 1) // 2)
+    for T, ref in zip((T_R, T_C, T_Z), skew_tensors(degree, degree, 12)):
         assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref))
+    full = T_R.reshape(n_rt, n_cg, n_rt).transpose(1, 0, 2)  # T(e_k)[a, b]
+    assert np.array_equal(full, -full.transpose(0, 2, 1))
+    Z = reference_curl(get_element("CG", degree), get_element("RT", degree))
+    a, b = np.triu_indices(n_cg, 1)
+    ref = np.stack([Z.T @ T @ Z for T in full])[:, a, b]
+    assert np.max(np.abs(T_Z - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert skew_tensors(degree, degree, 2 * degree + 2)[0] is T_R
-    with pytest.raises(ValueError):
-        T_R[0, 0] = 1.0
+    for T in (T_R, T_C, T_Z):
+        with pytest.raises(ValueError):
+            T[0, 0] = 1.0

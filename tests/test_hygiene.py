@@ -4,8 +4,9 @@
   somewhere in that module (or listed in its `__all__`).
 - Every private (`_name`) module-level function or class, and every
   private method, of `src/dualflow` is read somewhere in the package.
-- Every public function of `dualflow.kernels` is read by another module
-  of the package: a kernel that only tests call is a test helper.
+- Every public function of `dualflow.kernels` and `dualflow.assemble` is
+  read by another module of the package: a kernel or an assembly that
+  only tests call is a test helper or an oracle.
 - Every field of a dataclass of `src/dualflow` is read somewhere in
   `src/dualflow`, `tests` or `perfbench`: as an attribute, or by name as
   a string (`CSV_COLUMNS` and the benchmark read fields by name).
@@ -148,15 +149,36 @@ def test_scan_finds_an_unread_public_function():
     assert unread_public_functions(kernels, others) == [(5, "dead")]
 
 
-def test_no_dead_kernels():
-    package = [path for path in python_files() if path.startswith("src/dualflow/")]
+def unread_package_functions(module, extra=""):
+    """unread_public_functions of `dualflow.<module>`, its source followed
+    by `extra`, against the other modules of the package."""
     sources = {}
-    for path in package:
-        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
-            sources[path] = fh.read()
-    kernels = sources.pop("src/dualflow/kernels.py")
-    dead = unread_public_functions(kernels, sources.values())
+    for path in python_files():
+        if path.startswith("src/dualflow/"):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                sources[path] = fh.read()
+    source = sources.pop(f"src/dualflow/{module}.py") + extra
+    return unread_public_functions(source, sources.values())
+
+
+def test_no_dead_kernels():
+    dead = unread_package_functions("kernels")
     assert not dead, "kernels no other package module reads: " + ", ".join(
+        f"{name} (line {line})" for line, name in dead)
+
+
+def test_scan_finds_an_unread_assembly_function():
+    """An assembly function that only tests would call, put back at the
+    end of the real module, is the one the scan reports."""
+    dead = unread_package_functions("assemble", "\n\ndef assemble_unread(U, qdegree):\n    pass\n")
+    assert [name for line, name in dead] == ["assemble_unread"]
+
+
+def test_no_dead_assembly():
+    """A public function of dualflow.assemble that no other package module
+    reads is an oracle: it belongs in tests/ (as util_rotation.py)."""
+    dead = unread_package_functions("assemble")
+    assert not dead, "assemble functions no other package module reads: " + ", ".join(
         f"{name} (line {line})" for line, name in dead)
 
 

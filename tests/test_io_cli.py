@@ -196,6 +196,56 @@ def test_cli_resume_malformed_checkpoint(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("field", ["u_half", "omega", "phi"])
+def test_cli_resume_refuses_checkpoint_missing_a_state_field(tmp_path, field):
+    """A checkpoint whose fields lack part of the turbidity state is refused
+    with one error line naming the field, not a traceback at set-up or in
+    a later step."""
+    cfgfile = tmp_path / "a.cfg"
+    cfgfile.write_text(lock_cfg_text(tmp_path / "o"))
+    model = build_model(parse_config(cfgfile.read_text()))
+    state, _ = initialize(model, LockInitialCondition())
+    engine = Engine(model, state)
+    setattr(state, field, None)
+    dfio.save_checkpoint(str(tmp_path / "c.ckpt"), state, engine, model)
+    proc = run_cli(["resume", "--config", str(cfgfile), "--checkpoint", "c.ckpt"], cwd=tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and repr(field) in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+def test_homogeneous_checkpoint_with_phi_refused(tmp_path):
+    text = """
+[mesh]
+length = 1.0
+height = 1.0
+nx = 4
+ny = 4
+
+[physics]
+mode = homogeneous
+nu = 0.01
+
+[discretization]
+degree = 1
+
+[time]
+dt = 1e-2
+t_end = 1e-2
+
+[output]
+dir = {out}
+"""
+    result = run(parse_config(text.format(out=tmp_path / "o")))
+    data = dfio.load_checkpoint(str(tmp_path / "o" / "checkpoint_final.ckpt"))
+    assert "phi" not in data["fields"]
+    dfio.restore_state(data, result.model)
+    data["fields"]["phi"] = np.zeros(result.model.W.dim)
+    with pytest.raises(dfio.CheckpointError, match="'phi'"):
+        dfio.restore_state(data, result.model)
+
+
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)

@@ -27,6 +27,7 @@ from dualflow.mesh import (
 )
 from dualflow.spaces import Field, make_space
 
+from util_rotation import convection_matrix, rotation_matrix, skew_part
 from util_sim1 import sim1_mesh_text
 
 RTOL = 1e-13
@@ -241,16 +242,20 @@ def test_static_matrices_match_oracle(case):
 
 
 def test_rotation_and_viscous_vector_match_oracle(case):
-    R = assemble.assemble_rotation(case.omega, case.U, case.q)
+    """R, as tests/util_rotation.py scatters it and as the step applies it
+    per cell, and the viscous vector."""
+    R = rotation_matrix(case.omega, case.U, case.q)
     l = assemble.assemble_weak_curl(case.U, case.W, case.q) @ case.omega.coefficients
     R_ref, l_ref = o_rotation_ops(case.omega, case.U, case.q)
     assert_close(R, R_ref)
     assert_close(l, l_ref)
+    u = case.u.coefficients
+    assert_close(assemble.apply_rotation(case.omega, case.U, case.q, u), R_ref @ u)
 
 
 def test_convection_matches_oracle(case):
     """C, skewed cell by cell, is the skew part of the oracle's assembled G."""
-    C = assemble.assemble_vorticity_convection(case.u, case.W, case.q)
+    C = convection_matrix(case.u, case.W, case.q)
     G = o_convection_matrix(case.u, (0.0, 0.0), case.W, case.q)
     assert_close(C, 0.5 * (G.T - G))
 
@@ -258,7 +263,7 @@ def test_convection_matches_oracle(case):
 def test_particle_operator_matches_oracle(case):
     """The transport operator as the step builds it: skew(G(u)) + drift."""
     u_s = 0.02
-    A = assemble.assemble_vorticity_convection(case.u, case.W, case.q)
+    A = convection_matrix(case.u, case.W, case.q)
     A = A + assemble.assemble_particle_drift(u_s, case.U, case.W, case.q, case.b)
     assert_close(A, o_particle(case.u, u_s, case.W, case.q, case.b))
 
@@ -276,9 +281,12 @@ def test_vorticity_neumann_matches_oracle(desk):
 
 
 def test_rotation_and_convection_exactly_skew(case):
-    R = assemble.assemble_rotation(case.omega, case.U, case.q)
-    C = assemble.assemble_vorticity_convection(case.u, case.W, case.q)
-    for A in (R, C):
+    """R, C and the rotation in stream-function space on the CG pattern."""
+    R = rotation_matrix(case.omega, case.U, case.q)
+    C = convection_matrix(case.u, case.W, case.q)
+    values = assemble.assemble_rotation(case.omega, case.U, case.q)
+    system = assemble.SkewSystem(sp.csr_matrix((case.W.dim, case.W.dim)), case.W)
+    for A in (R, C, skew_part(system, values)):
         assert abs(A).max() > 0
         assert abs(A + A.T).max() == 0.0
         assert (A + A.T).count_nonzero() == 0

@@ -84,20 +84,14 @@ def test_cached_lu_reuse(channel, monkeypatch):
         assert abs(M @ x - b).max() < 1e-10
 
 
-def mass_and_skew(channel, scale):
-    """The shape of every per-step matrix: a static SPD part and an exactly
-    skew term; returns (static, skew), the skew entries up to `scale`
-    times the largest static one."""
+def mass_plus_skew(channel, scale):
+    """The shape of every per-step matrix: a static SPD part plus an exactly
+    skew term, its entries up to `scale` times the largest static one;
+    returns (static, static + skew)."""
     W = make_space(channel, "CG", 2)
     M = assemble_mass(W, 6).tocsr()
     G = sp.random(W.dim, W.dim, density=0.01, random_state=7, format="csr")
-    return M, (scale * abs(M).max() * (G - G.T)).tocsr()
-
-
-def mass_plus_skew(channel, scale):
-    """(static, static + skew) of mass_and_skew."""
-    M, K = mass_and_skew(channel, scale)
-    return M, (M + K).tocsr()
+    return M, (M + (scale * abs(M).max() * (G - G.T)).tocsr()).tocsr()
 
 
 def test_refinement_against_a_near_factor(channel, factorizations):
@@ -125,30 +119,29 @@ def test_refinement_against_a_far_factor_falls_back(channel, factorizations):
     assert rep.residual <= 1e-10 * (1 + abs(b).max())
 
 
-def test_operator_builds_its_matrix_only_to_fall_back(channel, factorizations, monkeypatch):
-    """An Operator is refined by its product alone; against a far factor it
-    builds its matrix once, for the one fresh factor."""
+def test_fallback_factors_the_matrix_it_refines(channel, factorizations, monkeypatch):
+    """A per-step system is one sparse matrix: refinement applies it, and a
+    solve that falls back factors that same matrix, once."""
     built = []
-    matrix = linsolve.Operator.matrix
 
-    def recorded(op):
-        built.append(op)
-        return matrix(op)
+    class Recorded(CachedLU):
+        def __init__(self, matrix):
+            built.append(matrix)
+            super().__init__(matrix)
 
-    monkeypatch.setattr(linsolve.Operator, "matrix", recorded)
+    monkeypatch.setattr(linsolve, "CachedLU", Recorded)
     for scale, fallback in ((1e-4, False), (10.0, True)):
-        M, K = mass_and_skew(channel, scale)
-        A = (M + K).tocsr()
-        op = linsolve.Operator(M, K, 1.0)
-        assert abs(matrix(op) - A).max() == 0.0
+        M, A = mass_plus_skew(channel, scale)
         factor = CachedLU(M)
         factorizations.clear()
         b = np.random.default_rng(3).standard_normal(A.shape[0])
-        x, rep = lu_solve(op, b, factor)
+        x, rep = lu_solve(A, b, factor)
         assert rep.fallback == fallback
         assert len(built) == len(factorizations) == int(fallback)
+        assert all(matrix is A for matrix in built)
         assert abs(A @ x - b).max() <= rep.residual + 1e-16
         assert rep.residual <= 1e-10 * (1 + abs(b).max())
+        built.clear()
 
 
 def test_own_factor_stops_at_the_roundoff_floor(channel):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualflow.assemble import (
+    SkewSystem,
     assemble_baroclinic,
     assemble_buoyancy,
     assemble_curlcurl,
     assemble_div,
     assemble_mass,
     assemble_particle_drift,
-    assemble_rotation,
-    assemble_vorticity_convection,
     assemble_vorticity_neumann,
     assemble_weak_curl,
 )
@@ -29,6 +29,7 @@ from dualflow.spaces import (
 )
 
 from util_curl import discrete_curl
+from util_rotation import convection_matrix, rotation_matrix
 
 
 @pytest.fixture
@@ -111,7 +112,7 @@ def test_curlcurl_linear_energy(square2):
 
 def test_rotation_zero_for_zero_vorticity(channel):
     W, U, _ = spaces_for(channel, 1)
-    R = assemble_rotation(Field(W, np.zeros(W.dim)), U, 4)
+    R = rotation_matrix(Field(W, np.zeros(W.dim)), U, 4)
     assert abs(R).max() == 0.0
     assert np.max(np.abs(assemble_weak_curl(U, W, 4) @ np.zeros(W.dim))) == 0.0
 
@@ -121,7 +122,7 @@ def test_rotation_skew(channel, N):
     W, U, _ = spaces_for(channel, N)
     rng = np.random.default_rng(N)
     om = Field(W, rng.standard_normal(W.dim))
-    R = assemble_rotation(om, U, 2 * N + 2)
+    R = rotation_matrix(om, U, 2 * N + 2)
     assert abs(R + R.T).max() <= 1e-13 * max(abs(R).max(), 1e-30)
     for _ in range(5):
         u = rng.standard_normal(U.dim)
@@ -132,7 +133,7 @@ def test_rotation_constant_fields(square2):
     """With omega=1: <1 x (1,0), (1,0)> = 0 and <1 x (1,0), (0,1)> = 1."""
     W, U, _ = spaces_for(square2, 1)
     om = project(W, lambda x, y: 1.0)
-    R = assemble_rotation(om, U, 4)
+    R = rotation_matrix(om, U, 4)
     ex = interpolate(U, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     ey = interpolate(U, lambda x, y: (np.zeros_like(x), np.ones_like(x)))
     assert abs(ex.coefficients @ (R @ ex.coefficients)) < 1e-12
@@ -150,7 +151,7 @@ def test_viscous_vector_rigid_rotation(channel):
 
 def test_vorticity_convection_zero_velocity(channel):
     W, U, _ = spaces_for(channel, 1)
-    C = assemble_vorticity_convection(Field(U, np.zeros(U.dim)), W, 4)
+    C = convection_matrix(Field(U, np.zeros(U.dim)), W, 4)
     assert abs(C).max() == 0.0
 
 
@@ -159,7 +160,7 @@ def test_vorticity_convection_skew_part(channel, N):
     W, U, _ = spaces_for(channel, N)
     rng = np.random.default_rng(N + 10)
     u = Field(U, rng.standard_normal(U.dim))
-    C = assemble_vorticity_convection(u, W, 2 * N + 2)
+    C = convection_matrix(u, W, 2 * N + 2)
     assert abs(C + C.T).max() == 0.0  # exact by construction
     assert (C + C.T).count_nonzero() == 0
     for _ in range(5):
@@ -183,7 +184,7 @@ def test_vorticity_convection_conserves_constants(channel):
     W, U, _ = spaces_for(channel, 2)
     rng = np.random.default_rng(8)
     u = solenoidal_velocity(channel, 2, rng)
-    C = assemble_vorticity_convection(u, W, 6)
+    C = convection_matrix(u, W, 6)
     ones = constant_coefficients(W)
     om = rng.standard_normal(W.dim)
     # pairing the transport with the constant test function: pure boundary flux
@@ -192,7 +193,7 @@ def test_vorticity_convection_conserves_constants(channel):
 
 def particle_transport(u, u_s, W, qdegree, bdegree):
     """The particle transport operator as the step builds it."""
-    C = assemble_vorticity_convection(u, W, qdegree)
+    C = convection_matrix(u, W, qdegree)
     return C + assemble_particle_drift(u_s, u.space, W, qdegree, bdegree)
 
 
@@ -328,3 +329,16 @@ def test_vorticity_neumann_examples(channel):
     assert abs(ones @ g_bot - 2.0 * wall_len) < 1e-12
     # grad(y).n is +1 on the top wall and -1 on the bottom wall
     assert abs(ones @ (Nn @ interpolate(W, lambda x, y: y).coefficients)) < 1e-12
+
+
+def test_skew_system_refuses_static_entry_outside_its_pattern(channel):
+    """A static matrix must fit the cell pattern its per-step system is
+    laid on: an entry coupling two dofs that share no cell is refused."""
+    W = make_space(channel, "CG", 1)
+    i, j = 0, W.dim - 1
+    assert not any(i in cell and j in cell for cell in W.cell_dofs.tolist())
+    far = sp.csr_matrix(([1.0], ([i], [j])), shape=(W.dim, W.dim))
+    with pytest.raises(ValueError, match="outside the pattern"):
+        SkewSystem(far, W)
+    near = assemble_mass(W, 4)[1:, 1:]
+    assert abs(SkewSystem(near, W, dofs=np.arange(1, W.dim)).static - near).max() == 0.0

@@ -7,11 +7,17 @@ import scipy.sparse as sp
 from scipy.sparse._compressed import _cs_matrix
 
 from dualflow import linsolve, stepper
-from dualflow.assemble import assemble_buoyancy, assemble_rotation, assemble_vorticity_convection
+from dualflow.assemble import assemble_buoyancy, assemble_vorticity_convection
 from dualflow.config import parse_config_file
 from dualflow.diagnostics import Engine
 from dualflow.driver import build_model
-from dualflow.mesh import TAG_BOTTOM, ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
+from dualflow.mesh import (
+    TAG_BOTTOM,
+    ChannelGeometry,
+    build_channel_mesh,
+    build_periodic_rect_mesh,
+    read_mesh_text,
+)
 from dualflow.spaces import Field, FunctionSpace, interpolate, project
 from dualflow.stepper import (
     LockInitialCondition,
@@ -26,6 +32,8 @@ from dualflow.stepper import (
 )
 
 from saddle_oracle import solve_saddle
+from util_rotation import convection_matrix, momentum_skew, rotation_matrix, skew_part
+from util_sim1 import sim1_mesh_text
 
 
 def turbidity_model(nx=20, ny=3, N=1, dt=1e-3, t_end=1.0, u_s=0.02, L=13.0, **kw):
@@ -75,6 +83,24 @@ def test_config_validation():
         TimeConfig(dt=-1e-3, t_end=1.0)
     with pytest.raises(ValueError):
         TimeConfig(dt=1e-3, t_end=1e-4)
+
+
+@pytest.mark.parametrize("knobs", [
+    dict(startup_max_iter=0), dict(startup_max_iter=-3),
+    dict(startup_tol=float("nan")), dict(startup_tol=0.0), dict(startup_tol=-1e-10),
+], ids=["max_iter_0", "max_iter_neg", "tol_nan", "tol_0", "tol_neg"])
+def test_startup_knobs_validated(knobs):
+    """A startup that could take no pass, or never compare its update, is
+    refused when configured; an infinite tolerance (one pass, as `dualflow
+    check` runs it) is allowed."""
+    with pytest.raises(ValueError, match="startup_"):
+        TimeConfig(dt=1e-3, t_end=1.0, **knobs)
+    time = dataclasses.replace(TimeConfig(dt=1e-3, t_end=1.0), startup_max_iter=1,
+                               startup_tol=float("inf"))
+    model = turbidity_model()
+    model.time = time
+    _, rep = initialize(model, LockInitialCondition())
+    assert rep.iterations == 1
 
 
 def test_mode_mesh_mismatch_rejected():
@@ -327,10 +353,31 @@ def box():
     return model, state
 
 
+def sim1_case(N):
+    """The sim1 import mesh (tests/util_sim1.py), cells of several shapes
+    and areas, two steps into a lock-exchange run."""
+    model = Model(read_mesh_text(*sim1_mesh_text()), N, PhysicsConfig(mode="turbidity"),
+                  TimeConfig(dt=1e-3, t_end=1.0))
+    state, _ = initialize(model, LockInitialCondition())
+    for _ in range(2):
+        state, _ = step(state, model)
+    return model, state
+
+
+@pytest.fixture(scope="module")
+def sim1_1():
+    return sim1_case(1)
+
+
+@pytest.fixture(scope="module")
+def sim1_2():
+    return sim1_case(2)
+
+
 def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
     """Step 4 as the pinned-pressure velocity/pressure saddle system."""
     iu = model.iu
-    R = assemble_rotation(omega, model.U, model.qdeg)
+    R = rotation_matrix(omega, model.U, model.qdeg)
     l = model.Lc @ omega.coefficients
     R_r = R[iu][:, iu]
     Mdt = (1.0 / dt) * model.M[iu][:, iu]
@@ -362,49 +409,67 @@ def test_stream_basis_structure(case, request):
     assert Z.shape[1] == len(model.iu) - (model.Q.dim - 1)
     assert np.max(np.abs((model.D @ Z).toarray())) <= 1e-13
     assert Z[model.u_fixed].count_nonzero() == 0
-    R = assemble_rotation(state.omega, model.U, model.qdeg)
-    # the rotation block of the momentum system's fallback matrix
-    zero = sp.csr_matrix(model.ZMZ.shape)
-    S = linsolve.Operator(zero, R, 1.0, model.Z, model.Zt).matrix()
-    assert abs(S + S.T).max() == 0.0
+    # the rotation block of the momentum system, torus border included
+    K = skew_part(model.momentum, *momentum_skew(model, state.omega))
+    assert abs(K).max() > 0
+    assert abs(K + K.T).max() == 0.0
 
 
-@pytest.mark.parametrize("case", ["desk", "box"])
-def test_per_step_operators_match_their_matrices(case, request):
-    """Each per-step operator as the step builds it, applied as products
-    with the static matrices and the assembled R and C, is its assembled
-    matrix to roundoff; the matrix it builds for a fresh factor is that
-    matrix exactly."""
+def per_step_systems(model, state, monkeypatch):
+    """One step of `model` from `state`; returns the step's state and
+    {name: (A, K)} of each per-step system it solved, K its skew part."""
+    seen = {}
+    names = {id(model._lu_momentum): "momentum", id(model._lu_vorticity): "vorticity"}
+    if model.physics.mode == "turbidity":
+        names[id(model._lu_transport)] = "transport"
+
+    def recorded(A, b, factor=None):
+        if id(factor) in names:
+            seen[names[id(factor)]] = A
+        return lu_solve(A, b, factor)
+
+    lu_solve = stepper.lu_solve
+    monkeypatch.setattr(stepper, "lu_solve", recorded)
+    new, _ = step(state, model)
+    monkeypatch.undo()
+    C = assemble_vorticity_convection(state.u_half, model.W, model.qdeg)
+    skew = {"transport": (C,), "vorticity": (C,), "momentum": momentum_skew(model, new.omega)}
+    return new, {name: (A, skew_part(getattr(model, name), *skew[name])) for name, A in seen.items()}
+
+
+@pytest.mark.parametrize("case", ["desk", "box", "sim1_1", "sim1_2"])
+def test_per_step_operators_match_their_matrices(case, request, monkeypatch):
+    """Each per-step system is one CSR matrix, equal to its defining form
+    to 1e-14 relative: Z^T M Z + tau/2 (G - G^T)/2 with G = Z^T (R Z), and
+    the static vorticity and transport matrices plus C/2.  Its skew part,
+    scattered on its pattern, is exactly skew."""
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
-    C = assemble_vorticity_convection(state.u_half, model.W, model.qdeg)
-    R = assemble_rotation(state.omega, model.U, model.qdeg)
+    new, systems = per_step_systems(model, state, monkeypatch)
+    C = convection_matrix(state.u_half, model.W, model.qdeg)
+    R = rotation_matrix(new.omega, model.U, model.qdeg)
+    G = model.Zt @ (R @ model.Z)
     iw = model.iw
-    G = model.Zt @ (R @ model.Z)  # Z^T R Z, skew only to roundoff
-    pairs = [
-        (linsolve.Operator(model.ZMZ, R, 0.5 * dt, model.Z, model.Zt),
-         model.ZMZ + (0.5 * dt) * (-0.5 * (G.T.tocsr() - G))),
-        (linsolve.Operator(model.vorticity_static, C, 0.5, model.P, model.Pt),
-         model.vorticity_static + 0.5 * C[iw][:, iw]),
-    ]
+    expected = {
+        "momentum": model.ZMZ + (0.5 * dt) * (0.5 * (G - G.T)),
+        "vorticity": model.vorticity_static + 0.5 * C[iw][:, iw],
+    }
     if model.physics.mode == "turbidity":
-        pairs.append((linsolve.Operator(model.transport_static, C, 0.5),
-                      model.transport_static + 0.5 * C))
-    rng = np.random.default_rng(11)
-    for op, A in pairs:
-        assert op.shape == A.shape
-        for _ in range(2):  # the operator keeps no state between products
-            y = rng.standard_normal(A.shape[0])
-            ref = A @ y
-            assert np.max(np.abs(op @ y - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert abs(op.matrix() - A).max() == 0.0
+        expected["transport"] = model.transport_static + 0.5 * C
+    assert set(systems) == set(expected)
+    for name, (A, K) in systems.items():
+        ref = expected[name]
+        assert sp.isspmatrix_csr(A) and A.shape == ref.shape
+        assert abs(A - ref).max() <= 1e-14 * abs(ref).max(), name
+        assert abs(K).max() > 0
+        assert (K + K.T).count_nonzero() == 0, name
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
-    """Without a fallback a step constructs exactly two compressed sparse
-    matrices, the assembled R and C; every other per-step operator is
-    applied as products."""
+    """Without a fallback a step constructs one compressed sparse matrix per
+    per-step system, holding its rotation or convection, and none of the
+    size of the velocity space: R is applied per cell."""
     model, state = request.getfixturevalue(case)
     built = []
     init = _cs_matrix.__init__
@@ -417,7 +482,11 @@ def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
     _, audit = step(state, model)
     monkeypatch.undo()
     assert not any(rep.fallback for rep in audit.reports.values())
-    assert sorted(built) == sorted([(model.U.dim, model.U.dim), (model.W.dim, model.W.dim)])
+    systems = [model.momentum, model.vorticity]
+    if model.physics.mode == "turbidity":
+        systems.append(model.transport)
+    assert (model.U.dim, model.U.dim) not in built
+    assert sorted(built) == sorted(system.static.shape for system in systems)
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
