@@ -6,15 +6,20 @@ only thing cached is a matrix sparsity pattern, computed once per
 repeated assembly only refills the CSR value array, in a fixed cell
 order, so all operators are bitwise reproducible.
 
+Every (W, W) matrix built here lies on the one cell pattern of W, its
+exact zeros kept, wall forms included (each wall edge's local matrix is
+scattered at its owner cell's positions), so static forms combine by
+value arithmetic on .data.  Only the wall Neumann matrix, applied every
+step, keeps its wall entries alone.
+
 The step is linear in each known field, so only the rotation R(omega)
 and the skew convection C(u) are assembled per step, both as CSR values
 on the (W, W) pattern: C itself, and R seen through the stream-function
 basis, Z^T R Z.  R u is applied per cell; no U x U matrix is formed.  A
-SkewSystem, built once per run, turns those values into the one CSR
-matrix of a per-step system.  The static
-operators (the weak curl Lc, buoyancy, baroclinic, the wall Neumann
-term, the particle drift and the discrete curl Z) are built once per run
-by stepper.Model, which owns them.
+SkewSystem, built once per run, gathers a static part's values and,
+each step, a skew part's onto the one CSR matrix of a per-step system.
+The static operators are built once per run by stepper.Model, which
+owns them.
 
 R and C evaluate no field at quadrature points.  On an affine cell the
 Piola maps cancel, (J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k /
@@ -25,9 +30,9 @@ Index convention: for every matrix A produced here, A[i, j] pairs test
 function i against trial function j.
 
 The skew operators are skew *by construction*: Z^T R Z and C scatter
-each local entry a < b together with its negative at (b, a), in cell
-order, so quadratic invariants are conserved to round-off regardless of
-quadrature.
+the local entries a < b at (a, b) and, in the same cell order, at
+(b, a), and subtract the second sum from the first, so quadratic
+invariants are conserved to round-off regardless of quadrature.
 """
 
 import numpy as np
@@ -56,12 +61,21 @@ class _Pattern:
         counts = np.bincount(uniq // shape[1], minlength=shape[0])
         self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
         np.cumsum(counts, out=self.indptr[1:])
+        # every matrix built here shares them: an in-place scipy operation
+        # on one (eliminate_zeros, say) must fail, not rewrite the pattern
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
         self.nnz = len(uniq)
         self.shape = shape
 
-    def build(self, local):
-        """The matrix of the local matrices."""
-        return self.matrix(kernels.scatter_matrix(self.pos, local, self.nnz))
+    def values(self, local, cells=None):
+        """The CSR values of the local matrices of every cell, or of
+        `cells` in their order (a cell may repeat)."""
+        pos = self.pos if cells is None else self.pos[cells]
+        return kernels.scatter_matrix(pos, local, self.nnz)
+
+    def build(self, local, cells=None):
+        """The matrix of the local matrices, as in values."""
+        return self.matrix(self.values(local, cells))
 
     def matrix(self, data):
         """The matrix with the CSR values `data` on this pattern."""
@@ -79,18 +93,21 @@ def _pattern(row_space, col_space):
     return cache[key]
 
 
-def _skew_pattern(space):
-    """The (space, space) pattern of a scalar space and the positions
-    (pos[a, b], pos[b, a]) of each cell's pairs a < b: scattering (P, -P)
-    there adds P at (a, b) and its negative at (b, a), in cell order."""
+def _skew_values(space, coef, tensor):
+    """The CSR values on the (space, space) pattern of the exactly skew
+    matrix whose cells' entries a < b are P = coef @ tensor: P summed at
+    (a, b) minus P summed, in the same cell order, at (b, a)."""
     cache = space.mesh._cache
     key = ("skew", space.family, space.degree)
     if key not in cache:
         pattern = _pattern(space, space)
         a, b = np.triu_indices(space.element.ndof, 1)
-        pos = np.stack([pattern.pos[:, a, b], pattern.pos[:, b, a]], axis=-1)
-        cache[key] = pattern, np.ascontiguousarray(pos)  # ravels without a copy
-    return cache[key]
+        # C-contiguous, so that scatter_matrix ravels them without a copy
+        cache[key] = (pattern.nnz, np.ascontiguousarray(pattern.pos[:, a, b]),
+                      np.ascontiguousarray(pattern.pos[:, b, a]))
+    nnz, pos_ab, pos_ba = cache[key]
+    P = kernels.skew_contraction(coef, tensor)
+    return kernels.scatter_matrix(pos_ab, P, nnz) - kernels.scatter_matrix(pos_ba, P, nnz)
 
 
 def assemble_mass(space, qdegree):
@@ -115,19 +132,6 @@ def assemble_div(U, Q, qdegree):
     utab = U.volume_data(qdegree)
     qtab = Q.volume_data(qdegree)
     return _pattern(Q, U).build(kernels.pairing(utab.weights, qtab.val, utab.div))
-
-
-def assemble_weak_curl(U, W, qdegree):
-    """Weak curl Lc[a, k] = <curl w_k, u_a>, curl w = (dw/dy, -dw/dx).
-
-    Lc omega is the viscous vector l[a] = <curl omega, u_a> of the
-    momentum step, and Lc^T u the right-hand side <u, curl w_k> of the
-    weak curl recovery.
-    """
-    utab = U.volume_data(qdegree)
-    wtab = W.volume_data(qdegree)
-    curl = np.stack([wtab.grad[..., 1], -wtab.grad[..., 0]], axis=-1)
-    return _pattern(U, W).build(kernels.pairing_vec(utab.weights, utab.val, curl))
 
 
 def curl_matrix(W, U):
@@ -162,9 +166,7 @@ def assemble_rotation(omega, U, qdegree):
     """
     W = omega.space
     _, _, T_Z = skew_tensors(W.degree, U.degree, qdegree)
-    pattern, pos = _skew_pattern(W)
-    coef = omega.coefficients[W.cell_dofs]
-    return kernels.scatter_matrix(pos, kernels.skew_contraction(coef, T_Z), pattern.nnz)
+    return _skew_values(W, omega.coefficients[W.cell_dofs], T_Z)
 
 
 def apply_rotation(omega, U, qdegree, u):
@@ -186,25 +188,23 @@ def assemble_vorticity_convection(u, W, qdegree):
     C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)>, exactly skew."""
     U = u.space
     _, T_C, _ = skew_tensors(W.degree, U.degree, qdegree)
-    pattern, pos = _skew_pattern(W)
-    coef = u.coefficients[U.cell_dofs] * U.cell_dof_signs
-    return kernels.scatter_matrix(pos, kernels.skew_contraction(coef, T_C), pattern.nnz)
+    return _skew_values(W, u.coefficients[U.cell_dofs] * U.cell_dof_signs, T_C)
 
 
 class SkewSystem:
-    """A per-step system S + scale K as one CSR matrix on the pattern of
-    its static part S: the (space, space) pattern restricted to `dofs`
-    (all of them if None), then `border` dense rows and columns.
+    """A per-step system S + scale K as one CSR matrix: the (space, space)
+    cell pattern restricted to `dofs` (all of them if None), then, with a
+    `corner`, len(corner) dense border rows and columns.
 
-    K comes as its values on the (space, space) pattern and, if
-    bordered, its border columns X (rows in this system's order, the
-    last `border` of them the corner).  The border rows take -X^T and
-    the corner X's entries above the diagonal, so K is exactly skew.
-    `take`, built once, gathers all of it onto this pattern; S is laid
-    onto it once.
+    S and K both come as values on the cell pattern, and `take`, built
+    once, gathers either onto this pattern.  S's border is zero but for
+    its `corner`.  K's border comes as its columns X (rows in this
+    system's order, the last len(corner) of them the corner): the border
+    rows take -X^T and the corner X's entries above the diagonal, mirrored
+    with a minus, so K is exactly skew.
     """
 
-    def __init__(self, S, space, dofs=None, border=0):
+    def __init__(self, space, static, dofs=None, corner=None):
         full = _pattern(space, space)
         rows = np.repeat(np.arange(space.dim), np.diff(full.indptr))
         cols, src = full.indices, np.arange(full.nnz)
@@ -214,36 +214,32 @@ class SkewSystem:
             keep = (where[rows] >= 0) & (where[cols] >= 0)
             rows, cols, src = where[rows[keep]], where[cols[keep]], src[keep]
         m = space.dim if dofs is None else len(dofs)
+        border = 0 if corner is None else len(corner)
         size = m + border
         if border:
-            # the values are followed by X (size x border), -X and a zero
+            # the values are followed by X's first m rows, their negatives
+            # and the corner
             r, j = np.divmod(np.arange(m * border), border)
-            x = full.nnz + r * border + j
             ci, cj = np.divmod(np.arange(border * border), border)
-            corner = np.where(ci < cj, full.nnz + (m + ci) * border + cj,
-                              full.nnz + size * border + (m + cj) * border + ci)
-            corner[ci == cj] = full.nnz + 2 * size * border
             rows = np.concatenate([rows, r, m + j, m + ci])
             cols = np.concatenate([cols, m + j, r, m + cj])
-            src = np.concatenate([src, x, x + size * border, corner])
-        keys = rows.astype(np.int64) * size + cols
-        order = np.argsort(keys, kind="stable")  # sorted already but for a border
-        keys, src = keys[order], src[order]
-        S = S.tocoo()
-        wanted = S.row.astype(np.int64) * size + S.col
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        if np.any(keys[at] != wanted):
-            raise ValueError("the static matrix has an entry outside the pattern of its system")
+            src = np.concatenate([src, full.nnz + np.arange(2 * m * border + border * border)])
+            static = np.concatenate([static, np.zeros(2 * m * border), np.ravel(corner)])
+        order = np.lexsort((cols, rows))  # sorted already but for a border
+        rows, cols, src = rows[order], cols[order], src[order]
         indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        self.static = sp.csr_matrix((np.bincount(at, weights=S.data, minlength=len(keys)),
-                                     (keys % size).astype(np.int32), indptr), shape=(size, size))
+        self.static = sp.csr_matrix((static[src], cols.astype(np.int32), indptr),
+                                    shape=(size, size))
         self.take = None if np.array_equal(src, np.arange(len(src))) else src
 
     def skew_values(self, values, border=None):
         """K's CSR values on this pattern."""
         if border is not None:
-            values = np.concatenate([values, border.ravel(), -border.ravel(), [0.0]])
+            m = len(border) - border.shape[1]
+            corner = np.triu(border[m:], 1)
+            values = np.concatenate([values, border[:m].ravel(), -border[:m].ravel(),
+                                     (corner - corner.T).ravel()])
         return values if self.take is None else values[self.take]
 
     def matrix(self, scale, values, border=None):
@@ -257,18 +253,8 @@ class SkewSystem:
 def assemble_wall_mass(space, tag, qdegree):
     """Boundary mass matrix <trial, test> over one tagged wall."""
     tab = space.boundary_data(tag, qdegree)
-    return _boundary_matrix(tab, tab, kernels.pairing(tab.weights, tab.val, tab.val),
-                            (space.dim, space.dim))
-
-
-def _boundary_matrix(row_tab, col_tab, local, shape):
-    if len(row_tab.edges) == 0:
-        return sp.csr_matrix(shape)
-    rows = np.repeat(row_tab.dofs, col_tab.dofs.shape[1], axis=1).ravel()
-    cols = np.tile(col_tab.dofs, (1, row_tab.dofs.shape[1])).ravel()
-    B = sp.csr_matrix((local.ravel(), (rows, cols)), shape=shape)
-    B.sum_duplicates()
-    return B
+    local = kernels.pairing(tab.weights, tab.val, tab.val)
+    return _pattern(space, space).build(local, tab.cells)
 
 
 def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
@@ -285,13 +271,14 @@ def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
     """
     if u_s < 0:
         raise ValueError(f"settling speed must be nonnegative, got {u_s}")
+    pattern = _pattern(W, W)
     if u_s == 0.0:
-        return sp.csr_matrix((W.dim, W.dim))
+        return pattern.matrix(np.zeros(pattern.nnz))
     e_g = interpolate(U, lambda x, y: GRAVITY)
-    B1 = assemble_wall_mass(W, TAG_TOP, bdegree)
-    B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree)
-    C = _pattern(W, W).matrix(assemble_vorticity_convection(e_g, W, qdegree))
-    return (u_s * C + u_s * (0.5 * B1 + 0.5 * B3)).tocsr()
+    B1 = assemble_wall_mass(W, TAG_TOP, bdegree).data
+    B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree).data
+    C = assemble_vorticity_convection(e_g, W, qdegree)
+    return pattern.matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * B3))
 
 
 def assemble_buoyancy(U, W, qdegree):
@@ -315,15 +302,18 @@ def assemble_vorticity_neumann(W, bdegree):
     wall source is g = Nn omega_tilde.
 
     Uses the identity (curl w) x n = grad(w).n, evaluated one-sidedly
-    from the boundary cells.
+    from the boundary cells.  The matrix keeps its nonzero wall entries
+    alone: a step applies it.
     """
-    out = sp.csr_matrix((W.dim, W.dim))
+    pattern = _pattern(W, W)
+    values = np.zeros(pattern.nnz)
     for tag in (TAG_TOP, TAG_BOTTOM):
         tab = W.boundary_data(tag, bdegree)
         gn = np.einsum("eqnd,ed->eqn", tab.grad, tab.normals)
-        local = kernels.pairing(tab.weights, tab.val, gn)
-        out = out + _boundary_matrix(tab, tab, local, out.shape)
-    return out.tocsr()
+        values += pattern.values(kernels.pairing(tab.weights, tab.val, gn), tab.cells)
+    Nn = pattern.matrix(values).copy()  # the pattern's arrays stay intact
+    Nn.eliminate_zeros()
+    return Nn
 
 
 def assemble_gradient_dot(space, qdegree):

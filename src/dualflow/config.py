@@ -199,6 +199,8 @@ def _validate(cfg, lines_of):
         err("initial", "kind", "homogeneous mode has no particles: use taylor_green or random")
     if init["kind"] != "random" and ("initial", "seed") in lines_of:
         err("initial", "seed", "is read only by kind = random")
+    if init["seed"] < 0:
+        err("initial", "seed", "must be nonnegative")
     if init["interface_width"] is not None and init["interface_width"] <= 0:
         err("initial", "interface_width", "must be positive")
     out = cfg["output"]

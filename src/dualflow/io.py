@@ -14,7 +14,7 @@ from .assemble import GRAVITY
 from .diagnostics import ACCUMULATORS, CSV_COLUMNS
 
 CHECKPOINT_MAGIC = "DUALFLOW-CKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _fmt(x):
@@ -164,7 +164,9 @@ class CheckpointError(RuntimeError):
     pass
 
 
-_FIELD_ORDER = ("u_half", "omega", "phi", "p_bar", "omega_tilde")
+# the state a step reads; p_bar and omega_tilde are diagnostics, which a
+# step recomputes and a resumed run writes from its first step on
+_FIELD_ORDER = ("u_half", "omega", "phi")
 
 # what each part of a run's identity covers
 IDENTITY = {
@@ -322,7 +324,7 @@ def restore_state(data, model):
             raise CheckpointError(
                 f"checkpoint {part} ({IDENTITY[part]}) does not match the configured run"
             )
-    spaces = {"u_half": model.U, "omega": model.W, "p_bar": model.Q, "omega_tilde": model.W}
+    spaces = {"u_half": model.U, "omega": model.W}
     needed = ["u_half", "omega"]
     if model.physics.mode == "turbidity":
         spaces["phi"] = model.W

@@ -38,11 +38,10 @@ def pairing_vec(wdet, test, trial):
 
 
 def skew_contraction(coef, tensor):
-    """Local entries (a, b) and (b, a) of exactly skew matrices, (C, p, 2) =
-    (P, -P), from the entries a < b of a reference tensor, tensor[k, p]:
-    one (C, k) @ (k, p) GEMM P = coef @ tensor."""
-    P = coef @ tensor
-    return np.stack([P, -P], axis=-1)
+    """Local entries P[c, p] of the pairs a < b of exactly skew cell
+    matrices, from the same entries of a reference tensor, tensor[k, p]:
+    one (C, k) @ (k, p) GEMM P = coef @ tensor.  Entry (b, a) is -P."""
+    return coef @ tensor
 
 
 def scatter_matrix(pos, local, nnz):

@@ -2,8 +2,9 @@
 
 Every solve re-checks its own residual and reports it truthfully.  A
 matrix that does not change between steps is factored once, in a
-CachedLU.  A per-step system A, one CSR matrix that differs from a
-static matrix S by a small term, is solved by refinement against the
+CachedLU, without its exact zeros.  A per-step system A, one CSR matrix
+that differs from a static matrix S by a small term (S kept on A's
+pattern, zeros and all), is solved by refinement against the
 factor of S: x = S^-1 b, then x += S^-1 (b - A x), one mat-vec with A
 and one triangular solve per pass.  Refinement stops at the roundoff
 floor: once ||b - A x||_inf <= eps (||S||_inf ||x||_inf + ||b||_inf), or
@@ -40,14 +41,18 @@ class CachedLU:
     matrix and its inf-norm, which sets the roundoff floor of refinement.
 
     The fill-reducing ordering is minimum degree on A^T + A: every matrix
-    factored here is structurally symmetric.
+    factored here is structurally symmetric.  Exact zeros are dropped
+    first: a static part kept on a cell pattern has some (the P1
+    curl-curl form on right triangles), and they would only add fill.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix
         self.norm = float(abs(matrix).sum(axis=1).max()) if matrix.shape[0] else 0.0
+        csc = matrix.tocsc(copy=True)
+        csc.eliminate_zeros()
         try:
-            self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"LU factorization failed: {exc}") from None
 

@@ -19,27 +19,29 @@ Model owns every static operator: it builds each once, at construction,
 from the fixed physics and time step.  A step assembles only C and the
 rotation and otherwise multiplies: the viscous vector l = Lc om, the
 curl rhs Lc^T u, the buoyancy b = B phi and the baroclinic and wall
-sources.
+sources.  The weak curl Lc[a, k] = <curl w_k, u_a> is M Z: the curl of
+a CG function lies in RT exactly (the exact sequence below).
 
 No matrix is factored inside the time loop, and the only sparse
 matrices formed there are the per-step systems, one CSR matrix each,
-S + scale K on the pattern of S (assemble.SkewSystem):
+S + scale K (assemble.SkewSystem):
 
   transport   S = N/dt + (drift + kappa L)/2,  K = C,          scale 1/2
   vorticity   S = (N/dt + nu L/2) on iw,       K = C on iw,    scale 1/2
-  momentum    S = Z^T M Z,                     K = Z^T R Z,    scale tau/2
+  momentum    S = Z^T M Z = L on psi,          K = Z^T R Z,    scale tau/2
 
-Model lays each S onto its pattern once; a step adds the values of K,
-which are exactly skew: C's on the CG pattern, taken at the free dofs
-iw by an index built once, and Z^T R Z, assembled per cell in
-stream-function space (assemble.assemble_rotation) with the torus's
-harmonic border.  R itself is never formed: R u is applied per cell.
-Model factors each S once, and every per-step solve is refined against
-that factor (linsolve.lu_solve), one mat-vec and one triangular solve
-per pass; a solve that falls back factors the same matrix afresh.
-Step 4 is solved multiplied by its step tau, as (Z^T M Z + tau/2 Z^T R
-Z) psi = tau Z^T f, so the one factor of Z^T M Z serves both dt and the
-startup's dt/2.
+Each S is value arithmetic on the one (W, W) cell pattern, and each
+system gathers S, and each step K, onto its own pattern by one index.
+The momentum S is L: by the exact sequence below Z^T M Z is the
+curl-curl form, and on the torus the curls are orthogonal to the
+constant velocities H, so its border is zero but for the corner
+H^T M H.  K is exactly skew: C, and Z^T R Z assembled per cell
+(assemble.assemble_rotation) with the torus's harmonic border; R u is
+applied per cell.  Model factors each S once, and every per-step solve
+is refined against that factor (linsolve.lu_solve), one mat-vec and one
+triangular solve per pass; a solve that falls back factors the same
+matrix afresh.  Step 4 is solved multiplied by its step tau, so the one
+factor of L on psi serves both dt and the startup's dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -196,9 +198,9 @@ class Model:
         self.L = assemble.assemble_curlcurl(self.W, self.qdeg)
         self.D = assemble.assemble_div(self.U, self.Q, self.qdeg)
         self.MQ = assemble.assemble_mass(self.Q, self.qdeg)
-        self.Lc = assemble.assemble_weak_curl(self.U, self.W, self.qdeg)
+        curl = assemble.curl_matrix(self.W, self.U)
+        self.Lc = (self.M @ curl).tocsr()
         self.Lct = self.Lc.T.tocsr()
-        self.nu_L = self.nu * self.L
         self.Nw_dt = (1.0 / time.dt) * self.Nw
 
         self.ones_w = constant_coefficients(self.W)
@@ -209,23 +211,22 @@ class Model:
         self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
         self.Nw_c_dt = (1.0 / time.dt) * self.Nw_c
         self._lu_curl = CachedLU(self.Nw_c)
-        # the static part of the vorticity matrix; a step adds C/2
-        self.vorticity_static = (self.Nw_c_dt + 0.5 * self.nu_L[self.iw][:, self.iw]).tocsr()
-        self._lu_vorticity = CachedLU(self.vorticity_static)
-        self.vorticity = assemble.SkewSystem(self.vorticity_static, self.W, self.iw)
+        # the static parts below are values on the (W, W) cell pattern,
+        # which Nw, L and the drift lie on; a step adds the skew part
+        Nw_dt, L = self.Nw_dt.data, self.L.data
+        self.vorticity = assemble.SkewSystem(self.W, Nw_dt + 0.5 * (self.nu * L), self.iw)
+        self._lu_vorticity = CachedLU(self.vorticity.static)
 
         # the constant (harmonic) velocities, which the torus's stream function misses
-        self.harmonic = None
+        self.harmonic = corner = None
         if mesh.periodic:
             self.harmonic = np.column_stack([interpolate(self.U, lambda x, y, e=e: e).coefficients
                                              for e in ((1.0, 0.0), (0.0, 1.0))])
-        self.Z, psi_dofs = self._stream_basis()
+            corner = self.harmonic.T @ (self.M @ self.harmonic)
+        self.Z, psi_dofs = self._stream_basis(curl)
         self.Zt = self.Z.T.tocsr()
-        self.ZMZ = (self.Zt @ self.M @ self.Z).tocsr()
-        self._lu_momentum = CachedLU(self.ZMZ)
-        # the static part of the stream-function matrix; a step adds tau/2 Z^T R Z
-        border = 0 if self.harmonic is None else self.harmonic.shape[1]
-        self.momentum = assemble.SkewSystem(self.ZMZ, self.W, psi_dofs, border)
+        self.momentum = assemble.SkewSystem(self.W, L, psi_dofs, corner)
+        self._lu_momentum = CachedLU(self.momentum.static)
         self.D_r = self.D[:, self.iu].tocsr()
         self.D_rt = self.D_r.T.tocsr()
         # D D^T annihilates the constant pressure: pin dof 0
@@ -233,25 +234,23 @@ class Model:
         self._lu_pressure = CachedLU(self.DDt)
 
         if physics.mode == "turbidity":
-            self.kappa_L = self.kappa * self.L
             self.drift = assemble.assemble_particle_drift(
                 physics.settling_velocity, self.U, self.W, self.qdeg, self.bdeg
             )
             self.buoyancy = assemble.assemble_buoyancy(self.U, self.W, self.qdeg)
             self.baroclinic = assemble.assemble_baroclinic(self.W, self.qdeg)
             self.neumann = assemble.assemble_vorticity_neumann(self.W, self.bdeg)
-            self.B_bottom = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg)
+            # B_bottom^T 1: the integral over Gamma3 of each CG function
+            self.bottom_weights = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg).T @ self.ones_w
             self.grad_dot_g = assemble.assemble_gradient_dot(self.W, self.qdeg)
-            # the static part of the transport matrix; a step adds C/2
-            self.transport_static = (self.Nw_dt + 0.5 * (self.drift + self.kappa_L)).tocsr()
-            self._lu_transport = CachedLU(self.transport_static)
-            self.transport = assemble.SkewSystem(self.transport_static, self.W)
+            self.transport = assemble.SkewSystem(
+                self.W, Nw_dt + 0.5 * (self.drift.data + self.kappa * L))
+            self._lu_transport = CachedLU(self.transport.static)
 
-    def _stream_basis(self):
-        """Z: the discrete curl restricted to a basis of the divergence-free
+    def _stream_basis(self, Z):
+        """Z, the discrete curl, restricted to a basis of the divergence-free
         velocities with zero normal trace (U.dim x n_psi), then the harmonic
         velocities; and the CG dofs whose curls it takes."""
-        Z = assemble.curl_matrix(self.W, self.U)
         if self.mesh.periodic:
             # psi is defined up to a constant: drop CG dof 0
             dofs = np.arange(1, self.W.dim)
@@ -288,7 +287,7 @@ class Model:
 
     def bottom_integral(self, coef):
         """int over Gamma3 of a CG field (assembly quadrature)."""
-        return float(self.ones_w @ (self.B_bottom @ coef))
+        return float(self.bottom_weights @ coef)
 
     def div_inf(self, u):
         return float(np.max(np.abs(self.D @ u.coefficients)))
@@ -331,7 +330,7 @@ class Model:
         """Momentum step with rotation at the midpoint velocity and the
         buoyancy vector b: stream function solve for u = Z psi, then
         pressure recovery.  The stream function system is solved multiplied
-        by dt, against the factor of Z^T M Z.  Returns (u, p, l, report),
+        by dt, against the factor of Z^T M Z = L on psi.  Returns (u, p, l, report),
         l = Lc omega, with the residual of the unscaled system."""
         def rotate(v):  # R v, applied per cell
             return assemble.apply_rotation(omega, self.U, self.qdeg, v)

@@ -4,9 +4,10 @@
   somewhere in that module (or listed in its `__all__`).
 - Every private (`_name`) module-level function or class, and every
   private method, of `src/dualflow` is read somewhere in the package.
-- Every public function of `dualflow.kernels` and `dualflow.assemble` is
-  read by another module of the package: a kernel or an assembly that
-  only tests call is a test helper or an oracle.
+- Every public function of `dualflow.kernels`, `dualflow.assemble`,
+  `dualflow.elements` and `dualflow.spaces` is read by another module of
+  the package: a kernel, an assembly, an element table or a space
+  helper that only tests call is a test helper or an oracle.
 - Every field of a dataclass of `src/dualflow` is read somewhere in
   `src/dualflow`, `tests` or `perfbench`: as an attribute, or by name as
   a string (`CSV_COLUMNS` and the benchmark read fields by name).
@@ -176,9 +177,27 @@ def test_scan_finds_an_unread_assembly_function():
 
 def test_no_dead_assembly():
     """A public function of dualflow.assemble that no other package module
-    reads is an oracle: it belongs in tests/ (as util_rotation.py)."""
+    reads is an oracle: it belongs in tests/ (as util_rotation.py and the
+    weak curl of util_curl.py)."""
     dead = unread_package_functions("assemble")
     assert not dead, "assemble functions no other package module reads: " + ", ".join(
+        f"{name} (line {line})" for line, name in dead)
+
+
+@pytest.mark.parametrize("module", ["elements", "spaces"])
+def test_scan_finds_an_unread_element_or_space_function(module):
+    """The same scan on dualflow.elements and dualflow.spaces: a function
+    put back at the end of the real module is the one it reports."""
+    dead = unread_package_functions(module, "\n\ndef only_tests_call(space):\n    pass\n")
+    assert [name for line, name in dead] == ["only_tests_call"]
+
+
+@pytest.mark.parametrize("module", ["elements", "spaces"])
+def test_no_dead_element_or_space_functions(module):
+    """An element table or a space helper that only tests call belongs in
+    tests/."""
+    dead = unread_package_functions(module)
+    assert not dead, f"{module} functions no other package module reads: " + ", ".join(
         f"{name} (line {line})" for line, name in dead)
 
 

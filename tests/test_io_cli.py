@@ -112,11 +112,32 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     data = dfio.load_checkpoint(path)
     restored = dfio.restore_state(data, model)
     assert restored.k == state.k
-    for name in ("u_half", "omega", "phi", "p_bar", "omega_tilde"):
+    assert list(data["fields"]) == ["u_half", "omega", "phi"]
+    for name in ("u_half", "omega", "phi"):
         a = getattr(state, name).coefficients
         b = getattr(restored, name).coefficients
         assert np.array_equal(a, b)
+    assert restored.p_bar is None and restored.omega_tilde is None
     assert data["scalars"]["m_p0"] == eng.m_p0
+
+
+def test_version_2_checkpoint_refused(tmp_path, monkeypatch):
+    """A version-2 checkpoint, which also held p_bar and omega_tilde, is
+    refused with a message that names its version."""
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
+    state, _ = step(state, model)
+    path = tmp_path / "v2.ckpt"
+    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 2)
+    monkeypatch.setattr(dfio, "_FIELD_ORDER", ("u_half", "omega", "phi", "p_bar", "omega_tilde"))
+    dfio.save_checkpoint(str(path), state, eng, model)
+    monkeypatch.undo()
+    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 2\n")
+    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 2'") as exc:
+        dfio.load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_checkpoint_rejects_dimension_mismatch(tmp_path):
@@ -158,7 +179,7 @@ def test_checkpoint_identity_in_header(tmp_path):
 
 @pytest.mark.parametrize("content, message", [
     (b"END\n", "not a dualflow checkpoint"),
-    (b"DUALFLOW-CKPT 2\nmode turbidity\ndegree 1\nk 0\nEND\n", "no 'dt' line"),
+    (b"DUALFLOW-CKPT 3\nmode turbidity\ndegree 1\nk 0\nEND\n", "no 'dt' line"),
     (b"DUALFLOW-CKPT x\nEND\n", "version line 'DUALFLOW-CKPT x'"),
 ], ids=["end_only", "no_dt", "bad_version"])
 def test_malformed_checkpoint_refused(tmp_path, content, message):
@@ -331,6 +352,41 @@ def test_cli_run_refuses_infinite_t_end(tmp_path):
     proc = run_cli(["run", "--config", str(cfgfile)], cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "time.t_end: must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_refuses_negative_seed_at_its_line(tmp_path):
+    """A negative random seed is refused by the configuration, at its line,
+    before a model is built or the output directory is made."""
+    text = f"""
+[mesh]
+length = 6.283185307179586
+height = 6.283185307179586
+nx = 4
+ny = 4
+
+[physics]
+mode = homogeneous
+nu = 0.01
+
+[time]
+dt = 1e-2
+t_end = 2e-2
+
+[initial]
+kind = random
+seed = -3
+
+[output]
+dir = {tmp_path / "o"}
+"""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    line = text.splitlines().index("seed = -3") + 1
+    proc = run_cli(["run", "--config", str(cfgfile)], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and f"line {line}: initial.seed" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
 

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from dualflow.assemble import (
-    SkewSystem,
     assemble_baroclinic,
     assemble_buoyancy,
     assemble_curlcurl,
@@ -11,7 +9,6 @@ from dualflow.assemble import (
     assemble_mass,
     assemble_particle_drift,
     assemble_vorticity_neumann,
-    assemble_weak_curl,
 )
 from dualflow.mesh import (
     TAG_BOTTOM,
@@ -28,7 +25,7 @@ from dualflow.spaces import (
     project,
 )
 
-from util_curl import discrete_curl
+from util_curl import discrete_curl, weak_curl
 from util_rotation import convection_matrix, rotation_matrix
 
 
@@ -102,6 +99,18 @@ def test_curlcurl_kernel_and_symmetry(channel):
     assert abs(L - L.T).max() <= 1e-14 * abs(L).max()
 
 
+def test_assembled_matrix_cannot_rewrite_its_pattern(square2):
+    """Every matrix on a cell pattern shares the pattern's index arrays:
+    an in-place operation on one is refused, and the next assembly on the
+    pattern is unchanged."""
+    W = make_space(square2, "CG", 2)
+    L = assemble_curlcurl(W, 4)
+    with pytest.raises(ValueError):
+        L.eliminate_zeros()
+    again = assemble_curlcurl(W, 4)
+    assert np.array_equal(again.indices, L.indices) and np.array_equal(again.data, L.data)
+
+
 def test_curlcurl_linear_energy(square2):
     W = make_space(square2, "CG", 1)
     L = assemble_curlcurl(W, 4)
@@ -114,7 +123,7 @@ def test_rotation_zero_for_zero_vorticity(channel):
     W, U, _ = spaces_for(channel, 1)
     R = rotation_matrix(Field(W, np.zeros(W.dim)), U, 4)
     assert abs(R).max() == 0.0
-    assert np.max(np.abs(assemble_weak_curl(U, W, 4) @ np.zeros(W.dim))) == 0.0
+    assert np.max(np.abs(weak_curl(U, W, 4) @ np.zeros(W.dim))) == 0.0
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -144,7 +153,7 @@ def test_viscous_vector_rigid_rotation(channel):
     """l(omega) = <curl omega, v>; for omega = x, curl omega = (0, -1)."""
     W, U, _ = spaces_for(channel, 1)
     om = interpolate(W, lambda x, y: x)
-    l = assemble_weak_curl(U, W, 4) @ om.coefficients
+    l = weak_curl(U, W, 4) @ om.coefficients
     ey = interpolate(U, lambda x, y: (np.zeros_like(x), np.ones_like(x)))
     assert abs(ey.coefficients @ l + channel.total_area()) < 1e-12
 
@@ -278,7 +287,7 @@ def test_baroclinic_examples(channel):
 
 def test_curl_rhs_examples(channel):
     W, U, _ = spaces_for(channel, 1)
-    LcT = assemble_weak_curl(U, W, 4).T
+    LcT = weak_curl(U, W, 4).T
     r0 = LcT @ np.zeros(U.dim)
     assert np.max(np.abs(r0)) == 0.0
     # rigid rotation has curl 2: pairing with interior test functions = 2 int(xi)
@@ -305,7 +314,7 @@ def test_curl_rhs_mean_on_torus():
     rng = np.random.default_rng(2)
     psi = Field(W, rng.standard_normal(W.dim))
     u = discrete_curl(psi, U)
-    r = assemble_weak_curl(U, W, 4).T @ u.coefficients
+    r = weak_curl(U, W, 4).T @ u.coefficients
     M = assemble_mass(W, 4)
     om, _ = lu_solve(M, r)
     ones = constant_coefficients(W)
@@ -329,16 +338,3 @@ def test_vorticity_neumann_examples(channel):
     assert abs(ones @ g_bot - 2.0 * wall_len) < 1e-12
     # grad(y).n is +1 on the top wall and -1 on the bottom wall
     assert abs(ones @ (Nn @ interpolate(W, lambda x, y: y).coefficients)) < 1e-12
-
-
-def test_skew_system_refuses_static_entry_outside_its_pattern(channel):
-    """A static matrix must fit the cell pattern its per-step system is
-    laid on: an entry coupling two dofs that share no cell is refused."""
-    W = make_space(channel, "CG", 1)
-    i, j = 0, W.dim - 1
-    assert not any(i in cell and j in cell for cell in W.cell_dofs.tolist())
-    far = sp.csr_matrix(([1.0], ([i], [j])), shape=(W.dim, W.dim))
-    with pytest.raises(ValueError, match="outside the pattern"):
-        SkewSystem(far, W)
-    near = assemble_mass(W, 4)[1:, 1:]
-    assert abs(SkewSystem(near, W, dofs=np.arange(1, W.dim)).static - near).max() == 0.0

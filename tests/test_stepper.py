@@ -13,12 +13,13 @@ from dualflow.diagnostics import Engine
 from dualflow.driver import build_model
 from dualflow.mesh import (
     TAG_BOTTOM,
+    WALL_TAGS,
     ChannelGeometry,
     build_channel_mesh,
     build_periodic_rect_mesh,
     read_mesh_text,
 )
-from dualflow.spaces import Field, FunctionSpace, interpolate, project
+from dualflow.spaces import Field, FunctionSpace, free_dofs, interpolate, project, wall_trace_dofs
 from dualflow.stepper import (
     LockInitialCondition,
     Model,
@@ -440,22 +441,22 @@ def per_step_systems(model, state, monkeypatch):
 @pytest.mark.parametrize("case", ["desk", "box", "sim1_1", "sim1_2"])
 def test_per_step_operators_match_their_matrices(case, request, monkeypatch):
     """Each per-step system is one CSR matrix, equal to its defining form
-    to 1e-14 relative: Z^T M Z + tau/2 (G - G^T)/2 with G = Z^T (R Z), and
-    the static vorticity and transport matrices plus C/2.  Its skew part,
-    scattered on its pattern, is exactly skew."""
+    to 1e-14 relative: Z^T M Z + tau/2 (G - G^T)/2 with G = Z^T (R Z),
+    N_c/dt + nu L/2 on iw plus C/2, and N/dt + (drift + kappa L)/2 plus
+    C/2.  Its skew part, scattered on its pattern, is exactly skew."""
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
     new, systems = per_step_systems(model, state, monkeypatch)
     C = convection_matrix(state.u_half, model.W, model.qdeg)
     R = rotation_matrix(new.omega, model.U, model.qdeg)
     G = model.Zt @ (R @ model.Z)
-    iw = model.iw
+    L, iw = model.L, model.iw
     expected = {
-        "momentum": model.ZMZ + (0.5 * dt) * (0.5 * (G - G.T)),
-        "vorticity": model.vorticity_static + 0.5 * C[iw][:, iw],
+        "momentum": model.Zt @ model.M @ model.Z + (0.5 * dt) * (0.5 * (G - G.T)),
+        "vorticity": model.Nw_c / dt + 0.5 * model.nu * L[iw][:, iw] + 0.5 * C[iw][:, iw],
     }
     if model.physics.mode == "turbidity":
-        expected["transport"] = model.transport_static + 0.5 * C
+        expected["transport"] = model.Nw / dt + 0.5 * (model.drift + model.kappa * L) + 0.5 * C
     assert set(systems) == set(expected)
     for name, (A, K) in systems.items():
         ref = expected[name]
@@ -463,6 +464,62 @@ def test_per_step_operators_match_their_matrices(case, request, monkeypatch):
         assert abs(A - ref).max() <= 1e-14 * abs(ref).max(), name
         assert abs(K).max() > 0
         assert (K + K.T).count_nonzero() == 0, name
+
+
+def static_data(model):
+    """{name: CSR values} of each system's static part, by the value
+    arithmetic of its defining form on the (W, W) cell pattern, gathered
+    by the system's take; on the torus the momentum static's border is
+    zero but for the corner H^T M H."""
+    Nw_dt, L = model.Nw_dt.data, model.L.data
+    values = {"vorticity": Nw_dt + 0.5 * (model.nu * L), "momentum": L}
+    if model.physics.mode == "turbidity":
+        values["transport"] = Nw_dt + 0.5 * (model.drift.data + model.kappa * L)
+    if model.harmonic is not None:
+        H = model.harmonic
+        m = model.momentum.static.shape[0] - H.shape[1]
+        values["momentum"] = np.concatenate([L, np.zeros(2 * m * H.shape[1]), (H.T @ (model.M @ H)).ravel()])
+    return {name: v if getattr(model, name).take is None else v[getattr(model, name).take]
+            for name, v in values.items()}
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_system_statics_are_value_arithmetic_gathered_by_take(case, request):
+    """Nw, L and the drift lie on the one (W, W) cell pattern, and each
+    system's static data is their value arithmetic gathered by the
+    system's own take, the index that gathers its skew part."""
+    model, _ = request.getfixturevalue(case)
+    L = model.L
+    for A in [model.Nw, model.Nw_dt] + ([model.drift] if model.physics.mode == "turbidity" else []):
+        assert A.shape == L.shape
+        assert np.array_equal(A.indices, L.indices) and np.array_equal(A.indptr, L.indptr)
+    for name, data in static_data(model).items():
+        assert np.array_equal(getattr(model, name).static.data, data), name
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_momentum_static_is_curlcurl_on_psi(case, request):
+    """By the exact sequence Z^T M Z is the curl-curl form L on the
+    stream-function dofs: the momentum static's psi block is L's bit for
+    bit and Z^T M Z's to roundoff.  On the torus its border is zero, the
+    curls being orthogonal to the constant velocities, but for the corner
+    H^T M H."""
+    model, _ = request.getfixturevalue(case)
+    W = model.W
+    if model.harmonic is None:
+        psi = free_dofs(W, wall_trace_dofs(W, WALL_TAGS))
+    else:
+        psi = np.arange(1, W.dim)
+    m = len(psi)
+    S = model.momentum.static
+    assert (S[:m, :m] != model.L[psi][:, psi]).nnz == 0
+    ZMZ = model.Zt @ model.M @ model.Z
+    assert S.shape == ZMZ.shape
+    assert abs(S - ZMZ).max() <= 1e-14 * abs(ZMZ).max()
+    if model.harmonic is not None:
+        assert S[:m, m:].count_nonzero() == 0 and S[m:, :m].count_nonzero() == 0
+        H = model.harmonic
+        assert np.array_equal(S[m:, m:].toarray(), H.T @ (model.M @ H))
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
@@ -562,8 +619,8 @@ def test_viscosity_and_diffusivity_follow_physics():
     model = Model(mesh, 1, physics, TimeConfig(dt=1e-3, t_end=1.0))
     assert model.nu == physics.effective_viscosity != 1.0 / np.sqrt(5e6)
     assert model.kappa == physics.particle_diffusivity
-    assert (abs(model.nu_L - model.nu * model.L) != 0).nnz == 0
-    assert (abs(model.kappa_L - model.kappa * model.L) != 0).nnz == 0
+    for name, data in static_data(model).items():
+        assert np.array_equal(getattr(model, name).static.data, data), name
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.physics.grashof = 5e6
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,5 +1,15 @@
-"""Shared test helper: the exactly divergence-free velocity of a stream function."""
+"""Shared test helpers: the exactly divergence-free velocity of a stream
+function, and the weak curl integrated by quadrature.
 
+The package forms the weak curl as M Z, the RT mass times the discrete
+curl: the curl of a CG function lies in RT exactly.  weak_curl_matrix
+integrates the same form <curl w_k, u_a> at quadrature points, as the
+package once did, and is the oracle for M Z.
+"""
+
+import numpy as np
+
+from dualflow import assemble, kernels
 from dualflow.assemble import curl_matrix
 from dualflow.spaces import Field
 
@@ -7,3 +17,22 @@ from dualflow.spaces import Field
 def discrete_curl(psi, rt_space):
     """Exact RT representation of the vector curl (d/dy, -d/dx) of a CG field."""
     return Field(rt_space, curl_matrix(psi.space, rt_space) @ psi.coefficients)
+
+
+def weak_curl(U, W, qdegree):
+    """The weak curl as the step forms it, M Z."""
+    return assemble.assemble_mass(U, qdegree) @ curl_matrix(W, U)
+
+
+def weak_curl_matrix(U, W, qdegree):
+    """Weak curl Lc[a, k] = <curl w_k, u_a>, curl w = (dw/dy, -dw/dx), by
+    quadrature on the (U, W) cell pattern.
+
+    Lc omega is the viscous vector l[a] = <curl omega, u_a> of the
+    momentum step, and Lc^T u the right-hand side <u, curl w_k> of the
+    weak curl recovery.
+    """
+    utab = U.volume_data(qdegree)
+    wtab = W.volume_data(qdegree)
+    curl = np.stack([wtab.grad[..., 1], -wtab.grad[..., 0]], axis=-1)
+    return assemble._pattern(U, W).build(kernels.pairing_vec(utab.weights, utab.val, curl))

@@ -28,8 +28,7 @@ def rotation_matrix(omega, U, qdegree):
 
 def convection_matrix(u, W, qdegree):
     """C(u) on W x W from its CSR values (assemble_vorticity_convection)."""
-    values = assemble.assemble_vorticity_convection(u, W, qdegree)
-    return skew_part(assemble.SkewSystem(sp.csr_matrix((W.dim, W.dim)), W), values)
+    return assemble._pattern(W, W).matrix(assemble.assemble_vorticity_convection(u, W, qdegree))
 
 
 def momentum_skew(model, omega):
