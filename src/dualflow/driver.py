@@ -71,6 +71,14 @@ def _maybe(log, msg):
         log(msg)
 
 
+def _write_snapshot(model, outdir, state, u_before, pressure):
+    """Write the snapshot of step k with its pressure and om~ = curl_h of the
+    velocity the step started from (u^{1/2} at k = 0); returns the fallbacks."""
+    omega_tilde, rep = model.curl_h(u_before)
+    dfio.write_vtk(state, os.path.join(outdir, f"snapshot_{state.k:08d}.vtk"), pressure, omega_tilde)
+    return rep.fallback
+
+
 def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     """Execute a configured run (or resume one from `checkpoint`)."""
     model = build_model(cfg)
@@ -100,8 +108,8 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     mark, mark_k = time.perf_counter(), state.k  # wall clock at the last progress line
     writer = dfio.CsvWriter(csv_path)
     try:
-        if state.k == 0 and out["vtk_every"] > 0:
-            dfio.write_vtk(state, os.path.join(outdir, "snapshot_00000000.vtk"))
+        if startup is not None and out["vtk_every"] > 0:
+            fallbacks += _write_snapshot(model, outdir, state, state.u_half, startup.pressure)
         while state.k < nsteps:
             prev = state
             state, audit = step(state, model)
@@ -116,7 +124,9 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             if state.k % out["csv_every"] == 0:
                 writer.write_row(row)
             if out["vtk_every"] > 0 and state.k % out["vtk_every"] == 0:
-                dfio.write_vtk(state, os.path.join(outdir, f"snapshot_{state.k:08d}.vtk"))
+                b = None if state.phi is None else model.buoyancy @ state.phi.coefficients
+                p, rep = model.pressure(state.omega, prev.u_half, state.u_half, model.time.dt, b=b)
+                fallbacks += rep.fallback + _write_snapshot(model, outdir, state, prev.u_half, p)
             if out["checkpoint_every"] > 0 and state.k % out["checkpoint_every"] == 0:
                 dfio.save_checkpoint(
                     os.path.join(outdir, f"checkpoint_{state.k:08d}.ckpt"), state, engine, model

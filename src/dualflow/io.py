@@ -92,8 +92,8 @@ def read_csv(path):
 # Legacy VTK
 
 
-def write_vtk(state, path):
-    """ASCII legacy-VTK snapshot of one simulation state.
+def write_vtk(state, path, pressure, omega_tilde):
+    """ASCII legacy-VTK snapshot of one simulation state, with its pressure and weak curl.
 
     Point data: phi, omega, omega_tilde sampled at mesh vertices (CG
     vertex dofs).  Cell data: pressure reduced to its cell mean and
@@ -119,12 +119,7 @@ def write_vtk(state, path):
     phys *= U.cell_dof_signs[:, :, None]
     vel = np.einsum("cnd,cn->cd", phys, u.coefficients[U.cell_dofs])
 
-    if state.p_bar is not None:
-        Q = state.p_bar.space
-        pc = state.p_bar.coefficients[Q.cell_dofs]
-        pressure = pc.mean(axis=1)  # DG_0 reduction: cell mean
-    else:
-        pressure = np.zeros(nc)
+    p_cell = pressure.coefficients[pressure.space.cell_dofs].mean(axis=1)  # DG_0 reduction
 
     lines = [
         "# vtk DataFile Version 3.0",
@@ -133,25 +128,23 @@ def write_vtk(state, path):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
     ]
-    for x, y in verts:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0.0")
+    # tolist() turns float64 into Python floats, whose repr is _fmt's text
+    lines.extend(f"{x!r} {y!r} 0.0" for x, y in verts.tolist())
     lines.append(f"CELLS {nc} {4 * nc}")
-    for a, b, c in cells:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in cells.tolist())
     lines.append(f"CELL_TYPES {nc}")
     lines.extend(["5"] * nc)
     lines.append(f"POINT_DATA {nv}")
-    for name, fld in (("phi", state.phi), ("omega", state.omega), ("omega_tilde", state.omega_tilde)):
+    for name, fld in (("phi", state.phi), ("omega", state.omega), ("omega_tilde", omega_tilde)):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in point_scalar(fld))
+        lines.extend(map(repr, point_scalar(fld).tolist()))
     lines.append(f"CELL_DATA {nc}")
     lines.append("SCALARS pressure double 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(v) for v in pressure)
+    lines.extend(map(repr, p_cell.tolist()))
     lines.append("VECTORS velocity double")
-    for vx, vy in vel:
-        lines.append(f"{_fmt(vx)} {_fmt(vy)} 0.0")
+    lines.extend(f"{vx!r} {vy!r} 0.0" for vx, vy in vel.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -164,8 +157,7 @@ class CheckpointError(RuntimeError):
     pass
 
 
-# the state a step reads; p_bar and omega_tilde are diagnostics, which a
-# step recomputes and a resumed run writes from its first step on
+# the fields of stepper.SimulationState, the state a step reads
 _FIELD_ORDER = ("u_half", "omega", "phi")
 
 # what each part of a run's identity covers

@@ -53,7 +53,8 @@ but one plus the two constant (harmonic) velocities.  So
   4b. pressure          D D^T p = D (A u - f),  one dof pinned, zero mean
 
 with Z^T M Z static and Z^T R Z exactly skew.  D u = 0 holds by
-construction and is still checked to 1e-10 every step.
+construction and is still checked to 1e-10 every step.  A step solves
+only 4a: Model.pressure solves 4b where a snapshot is written.
 
 Both modes take this one step.  The homogeneous mode (periodic box, no
 particles) skips steps 1-2, the baroclinic and wall sources of step 3,
@@ -68,7 +69,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assemble
-from .linsolve import CachedLU, SolverError, SolverReport, lu_solve, project_out_constant
+from .linsolve import RTOL, CachedLU, SolverError, lu_solve, project_out_constant
 from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
     Field,
@@ -83,6 +84,8 @@ from .spaces import (
 
 MODES = ("turbidity", "homogeneous")
 DIV_TOL = 1e-10
+STARTUP_TOL = 1e-10      # relative update at which the startup fixed point stops
+STARTUP_MAX_ITER = 25    # startup passes before StartupError
 
 
 class StartupError(RuntimeError):
@@ -121,18 +124,12 @@ class PhysicsConfig:
 class TimeConfig:
     dt: float
     t_end: float
-    startup_tol: float = 1e-10
-    startup_max_iter: int = 25
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one time step")
-        if self.startup_max_iter < 1:
-            raise ValueError(f"startup_max_iter must be at least 1, got {self.startup_max_iter}")
-        if not self.startup_tol > 0:  # refuses NaN too; inf takes one pass
-            raise ValueError(f"startup_tol must be positive, got {self.startup_tol}")
 
     @property
     def num_steps(self):
@@ -141,12 +138,12 @@ class TimeConfig:
 
 @dataclass
 class SimulationState:
+    """The state a step reads, all that a checkpoint holds (io._FIELD_ORDER)."""
+
     k: int
     u_half: Field            # velocity at t^{k+1/2}
     omega: Field             # vorticity at t^k
     phi: Field = None        # particle concentration at t^k (turbidity mode)
-    p_bar: Field = None      # total pressure at t^k (diagnostic)
-    omega_tilde: Field = None  # weak curl of u at t^{k-1/2} (diagnostic)
 
 
 @dataclass
@@ -326,35 +323,46 @@ class Model:
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 
-    def solve_momentum(self, omega, u_old, dt, b=None):
-        """Momentum step with rotation at the midpoint velocity and the
-        buoyancy vector b: stream function solve for u = Z psi, then
-        pressure recovery.  The stream function system is solved multiplied
-        by dt, against the factor of Z^T M Z = L on psi.  Returns (u, p, l, report),
-        l = Lc omega, with the residual of the unscaled system."""
-        def rotate(v):  # R v, applied per cell
-            return assemble.apply_rotation(omega, self.U, self.qdeg, v)
-
-        K = assemble.assemble_rotation(omega, self.U, self.qdeg)
-        # on the torus, Z^T R Z also has the harmonic columns Z^T R H
-        X = None if self.harmonic is None else self.Zt @ np.column_stack([rotate(h) for h in self.harmonic.T])
+    def _momentum_load(self, omega, u_old, dt, b):
+        """The load f = M u_old/dt - R u_old/2 - nu l + b of step 4, and l = Lc omega."""
         l = self.Lc @ omega.coefficients
         uo = u_old.coefficients
-        f = (self.M @ uo) / dt - 0.5 * rotate(uo) - self.nu * l
+        f = (self.M @ uo) / dt - 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uo) - self.nu * l
         if b is not None:
             f = f + b
+        return f, l
+
+    def solve_momentum(self, omega, u_old, dt, b=None):
+        """Momentum step with rotation at the midpoint velocity and the buoyancy
+        vector b, solved for the stream function of u = Z psi multiplied by dt,
+        against the factor of Z^T M Z = L on psi.  Returns (u, l, report),
+        l = Lc omega, with the residual of the unscaled system."""
+        K = assemble.assemble_rotation(omega, self.U, self.qdeg)
+        # on the torus, Z^T R Z also has the harmonic columns Z^T R H
+        X = None if self.harmonic is None else self.Zt @ np.column_stack(
+            [assemble.apply_rotation(omega, self.U, self.qdeg, h) for h in self.harmonic.T])
+        f, l = self._momentum_load(omega, u_old, dt, b)
         A = self.momentum.matrix(0.5 * dt, K, X)
         psi, rep = lu_solve(A, dt * (self.Zt @ f), self._lu_momentum)
-        u = self.Z @ psi
-        # D^T p = A u - f on the free dofs; the residual lies in range(D^T)
-        r = ((self.M @ u) / dt + 0.5 * rotate(u) - f)[self.iu]
+        rep.residual /= dt
+        return Field(self.U, self.Z @ psi), l, rep
+
+    def pressure(self, omega, u_old, u, dt, b=None):
+        """Step 4b for the momentum step from u_old to its solution u: p with zero
+        mean and D_r^T p = r = (A u - f) on the free dofs, which holds only if u
+        solves the step.  Returns (p, report with ||r - D_r^T p||_inf), or
+        refuses when that exceeds RTOL (1 + ||r||_inf)."""
+        f, _ = self._momentum_load(omega, u_old, dt, b)
+        uc = u.coefficients
+        r = ((self.M @ uc) / dt + 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uc) - f)[self.iu]
         p = np.zeros(self.Q.dim)
-        p[1:], prep = lu_solve(self.DDt, (self.D_r @ r)[1:], self._lu_pressure)
+        p[1:], rep = lu_solve(self.DDt, (self.D_r @ r)[1:], self._lu_pressure)
         p = project_out_constant(p, self.MQ, self.ones_q, self.area)
-        res = max(rep.residual / dt, float(np.max(np.abs(r - self.D_rt @ p))))
-        report = SolverReport(refinements=rep.refinements + prep.refinements, residual=res,
-                              fallback=rep.fallback or prep.fallback)
-        return Field(self.U, u), Field(self.Q, p), l, report
+        rep.residual = float(np.max(np.abs(r - self.D_rt @ p)))
+        if rep.residual > RTOL * (1.0 + float(np.max(np.abs(r)))):
+            raise SolverError(f"pressure: ||r - D^T p||_inf = {rep.residual:.3e}: "
+                              "the velocity does not solve the momentum step")
+        return Field(self.Q, p), rep
 
 
 def _check_div(model, u, where):
@@ -383,7 +391,7 @@ def step(state, model):
         omega_new, reports["vorticity"] = model.solve_vorticity(          # step 3
             C, omega, phi_mid=phi_mid, omega_tilde=omega_tilde
         )
-        u_new, p_new, l_vec, reports["momentum"] = model.solve_momentum(  # step 4
+        u_new, l_vec, reports["momentum"] = model.solve_momentum(  # step 4
             omega_new, u, dt, b=b
         )
         div = _check_div(model, u_new, "step 4")
@@ -403,11 +411,7 @@ def step(state, model):
             model.grad_dot_g @ phi_mid.coefficients
         )
         audit.exchange = float(b @ u_new.coefficients)
-    new_state = SimulationState(
-        k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new,
-        p_bar=p_new, omega_tilde=omega_tilde,
-    )
-    return new_state, audit
+    return SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new), audit
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +480,8 @@ class RandomSolenoidalInitialCondition:
 class StartupReport:
     iterations: int
     update: float
-    fallbacks: int = 0  # momentum solves that missed RTOL against the static factor
+    fallbacks: int = 0  # solves that missed RTOL against their static factor
+    pressure: Field = None  # the pressure of the last pass, for snapshot 0
 
 
 def initialize(model, ic):
@@ -485,38 +490,32 @@ def initialize(model, ic):
     Each pass solves the momentum step with the rotation frozen at the
     current vorticity iterate and (in turbidity mode) buoyancy frozen at
     phi^0; the vorticity iterate is then refreshed as the weak curl of
-    the midpoint velocity.
+    the midpoint velocity.  Only the last pass's pressure is solved.
     """
     u0, omega0, phi0 = ic.build(model)
     b0 = model.buoyancy @ phi0.coefficients if phi0 is not None else None
-    tol, cap = model.time.startup_tol, model.time.startup_max_iter
+    dt = 0.5 * model.time.dt
     omega_star = omega0
     u_prev = u0
-    p = Field(model.Q, np.zeros(model.Q.dim))
-    converged = False
-    iterations = fallbacks = 0
-    for it in range(1, cap + 1):
-        u_new, p, _, rep = model.solve_momentum(omega_star, u0, 0.5 * model.time.dt, b=b0)
+    fallbacks = 0
+    for it in range(1, STARTUP_MAX_ITER + 1):
+        u_new, _, rep = model.solve_momentum(omega_star, u0, dt, b=b0)
         fallbacks += rep.fallback
         du = u_new.coefficients - u_prev.coefficients
         scale = float(np.linalg.norm(u_new.coefficients))
         rel = float(np.linalg.norm(du)) / (scale if scale > 0 else 1.0)
         u_prev = u_new
-        iterations = it
-        if rel <= tol:
-            converged = True
+        if rel <= STARTUP_TOL:
             break
         mid = Field(model.U, 0.5 * (u0.coefficients + u_new.coefficients))
         omega_star, _ = model.curl_h(mid)
-    if not converged:
+    else:
         raise StartupError(
-            f"startup fixed point did not reach {tol:.1e} within {cap} iterations "
-            f"(last update {rel:.3e})"
+            f"startup fixed point did not reach {STARTUP_TOL:.1e} within "
+            f"{STARTUP_MAX_ITER} iterations (last update {rel:.3e})"
         )
     _check_div(model, u_prev, "startup")
-    omega_tilde, _ = model.curl_h(u_prev)
-    state = SimulationState(
-        k=0, u_half=u_prev, omega=omega0, phi=phi0, p_bar=p, omega_tilde=omega_tilde,
-    )
-    return state, StartupReport(iterations=iterations, update=rel, fallbacks=fallbacks)
+    p, rep = model.pressure(omega_star, u0, u_prev, dt, b=b0)
+    return (SimulationState(k=0, u_half=u_prev, omega=omega0, phi=phi0),
+            StartupReport(iterations=it, update=rel, fallbacks=fallbacks + rep.fallback, pressure=p))
 

@@ -16,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from dualflow import driver
+from dualflow import io as dfio
 from dualflow.config import parse_config
 from dualflow.linsolve import lu_solve
 
@@ -80,6 +81,24 @@ def test_lu_solve_report_has_residual(spans):
     b = np.array([1.0, 2.0, 3.0])
     result = lu_solve(A, b)
     assert spans.MEASURES["linsolve.lu_solve"](result, (A, b)) == 0.0
+
+
+def test_vtk_measure_reads_the_written_file(spans, tmp_path, monkeypatch):
+    """`io.vtk_bytes` is MEASURES["io.write_vtk"] applied to the arguments
+    of each write_vtk call: it must read the size of the file written."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        write_vtk(*args, **kwargs)
+        calls.append(args)
+
+    write_vtk = dfio.write_vtk
+    monkeypatch.setattr(dfio, "write_vtk", recorded)
+    driver.run(parse_config(TINY.format(out=tmp_path) + "vtk_every = 1\n"), collect_rows=False)
+    assert len(calls) == 3  # steps 0, 1 and 2
+    for k, args in enumerate(calls):
+        path = os.path.join(tmp_path, f"snapshot_{k:08d}.vtk")
+        assert spans.MEASURES["io.write_vtk"](None, args) == os.path.getsize(path) > 0
 
 
 def test_run_entry_point_signature():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from dualflow import io as dfio
 from dualflow.config import parse_config
 from dualflow.driver import build_model, run
 from dualflow.diagnostics import CSV_COLUMNS, Engine
-from dualflow.stepper import LockInitialCondition, initialize, step
+from dualflow.spaces import Field
+from dualflow.stepper import LockInitialCondition, SimulationState, initialize, step
 
 from conftest import run_cli
 
@@ -60,19 +63,15 @@ def test_csv_roundtrip_exact(tmp_path):
 def test_vtk_zero_state(tmp_path):
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
-    from dualflow.spaces import Field
-    from dualflow.stepper import SimulationState
-
     state = SimulationState(
         k=0,
         u_half=Field(model.U, np.zeros(model.U.dim)),
         omega=Field(model.W, np.zeros(model.W.dim)),
         phi=Field(model.W, np.zeros(model.W.dim)),
-        p_bar=Field(model.Q, np.zeros(model.Q.dim)),
-        omega_tilde=Field(model.W, np.zeros(model.W.dim)),
     )
     path = tmp_path / "snap.vtk"
-    dfio.write_vtk(state, str(path))
+    dfio.write_vtk(state, str(path), Field(model.Q, np.zeros(model.Q.dim)),
+                   Field(model.W, np.zeros(model.W.dim)))
     text = path.read_text().splitlines()
     nv, nc = model.mesh.num_vertices, model.mesh.num_cells
     assert f"POINTS {nv} double" in text
@@ -101,6 +100,50 @@ def test_vtk_lock_profile_at_t0(tmp_path):
     assert np.all(np.abs(right) < 0.05)
 
 
+def test_homogeneous_vtk_writes_weak_curl_of_the_previous_velocity(tmp_path):
+    """Without particles too, the snapshot of step k >= 1 carries the weak
+    curl of u^{k-1/2}, the velocity the step started from; snapshot 0 that
+    of u^{1/2}."""
+    text = """
+[mesh]
+length = 1.0
+height = 1.0
+nx = 4
+ny = 4
+
+[physics]
+mode = homogeneous
+nu = 0.01
+
+[discretization]
+degree = 1
+
+[initial]
+kind = random
+
+[time]
+dt = 1e-2
+t_end = 3e-2
+
+[output]
+dir = {out}
+vtk_every = 1
+"""
+    out = tmp_path / "o"
+    before = {}
+    result = run(parse_config(text.format(out=out)),
+                 on_step=lambda prev, state, audit, row: before.update({state.k: prev.u_half}))
+    model = result.model
+    before[0] = before[1]  # u^{1/2}, the start of step 1
+    vmap = model.mesh.render_vertex_map  # a torus is drawn with its seams doubled
+    for k, u in sorted(before.items()):
+        lines = (out / f"snapshot_{k:08d}.vtk").read_text().splitlines()
+        idx = lines.index("SCALARS omega_tilde double 1")
+        written = np.array([float(v) for v in lines[idx + 2 : idx + 2 + len(vmap)]])
+        assert np.count_nonzero(written) == len(vmap)
+        assert np.array_equal(written, model.curl_h(u)[0].coefficients[vmap]), k
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
@@ -117,13 +160,20 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         a = getattr(state, name).coefficients
         b = getattr(restored, name).coefficients
         assert np.array_equal(a, b)
-    assert restored.p_bar is None and restored.omega_tilde is None
     assert data["scalars"]["m_p0"] == eng.m_p0
 
 
+def test_state_is_what_a_checkpoint_holds():
+    """SimulationState holds, besides its step k, exactly the fields a
+    checkpoint saves and a resume restores."""
+    names = [f.name for f in dataclasses.fields(SimulationState)]
+    assert names[0] == "k"
+    assert tuple(names[1:]) == dfio._FIELD_ORDER
+
+
 def test_version_2_checkpoint_refused(tmp_path, monkeypatch):
-    """A version-2 checkpoint, which also held p_bar and omega_tilde, is
-    refused with a message that names its version."""
+    """A version-2 checkpoint (which also held the pressure and the weak
+    curl) is refused by its version line, with a message that names it."""
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
@@ -131,7 +181,6 @@ def test_version_2_checkpoint_refused(tmp_path, monkeypatch):
     state, _ = step(state, model)
     path = tmp_path / "v2.ckpt"
     monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 2)
-    monkeypatch.setattr(dfio, "_FIELD_ORDER", ("u_half", "omega", "phi", "p_bar", "omega_tilde"))
     dfio.save_checkpoint(str(path), state, eng, model)
     monkeypatch.undo()
     assert path.read_bytes().startswith(b"DUALFLOW-CKPT 2\n")

@@ -86,24 +86,6 @@ def test_config_validation():
         TimeConfig(dt=1e-3, t_end=1e-4)
 
 
-@pytest.mark.parametrize("knobs", [
-    dict(startup_max_iter=0), dict(startup_max_iter=-3),
-    dict(startup_tol=float("nan")), dict(startup_tol=0.0), dict(startup_tol=-1e-10),
-], ids=["max_iter_0", "max_iter_neg", "tol_nan", "tol_0", "tol_neg"])
-def test_startup_knobs_validated(knobs):
-    """A startup that could take no pass, or never compare its update, is
-    refused when configured; an infinite tolerance (one pass, as `dualflow
-    check` runs it) is allowed."""
-    with pytest.raises(ValueError, match="startup_"):
-        TimeConfig(dt=1e-3, t_end=1.0, **knobs)
-    time = dataclasses.replace(TimeConfig(dt=1e-3, t_end=1.0), startup_max_iter=1,
-                               startup_tol=float("inf"))
-    model = turbidity_model()
-    model.time = time
-    _, rep = initialize(model, LockInitialCondition())
-    assert rep.iterations == 1
-
-
 def test_mode_mesh_mismatch_rejected():
     geom = ChannelGeometry(length=2.0, height=1.0, lock_length=0.5)
     mesh = build_channel_mesh(geom, 4, 2)
@@ -124,10 +106,10 @@ def test_startup_zero_buoyancy_one_iteration():
 def test_startup_constant_phi_is_pressure_gradient_on_channel():
     """A uniform body force on the channel is absorbed by the pressure."""
     model = turbidity_model()
-    state, _ = initialize(model, ConstantConcentrationIC(1.0))
+    state, rep = initialize(model, ConstantConcentrationIC(1.0))
     assert np.max(np.abs(state.u_half.coefficients)) < 1e-10
     # the pressure picked up the hydrostatic head (nonzero, linear in y)
-    assert np.max(np.abs(state.p_bar.coefficients)) > 1e-4
+    assert np.max(np.abs(rep.pressure.coefficients)) > 1e-4
 
 
 def test_uniform_force_on_torus_gives_uniform_drift():
@@ -138,7 +120,7 @@ def test_uniform_force_on_torus_gives_uniform_drift():
     om0 = Field(model.W, np.zeros(model.W.dim))
     u0 = Field(model.U, np.zeros(model.U.dim))
     b = assemble_buoyancy(model.U, model.W, model.qdeg) @ phi0.coefficients
-    u_new, _, _, _ = model.solve_momentum(om0, u0, 0.5 * model.time.dt, b=b)
+    u_new, _, _ = model.solve_momentum(om0, u0, 0.5 * model.time.dt, b=b)
     drift = interpolate(model.U, lambda x, y: (np.zeros_like(x), -np.ones_like(x)))
     expected = 0.5 * model.time.dt * drift.coefficients
     assert np.max(np.abs(u_new.coefficients - expected)) < 1e-10
@@ -153,11 +135,31 @@ def test_startup_lock_exchange_converges_quickly():
     assert model.div_inf(state.u_half) <= 1e-10
 
 
-def test_startup_nonconvergence_reported():
+def test_startup_nonconvergence_reported(monkeypatch):
     model = turbidity_model()
-    model.time = dataclasses.replace(model.time, startup_max_iter=1, startup_tol=1e-16)
-    with pytest.raises(StartupError):
+    monkeypatch.setattr(stepper, "STARTUP_MAX_ITER", 1)
+    monkeypatch.setattr(stepper, "STARTUP_TOL", 1e-16)
+    with pytest.raises(StartupError, match="within 1 iterations"):
         initialize(model, LockInitialCondition())
+
+
+def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
+    """The startup passes solve no pressure; after the last one the
+    pressure of that pass is solved once, against its own factor."""
+    model = turbidity_model(nx=25, ny=2)
+    calls = []
+
+    def counted(A, b, factor=None):
+        calls.append(A is model.DDt)
+        return lu_solve(A, b, factor)
+
+    lu_solve = stepper.lu_solve
+    monkeypatch.setattr(stepper, "lu_solve", counted)
+    state, rep = initialize(model, LockInitialCondition())
+    assert rep.iterations > 1
+    assert calls.count(True) == 1 and calls[-1]
+    assert len(calls) == 2 * rep.iterations  # a momentum solve per pass, a weak curl between
+    assert rep.pressure.space is model.Q
 
 
 def test_zero_state_is_fixed_point():
@@ -198,13 +200,14 @@ def test_quasi_linearity_single_solves(mode, monkeypatch):
     monkeypatch.setattr(stepper, "lu_solve", counted)
     new, audit = step(state, model)
     assert set(audit.reports) == solves
-    # one linear solve per sub-step, two for the momentum step (stream
-    # function and pressure): no nonlinear iteration
-    assert len(calls) == (5 if mode == "turbidity" else 3)
-    # each against a static factor (A, b, factor)
+    # one linear solve per sub-step, the stream function's for the momentum
+    # step, and no pressure: no nonlinear iteration
+    assert len(calls) == (4 if mode == "turbidity" else 2)
+    # each against a static factor (A, b, factor), none the pressure's
     assert all(len(args) == 3 and args[2] is not None for args in calls)
+    assert not any(args[0] is model.DDt for args in calls)
     if mode == "homogeneous":  # steps 1-2 and the particle bookkeeping are skipped
-        assert new.phi is None and new.omega_tilde is None
+        assert new.phi is None
         assert audit.mass_residual == 0.0 and audit.exchange == 0.0
 
 
@@ -395,12 +398,46 @@ def test_momentum_matches_saddle_oracle(case, request):
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
     b = model.buoyancy @ state.phi.coefficients if state.phi is not None else None
-    u, p, _, rep = model.solve_momentum(state.omega, state.u_half, dt, b=b)
+    u, _, rep = model.solve_momentum(state.omega, state.u_half, dt, b=b)
+    p, _ = model.pressure(state.omega, state.u_half, u, dt, b=b)
     u_ref, p_ref = saddle_momentum(model, state.omega, state.u_half, dt, phi_buoy=state.phi)
     assert np.max(np.abs(u.coefficients[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
     assert np.max(np.abs(p.coefficients - p_ref)) <= 1e-10 * np.max(np.abs(p_ref))
     assert np.all(u.coefficients[model.u_fixed] == 0.0)
     assert rep.residual <= 1e-10 * (1.0 + np.max(np.abs(u_ref)) / dt)
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_pressure_gate_holds_on_every_step(case, request):
+    """The pressure of each step solves D_r^T p = r to RTOL (1 + ||r||_inf),
+    with r the step's momentum residual, here built from the rotation
+    oracle, and reports that residual."""
+    model, state = request.getfixturevalue(case)
+    dt = model.time.dt
+    for _ in range(5):
+        new, _ = step(state, model)
+        b = None if new.phi is None else model.buoyancy @ new.phi.coefficients
+        p, rep = model.pressure(new.omega, state.u_half, new.u_half, dt, b=b)
+        R = rotation_matrix(new.omega, model.U, model.qdeg)
+        uo, u = state.u_half.coefficients, new.u_half.coefficients
+        f = (model.M @ uo) / dt - 0.5 * (R @ uo) - model.nu * (model.Lc @ new.omega.coefficients)
+        if b is not None:
+            f = f + b
+        r = ((model.M @ u) / dt + 0.5 * (R @ u) - f)[model.iu]
+        gate = linsolve.RTOL * (1.0 + np.max(np.abs(r)))
+        assert np.max(np.abs(r - model.D_rt @ p.coefficients)) <= gate
+        assert rep.residual <= gate and not rep.fallback
+        state = new
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_pressure_refuses_a_velocity_that_does_not_solve_the_step(case, request):
+    """With u_old in place of the step's solution the momentum residual is
+    not a pressure gradient, and no pressure is returned for it."""
+    model, state = request.getfixturevalue(case)
+    b = None if state.phi is None else model.buoyancy @ state.phi.coefficients
+    with pytest.raises(linsolve.SolverError, match="does not solve the momentum step"):
+        model.pressure(state.omega, state.u_half, state.u_half, model.time.dt, b=b)
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
@@ -579,7 +616,9 @@ def test_own_factor_solves_take_no_refinement(case, request, monkeypatch):
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", recorded)
     model.curl_h(state.u_half)
-    step(state, model)
+    new, _ = step(state, model)
+    b = None if new.phi is None else model.buoyancy @ new.phi.coefficients
+    model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, b=b)
     assert len(own) == (3 if model.physics.mode == "turbidity" else 2)
     assert all(rep.refinements == 0 for rep in own)
 
