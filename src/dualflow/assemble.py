@@ -21,10 +21,20 @@ each step, a skew part's onto the one CSR matrix of a per-step system.
 The static operators are built once per run by stepper.Model, which
 owns them.
 
-R and C evaluate no field at quadrature points.  On an affine cell the
-Piola maps cancel, (J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k /
-det J) . (J^-T grad w_a) = r_k . grad w_a / det J, and the weight's det J
-cancels the remaining 1/det J: both are one reference-tensor contraction.
+No form evaluates anything at quadrature points.  On an affine cell the
+maps to the reference cell reduce every form to per-cell geometry
+contracted with a reference integral (elements.form_tensor and
+elements.skew_tensors): one GEMM, kernels.contraction, then the RT
+signs and the scatter.  With the Piola map J r / det J of an RT basis
+function r, the gradient J^-T grad w of a scalar one and the weight's
+det J, the per-cell coefficients are det J for a scalar mass, det J
+J^-1 J^-T for the curl-curl, J^T J / det J for the RT mass, e_g^T J for
+the buoyancy, det J J^-1 e_g^perp and det J J^-1 e_g for the baroclinic
+and gradient forms, and, on a wall edge, its length for the mass and
+J^-1 (length n) for the Neumann form.  The divergence is metric-free,
+and so are R and C: (J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k /
+det J) . (J^-T grad w_a) = r_k . grad w_a / det J, the weight's det J
+cancelling the rest, so their coefficients are the fields' own.
 
 Index convention: for every matrix A produced here, A[i, j] pairs test
 function i against trial function j.
@@ -39,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .elements import reference_curl, skew_tensors
+from .elements import LOCAL_EDGES, form_tensor, reference_curl, skew_tensors
 from .mesh import TAG_BOTTOM, TAG_TOP
 from .spaces import interpolate
 
@@ -106,32 +116,52 @@ def _skew_values(space, coef, tensor):
         cache[key] = (pattern.nnz, np.ascontiguousarray(pattern.pos[:, a, b]),
                       np.ascontiguousarray(pattern.pos[:, b, a]))
     nnz, pos_ab, pos_ba = cache[key]
-    P = kernels.skew_contraction(coef, tensor)
+    P = kernels.contraction(coef, tensor)
     return kernels.scatter_matrix(pos_ab, P, nnz) - kernels.scatter_matrix(pos_ba, P, nnz)
 
 
+def _form(test, trial, coef, qdegree, derivative=(False, False), cells=None):
+    """The (test, trial) matrix whose cells' local matrices are coef @ T,
+    RT signs applied, T = elements.form_tensor of the two spaces' bases
+    (each differentiated if `derivative` says so): one row of coef per
+    cell or, on a wall, per edge, `cells` its owner, against the tensor
+    of the three local edges."""
+    T = form_tensor((test.family, test.degree, derivative[0]),
+                    (trial.family, trial.degree, derivative[1]), qdegree, cells is not None)
+    which = slice(None) if cells is None else cells
+    signs = test.cell_dof_signs[which, :, None] * trial.cell_dof_signs[which, None, :]
+    local = kernels.contraction(coef, T).reshape(signs.shape) * signs
+    # entries zero but for rounding (on right triangles the P1 curl-curl
+    # and P2 mass forms) are made exactly zero, so that a factor drops them
+    local[np.abs(local) <= 1e-14 * np.abs(local).max(axis=(1, 2), keepdims=True)] = 0.0
+    return _pattern(test, trial).build(local, cells)
+
+
 def assemble_mass(space, qdegree):
-    """Mass matrix <trial, test>; SPD for CG/DG/RT alike."""
-    tab = space.volume_data(qdegree)
-    pair = kernels.pairing_vec if space.family == "RT" else kernels.pairing
-    return _pattern(space, space).build(pair(tab.weights, tab.val, tab.val))
+    """Mass matrix <trial, test>; SPD for CG/DG/RT alike: det J M-hat on a
+    scalar space, J^T J / det J against the reference tensor on RT."""
+    J, det, _ = space.mesh.jacobians()
+    coef = (np.swapaxes(J, 1, 2) @ J).reshape(-1, 4) / det[:, None] if space.family == "RT" \
+        else det[:, None]
+    return _form(space, space, coef, qdegree)
 
 
 def assemble_curlcurl(space, qdegree):
-    """<curl trial, curl test> on a scalar space; equals the stiffness form."""
-    tab = space.volume_data(qdegree)
-    return _pattern(space, space).build(kernels.pairing_vec(tab.weights, tab.grad, tab.grad))
+    """<curl trial, curl test> on a scalar space; equals the stiffness form,
+    det J J^-1 J^-T against the reference gradients."""
+    _, det, Jinv = space.mesh.jacobians()
+    coef = (det[:, None, None] * (Jinv @ np.swapaxes(Jinv, 1, 2))).reshape(-1, 4)
+    return _form(space, space, coef, qdegree, (True, True))
 
 
 def assemble_div(U, Q, qdegree):
-    """Divergence pairing D[q, u] = <div u, q>."""
+    """Divergence pairing D[q, u] = <div u, q>, metric-free: det J cancels
+    the Piola 1/det J."""
     if U.mesh is not Q.mesh:
         raise ValueError("velocity and pressure spaces live on different meshes")
     if Q.degree != U.degree - 1:
         raise ValueError(f"incompatible pair RT_{U.degree} / DG_{Q.degree}")
-    utab = U.volume_data(qdegree)
-    qtab = Q.volume_data(qdegree)
-    return _pattern(Q, U).build(kernels.pairing(utab.weights, qtab.val, utab.div))
+    return _form(Q, U, np.ones((U.mesh.num_cells, 1)), qdegree, (False, True))
 
 
 def curl_matrix(W, U):
@@ -250,11 +280,22 @@ class SkewSystem:
         return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
 
 
+def _wall(space, tag):
+    """The owner cell of each edge of a wall, its local edge as a one-hot
+    row (E, 3) and its tangent in the owner's orientation (E, 2)."""
+    mesh = space.mesh
+    edges = mesh.wall_edges(tag)
+    cells, loc = mesh.edge_cells[edges, 0], mesh.edge_local[edges, 0]
+    a, b = np.asarray(LOCAL_EDGES)[loc].T
+    return cells, np.eye(3)[loc], mesh.cell_coords[cells, b] - mesh.cell_coords[cells, a]
+
+
 def assemble_wall_mass(space, tag, qdegree):
-    """Boundary mass matrix <trial, test> over one tagged wall."""
-    tab = space.boundary_data(tag, qdegree)
-    local = kernels.pairing(tab.weights, tab.val, tab.val)
-    return _pattern(space, space).build(local, tab.cells)
+    """Boundary mass matrix <trial, test> over one tagged wall: the edge
+    length against the owner's local edge's reference tensor."""
+    cells, onehot, tang = _wall(space, tag)
+    return _form(space, space, onehot * np.hypot(tang[:, 0], tang[:, 1])[:, None], qdegree,
+                 cells=cells)
 
 
 def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
@@ -282,19 +323,19 @@ def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
 
 
 def assemble_buoyancy(U, W, qdegree):
-    """B[i, k] = <w_k e_g, u_i>; the buoyancy vector is b = B phi."""
-    utab = U.volume_data(qdegree)
-    wtab = W.volume_data(qdegree)
-    g_dot_u = GRAVITY[0] * utab.val[..., 0] + GRAVITY[1] * utab.val[..., 1]
-    return _pattern(U, W).build(kernels.pairing(utab.weights, g_dot_u, wtab.val))
+    """B[i, k] = <w_k e_g, u_i>; the buoyancy vector is b = B phi.  The
+    Piola J / det J and the weight's det J leave e_g^T J."""
+    return _form(U, W, np.asarray(GRAVITY) @ U.mesh.jacobians()[0], qdegree)
 
 
 def assemble_baroclinic(W, qdegree):
     """Cb[i, k] = <grad w_k x e_g, w_i>; the source c = Cb phi is
-    <grad phi x e_g, w_i>, with e_g=(0,-1) this is -d(phi)/dx."""
-    wtab = W.volume_data(qdegree)
-    cross = wtab.grad[..., 0] * GRAVITY[1] - wtab.grad[..., 1] * GRAVITY[0]
-    return _pattern(W, W).build(kernels.pairing(wtab.weights, wtab.val, cross))
+    <grad phi x e_g, w_i>, with e_g=(0,-1) this is -d(phi)/dx.
+    grad w x e_g = grad w . e_g^perp, e_g^perp = (g_y, -g_x), so the
+    coefficient is det J J^-1 e_g^perp."""
+    _, det, Jinv = W.mesh.jacobians()
+    coef = det[:, None] * (Jinv @ np.array([GRAVITY[1], -GRAVITY[0]]))
+    return _form(W, W, coef, qdegree, (False, True))
 
 
 def assemble_vorticity_neumann(W, bdegree):
@@ -302,25 +343,29 @@ def assemble_vorticity_neumann(W, bdegree):
     wall source is g = Nn omega_tilde.
 
     Uses the identity (curl w) x n = grad(w).n, evaluated one-sidedly
-    from the boundary cells.  The matrix keeps its nonzero wall entries
-    alone: a step applies it.
+    from the boundary cells: length n = (t_y, -t_x) for the owner's
+    tangent t, so the coefficient is J^-1 (t_y, -t_x) in the local
+    edge's block.  The matrix keeps its nonzero wall entries alone: a
+    step applies it.
     """
     pattern = _pattern(W, W)
     values = np.zeros(pattern.nnz)
     for tag in (TAG_TOP, TAG_BOTTOM):
-        tab = W.boundary_data(tag, bdegree)
-        gn = np.einsum("eqnd,ed->eqn", tab.grad, tab.normals)
-        values += pattern.values(kernels.pairing(tab.weights, tab.val, gn), tab.cells)
+        cells, onehot, tang = _wall(W, tag)
+        ln = np.einsum("ced,cd->ce", W.mesh.jacobians()[2][cells], tang[:, ::-1] * [1.0, -1.0])
+        coef = (onehot[:, :, None] * ln[:, None, :]).reshape(len(cells), -1)
+        values += _form(W, W, coef, bdegree, (False, True), cells).data
     Nn = pattern.matrix(values).copy()  # the pattern's arrays stay intact
     Nn.eliminate_zeros()
     return Nn
 
 
 def assemble_gradient_dot(space, qdegree):
-    """Static vector gvec[i] = <grad w_i, e_g>; phi^T gvec = <grad phi, e_g>."""
-    tab = space.volume_data(qdegree)
-    fq = tab.grad[..., 0] * GRAVITY[0] + tab.grad[..., 1] * GRAVITY[1]
-    local = np.einsum("cq,cqa->ca", tab.weights, fq)
+    """Static vector gvec[i] = <grad w_i, e_g>; phi^T gvec = <grad phi, e_g>:
+    det J J^-1 e_g against the reference gradients' integrals."""
+    _, det, Jinv = space.mesh.jacobians()
+    T = form_tensor((space.family, space.degree, True), ("DG", 0, False), qdegree)
     out = np.zeros(space.dim)
+    local = kernels.contraction(det[:, None] * (Jinv @ np.asarray(GRAVITY)), T)
     kernels.scatter_vector(out, space.cell_dofs, local)
     return out

@@ -15,6 +15,11 @@ Conventions fixed here and relied on everywhere else:
 Because moment 1 is odd about the edge midpoint, a direction flip of the
 edge changes the sign of moment 0 but leaves moment 1 invariant; the dof
 maps in `spaces` rely on exactly this.
+
+Assembly tabulates the elements here alone, at reference points: the
+reference tensors of the forms (form_tensor for the static bilinear
+forms, skew_tensors for the per-step skew ones) are built once per
+degree, and `assemble` contracts them with per-cell geometry.
 """
 
 import functools
@@ -250,6 +255,42 @@ def skew_tensors(cg_degree, rt_degree, qdegree):
     for T in (T_R, T_C, T_Z):
         T.flags.writeable = False
     return T_R, T_C, T_Z
+
+
+def _table(factor, points):
+    """The reference table (n_pts, m, ndof) of a form's factor (family,
+    degree, derivative): a scalar basis has m=1 and its gradient m=2, an
+    RT basis m=2 and its divergence m=1."""
+    family, degree, derivative = factor
+    table = get_element(family, degree).tabulate(points)[int(derivative)]
+    return table[:, None, :] if table.ndim == 2 else np.swapaxes(table, 1, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def form_tensor(test, trial, qdegree, on_edges=False):
+    """Reference tensor of the bilinear form of two factors, each (family,
+    degree, derivative) as in _table, laid out for one GEMM:
+
+      T[e m_b + f, a n_b + b] = sum_q w_q A[q, e, a] B[q, f, b]
+
+    with A the test's and B the trial's table, at the degree-`qdegree`
+    triangle rule, or, `on_edges`, at the interval rule on each local edge
+    in turn, the three blocks stacked along the first axis.  An edge's
+    weights sum to 1, not to its reference length.  Read-only."""
+    if on_edges:
+        t, w = interval_rule(qdegree)
+        rules = [(REF_VERTICES[a] + t[:, None] * (REF_VERTICES[b] - REF_VERTICES[a]), w)
+                 for a, b in LOCAL_EDGES]
+    else:
+        rule = triangle_rule(qdegree)
+        rules = [(rule.points, rule.weights)]
+    blocks = []
+    for pts, w in rules:
+        A, B = _table(test, pts), _table(trial, pts)
+        blocks.append(np.einsum("q,qea,qfb->efab", w, A, B).reshape(A.shape[1] * B.shape[1], -1))
+    T = np.concatenate(blocks)
+    T.flags.writeable = False
+    return T
 
 
 _CACHE = {}

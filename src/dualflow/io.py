@@ -49,8 +49,8 @@ def truncate_csv_for_resume(path, k, csv_every):
     after writing them) and a torn last line, so the resumed run appends
     exactly what an uninterrupted run writes.  Refuses with
     CheckpointError when the rows through the last step at or before k
-    that `csv_every` selects are not all there, or the header is not
-    this version's.
+    that `csv_every` selects are not all there, the header is not this
+    version's, or a complete row's step is not an integer.
     """
     expected = (k // csv_every) * csv_every
     if not os.path.exists(path) or os.path.getsize(path) == 0:
@@ -64,10 +64,14 @@ def truncate_csv_for_resume(path, k, csv_every):
             raise CheckpointError(f"{path} does not start with the expected CSV header")
         keep = fh.tell()
         last = 0
-        for line in iter(fh.readline, b""):
+        for number, line in enumerate(iter(fh.readline, b""), start=2):
             if not line.endswith(b"\n"):
                 break
-            step = int(line.split(b",", 1)[0])
+            try:
+                step = int(line.split(b",", 1)[0])
+            except ValueError:
+                raise CheckpointError(f"{path}, line {number}: the step field is not an "
+                                      f"integer") from None
             if step > k:
                 break
             last, keep = step, fh.tell()

@@ -1,18 +1,16 @@
-"""Assembly kernels: quadrature, reference-tensor contraction and CSR
-scatter, numpy only.
+"""Assembly kernels: reference-tensor contraction and CSR scatter, numpy
+only.
 
-A static form is integrated by contracting the quadrature axis of every
-cell at once with one batched ``np.matmul``: a local matrix is
+On an affine cell every form the scheme assembles, static or per step,
+is per-cell data contracted with a reference tensor (elements.form_tensor,
+elements.skew_tensors): the local entries of all cells are one GEMM
 
-    local[c, a, b] = sum_q wdet[c, q] * test[c, q, a] * trial[c, q, b]
-                   = (wdet[c, :, None] * test[c])^T @ trial[c].
+    local[c, p] = sum_k coef[c, k] * tensor[k, p],
 
-Shared reference tables of shape (nq, n) broadcast over the cells.  The
-per-step rotation R(omega) and convection C(u) evaluate no field at
-quadrature points: each is one GEMM of the cells' coefficients with a
-metric-free reference tensor (elements.skew_tensors).  The kernels are
-leaves: none calls another public kernel, so a tracer that wraps them
-counts each contraction once.
+coef holding the cells' geometry or, for the per-step skew forms, their
+field coefficients.  No form evaluates anything at quadrature points.
+The kernels are leaves: none calls another public kernel, so a tracer
+that wraps them counts each contraction once.
 
 Every kernel accumulates in a fixed order, so repeated runs are bitwise
 identical at fixed BLAS threading.
@@ -21,26 +19,9 @@ identical at fixed BLAS threading.
 import numpy as np
 
 
-def _pair(wdet, test, trial):
-    return np.matmul(np.swapaxes(wdet[..., None] * test, -1, -2), trial)
-
-
-def pairing(wdet, test, trial):
-    """local[c,a,b] = sum_q wdet[c,q] test[c,q,a] trial[c,q,b] for scalar
-    tables, each either per cell (C, nq, n) or shared (nq, n)."""
-    return _pair(wdet, test, trial)
-
-
-def pairing_vec(wdet, test, trial):
-    """local[c,a,b] = sum_q wdet[c,q] test[c,q,a,:] . trial[c,q,b,:] for
-    vector tables of shape (C, nq, n, 2)."""
-    return _pair(wdet, test[..., 0], trial[..., 0]) + _pair(wdet, test[..., 1], trial[..., 1])
-
-
-def skew_contraction(coef, tensor):
-    """Local entries P[c, p] of the pairs a < b of exactly skew cell
-    matrices, from the same entries of a reference tensor, tensor[k, p]:
-    one (C, k) @ (k, p) GEMM P = coef @ tensor.  Entry (b, a) is -P."""
+def contraction(coef, tensor):
+    """Local entries P[c, p] of every cell from the same entries of a
+    reference tensor, tensor[k, p]: one (C, k) @ (k, p) GEMM."""
     return coef @ tensor
 
 

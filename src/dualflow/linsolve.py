@@ -42,8 +42,8 @@ class CachedLU:
 
     The fill-reducing ordering is minimum degree on A^T + A: every matrix
     factored here is structurally symmetric.  Exact zeros are dropped
-    first: a static part kept on a cell pattern has some (the P1
-    curl-curl form on right triangles), and they would only add fill.
+    first: a static part on a cell pattern has some (P1 curl-curl and P2
+    mass forms on right triangles), and they would only add fill.
     """
 
     def __init__(self, matrix):

@@ -1,4 +1,4 @@
-"""Finite element spaces over a mesh: dof maps, tabulation, projection.
+"""Finite element spaces over a mesh: dof maps, projection, interpolation.
 
 The three families form the discrete subcomplex
 
@@ -17,14 +17,15 @@ Dof layout:
   DG_k : (k+1)(k+2)/2 dofs per cell, no sharing.
 
 Spaces exist for N in {1, 2}; space_dimension counts the dofs of any
-degree.
+degree.  A space keeps no per-cell tabulation: `assemble` contracts the
+reference tensors of `elements` with the mesh's per-cell geometry.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import LOCAL_EDGES, REF_VERTICES, get_element
+from .elements import LOCAL_EDGES, get_element
 from .mesh import MeshError
 from .quadrature import interval_rule, triangle_rule
 
@@ -50,31 +51,6 @@ def space_dimension(family, degree, num_vertices, num_edges, num_cells):
 
 
 @dataclass
-class VolumeTab:
-    """Per-cell tabulation at a shared volume quadrature rule."""
-
-    weights: np.ndarray      # (C, nq) quadrature weight * detJ
-    points: np.ndarray       # (C, nq, 2) physical coordinates
-    val: np.ndarray          # scalar: (nq, n); RT: (C, nq, n, 2), signs folded in
-    grad: np.ndarray = None  # scalar: (C, nq, n, 2)
-    div: np.ndarray = None   # RT: (C, nq, n), signs folded in
-
-
-@dataclass
-class EdgeTab:
-    """One-sided tabulation on the edges of one boundary wall."""
-
-    edges: np.ndarray        # (ne,)
-    cells: np.ndarray        # (ne,)
-    dofs: np.ndarray         # (ne, nloc) owner-cell dofs
-    weights: np.ndarray      # (ne, nqe) 1D weight * edge length
-    points: np.ndarray       # (ne, nqe, 2)
-    normals: np.ndarray      # (ne, 2) outward
-    val: np.ndarray          # (ne, nqe, nloc)
-    grad: np.ndarray         # (ne, nqe, nloc, 2)
-
-
-@dataclass
 class FunctionSpace:
     mesh: object
     family: str
@@ -83,66 +59,6 @@ class FunctionSpace:
     element: object
     cell_dofs: np.ndarray       # (C, nloc) int64
     cell_dof_signs: np.ndarray  # (C, nloc) float64
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def volume_data(self, qdegree):
-        """Cached physical tabulation at the degree-`qdegree` triangle rule."""
-        key = ("vol", qdegree)
-        if key not in self._cache:
-            self._cache[key] = self._build_volume(qdegree)
-        return self._cache[key]
-
-    def _build_volume(self, qdegree):
-        rule = triangle_rule(qdegree)
-        J, det, Jinv = self.mesh.jacobians()
-        C = self.mesh.num_cells
-        nq = len(rule.weights)
-        wdet = np.multiply.outer(det, rule.weights)
-        p0 = self.mesh.cell_coords[:, 0, :]
-        xq = p0[:, None, :] + np.einsum("cde,qe->cqd", J, rule.points)
-        if self.family == "RT":
-            rval, rdiv = self.element.tabulate(rule.points)
-            val = np.einsum("cde,qne->cqnd", J, rval) / det[:, None, None, None]
-            div = rdiv[None, :, :] / det[:, None, None]
-            val *= self.cell_dof_signs[:, None, :, None]
-            div = div * self.cell_dof_signs[:, None, :]
-            return VolumeTab(weights=wdet, points=xq, val=val, div=div)
-        rval, rgrad = self.element.tabulate(rule.points)
-        grad = np.einsum("qne,ced->cqnd", rgrad, Jinv)
-        return VolumeTab(weights=wdet, points=xq, val=rval, grad=grad)
-
-    def boundary_data(self, tag, qdegree):
-        """Cached one-sided tabulation on the wall with the given tag (scalar
-        spaces), every edge of the wall in one tabulate call."""
-        if self.family == "RT":
-            raise NotImplementedError("boundary tabulation is only needed for scalar spaces")
-        key = ("bnd", tag, qdegree)
-        if key not in self._cache:
-            self._cache[key] = self._build_boundary(tag, qdegree)
-        return self._cache[key]
-
-    def _build_boundary(self, tag, qdegree):
-        mesh = self.mesh
-        edges = mesh.wall_edges(tag)
-        t1, w1 = interval_rule(qdegree)
-        cells = mesh.edge_cells[edges, 0]
-        a, b = np.asarray(LOCAL_EDGES)[mesh.edge_local[edges, 0]].T
-        pa, pb = mesh.cell_coords[cells, a], mesh.cell_coords[cells, b]
-        tang = pb - pa
-        length = np.hypot(tang[:, 0], tang[:, 1])
-        ra, rb = REF_VERTICES[a], REF_VERTICES[b]
-        rpts = ra[:, None, :] + t1[:, None] * (rb - ra)[:, None, :]  # (ne, nqe, 2)
-        rval, rgrad = self.element.tabulate(rpts)
-        shape = rpts.shape[:2] + rval.shape[1:]  # (ne, nqe, nloc)
-        _, _, Jinv = mesh.jacobians()
-        return EdgeTab(
-            edges=edges, cells=cells, dofs=self.cell_dofs[cells],
-            weights=w1 * length[:, None],
-            points=pa[:, None, :] + t1[:, None] * tang[:, None, :],
-            normals=np.stack([tang[:, 1], -tang[:, 0]], axis=1) / length[:, None],
-            val=rval.reshape(shape),
-            grad=np.einsum("kqne,ked->kqnd", rgrad.reshape(shape + (2,)), Jinv[cells]),
-        )
 
 
 def make_space(mesh, family, degree):
@@ -249,26 +165,29 @@ def _call_scalar(fn, x, y):
     return np.broadcast_to(np.asarray(out, dtype=float), x.shape)
 
 
+def _points(mesh, ref):
+    """Physical coordinates (C, n, 2) of the reference points `ref` (n, 2)
+    in every cell: p0 + J ref."""
+    J = mesh.jacobians()[0]
+    return mesh.cell_coords[:, 0, None, :] + np.einsum("cde,qe->cqd", J, ref)
+
+
 def project(space, fn, qdegree=None):
-    """L2 projection of an analytic function onto the space."""
+    """L2 projection of an analytic function onto a scalar space."""
     from .assemble import assemble_mass
     from .linsolve import lu_solve
 
-    qdegree = qdegree if qdegree is not None else 2 * max(space.degree, 1) + 2
-    tab = space.volume_data(qdegree)
-    rhs = np.zeros(space.dim)
-    x, y = tab.points[..., 0], tab.points[..., 1]
     if space.family == "RT":
-        fx, fy = fn(x, y)
-        fx = np.broadcast_to(np.asarray(fx, dtype=float), x.shape)
-        fy = np.broadcast_to(np.asarray(fy, dtype=float), x.shape)
-        local = np.einsum("cq,cqnd,cqd->cn", tab.weights, tab.val, np.stack([fx, fy], axis=-1))
-    else:
-        fq = _call_scalar(fn, x, y)
-        local = np.einsum("cq,qn->cn", tab.weights * fq, tab.val)
+        raise ValueError("L2 projection onto RT is not supported; interpolate instead")
+    qdegree = qdegree if qdegree is not None else 2 * max(space.degree, 1) + 2
+    rule = triangle_rule(qdegree)
+    x = _points(space.mesh, rule.points)
+    f = _call_scalar(fn, x[..., 0], x[..., 1])
+    wf = np.multiply.outer(space.mesh.jacobians()[1], rule.weights) * f
+    local = np.einsum("cq,qn->cn", wf, space.element.tabulate(rule.points)[0])
+    rhs = np.zeros(space.dim)
     np.add.at(rhs, space.cell_dofs.ravel(), local.ravel())
-    M = assemble_mass(space, qdegree)
-    coef, _ = lu_solve(M, rhs)
+    coef, _ = lu_solve(assemble_mass(space, qdegree), rhs)
     return Field(space, coef)
 
 
@@ -288,10 +207,7 @@ def interpolate(space, fn):
     mesh = space.mesh
     coef = np.zeros(space.dim)
     if space.family in ("CG", "DG"):
-        nodes = space.element.nodes()
-        J, _, _ = mesh.jacobians()
-        p0 = mesh.cell_coords[:, 0, :]
-        xq = p0[:, None, :] + np.einsum("cde,qe->cqd", J, nodes)
+        xq = _points(mesh, space.element.nodes())
         vals = _call_scalar(fn, xq[..., 0], xq[..., 1])
         coef[space.cell_dofs] = vals  # repeated writes agree for continuous fn
         return Field(space, coef)
@@ -310,17 +226,11 @@ def interpolate(space, fn):
         coef[m:N * mesh.num_edges:N] = flux @ (w1 * leg)
     if space.element.n_interior:
         rule = triangle_rule(2 * N + 2)
-        J, det, Jinv = mesh.jacobians()
-        p0 = mesh.cell_coords[:, 0, :]
-        xq = p0[:, None, :] + np.einsum("cde,qe->cqd", J, rule.points)
-        fx, fy = fn(xq[..., 0], xq[..., 1])
-        F = np.stack([np.broadcast_to(np.asarray(fx, dtype=float), xq[..., 0].shape),
-                      np.broadcast_to(np.asarray(fy, dtype=float), xq[..., 0].shape)], axis=-1)
-        # reference moments of the pullback: det * Jinv @ f, integrated on T-hat
+        _, det, Jinv = mesh.jacobians()
+        xq = _points(mesh, rule.points)
+        F = np.stack(np.broadcast_arrays(*fn(xq[..., 0], xq[..., 1]), xq[..., 0])[:2], axis=-1)
+        # reference moments of the pullback: det * Jinv @ f, integrated on
+        # T-hat; cell c's interior dofs follow the edge dofs in cell order
         pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
-        moments = np.einsum("q,cqe->ce", rule.weights, pull)
-        ni = space.element.n_interior
-        base = N * mesh.num_edges
-        for k in range(ni):
-            coef[base + ni * np.arange(mesh.num_cells) + k] = moments[:, k]
+        coef[N * mesh.num_edges:] = np.einsum("q,cqe->ce", rule.weights, pull).ravel()
     return Field(space, coef)

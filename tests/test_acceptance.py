@@ -34,6 +34,7 @@ from dualflow.stepper import (
 
 from conftest import run_cli
 from util_curl import discrete_curl
+from util_tabulate import volume_tab
 
 RUN6_CFG = """\
 [mesh]
@@ -221,7 +222,7 @@ def taylor_green_l2_error(nx):
     exact = ic.velocity(t_vel, nu)
     import util_fields as kernels
 
-    tab = model.U.volume_data(8)
+    tab = volume_tab(model.U, 8)
     uq = kernels.field_vec(model.U.cell_dofs, state.u_half.coefficients, tab.val)
     ex, ey = exact(tab.points[..., 0], tab.points[..., 1])
     err = float(np.sqrt(np.sum(tab.weights * ((uq[..., 0] - ex) ** 2 + (uq[..., 1] - ey) ** 2))))

@@ -15,12 +15,14 @@ from dualflow import assemble
 from dualflow.diagnostics import Engine, FrontTracker, sedimentation_rate, suspended_mass
 from dualflow.mesh import WALL_TAGS
 
+from util_tabulate import wall_tab
+
 
 def weighted_flux(space, weight_fn, qdegree):
     """v[i] = integral over the whole boundary of weight(x) grad(w_i).n."""
     out = np.zeros(space.dim)
     for tag in WALL_TAGS:
-        tab = space.boundary_data(tag, qdegree)
+        tab = wall_tab(space, tag, qdegree)
         if len(tab.edges) == 0:
             continue
         wq = weight_fn(tab.points[..., 0], tab.points[..., 1])

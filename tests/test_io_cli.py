@@ -379,6 +379,16 @@ def test_resume_refuses_csv_missing_rows(tmp_path, steps, torn):
         dfio.truncate_csv_for_resume(str(path), 3, 1)
 
 
+def test_resume_refuses_csv_row_with_bad_step(tmp_path):
+    """A complete row whose step is not an integer is named by path and line."""
+    path = csv_with_steps(tmp_path / "a.csv", (1, 2, 3))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = "x" + lines[2]
+    path.write_text("".join(lines))
+    with pytest.raises(dfio.CheckpointError, match=r"a\.csv, line 3: the step field is not an integer"):
+        dfio.truncate_csv_for_resume(str(path), 3, 1)
+
+
 def test_cli_check_ok(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(lock_cfg_text(tmp_path / "o"))

@@ -1,15 +1,16 @@
 """The assembled operators must agree with a per-quadrature-point oracle.
 
-The oracle is the three-operand einsum quadrature that the package used
-before its kernels became batched matmuls and its source terms static
-matrices: every operator is rebuilt here from the tabulations with
-einsum and an unbuffered scatter (np.add.at), straight from its
-integral, and compared to the package's to 1e-13 relative.  The cases
-are the desk lock-exchange channel at N=2, a periodic box at N=1, and
-the imported sim1 mesh at N=1 and N=2.  The first two have one cell area
-each; sim1's barycentric splits give cells of several shapes and areas,
-so a lost Jacobian or det J factor in the package's metric-free
-reference tensors shows there.
+The oracle is the per-cell quadrature that the package used before every
+form became a contraction of per-cell geometry with a reference tensor:
+every operator is rebuilt here with einsum and an unbuffered scatter
+(np.add.at) from the per-cell Piola tabulation of tests/util_tabulate.py,
+straight from its integral, and compared to the package's to 1e-13
+relative.  The cases are the desk lock-exchange channel at N=2, a
+periodic box at N=1, and the imported sim1 mesh at N=1 and N=2; the
+wall forms are checked on the three channels.  The first two have one
+cell area each; sim1's barycentric splits give cells of several shapes
+and areas, so a lost Jacobian, det J or edge-length factor in the
+package's reference-tensor coefficients shows there.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from dualflow import assemble
 from dualflow.mesh import (
     TAG_BOTTOM,
     TAG_TOP,
+    WALL_TAGS,
     ChannelGeometry,
     build_channel_mesh,
     build_periodic_rect_mesh,
@@ -30,6 +32,7 @@ from dualflow.spaces import Field, make_space
 from util_curl import weak_curl, weak_curl_matrix
 from util_rotation import convection_matrix, rotation_matrix, skew_part
 from util_sim1 import sim1_mesh_text
+from util_tabulate import volume_tab, wall_tab
 
 RTOL = 1e-13
 G = assemble.GRAVITY
@@ -81,7 +84,7 @@ def o_vector(dofs, local, n):
 
 
 def o_mass(space, q):
-    tab = space.volume_data(q)
+    tab = volume_tab(space, q)
     if space.family == "RT":
         local = np.einsum("cq,cqad,cqbd->cab", tab.weights, tab.val, tab.val)
     else:
@@ -90,20 +93,20 @@ def o_mass(space, q):
 
 
 def o_curlcurl(W, q):
-    tab = W.volume_data(q)
+    tab = volume_tab(W, q)
     local = np.einsum("cq,cqad,cqbd->cab", tab.weights, tab.grad, tab.grad)
     return o_matrix(W.cell_dofs, W.cell_dofs, local, (W.dim, W.dim))
 
 
 def o_div(U, Q, q):
-    utab, qtab = U.volume_data(q), Q.volume_data(q)
+    utab, qtab = volume_tab(U, q), volume_tab(Q, q)
     local = np.einsum("cq,qa,cqb->cab", utab.weights, qtab.val, utab.div)
     return o_matrix(Q.cell_dofs, U.cell_dofs, local, (Q.dim, U.dim))
 
 
 def o_rotation_ops(omega, U, q):
     W = omega.space
-    utab, wtab = U.volume_data(q), W.volume_data(q)
+    utab, wtab = volume_tab(U, q), volume_tab(W, q)
     wq = o_field_scalar(W.cell_dofs, omega.coefficients, wtab.val)
     R = o_matrix(U.cell_dofs, U.cell_dofs, o_rotation(utab.weights, wq, utab.val), (U.dim, U.dim))
     gw = o_field_scalar_grad(W.cell_dofs, omega.coefficients, wtab.grad)
@@ -114,7 +117,7 @@ def o_rotation_ops(omega, U, q):
 
 def o_convection_matrix(u, extra, W, q):
     U = u.space
-    utab, wtab = U.volume_data(q), W.volume_data(q)
+    utab, wtab = volume_tab(U, q), volume_tab(W, q)
     uq = o_field_vec(U.cell_dofs, u.coefficients, utab.val) + np.asarray(extra)[None, None, :]
     duq = o_field_div(U.cell_dofs, u.coefficients, utab.div)
     local = o_convection(wtab.weights, wtab.val, wtab.grad, uq, duq)
@@ -122,7 +125,7 @@ def o_convection_matrix(u, extra, W, q):
 
 
 def o_wall_mass(W, tag, b):
-    tab = W.boundary_data(tag, b)
+    tab = wall_tab(W, tag, b)
     local = np.einsum("eq,eqa,eqb->eab", tab.weights, tab.val, tab.val)
     return o_matrix(tab.dofs, tab.dofs, local, (W.dim, W.dim))
 
@@ -135,7 +138,7 @@ def o_particle(u, u_s, W, q, b):
 
 def o_buoyancy(phi, U, q):
     W = phi.space
-    utab, wtab = U.volume_data(q), W.volume_data(q)
+    utab, wtab = volume_tab(U, q), volume_tab(W, q)
     pq = o_field_scalar(W.cell_dofs, phi.coefficients, wtab.val)
     F = np.stack([pq * G[0], pq * G[1]], axis=-1)
     local = np.einsum("cq,cqd,cqad->ca", utab.weights, F, utab.val)
@@ -144,7 +147,7 @@ def o_buoyancy(phi, U, q):
 
 def o_baroclinic(phi, W, q):
     P = phi.space
-    ptab, wtab = P.volume_data(q), W.volume_data(q)
+    ptab, wtab = volume_tab(P, q), volume_tab(W, q)
     gp = o_field_scalar_grad(P.cell_dofs, phi.coefficients, ptab.grad)
     fq = gp[..., 0] * G[1] - gp[..., 1] * G[0]
     local = np.einsum("cq,qa->ca", wtab.weights * fq, wtab.val)
@@ -153,17 +156,23 @@ def o_baroclinic(phi, W, q):
 
 def o_curl_rhs(u, W, q):
     U = u.space
-    utab, wtab = U.volume_data(q), W.volume_data(q)
+    utab, wtab = volume_tab(U, q), volume_tab(W, q)
     F = o_field_vec(U.cell_dofs, u.coefficients, utab.val)
     rot = F[..., 0, None] * wtab.grad[..., 1] - F[..., 1, None] * wtab.grad[..., 0]
     local = np.einsum("cq,cqa->ca", wtab.weights, rot)
     return o_vector(W.cell_dofs, local, W.dim)
 
 
+def o_gradient_dot(W, q):
+    tab = volume_tab(W, q)
+    local = np.einsum("cq,cqad,d->ca", tab.weights, tab.grad, np.asarray(G))
+    return o_vector(W.cell_dofs, local, W.dim)
+
+
 def o_neumann(omega, W, b):
     out = np.zeros(W.dim)
     for tag in (TAG_TOP, TAG_BOTTOM):
-        tab = W.boundary_data(tag, b)
+        tab = wall_tab(W, tag, b)
         g = np.einsum("eqnd,en->eqd", tab.grad, omega.coefficients[tab.dofs])
         gn = np.einsum("eqd,ed->eq", g, tab.normals)
         local = np.einsum("eq,eqa->ea", tab.weights * gn, tab.val)
@@ -220,6 +229,12 @@ def sim1_2(sim1_mesh):
 
 @pytest.fixture(params=["desk", "periodic", "sim1_1", "sim1_2"])
 def case(request):
+    return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(params=["desk", "sim1_1", "sim1_2"])
+def channel_case(request):
+    """The cases with walls."""
     return request.getfixturevalue(request.param)
 
 
@@ -283,9 +298,24 @@ def test_sources_match_oracle(case):
     assert_close(weak_curl(case.U, case.W, case.q).T @ u, o_curl_rhs(case.u, case.W, case.q))
 
 
-def test_vorticity_neumann_matches_oracle(desk):
-    got = assemble.assemble_vorticity_neumann(desk.W, desk.b) @ desk.omega.coefficients
-    assert_close(got, o_neumann(desk.omega, desk.W, desk.b))
+def test_gradient_dot_matches_oracle(channel_case):
+    """On the periodic box the vector vanishes: grad w_i integrates to zero."""
+    c = channel_case
+    assert_close(assemble.assemble_gradient_dot(c.W, c.q), o_gradient_dot(c.W, c.q))
+
+
+def test_vorticity_neumann_matches_oracle(channel_case):
+    c = channel_case
+    got = assemble.assemble_vorticity_neumann(c.W, c.b) @ c.omega.coefficients
+    assert_close(got, o_neumann(c.omega, c.W, c.b))
+
+
+@pytest.mark.parametrize("tag", WALL_TAGS)
+def test_wall_mass_matches_oracle(channel_case, tag):
+    """Each wall alone: an edge's length enters only here and in the
+    Neumann form."""
+    c = channel_case
+    assert_close(assemble.assemble_wall_mass(c.W, tag, c.b), o_wall_mass(c.W, tag, c.b))
 
 
 def test_rotation_and_convection_exactly_skew(case):

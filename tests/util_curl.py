@@ -9,9 +9,11 @@ package once did, and is the oracle for M Z.
 
 import numpy as np
 
-from dualflow import assemble, kernels
+from dualflow import assemble
 from dualflow.assemble import curl_matrix
 from dualflow.spaces import Field
+
+from util_tabulate import volume_tab
 
 
 def discrete_curl(psi, rt_space):
@@ -32,7 +34,7 @@ def weak_curl_matrix(U, W, qdegree):
     momentum step, and Lc^T u the right-hand side <u, curl w_k> of the
     weak curl recovery.
     """
-    utab = U.volume_data(qdegree)
-    wtab = W.volume_data(qdegree)
+    utab, wtab = volume_tab(U, qdegree), volume_tab(W, qdegree)
     curl = np.stack([wtab.grad[..., 1], -wtab.grad[..., 0]], axis=-1)
-    return assemble._pattern(U, W).build(kernels.pairing_vec(utab.weights, utab.val, curl))
+    local = np.einsum("cq,cqad,cqbd->cab", utab.weights, utab.val, curl)
+    return assemble._pattern(U, W).build(local)
