@@ -2,9 +2,14 @@
 
 Supported for tabulation: continuous Lagrange (CG) of degree 1 and 2,
 discontinuous Lagrange (DG) of degree 0 and 1, and Raviart-Thomas (RT)
-of degree 1 and 2.  RT elements are constructed at import time by
-inverting a generalized Vandermonde matrix of the degrees of freedom
-(edge-normal Legendre moments plus, for RT2, interior moments).
+of degree 1 and 2.
+
+The RT degrees of freedom are defined once, here, as functionals at
+reference points (RTElement.dof_points, applied by RTElement.dofs): the
+edge-normal Legendre moments plus, for RT2, the interior moments.  Their
+three users apply them: the basis inverts the dofs of the monomials,
+reference_curl takes the dofs of the CG curls, and spaces.interpolate
+the dofs of each cell's Piola pullback.
 
 Conventions fixed here and relied on everywhere else:
   * reference vertices v0=(0,0), v1=(1,0), v2=(0,1), area 1/2;
@@ -81,15 +86,6 @@ class ScalarElement:
         return np.vstack([REF_VERTICES, mids])
 
 
-def _edge_geometry(local_edge):
-    a, b = LOCAL_EDGES[local_edge]
-    pa, pb = REF_VERTICES[a], REF_VERTICES[b]
-    tangent = pb - pa
-    length = float(np.hypot(*tangent))
-    normal = np.array([tangent[1], -tangent[0]]) / length  # outward for CCW cells
-    return pa, pb, normal, length
-
-
 def _rt_monomials(degree):
     """Monomial basis of the RT space and its divergences, as callables."""
     if degree == 1:
@@ -142,7 +138,6 @@ class RTElement:
         if degree not in (1, 2):
             raise UnsupportedElementError(f"RT element degree {degree} not tabulated")
         self.degree = degree
-        self.n_edge_moments = degree
         self.n_interior = degree * (degree - 1)
         self.ndof = 3 * degree + self.n_interior
         self._funcs, self._divs = _rt_monomials(degree)
@@ -154,42 +149,50 @@ class RTElement:
         for e in range(3):
             sensitive[self.edge_dofs[e][0]] = True  # moment 0 only
         self.sign_sensitive = sensitive
-        self._coeffs = np.linalg.inv(self._dof_matrix())
+        self.dof_points, self._functionals = self._dof_functionals()
+        mono, _ = self._monomials(self.dof_points)
+        self._coeffs = np.linalg.inv(self.dofs(np.swapaxes(mono, 0, 1)).T)
 
-    def _dof_matrix(self):
-        n = self.ndof
-        V = np.zeros((n, n))
-        t, wt = interval_rule(2 * self.degree + 1)
-        for e in range(3):
-            pa, pb, normal, length = _edge_geometry(e)
-            pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
-            for m in range(self.n_edge_moments):
-                leg = np.ones_like(t) if m == 0 else 2.0 * t - 1.0
-                row = self.edge_dofs[e][m]
-                for j, f in enumerate(self._funcs):
-                    fx, fy = f(pts[:, 0], pts[:, 1])
-                    un = fx * normal[0] + fy * normal[1]
-                    V[row, j] = length * np.sum(wt * un * leg)
-        if self.n_interior:
-            rule = triangle_rule(2 * self.degree)
-            qx, qy = rule.points[:, 0], rule.points[:, 1]
-            for j, f in enumerate(self._funcs):
-                fx, fy = f(qx, qy)
-                V[self.interior_dofs[0], j] = np.sum(rule.weights * fx)
-                V[self.interior_dofs[1], j] = np.sum(rule.weights * fy)
-        return V
+    def _dof_functionals(self):
+        """The dofs as reference points (P, 2) and weights, laid out for
+        `dofs` as (2P, ndof): the edge moments on the degree-2N+3 interval
+        rule of each local edge, then the interior moments on the
+        degree-2N+2 triangle rule."""
+        N = self.degree
+        t, wt = interval_rule(2 * N + 3)
+        rule = triangle_rule(2 * N + 2)
+        points = np.concatenate(
+            [REF_VERTICES[a] + t[:, None] * (REF_VERTICES[b] - REF_VERTICES[a]) for a, b in LOCAL_EDGES]
+            + ([rule.points] if self.n_interior else []))
+        w = np.zeros((self.ndof, len(points), 2))
+        for e, (a, b) in enumerate(LOCAL_EDGES):
+            tx, ty = REF_VERTICES[b] - REF_VERTICES[a]
+            for m, row in enumerate(self.edge_dofs[e]):
+                # length (f . n), n = (t_y, -t_x) / length, against Legendre m
+                w[row, e * len(t):(e + 1) * len(t)] = np.multiply.outer(wt * (2.0 * t - 1.0) ** m, [ty, -tx])
+        for k, row in enumerate(self.interior_dofs):
+            w[row, 3 * len(t):, k] = rule.weights
+        return points, w.reshape(self.ndof, -1).T
+
+    def dofs(self, samples):
+        """The dofs of reference fields sampled at dof_points, samples
+        (..., P, 2) -> (..., ndof): dof_i(f) = sum_p w[i, p] . f(x_p)."""
+        return samples.reshape(samples.shape[:-2] + (-1,)) @ self._functionals
+
+    def _monomials(self, points):
+        """The monomial basis (n_pts, ndof, 2) and its divergences (n_pts, ndof)."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        x, y = pts[:, 0], pts[:, 1]
+        mono = np.empty((len(pts), self.ndof, 2))
+        mdiv = np.empty((len(pts), self.ndof))
+        for j, (f, d) in enumerate(zip(self._funcs, self._divs)):
+            mono[:, j, 0], mono[:, j, 1] = f(x, y)
+            mdiv[:, j] = d(x, y)
+        return mono, mdiv
 
     def tabulate(self, points):
         """Return (values (n_pts, ndof, 2), divergences (n_pts, ndof))."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        x, y = pts[:, 0], pts[:, 1]
-        nmono = len(self._funcs)
-        mono = np.empty((len(pts), nmono, 2))
-        mdiv = np.empty((len(pts), nmono))
-        for j, (f, d) in enumerate(zip(self._funcs, self._divs)):
-            fx, fy = f(x, y)
-            mono[:, j, 0], mono[:, j, 1] = fx, fy
-            mdiv[:, j] = d(x, y)
+        mono, mdiv = self._monomials(points)
         vals = np.einsum("pkd,kj->pjd", mono, self._coeffs)
         divs = mdiv @ self._coeffs
         return vals, divs
@@ -199,27 +202,12 @@ def reference_curl(cg, rt):
     """Z[i, n] = RT dof i of curl w_n, curl w = (dw/dy, -dw/dx), on the
     reference cell: the curl of a CG_N basis function is exactly in RT_N.
 
-    Both dof kinds are metric-free.  The flux of curl w through an edge
-    traversed from a to b is the derivative of w along the edge, so an
-    edge moment is the integral of dw/dt against the edge's Legendre
-    polynomial; the Piola pullback of a physical curl is the reference
-    curl, so the interior moments are reference integrals too.
+    The dofs are metric-free: the Piola pullback of a physical curl is the
+    reference curl, so rt.dofs of the reference curls at its dof points
+    are every cell's local dofs.
     """
-    N = rt.degree
-    Z = np.zeros((rt.ndof, cg.ndof))
-    t, wt = interval_rule(2 * N + 1)
-    for e, (a, b) in enumerate(LOCAL_EDGES):
-        pa, pb = REF_VERTICES[a], REF_VERTICES[b]
-        _, grad = cg.tabulate(pa[None, :] + t[:, None] * (pb - pa)[None, :])
-        dwdt = grad @ (pb - pa)
-        for m, row in enumerate(rt.edge_dofs[e]):
-            leg = np.ones_like(t) if m == 0 else 2.0 * t - 1.0
-            Z[row] = (wt * leg) @ dwdt
-    if rt.n_interior:
-        rule = triangle_rule(2 * N)
-        _, grad = cg.tabulate(rule.points)
-        Z[rt.interior_dofs[0]] = rule.weights @ grad[..., 1]
-        Z[rt.interior_dofs[1]] = -(rule.weights @ grad[..., 0])
+    _, grad = cg.tabulate(rt.dof_points)
+    Z = np.ascontiguousarray(rt.dofs(np.stack([grad[..., 1], -grad[..., 0]], axis=-1).swapaxes(0, 1)).T)
     # basis functions that vanish on an edge have no flux through it; the
     # rounding of the edge points leaves ~1e-16 there instead of zero
     Z[np.abs(Z) < 1e-12] = 0.0

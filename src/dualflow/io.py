@@ -119,9 +119,8 @@ def write_vtk(state, path, pressure, omega_tilde):
 
     J, det, _ = mesh.jacobians()
     rval, _ = U.element.tabulate(np.array([[1.0 / 3.0, 1.0 / 3.0]]))
-    phys = np.einsum("cde,ne->cnd", J, rval[0]) / det[:, None, None]
-    phys *= U.cell_dof_signs[:, :, None]
-    vel = np.einsum("cnd,cn->cd", phys, u.coefficients[U.cell_dofs])
+    ref = (U.cell_dof_signs * u.coefficients[U.cell_dofs]) @ rval[0]  # reference field at each centroid, (C, 2)
+    vel = (J @ ref[:, :, None])[..., 0] / det[:, None]
 
     p_cell = pressure.coefficients[pressure.space.cell_dofs].mean(axis=1)  # DG_0 reduction
 

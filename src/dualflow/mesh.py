@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elements import LOCAL_EDGES
+
 TAG_TOP = 1
 TAG_RIGHT = 2
 TAG_BOTTOM = 3
 TAG_LEFT = 4
 WALL_TAGS = (TAG_TOP, TAG_RIGHT, TAG_BOTTOM, TAG_LEFT)
-
-LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
 class MeshError(ValueError):

@@ -18,16 +18,18 @@ Dof layout:
 
 Spaces exist for N in {1, 2}; space_dimension counts the dofs of any
 degree.  A space keeps no per-cell tabulation: `assemble` contracts the
-reference tensors of `elements` with the mesh's per-cell geometry.
+reference tensors of `elements` with the mesh's per-cell geometry, and
+`interpolate` applies the element's own dof functionals in every cell,
+so the RT dofs are defined once, in `elements.RTElement`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import LOCAL_EDGES, get_element
+from .elements import get_element
 from .mesh import MeshError
-from .quadrature import interval_rule, triangle_rule
+from .quadrature import triangle_rule
 
 FAMILIES = ("CG", "RT", "DG")
 
@@ -169,7 +171,7 @@ def _points(mesh, ref):
     """Physical coordinates (C, n, 2) of the reference points `ref` (n, 2)
     in every cell: p0 + J ref."""
     J = mesh.jacobians()[0]
-    return mesh.cell_coords[:, 0, None, :] + np.einsum("cde,qe->cqd", J, ref)
+    return mesh.cell_coords[:, 0, None, :] + ref @ np.swapaxes(J, 1, 2)
 
 
 def project(space, fn, qdegree=None):
@@ -191,46 +193,24 @@ def project(space, fn, qdegree=None):
     return Field(space, coef)
 
 
-def _oriented_edges(mesh):
-    """End points (E, 2) of every edge in its global (lo->hi) orientation,
-    in the geometric coordinates of the edge's first cell."""
-    c = mesh.edge_cells[:, 0]
-    ends = np.asarray(LOCAL_EDGES)[mesh.edge_local[:, 0]]
-    a, b = ends[:, 0], ends[:, 1]
-    flip = mesh.cells[c, a] > mesh.cells[c, b]  # local direction opposes global
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
-    return mesh.cell_coords[c, a], mesh.cell_coords[c, b]
-
-
 def interpolate(space, fn):
-    """Canonical (dof-functional) interpolation of an analytic function."""
+    """Canonical interpolation of an analytic function: the element's dof
+    functionals applied to fn in every cell.  A CG or DG dof is the value
+    at a node; an RT dof is RTElement.dofs of the Piola pullback det J
+    J^-1 f at the element's dof points, times the RT sign.  A dof shared
+    by several cells is written by each; the writes agree for a
+    continuous fn (on a torus, a periodic one)."""
     mesh = space.mesh
-    coef = np.zeros(space.dim)
-    if space.family in ("CG", "DG"):
-        xq = _points(mesh, space.element.nodes())
-        vals = _call_scalar(fn, xq[..., 0], xq[..., 1])
-        coef[space.cell_dofs] = vals  # repeated writes agree for continuous fn
-        return Field(space, coef)
-
-    N = space.degree
-    t1, w1 = interval_rule(2 * N + 3)
-    pa, pb = _oriented_edges(mesh)
-    tang = pb - pa
-    pts = pa[:, None, :] + t1[None, :, None] * tang[:, None, :]
-    fx, fy = fn(pts[..., 0], pts[..., 1])
-    # length * (u . n) with n = (t_y, -t_x) / length
-    flux = np.asarray(fx) * tang[:, 1, None] - np.asarray(fy) * tang[:, 0, None]
-    flux = np.broadcast_to(flux, pts.shape[:2])
-    for m in range(N):
-        leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
-        coef[m:N * mesh.num_edges:N] = flux @ (w1 * leg)
-    if space.element.n_interior:
-        rule = triangle_rule(2 * N + 2)
+    element = space.element
+    if space.family == "RT":
+        x = _points(mesh, element.dof_points)
+        F = np.stack(np.broadcast_arrays(*fn(x[..., 0], x[..., 1]), x[..., 0])[:2], axis=-1)
         _, det, Jinv = mesh.jacobians()
-        xq = _points(mesh, rule.points)
-        F = np.stack(np.broadcast_arrays(*fn(xq[..., 0], xq[..., 1]), xq[..., 0])[:2], axis=-1)
-        # reference moments of the pullback: det * Jinv @ f, integrated on
-        # T-hat; cell c's interior dofs follow the edge dofs in cell order
-        pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
-        coef[N * mesh.num_edges:] = np.einsum("q,cqe->ce", rule.weights, pull).ravel()
+        pull = F @ (det[:, None, None] * np.swapaxes(Jinv, 1, 2))
+        local = element.dofs(pull) * space.cell_dof_signs
+    else:
+        x = _points(mesh, element.nodes())
+        local = _call_scalar(fn, x[..., 0], x[..., 1])
+    coef = np.zeros(space.dim)
+    coef[space.cell_dofs] = local
     return Field(space, coef)

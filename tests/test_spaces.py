@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from dualflow.elements import LOCAL_EDGES, REF_VERTICES, UnsupportedElementError
-from dualflow.mesh import ChannelGeometry, MeshError, build_channel_mesh, build_periodic_rect_mesh
+from dualflow.mesh import (
+    ChannelGeometry,
+    MeshError,
+    build_channel_mesh,
+    build_periodic_rect_mesh,
+    read_mesh_text,
+)
 from dualflow.spaces import (
     Field,
     constant_coefficients,
@@ -16,6 +22,7 @@ from dualflow.spaces import (
 from dualflow.quadrature import interval_rule, triangle_rule
 
 from util_curl import discrete_curl
+from util_sim1 import sim1_mesh_text
 from util_tabulate import volume_tab
 
 
@@ -166,6 +173,69 @@ def test_interpolate_reproduces_rt_members(channel, degree):
     U = make_space(channel, "RT", degree)
     f = interpolate(U, lambda x, y: (x, y))
     assert l2_error(f, lambda x, y: (x, y)) < 1e-12
+
+
+def edge_loop_interpolate(U, fn):
+    """RT interpolation through the physical geometry, one pass over the
+    edges and one over the interiors: the oracle for the reference dof
+    functionals.  Each edge's flux moments are taken in its global (lo ->
+    hi) orientation on its first cell, at the degree-2N+3 interval rule,
+    and the interior moments are the reference moments of the pullback det
+    J J^-1 f at the degree-2N+2 triangle rule."""
+    mesh = U.mesh
+    N = U.degree
+    coef = np.zeros(U.dim)
+    c = mesh.edge_cells[:, 0]
+    a, b = np.asarray(LOCAL_EDGES)[mesh.edge_local[:, 0]].T
+    flip = mesh.cells[c, a] > mesh.cells[c, b]
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    pa, pb = mesh.cell_coords[c, a], mesh.cell_coords[c, b]
+    tang = pb - pa
+    t1, w1 = interval_rule(2 * N + 3)
+    pts = pa[:, None, :] + t1[None, :, None] * tang[:, None, :]
+    fx, fy = fn(pts[..., 0], pts[..., 1])
+    # length (u . n) with n = (t_y, -t_x) / length
+    flux = np.broadcast_to(np.asarray(fx) * tang[:, 1, None] - np.asarray(fy) * tang[:, 0, None], pts.shape[:2])
+    for m in range(N):
+        leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
+        coef[m:N * mesh.num_edges:N] = flux @ (w1 * leg)
+    if U.element.n_interior:
+        rule = triangle_rule(2 * N + 2)
+        J, det, Jinv = mesh.jacobians()
+        xq = mesh.cell_coords[:, 0, None, :] + np.einsum("cde,qe->cqd", J, rule.points)
+        F = np.stack(np.broadcast_arrays(*fn(xq[..., 0], xq[..., 1]), xq[..., 0])[:2], axis=-1)
+        pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
+        coef[N * mesh.num_edges:] = np.einsum("q,cqe->ce", rule.weights, pull).ravel()
+    return coef
+
+
+INTERPOLANDS = {
+    "constant": lambda x, y: (0.7, -1.3),
+    "linear": lambda x, y: (x - 2.0 * y + 1.0, 3.0 * x + y),
+    # periodic on the unit torus
+    "taylor_green": lambda x, y: (np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
+                                  -np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)),
+}
+
+
+@pytest.mark.parametrize("mesh_kind,field", [
+    (mesh_kind, field) for mesh_kind in ("channel", "desk", "sim1") for field in INTERPOLANDS
+] + [("torus", "taylor_green")])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_interpolate_rt_matches_edge_loop(mesh_kind, field, degree, channel, torus):
+    """The element's dof functionals, applied per cell, give the physical
+    edge and interior moments.  On the torus a seam edge is written from
+    either side, so only a periodic field has an interpolant there."""
+    mesh = {
+        "channel": lambda: channel,
+        "desk": lambda: build_channel_mesh(ChannelGeometry(13.0, 1.0, 1.0), 50, 5, "crisscross"),
+        "sim1": lambda: read_mesh_text(*sim1_mesh_text()),
+        "torus": lambda: torus,
+    }[mesh_kind]()
+    U = make_space(mesh, "RT", degree)
+    expected = edge_loop_interpolate(U, INTERPOLANDS[field])
+    got = interpolate(U, INTERPOLANDS[field]).coefficients
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_evaluate_constant_field(channel):
