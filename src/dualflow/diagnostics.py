@@ -9,11 +9,12 @@ rates.  The telescoped budget identity pins E_res^k to
 
     (dt/2) (<phi^k e_g, u^{k+1/2}> - <phi^0 e_g, u^{1/2}>),
 
-which the engine re-evaluates independently each step; the gap between
-the two is reported as `eres_gap` and is solver-precision small.  E_res
-is therefore purely the staggering mismatch and scales linearly in dt.
-Without particles Ep = Es = 0 and the right side is 0, so `eres_gap`
-is E_res itself.
+which the engine re-evaluates each step from the two states alone, as it
+does every other term of the ledger: no term comes from the step.  The
+gap between the two is reported as `eres_gap` and is solver-precision
+small.  E_res is therefore purely the staggering mismatch and scales
+linearly in dt.  Without particles Ep = Es = 0 and the right side is 0,
+so `eres_gap` is E_res itself.
 """
 
 from dataclasses import dataclass
@@ -142,8 +143,7 @@ class Engine:
         if self.turbidity:
             self.Ep0 = model.potential_energy(state0.phi)
             self.m_p0 = model.integral_w(state0.phi.coefficients)
-            b0 = model.buoyancy @ state0.phi.coefficients
-            self.base_exchange = float(b0 @ state0.u_half.coefficients)
+            self.base_exchange = self._exchange(state0)
 
     @classmethod
     def restored(cls, model, scalars):
@@ -159,34 +159,48 @@ class Engine:
         self.turbidity = model.physics.mode == "turbidity"
         self.front = FrontTracker(model) if self.turbidity else None
 
-    def update(self, prev_state, new_state, audit):
-        """Ledger row for the step prev_state -> new_state."""
+    def _exchange(self, state):
+        """<phi e_g, u> = (B phi) . u of a state: phi^k against u^{k+1/2}."""
+        return float((self.model.buoyancy @ state.phi.coefficients) @ state.u_half.coefficients)
+
+    def update(self, prev_state, new_state):
+        """Ledger row for the step prev_state -> new_state, every term from
+        the two states: eps_v = nu (Lc om^{k+1}) . (u^{k+1/2} + u^{k+3/2})/2,
+        eps_s = u_s <phi', 1> - kappa <grad phi', e_g> and the mass residual
+        <phi^{k+1} - phi^k, 1> + dt u_s int_{Gamma3} phi', phi' = (phi^k + phi^{k+1})/2."""
         model = self.model
         dt = model.time.dt
         if new_state.k != prev_state.k + 1:
             raise ValueError("ledger update needs consecutive states")
-        k = new_state.k
-        self.Ev += dt * audit.eps_v
-        self.Es += dt * audit.eps_s
+        u_old, u = prev_state.u_half.coefficients, new_state.u_half.coefficients
+        eps_v = model.nu * float((model.Lc @ new_state.omega.coefficients) @ (0.5 * (u_old + u)))
         K = model.kinetic_energy(new_state.u_half)
         phi = new_state.phi
-        Ep = ratio = mdot_s = x_f = phi_min = phi_max = 0.0
+        Ep = eps_s = mass_residual = exchange = ratio = mdot_s = x_f = phi_min = phi_max = 0.0
         if self.turbidity:
+            u_s = model.physics.settling_velocity
+            phi_mid = 0.5 * (phi.coefficients + prev_state.phi.coefficients)
+            mass_residual = (model.integral_w(phi.coefficients - prev_state.phi.coefficients)
+                             + dt * u_s * model.bottom_integral(phi_mid))
+            eps_s = u_s * model.integral_w(phi_mid) - model.kappa * float(model.grad_dot_g @ phi_mid)
+            exchange = self._exchange(new_state)
             Ep = model.potential_energy(phi)
             ratio = suspended_mass(model, phi, self.m_p0) if self.m_p0 != 0.0 else 0.0
             mdot_s = sedimentation_rate(model, phi)
             x_f = self.front.position(phi)
             phi_min, phi_max = float(phi.coefficients.min()), float(phi.coefficients.max())
+        self.Ev += dt * eps_v
+        self.Es += dt * eps_s
         E_res = K + Ep + self.Ev + self.Es - self.K_half0 - self.Ep0
-        identity = 0.5 * dt * (audit.exchange - self.base_exchange)
+        identity = 0.5 * dt * (exchange - self.base_exchange)
         return LedgerRow(
-            step=k, t=k * dt, K=K, Ep=Ep, eps_v=audit.eps_v, eps_s=audit.eps_s,
+            step=new_state.k, t=new_state.k * dt, K=K, Ep=Ep, eps_v=eps_v, eps_s=eps_s,
             Ev=self.Ev, Es=self.Es, E_res=E_res,
             enstrophy=model.enstrophy(new_state.omega),
             total_vorticity=model.total_vorticity(new_state.omega),
             m_p_ratio=ratio, mdot_s=mdot_s, x_f=x_f, phi_min=phi_min, phi_max=phi_max,
-            div_inf=audit.div_inf,
-            mass_residual=audit.mass_residual,
+            div_inf=model.div_inf(new_state.u_half),
+            mass_residual=mass_residual,
             eres_gap=E_res - identity,
-            exchange=audit.exchange,
+            exchange=exchange,
         )

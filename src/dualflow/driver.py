@@ -80,7 +80,9 @@ def _write_snapshot(model, outdir, state, u_before, pressure):
 
 
 def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
-    """Execute a configured run (or resume one from `checkpoint`)."""
+    """Execute a configured run (or resume one from `checkpoint`).  After
+    each step, on_step(prev, state, reports, row) gets the two states, the
+    step's solver reports by name and its ledger row."""
     model = build_model(cfg)
     out = cfg.output
     outdir = out["dir"]
@@ -112,13 +114,13 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             fallbacks += _write_snapshot(model, outdir, state, state.u_half, startup.pressure)
         while state.k < nsteps:
             prev = state
-            state, audit = step(state, model)
-            fallbacks += sum(rep.fallback for rep in audit.reports.values())
-            row = engine.update(prev, state, audit)
+            state, reports = step(state, model)
+            fallbacks += sum(rep.fallback for rep in reports.values())
+            row = engine.update(prev, state)
             max_mass = max(max_mass, abs(row.mass_residual))
             max_gap = max(max_gap, abs(row.eres_gap))
             if on_step is not None:
-                on_step(prev, state, audit, row)
+                on_step(prev, state, reports, row)
             if collect_rows:
                 result.rows.append(row)
             if state.k % out["csv_every"] == 0:

@@ -238,7 +238,8 @@ def save_checkpoint(path, state, engine, model):
 
 def load_checkpoint(path):
     """Read a checkpoint; a malformed file raises CheckpointError naming
-    `path` and the missing or bad header line."""
+    `path` and the missing or bad header line, as do a negative step and
+    a non-finite accumulator."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"END\n")
@@ -281,6 +282,11 @@ def load_checkpoint(path):
     missing = [name for name in ACCUMULATORS if name not in data["scalars"]]
     if missing:
         raise CheckpointError(f"{path}: checkpoint scalars line lacks {' '.join(missing)}")
+    if data["k"] < 0:
+        raise CheckpointError(f"{path}: bad checkpoint header line 'k {data['k']}': the step is negative")
+    nonfinite = " ".join(f"{name}={v}" for name, v in data["scalars"].items() if not np.isfinite(v))
+    if nonfinite:
+        raise CheckpointError(f"{path}: checkpoint scalars are not finite: {nonfinite}")
     names = parse("fields", str.split)
     dims = parse("dims", lambda text: [int(d) for d in text.split()])
     if len(dims) != len(names) or min(dims, default=0) < 0:
@@ -312,7 +318,7 @@ def restore_state(data, model):
         )
     if data["degree"] != model.degree:
         raise CheckpointError("checkpoint polynomial degree does not match configuration")
-    if abs(data["dt"] - model.time.dt) > 0.0:
+    if data["dt"] != model.time.dt:
         raise CheckpointError("checkpoint time step does not match configuration")
     for part, digest in run_identity(model).items():
         if data["identity"].get(part) != digest:

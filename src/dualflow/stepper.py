@@ -57,9 +57,11 @@ construction and is still checked to 1e-10 every step.  A step solves
 only 4a: Model.pressure solves 4b where a snapshot is written.
 
 Both modes take this one step.  The homogeneous mode (periodic box, no
-particles) skips steps 1-2, the baroclinic and wall sources of step 3,
-the buoyancy of step 4 and the particle bookkeeping, and uses a
-prescribed viscosity instead of Gr^(-1/2).
+particles) skips steps 1-2, the baroclinic and wall sources of step 3
+and the buoyancy of step 4, and uses a prescribed viscosity instead of
+Gr^(-1/2).  A step returns the new state and its solver reports and
+keeps no budget: diagnostics.Engine computes every ledger term from two
+consecutive states.
 """
 
 import math
@@ -146,19 +148,6 @@ class SimulationState:
     phi: Field = None        # particle concentration at t^k (turbidity mode)
 
 
-@dataclass
-class StepAudit:
-    """Per-step solver reports and budget bookkeeping."""
-
-    reports: dict
-    div_inf: float
-    eps_v: float
-    exchange: float = 0.0    # <phi^{k+1} e_g, u^{k+3/2}>
-    eps_s: float = 0.0
-    mass_residual: float = 0.0
-    phi_mid_bottom: float = 0.0  # int_{Gamma3} phi^{k+1/2}
-
-
 class Model:
     """Spaces, static operators and cached factorizations for one run,
     all built once from the physics and time step it is constructed with."""
@@ -203,7 +192,7 @@ class Model:
         self.ones_w = constant_coefficients(self.W)
         self.ones_q = constant_coefficients(self.Q)
         self.area = mesh.total_area()
-        self.y_w = interpolate(self.W, lambda x, y: y).coefficients
+        self.Nw_y = self.Nw @ interpolate(self.W, lambda x, y: y).coefficients  # <w_i, y>
 
         self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
         self.Nw_c_dt = (1.0 / time.dt) * self.Nw_c
@@ -280,7 +269,7 @@ class Model:
         return self.integral_w(omega.coefficients)
 
     def potential_energy(self, phi):
-        return float(phi.coefficients @ (self.Nw @ self.y_w))
+        return float(phi.coefficients @ self.Nw_y)
 
     def bottom_integral(self, coef):
         """int over Gamma3 of a CG field (assembly quadrature)."""
@@ -326,21 +315,21 @@ class Model:
     def solve_momentum(self, omega, u_old, dt, b=None):
         """Momentum step with rotation at the midpoint velocity and the buoyancy
         vector b, solved for the stream function of u = Z psi multiplied by dt,
-        against the factor of Z^T M Z = L on psi.  Returns (u, l, report),
-        l = Lc omega, with the residual of the unscaled system."""
+        against the factor of Z^T M Z = L on psi.  Returns (u, report), with
+        the residual of the unscaled system."""
         K = assemble.assemble_rotation(omega, self.U, self.qdeg)
         # on the torus, Z^T R Z also has the harmonic columns Z^T R H
         X = None if self.harmonic is None else self.Zt @ np.column_stack(
             [assemble.apply_rotation(omega, self.U, self.qdeg, h) for h in self.harmonic.T])
-        l = self.Lc @ omega.coefficients
         uo = u_old.coefficients
-        f = (self.M @ uo) / dt - 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uo) - self.nu * l
+        f = ((self.M @ uo) / dt - 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uo)
+             - self.nu * (self.Lc @ omega.coefficients))
         if b is not None:
             f = f + b
         A = self.momentum.matrix(0.5 * dt, K, X)
         psi, rep = lu_solve(A, dt * (self.Zt @ f), self._lu_momentum)
         rep.residual /= dt
-        return Field(self.U, self.Z @ psi), l, rep
+        return Field(self.U, self.Z @ psi), rep
 
     def pressure(self, omega, u_old, u, dt, b=None):
         """Step 4b for the momentum step from u_old to its solution u: p with zero
@@ -368,21 +357,19 @@ def _check_div(model, u, where):
     d = model.div_inf(u)
     if d > DIV_TOL:
         raise SolverError(f"{where}: ||D u||_inf = {d:.3e} exceeds {DIV_TOL}")
-    return d
 
 
 def step(state, model):
-    """Advance one step; returns (state, audit).  Without particles
-    (homogeneous mode) steps 1-2 and the particle bookkeeping are skipped."""
-    dt = model.time.dt
+    """Advance one step; returns (state, reports), the new state and the
+    SolverReport of each solve by name.  Without particles (homogeneous
+    mode) steps 1-2 are skipped.  The step keeps no budget."""
     u, omega, phi = state.u_half, state.omega, state.phi
-    particles = model.physics.mode == "turbidity"
     reports = {}
     phi_new = phi_mid = omega_tilde = b = None
     try:
         # one skew convection C(u) serves both transport solves
         C = assemble.assemble_vorticity_convection(u, model.W, model.qdeg)
-        if particles:
+        if phi is not None:
             omega_tilde, reports["curl"] = model.curl_h(u)                # step 1
             phi_new, reports["transport"] = model.solve_transport(C, phi)  # step 2
             phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi.coefficients))
@@ -390,27 +377,11 @@ def step(state, model):
         omega_new, reports["vorticity"] = model.solve_vorticity(          # step 3
             C, omega, phi_mid=phi_mid, omega_tilde=omega_tilde
         )
-        u_new, l_vec, reports["momentum"] = model.solve_momentum(  # step 4
-            omega_new, u, dt, b=b
-        )
-        div = _check_div(model, u_new, "step 4")
+        u_new, reports["momentum"] = model.solve_momentum(omega_new, u, model.time.dt, b=b)  # step 4
+        _check_div(model, u_new, "step 4")
     except SolverError as exc:
         raise SolverError(f"step {state.k + 1} failed: {exc}") from exc
-
-    eps_v = model.nu * float(l_vec @ (0.5 * (u.coefficients + u_new.coefficients)))
-    audit = StepAudit(reports=reports, div_inf=div, eps_v=eps_v)
-    if particles:
-        u_s = model.physics.settling_velocity
-        audit.phi_mid_bottom = model.bottom_integral(phi_mid.coefficients)
-        audit.mass_residual = (
-            model.integral_w(phi_new.coefficients - phi.coefficients)
-            + dt * u_s * audit.phi_mid_bottom
-        )
-        audit.eps_s = u_s * model.integral_w(phi_mid.coefficients) - model.kappa * float(
-            model.grad_dot_g @ phi_mid.coefficients
-        )
-        audit.exchange = float(b @ u_new.coefficients)
-    return SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new), audit
+    return SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new), reports
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +468,7 @@ def initialize(model, ic):
     u_prev = u0
     fallbacks = 0
     for it in range(1, STARTUP_MAX_ITER + 1):
-        u_new, _, rep = model.solve_momentum(omega_star, u0, dt, b=b0)
+        u_new, rep = model.solve_momentum(omega_star, u0, dt, b=b0)
         fallbacks += rep.fallback
         du = u_new.coefficients - u_prev.coefficients
         scale = float(np.linalg.norm(u_new.coefficients))

@@ -7,6 +7,8 @@ from dualflow.stepper import (
     LockInitialCondition,
     Model,
     PhysicsConfig,
+    SimulationState,
+    TaylorGreenInitialCondition,
     TimeConfig,
     initialize,
     step,
@@ -15,6 +17,7 @@ from dualflow import assemble
 from dualflow.diagnostics import Engine, FrontTracker, sedimentation_rate, suspended_mass
 from dualflow.mesh import WALL_TAGS
 
+from util_budget import recording_step, step_budget
 from util_tabulate import wall_tab
 
 
@@ -74,8 +77,8 @@ def test_zero_state_ledger_row():
 
     state, _ = initialize(model, IC())
     eng = Engine(model, state)
-    new, audit = step(state, model)
-    row = eng.update(state, new, audit)
+    new, _ = step(state, model)
+    row = eng.update(state, new)
     for name in ("K", "Ep", "eps_v", "eps_s", "Ev", "Es", "E_res", "enstrophy"):
         assert abs(getattr(row, name)) < 1e-14, name
 
@@ -86,9 +89,10 @@ def test_suspended_mass_starts_at_one_and_decays():
     eng = Engine(model, state)
     assert abs(suspended_mass(model, state.phi, eng.m_p0) - 1.0) < 1e-14
     prev = state
-    state, audit = step(state, model)
-    row = eng.update(prev, state, audit)
-    expected = 1.0 - model.time.dt * model.physics.settling_velocity * audit.phi_mid_bottom / eng.m_p0
+    state, _ = step(state, model)
+    row = eng.update(prev, state)
+    phi_mid_bottom = model.bottom_integral(0.5 * (state.phi.coefficients + prev.phi.coefficients))
+    expected = 1.0 - model.time.dt * model.physics.settling_velocity * phi_mid_bottom / eng.m_p0
     assert abs(row.m_p_ratio - expected) < 1e-10
 
 
@@ -98,8 +102,8 @@ def test_suspended_mass_constant_without_settling():
     eng = Engine(model, state)
     for _ in range(3):
         prev = state
-        state, audit = step(state, model)
-        row = eng.update(prev, state, audit)
+        state, _ = step(state, model)
+        row = eng.update(prev, state)
         assert abs(row.m_p_ratio - 1.0) < 1e-10
 
 
@@ -204,8 +208,8 @@ def test_energy_residual_identity_short_run():
     eng = Engine(model, state)
     for _ in range(5):
         prev = state
-        state, audit = step(state, model)
-        row = eng.update(prev, state, audit)
+        state, _ = step(state, model)
+        row = eng.update(prev, state)
         assert abs(row.eres_gap) < 1e-12
         assert abs(row.mass_residual) < 1e-12
 
@@ -214,6 +218,53 @@ def test_ledger_requires_consecutive_states():
     model = make_model()
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    new, audit = step(state, model)
+    new, _ = step(state, model)
     with pytest.raises(ValueError):
-        eng.update(new, new, audit)
+        eng.update(new, new)
+
+
+@pytest.mark.parametrize("case", ["channel", "box"])
+def test_engine_row_equals_the_step_bookkeeping(case):
+    """Over 20 steps the Engine's budget terms, computed from the states,
+    equal bit for bit those the step computed from its own vectors."""
+    if case == "channel":
+        model = make_model(nx=26, ny=2, N=2)
+        state, _ = initialize(model, LockInitialCondition())
+    else:
+        mesh = build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 8, 8, "left")
+        model = Model(mesh, 1, PhysicsConfig(mode="homogeneous", nu=0.01), TimeConfig(dt=1e-2, t_end=1.0))
+        state, _ = initialize(model, TaylorGreenInitialCondition())
+    eng = Engine(model, state)
+    for _ in range(20):
+        new, seen = recording_step(state, model)
+        row = eng.update(state, new)
+        budget = step_budget(model, state, new, **seen)
+        for name, value in budget.items():
+            assert getattr(row, name) == value, name
+        state = new
+    nonzero = ("eps_v", "eps_s", "exchange", "mass_residual") if case == "channel" else ("eps_v",)
+    assert all(budget[name] != 0.0 for name in nonzero)
+
+
+def test_engine_row_from_two_hand_built_states():
+    """A row needs nothing but two consecutive states: on random fields,
+    with no step between them, each term is its formula, and the
+    divergence is measured, not taken from a gate."""
+    model = make_model(L=3.0, nx=6, ny=2)
+    rng = np.random.default_rng(4)
+
+    def random_state(k):
+        return SimulationState(k=k, u_half=Field(model.U, rng.standard_normal(model.U.dim)),
+                               omega=Field(model.W, rng.standard_normal(model.W.dim)),
+                               phi=Field(model.W, rng.standard_normal(model.W.dim)))
+
+    prev, new = random_state(3), random_state(4)
+    eng = Engine(model, prev)
+    row = eng.update(prev, new)
+    b = model.buoyancy @ new.phi.coefficients
+    phi_mid = Field(model.W, 0.5 * (new.phi.coefficients + prev.phi.coefficients))
+    for name, value in step_budget(model, prev, new, new.omega, b, phi_mid).items():
+        assert getattr(row, name) == value != 0.0, name
+    assert row.div_inf > 1e-10
+    dt = model.time.dt
+    assert row.eres_gap == row.E_res - 0.5 * dt * (row.exchange - eng.base_exchange)

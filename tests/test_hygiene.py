@@ -5,10 +5,12 @@
 - Every private (`_name`) module-level function or class, and every
   private method, of `src/dualflow` is read somewhere in the package.
 - Every public function of `dualflow.kernels`, `dualflow.assemble`,
-  `dualflow.elements`, `dualflow.spaces`, `dualflow.mesh` and
-  `dualflow.quadrature` is read by another module of the package: a
-  kernel, an assembly, an element table, a space helper, a mesh helper
-  or a rule that only tests call is a test helper or an oracle.
+  `dualflow.elements`, `dualflow.spaces`, `dualflow.mesh`,
+  `dualflow.quadrature`, `dualflow.linsolve`, `dualflow.stepper` and
+  `dualflow.driver` is read by another module of the package: a kernel,
+  an assembly, an element table, a space helper, a mesh helper, a rule,
+  a solver, a step or a run helper that only tests call is a test
+  helper or an oracle.
 - Every field of a dataclass of `src/dualflow` is read somewhere in
   `src/dualflow`, `tests` or `perfbench`: as an attribute, or by name as
   a string (`CSV_COLUMNS` and the benchmark read fields by name).
@@ -185,19 +187,23 @@ def test_no_dead_assembly():
         f"{name} (line {line})" for line, name in dead)
 
 
-@pytest.mark.parametrize("module", ["elements", "spaces", "mesh", "quadrature"])
+SCANNED_MODULES = ["elements", "spaces", "mesh", "quadrature", "linsolve", "stepper", "driver"]
+
+
+@pytest.mark.parametrize("module", SCANNED_MODULES)
 def test_scan_finds_an_unread_element_or_space_function(module):
-    """The same scan on dualflow.elements, spaces, mesh and quadrature: a
-    function put back at the end of the real module is the one it
-    reports."""
+    """The same scan on dualflow.elements, spaces, mesh, quadrature,
+    linsolve, stepper and driver: a function put back at the end of the
+    real module is the one it reports."""
     dead = unread_package_functions(module, "\n\ndef only_tests_call(space):\n    pass\n")
     assert [name for line, name in dead] == ["only_tests_call"]
 
 
-@pytest.mark.parametrize("module", ["elements", "spaces", "mesh", "quadrature"])
+@pytest.mark.parametrize("module", SCANNED_MODULES)
 def test_no_dead_element_or_space_functions(module):
-    """An element table, a space or mesh helper or a quadrature rule that
-    only tests call belongs in tests/."""
+    """An element table, a space or mesh helper, a quadrature rule, a
+    solver, a step or a run helper that only tests call belongs in
+    tests/."""
     dead = unread_package_functions(module)
     assert not dead, f"{module} functions no other package module reads: " + ", ".join(
         f"{name} (line {line})" for line, name in dead)
@@ -220,3 +226,4 @@ def test_no_unread_dataclass_fields():
     unread = unread_dataclass_fields(package, texts.values())
     assert not unread, "dataclass fields never read: " + ", ".join(
         f"{path}:{line} {name}" for path, line, name in unread)
+

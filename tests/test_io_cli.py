@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ vtk_every = 1
     out = tmp_path / "o"
     before = {}
     result = run(parse_config(text.format(out=out)),
-                 on_step=lambda prev, state, audit, row: before.update({state.k: prev.u_half}))
+                 on_step=lambda prev, state, reports, row: before.update({state.k: prev.u_half}))
     model = result.model
     before[0] = before[1]  # u^{1/2}, the start of step 1
     vmap = model.mesh.render_vertex_map  # a torus is drawn with its seams doubled
@@ -149,7 +150,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    state, audit = step(state, model)
+    state, _ = step(state, model)
     path = str(tmp_path / "c.ckpt")
     dfio.save_checkpoint(path, state, eng, model)
     data = dfio.load_checkpoint(path)
@@ -254,6 +255,29 @@ def test_checkpoint_with_header_line_lost_refused(tmp_path, old, new, message):
     path.write_bytes(raw.replace(old, new))
     with pytest.raises(dfio.CheckpointError, match=message):
         dfio.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("pattern, replacement, message", [
+    (rb"\nk 2\n", b"\nk -3\n", r"c\.ckpt: bad checkpoint header line 'k -3'"),
+    (rb"\ndt \S+\n", b"\ndt nan\n", "time step does not match"),
+    (rb" Ev=\S+", b" Ev=nan", r"c\.ckpt: checkpoint scalars are not finite: Ev=nan"),
+    (rb" Es=\S+", b" Es=inf", r"c\.ckpt: checkpoint scalars are not finite: Es=inf"),
+], ids=["negative_step", "nan_dt", "nan_Ev", "inf_Es"])
+def test_resume_refuses_checkpoint_with_bad_number(tmp_path, pattern, replacement, message):
+    """A checkpoint at a negative step, or with a time step or an
+    accumulator that is not finite, is refused before the CSV is cut back."""
+    out = tmp_path / "o"
+    text = lock_cfg_text(out, t_end=0.002)
+    run(parse_config(text))
+    path = tmp_path / "c.ckpt"
+    raw = (out / "checkpoint_final.ckpt").read_bytes()
+    edited, count = re.subn(pattern, replacement, raw, count=1)
+    assert count == 1
+    path.write_bytes(edited)
+    csv = (out / "timeseries.csv").read_bytes()
+    with pytest.raises(dfio.CheckpointError, match=message):
+        run(parse_config(text.replace("t_end = 0.002", "t_end = 0.004")), checkpoint=str(path))
+    assert (out / "timeseries.csv").read_bytes() == csv
 
 
 def test_cli_resume_malformed_checkpoint(tmp_path):

@@ -121,7 +121,7 @@ def test_uniform_force_on_torus_gives_uniform_drift():
     om0 = Field(model.W, np.zeros(model.W.dim))
     u0 = Field(model.U, np.zeros(model.U.dim))
     b = assemble_buoyancy(model.U, model.W, model.qdeg) @ phi0.coefficients
-    u_new, _, _ = model.solve_momentum(om0, u0, 0.5 * model.time.dt, b=b)
+    u_new, _ = model.solve_momentum(om0, u0, 0.5 * model.time.dt, b=b)
     drift = interpolate(model.U, lambda x, y: (np.zeros_like(x), -np.ones_like(x)))
     expected = 0.5 * model.time.dt * drift.coefficients
     assert np.max(np.abs(u_new.coefficients - expected)) < 1e-10
@@ -166,7 +166,7 @@ def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
 def test_zero_state_is_fixed_point():
     model = turbidity_model(u_s=0.0)
     state, _ = initialize(model, ZeroBuoyancyIC())
-    new, audit = step(state, model)
+    new, _ = step(state, model)
     assert np.max(np.abs(new.u_half.coefficients)) < 1e-14
     assert np.max(np.abs(new.phi.coefficients)) < 1e-14
     assert np.max(np.abs(new.omega.coefficients)) < 1e-14
@@ -176,7 +176,7 @@ def test_constant_phi_step_on_channel():
     """phi = const is transported exactly; u stays zero (pressure balance)."""
     model = turbidity_model(u_s=0.0)
     state, _ = initialize(model, ConstantConcentrationIC(0.7))
-    new, audit = step(state, model)
+    new, _ = step(state, model)
     assert np.max(np.abs(new.phi.coefficients - state.phi.coefficients)) < 1e-10
     assert np.max(np.abs(new.u_half.coefficients)) < 1e-10
 
@@ -199,17 +199,18 @@ def test_quasi_linearity_single_solves(mode, monkeypatch):
 
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", counted)
-    new, audit = step(state, model)
-    assert set(audit.reports) == solves
+    new, reports = step(state, model)
+    assert set(reports) == solves
     # one linear solve per sub-step, the stream function's for the momentum
     # step, and no pressure: no nonlinear iteration
     assert len(calls) == (4 if mode == "turbidity" else 2)
     # each against a static factor (A, b, factor), none the pressure's
     assert all(len(args) == 3 and args[2] is not None for args in calls)
     assert not any(args[0] is model.DDt for args in calls)
-    if mode == "homogeneous":  # steps 1-2 and the particle bookkeeping are skipped
+    if mode == "homogeneous":  # steps 1-2 are skipped, and the ledger has no particle terms
         assert new.phi is None
-        assert audit.mass_residual == 0.0 and audit.exchange == 0.0
+        row = Engine(model, state).update(state, new)
+        assert row.mass_residual == 0.0 and row.exchange == 0.0
 
 
 @pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
@@ -223,8 +224,8 @@ def test_step_factors_nothing(mode, factorizations):
         state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=2))
     factorizations.clear()  # the static factors of Model and the startup
     for _ in range(2):
-        state, audit = step(state, model)
-        assert not any(rep.fallback for rep in audit.reports.values())
+        state, reports = step(state, model)
+        assert not any(rep.fallback for rep in reports.values())
     assert factorizations == []
 
 
@@ -246,8 +247,8 @@ def test_large_step_falls_back_to_a_fresh_factor(monkeypatch):
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", recorded)
     for _ in range(3):
-        state, audit = step(state, model)
-        assert audit.reports["vorticity"].fallback and audit.reports["momentum"].fallback
+        state, reports = step(state, model)
+        assert reports["vorticity"].fallback and reports["momentum"].fallback
     for A, b, x, rep in solves:
         assert np.max(np.abs(A @ x - b)) <= linsolve.RTOL * (1.0 + np.max(np.abs(b)))
     assert abs(model.kinetic_energy(state.u_half) - K0) <= 1e-11 * K0
@@ -256,10 +257,13 @@ def test_large_step_falls_back_to_a_fresh_factor(monkeypatch):
 def test_per_step_mass_identity_short_run():
     model = turbidity_model(nx=26, ny=2, N=2)
     state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
     for _ in range(5):
-        state, audit = step(state, model)
-        assert abs(audit.mass_residual) < 1e-12
-        assert audit.div_inf <= 1e-10
+        prev = state
+        state, _ = step(state, model)
+        row = eng.update(prev, state)
+        assert abs(row.mass_residual) < 1e-12
+        assert row.div_inf <= 1e-10
 
 
 def test_homogeneous_inviscid_conservation_short():
@@ -269,8 +273,8 @@ def test_homogeneous_inviscid_conservation_short():
     ens0 = model.enstrophy(state.omega)
     tv0 = model.total_vorticity(state.omega)
     for _ in range(20):
-        state, audit = step(state, model)
-        assert audit.div_inf <= 1e-10
+        state, _ = step(state, model)
+        assert model.div_inf(state.u_half) <= 1e-10
     assert abs(model.kinetic_energy(state.u_half) - K0) <= 1e-11 * K0
     assert abs(model.enstrophy(state.omega) - ens0) <= 1e-11 * ens0
     assert abs(model.total_vorticity(state.omega) - tv0) <= 1e-12
@@ -299,8 +303,8 @@ def test_homogeneous_ledger_rows():
     assert eng.front is None
     for _ in range(20):
         prev = state
-        state, audit = step(state, model)
-        row = eng.update(prev, state, audit)
+        state, _ = step(state, model)
+        row = eng.update(prev, state)
         assert abs(row.eres_gap) <= 1e-10
         assert row.eres_gap == row.E_res
         assert row.Ev > 0.0
@@ -453,7 +457,7 @@ def test_momentum_matches_saddle_oracle(case, request):
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
     b = model.buoyancy @ state.phi.coefficients if state.phi is not None else None
-    u, _, rep = model.solve_momentum(state.omega, state.u_half, dt, b=b)
+    u, rep = model.solve_momentum(state.omega, state.u_half, dt, b=b)
     p, _ = model.pressure(state.omega, state.u_half, u, dt, b=b)
     u_ref, p_ref = saddle_momentum(model, state.omega, state.u_half, dt, phi_buoy=state.phi)
     assert np.max(np.abs(u.coefficients[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
@@ -628,9 +632,9 @@ def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
         built.append(self.shape)
 
     monkeypatch.setattr(_cs_matrix, "__init__", counted)
-    _, audit = step(state, model)
+    _, reports = step(state, model)
     monkeypatch.undo()
-    assert not any(rep.fallback for rep in audit.reports.values())
+    assert not any(rep.fallback for rep in reports.values())
     systems = [model.momentum, model.vorticity]
     if model.physics.mode == "turbidity":
         systems.append(model.transport)

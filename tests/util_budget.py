@@ -1,0 +1,63 @@
+"""The budget terms as a step once computed them, the oracle for the
+ledger of diagnostics.Engine.
+
+A step used to keep its own books: eps_v from the viscous vector
+l = Lc om^{k+1} it built for the momentum rhs, the exchange from its
+buoyancy b = B phi^{k+1}, eps_s and the particle-mass residual from the
+midpoint concentration it passed to the vorticity solve, and ||D u||_inf
+from its divergence gate.  The Engine now computes every term from the
+two states alone.  `recording_step` runs one step and returns the
+vectors its solves received; `step_budget` is the arithmetic the step
+did with them.
+"""
+
+import numpy as np
+
+from dualflow.stepper import step
+
+
+def recording_step(state, model):
+    """stepper.step, returning (state, vectors): the vorticity the momentum
+    solve got, its buoyancy b and the midpoint phi of the vorticity solve
+    (b and phi_mid None without particles)."""
+    seen = {}
+    solve_vorticity, solve_momentum = model.solve_vorticity, model.solve_momentum
+
+    def vorticity(C, omega, phi_mid=None, omega_tilde=None):
+        seen["phi_mid"] = phi_mid
+        return solve_vorticity(C, omega, phi_mid=phi_mid, omega_tilde=omega_tilde)
+
+    def momentum(omega, u_old, dt, b=None):
+        seen["omega"], seen["b"] = omega, b
+        return solve_momentum(omega, u_old, dt, b=b)
+
+    model.solve_vorticity, model.solve_momentum = vorticity, momentum
+    try:
+        new, _ = step(state, model)
+    finally:
+        del model.solve_vorticity, model.solve_momentum
+    return new, seen
+
+
+def step_budget(model, prev, new, omega, b=None, phi_mid=None):
+    """eps_v, eps_s, exchange, mass_residual and div_inf of the step
+    prev -> new, from the step's own omega^{k+1}, b and phi_mid."""
+    dt = model.time.dt
+    u, u_new = prev.u_half, new.u_half
+    l_vec = model.Lc @ omega.coefficients
+    budget = {
+        "eps_v": model.nu * float(l_vec @ (0.5 * (u.coefficients + u_new.coefficients))),
+        "eps_s": 0.0, "exchange": 0.0, "mass_residual": 0.0,
+        "div_inf": float(np.max(np.abs(model.D @ u_new.coefficients))),
+    }
+    if phi_mid is not None:
+        u_s = model.physics.settling_velocity
+        budget["mass_residual"] = (
+            model.integral_w(new.phi.coefficients - prev.phi.coefficients)
+            + dt * u_s * model.bottom_integral(phi_mid.coefficients)
+        )
+        budget["eps_s"] = u_s * model.integral_w(phi_mid.coefficients) - model.kappa * float(
+            model.grad_dot_g @ phi_mid.coefficients
+        )
+        budget["exchange"] = float(b @ u_new.coefficients)
+    return budget
