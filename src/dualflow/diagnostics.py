@@ -63,18 +63,6 @@ class LedgerRow:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
-def suspended_mass(model, phi, m_p0):
-    """Ratio of current to initial particle mass."""
-    if m_p0 == 0.0:
-        raise ValueError("initial particle mass is zero; ratio undefined")
-    return model.integral_w(phi.coefficients) / m_p0
-
-
-def sedimentation_rate(model, phi):
-    """Settling outflux through the bottom wall: -int_{Gamma3} phi u_s."""
-    return -model.physics.settling_velocity * model.bottom_integral(phi.coefficients)
-
-
 class FrontTracker:
     """Front position from depth-averaged concentration thresholding.
 
@@ -185,8 +173,9 @@ class Engine:
             eps_s = u_s * model.integral_w(phi_mid) - model.kappa * float(model.grad_dot_g @ phi_mid)
             exchange = self._exchange(new_state)
             Ep = model.potential_energy(phi)
-            ratio = suspended_mass(model, phi, self.m_p0) if self.m_p0 != 0.0 else 0.0
-            mdot_s = sedimentation_rate(model, phi)
+            # the suspended mass ratio and the settling outflux -int_{Gamma3} phi u_s
+            ratio = model.integral_w(phi.coefficients) / self.m_p0 if self.m_p0 != 0.0 else 0.0
+            mdot_s = -u_s * model.bottom_integral(phi.coefficients)
             x_f = self.front.position(phi)
             phi_min, phi_max = float(phi.coefficients.min()), float(phi.coefficients.max())
         self.Ev += dt * eps_v

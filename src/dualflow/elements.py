@@ -1,8 +1,16 @@
 """Reference finite elements on the unit triangle.
 
-Supported for tabulation: continuous Lagrange (CG) of degree 1 and 2,
-discontinuous Lagrange (DG) of degree 0 and 1, and Raviart-Thomas (RT)
-of degree 1 and 2.
+Each family is stated once, here:
+  * its dofs per vertex, per edge and per cell, for any degree
+    (entity_dofs): the dof maps and dimensions of `spaces` read them;
+  * its tabulated degrees (TABULATED): continuous Lagrange (CG) of degree
+    1 and 2, discontinuous Lagrange (DG) of degree 0 and 1, and
+    Raviart-Thomas (RT) of degree 1 and 2.
+
+The RT space is built from its definition, RT_N = P_{N-1}^2 + x P~_{N-1},
+with P_{N-1} the polynomials of degree <= N-1 and P~_{N-1} its
+homogeneous ones of degree N-1 (RTElement._monomials); by Euler's
+identity, div (x p) = (N+1) p for p in P~_{N-1}.
 
 The RT degrees of freedom are defined once, here, as functionals at
 reference points (RTElement.dof_points, applied by RTElement.dofs): the
@@ -14,6 +22,8 @@ the dofs of each cell's Piola pullback.
 Conventions fixed here and relied on everywhere else:
   * reference vertices v0=(0,0), v1=(1,0), v2=(0,1), area 1/2;
   * local edges (v0,v1), (v1,v2), (v2,v0), traversed counter-clockwise;
+  * local dofs in entity order: those of the 3 vertices, of each local
+    edge in turn, then of the cell;
   * edge moment 0 is the plain normal flux, moment 1 is the flux against
     the odd Legendre polynomial 2t-1 of the edge parameter.
 
@@ -36,19 +46,42 @@ from .quadrature import interval_rule, triangle_rule
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
+# the degrees each family tabulates; CG and DG share the Lagrange basis
+TABULATED = {"CG": (1, 2), "DG": (0, 1), "RT": (1, 2)}
+
 
 class UnsupportedElementError(ValueError):
     """Requested (family, degree) pair has no tabulation support."""
 
 
+def entity_dofs(family, degree):
+    """The dofs (per vertex, per edge, per cell) of a family on triangles,
+    for any degree: CG_N (1, N-1, (N-1)(N-2)/2), RT_N (0, N, N(N-1)) and
+    DG_k (0, 0, (k+1)(k+2)/2)."""
+    N = degree
+    if family == "CG":
+        if N < 1:
+            raise ValueError("CG degree must be >= 1")
+        return 1, N - 1, (N - 1) * (N - 2) // 2
+    if family == "RT":
+        if N < 1:
+            raise ValueError("RT degree must be >= 1")
+        return 0, N, N * (N - 1)
+    if family == "DG":
+        if N < 0:
+            raise ValueError("DG degree must be >= 0")
+        return 0, 0, (N + 1) * (N + 2) // 2
+    raise ValueError(f"unknown family {family!r} (expected CG, RT or DG)")
+
+
 class ScalarElement:
-    """Lagrange basis of degree 1 or 2 (shared by CG and DG spaces)."""
+    """Lagrange basis of a TABULATED CG or DG degree (shared by both)."""
 
     def __init__(self, degree):
-        if degree not in (0, 1, 2):
+        if degree not in TABULATED["CG"] + TABULATED["DG"]:
             raise UnsupportedElementError(f"scalar element degree {degree} not tabulated")
         self.degree = degree
-        self.ndof = {0: 1, 1: 3, 2: 6}[degree]
+        self.ndof = entity_dofs("DG", degree)[2]
 
     def tabulate(self, points):
         """Return (values (n_pts, ndof), gradients (n_pts, ndof, 2))."""
@@ -86,69 +119,20 @@ class ScalarElement:
         return np.vstack([REF_VERTICES, mids])
 
 
-def _rt_monomials(degree):
-    """Monomial basis of the RT space and its divergences, as callables."""
-    if degree == 1:
-        funcs = [
-            lambda x, y: (np.ones_like(x), np.zeros_like(x)),
-            lambda x, y: (np.zeros_like(x), np.ones_like(x)),
-            lambda x, y: (x, y),
-        ]
-        divs = [
-            lambda x, y: np.zeros_like(x),
-            lambda x, y: np.zeros_like(x),
-            lambda x, y: 2.0 * np.ones_like(x),
-        ]
-    elif degree == 2:
-        funcs = [
-            lambda x, y: (np.ones_like(x), np.zeros_like(x)),
-            lambda x, y: (x, np.zeros_like(x)),
-            lambda x, y: (y, np.zeros_like(x)),
-            lambda x, y: (np.zeros_like(x), np.ones_like(x)),
-            lambda x, y: (np.zeros_like(x), x),
-            lambda x, y: (np.zeros_like(x), y),
-            lambda x, y: (x * x, x * y),
-            lambda x, y: (x * y, y * y),
-        ]
-        divs = [
-            lambda x, y: np.zeros_like(x),
-            lambda x, y: np.ones_like(x),
-            lambda x, y: np.zeros_like(x),
-            lambda x, y: np.zeros_like(x),
-            lambda x, y: np.zeros_like(x),
-            lambda x, y: np.ones_like(x),
-            lambda x, y: 3.0 * x,
-            lambda x, y: 3.0 * y,
-        ]
-    else:
-        raise UnsupportedElementError(f"RT element degree {degree} not tabulated")
-    return funcs, divs
-
-
 class RTElement:
-    """Raviart-Thomas element of degree 1 (3 dofs) or 2 (8 dofs).
-
-    Dof order: edge moments grouped per local edge (moment 0 then, for
-    degree 2, moment 1), followed by the two interior moments.
-    `sign_sensitive[i]` marks dofs whose global value flips when the
-    local edge direction disagrees with the global edge orientation.
+    """Raviart-Thomas element of a TABULATED degree (3 dofs for RT1, 8 for
+    RT2).  Dof order, as entity_dofs lays it out: the edge moments grouped
+    per local edge (moment 0, then moment 1), then the interior moments.
     """
 
     def __init__(self, degree):
-        if degree not in (1, 2):
+        if degree not in TABULATED["RT"]:
             raise UnsupportedElementError(f"RT element degree {degree} not tabulated")
         self.degree = degree
-        self.n_interior = degree * (degree - 1)
-        self.ndof = 3 * degree + self.n_interior
-        self._funcs, self._divs = _rt_monomials(degree)
-        self.edge_dofs = [
-            list(range(e * degree, (e + 1) * degree)) for e in range(3)
-        ]
-        self.interior_dofs = list(range(3 * degree, self.ndof))
-        sensitive = np.zeros(self.ndof, dtype=bool)
-        for e in range(3):
-            sensitive[self.edge_dofs[e][0]] = True  # moment 0 only
-        self.sign_sensitive = sensitive
+        _, per_edge, self.n_interior = entity_dofs("RT", degree)
+        self.ndof = 3 * per_edge + self.n_interior
+        self.edge_dofs = [list(range(e * per_edge, (e + 1) * per_edge)) for e in range(3)]
+        self.interior_dofs = list(range(3 * per_edge, self.ndof))
         self.dof_points, self._functionals = self._dof_functionals()
         mono, _ = self._monomials(self.dof_points)
         self._coeffs = np.linalg.inv(self.dofs(np.swapaxes(mono, 0, 1)).T)
@@ -180,14 +164,27 @@ class RTElement:
         return samples.reshape(samples.shape[:-2] + (-1,)) @ self._functionals
 
     def _monomials(self, points):
-        """The monomial basis (n_pts, ndof, 2) and its divergences (n_pts, ndof)."""
+        """The monomial basis of RT_N = P_{N-1}^2 + x P~_{N-1}, (n_pts, ndof,
+        2), and its divergences (n_pts, ndof): with p the k monomials x^a
+        y^b of P_{N-1} by degree, the last N homogeneous, the basis is (p,
+        0), (0, p), x p~ and its divergences p_x, p_y, (N+1) p~ (Euler)."""
+        N = self.degree
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
-        mono = np.empty((len(pts), self.ndof, 2))
-        mdiv = np.empty((len(pts), self.ndof))
-        for j, (f, d) in enumerate(zip(self._funcs, self._divs)):
-            mono[:, j, 0], mono[:, j, 1] = f(x, y)
-            mdiv[:, j] = d(x, y)
+        powers = [(d - i, i) for d in range(N) for i in range(d + 1)]
+        k = len(powers)
+        mono = np.zeros((len(pts), self.ndof, 2))
+        mdiv = np.zeros((len(pts), self.ndof))
+        for j, (a, b) in enumerate(powers):
+            mono[:, j, 0] = mono[:, k + j, 1] = x ** a * y ** b
+            if a:
+                mdiv[:, j] = a * x ** (a - 1) * y ** b
+            if b:
+                mdiv[:, k + j] = b * x ** a * y ** (b - 1)
+        h = mono[:, k - N:k, 0]
+        mono[:, 2 * k:, 0] = x[:, None] * h
+        mono[:, 2 * k:, 1] = y[:, None] * h
+        mdiv[:, 2 * k:] = (N + 1) * h
         return mono, mdiv
 
     def tabulate(self, points):
@@ -281,23 +278,13 @@ def form_tensor(test, trial, qdegree, on_edges=False):
     return T
 
 
-_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def get_element(family, degree):
-    """Reference element for (family, degree); raises UnsupportedElementError."""
-    key = (family, degree)
-    if key in _CACHE:
-        return _CACHE[key]
-    if family in ("CG", "DG"):
-        if family == "CG" and degree not in (1, 2):
-            raise UnsupportedElementError(f"CG_{degree} tabulation not supported (use degree 1 or 2)")
-        if family == "DG" and degree not in (0, 1):
-            raise UnsupportedElementError(f"DG_{degree} tabulation not supported (use degree 0 or 1)")
-        elem = ScalarElement(degree)
-    elif family == "RT":
-        elem = RTElement(degree)
-    else:
+    """Reference element for a (family, degree) of TABULATED, built once;
+    raises UnsupportedElementError for any other."""
+    if family not in TABULATED:
         raise UnsupportedElementError(f"unknown element family {family!r}")
-    _CACHE[key] = elem
-    return elem
+    if degree not in TABULATED[family]:
+        raise UnsupportedElementError(f"{family}_{degree} tabulation not supported "
+                                      f"(use degree {' or '.join(map(str, TABULATED[family]))})")
+    return RTElement(degree) if family == "RT" else ScalarElement(degree)

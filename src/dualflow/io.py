@@ -238,8 +238,8 @@ def save_checkpoint(path, state, engine, model):
 
 def load_checkpoint(path):
     """Read a checkpoint; a malformed file raises CheckpointError naming
-    `path` and the missing or bad header line, as do a negative step and
-    a non-finite accumulator."""
+    `path` and the missing or bad header line, as do a negative step, a
+    non-finite accumulator and a field named twice."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"END\n")
@@ -288,6 +288,9 @@ def load_checkpoint(path):
     if nonfinite:
         raise CheckpointError(f"{path}: checkpoint scalars are not finite: {nonfinite}")
     names = parse("fields", str.split)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CheckpointError(f"{path}: checkpoint fields line names {' '.join(repeated)} twice")
     dims = parse("dims", lambda text: [int(d) for d in text.split()])
     if len(dims) != len(names) or min(dims, default=0) < 0:
         raise CheckpointError(f"{path}: checkpoint dims {dims} do not fit fields {names}")

@@ -324,6 +324,21 @@ def build_periodic_rect_mesh(lx, ly, nx, ny, pattern="left"):
     return mesh
 
 
+def _numbers(tokens, dtype, width, entity):
+    """The tokens of a mesh file's `entity` lines, `width` numbers each, as
+    an array of `dtype`, one row per line; a token that is no `dtype`
+    raises MeshError naming the entity's number and the token."""
+    try:
+        return np.asarray(tokens, dtype=dtype).reshape(-1, width)
+    except ValueError:
+        for i, token in enumerate(tokens):
+            try:
+                dtype(token)
+            except ValueError:
+                raise MeshError(f"mesh {entity} {i // width} has a bad number {token!r}") from None
+        raise
+
+
 def read_mesh_text(text, geom):
     """Parse a triangulation from plain text: 'V E C', V x-y lines, C cell lines.
 
@@ -342,8 +357,8 @@ def read_mesh_text(text, geom):
     need = 3 + 2 * nv + 3 * nc
     if len(tokens) != need:
         raise MeshError(f"mesh file has {len(tokens)} fields, expected {need}")
-    vals = np.asarray(tokens[3:3 + 2 * nv], dtype=float).reshape(nv, 2)
-    cells = np.asarray(tokens[3 + 2 * nv:], dtype=np.int64).reshape(nc, 3)
+    vals = _numbers(tokens[3:3 + 2 * nv], float, 2, "vertex")
+    cells = _numbers(tokens[3 + 2 * nv:], np.int64, 3, "cell")
     if nc < 1:
         raise MeshError("mesh file has no cells")
     if cells.min() < 0 or cells.max() >= nv:

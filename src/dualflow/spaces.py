@@ -8,48 +8,37 @@ on which the solver's conservation structure rests: the scalar curl of
 any CG function is exactly representable in RT, and divergences of RT
 fields land exactly in DG.
 
-Dof layout:
-  CG_N : vertex dofs (= canonical vertex ids), then one dof per edge for
-         N=2 (midpoint value, orientation-free).
-  RT_N : N dofs per edge (normal-flux Legendre moments w.r.t. the global
-         edge orientation), then N(N-1) interior moments per cell.  Only
-         the moment-0 dof is orientation-sensitive.
-  DG_k : (k+1)(k+2)/2 dofs per cell, no sharing.
+Dof layout: each family's dofs per vertex, edge and cell (v, e, c) are
+stated once, in `elements.entity_dofs`, and one numbering serves all
+three families.  Globally the v dofs of each vertex come first, vertex by
+vertex (so the CG vertex dofs are the canonical vertex ids), then the e
+dofs of each edge, then the c dofs of each cell; locally the order is the
+same.  An RT edge's dofs are its normal-flux Legendre moments w.r.t. the
+global edge orientation: only moment 0 is orientation-sensitive, and it
+takes the cell's edge sign.  The CG2 edge dof (the midpoint value) is
+orientation-free.
 
-Spaces exist for N in {1, 2}; space_dimension counts the dofs of any
-degree.  A space keeps no per-cell tabulation: `assemble` contracts the
-reference tensors of `elements` with the mesh's per-cell geometry, and
-`interpolate` applies the element's own dof functionals in every cell,
-so the RT dofs are defined once, in `elements.RTElement`.
+Spaces exist for the degrees of `elements.TABULATED`; space_dimension
+counts the dofs of any degree.  A space keeps no per-cell tabulation:
+`assemble` contracts the reference tensors of `elements` with the mesh's
+per-cell geometry, and `interpolate` applies the element's own dof
+functionals in every cell, so the RT dofs are defined once, in
+`elements.RTElement`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import get_element
+from .elements import entity_dofs, get_element
 from .mesh import MeshError
 from .quadrature import triangle_rule
 
-FAMILIES = ("CG", "RT", "DG")
-
 
 def space_dimension(family, degree, num_vertices, num_edges, num_cells):
-    """Closed-form dof count on triangles for any degree >= 1 (DG: >= 0)."""
-    V, E, C = num_vertices, num_edges, num_cells
-    if family == "CG":
-        if degree < 1:
-            raise ValueError("CG degree must be >= 1")
-        return V + (degree - 1) * E + ((degree - 1) * (degree - 2) // 2) * C
-    if family == "RT":
-        if degree < 1:
-            raise ValueError("RT degree must be >= 1")
-        return degree * E + degree * (degree - 1) * C
-    if family == "DG":
-        if degree < 0:
-            raise ValueError("DG degree must be >= 0")
-        return ((degree + 1) * (degree + 2) // 2) * C
-    raise ValueError(f"unknown family {family!r}")
+    """Dof count on triangles for any degree, from elements.entity_dofs."""
+    v, e, c = entity_dofs(family, degree)
+    return v * num_vertices + e * num_edges + c * num_cells
 
 
 @dataclass
@@ -64,42 +53,21 @@ class FunctionSpace:
 
 
 def make_space(mesh, family, degree):
-    """Create a FunctionSpace of degree 1 or 2 (UnsupportedElementError otherwise)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    dim = space_dimension(family, degree, mesh.num_vertices, mesh.num_edges, mesh.num_cells)
+    """Create a FunctionSpace of a tabulated degree (UnsupportedElementError otherwise)."""
+    v, e, c = entity_dofs(family, degree)
     element = get_element(family, degree)
-
-    C = mesh.num_cells
-    V, E = mesh.num_vertices, mesh.num_edges
-    if family == "CG":
-        if degree == 1:
-            dofs = mesh.cells.copy()
-        else:
-            dofs = np.hstack([mesh.cells, V + mesh.cell_edges])
-        signs = np.ones(dofs.shape)
-    elif family == "DG":
-        nd = element.ndof
-        dofs = nd * np.arange(C, dtype=np.int64)[:, None] + np.arange(nd, dtype=np.int64)[None, :]
-        signs = np.ones(dofs.shape)
-    else:  # RT
-        N = degree
-        dofs = np.zeros((C, element.ndof), dtype=np.int64)
-        signs = np.ones((C, element.ndof))
-        for loc in range(3):
-            e = mesh.cell_edges[:, loc]
-            s = mesh.cell_edge_signs[:, loc]
-            for m in range(N):
-                col = element.edge_dofs[loc][m]
-                dofs[:, col] = N * e + m
-                if element.sign_sensitive[col]:
-                    signs[:, col] = s
-        for k, col in enumerate(element.interior_dofs):
-            dofs[:, col] = N * E + len(element.interior_dofs) * np.arange(C, dtype=np.int64) + k
-    space = FunctionSpace(
-        mesh=mesh, family=family, degree=degree, dim=dim,
-        element=element, cell_dofs=dofs.astype(np.int64), cell_dof_signs=signs.astype(float),
-    )
+    V, E, C = mesh.num_vertices, mesh.num_edges, mesh.num_cells
+    dim = space_dimension(family, degree, V, E, C)
+    # each entity kind: its ids per cell, its dofs per entity, the first dof of its block
+    entities = ((mesh.cells, v, 0), (mesh.cell_edges, e, v * V),
+                (np.arange(C, dtype=np.int64)[:, None], c, v * V + e * E))
+    dofs = np.hstack([(first + n * ids[:, :, None] + np.arange(n)).reshape(C, -1)
+                      for ids, n, first in entities])
+    signs = np.ones(dofs.shape)
+    if family == "RT":
+        signs[:, 3 * v + e * np.arange(3)] = mesh.cell_edge_signs  # moment 0 of each edge
+    space = FunctionSpace(mesh=mesh, family=family, degree=degree, dim=dim,
+                          element=element, cell_dofs=dofs, cell_dof_signs=signs)
     numbered = int(space.cell_dofs.max()) + 1
     if numbered != dim:
         raise MeshError(f"the {family}{degree} dof map numbers {numbered} dofs but the mesh "

@@ -14,7 +14,7 @@ from dualflow.stepper import (
     step,
 )
 from dualflow import assemble
-from dualflow.diagnostics import Engine, FrontTracker, sedimentation_rate, suspended_mass
+from dualflow.diagnostics import Engine, FrontTracker
 from dualflow.mesh import WALL_TAGS
 
 from util_budget import recording_step, step_budget
@@ -87,7 +87,7 @@ def test_suspended_mass_starts_at_one_and_decays():
     model = make_model()
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    assert abs(suspended_mass(model, state.phi, eng.m_p0) - 1.0) < 1e-14
+    assert abs(model.integral_w(state.phi.coefficients) / eng.m_p0 - 1.0) < 1e-14
     prev = state
     state, _ = step(state, model)
     row = eng.update(prev, state)
@@ -107,20 +107,33 @@ def test_suspended_mass_constant_without_settling():
         assert abs(row.m_p_ratio - 1.0) < 1e-10
 
 
-def test_suspended_mass_zero_initial_rejected():
+def hand_built_state(model, k, phi):
+    """A state at step k with zero velocity and vorticity and the given phi."""
+    return SimulationState(k=k, u_half=Field(model.U, np.zeros(model.U.dim)),
+                           omega=Field(model.W, np.zeros(model.W.dim)), phi=phi)
+
+
+def test_zero_initial_mass_gives_zero_ratio():
+    """With no particles at the start the mass ratio is undefined; an
+    Engine started from phi^0 = 0 writes 0 and raises nothing."""
     model = make_model()
-    phi = Field(model.W, np.zeros(model.W.dim))
-    with pytest.raises(ValueError):
-        suspended_mass(model, phi, 0.0)
+    zero = Field(model.W, np.zeros(model.W.dim))
+    eng = Engine(model, hand_built_state(model, 0, zero))
+    assert eng.m_p0 == 0.0
+    phi1 = project(model.W, lambda x, y: 1.0, model.qdeg)
+    assert eng.update(hand_built_state(model, 0, zero), hand_built_state(model, 1, phi1)).m_p_ratio == 0.0
 
 
 def test_sedimentation_rate_examples():
+    """The row's mdot_s is the settling outflux -u_s int_{Gamma3} phi."""
     model = make_model(L=13.0, u_s=0.02)
     zero = Field(model.W, np.zeros(model.W.dim))
-    assert sedimentation_rate(model, zero) == 0.0
     phi1 = project(model.W, lambda x, y: 1.0, model.qdeg)
+    eng = Engine(model, hand_built_state(model, 0, phi1))
+    assert eng.update(hand_built_state(model, 0, phi1), hand_built_state(model, 1, zero)).mdot_s == 0.0
     # bottom wall has length 13: mdot_s = -0.02 * 13 = -0.26
-    assert abs(sedimentation_rate(model, phi1) + 0.26) < 1e-12
+    row = eng.update(hand_built_state(model, 1, zero), hand_built_state(model, 2, phi1))
+    assert abs(row.mdot_s + 0.26) < 1e-12
 
 
 def test_front_position_trivial_cases():

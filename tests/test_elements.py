@@ -4,12 +4,17 @@ import pytest
 from dualflow.elements import (
     LOCAL_EDGES,
     REF_VERTICES,
+    RTElement,
+    ScalarElement,
     UnsupportedElementError,
+    entity_dofs,
     get_element,
     reference_curl,
     skew_tensors,
 )
 from dualflow.quadrature import interval_rule, triangle_rule
+
+from util_layout import rt_monomial_table
 
 
 def random_ref_points(n, seed=0):
@@ -132,6 +137,35 @@ def test_unsupported_elements_raise():
         get_element("DG", 2)
     with pytest.raises(UnsupportedElementError):
         get_element("NED", 1)
+    # a direct constructor refuses too, rather than build a basis whose dofs were never defined
+    for make, degree in ((RTElement, 3), (RTElement, 0), (ScalarElement, 3)):
+        with pytest.raises(UnsupportedElementError):
+            make(degree)
+
+
+@pytest.mark.parametrize("family, degree, message", [
+    ("CG", 0, "CG degree must be >= 1"),
+    ("RT", 0, "RT degree must be >= 1"),
+    ("DG", -1, "DG degree must be >= 0"),
+    ("NED", 1, "unknown family 'NED'"),
+])
+def test_entity_dofs_refusals(family, degree, message):
+    with pytest.raises(ValueError, match=message):
+        entity_dofs(family, degree)
+
+
+@pytest.mark.parametrize("where", ["dof_points", "rule"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_rt_monomials_equal_the_old_table(degree, where):
+    """The RT monomials built from P_{N-1}, and their Euler divergences,
+    are the old hand table's, byte for byte, as C-contiguous arrays (the
+    einsum of skew_tensors takes another path on a strided array)."""
+    elem = get_element("RT", degree)
+    pts = elem.dof_points if where == "dof_points" else triangle_rule(9).points
+    for new, old in zip(elem._monomials(pts), rt_monomial_table(degree, pts)):
+        assert new.flags.c_contiguous
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("degree", [1, 2])

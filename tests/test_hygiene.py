@@ -6,11 +6,11 @@
   private method, of `src/dualflow` is read somewhere in the package.
 - Every public function of `dualflow.kernels`, `dualflow.assemble`,
   `dualflow.elements`, `dualflow.spaces`, `dualflow.mesh`,
-  `dualflow.quadrature`, `dualflow.linsolve`, `dualflow.stepper` and
-  `dualflow.driver` is read by another module of the package: a kernel,
-  an assembly, an element table, a space helper, a mesh helper, a rule,
-  a solver, a step or a run helper that only tests call is a test
-  helper or an oracle.
+  `dualflow.quadrature`, `dualflow.linsolve`, `dualflow.stepper`,
+  `dualflow.driver` and `dualflow.diagnostics` is read by another module
+  of the package: a kernel, an assembly, an element table, a space
+  helper, a mesh helper, a rule, a solver, a step, a run helper or a
+  diagnostic that only tests call is a test helper or an oracle.
 - Every field of a dataclass of `src/dualflow` is read somewhere in
   `src/dualflow`, `tests` or `perfbench`: as an attribute, or by name as
   a string (`CSV_COLUMNS` and the benchmark read fields by name).
@@ -187,14 +187,15 @@ def test_no_dead_assembly():
         f"{name} (line {line})" for line, name in dead)
 
 
-SCANNED_MODULES = ["elements", "spaces", "mesh", "quadrature", "linsolve", "stepper", "driver"]
+SCANNED_MODULES = ["elements", "spaces", "mesh", "quadrature", "linsolve", "stepper", "driver",
+                   "diagnostics"]
 
 
 @pytest.mark.parametrize("module", SCANNED_MODULES)
 def test_scan_finds_an_unread_element_or_space_function(module):
     """The same scan on dualflow.elements, spaces, mesh, quadrature,
-    linsolve, stepper and driver: a function put back at the end of the
-    real module is the one it reports."""
+    linsolve, stepper, driver and diagnostics: a function put back at the
+    end of the real module is the one it reports."""
     dead = unread_package_functions(module, "\n\ndef only_tests_call(space):\n    pass\n")
     assert [name for line, name in dead] == ["only_tests_call"]
 
@@ -202,8 +203,8 @@ def test_scan_finds_an_unread_element_or_space_function(module):
 @pytest.mark.parametrize("module", SCANNED_MODULES)
 def test_no_dead_element_or_space_functions(module):
     """An element table, a space or mesh helper, a quadrature rule, a
-    solver, a step or a run helper that only tests call belongs in
-    tests/."""
+    solver, a step, a run helper or a diagnostic that only tests call
+    belongs in tests/."""
     dead = unread_package_functions(module)
     assert not dead, f"{module} functions no other package module reads: " + ", ".join(
         f"{name} (line {line})" for line, name in dead)

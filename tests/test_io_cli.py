@@ -231,7 +231,10 @@ def test_checkpoint_identity_in_header(tmp_path):
     (b"END\n", "not a dualflow checkpoint"),
     (b"DUALFLOW-CKPT 3\nmode turbidity\ndegree 1\nk 0\nEND\n", "no 'dt' line"),
     (b"DUALFLOW-CKPT x\nEND\n", "version line 'DUALFLOW-CKPT x'"),
-], ids=["end_only", "no_dt", "bad_version"])
+    (b"DUALFLOW-CKPT 3\nmode homogeneous\ndegree 1\nk 0\ndt 0x1.0p-7\nidentity mesh=0\n"
+     b"scalars Ev=0x0p+0 Es=0x0p+0 K_half0=0x0p+0 Ep0=0x0p+0 m_p0=0x0p+0 base_exchange=0x0p+0\n"
+     b"fields u_half omega omega\ndims 1 1 1\nEND\n" + bytes(24), "fields line names omega twice"),
+], ids=["end_only", "no_dt", "bad_version", "repeated_field"])
 def test_malformed_checkpoint_refused(tmp_path, content, message):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(content)

@@ -164,6 +164,17 @@ def test_import_rejects_bad_header():
         read_mesh_text("4 99 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3", geom)
 
 
+@pytest.mark.parametrize("vertex, cell, message", [
+    ("-1 abc", "0 2 3", "mesh vertex 3 has a bad number 'abc'"),
+    ("-1 1", "0 3.5 3", "mesh cell 1 has a bad number '3.5'"),
+], ids=["vertex", "cell"])
+def test_import_names_a_bad_number(vertex, cell, message):
+    geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
+    text = f"4 5 2\n-0.5 0\n0.5 0\n0.5 1\n{vertex}\n0 1 2\n{cell}"
+    with pytest.raises(MeshError, match=message):
+        read_mesh_text(text, geom)
+
+
 def test_import_refuses_edge_in_three_cells():
     geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
     text = "5 7 3\n-0.5 0\n0.5 0\n0 1\n0 0.5\n0 0.25\n0 1 2\n0 1 3\n0 1 4"

@@ -22,6 +22,7 @@ from dualflow.spaces import (
 from dualflow.quadrature import interval_rule, triangle_rule
 
 from util_curl import discrete_curl
+from util_layout import closed_form_dimension, family_dof_map
 from util_sim1 import sim1_mesh_text
 from util_tabulate import volume_tab
 
@@ -124,6 +125,43 @@ def test_dof_map_consistency(channel, family, degree):
     assert sp.cell_dofs.min() == 0
     assert sp.cell_dofs.max() == sp.dim - 1
     assert sp.dim == space_dimension(family, degree, channel.num_vertices, channel.num_edges, channel.num_cells)
+
+
+PAIRS = [("CG", 1), ("CG", 2), ("RT", 1), ("RT", 2), ("DG", 0), ("DG", 1)]
+
+
+def layout_mesh(kind):
+    """channel-<nx>x<ny>-<pattern>, torus-<n>-<pattern> or sim1."""
+    if kind == "sim1":
+        return read_mesh_text(*sim1_mesh_text())
+    shape, pattern = kind.split("-")[1:]
+    if kind.startswith("channel"):
+        nx, ny = map(int, shape.split("x"))
+        return build_channel_mesh(ChannelGeometry(length=2.0, height=1.0, lock_length=0.5), nx, ny, pattern)
+    return build_periodic_rect_mesh(1.0, 1.0, int(shape), int(shape), pattern)
+
+
+@pytest.mark.parametrize("kind", [f"{mesh}-{pattern}" for mesh in ("channel-6x3", "channel-1x1", "torus-2", "torus-32")
+                                  for pattern in ("left", "right", "crisscross")] + ["sim1"])
+def test_dof_map_equals_the_per_family_numbering(kind):
+    """The one entity numbering of make_space gives every family's old
+    per-family dof map and signs, byte for byte, dtype included."""
+    mesh = layout_mesh(kind)
+    for family, degree in PAIRS:
+        space = make_space(mesh, family, degree)
+        for new, old in zip((space.cell_dofs, space.cell_dof_signs), family_dof_map(mesh, family, degree)):
+            assert new.dtype == old.dtype and new.shape == old.shape, (family, degree)
+            assert new.tobytes() == old.tobytes(), (family, degree)
+
+
+def test_space_dimension_equals_the_closed_forms():
+    """entity_dofs counts what the old closed forms counted, to degree 5."""
+    counts = (619, 1734, 1116)
+    for family, lowest in (("CG", 1), ("RT", 1), ("DG", 0)):
+        for degree in range(lowest, 6):
+            new = space_dimension(family, degree, *counts)
+            old = closed_form_dimension(family, degree, *counts)
+            assert type(new) is type(old) and new == old, (family, degree)
 
 
 def test_project_constant_cg1(channel):
