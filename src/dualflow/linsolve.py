@@ -5,12 +5,15 @@ matrix that does not change between steps is factored once, in a
 CachedLU, without its exact zeros.  A per-step system A, one CSR matrix
 that differs from a static matrix S by a small term (S kept on A's
 pattern, zeros and all), is solved by refinement against the
-factor of S: x = S^-1 b, then x += S^-1 (b - A x), one mat-vec with A
-and one triangular solve per pass.  Refinement stops at the roundoff
-floor: once ||b - A x||_inf <= eps (||S||_inf ||x||_inf + ||b||_inf), or
-when a pass fails to halve the residual, or after MAX_REFINE passes;
-against A's own factor it takes none.  If that misses the
-postcondition, the same A is factored afresh and the report says so
+factor of S: from a given start x0, or else from x = S^-1 b, passes
+x += S^-1 (b - A x), one mat-vec with A and one triangular solve each.
+A warm start from a nearby x0 (the previous time level) saves the first
+triangular solve; a cold start takes refinements + 1 of them.
+Refinement stops at the roundoff floor: once ||b - A x||_inf <= eps
+(||S||_inf ||x||_inf + ||b||_inf), or when a pass fails to halve the
+residual, or after MAX_REFINE passes; against A's own factor it takes
+none and starts cold.  If that misses the postcondition, the same A is
+factored afresh and solved from scratch, and the report says so
 (`fallback`).  Pressure-like vectors are defined up to a constant and
 are reported with zero mean (project_out_constant).
 """
@@ -31,7 +34,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverReport:
-    refinements: int  # refinement passes taken after the first solve
+    refinements: int  # refinement passes: the triangular solves, less one for a cold start
     residual: float
     fallback: bool = False  # the given factor missed RTOL; A was factored afresh
 
@@ -64,13 +67,14 @@ def _inf(r):
     return float(abs(r).max()) if r.size else 0.0
 
 
-def _refine(A, b, factor):
-    """x = P^-1 b, then passes x += P^-1 (b - A x) until the residual is at
-    the roundoff floor eps (||P|| ||x|| + ||b||), while each pass at least
-    halves it; a pass that does not lower it is discarded.  Against A's own
-    factor no pass is taken: LU's backward error has a growth constant
-    that the floor leaves out.  Returns (x, passes, residual)."""
-    x = factor.solve(b)
+def _refine(A, b, factor, x0=None):
+    """x = x0, or x = P^-1 b without one, then passes x += P^-1 (b - A x)
+    until the residual is at the roundoff floor eps (||P|| ||x|| + ||b||),
+    while each pass at least halves it; a pass that does not lower it is
+    discarded.  Against A's own factor no pass is taken, so x0 is ignored:
+    LU's backward error has a growth constant that the floor leaves out.
+    Returns (x, passes, residual)."""
+    x = factor.solve(b) if x0 is None or A is factor.matrix else x0
     r = b - A @ x
     res = _inf(r)
     passes = 0
@@ -90,13 +94,14 @@ def _refine(A, b, factor):
     return x, passes, res
 
 
-def lu_solve(A, b, factor=None):
+def lu_solve(A, b, factor=None, x0=None):
     """Solve A x = b by refinement against `factor`, a CachedLU of A or of
-    a matrix near it; without one, A is factored here.
+    a matrix near it, starting from `x0` if given; without a factor, A is
+    factored here.
 
     Postcondition: ||Ax - b||_inf <= RTOL * (1 + ||b||_inf), or SolverError.
-    A factor that misses it is replaced by a fresh factor of A, and the
-    report has fallback=True.
+    A factor that misses it is replaced by a fresh factor of A, solved
+    from scratch, and the report has fallback=True.
     """
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -104,8 +109,14 @@ def lu_solve(A, b, factor=None):
         raise SolverError(f"matrix is not square: {A.shape}")
     if b.shape != (n,):
         raise SolverError("rhs length does not match matrix")
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)  # a copy: x may be returned as is
+        if x0.shape != (n,):
+            raise SolverError("starting vector length does not match matrix")
+        if not np.all(np.isfinite(x0)):
+            raise SolverError("starting vector has non-finite values")
     target = RTOL * (1.0 + _inf(b))
-    x, passes, res = _refine(A, b, factor) if factor is not None else (None, 0, np.inf)
+    x, passes, res = _refine(A, b, factor, x0) if factor is not None else (None, 0, np.inf)
     fallback = factor is not None and not res <= target
     if not res <= target:
         x, more, res = _refine(A, b, CachedLU(A))

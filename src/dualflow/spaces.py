@@ -101,13 +101,18 @@ def constant_coefficients(space):
 # Constraint helpers
 
 
+def _edge_dofs(space, edges):
+    """The dofs of the given edges, edge by edge: the edge block
+    follows the v dofs of each vertex, and edge e holds e * per_edge + m."""
+    v, e, _ = entity_dofs(space.family, space.degree)
+    return (v * space.mesh.num_vertices + e * edges[:, None] + np.arange(e)).ravel()
+
+
 def normal_trace_dofs(space):
     """RT dofs fixing u.n on the whole boundary (strong no-penetration)."""
     if space.family != "RT":
         raise ValueError("normal trace constraints apply to RT spaces")
-    N = space.degree
-    bedges = space.mesh.boundary_edges
-    return np.sort(np.concatenate([N * bedges + m for m in range(N)])) if len(bedges) else np.array([], dtype=np.int64)
+    return _edge_dofs(space, space.mesh.boundary_edges)
 
 
 def wall_trace_dofs(space, tags):
@@ -116,8 +121,7 @@ def wall_trace_dofs(space, tags):
         raise ValueError("trace constraints apply to CG spaces")
     mesh = space.mesh
     e = np.flatnonzero(np.isin(mesh.edge_tags, tags))
-    dofs = [mesh.edges[e].ravel()] + ([mesh.num_vertices + e] if space.degree == 2 else [])
-    return np.unique(np.concatenate(dofs))
+    return np.unique(np.concatenate([mesh.edges[e].ravel(), _edge_dofs(space, e)]))
 
 
 def free_dofs(space, constrained):

@@ -40,8 +40,11 @@ H^T M H.  K is exactly skew: C, and Z^T R Z assembled per cell
 applied per cell.  Model factors each S once, and every per-step solve
 is refined against that factor (linsolve.lu_solve), one mat-vec and one
 triangular solve per pass; a solve that falls back factors the same
-matrix afresh.  Step 4 is solved multiplied by its step tau, so the one
-factor of L on psi serves both dt and the startup's dt/2.
+matrix afresh.  Transport and vorticity start refinement from phi^k and
+om^k, which the state holds, one triangular solve fewer than starting
+from S^-1 b; momentum starts from S^-1 b, as a start from the previous
+stream function saves no pass.  Step 4 is solved multiplied by its step
+tau, so the one factor of L on psi serves both dt and the startup's dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -192,6 +195,7 @@ class Model:
         self.ones_w = constant_coefficients(self.W)
         self.ones_q = constant_coefficients(self.Q)
         self.area = mesh.total_area()
+        self.Nw_1 = self.Nw @ self.ones_w  # <w_i, 1>
         self.Nw_y = self.Nw @ interpolate(self.W, lambda x, y: y).coefficients  # <w_i, y>
 
         self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
@@ -257,7 +261,7 @@ class Model:
 
     def integral_w(self, coef):
         """<f, 1> for a CG coefficient vector."""
-        return float(self.ones_w @ (self.Nw @ coef))
+        return float(self.Nw_1 @ coef)
 
     def kinetic_energy(self, u):
         return 0.5 * float(u.coefficients @ (self.M @ u.coefficients))
@@ -295,7 +299,7 @@ class Model:
         A = self.transport.matrix(0.5, C)
         x = phi.coefficients
         rhs = 2.0 * (self.Nw_dt @ x) - A @ x
-        coef, rep = lu_solve(A, rhs, self._lu_transport)
+        coef, rep = lu_solve(A, rhs, self._lu_transport, x0=x)
         return Field(self.W, coef), rep
 
     def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
@@ -308,7 +312,7 @@ class Model:
         if omega_tilde is not None:
             rhs = rhs + self.nu * (self.neumann @ omega_tilde.coefficients)[self.iw]
         coef = np.zeros(self.W.dim)
-        sol, rep = lu_solve(A, rhs, self._lu_vorticity)
+        sol, rep = lu_solve(A, rhs, self._lu_vorticity, x0=x)
         coef[self.iw] = sol
         return Field(self.W, coef), rep
 

@@ -157,6 +157,92 @@ def test_own_factor_stops_at_the_roundoff_floor(channel):
     assert rep.residual <= linsolve.EPS * (factor.norm * abs(x).max() + abs(b).max())
 
 
+def counted_solves(factor, monkeypatch):
+    """The triangular solves made with `factor` from here on, as a list."""
+    calls = []
+    solve = factor.solve
+
+    def counted(rhs):
+        calls.append(rhs)
+        return solve(rhs)
+
+    monkeypatch.setattr(factor, "solve", counted)
+    return calls
+
+
+def test_warm_start_saves_the_first_solve(channel, monkeypatch):
+    """From an x0 near the solution, refinement against a near factor meets
+    the postcondition with fewer triangular solves than from S^-1 b; the
+    report counts its passes, one per solve, and x0 is left as it was."""
+    M, A = mass_plus_skew(channel, 1e-4)
+    factor = CachedLU(M)
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal(A.shape[0])
+    x_cold, cold = lu_solve(A, b, factor)
+    x0 = x_cold + 1e-6 * abs(x_cold).max() * rng.standard_normal(A.shape[0])
+    start = x0.copy()
+    calls = counted_solves(factor, monkeypatch)
+    x, warm = lu_solve(A, b, factor, x0=x0)
+    assert not warm.fallback
+    assert len(calls) == warm.refinements < cold.refinements + 1
+    assert abs(A @ x - b).max() <= warm.residual + 1e-16
+    assert warm.residual <= 1e-10 * (1 + abs(b).max())
+    assert np.array_equal(x0, start)
+
+
+def test_warm_start_at_the_floor_takes_no_solve(channel, monkeypatch):
+    """An x0 already at the roundoff floor is returned, as a copy, with no
+    triangular solve."""
+    M, A = mass_plus_skew(channel, 1e-4)
+    factor = CachedLU(M)
+    calls = counted_solves(factor, monkeypatch)
+    x0 = np.zeros(A.shape[0])
+    x, rep = lu_solve(A, np.zeros(A.shape[0]), factor, x0=x0)
+    assert calls == [] and rep.refinements == 0 and rep.residual == 0.0
+    assert np.array_equal(x, x0) and x is not x0
+
+
+def test_own_factor_ignores_the_start(channel):
+    """Against A's own factor no pass is taken, so x0 = 0 would come back
+    unsolved: the start is ignored and the solve is the cold one."""
+    W = make_space(channel, "CG", 2)
+    M = assemble_mass(W, 6)
+    factor = CachedLU(M)
+    b = np.random.default_rng(9).standard_normal(W.dim)
+    x_cold, cold = lu_solve(M, b, factor)
+    x, rep = lu_solve(M, b, factor, x0=np.zeros(W.dim))
+    assert rep.refinements == 0 and not rep.fallback
+    assert np.array_equal(x, x_cold) and rep.residual == cold.residual
+    x, rep = lu_solve(M, b, x0=np.zeros(W.dim))  # no factor: A's own, made here
+    assert rep.refinements == 0 and rep.residual <= 1e-10 * (1 + abs(b).max())
+
+
+def test_warm_start_against_a_far_factor_falls_back(channel, factorizations):
+    M, A = mass_plus_skew(channel, 10.0)
+    factor = CachedLU(M)
+    factorizations.clear()
+    rng = np.random.default_rng(10)
+    b = rng.standard_normal(A.shape[0])
+    x, rep = lu_solve(A, b, factor, x0=rng.standard_normal(A.shape[0]))
+    assert len(factorizations) == 1  # the fresh factor of A
+    assert rep.fallback
+    assert abs(A @ x - b).max() <= rep.residual + 1e-16
+    assert rep.residual <= 1e-10 * (1 + abs(b).max())
+
+
+@pytest.mark.parametrize("x0, message", [
+    (np.ones(2), "starting vector length"),
+    (np.ones((3, 1)), "starting vector length"),
+    (np.array([1.0, np.nan, 0.0]), "non-finite"),
+    (np.array([np.inf, 0.0, 0.0]), "non-finite"),
+])
+def test_lu_rejects_a_bad_start(x0, message):
+    A = sp.identity(3, format="csr")
+    for factor in (None, CachedLU(A.tocsc())):
+        with pytest.raises(SolverError, match=message):
+            lu_solve(A, np.ones(3), factor, x0=x0)
+
+
 def saddle_blocks(channel, N=1):
     U = make_space(channel, "RT", N)
     Q = make_space(channel, "DG", N - 1)

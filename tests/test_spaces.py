@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from dualflow.spaces import (
 from dualflow.quadrature import interval_rule, triangle_rule
 
 from util_curl import discrete_curl
-from util_layout import closed_form_dimension, family_dof_map
+from util_layout import closed_form_dimension, family_dof_map, hand_normal_trace_dofs, hand_wall_trace_dofs
 from util_sim1 import sim1_mesh_text
 from util_tabulate import volume_tab
 
@@ -441,6 +443,36 @@ def test_constraint_helpers(channel):
     assert len(lateral) == 2 * (4 + 3)
     xs = channel.vertices[[d for d in lateral if d < channel.num_vertices], 0]
     assert np.all((np.abs(xs - channel.bbox[0]) < 1e-9) | (np.abs(xs - channel.bbox[1]) < 1e-9))
+
+
+@pytest.mark.parametrize("kind", ["desk", "box"])
+def test_trace_dofs_equal_the_hand_offsets(kind):
+    """The boundary dofs, derived from entity_dofs, equal the old hand
+    offsets byte for byte on the lock-exchange desk mesh (50x5
+    crisscross) and the periodic 8x8 box, for N = 1 and 2."""
+    if kind == "desk":
+        mesh = build_channel_mesh(ChannelGeometry(length=13.0, height=1.0, lock_length=1.0), 50, 5, "crisscross")
+    else:
+        mesh = build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 8, 8, "left")
+    for N in (1, 2):
+        U = make_space(mesh, "RT", N)
+        W = make_space(mesh, "CG", N)
+        pairs = [(normal_trace_dofs(U), hand_normal_trace_dofs(U))]
+        pairs += [(wall_trace_dofs(W, tags), hand_wall_trace_dofs(W, tags))
+                  for tags in ((2, 4), (1, 2, 3, 4))]
+        for new, old in pairs:
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), N
+        assert (len(pairs[0][0]) > 0) == (kind == "desk")
+
+
+def test_wall_trace_dofs_take_every_edge_dof():
+    """A CG3 edge has two dofs: the trace holds both, numbered after the
+    vertices as make_space numbers them, v + 2 e + m."""
+    mesh = build_channel_mesh(ChannelGeometry(length=2.0, height=1.0, lock_length=0.5), 6, 3, "left")
+    W3 = types.SimpleNamespace(mesh=mesh, family="CG", degree=3)
+    e = mesh.wall_edges(2)
+    expected = np.concatenate([mesh.edges[e].ravel(), mesh.num_vertices + 2 * e, mesh.num_vertices + 2 * e + 1])
+    assert np.array_equal(wall_trace_dofs(W3, (2,)), np.unique(expected))
 
 
 def test_constant_representable_on_periodic(torus):

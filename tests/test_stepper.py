@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 
@@ -10,7 +11,7 @@ from dualflow import elements, linsolve, stepper
 from dualflow.assemble import assemble_buoyancy, assemble_vorticity_convection
 from dualflow.config import parse_config_file
 from dualflow.diagnostics import Engine
-from dualflow.driver import build_model
+from dualflow.driver import build_model, make_initial_condition
 from dualflow.mesh import (
     TAG_BOTTOM,
     WALL_TAGS,
@@ -229,6 +230,45 @@ def test_step_factors_nothing(mode, factorizations):
     assert factorizations == []
 
 
+def test_transport_and_vorticity_start_from_the_state(monkeypatch):
+    """Transport and vorticity refine from phi^k and om^k, which the state
+    holds: over the first steps of configs/lock_exchange.cfg each makes
+    fewer triangular solves than the same run refined from S^-1 b (x0
+    dropped), and the two runs agree to the solver tolerance."""
+    cfg = parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg"))
+    model = build_model(cfg)
+    state0, _ = initialize(model, make_initial_condition(cfg))
+    names = {id(model._lu_transport): "transport", id(model._lu_vorticity): "vorticity"}
+    solves = collections.Counter()
+    solve = linsolve.CachedLU.solve
+
+    def counted(factor, rhs):
+        solves[names.get(id(factor))] += 1
+        return solve(factor, rhs)
+
+    def run():
+        solves.clear()
+        state = state0
+        for _ in range(4):
+            state, reports = step(state, model)
+            assert not any(rep.fallback for rep in reports.values())
+        return {name: solves[name] for name in ("transport", "vorticity")}, state
+
+    monkeypatch.setattr(linsolve.CachedLU, "solve", counted)
+    warm, warm_state = run()
+
+    def cold_start(A, b, factor=None, x0=None):
+        return lu_solve(A, b, factor)
+
+    lu_solve = stepper.lu_solve
+    monkeypatch.setattr(stepper, "lu_solve", cold_start)
+    cold, cold_state = run()
+    assert warm["transport"] < cold["transport"] and warm["vorticity"] < cold["vorticity"]
+    for name in ("phi", "omega", "u_half"):
+        w, c = (getattr(st, name).coefficients for st in (warm_state, cold_state))
+        assert np.max(np.abs(w - c)) <= 1e-10 * np.max(np.abs(c))
+
+
 def test_large_step_falls_back_to_a_fresh_factor(monkeypatch):
     """At dt = 1 the skew rotation and convection dominate N/dt, refinement
     against the static factors cannot reach the tolerance, and each such
@@ -239,8 +279,8 @@ def test_large_step_falls_back_to_a_fresh_factor(monkeypatch):
     K0 = model.kinetic_energy(state.u_half)
     solves = []
 
-    def recorded(A, b, factor=None):
-        x, rep = lu_solve(A, b, factor)
+    def recorded(A, b, factor=None, x0=None):
+        x, rep = lu_solve(A, b, factor, x0=x0)
         solves.append((A, b, x, rep))
         return x, rep
 
@@ -520,10 +560,10 @@ def per_step_systems(model, state, monkeypatch):
     if model.physics.mode == "turbidity":
         names[id(model._lu_transport)] = "transport"
 
-    def recorded(A, b, factor=None):
+    def recorded(A, b, factor=None, x0=None):
         if id(factor) in names:
             seen[names[id(factor)]] = A
-        return lu_solve(A, b, factor)
+        return lu_solve(A, b, factor, x0=x0)
 
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", recorded)
@@ -677,8 +717,8 @@ def test_own_factor_solves_take_no_refinement(case, request, monkeypatch):
     model, state = request.getfixturevalue(case)
     own = []
 
-    def recorded(A, b, factor=None):
-        x, rep = lu_solve(A, b, factor)
+    def recorded(A, b, factor=None, x0=None):
+        x, rep = lu_solve(A, b, factor, x0=x0)
         if A is model.Nw_c or A is model.DDt:
             own.append(rep)
         return x, rep

@@ -3,9 +3,11 @@
 `elements.entity_dofs` states each family's dofs per vertex, edge and
 cell once, and `RTElement._monomials` builds the RT space from P_{N-1}.
 Before that, the RT monomials were a hand table, the dimensions three
-closed forms and the dof maps three per-family branches of
-`spaces.make_space`.  Those are kept here, as they were, so the tests can
-show the derived versions equal them byte for byte.
+closed forms, the dof maps three per-family branches of
+`spaces.make_space` and the boundary dofs of `spaces.normal_trace_dofs`
+and `spaces.wall_trace_dofs` hand offsets (the latter right for CG1 and
+CG2 only).  Those are kept here, as they were, so the tests can show the
+derived versions equal them byte for byte.
 """
 
 import numpy as np
@@ -110,3 +112,19 @@ def family_dof_map(mesh, family, degree):
         for k, col in enumerate(interior_dofs):
             dofs[:, col] = N * E + len(interior_dofs) * np.arange(C, dtype=np.int64) + k
     return dofs.astype(np.int64), signs.astype(float)
+
+
+def hand_normal_trace_dofs(space):
+    """RT dofs on the boundary edges, N moments per edge from N * edge."""
+    N = space.degree
+    bedges = space.mesh.boundary_edges
+    return np.sort(np.concatenate([N * bedges + m for m in range(N)])) if len(bedges) else np.array([], dtype=np.int64)
+
+
+def hand_wall_trace_dofs(space, tags):
+    """CG1/CG2 dofs on the tagged walls: vertex ids, and for CG2 the edge
+    midpoints numbered after the vertices."""
+    mesh = space.mesh
+    e = np.flatnonzero(np.isin(mesh.edge_tags, tags))
+    dofs = [mesh.edges[e].ravel()] + ([mesh.num_vertices + e] if space.degree == 2 else [])
+    return np.unique(np.concatenate(dofs))
