@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .mesh import (
     ChannelGeometry,
     Mesh,
-    MeshStats,
     build_channel_mesh,
     build_periodic_rect_mesh,
-    mesh_stats,
     read_mesh_text,
 )
 from .spaces import Field, FunctionSpace, make_space, space_dimension
@@ -17,10 +15,8 @@ from .spaces import Field, FunctionSpace, make_space, space_dimension
 __all__ = [
     "ChannelGeometry",
     "Mesh",
-    "MeshStats",
     "build_channel_mesh",
     "build_periodic_rect_mesh",
-    "mesh_stats",
     "read_mesh_text",
     "Field",
     "FunctionSpace",

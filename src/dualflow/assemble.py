@@ -312,14 +312,11 @@ def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
     """
     if u_s < 0:
         raise ValueError(f"settling speed must be nonnegative, got {u_s}")
-    pattern = _pattern(W, W)
-    if u_s == 0.0:
-        return pattern.matrix(np.zeros(pattern.nnz))
     e_g = interpolate(U, lambda x, y: GRAVITY)
     B1 = assemble_wall_mass(W, TAG_TOP, bdegree).data
     B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree).data
     C = assemble_vorticity_convection(e_g, W, qdegree)
-    return pattern.matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * B3))
+    return _pattern(W, W).matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * B3))
 
 
 def assemble_buoyancy(U, W, qdegree):

@@ -7,7 +7,7 @@ from .config import ConfigError, parse_config_file
 from .elements import UnsupportedElementError
 from .io import CheckpointError
 from .linsolve import SolverError
-from .mesh import MeshError, mesh_stats
+from .mesh import MeshError
 from .spaces import space_dimension
 from .stepper import StartupError
 
@@ -22,23 +22,15 @@ def _load(args):
 
 
 def _cmd_run(args):
+    """run, or resume from `args.checkpoint`."""
     from .driver import run
 
     cfg = _load(args)
-    result = run(cfg, log=print, collect_rows=False)
-    print(f"finished at step {result.state.k} (t = {result.state.k * cfg.time['dt']:g}); "
-          f"outputs in {cfg.output['dir']}")
-    return 0
-
-
-def _cmd_resume(args):
-    from .driver import run
-
-    cfg = _load(args)
-    if not args.checkpoint:
+    if args.checkpoint == "":
         raise ConfigError("resume needs --checkpoint PATH")
     result = run(cfg, log=print, collect_rows=False, checkpoint=args.checkpoint)
-    print(f"finished at step {result.state.k}; outputs in {cfg.output['dir']}")
+    print(f"finished at step {result.state.k} (t = {result.state.k * cfg.time['dt']:g}); "
+          f"outputs in {cfg.output['dir']}")
     return 0
 
 
@@ -57,17 +49,17 @@ def _cmd_mesh_info(args):
 
     cfg = _load(args)
     mesh = build_mesh(cfg)
-    s = mesh_stats(mesh)
+    counts = (mesh.num_vertices, mesh.num_edges, mesh.num_cells)
     N = cfg.discretization["degree"]
-    d_w = space_dimension("CG", N, s.num_vertices, s.num_edges, s.num_cells)
-    d_u = space_dimension("RT", N, s.num_vertices, s.num_edges, s.num_cells)
-    d_q = space_dimension("DG", N - 1, s.num_vertices, s.num_edges, s.num_cells)
-    eq_cells = s.num_cells * (19.0 / 13.0) * N * N
-    print(f"vertices       {s.num_vertices}")
-    print(f"edges          {s.num_edges}")
-    print(f"cells          {s.num_cells}")
-    print(f"h_min          {s.h_min:.6g}")
-    print(f"total_area     {s.total_area:.12g}")
+    d_w = space_dimension("CG", N, *counts)
+    d_u = space_dimension("RT", N, *counts)
+    d_q = space_dimension("DG", N - 1, *counts)
+    eq_cells = mesh.num_cells * (19.0 / 13.0) * N * N
+    print(f"vertices       {mesh.num_vertices}")
+    print(f"edges          {mesh.num_edges}")
+    print(f"cells          {mesh.num_cells}")
+    print(f"h_min          {mesh.h_min():.6g}")
+    print(f"total_area     {mesh.total_area():.12g}")
     print(f"degree         {N}")
     print(f"dof_vorticity  {d_w}")
     print(f"dof_velocity   {d_u}")
@@ -85,7 +77,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name, fn, help_ in (
         ("run", _cmd_run, "execute a configured simulation"),
-        ("resume", _cmd_resume, "continue a run from a checkpoint"),
+        ("resume", _cmd_run, "continue a run from a checkpoint"),
         ("check", _cmd_check, "validate a configuration and the startup"),
         ("mesh-info", _cmd_mesh_info, "print mesh statistics and dof counts"),
     ):
@@ -94,7 +86,7 @@ def build_parser():
         sp.add_argument("--output-dir", help="override output.dir from the configuration")
         if name == "resume":
             sp.add_argument("--checkpoint", required=True, help="checkpoint file to restore")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, checkpoint=None)
     return p
 
 

@@ -57,8 +57,6 @@ SCHEMA = {
     },
 }
 
-MANDATORY_SECTIONS = ("mesh", "time")
-
 # keys a mode never reads; setting one is an error, not a silent no-op
 UNREAD = {
     "turbidity": (("physics", "nu"),),
@@ -124,10 +122,6 @@ def parse_config(text):
             raise ConfigError(f"{section}.{key}: must be finite, got {val!r}", lineno)
         values[section][key] = parsed
         lines_of[(section, key)] = lineno
-
-    for sec in MANDATORY_SECTIONS:
-        if sec not in values:
-            raise ConfigError(f"mandatory section [{sec}] is missing")
 
     cfg = {}
     for sec, keys in SCHEMA.items():

@@ -329,11 +329,9 @@ def restore_state(data, model):
                 f"checkpoint {part} ({IDENTITY[part]}) does not match the configured run"
             )
     spaces = {"u_half": model.U, "omega": model.W}
-    needed = ["u_half", "omega"]
     if model.physics.mode == "turbidity":
         spaces["phi"] = model.W
-        needed.append("phi")
-    for name in needed:
+    for name in spaces:
         if name not in data["fields"]:
             raise CheckpointError(f"checkpoint has no field {name!r}, which a "
                                   f"{model.physics.mode} state needs")

@@ -64,15 +64,6 @@ class ChannelGeometry:
 
 
 @dataclass
-class MeshStats:
-    num_vertices: int
-    num_edges: int
-    num_cells: int
-    h_min: float
-    total_area: float
-
-
-@dataclass
 class Mesh:
     vertices: np.ndarray        # (V, 2) canonical coordinates
     cells: np.ndarray           # (C, 3) canonical vertex ids, CCW
@@ -131,28 +122,11 @@ class Mesh:
     def total_area(self):
         return float(np.sum(self.cell_areas()))
 
-    def edge_lengths(self):
-        if "edge_len" not in self._cache:
-            lens = np.full(self.num_edges, np.inf)
-            for loc, (a, b) in enumerate(LOCAL_EDGES):
-                d = self.cell_coords[:, b, :] - self.cell_coords[:, a, :]
-                ll = np.hypot(d[:, 0], d[:, 1])
-                np.minimum.at(lens, self.cell_edges[:, loc], ll)
-            self._cache["edge_len"] = lens
-        return self._cache["edge_len"]
-
     def h_min(self):
-        return float(np.min(self.edge_lengths()))
-
-
-def mesh_stats(mesh):
-    return MeshStats(
-        num_vertices=mesh.num_vertices,
-        num_edges=mesh.num_edges,
-        num_cells=mesh.num_cells,
-        h_min=mesh.h_min(),
-        total_area=mesh.total_area(),
-    )
+        """The shortest edge, over every cell's local edges."""
+        a, b = np.asarray(LOCAL_EDGES).T
+        d = self.cell_coords[:, b, :] - self.cell_coords[:, a, :]
+        return float(np.min(np.hypot(d[..., 0], d[..., 1])))
 
 
 def _quad_triangles(pattern):
@@ -307,8 +281,6 @@ def build_channel_mesh(geom, nx, ny, pattern="left"):
     mesh = _build_structured(geom.xmin, geom.xmax, 0.0, geom.height, nx, ny, pattern, periodic=False)
     mesh.geometry = geom
     _tag_boundary(mesh)
-    if np.any((mesh.edge_cells[:, 1] < 0) != (mesh.edge_tags > 0)):
-        raise MeshError("boundary tagging does not exhaust the boundary")
     return mesh
 
 

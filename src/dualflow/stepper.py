@@ -173,12 +173,9 @@ class Model:
         self.qdeg = 2 * degree + 2
         self.bdeg = degree + 2
 
-        if mesh.periodic:
-            self.u_fixed = np.array([], dtype=np.int64)
-            self.w_fixed = np.array([], dtype=np.int64)
-        else:
-            self.u_fixed = normal_trace_dofs(self.U)
-            self.w_fixed = wall_trace_dofs(self.W, (TAG_RIGHT, TAG_LEFT))
+        # both are empty on a torus
+        self.u_fixed = normal_trace_dofs(self.U)
+        self.w_fixed = wall_trace_dofs(self.W, (TAG_RIGHT, TAG_LEFT))
         self.iu = free_dofs(self.U, self.u_fixed)
         self.iw = free_dofs(self.W, self.w_fixed)
 

@@ -2,7 +2,8 @@
 
 The lock-exchange reference run (criterion 6's configuration) is shared
 by criteria 6, 7 and 8; criterion 9 repeats it through the CLI to check
-bitwise determinism and resume-exactness.
+bitwise determinism and resume-exactness.  The same run, and a short
+Taylor-Green run, are also held to pinned reference trajectories.
 """
 
 import time
@@ -14,6 +15,7 @@ from dualflow.assemble import assemble_div
 from dualflow.config import parse_config
 from dualflow.driver import build_model, run
 from dualflow.elements import LOCAL_EDGES, REF_VERTICES
+from dualflow.io import read_csv
 from dualflow.mesh import (
     TAG_BOTTOM,
     ChannelGeometry,
@@ -33,6 +35,7 @@ from dualflow.stepper import (
 )
 
 from conftest import run_cli
+from make_reference import COLUMNS, pinned_rows, reference_config, reference_path
 from util_curl import discrete_curl
 from util_tabulate import volume_tab
 
@@ -321,3 +324,43 @@ def test_criterion_9_determinism_and_resume(acceptance, run6, tmp_path):
     ck_b = (tmp_path / "outB" / "checkpoint_final.ckpt").read_bytes()
     assert ck_a == ck_b
     acceptance.ok(9)
+
+
+# Pinned reference trajectories: tests/data/reference_{lock_exchange,
+# taylor_green}.csv were written at commit a15d00f by
+#     PYTHONPATH=src python tests/make_reference.py
+# from configs/lock_exchange.cfg (1000 steps, every 50th row) and
+# configs/taylor_green.cfg (100 steps, every 10th row).  The structural
+# gates above hold for any viscosity, settling speed or buoyancy
+# coefficient; these catch a change of the physics itself.  Roundoff-level
+# changes moved the desk CSV by at most 1.1e-11 relative over five earlier
+# changes, against a 1% viscosity change moving K by 9e-4.
+PIN_RTOL = 1e-8
+# columns that cross 0 (the torus' total vorticity and both runs' E_res
+# start at 0) carry the roundoff of the O(0.01-1) sums they are differences of
+PIN_ATOL = {"total_vorticity": 1e-10, "E_res": 1e-10}
+
+
+def assert_matches_reference(name, rows):
+    ref = read_csv(reference_path(name))
+    got = np.array(pinned_rows(name, rows))
+    assert np.array_equal(got[:, 0], ref["step"])
+    for j, col in enumerate(COLUMNS, start=1):
+        tol = PIN_RTOL * np.abs(ref[col]) + PIN_ATOL.get(col, 0.0)
+        bad = np.flatnonzero(np.abs(got[:, j] - ref[col]) > tol)
+        assert len(bad) == 0, (f"{name}: {col} at step {int(ref['step'][bad[0]])} is "
+                               f"{float(got[bad[0], j])!r}, reference {float(ref[col][bad[0]])!r}")
+
+
+def test_pinned_reference_lock_exchange(run6, tmp_path):
+    """run6 is the reference run: the shipped desk config, 1000 steps."""
+    cfg = parse_config(RUN6_CFG.format(outdir=tmp_path))
+    pinned = reference_config("lock_exchange", str(tmp_path))
+    for section in ("mesh", "physics", "discretization", "time", "initial"):
+        assert getattr(cfg, section) == getattr(pinned, section)
+    assert_matches_reference("lock_exchange", run6["result"].rows)
+
+
+def test_pinned_reference_taylor_green(tmp_path):
+    rows = run(reference_config("taylor_green", str(tmp_path))).rows
+    assert_matches_reference("taylor_green", rows)

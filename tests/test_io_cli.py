@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 
 import numpy as np
@@ -495,6 +496,35 @@ def test_cli_mesh_info_table1(tmp_path):
     assert "cells          1116" in out
 
 
+def test_cli_mesh_info_lock_exchange(tmp_path):
+    """The whole mesh-info block of the shipped desk config."""
+    config = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs",
+                          "lock_exchange.cfg")
+    proc = run_cli(["mesh-info", "--config", config], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "vertices       556",
+        "edges          1555",
+        "cells          1000",
+        "h_min          0.164012",
+        "total_area     13",
+        "degree         2",
+        "dof_vorticity  2111",
+        "dof_velocity   5110",
+        "dof_pressure   3000",
+        "eq_num_cells   5846.15",
+    ]
+
+
+def test_cli_resume_refuses_empty_checkpoint(tmp_path):
+    cfgfile = tmp_path / "a.cfg"
+    cfgfile.write_text(lock_cfg_text(tmp_path / "o"))
+    proc = run_cli(["resume", "--config", str(cfgfile), "--checkpoint", ""], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: resume needs --checkpoint PATH\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_missing_mesh_import_names_file(tmp_path):
     missing = tmp_path / "no_such_mesh.txt"
     cfgfile = tmp_path / "run.cfg"
@@ -521,6 +551,7 @@ def test_cli_run_and_resume_bitwise(tmp_path):
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+    assert f"finished at step 6 (t = 0.006); outputs in {tmp_path / 'outB'}" in proc.stdout
     csv_a = (tmp_path / "outA" / "timeseries.csv").read_bytes()
     csv_b = (tmp_path / "outB" / "timeseries.csv").read_bytes()
     assert csv_a == csv_b

@@ -11,7 +11,6 @@ from dualflow.mesh import (
     MeshError,
     build_channel_mesh,
     build_periodic_rect_mesh,
-    mesh_stats,
     read_mesh_text,
 )
 
@@ -48,8 +47,7 @@ def signed_areas(mesh):
 def test_minimal_split_of_square():
     geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
     mesh = build_channel_mesh(geom, 1, 1, "left")
-    s = mesh_stats(mesh)
-    assert (s.num_vertices, s.num_edges, s.num_cells) == (4, 5, 2)
+    assert (mesh.num_vertices, mesh.num_edges, mesh.num_cells) == (4, 5, 2)
 
 
 @pytest.mark.parametrize("pattern", ["left", "right", "crisscross"])
@@ -74,8 +72,7 @@ def test_positive_orientation_and_euler(pattern):
     geom = ChannelGeometry(length=2.0, height=1.0, lock_length=0.7)
     mesh = build_channel_mesh(geom, 4, 3, pattern)
     assert np.all(signed_areas(mesh) > 0)
-    s = mesh_stats(mesh)
-    assert s.num_vertices - s.num_edges + s.num_cells == 1
+    assert mesh.num_vertices - mesh.num_edges + mesh.num_cells == 1
 
 
 def test_boundary_tags_partition_boundary():
@@ -146,10 +143,9 @@ def test_import_sim1_sized_mesh():
 
     text, geom = sim1_mesh_text()
     mesh = read_mesh_text(text, geom)
-    s = mesh_stats(mesh)
-    assert (s.num_vertices, s.num_edges, s.num_cells) == (619, 1734, 1116)
-    assert s.num_vertices - s.num_edges + s.num_cells == 1
-    assert abs(s.total_area - 13.0) < 1e-12 * 13.0
+    assert (mesh.num_vertices, mesh.num_edges, mesh.num_cells) == (619, 1734, 1116)
+    assert mesh.num_vertices - mesh.num_edges + mesh.num_cells == 1
+    assert abs(mesh.total_area() - 13.0) < 1e-12 * 13.0
     assert np.all(signed_areas(mesh) > 0)
     tagged = mesh.edge_tags[mesh.boundary_edges]
     assert len(tagged) == 120
