@@ -1,8 +1,9 @@
 """On-disk output: CSV time series, legacy-VTK snapshots, checkpoints.
 
-All floating-point text uses shortest round-trip formatting (Python
-repr), so CSV rows are bitwise reproducible and resume-exact; checkpoint
-arrays are raw little-endian float64, lossless by construction.
+CSV numbers use shortest round-trip formatting (Python repr), so rows
+are bitwise reproducible and resume-exact.  Snapshot and checkpoint
+arrays are raw float64 (big-endian in VTK, little-endian in checkpoints),
+lossless by construction.
 """
 
 import hashlib
@@ -97,12 +98,14 @@ def read_csv(path):
 
 
 def write_vtk(state, path, pressure, omega_tilde):
-    """ASCII legacy-VTK snapshot of one simulation state, with its pressure and weak curl.
+    """Binary legacy-VTK snapshot of one simulation state, with its pressure and weak curl.
 
     Point data: phi, omega, omega_tilde sampled at mesh vertices (CG
     vertex dofs).  Cell data: pressure reduced to its cell mean and
     velocity averaged at cell centroids (RT point values are
     tangentially discontinuous, so vertex sampling would be misleading).
+    Each array follows its keyword line as big-endian float64 (int32 for
+    CELLS and CELL_TYPES, as the format requires), then a newline.
     """
     u = state.u_half
     U = u.space
@@ -124,32 +127,24 @@ def write_vtk(state, path, pressure, omega_tilde):
 
     p_cell = pressure.coefficients[pressure.space.cell_dofs].mean(axis=1)  # DG_0 reduction
 
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "dualflow snapshot (velocity as centroid averages; see package docs)",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
+    def section(keywords, a, dtype=">f8"):
+        return f"{keywords}\n".encode() + np.ascontiguousarray(a, dtype).tobytes() + b"\n"
+
+    parts = [
+        b"# vtk DataFile Version 3.0\n"
+        b"dualflow snapshot (velocity as centroid averages; see package docs)\n"
+        b"BINARY\nDATASET UNSTRUCTURED_GRID\n",
+        section(f"POINTS {nv} double", np.c_[verts, np.zeros(nv)]),
+        section(f"CELLS {nc} {4 * nc}", np.c_[np.full(nc, 3), cells], ">i4"),
+        section(f"CELL_TYPES {nc}", np.full(nc, 5), ">i4"),
+        f"POINT_DATA {nv}\n".encode(),
     ]
-    # tolist() turns float64 into Python floats, whose repr is _fmt's text
-    lines.extend(f"{x!r} {y!r} 0.0" for x, y in verts.tolist())
-    lines.append(f"CELLS {nc} {4 * nc}")
-    lines.extend(f"3 {a} {b} {c}" for a, b, c in cells.tolist())
-    lines.append(f"CELL_TYPES {nc}")
-    lines.extend(["5"] * nc)
-    lines.append(f"POINT_DATA {nv}")
-    for name, fld in (("phi", state.phi), ("omega", state.omega), ("omega_tilde", omega_tilde)):
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(map(repr, point_scalar(fld).tolist()))
-    lines.append(f"CELL_DATA {nc}")
-    lines.append("SCALARS pressure double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(map(repr, p_cell.tolist()))
-    lines.append("VECTORS velocity double")
-    lines.extend(f"{vx!r} {vy!r} 0.0" for vx, vy in vel.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    parts += [section(f"SCALARS {name} double 1\nLOOKUP_TABLE default", point_scalar(fld))
+              for name, fld in (("phi", state.phi), ("omega", state.omega), ("omega_tilde", omega_tilde))]
+    parts += [section(f"CELL_DATA {nc}\nSCALARS pressure double 1\nLOOKUP_TABLE default", p_cell),
+              section("VECTORS velocity double", np.c_[vel, np.zeros(nc)])]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 # ---------------------------------------------------------------------------

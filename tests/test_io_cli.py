@@ -13,6 +13,7 @@ from dualflow.spaces import Field
 from dualflow.stepper import LockInitialCondition, SimulationState, initialize, step
 
 from conftest import run_cli
+from util_vtk import read_vtk
 
 
 def lock_cfg_text(outdir, t_end=0.003, nx=13, ny=2, degree=1, extra=""):
@@ -74,14 +75,13 @@ def test_vtk_zero_state(tmp_path):
     path = tmp_path / "snap.vtk"
     dfio.write_vtk(state, str(path), Field(model.Q, np.zeros(model.Q.dim)),
                    Field(model.W, np.zeros(model.W.dim)))
-    text = path.read_text().splitlines()
+    data = read_vtk(path)
     nv, nc = model.mesh.num_vertices, model.mesh.num_cells
-    assert f"POINTS {nv} double" in text
-    assert f"CELLS {nc} {4 * nc}" in text
-    assert text.count("5") >= nc  # triangle cell types
-    pidx = text.index("SCALARS phi double 1")
-    vals = text[pidx + 2 : pidx + 2 + nv]
-    assert all(float(v) == 0.0 for v in vals)
+    assert f"POINTS {nv} double" in data["lines"]
+    assert f"CELLS {nc} {4 * nc}" in data["lines"]
+    assert np.array_equal(data["CELL_TYPES"], np.full(nc, 5))  # linear triangles
+    assert np.array_equal(data["CELLS"], np.c_[np.full(nc, 3), model.mesh.render_cells])
+    assert np.array_equal(data["phi"], np.zeros(nv))
 
 
 def test_vtk_lock_profile_at_t0(tmp_path):
@@ -92,9 +92,8 @@ def test_vtk_lock_profile_at_t0(tmp_path):
     assert path.exists()
     model = build_model(cfg)
     mesh = model.mesh
-    text = path.read_text().splitlines()
-    pidx = text.index("SCALARS phi double 1")
-    vals = np.array([float(v) for v in text[pidx + 2 : pidx + 2 + mesh.num_vertices]])
+    vals = read_vtk(path)["phi"]
+    assert len(vals) == mesh.num_vertices
     delta = 2 * mesh.h_min()
     left = vals[mesh.vertices[:, 0] < -3 * delta]
     right = vals[mesh.vertices[:, 0] > 3 * delta]
@@ -102,11 +101,7 @@ def test_vtk_lock_profile_at_t0(tmp_path):
     assert np.all(np.abs(right) < 0.05)
 
 
-def test_homogeneous_vtk_writes_weak_curl_of_the_previous_velocity(tmp_path):
-    """Without particles too, the snapshot of step k >= 1 carries the weak
-    curl of u^{k-1/2}, the velocity the step started from; snapshot 0 that
-    of u^{1/2}."""
-    text = """
+TORUS_CFG = """
 [mesh]
 length = 1.0
 height = 1.0
@@ -118,7 +113,7 @@ mode = homogeneous
 nu = 0.01
 
 [discretization]
-degree = 1
+degree = {degree}
 
 [initial]
 kind = random
@@ -131,19 +126,87 @@ t_end = 3e-2
 dir = {out}
 vtk_every = 1
 """
+
+
+def test_homogeneous_vtk_writes_weak_curl_of_the_previous_velocity(tmp_path):
+    """Without particles too, the snapshot of step k >= 1 carries the weak
+    curl of u^{k-1/2}, the velocity the step started from; snapshot 0 that
+    of u^{1/2}."""
     out = tmp_path / "o"
     before = {}
-    result = run(parse_config(text.format(out=out)),
+    result = run(parse_config(TORUS_CFG.format(out=out, degree=1)),
                  on_step=lambda prev, state, reports, row: before.update({state.k: prev.u_half}))
     model = result.model
     before[0] = before[1]  # u^{1/2}, the start of step 1
     vmap = model.mesh.render_vertex_map  # a torus is drawn with its seams doubled
     for k, u in sorted(before.items()):
-        lines = (out / f"snapshot_{k:08d}.vtk").read_text().splitlines()
-        idx = lines.index("SCALARS omega_tilde double 1")
-        written = np.array([float(v) for v in lines[idx + 2 : idx + 2 + len(vmap)]])
+        written = read_vtk(out / f"snapshot_{k:08d}.vtk")["omega_tilde"]
         assert np.count_nonzero(written) == len(vmap)
         assert np.array_equal(written, model.curl_h(u)[0].coefficients[vmap]), k
+
+
+@pytest.mark.parametrize("text", [lock_cfg_text("o", degree=2), TORUS_CFG.format(out="o", degree=2)],
+                         ids=["channel", "torus"])
+def test_vtk_round_trip_is_lossless(tmp_path, text):
+    """Every array of a snapshot reads back bitwise: the points are the
+    render vertices at z = 0, the point scalars the CG vertex dofs, the
+    pressure its cell means and the velocity its centroid values."""
+    model = build_model(parse_config(text))
+    mesh, U = model.mesh, model.U
+    rng = np.random.default_rng(7)
+    fields = {name: Field(model.W, rng.standard_normal(model.W.dim))
+              for name in ("phi", "omega", "omega_tilde")}
+    if model.physics.mode == "homogeneous":
+        fields["phi"] = None
+    u = rng.standard_normal(U.dim)
+    p = rng.standard_normal(model.Q.dim)
+    state = SimulationState(k=0, u_half=Field(U, u), omega=fields["omega"], phi=fields["phi"])
+    path = tmp_path / "snap.vtk"
+    dfio.write_vtk(state, str(path), Field(model.Q, p), fields["omega_tilde"])
+    data = read_vtk(path)
+    nv, nc = len(mesh.render_vertices), len(mesh.render_cells)
+    assert data["lines"] == [
+        "# vtk DataFile Version 3.0",
+        "dualflow snapshot (velocity as centroid averages; see package docs)",
+        "BINARY", "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {nv} double", f"CELLS {nc} {4 * nc}", f"CELL_TYPES {nc}", f"POINT_DATA {nv}",
+        "SCALARS phi double 1", "LOOKUP_TABLE default",
+        "SCALARS omega double 1", "LOOKUP_TABLE default",
+        "SCALARS omega_tilde double 1", "LOOKUP_TABLE default",
+        f"CELL_DATA {nc}", "SCALARS pressure double 1", "LOOKUP_TABLE default",
+        "VECTORS velocity double",
+    ]
+    assert np.array_equal(data["POINTS"], np.c_[mesh.render_vertices, np.zeros(nv)])
+    assert np.array_equal(data["CELLS"], np.c_[np.full(nc, 3), mesh.render_cells])
+    assert np.array_equal(data["CELL_TYPES"], np.full(nc, 5))
+    for name, fld in fields.items():
+        expected = np.zeros(nv) if fld is None else fld.coefficients[mesh.render_vertex_map]
+        assert np.array_equal(data[name], expected), name
+    assert np.array_equal(data["pressure"], p[model.Q.cell_dofs].mean(axis=1))
+    J, det, _ = mesh.jacobians()
+    rval, _ = U.element.tabulate(np.array([[1.0 / 3.0, 1.0 / 3.0]]))
+    ref = (U.cell_dof_signs * u[U.cell_dofs]) @ rval[0]
+    centroid = (J @ ref[:, :, None])[..., 0] / det[:, None]
+    assert np.array_equal(data["velocity"], np.c_[centroid, np.zeros(nc)])
+
+
+def test_snapshots_bitwise_across_runs_and_resume(tmp_path):
+    """Two runs, and a run cut at step 3 then resumed from its checkpoint
+    into the same directory, write byte-equal snapshots at every step."""
+    def run_into(name, t_end, checkpoint=None):
+        extra = "vtk_every = 1\ncheckpoint_every = 1"
+        run(parse_config(lock_cfg_text(tmp_path / name, t_end=t_end, degree=2, extra=extra)),
+            collect_rows=False, checkpoint=checkpoint)
+        return tmp_path / name
+
+    first, second = run_into("a", 0.006), run_into("b", 0.006)
+    run_into("c", 0.003)
+    resumed = run_into("c", 0.006, checkpoint=str(tmp_path / "c" / "checkpoint_00000003.ckpt"))
+    names = [f"snapshot_{k:08d}.vtk" for k in range(7)]
+    for out in (first, second, resumed):
+        assert sorted(p.name for p in out.glob("snapshot_*.vtk")) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes() == (resumed / name).read_bytes(), name
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
