@@ -57,7 +57,12 @@ GRAVITY = (0.0, -1.0)  # unit direction e_g of gravity
 
 
 class _Pattern:
-    """Fixed CSR pattern with per-cell scatter positions."""
+    """Fixed CSR pattern with per-cell scatter positions.
+
+    One stable sort of the (row, column) keys of every local entry gives
+    the pattern: a key that differs from its predecessor starts a new
+    entry, and the running count of those starts is each local entry's
+    CSR position."""
 
     def __init__(self, row_dofs, col_dofs, shape):
         C, na = row_dofs.shape
@@ -65,7 +70,12 @@ class _Pattern:
         rows = np.repeat(row_dofs, nb, axis=1).ravel()
         cols = np.tile(col_dofs, (1, na)).ravel()
         keys = rows.astype(np.int64) * shape[1] + cols
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        new = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
+        uniq = sorted_keys[new]
         self.pos = inverse.reshape(C, na, nb)
         self.indices = (uniq % shape[1]).astype(np.int32)
         counts = np.bincount(uniq // shape[1], minlength=shape[0])
@@ -223,8 +233,8 @@ def assemble_vorticity_convection(u, W, qdegree):
 
 class SkewSystem:
     """A per-step system S + scale K as one CSR matrix: the (space, space)
-    cell pattern restricted to `dofs` (all of them if None), then, with a
-    `corner`, len(corner) dense border rows and columns.
+    cell pattern restricted to `dofs` (ascending; all of them if None),
+    then, with a `corner`, len(corner) dense border rows and columns.
 
     S and K both come as values on the cell pattern, and `take`, built
     once, gathers either onto this pattern.  S's border is zero but for
@@ -232,6 +242,10 @@ class SkewSystem:
     system's order, the last len(corner) of them the corner): the border
     rows take -X^T and the corner X's entries above the diagonal, mirrored
     with a minus, so K is exactly skew.
+
+    The restriction keeps the cell pattern's CSR order, as `dofs` ascend,
+    and each border entry is built after every entry left of it in its
+    row, so one stable sort on the rows alone places the border.
     """
 
     def __init__(self, space, static, dofs=None, corner=None):
@@ -255,8 +269,8 @@ class SkewSystem:
             cols = np.concatenate([cols, m + j, r, m + cj])
             src = np.concatenate([src, full.nnz + np.arange(2 * m * border + border * border)])
             static = np.concatenate([static, np.zeros(2 * m * border), np.ravel(corner)])
-        order = np.lexsort((cols, rows))  # sorted already but for a border
-        rows, cols, src = rows[order], cols[order], src[order]
+            order = np.argsort(rows, kind="stable")
+            rows, cols, src = rows[order], cols[order], src[order]
         indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
         self.static = sp.csr_matrix((static[src], cols.astype(np.int32), indptr),

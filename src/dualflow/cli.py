@@ -39,7 +39,8 @@ def _cmd_check(args):
     from .stepper import initialize
 
     cfg = _load(args)
-    initialize(build_model(cfg), make_initial_condition(cfg))
+    _, startup = initialize(build_model(cfg), make_initial_condition(cfg))
+    startup.pressure()
     print("config OK; mesh, spaces and the startup validated")
     return 0
 

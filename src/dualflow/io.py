@@ -234,7 +234,8 @@ def save_checkpoint(path, state, engine, model):
 def load_checkpoint(path):
     """Read a checkpoint; a malformed file raises CheckpointError naming
     `path` and the missing or bad header line, as do a negative step, a
-    non-finite accumulator and a field named twice."""
+    non-finite accumulator, a field named twice and a field with a
+    non-finite value."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"END\n")
@@ -299,6 +300,8 @@ def load_checkpoint(path):
     for name, dim in zip(names, dims):
         data["fields"][name] = np.frombuffer(blob, dtype="<f8", count=dim, offset=off).copy()
         off += 8 * dim
+        if not np.all(np.isfinite(data["fields"][name])):
+            raise CheckpointError(f"{path}: checkpoint field {name!r} has non-finite values")
     return data
 
 

@@ -15,12 +15,15 @@ diffusion, and R the (exactly skew) rotation.  The skewness of R and C
 is what keeps kinetic energy and enstrophy free of artificial
 dissipation.
 
-Model owns every static operator: it builds each once, at construction,
-from the fixed physics and time step.  A step assembles only C and the
-rotation and otherwise multiplies: the viscous vector l = Lc om, the
-curl rhs Lc^T u, the buoyancy b = B phi and the baroclinic and wall
-sources.  The weak curl Lc[a, k] = <curl w_k, u_a> is M Z: the curl of
-a CG function lies in RT exactly (the exact sequence below).
+Model owns every static operator: it builds each once, from the fixed
+physics and time step, at construction but for the pressure system
+D D^T and its factor, which only snapshots solve: those are built on
+first use, and driver.run builds them in set-up when it writes
+snapshots.  A step assembles only C and the rotation and otherwise
+multiplies: the viscous vector l = Lc om, the curl rhs Lc^T u, the
+buoyancy b = B phi and the baroclinic and wall sources.  The weak curl
+Lc[a, k] = <curl w_k, u_a> is M Z: the curl of a CG function lies in
+RT exactly (the exact sequence below).
 
 No matrix is factored inside the time loop, and the only sparse
 matrices formed there are the per-step systems, one CSR matrix each,
@@ -69,6 +72,7 @@ consecutive states.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -153,7 +157,8 @@ class SimulationState:
 
 class Model:
     """Spaces, static operators and cached factorizations for one run,
-    all built once from the physics and time step it is constructed with."""
+    all built once from the physics and time step it is constructed with:
+    at construction, but for the pressure system, built on first use."""
 
     def __init__(self, mesh, degree, physics, time):
         if physics.mode == "turbidity" and mesh.periodic:
@@ -184,8 +189,8 @@ class Model:
         self.L = assemble.assemble_curlcurl(self.W, self.qdeg)
         self.D = assemble.assemble_div(self.U, self.Q, self.qdeg)
         self.MQ = assemble.assemble_mass(self.Q, self.qdeg)
-        curl = assemble.curl_matrix(self.W, self.U)
-        self.Lc = (self.M @ curl).tocsr()
+        self.curl = assemble.curl_matrix(self.W, self.U)
+        self.Lc = (self.M @ self.curl).tocsr()
         self.Lct = self.Lc.T.tocsr()
         self.Nw_dt = (1.0 / time.dt) * self.Nw
 
@@ -210,15 +215,10 @@ class Model:
             self.harmonic = np.column_stack([interpolate(self.U, lambda x, y, e=e: e).coefficients
                                              for e in ((1.0, 0.0), (0.0, 1.0))])
             corner = self.harmonic.T @ (self.M @ self.harmonic)
-        self.Z, psi_dofs = self._stream_basis(curl)
+        self.Z, psi_dofs = self._stream_basis(self.curl)
         self.Zt = self.Z.T.tocsr()
         self.momentum = assemble.SkewSystem(self.W, L, psi_dofs, corner)
         self._lu_momentum = CachedLU(self.momentum.static)
-        self.D_r = self.D[:, self.iu].tocsr()
-        self.D_rt = self.D_r.T.tocsr()
-        # D D^T annihilates the constant pressure: pin dof 0
-        self.DDt = (self.D_r @ self.D_rt)[1:, 1:].tocsr()
-        self._lu_pressure = CachedLU(self.DDt)
 
         if physics.mode == "turbidity":
             self.drift = assemble.assemble_particle_drift(
@@ -253,6 +253,26 @@ class Model:
                 "connected and a periodic one a torus"
             )
         return Z, dofs
+
+    # -- the pressure system, built on first use: only snapshots solve it,
+    # and driver.run builds it in set-up for a run that writes them
+
+    @cached_property
+    def D_r(self):
+        return self.D[:, self.iu].tocsr()
+
+    @cached_property
+    def D_rt(self):
+        return self.D_r.T.tocsr()
+
+    @cached_property
+    def DDt(self):
+        # D D^T annihilates the constant pressure: pin dof 0
+        return (self.D_r @ self.D_rt)[1:, 1:].tocsr()
+
+    @cached_property
+    def pressure_lu(self):
+        return CachedLU(self.DDt)
 
     # -- scalar functionals -------------------------------------------------
 
@@ -345,7 +365,7 @@ class Model:
             r = r - b
         r = r[self.iu]
         p = np.zeros(self.Q.dim)
-        p[1:], rep = lu_solve(self.DDt, (self.D_r @ r)[1:], self._lu_pressure)
+        p[1:], rep = lu_solve(self.DDt, (self.D_r @ r)[1:], self.pressure_lu)
         p = project_out_constant(p, self.MQ, self.ones_q, self.area)
         rep.residual = float(np.max(np.abs(r - self.D_rt @ p)))
         if rep.residual > RTOL * (1.0 + float(np.max(np.abs(r)))):
@@ -439,7 +459,7 @@ class RandomSolenoidalInitialCondition:
     def build(self, model):
         rng = np.random.default_rng(self.seed)
         psi = rng.standard_normal(model.W.dim)
-        u0 = Field(model.U, assemble.curl_matrix(model.W, model.U) @ psi)
+        u0 = Field(model.U, model.curl @ psi)
         scale = math.sqrt(2.0 * model.kinetic_energy(u0))
         u0 = Field(model.U, u0.coefficients / scale)  # unit L2 norm
         om0, _ = model.curl_h(u0)
@@ -451,7 +471,7 @@ class StartupReport:
     iterations: int
     update: float
     fallbacks: int = 0  # solves that missed RTOL against their static factor
-    pressure: Field = None  # the pressure of the last pass, for snapshot 0
+    pressure: object = None  # () -> (p, report): the last pass's pressure, solved on call
 
 
 def initialize(model, ic):
@@ -460,7 +480,8 @@ def initialize(model, ic):
     Each pass solves the momentum step with the rotation frozen at the
     current vorticity iterate and (in turbidity mode) buoyancy frozen at
     phi^0; the vorticity iterate is then refreshed as the weak curl of
-    the midpoint velocity.  Only the last pass's pressure is solved.
+    the midpoint velocity.  No pass solves a pressure: the report's
+    `pressure` solves the last pass's when called (snapshot 0, check).
     """
     u0, omega0, phi0 = ic.build(model)
     b0 = model.buoyancy @ phi0.coefficients if phi0 is not None else None
@@ -485,7 +506,7 @@ def initialize(model, ic):
             f"{STARTUP_MAX_ITER} iterations (last update {rel:.3e})"
         )
     _check_div(model, u_prev, "startup")
-    p, rep = model.pressure(omega_star, u0, u_prev, dt, b=b0)
     return (SimulationState(k=0, u_half=u_prev, omega=omega0, phi=phi0),
-            StartupReport(iterations=it, update=rel, fallbacks=fallbacks + rep.fallback, pressure=p))
+            StartupReport(iterations=it, update=rel, fallbacks=fallbacks,
+                          pressure=partial(model.pressure, omega_star, u0, u_prev, dt, b=b0)))
 

@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from dualflow import cli, stepper
 from dualflow import io as dfio
 from dualflow.config import parse_config
 from dualflow.driver import build_model, run
 from dualflow.diagnostics import CSV_COLUMNS, Engine
+from dualflow.linsolve import SolverError
 from dualflow.spaces import Field
 from dualflow.stepper import LockInitialCondition, SimulationState, initialize, step
 
@@ -347,6 +349,27 @@ def test_resume_refuses_checkpoint_with_bad_number(tmp_path, pattern, replacemen
     assert (out / "timeseries.csv").read_bytes() == csv
 
 
+@pytest.mark.parametrize("field", ["u_half", "omega", "phi"])
+def test_resume_refuses_checkpoint_with_non_finite_field(tmp_path, field):
+    """A NaN in a checkpointed field is refused by name at load, before the
+    CSV is cut back, not by a solver one or more steps into the resume."""
+    out = tmp_path / "o"
+    text = lock_cfg_text(out, t_end=0.002)
+    run(parse_config(text))
+    data = dfio.load_checkpoint(str(out / "checkpoint_final.ckpt"))
+    raw = (out / "checkpoint_final.ckpt").read_bytes()
+    names = list(data["fields"])
+    start = len(raw) - 8 * sum(len(v) for v in data["fields"].values())
+    start += 8 * sum(len(data["fields"][name]) for name in names[:names.index(field)])
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(raw[:start + 8] + np.array([np.nan], dtype="<f8").tobytes() + raw[start + 16:])
+    csv = (out / "timeseries.csv").read_bytes()
+    with pytest.raises(dfio.CheckpointError, match=f"field '{field}' has non-finite values") as exc:
+        run(parse_config(text.replace("t_end = 0.002", "t_end = 0.004")), checkpoint=str(path))
+    assert str(path) in str(exc.value)
+    assert (out / "timeseries.csv").read_bytes() == csv
+
+
 def test_cli_resume_malformed_checkpoint(tmp_path):
     cfgfile = tmp_path / "a.cfg"
     cfgfile.write_text(lock_cfg_text(tmp_path / "o"))
@@ -486,6 +509,31 @@ def test_cli_check_ok(tmp_path):
     proc = run_cli(["check", "--config", str(cfgfile)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert not (tmp_path / "o").exists()  # check writes nothing
+
+
+def test_cli_check_solves_the_startup_pressure(tmp_path, monkeypatch, capsys):
+    """check validates the startup down to the pressure of its last pass:
+    it solves it once, and a pressure that refuses fails the check."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(lock_cfg_text(tmp_path / "o"))
+    solved = []
+
+    def recorded(model, *args, **kwargs):
+        solved.append(pressure(model, *args, **kwargs))
+        return solved[-1]
+
+    pressure = stepper.Model.pressure
+    monkeypatch.setattr(stepper.Model, "pressure", recorded)
+    assert cli.main(["check", "--config", str(cfgfile)]) == 0
+    assert len(solved) == 1 and solved[0][0].space.family == "DG"
+
+    def refused(model, *args, **kwargs):
+        raise SolverError("pressure: refused")
+
+    monkeypatch.setattr(stepper.Model, "pressure", refused)
+    assert cli.main(["check", "--config", str(cfgfile)]) == 1
+    assert "error: pressure: refused" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_bad_config_exit_code(tmp_path):

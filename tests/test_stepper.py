@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse._compressed import _cs_matrix
 
-from dualflow import elements, linsolve, stepper
+from dualflow import assemble, driver, elements, linsolve, stepper
 from dualflow.assemble import assemble_buoyancy, assemble_vorticity_convection
-from dualflow.config import parse_config_file
+from dualflow.config import parse_config, parse_config_file
 from dualflow.diagnostics import Engine
 from dualflow.driver import build_model, make_initial_condition
 from dualflow.mesh import (
@@ -33,6 +33,7 @@ from dualflow.stepper import (
     step,
 )
 
+import pattern_oracle
 from saddle_oracle import solve_saddle
 from util_rotation import convection_matrix, momentum_skew, rotation_matrix, skew_part
 from util_sim1 import sim1_mesh_text
@@ -110,8 +111,9 @@ def test_startup_constant_phi_is_pressure_gradient_on_channel():
     model = turbidity_model()
     state, rep = initialize(model, ConstantConcentrationIC(1.0))
     assert np.max(np.abs(state.u_half.coefficients)) < 1e-10
+    p, _ = rep.pressure()
     # the pressure picked up the hydrostatic head (nonzero, linear in y)
-    assert np.max(np.abs(rep.pressure.coefficients)) > 1e-4
+    assert np.max(np.abs(p.coefficients)) > 1e-4
 
 
 def test_uniform_force_on_torus_gives_uniform_drift():
@@ -146,8 +148,8 @@ def test_startup_nonconvergence_reported(monkeypatch):
 
 
 def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
-    """The startup passes solve no pressure; after the last one the
-    pressure of that pass is solved once, against its own factor."""
+    """The startup passes solve no pressure; the report's pressure, when
+    called, solves that of the last pass once, against its own factor."""
     model = turbidity_model(nx=25, ny=2)
     calls = []
 
@@ -158,10 +160,12 @@ def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", counted)
     state, rep = initialize(model, LockInitialCondition())
+    assert "pressure_lu" not in vars(model)  # D D^T is not factored yet
+    p, _ = rep.pressure()
     assert rep.iterations > 1
     assert calls.count(True) == 1 and calls[-1]
     assert len(calls) == 2 * rep.iterations  # a momentum solve per pass, a weak curl between
-    assert rep.pressure.space is model.Q
+    assert p.space is model.Q
 
 
 def test_zero_state_is_fixed_point():
@@ -228,6 +232,86 @@ def test_step_factors_nothing(mode, factorizations):
         state, reports = step(state, model)
         assert not any(rep.fallback for rep in reports.values())
     assert factorizations == []
+
+
+RUN_CFG = {
+    "turbidity": """
+[mesh]
+length = 4.0
+height = 1.0
+lock_length = 1.0
+nx = 8
+ny = 2
+
+[physics]
+mode = turbidity
+""",
+    "homogeneous": """
+[mesh]
+length = 1.0
+height = 1.0
+nx = 6
+ny = 6
+
+[physics]
+mode = homogeneous
+nu = 0.01
+
+[initial]
+kind = random
+seed = 4
+""",
+}
+
+
+@pytest.mark.parametrize("vtk_every", [0, 1])
+@pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
+def test_setup_factors_what_the_run_solves(mode, vtk_every, tmp_path, factorizations, monkeypatch):
+    """driver.run factors each static system in set-up, and D D^T too if
+    and only if it writes snapshots, fresh or resumed, before its budget
+    Engine exists; no step factors anything.  A run without snapshots
+    solves no pressure; one with snapshots solves one per snapshot."""
+    static = 4 if mode == "turbidity" else 3  # curl, vorticity, momentum and transport
+    at_engine, pressures = [], []
+
+    class Recorded(Engine):
+        def __init__(self, model, state0):
+            at_engine.append((len(factorizations), "pressure_lu" in vars(model)))
+            super().__init__(model, state0)
+
+        @classmethod
+        def restored(cls, model, scalars):
+            at_engine.append((len(factorizations), "pressure_lu" in vars(model)))
+            return super().restored(model, scalars)
+
+    def counted(model, *args, **kwargs):
+        pressures.append(args)
+        return pressure(model, *args, **kwargs)
+
+    pressure = Model.pressure
+    monkeypatch.setattr(driver, "Engine", Recorded)
+    monkeypatch.setattr(Model, "pressure", counted)
+    out = tmp_path / "o"
+    text = RUN_CFG[mode] + f"""
+[time]
+dt = 1e-3
+t_end = {{t_end}}
+
+[output]
+dir = {out}
+vtk_every = {vtk_every}
+checkpoint_every = 2
+"""
+    for t_end, checkpoint in ((0.002, None), (0.004, str(out / "checkpoint_00000002.ckpt"))):
+        factorizations.clear()
+        pressures.clear()
+        result = driver.run(parse_config(text.format(t_end=t_end)), checkpoint=checkpoint)
+        # a fresh lock start also factors the mass matrix of its L2 projection
+        expected = static + (mode == "turbidity" and checkpoint is None) + (vtk_every > 0)
+        assert at_engine.pop() == (expected, vtk_every > 0)
+        assert len(factorizations) == expected  # and none after set-up
+        assert ("pressure_lu" in vars(result.model)) == (vtk_every > 0)
+        assert len(pressures) == (3 if checkpoint is None else 2) * vtk_every
 
 
 def test_transport_and_vorticity_start_from_the_state(monkeypatch):
@@ -638,6 +722,53 @@ def test_system_statics_are_value_arithmetic_gathered_by_take(case, request):
         assert np.array_equal(A.indices, L.indices) and np.array_equal(A.indptr, L.indptr)
     for name, data in static_data(model).items():
         assert np.array_equal(getattr(model, name).static.data, data), name
+
+
+def oracle_case(case):
+    """A fresh mesh, so that its patterns are built anew, and its physics."""
+    if case == "desk":
+        cfg = parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg"))
+        return driver.build_mesh(cfg), PhysicsConfig(mode="turbidity")
+    if case == "torus":
+        mesh = build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 32, 32, "left")
+        return mesh, PhysicsConfig(mode="homogeneous", nu=0.01)
+    return read_mesh_text(*sim1_mesh_text()), PhysicsConfig(mode="turbidity")
+
+
+@pytest.mark.parametrize("case, N", [("desk", 1), ("desk", 2), ("torus", 1), ("torus", 2), ("sim1", 2)])
+def test_patterns_match_their_oracles(case, N, monkeypatch):
+    """Every cell pattern and every per-step system pattern a Model builds
+    is the one np.unique and np.lexsort built (tests/pattern_oracle.py):
+    the same scatter positions, CSR arrays, static values and take, the
+    torus's momentum border included."""
+    patterns, systems = [], []
+
+    class Pattern(assemble._Pattern):
+        def __init__(self, row_dofs, col_dofs, shape):
+            super().__init__(row_dofs, col_dofs, shape)
+            patterns.append((self, pattern_oracle.cell_pattern(row_dofs, col_dofs, shape)))
+
+    class System(assemble.SkewSystem):
+        def __init__(self, space, static, dofs=None, corner=None):
+            super().__init__(space, static, dofs, corner)
+            full = assemble._pattern(space, space)
+            systems.append((self, corner, pattern_oracle.skew_system(full, space.dim, static, dofs, corner)))
+
+    monkeypatch.setattr(assemble, "_Pattern", Pattern)
+    monkeypatch.setattr(assemble, "SkewSystem", System)
+    mesh, physics = oracle_case(case)
+    Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0))
+    assert len(patterns) == sum(key[0] == "pattern" for key in mesh._cache) >= 4
+    for pattern, (pos, indices, indptr) in patterns:
+        assert np.array_equal(pattern.pos, pos)
+        assert np.array_equal(pattern.indices, indices) and np.array_equal(pattern.indptr, indptr)
+    assert len(systems) == (3 if physics.mode == "turbidity" else 2)
+    assert any(corner is not None for _, corner, _ in systems) == mesh.periodic
+    for system, _, (data, indices, indptr, take) in systems:
+        S = system.static
+        assert np.array_equal(S.data, data)
+        assert np.array_equal(S.indices, indices) and np.array_equal(S.indptr, indptr)
+        assert (system.take is None and take is None) or np.array_equal(system.take, take)
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
