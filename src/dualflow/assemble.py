@@ -15,9 +15,12 @@ step, keeps its wall entries alone.
 The step is linear in each known field, so only the rotation R(omega)
 and the skew convection C(u) are assembled per step, both as CSR values
 on the (W, W) pattern: C itself, and R seen through the stream-function
-basis, Z^T R Z.  R u is applied per cell; no U x U matrix is formed.  A
-SkewSystem, built once per run, gathers a static part's values and,
-each step, a skew part's onto the one CSR matrix of a per-step system.
+basis, Z^T R Z.  What R meets that is fixed is a static form in omega:
+on the torus the harmonic columns Z^T R e_j are directional gradient
+forms, which stepper.Model builds once.  R u is applied per cell; no
+U x U matrix is formed.  A SkewSystem, built once per run, gathers a
+static part's values and, each step, a skew part's onto the one CSR
+matrix of a per-step system.
 The static operators are built once per run by stepper.Model, which
 owns them.
 
@@ -29,10 +32,11 @@ signs and the scatter.  With the Piola map J r / det J of an RT basis
 function r, the gradient J^-T grad w of a scalar one and the weight's
 det J, the per-cell coefficients are det J for a scalar mass, det J
 J^-1 J^-T for the curl-curl, J^T J / det J for the RT mass, e_g^T J for
-the buoyancy, det J J^-1 e_g^perp and det J J^-1 e_g for the baroclinic
-and gradient forms, and, on a wall edge, its length for the mass and
-J^-1 (length n) for the Neumann form.  The divergence is metric-free,
-and so are R and C: (J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k /
+the buoyancy, det J J^-1 v for the directional gradient along v (the
+baroclinic form's v = e_g^perp, the torus border's -e_x and -e_y),
+det J J^-1 e_g for the gradient vector, and, on a wall edge, its length
+for the mass and J^-1 (length n) for the Neumann form.  The divergence
+is metric-free, and so are R and C: (J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k /
 det J) . (J^-T grad w_a) = r_k . grad w_a / det J, the weight's det J
 cancelling the rest, so their coefficients are the fields' own.
 
@@ -139,11 +143,12 @@ def _form(test, trial, coef, qdegree, derivative=(False, False), cells=None):
     T = form_tensor((test.family, test.degree, derivative[0]),
                     (trial.family, trial.degree, derivative[1]), qdegree, cells is not None)
     which = slice(None) if cells is None else cells
-    signs = test.cell_dof_signs[which, :, None] * trial.cell_dof_signs[which, None, :]
-    local = kernels.contraction(coef, T).reshape(signs.shape) * signs
+    local = kernels.contraction(coef, T).reshape(len(coef), test.element.ndof, trial.element.ndof)
+    local *= test.cell_dof_signs[which, :, None] * trial.cell_dof_signs[which, None, :]
     # entries zero but for rounding (on right triangles the P1 curl-curl
     # and P2 mass forms) are made exactly zero, so that a factor drops them
-    local[np.abs(local) <= 1e-14 * np.abs(local).max(axis=(1, 2), keepdims=True)] = 0.0
+    size = np.abs(local)
+    local[size <= 1e-14 * size.max(axis=(1, 2), keepdims=True)] = 0.0
     return _pattern(test, trial).build(local, cells)
 
 
@@ -339,14 +344,21 @@ def assemble_buoyancy(U, W, qdegree):
     return _form(U, W, np.asarray(GRAVITY) @ U.mesh.jacobians()[0], qdegree)
 
 
+def assemble_directional_gradient(W, v, qdegree, transposed=False):
+    """G[i, k] = <grad w_k . v, w_i> for a constant direction v, or, if
+    `transposed`, G^T, the test side differentiated: det J J^-1 v against
+    the reference gradients."""
+    _, det, Jinv = W.mesh.jacobians()
+    return _form(W, W, det[:, None] * (Jinv @ np.asarray(v, dtype=float)), qdegree,
+                 (transposed, not transposed))
+
+
 def assemble_baroclinic(W, qdegree):
     """Cb[i, k] = <grad w_k x e_g, w_i>; the source c = Cb phi is
     <grad phi x e_g, w_i>, with e_g=(0,-1) this is -d(phi)/dx.
-    grad w x e_g = grad w . e_g^perp, e_g^perp = (g_y, -g_x), so the
-    coefficient is det J J^-1 e_g^perp."""
-    _, det, Jinv = W.mesh.jacobians()
-    coef = det[:, None] * (Jinv @ np.array([GRAVITY[1], -GRAVITY[0]]))
-    return _form(W, W, coef, qdegree, (False, True))
+    grad w x e_g = grad w . e_g^perp, e_g^perp = (g_y, -g_x): the
+    directional gradient along e_g^perp."""
+    return assemble_directional_gradient(W, (GRAVITY[1], -GRAVITY[0]), qdegree)
 
 
 def assemble_vorticity_neumann(W, bdegree):

@@ -71,12 +71,16 @@ def _maybe(log, msg):
         log(msg)
 
 
-def _write_snapshot(model, outdir, state, u_before, pressure):
+def _write_snapshot(model, outdir, state, u_before, pressure, omega_tilde=None):
     """Write the snapshot of step k with its pressure and om~ = curl_h of the
-    velocity the step started from (u^{1/2} at k = 0); returns the fallbacks."""
-    omega_tilde, rep = model.curl_h(u_before)
+    velocity the step started from (u^{1/2} at k = 0), solved here unless the
+    step solved it; returns the fallbacks of the solve made here."""
+    fallback = 0
+    if omega_tilde is None:
+        omega_tilde, rep = model.curl_h(u_before)
+        fallback = rep.fallback
     dfio.write_vtk(state, os.path.join(outdir, f"snapshot_{state.k:08d}.vtk"), pressure, omega_tilde)
-    return rep.fallback
+    return fallback
 
 
 def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
@@ -117,7 +121,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             fallbacks += rep.fallback + _write_snapshot(model, outdir, state, state.u_half, p)
         while state.k < nsteps:
             prev = state
-            state, reports = step(state, model)
+            state, reports, omega_tilde = step(state, model)
             fallbacks += sum(rep.fallback for rep in reports.values())
             row = engine.update(prev, state)
             max_mass = max(max_mass, abs(row.mass_residual))
@@ -131,7 +135,8 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             if out["vtk_every"] > 0 and state.k % out["vtk_every"] == 0:
                 b = None if state.phi is None else model.buoyancy @ state.phi.coefficients
                 p, rep = model.pressure(state.omega, prev.u_half, state.u_half, model.time.dt, b=b)
-                fallbacks += rep.fallback + _write_snapshot(model, outdir, state, prev.u_half, p)
+                fallbacks += rep.fallback + _write_snapshot(model, outdir, state, prev.u_half, p,
+                                                            omega_tilde)
             if out["checkpoint_every"] > 0 and state.k % out["checkpoint_every"] == 0:
                 dfio.save_checkpoint(
                     os.path.join(outdir, f"checkpoint_{state.k:08d}.ckpt"), state, engine, model

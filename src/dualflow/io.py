@@ -51,7 +51,9 @@ def truncate_csv_for_resume(path, k, csv_every):
     exactly what an uninterrupted run writes.  Refuses with
     CheckpointError when the rows through the last step at or before k
     that `csv_every` selects are not all there, the header is not this
-    version's, or a complete row's step is not an integer.
+    version's, a complete row's step is not an integer, or a kept row is
+    not the next that `csv_every` writes: a step off its multiples (the
+    file was written with another csv_every), a gap or a repeat.
     """
     expected = (k // csv_every) * csv_every
     if not os.path.exists(path) or os.path.getsize(path) == 0:
@@ -75,6 +77,9 @@ def truncate_csv_for_resume(path, k, csv_every):
                                       f"integer") from None
             if step > k:
                 break
+            if step != last + csv_every:
+                raise CheckpointError(f"{path}, line {number}: a row of step {step} where "
+                                      f"csv_every = {csv_every} writes step {last + csv_every}")
             last, keep = step, fh.tell()
         if last != expected:
             raise CheckpointError(f"{path} ends at step {last}; resuming at step {k} needs "
@@ -110,35 +115,38 @@ def write_vtk(state, path, pressure, omega_tilde):
     u = state.u_half
     U = u.space
     mesh = U.mesh
-    verts = mesh.render_vertices
-    cells = mesh.render_cells
-    vmap = mesh.render_vertex_map
-    nv, nc = len(verts), len(cells)
+    nv, nc = len(mesh.render_vertices), len(mesh.render_cells)
 
     def point_scalar(fld):
         if fld is None:
             return np.zeros(nv)
-        return fld.coefficients[vmap]  # CG vertex dofs come first
-
-    J, det, _ = mesh.jacobians()
-    rval, _ = U.element.tabulate(np.array([[1.0 / 3.0, 1.0 / 3.0]]))
-    ref = (U.cell_dof_signs * u.coefficients[U.cell_dofs]) @ rval[0]  # reference field at each centroid, (C, 2)
-    vel = (J @ ref[:, :, None])[..., 0] / det[:, None]
-
-    p_cell = pressure.coefficients[pressure.space.cell_dofs].mean(axis=1)  # DG_0 reduction
+        return fld.coefficients[mesh.render_vertex_map]  # CG vertex dofs come first
 
     def section(keywords, a, dtype=">f8"):
         return f"{keywords}\n".encode() + np.ascontiguousarray(a, dtype).tobytes() + b"\n"
 
-    parts = [
-        b"# vtk DataFile Version 3.0\n"
-        b"dualflow snapshot (velocity as centroid averages; see package docs)\n"
-        b"BINARY\nDATASET UNSTRUCTURED_GRID\n",
-        section(f"POINTS {nv} double", np.c_[verts, np.zeros(nv)]),
-        section(f"CELLS {nc} {4 * nc}", np.c_[np.full(nc, 3), cells], ">i4"),
-        section(f"CELL_TYPES {nc}", np.full(nc, 5), ">i4"),
-        f"POINT_DATA {nv}\n".encode(),
-    ]
+    # the bytes through POINT_DATA and the RT table at the centroid are the
+    # mesh's and the element's: built once per mesh and degree
+    key = ("vtk", U.degree)
+    if key not in mesh._cache:
+        mesh._cache[key] = (b"".join([
+            b"# vtk DataFile Version 3.0\n"
+            b"dualflow snapshot (velocity as centroid averages; see package docs)\n"
+            b"BINARY\nDATASET UNSTRUCTURED_GRID\n",
+            section(f"POINTS {nv} double", np.c_[mesh.render_vertices, np.zeros(nv)]),
+            section(f"CELLS {nc} {4 * nc}", np.c_[np.full(nc, 3), mesh.render_cells], ">i4"),
+            section(f"CELL_TYPES {nc}", np.full(nc, 5), ">i4"),
+            f"POINT_DATA {nv}\n".encode(),
+        ]), U.element.tabulate(np.array([[1.0 / 3.0, 1.0 / 3.0]]))[0][0])
+    head, rval = mesh._cache[key]
+
+    J, det, _ = mesh.jacobians()
+    ref = (U.cell_dof_signs * u.coefficients[U.cell_dofs]) @ rval  # reference field at each centroid, (C, 2)
+    vel = (J @ ref[:, :, None])[..., 0] / det[:, None]
+
+    p_cell = pressure.coefficients[pressure.space.cell_dofs].mean(axis=1)  # DG_0 reduction
+
+    parts = [head]
     parts += [section(f"SCALARS {name} double 1\nLOOKUP_TABLE default", point_scalar(fld))
               for name, fld in (("phi", state.phi), ("omega", state.omega), ("omega_tilde", omega_tilde))]
     parts += [section(f"CELL_DATA {nc}\nSCALARS pressure double 1\nLOOKUP_TABLE default", p_cell),

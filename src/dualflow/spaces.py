@@ -165,6 +165,20 @@ def project(space, fn, qdegree=None):
     return Field(space, coef)
 
 
+def constant_velocities(U):
+    """The RT coefficients of the constant fields e_x and e_y, (U.dim, 2),
+    interpolate's to roundoff, from the cell geometry alone: the Piola
+    pullback of e_j is the constant det J J^-1 e_j, whose dofs combine
+    those of the two constant reference fields."""
+    element = U.element
+    D0 = element.dofs(np.broadcast_to(np.eye(2)[:, None, :], (2, len(element.dof_points), 2)))
+    _, det, Jinv = U.mesh.jacobians()
+    local = (det[:, None, None] * np.swapaxes(Jinv, 1, 2)) @ D0  # (C, j, ndof)
+    coef = np.zeros((2, U.dim))
+    coef[:, U.cell_dofs] = np.swapaxes(local * U.cell_dof_signs[:, None, :], 0, 1)
+    return coef.T
+
+
 def interpolate(space, fn):
     """Canonical interpolation of an analytic function: the element's dof
     functionals applied to fn in every cell.  A CG or DG dof is the value

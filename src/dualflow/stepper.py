@@ -39,14 +39,17 @@ The momentum S is L: by the exact sequence below Z^T M Z is the
 curl-curl form, and on the torus the curls are orthogonal to the
 constant velocities H, so its border is zero but for the corner
 H^T M H.  K is exactly skew: C, and Z^T R Z assembled per cell
-(assemble.assemble_rotation) with the torus's harmonic border; R u is
-applied per cell.  Model factors each S once, and every per-step solve
-is refined against that factor (linsolve.lu_solve), one mat-vec and one
-triangular solve per pass; a solve that falls back factors the same
-matrix afresh.  Transport and vorticity start refinement from phi^k and
-om^k, which the state holds, one triangular solve fewer than starting
-from S^-1 b; momentum starts from S^-1 b, as a start from the previous
-stream function saves no pass.  Step 4 is solved multiplied by its step
+(assemble.assemble_rotation).  On the torus its border, the harmonic
+columns Z^T R H, is linear in omega alone, since H holds the constants
+e_x, e_y: (Z^T R e_j)_k = -<omega, e_j . grad w_k>, two static forms
+built once, and the corner e_x^T R e_y = -<omega, 1>.  R u is applied
+per cell, to the old velocity alone.  Model factors each S once, and
+every per-step solve is refined against that factor (linsolve.lu_solve),
+one mat-vec and one triangular solve per pass; a solve that falls back
+factors the same matrix afresh.  Transport and vorticity start
+refinement from phi^k and om^k, which the state holds, one triangular
+solve fewer than starting from S^-1 b; momentum starts from S^-1 b, as a
+start from the previous stream function saves no pass.  Step 4 is solved multiplied by its step
 tau, so the one factor of L on psi serves both dt and the startup's dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
@@ -65,8 +68,9 @@ only 4a: Model.pressure solves 4b where a snapshot is written.
 Both modes take this one step.  The homogeneous mode (periodic box, no
 particles) skips steps 1-2, the baroclinic and wall sources of step 3
 and the buoyancy of step 4, and uses a prescribed viscosity instead of
-Gr^(-1/2).  A step returns the new state and its solver reports and
-keeps no budget: diagnostics.Engine computes every ledger term from two
+Gr^(-1/2).  A step returns the new state, its solver reports and the
+weak curl of its step 1, which a snapshot of the step writes, and keeps
+no budget: diagnostics.Engine computes every ledger term from two
 consecutive states.
 """
 
@@ -83,6 +87,7 @@ from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
     Field,
     constant_coefficients,
+    constant_velocities,
     free_dofs,
     interpolate,
     make_space,
@@ -200,8 +205,9 @@ class Model:
         self.Nw_1 = self.Nw @ self.ones_w  # <w_i, 1>
         self.Nw_y = self.Nw @ interpolate(self.W, lambda x, y: y).coefficients  # <w_i, y>
 
-        self.Nw_c = self.Nw[self.iw][:, self.iw].tocsr()
-        self.Nw_c_dt = (1.0 / time.dt) * self.Nw_c
+        # on a torus every CG dof is free: the restrictions are Nw and Nw/dt themselves
+        self.Nw_c = self.Nw if mesh.periodic else self.Nw[self.iw][:, self.iw].tocsr()
+        self.Nw_c_dt = self.Nw_dt if mesh.periodic else (1.0 / time.dt) * self.Nw_c
         self._lu_curl = CachedLU(self.Nw_c)
         # the static parts below are values on the (W, W) cell pattern,
         # which Nw, L and the drift lie on; a step adds the skew part
@@ -209,16 +215,21 @@ class Model:
         self.vorticity = assemble.SkewSystem(self.W, Nw_dt + 0.5 * (self.nu * L), self.iw)
         self._lu_vorticity = CachedLU(self.vorticity.static)
 
-        # the constant (harmonic) velocities, which the torus's stream function misses
-        self.harmonic = corner = None
+        # the constant (harmonic) velocities e_x, e_y, which the torus's stream function misses
+        self.harmonic = corner = self.border = None
         if mesh.periodic:
-            self.harmonic = np.column_stack([interpolate(self.U, lambda x, y, e=e: e).coefficients
-                                             for e in ((1.0, 0.0), (0.0, 1.0))])
+            self.harmonic = constant_velocities(self.U)
             corner = self.harmonic.T @ (self.M @ self.harmonic)
         self.Z, psi_dofs = self._stream_basis(self.curl)
         self.Zt = self.Z.T.tocsr()
         self.momentum = assemble.SkewSystem(self.W, L, psi_dofs, corner)
         self._lu_momentum = CachedLU(self.momentum.static)
+        if mesh.periodic:
+            # the harmonic columns of Z^T R Z are static forms in omega:
+            # (Z^T R e_j)_k = <omega x e_j, curl w_k> = <omega, -e_j . grad w_k>
+            self.border = sp.vstack(
+                [assemble.assemble_directional_gradient(self.W, e, self.qdeg, transposed=True)[psi_dofs]
+                 for e in ((-1.0, 0.0), (0.0, -1.0))], format="csr")
 
         if physics.mode == "turbidity":
             self.drift = assemble.assemble_particle_drift(
@@ -336,12 +347,18 @@ class Model:
     def solve_momentum(self, omega, u_old, dt, b=None):
         """Momentum step with rotation at the midpoint velocity and the buoyancy
         vector b, solved for the stream function of u = Z psi multiplied by dt,
-        against the factor of Z^T M Z = L on psi.  Returns (u, report), with
-        the residual of the unscaled system."""
+        against the factor of Z^T M Z = L on psi.  The rotation is Z^T R Z
+        per cell and, on the torus, its harmonic columns from the static
+        border forms: two mat-vecs and <omega, 1>; R is applied per cell
+        to u_old alone.  Returns (u, report), with the residual of the
+        unscaled system."""
         K = assemble.assemble_rotation(omega, self.U, self.qdeg)
-        # on the torus, Z^T R Z also has the harmonic columns Z^T R H
-        X = None if self.harmonic is None else self.Zt @ np.column_stack(
-            [assemble.apply_rotation(omega, self.U, self.qdeg, h) for h in self.harmonic.T])
+        X = None
+        if self.border is not None:
+            # the harmonic columns Z^T R H, whose corner e_x^T R e_y is -<omega, 1>
+            w = omega.coefficients
+            s = self.Nw_1 @ w
+            X = np.concatenate([(self.border @ w).reshape(2, -1).T, [[0.0, -s], [s, 0.0]]])
         uo = u_old.coefficients
         f = ((self.M @ uo) / dt - 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uo)
              - self.nu * (self.Lc @ omega.coefficients))
@@ -381,9 +398,11 @@ def _check_div(model, u, where):
 
 
 def step(state, model):
-    """Advance one step; returns (state, reports), the new state and the
-    SolverReport of each solve by name.  Without particles (homogeneous
-    mode) steps 1-2 are skipped.  The step keeps no budget."""
+    """Advance one step; returns (state, reports, omega_tilde): the new
+    state, the SolverReport of each solve by name and the weak curl of
+    step 1, om~ = curl_h u^{k+1/2}.  Without particles (homogeneous mode)
+    steps 1-2 are skipped and omega_tilde is None.  The step keeps no
+    budget."""
     u, omega, phi = state.u_half, state.omega, state.phi
     reports = {}
     phi_new = phi_mid = omega_tilde = b = None
@@ -402,7 +421,7 @@ def step(state, model):
         _check_div(model, u_new, "step 4")
     except SolverError as exc:
         raise SolverError(f"step {state.k + 1} failed: {exc}") from exc
-    return SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new), reports
+    return SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new), reports, omega_tilde
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_criterion_4_homogeneous_inviscid_conservation(acceptance):
     tv0 = model.total_vorticity(state.omega)
     tv_scale = max(1.0, abs(tv0))  # tv0 is ~0 for solenoidal data; absolute drift
     for _ in range(200):
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
         assert model.div_inf(state.u_half) <= 1e-10
         assert abs(model.kinetic_energy(state.u_half) - K0) <= 1e-9 * K0
         assert abs(model.enstrophy(state.omega) - ens0) <= 1e-9 * ens0
@@ -219,7 +219,7 @@ def taylor_green_l2_error(nx):
     state, _ = initialize(model, ic)
     divs = []
     for _ in range(model.time.num_steps):
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
         divs.append(model.div_inf(state.u_half))
     t_vel = state.k * dt + 0.5 * dt  # velocity lives at the half step
     exact = ic.velocity(t_vel, nu)

@@ -77,7 +77,7 @@ def test_zero_state_ledger_row():
 
     state, _ = initialize(model, IC())
     eng = Engine(model, state)
-    new, _ = step(state, model)
+    new, _, _ = step(state, model)
     row = eng.update(state, new)
     for name in ("K", "Ep", "eps_v", "eps_s", "Ev", "Es", "E_res", "enstrophy"):
         assert abs(getattr(row, name)) < 1e-14, name
@@ -89,7 +89,7 @@ def test_suspended_mass_starts_at_one_and_decays():
     eng = Engine(model, state)
     assert abs(model.integral_w(state.phi.coefficients) / eng.m_p0 - 1.0) < 1e-14
     prev = state
-    state, _ = step(state, model)
+    state, _, _ = step(state, model)
     row = eng.update(prev, state)
     phi_mid_bottom = model.bottom_integral(0.5 * (state.phi.coefficients + prev.phi.coefficients))
     expected = 1.0 - model.time.dt * model.physics.settling_velocity * phi_mid_bottom / eng.m_p0
@@ -102,7 +102,7 @@ def test_suspended_mass_constant_without_settling():
     eng = Engine(model, state)
     for _ in range(3):
         prev = state
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
         row = eng.update(prev, state)
         assert abs(row.m_p_ratio - 1.0) < 1e-10
 
@@ -221,7 +221,7 @@ def test_energy_residual_identity_short_run():
     eng = Engine(model, state)
     for _ in range(5):
         prev = state
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
         row = eng.update(prev, state)
         assert abs(row.eres_gap) < 1e-12
         assert abs(row.mass_residual) < 1e-12
@@ -231,7 +231,7 @@ def test_ledger_requires_consecutive_states():
     model = make_model()
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    new, _ = step(state, model)
+    new, _, _ = step(state, model)
     with pytest.raises(ValueError):
         eng.update(new, new)
 

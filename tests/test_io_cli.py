@@ -147,6 +147,32 @@ def test_homogeneous_vtk_writes_weak_curl_of_the_previous_velocity(tmp_path):
         assert np.array_equal(written, model.curl_h(u)[0].coefficients[vmap]), k
 
 
+def test_snapshot_step_reuses_the_weak_curl_of_its_step(tmp_path, monkeypatch):
+    """With particles a step solves om~ = curl_h u^{k+1/2} as its step 1,
+    and the snapshot of the step writes that om~: a run with a snapshot
+    every step solves curl_h once per step, once for snapshot 0 and once
+    per startup pass after the first, and each snapshot carries the weak
+    curl of the velocity its step started from, bit for bit."""
+    out = tmp_path / "o"
+    calls = []
+    curl_h = stepper.Model.curl_h
+
+    def counted(model, u):
+        calls.append(u)
+        return curl_h(model, u)
+
+    monkeypatch.setattr(stepper.Model, "curl_h", counted)
+    before = {}
+    result = run(parse_config(lock_cfg_text(out, t_end=0.003, degree=2, extra="vtk_every = 1")),
+                 on_step=lambda prev, state, reports, row: before.update({state.k: prev.u_half}))
+    monkeypatch.undo()
+    assert len(calls) == (result.startup.iterations - 1) + 1 + 3
+    vmap = result.model.mesh.render_vertex_map
+    for k, u in sorted(before.items()):
+        written = read_vtk(out / f"snapshot_{k:08d}.vtk")["omega_tilde"]
+        assert np.array_equal(written, result.model.curl_h(u)[0].coefficients[vmap]), k
+
+
 @pytest.mark.parametrize("text", [lock_cfg_text("o", degree=2), TORUS_CFG.format(out="o", degree=2)],
                          ids=["channel", "torus"])
 def test_vtk_round_trip_is_lossless(tmp_path, text):
@@ -216,7 +242,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    state, _ = step(state, model)
+    state, _, _ = step(state, model)
     path = str(tmp_path / "c.ckpt")
     dfio.save_checkpoint(path, state, eng, model)
     data = dfio.load_checkpoint(path)
@@ -245,7 +271,7 @@ def test_version_2_checkpoint_refused(tmp_path, monkeypatch):
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    state, _ = step(state, model)
+    state, _, _ = step(state, model)
     path = tmp_path / "v2.ckpt"
     monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 2)
     dfio.save_checkpoint(str(path), state, eng, model)
@@ -438,7 +464,7 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "c.ckpt"
     dfio.save_checkpoint(str(path), state, eng, model)
     before = path.read_bytes()
-    state, _ = step(state, model)
+    state, _, _ = step(state, model)
 
     class FailingFile:
         """Writes the header, then fails on the first payload vector."""
@@ -491,6 +517,31 @@ def test_resume_refuses_csv_missing_rows(tmp_path, steps, torn):
     path = csv_with_steps(tmp_path / "a.csv", steps, torn=torn)
     with pytest.raises(dfio.CheckpointError, match="through step 3"):
         dfio.truncate_csv_for_resume(str(path), 3, 1)
+
+
+@pytest.mark.parametrize("steps, k, csv_every, line, found, wanted", [
+    ((1, 2, 3), 3, 2, 2, 1, 2),   # written every step, resumed with csv_every = 2
+    ((2, 6), 7, 2, 3, 6, 4),      # a gap
+    ((1, 2, 2, 3), 3, 1, 4, 2, 3),  # a repeat
+])
+def test_resume_refuses_csv_off_its_cadence(tmp_path, steps, k, csv_every, line, found, wanted):
+    """A kept row that is not the next csv_every writes is named with its
+    line, its step and csv_every."""
+    path = csv_with_steps(tmp_path / "a.csv", steps)
+    with pytest.raises(dfio.CheckpointError, match=rf"a\.csv, line {line}: a row of step {found} "
+                                                   rf"where csv_every = {csv_every} writes step {wanted}"):
+        dfio.truncate_csv_for_resume(str(path), k, csv_every)
+
+
+def test_resume_with_another_csv_every_refused_for_the_cadence(tmp_path):
+    """A torus run that writes a row every step to step 3, resumed from its
+    step-3 checkpoint with csv_every = 2, has every row it needs: it is
+    refused for the cadence of those rows."""
+    out = tmp_path / "o"
+    text = TORUS_CFG.format(out=out, degree=1).replace("vtk_every = 1", "checkpoint_every = 1")
+    run(parse_config(text))
+    with pytest.raises(dfio.CheckpointError, match="a row of step 1 where csv_every = 2 writes step 2"):
+        run(parse_config(text + "csv_every = 2\n"), checkpoint=str(out / "checkpoint_00000003.ckpt"))
 
 
 def test_resume_refuses_csv_row_with_bad_step(tmp_path):

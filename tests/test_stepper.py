@@ -171,7 +171,7 @@ def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
 def test_zero_state_is_fixed_point():
     model = turbidity_model(u_s=0.0)
     state, _ = initialize(model, ZeroBuoyancyIC())
-    new, _ = step(state, model)
+    new, _, _ = step(state, model)
     assert np.max(np.abs(new.u_half.coefficients)) < 1e-14
     assert np.max(np.abs(new.phi.coefficients)) < 1e-14
     assert np.max(np.abs(new.omega.coefficients)) < 1e-14
@@ -181,7 +181,7 @@ def test_constant_phi_step_on_channel():
     """phi = const is transported exactly; u stays zero (pressure balance)."""
     model = turbidity_model(u_s=0.0)
     state, _ = initialize(model, ConstantConcentrationIC(0.7))
-    new, _ = step(state, model)
+    new, _, _ = step(state, model)
     assert np.max(np.abs(new.phi.coefficients - state.phi.coefficients)) < 1e-10
     assert np.max(np.abs(new.u_half.coefficients)) < 1e-10
 
@@ -204,7 +204,7 @@ def test_quasi_linearity_single_solves(mode, monkeypatch):
 
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", counted)
-    new, reports = step(state, model)
+    new, reports, _ = step(state, model)
     assert set(reports) == solves
     # one linear solve per sub-step, the stream function's for the momentum
     # step, and no pressure: no nonlinear iteration
@@ -229,7 +229,7 @@ def test_step_factors_nothing(mode, factorizations):
         state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=2))
     factorizations.clear()  # the static factors of Model and the startup
     for _ in range(2):
-        state, reports = step(state, model)
+        state, reports, _ = step(state, model)
         assert not any(rep.fallback for rep in reports.values())
     assert factorizations == []
 
@@ -340,7 +340,7 @@ def test_transport_and_vorticity_start_from_the_state(monkeypatch):
         solves.clear()
         state = state0
         for _ in range(4):
-            state, reports = step(state, model)
+            state, reports, _ = step(state, model)
             assert not any(rep.fallback for rep in reports.values())
         return {name: solves[name] for name in ("transport", "vorticity")}, state
 
@@ -377,7 +377,7 @@ def test_large_step_falls_back_to_a_fresh_factor(monkeypatch):
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", recorded)
     for _ in range(3):
-        state, reports = step(state, model)
+        state, reports, _ = step(state, model)
         assert reports["vorticity"].fallback and reports["momentum"].fallback
     for A, b, x, rep in solves:
         assert np.max(np.abs(A @ x - b)) <= linsolve.RTOL * (1.0 + np.max(np.abs(b)))
@@ -390,7 +390,7 @@ def test_per_step_mass_identity_short_run():
     eng = Engine(model, state)
     for _ in range(5):
         prev = state
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
         row = eng.update(prev, state)
         assert abs(row.mass_residual) < 1e-12
         assert row.div_inf <= 1e-10
@@ -403,7 +403,7 @@ def test_homogeneous_inviscid_conservation_short():
     ens0 = model.enstrophy(state.omega)
     tv0 = model.total_vorticity(state.omega)
     for _ in range(20):
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
         assert model.div_inf(state.u_half) <= 1e-10
     assert abs(model.kinetic_energy(state.u_half) - K0) <= 1e-11 * K0
     assert abs(model.enstrophy(state.omega) - ens0) <= 1e-11 * ens0
@@ -417,7 +417,7 @@ def test_homogeneous_viscous_decay_tracks_exact_rate():
     K0 = model.kinetic_energy(state.u_half)
     n = 10
     for _ in range(n):
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
     K = model.kinetic_energy(state.u_half)
     exact = np.exp(-4 * 0.01 * n * model.time.dt)  # K ~ e^{-4 nu t}
     assert abs(K / K0 - exact) < 5e-3
@@ -433,7 +433,7 @@ def test_homogeneous_ledger_rows():
     assert eng.front is None
     for _ in range(20):
         prev = state
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
         row = eng.update(prev, state)
         assert abs(row.eres_gap) <= 1e-10
         assert row.eres_gap == row.E_res
@@ -448,7 +448,7 @@ def taylor_green_velocity_error(nx, nu=0.01, dt=1e-2, nsteps=10):
     model = homogeneous_model(nx=nx, ny=nx, nu=nu, dt=dt)
     state, _ = initialize(model, ic)
     for _ in range(nsteps):
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
     t = state.k * model.time.dt + 0.5 * model.time.dt  # velocity lives at half steps
     exact = ic.velocity(t, nu)
     import util_fields as kernels
@@ -474,7 +474,7 @@ def time_errors(mesh, phys, ic, t_end, levels, reference):
         model = Model(mesh, 2, phys, TimeConfig(dt=t_end / n, t_end=t_end))
         state, _ = initialize(model, ic)
         for _ in range(model.time.num_steps):
-            state, _ = step(state, model)
+            state, _, _ = step(state, model)
         return model, state
 
     model, ref = final(reference)
@@ -530,7 +530,7 @@ def desk():
     model = build_model(cfg)
     state, _ = initialize(model, make_initial_condition(cfg))
     for _ in range(2):
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
     return model, state
 
 
@@ -540,7 +540,7 @@ def box():
     model = homogeneous_model(nx=8, ny=8, nu=0.01)
     state, _ = initialize(model, RandomSolenoidalInitialCondition(seed=5))
     for _ in range(3):
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
     return model, state
 
 
@@ -551,7 +551,7 @@ def sim1_case(N):
                   TimeConfig(dt=1e-3, t_end=1.0))
     state, _ = initialize(model, LockInitialCondition())
     for _ in range(2):
-        state, _ = step(state, model)
+        state, _, _ = step(state, model)
     return model, state
 
 
@@ -605,7 +605,7 @@ def test_pressure_gate_holds_on_every_step(case, request):
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
     for _ in range(5):
-        new, _ = step(state, model)
+        new, _, _ = step(state, model)
         b = None if new.phi is None else model.buoyancy @ new.phi.coefficients
         p, rep = model.pressure(new.omega, state.u_half, new.u_half, dt, b=b)
         R = rotation_matrix(new.omega, model.U, model.qdeg)
@@ -643,6 +643,45 @@ def test_stream_basis_structure(case, request):
     assert abs(K + K.T).max() == 0.0
 
 
+@pytest.mark.parametrize("pattern", ["left", "crisscross"])
+@pytest.mark.parametrize("N", [1, 2])
+def test_torus_border_is_the_rotation_of_the_harmonic_velocities(pattern, N, monkeypatch):
+    """The harmonic columns of the torus's momentum system, formed from the
+    static border forms and <omega, 1>, are the oracle's per-cell Z^T R H
+    to 1e-14 relative, corner included, for a vorticity of nonzero mean.
+    A momentum solve applies R per cell once, to u_old, and its K is
+    exactly skew."""
+    mesh = build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 32, 32, pattern)
+    model = Model(mesh, N, PhysicsConfig(mode="homogeneous", nu=0.01), TimeConfig(dt=1e-2, t_end=1.0))
+    rng = np.random.default_rng(11)
+    omega = Field(model.W, 1.0 + rng.standard_normal(model.W.dim))
+    u_old = Field(model.U, model.Z @ rng.standard_normal(model.Z.shape[1]))
+    systems, applied = [], []
+    matrix, apply_rotation = model.momentum.matrix, assemble.apply_rotation
+
+    def recorded_matrix(scale, values, border=None):
+        systems.append((values, border))
+        return matrix(scale, values, border)
+
+    def recorded_rotation(omega, U, qdegree, u):
+        applied.append(u)
+        return apply_rotation(omega, U, qdegree, u)
+
+    monkeypatch.setattr(model.momentum, "matrix", recorded_matrix)
+    monkeypatch.setattr(assemble, "apply_rotation", recorded_rotation)
+    model.solve_momentum(omega, u_old, model.time.dt)
+    monkeypatch.undo()
+    assert len(applied) == 1 and applied[0] is u_old.coefficients
+    [(values, X)] = systems
+    _, oracle = momentum_skew(model, omega)
+    m = len(oracle) - 2
+    assert X.shape == oracle.shape
+    assert abs(X[:m] - oracle[:m]).max() <= 1e-14 * abs(oracle[:m]).max()
+    assert abs(X[m, 1] - oracle[m, 1]) <= 1e-14 * abs(oracle[m, 1])
+    K = skew_part(model.momentum, values, X)
+    assert (K + K.T).count_nonzero() == 0
+
+
 def per_step_systems(model, state, monkeypatch):
     """One step of `model` from `state`; returns the step's state and
     {name: (A, K)} of each per-step system it solved, K its skew part."""
@@ -658,7 +697,7 @@ def per_step_systems(model, state, monkeypatch):
 
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", recorded)
-    new, _ = step(state, model)
+    new, _, _ = step(state, model)
     monkeypatch.undo()
     C = assemble_vorticity_convection(state.u_half, model.W, model.qdeg)
     skew = {"transport": (C,), "vorticity": (C,), "momentum": momentum_skew(model, new.omega)}
@@ -810,7 +849,7 @@ def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
         built.append(self.shape)
 
     monkeypatch.setattr(_cs_matrix, "__init__", counted)
-    _, reports = step(state, model)
+    _, reports, _ = step(state, model)
     monkeypatch.undo()
     assert not any(rep.fallback for rep in reports.values())
     systems = [model.momentum, model.vorticity]
@@ -864,7 +903,7 @@ def test_own_factor_solves_take_no_refinement(case, request, monkeypatch):
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", recorded)
     model.curl_h(state.u_half)
-    new, _ = step(state, model)
+    new, _, _ = step(state, model)
     b = None if new.phi is None else model.buoyancy @ new.phi.coefficients
     model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, b=b)
     assert len(own) == (3 if model.physics.mode == "turbidity" else 2)

@@ -33,7 +33,7 @@ def recording_step(state, model):
 
     model.solve_vorticity, model.solve_momentum = vorticity, momentum
     try:
-        new, _ = step(state, model)
+        new, _, _ = step(state, model)
     finally:
         del model.solve_vorticity, model.solve_momentum
     return new, seen

@@ -32,8 +32,10 @@ def convection_matrix(u, W, qdegree):
 
 
 def momentum_skew(model, omega):
-    """(values, border) of Z^T R Z as the momentum step assembles them: the
-    CG block's values and, on the torus, the harmonic columns Z^T R H."""
+    """(values, border) of Z^T R Z: the CG block's values as the momentum
+    step assembles them and, on the torus, the harmonic columns Z^T R H
+    with R applied per cell to each column of H, the oracle of the static
+    border forms the step uses."""
     values = assemble.assemble_rotation(omega, model.U, model.qdeg)
     if model.harmonic is None:
         return values, None
