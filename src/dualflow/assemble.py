@@ -34,10 +34,10 @@ det J, the per-cell coefficients are det J for a scalar mass, det J
 J^-1 J^-T for the curl-curl, J^T J / det J for the RT mass, e_g^T J for
 the buoyancy, det J J^-1 v for the directional gradient along v (the
 baroclinic form's v = e_g^perp, the torus border's -e_x and -e_y),
-det J J^-1 e_g for the gradient vector, and, on a wall edge, its length
-for the mass and J^-1 (length n) for the Neumann form.  The divergence
-is metric-free, and so are R and C: (J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k /
-det J) . (J^-T grad w_a) = r_k . grad w_a / det J, the weight's det J
+and, on a wall edge, its length for the mass and J^-1 (length n) for
+the Neumann form.  The divergence is metric-free, and so are R and C:
+(J r_a) x (J r_b) = det J (r_a x r_b) and (J r_k / det J) . (J^-T grad
+w_a) = r_k . grad w_a / det J, the weight's det J
 cancelling the rest, so their coefficients are the fields' own.
 
 Index convention: for every matrix A produced here, A[i, j] pairs test
@@ -55,7 +55,7 @@ import scipy.sparse as sp
 from . import kernels
 from .elements import LOCAL_EDGES, form_tensor, reference_curl, skew_tensors
 from .mesh import TAG_BOTTOM, TAG_TOP
-from .spaces import interpolate
+from .spaces import Field, constant_velocities
 
 GRAVITY = (0.0, -1.0)  # unit direction e_g of gravity
 
@@ -319,8 +319,8 @@ def assemble_wall_mass(space, tag, qdegree):
 
 def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
     """Static part of the particle transport operator: the skew convection
-    u_s C(I e_g) by the settling drift, I e_g the interpolant in U of the
-    gravity direction (exact, RT holds constants), plus the settling terms
+    u_s C(I e_g) by the settling drift, I e_g the gravity direction in U
+    (spaces.constant_velocities: RT holds constants), plus the settling terms
     u_s (B_top + B_bottom) / 2 on the top and bottom walls.
 
     The transport operator is C(u) + this drift: the volume part is the
@@ -331,7 +331,7 @@ def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
     """
     if u_s < 0:
         raise ValueError(f"settling speed must be nonnegative, got {u_s}")
-    e_g = interpolate(U, lambda x, y: GRAVITY)
+    e_g = Field(U, constant_velocities(U) @ GRAVITY)
     B1 = assemble_wall_mass(W, TAG_TOP, bdegree).data
     B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree).data
     C = assemble_vorticity_convection(e_g, W, qdegree)
@@ -381,14 +381,3 @@ def assemble_vorticity_neumann(W, bdegree):
     Nn = pattern.matrix(values).copy()  # the pattern's arrays stay intact
     Nn.eliminate_zeros()
     return Nn
-
-
-def assemble_gradient_dot(space, qdegree):
-    """Static vector gvec[i] = <grad w_i, e_g>; phi^T gvec = <grad phi, e_g>:
-    det J J^-1 e_g against the reference gradients' integrals."""
-    _, det, Jinv = space.mesh.jacobians()
-    T = form_tensor((space.family, space.degree, True), ("DG", 0, False), qdegree)
-    out = np.zeros(space.dim)
-    local = kernels.contraction(det[:, None] * (Jinv @ np.asarray(GRAVITY)), T)
-    kernels.scatter_vector(out, space.cell_dofs, local)
-    return out

@@ -29,8 +29,3 @@ def scatter_matrix(pos, local, nnz):
     """The CSR value array: at each position, the sum of the `local` entries
     that `pos` sends there, accumulated in cell order."""
     return np.bincount(pos.ravel(), weights=local.ravel(), minlength=nnz)
-
-
-def scatter_vector(out, dofs, local):
-    """out[dofs] += local, accumulated in cell order."""
-    out += np.bincount(dofs.ravel(), weights=local.ravel(), minlength=len(out))

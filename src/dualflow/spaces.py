@@ -1,4 +1,4 @@
-"""Finite element spaces over a mesh: dof maps, projection, interpolation.
+"""Finite element spaces over a mesh: dof maps, load vectors, interpolation.
 
 The three families form the discrete subcomplex
 
@@ -23,7 +23,8 @@ counts the dofs of any degree.  A space keeps no per-cell tabulation:
 `assemble` contracts the reference tensors of `elements` with the mesh's
 per-cell geometry, and `interpolate` applies the element's own dof
 functionals in every cell, so the RT dofs are defined once, in
-`elements.RTElement`.
+`elements.RTElement`.  Spaces assemble and solve nothing: of an L2
+projection they give the load vector <f, w_i> alone (`load_vector`).
 """
 
 from dataclasses import dataclass
@@ -131,7 +132,7 @@ def free_dofs(space, constrained):
 
 
 # ---------------------------------------------------------------------------
-# Projection / interpolation
+# Load vectors / interpolation
 
 
 def _call_scalar(fn, x, y):
@@ -146,14 +147,11 @@ def _points(mesh, ref):
     return mesh.cell_coords[:, 0, None, :] + ref @ np.swapaxes(J, 1, 2)
 
 
-def project(space, fn, qdegree=None):
-    """L2 projection of an analytic function onto a scalar space."""
-    from .assemble import assemble_mass
-    from .linsolve import lu_solve
-
+def load_vector(space, fn, qdegree):
+    """The load vector <f, w_i> of an analytic function on a scalar space,
+    by a degree-`qdegree` rule: the right-hand side of its L2 projection."""
     if space.family == "RT":
-        raise ValueError("L2 projection onto RT is not supported; interpolate instead")
-    qdegree = qdegree if qdegree is not None else 2 * max(space.degree, 1) + 2
+        raise ValueError("the L2 load of an RT space is not supported; interpolate instead")
     rule = triangle_rule(qdegree)
     x = _points(space.mesh, rule.points)
     f = _call_scalar(fn, x[..., 0], x[..., 1])
@@ -161,8 +159,7 @@ def project(space, fn, qdegree=None):
     local = np.einsum("cq,qn->cn", wf, space.element.tabulate(rule.points)[0])
     rhs = np.zeros(space.dim)
     np.add.at(rhs, space.cell_dofs.ravel(), local.ravel())
-    coef, _ = lu_solve(assemble_mass(space, qdegree), rhs)
-    return Field(space, coef)
+    return rhs
 
 
 def constant_velocities(U):

@@ -46,11 +46,11 @@ built once, and the corner e_x^T R e_y = -<omega, 1>.  R u is applied
 per cell, to the old velocity alone.  Model factors each S once, and
 every per-step solve is refined against that factor (linsolve.lu_solve),
 one mat-vec and one triangular solve per pass; a solve that falls back
-factors the same matrix afresh.  Transport and vorticity start
-refinement from phi^k and om^k, which the state holds, one triangular
-solve fewer than starting from S^-1 b; momentum starts from S^-1 b, as a
-start from the previous stream function saves no pass.  Step 4 is solved multiplied by its step
-tau, so the one factor of L on psi serves both dt and the startup's dt/2.
+factors the same matrix afresh.  Transport and vorticity solve for the
+midpoint m = (x^{k+1} + x^k)/2, A m = (N/dt) x^k + s/2 with s the
+sources, from x^k, which the state holds; momentum starts from S^-1 b,
+as a start from the previous stream function saves no pass.  Step 4 is
+solved multiplied by tau, so one factor of L on psi serves dt and dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -90,9 +90,9 @@ from .spaces import (
     constant_velocities,
     free_dofs,
     interpolate,
+    load_vector,
     make_space,
     normal_trace_dofs,
-    project,
     wall_trace_dofs,
 )
 
@@ -203,7 +203,8 @@ class Model:
         self.ones_q = constant_coefficients(self.Q)
         self.area = mesh.total_area()
         self.Nw_1 = self.Nw @ self.ones_w  # <w_i, 1>
-        self.Nw_y = self.Nw @ interpolate(self.W, lambda x, y: y).coefficients  # <w_i, y>
+        y = interpolate(self.W, lambda x, y: y).coefficients  # exact: y lies in CG_N
+        self.Nw_y = self.Nw @ y  # <w_i, y>
 
         # on a torus every CG dof is free: the restrictions are Nw and Nw/dt themselves
         self.Nw_c = self.Nw if mesh.periodic else self.Nw[self.iw][:, self.iw].tocsr()
@@ -240,7 +241,7 @@ class Model:
             self.neumann = assemble.assemble_vorticity_neumann(self.W, self.bdeg)
             # B_bottom^T 1: the integral over Gamma3 of each CG function
             self.bottom_weights = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg).T @ self.ones_w
-            self.grad_dot_g = assemble.assemble_gradient_dot(self.W, self.qdeg)
+            self.grad_dot_g = -(self.L @ y)  # <grad w_i, e_g>, e_g = -grad y
             self.transport = assemble.SkewSystem(
                 self.W, Nw_dt + 0.5 * (self.drift.data + self.kappa * L))
             self._lu_transport = CachedLU(self.transport.static)
@@ -270,7 +271,7 @@ class Model:
 
     @cached_property
     def D_r(self):
-        return self.D[:, self.iu].tocsr()
+        return self.D if self.mesh.periodic else self.D[:, self.iu].tocsr()  # a torus fixes no dof
 
     @cached_property
     def D_rt(self):
@@ -323,25 +324,26 @@ class Model:
     def solve_transport(self, C, phi):
         """Particle step: midpoint skew transport plus diffusion, with C the
         skew convection by the midpoint velocity.  With A = N/dt + K/2 the
-        rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi."""
+        rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi: the midpoint m solves
+        A m = (N/dt) phi, and phi' = 2 m - phi.  Reports the midpoint solve."""
         A = self.transport.matrix(0.5, C)
         x = phi.coefficients
-        rhs = 2.0 * (self.Nw_dt @ x) - A @ x
-        coef, rep = lu_solve(A, rhs, self._lu_transport, x0=x)
-        return Field(self.W, coef), rep
+        m, rep = lu_solve(A, self.Nw_dt @ x, self._lu_transport, x0=x)
+        return Field(self.W, 2.0 * m - x), rep
 
     def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
-        """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic sources."""
+        """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic
+        sources s, solved for the midpoint as in solve_transport, A m = (N/dt) om + s/2."""
         A = self.vorticity.matrix(0.5, C)
         x = omega.coefficients[self.iw]
-        rhs = 2.0 * (self.Nw_c_dt @ x) - A @ x
+        rhs = self.Nw_c_dt @ x
         if phi_mid is not None:
-            rhs = rhs + (self.baroclinic @ phi_mid.coefficients)[self.iw]
+            rhs = rhs + 0.5 * (self.baroclinic @ phi_mid.coefficients)[self.iw]
         if omega_tilde is not None:
-            rhs = rhs + self.nu * (self.neumann @ omega_tilde.coefficients)[self.iw]
+            rhs = rhs + (0.5 * self.nu) * (self.neumann @ omega_tilde.coefficients)[self.iw]
         coef = np.zeros(self.W.dim)
-        sol, rep = lu_solve(A, rhs, self._lu_vorticity, x0=x)
-        coef[self.iw] = sol
+        m, rep = lu_solve(A, rhs, self._lu_vorticity, x0=x)
+        coef[self.iw] = 2.0 * m - x
         return Field(self.W, coef), rep
 
     def solve_momentum(self, omega, u_old, dt, b=None):
@@ -434,14 +436,17 @@ class LockInitialCondition:
 
     The interface width defaults to twice the smallest edge length; the
     profile is L2-projected, so small over/undershoots are possible and
-    are recorded rather than clipped.
+    are recorded rather than clipped.  (N/dt) phi0 = <f, w>/dt is refined
+    against the transport factor, of N/dt + (drift + kappa L)/2.
     """
 
     interface_width: float = None
 
     def build(self, model):
         delta = self.interface_width if self.interface_width else 2.0 * model.mesh.h_min()
-        phi0 = project(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg)
+        load = load_vector(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg)
+        coef, _ = lu_solve(model.Nw_dt, load / model.time.dt, model._lu_transport)
+        phi0 = Field(model.W, coef)
         u0 = Field(model.U, np.zeros(model.U.dim))
         om0 = Field(model.W, np.zeros(model.W.dim))
         return u0, om0, phi0

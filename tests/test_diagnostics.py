@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
-from dualflow.spaces import Field, constant_coefficients, project
+from dualflow.spaces import Field, constant_coefficients
 from dualflow.stepper import (
     LockInitialCondition,
     Model,
@@ -13,12 +13,12 @@ from dualflow.stepper import (
     initialize,
     step,
 )
-from dualflow import assemble
 from dualflow.diagnostics import Engine, FrontTracker
 from dualflow.mesh import WALL_TAGS
 
 from util_budget import recording_step, step_budget
-from util_tabulate import wall_tab
+from util_project import project
+from util_tabulate import gradient_dot, wall_tab
 
 
 def weighted_flux(space, weight_fn, qdegree):
@@ -42,7 +42,7 @@ def eps_s_ref1(model, phi, u_s, kappa):
 
     A cross-literature comparison of the budget's eps_s; never part of a run.
     """
-    gdot = assemble.assemble_gradient_dot(model.W, model.qdeg)
+    gdot = gradient_dot(model.W, model.qdeg)
     grad_term = float(gdot @ phi.coefficients)  # <grad phi, e_g>
     grad_y = -grad_term  # grad y = (0,1) = -e_g, exactly, at every quadrature point
     flux = float(weighted_flux(model.W, lambda x, y: y, model.bdeg) @ phi.coefficients)
@@ -210,7 +210,7 @@ def test_eps_s_ref1_matches_budget_form_on_torus():
     phi = Field(model.W, coef - mean * ones)
     u_s, kappa = 0.02, 1e-3
     ref1 = eps_s_ref1(model, phi, u_s, kappa)
-    gdot = assemble.assemble_gradient_dot(model.W, model.qdeg)
+    gdot = gradient_dot(model.W, model.qdeg)
     budget_form = u_s * model.integral_w(phi.coefficients) - kappa * float(gdot @ phi.coefficients)
     assert abs(ref1 - budget_form) < 1e-10
 

@@ -1,4 +1,5 @@
-"""Dead-code scans: no linter runs on this tree, so AST scans do four checks.
+"""Dead-code and layering scans: no linter runs on this tree, so AST scans do
+five checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
@@ -14,6 +15,8 @@
 - Every field of a dataclass of `src/dualflow` is read somewhere in
   `src/dualflow`, `tests` or `perfbench`: as an attribute, or by name as
   a string (`CSV_COLUMNS` and the benchmark read fields by name).
+- No module of `src/dualflow` imports, at the top or lazily, a module
+  later than itself in the layer order `LAYERS`.
 """
 
 import ast
@@ -228,3 +231,53 @@ def test_no_unread_dataclass_fields():
     assert not unread, "dataclass fields never read: " + ", ".join(
         f"{path}:{line} {name}" for path, line, name in unread)
 
+
+LAYERS = ("quadrature", "elements", "mesh", "spaces", "kernels", "linsolve", "assemble", "stepper",
+          "diagnostics", "io", "config", "driver", "cli")
+
+
+def upward_imports(module, source):
+    """(line, name) of each module later than `module` in LAYERS that
+    `source` imports from the package, at the top or inside a function:
+    `from . import x`, `from .x import y`, `from dualflow.x import y`,
+    `from dualflow import x` or `import dualflow.x`."""
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if node.level == 0:
+                if path[0] != "dualflow":
+                    continue
+                path = path[1:]
+            names = path[:1] if path and path[0] else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[1] for alias in node.names
+                     if alias.name.startswith("dualflow.")]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if rank.get(name, -1) > rank[module]]
+    return sorted(found)
+
+
+def test_scan_finds_an_upward_import():
+    source = ("from . import kernels\nfrom .mesh import X\nimport numpy\n"
+              "def f():\n    from .assemble import a\n    from . import io as dfio\n"
+              "from dualflow.stepper import s\nfrom dualflow import driver\nimport dualflow.cli\n")
+    assert upward_imports("spaces", source) == [(1, "kernels"), (5, "assemble"), (6, "io"),
+                                                (7, "stepper"), (8, "driver"), (9, "cli")]
+    assert upward_imports("cli", source) == []
+
+
+def test_every_module_has_a_layer():
+    modules = {path[len("src/dualflow/"):-3] for path in python_files()
+               if path.startswith("src/dualflow/")}
+    assert modules - {"__init__", "__main__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_no_upward_imports(module):
+    with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
+        upward = upward_imports(module, fh.read())
+    assert not upward, f"{module} imports later layers: " + ", ".join(
+        f"{name} (line {line})" for line, name in upward)

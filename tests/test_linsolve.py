@@ -11,10 +11,10 @@ from dualflow.spaces import (
     free_dofs,
     make_space,
     normal_trace_dofs,
-    project,
 )
 
 from saddle_oracle import solve_saddle
+from util_project import project
 
 
 @pytest.fixture

@@ -22,10 +22,10 @@ from dualflow.spaces import (
     constant_coefficients,
     interpolate,
     make_space,
-    project,
 )
 
 from util_curl import discrete_curl, weak_curl
+from util_project import project
 from util_rotation import convection_matrix, rotation_matrix
 
 

@@ -18,13 +18,13 @@ from dualflow.spaces import (
     interpolate,
     make_space,
     normal_trace_dofs,
-    project,
     space_dimension,
     wall_trace_dofs,
 )
 from dualflow.quadrature import interval_rule, triangle_rule
 
 from util_curl import discrete_curl
+from util_project import project
 from util_layout import closed_form_dimension, family_dof_map, hand_normal_trace_dofs, hand_wall_trace_dofs
 from util_sim1 import sim1_mesh_text
 from util_tabulate import volume_tab
@@ -484,12 +484,18 @@ def test_constant_representable_on_periodic(torus):
         assert abs(evaluate(f, p) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("pattern", ["left", "crisscross"])
+@pytest.mark.parametrize("mesh", ["left", "crisscross", "desk"])
 @pytest.mark.parametrize("degree", [1, 2])
-def test_constant_velocities_are_the_interpolated_constants(pattern, degree):
+def test_constant_velocities_are_the_interpolated_constants(mesh, degree):
     """The RT coefficients of e_x and e_y from the cell geometry alone are
-    interpolate's to 1e-15 relative on a 32x32 torus."""
-    U = make_space(build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 32, 32, pattern), "RT", degree)
+    interpolate's to 1e-15 relative on a 32x32 torus of each pattern and
+    on the desk lock-exchange channel, where the drift takes e_g from them."""
+    if mesh == "desk":
+        mesh = build_channel_mesh(ChannelGeometry(length=13.0, height=1.0, lock_length=1.0), 50, 5,
+                                  "crisscross")
+    else:
+        mesh = build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 32, 32, mesh)
+    U = make_space(mesh, "RT", degree)
     H = constant_velocities(U)
     for j, e in enumerate(((1.0, 0.0), (0.0, 1.0))):
         ref = interpolate(U, lambda x, y: e).coefficients

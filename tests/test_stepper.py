@@ -20,7 +20,7 @@ from dualflow.mesh import (
     build_periodic_rect_mesh,
     read_mesh_text,
 )
-from dualflow.spaces import Field, free_dofs, interpolate, project, wall_trace_dofs
+from dualflow.spaces import Field, free_dofs, interpolate, wall_trace_dofs
 from dualflow.stepper import (
     LockInitialCondition,
     Model,
@@ -35,6 +35,7 @@ from dualflow.stepper import (
 
 import pattern_oracle
 from saddle_oracle import solve_saddle
+from util_project import project
 from util_rotation import convection_matrix, momentum_skew, rotation_matrix, skew_part
 from util_sim1 import sim1_mesh_text
 from util_tabulate import volume_tab
@@ -154,7 +155,7 @@ def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
     calls = []
 
     def counted(A, b, factor=None):
-        calls.append(A is model.DDt)
+        calls.append((A, factor))
         return lu_solve(A, b, factor)
 
     lu_solve = stepper.lu_solve
@@ -163,9 +164,36 @@ def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
     assert "pressure_lu" not in vars(model)  # D D^T is not factored yet
     p, _ = rep.pressure()
     assert rep.iterations > 1
-    assert calls.count(True) == 1 and calls[-1]
-    assert len(calls) == 2 * rep.iterations  # a momentum solve per pass, a weak curl between
+    # the lock start's projection, against the transport factor
+    assert calls[0][0] is model.Nw_dt and calls[0][1] is model._lu_transport
+    assert [A is model.DDt for A, _ in calls].count(True) == 1 and calls[-1][0] is model.DDt
+    # then a momentum solve per pass, a weak curl between, and the pressure
+    assert len(calls) == 1 + 2 * rep.iterations
     assert p.space is model.Q
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_lock_start_is_the_projection(N, monkeypatch):
+    """The lock start, (N/dt) phi0 = <f, w>/dt refined against the transport
+    factor, is the L2 projection by a fresh mass factor to 1e-14 relative
+    on the desk channel, with no fallback."""
+    geom = ChannelGeometry(length=13.0, height=1.0, lock_length=1.0)
+    model = Model(build_channel_mesh(geom, 50, 5, "crisscross"), N, PhysicsConfig(mode="turbidity"),
+                  TimeConfig(dt=1e-3, t_end=1.0))
+    reports = []
+
+    def recorded(*args, **kwargs):
+        x, rep = lu_solve(*args, **kwargs)
+        reports.append(rep)
+        return x, rep
+
+    lu_solve = stepper.lu_solve
+    monkeypatch.setattr(stepper, "lu_solve", recorded)
+    _, _, phi0 = LockInitialCondition().build(model)
+    delta = 2.0 * model.mesh.h_min()
+    ref = project(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg).coefficients
+    assert len(reports) == 1 and not reports[0].fallback
+    assert np.max(np.abs(phi0.coefficients - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_zero_state_is_fixed_point():
@@ -269,8 +297,9 @@ seed = 4
 def test_setup_factors_what_the_run_solves(mode, vtk_every, tmp_path, factorizations, monkeypatch):
     """driver.run factors each static system in set-up, and D D^T too if
     and only if it writes snapshots, fresh or resumed, before its budget
-    Engine exists; no step factors anything.  A run without snapshots
-    solves no pressure; one with snapshots solves one per snapshot."""
+    Engine exists; the lock start factors nothing of its own, and no step
+    factors anything.  A run without snapshots solves no pressure; one
+    with snapshots solves one per snapshot."""
     static = 4 if mode == "turbidity" else 3  # curl, vorticity, momentum and transport
     at_engine, pressures = [], []
 
@@ -306,8 +335,7 @@ checkpoint_every = 2
         factorizations.clear()
         pressures.clear()
         result = driver.run(parse_config(text.format(t_end=t_end)), checkpoint=checkpoint)
-        # a fresh lock start also factors the mass matrix of its L2 projection
-        expected = static + (mode == "turbidity" and checkpoint is None) + (vtk_every > 0)
+        expected = static + (vtk_every > 0)
         assert at_engine.pop() == (expected, vtk_every > 0)
         assert len(factorizations) == expected  # and none after set-up
         assert ("pressure_lu" in vars(result.model)) == (vtk_every > 0)
@@ -320,11 +348,12 @@ def test_transport_and_vorticity_start_from_the_state(monkeypatch):
     fewer triangular solves than the same run refined from S^-1 b (x0
     dropped), and the two runs agree to the solver tolerance.
 
-    The vorticity margin is thin: 12 against 14 solves over steps 1-4, all
-    of it from steps 3 and 4, and from step 5 on the warm start saves none
-    (CHANGES.md, FOUND on `Model.solve_vorticity`).  A change at roundoff
-    alone can tie it: a P2 basis built by Vandermonde inversion, which
-    moved the desk K by 2.9e-14 relative, gave 14 against 14."""
+    The vorticity margin over these steps is thin: 12 against 14 solves,
+    all of it from steps 3 and 4.  A change at roundoff alone can tie it:
+    a P2 basis built by Vandermonde inversion, which moved the desk K by
+    2.9e-14 relative, gave 14 against 14.  Steps 5-32 tie at 112 vorticity
+    solves, but over steps 1-400 the saving is large: warm against cold,
+    1852 against 2159 vorticity and 1707 against 2100 transport solves."""
     cfg = parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg"))
     model = build_model(cfg)
     state0, _ = initialize(model, make_initial_condition(cfg))
@@ -628,6 +657,18 @@ def test_pressure_refuses_a_velocity_that_does_not_solve_the_step(case, request)
     b = None if state.phi is None else model.buoyancy @ state.phi.coefficients
     with pytest.raises(linsolve.SolverError, match="does not solve the momentum step"):
         model.pressure(state.omega, state.u_half, state.u_half, model.time.dt, b=b)
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_pressure_divergence_is_on_the_free_velocities(case, request):
+    """D_r is D on the free RT dofs: on the box every dof is free, and D_r
+    is D itself."""
+    model, _ = request.getfixturevalue(case)
+    if model.mesh.periodic:
+        assert model.D_r is model.D
+    else:
+        assert model.D_r.shape == (model.Q.dim, len(model.iu)) and len(model.iu) < model.U.dim
+        assert abs(model.D_r - model.D[:, model.iu]).max() == 0.0
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])

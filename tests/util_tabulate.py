@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dualflow.assemble import GRAVITY
 from dualflow.elements import LOCAL_EDGES, REF_VERTICES
 from dualflow.quadrature import interval_rule, triangle_rule
 
@@ -86,3 +87,14 @@ def wall_tab(space, tag, qdegree):
         grad=np.einsum("kqne,ked->kqnd", rgrad.reshape(shape + (2,)), Jinv[cells]),
     )
 
+
+
+def gradient_dot(W, qdegree):
+    """The oracle g[i] = <grad w_i, e_g> by quadrature, straight from its
+    integral: it holds on any mesh, a torus too, where y is not a CG
+    function and stepper.Model's -(L y) does not apply."""
+    tab = volume_tab(W, qdegree)
+    local = np.einsum("cq,cqad,d->ca", tab.weights, tab.grad, np.asarray(GRAVITY))
+    out = np.zeros(W.dim)
+    np.add.at(out, W.cell_dofs.ravel(), local.ravel())
+    return out
