@@ -18,11 +18,8 @@ on the (W, W) pattern: C itself, and R seen through the stream-function
 basis, Z^T R Z.  What R meets that is fixed is a static form in omega:
 on the torus the harmonic columns Z^T R e_j are directional gradient
 forms, which stepper.Model builds once.  R u is applied per cell; no
-U x U matrix is formed.  A SkewSystem, built once per run, gathers a
-static part's values and, each step, a skew part's onto the one CSR
-matrix of a per-step system.
-The static operators are built once per run by stepper.Model, which
-owns them.
+U x U matrix is formed.  stepper.Model builds the static operators and
+the linear systems (System) once per run, and owns them.
 
 No form evaluates anything at quadrature points.  On an affine cell the
 maps to the reference cell reduce every form to per-cell geometry
@@ -54,6 +51,7 @@ import scipy.sparse as sp
 
 from . import kernels
 from .elements import LOCAL_EDGES, form_tensor, reference_curl, skew_tensors
+from .linsolve import CachedLU, SolverError, lu_solve
 from .mesh import TAG_BOTTOM, TAG_TOP
 from .spaces import Field, constant_velocities
 
@@ -236,24 +234,29 @@ def assemble_vorticity_convection(u, W, qdegree):
     return _skew_values(W, u.coefficients[U.cell_dofs] * U.cell_dof_signs, T_C)
 
 
-class SkewSystem:
-    """A per-step system S + scale K as one CSR matrix: the (space, space)
-    cell pattern restricted to `dofs` (ascending; all of them if None),
-    then, with a `corner`, len(corner) dense border rows and columns.
+class System:
+    """One named linear system of a run: its CSR pattern, its static part
+    S, the CachedLU of S and the solve.  A per-step system is S + scale K,
+    with K given each step as values on the cell pattern (skew_values)."""
 
-    S and K both come as values on the cell pattern, and `take`, built
-    once, gathers either onto this pattern.  S's border is zero but for
-    its `corner`.  K's border comes as its columns X (rows in this
-    system's order, the last len(corner) of them the corner): the border
-    rows take -X^T and the corner X's entries above the diagonal, mirrored
-    with a minus, so K is exactly skew.
+    def __init__(self, name, static, take=None):
+        self.name, self.static, self.take = name, static, take  # take: see on_cells
+        self.lu = CachedLU(static)
 
-    The restriction keeps the cell pattern's CSR order, as `dofs` ascend,
-    and each border entry is built after every entry left of it in its
-    row, so one stable sort on the rows alone places the border.
-    """
+    @classmethod
+    def on_cells(cls, name, space, static, dofs=None, corner=None):
+        """The System on the (space, space) cell pattern restricted to
+        `dofs` (ascending; all of them if None), then, with a `corner`,
+        len(corner) dense border rows and columns; `static`, S's values on
+        the cell pattern, and K's are gathered onto it by `take`, built once.
 
-    def __init__(self, space, static, dofs=None, corner=None):
+        S's border is zero but for its `corner`.  K's border comes as its
+        columns X (rows in this system's order, the last len(corner) of them
+        the corner): the border rows take -X^T and the corner X's entries
+        above the diagonal, mirrored with a minus, so K is exactly skew.  The
+        restriction keeps the cell pattern's CSR order, as `dofs` ascend,
+        and each border entry is built after every entry left of it in its
+        row, so one stable sort on the rows alone places the border."""
         full = _pattern(space, space)
         rows = np.repeat(np.arange(space.dim), np.diff(full.indptr))
         cols, src = full.indices, np.arange(full.nnz)
@@ -278,9 +281,8 @@ class SkewSystem:
             rows, cols, src = rows[order], cols[order], src[order]
         indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        self.static = sp.csr_matrix((static[src], cols.astype(np.int32), indptr),
-                                    shape=(size, size))
-        self.take = None if np.array_equal(src, np.arange(len(src))) else src
+        matrix = sp.csr_matrix((static[src], cols.astype(np.int32), indptr), shape=(size, size))
+        return cls(name, matrix, None if np.array_equal(src, np.arange(len(src))) else src)
 
     def skew_values(self, values, border=None):
         """K's CSR values on this pattern."""
@@ -297,6 +299,14 @@ class SkewSystem:
         data = scale * self.skew_values(values, border)
         data += S.data
         return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
+
+    def solve(self, rhs, x0=None, scale=None, skew_values=None, border=None):
+        """(x, report) of (S + scale K) x = rhs, refined against S's factor from x0 if given."""
+        A = self.static if skew_values is None else self.matrix(scale, skew_values, border)
+        try:
+            return lu_solve(A, rhs, self.lu, x0=x0)
+        except SolverError as exc:
+            raise SolverError(f"{self.name}: {exc}") from exc
 
 
 def _wall(space, tag):

@@ -15,19 +15,20 @@ diffusion, and R the (exactly skew) rotation.  The skewness of R and C
 is what keeps kinetic energy and enstrophy free of artificial
 dissipation.
 
-Model owns every static operator: it builds each once, from the fixed
+Model owns every static operator and every linear system, by name an
+assemble.System in Model.systems: it builds each once, from the fixed
 physics and time step, at construction but for the pressure system
-D D^T and its factor, which only snapshots solve: those are built on
-first use, and driver.run builds them in set-up when it writes
-snapshots.  A step assembles only C and the rotation and otherwise
-multiplies: the viscous vector l = Lc om, the curl rhs Lc^T u, the
-buoyancy b = B phi and the baroclinic and wall sources.  The weak curl
-Lc[a, k] = <curl w_k, u_a> is M Z: the curl of a CG function lies in
-RT exactly (the exact sequence below).
+D D^T, which only snapshots solve: it is built on first use, and
+driver.run builds it in set-up when it writes snapshots.  A step
+assembles only C and the rotation and otherwise multiplies: the viscous
+vector l = Lc om, the curl rhs Lc^T u, the buoyancy b = B phi and the
+baroclinic and wall sources.  The weak curl Lc[a, k] = <curl w_k, u_a>
+is M Z: the curl of a CG function lies in RT exactly (the exact
+sequence below).
 
 No matrix is factored inside the time loop, and the only sparse
 matrices formed there are the per-step systems, one CSR matrix each,
-S + scale K (assemble.SkewSystem):
+S + scale K:
 
   transport   S = N/dt + (drift + kappa L)/2,  K = C,          scale 1/2
   vorticity   S = (N/dt + nu L/2) on iw,       K = C on iw,    scale 1/2
@@ -43,14 +44,15 @@ H^T M H.  K is exactly skew: C, and Z^T R Z assembled per cell
 columns Z^T R H, is linear in omega alone, since H holds the constants
 e_x, e_y: (Z^T R e_j)_k = -<omega, e_j . grad w_k>, two static forms
 built once, and the corner e_x^T R e_y = -<omega, 1>.  R u is applied
-per cell, to the old velocity alone.  Model factors each S once, and
-every per-step solve is refined against that factor (linsolve.lu_solve),
-one mat-vec and one triangular solve per pass; a solve that falls back
-factors the same matrix afresh.  Transport and vorticity solve for the
-midpoint m = (x^{k+1} + x^k)/2, A m = (N/dt) x^k + s/2 with s the
-sources, from x^k, which the state holds; momentum starts from S^-1 b,
-as a start from the previous stream function saves no pass.  Step 4 is
-solved multiplied by tau, so one factor of L on psi serves dt and dt/2.
+per cell, to the old velocity alone.  Each System factors its S once,
+and its solve is refined against that factor (linsolve.lu_solve), one
+mat-vec and one triangular solve per pass, none without K (curl and
+pressure); a fallback factors the same matrix afresh, and a failure
+names its system.  Transport and vorticity solve for the midpoint m =
+(x^{k+1} + x^k)/2, A m = (N/dt) x^k + s/2 with s the sources, from x^k,
+which the state holds; momentum starts from S^-1 b, as a start from the
+previous stream function saves no pass.  Step 4 is solved multiplied by
+tau, so one factor of L on psi serves dt and dt/2.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -82,7 +84,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assemble
-from .linsolve import RTOL, CachedLU, SolverError, lu_solve, project_out_constant
+from .linsolve import RTOL, SolverError, lu_solve, project_out_constant
 from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
     Field,
@@ -161,7 +163,7 @@ class SimulationState:
 
 
 class Model:
-    """Spaces, static operators and cached factorizations for one run,
+    """Spaces, static operators and the named linear systems of one run,
     all built once from the physics and time step it is constructed with:
     at construction, but for the pressure system, built on first use."""
 
@@ -206,15 +208,12 @@ class Model:
         y = interpolate(self.W, lambda x, y: y).coefficients  # exact: y lies in CG_N
         self.Nw_y = self.Nw @ y  # <w_i, y>
 
-        # on a torus every CG dof is free: the restrictions are Nw and Nw/dt themselves
-        self.Nw_c = self.Nw if mesh.periodic else self.Nw[self.iw][:, self.iw].tocsr()
-        self.Nw_c_dt = self.Nw_dt if mesh.periodic else (1.0 / time.dt) * self.Nw_c
-        self._lu_curl = CachedLU(self.Nw_c)
         # the static parts below are values on the (W, W) cell pattern,
-        # which Nw, L and the drift lie on; a step adds the skew part
+        # which Nw, L and the drift lie on; a step adds a skew part
         Nw_dt, L = self.Nw_dt.data, self.L.data
-        self.vorticity = assemble.SkewSystem(self.W, Nw_dt + 0.5 * (self.nu * L), self.iw)
-        self._lu_vorticity = CachedLU(self.vorticity.static)
+        on_cells = assemble.System.on_cells
+        self.systems = {"curl": on_cells("curl", self.W, self.Nw.data, self.iw),
+                        "vorticity": on_cells("vorticity", self.W, Nw_dt + 0.5 * (self.nu * L), self.iw)}
 
         # the constant (harmonic) velocities e_x, e_y, which the torus's stream function misses
         self.harmonic = corner = self.border = None
@@ -223,8 +222,7 @@ class Model:
             corner = self.harmonic.T @ (self.M @ self.harmonic)
         self.Z, psi_dofs = self._stream_basis(self.curl)
         self.Zt = self.Z.T.tocsr()
-        self.momentum = assemble.SkewSystem(self.W, L, psi_dofs, corner)
-        self._lu_momentum = CachedLU(self.momentum.static)
+        self.systems["momentum"] = on_cells("momentum", self.W, L, psi_dofs, corner)
         if mesh.periodic:
             # the harmonic columns of Z^T R Z are static forms in omega:
             # (Z^T R e_j)_k = <omega x e_j, curl w_k> = <omega, -e_j . grad w_k>
@@ -242,9 +240,8 @@ class Model:
             # B_bottom^T 1: the integral over Gamma3 of each CG function
             self.bottom_weights = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg).T @ self.ones_w
             self.grad_dot_g = -(self.L @ y)  # <grad w_i, e_g>, e_g = -grad y
-            self.transport = assemble.SkewSystem(
-                self.W, Nw_dt + 0.5 * (self.drift.data + self.kappa * L))
-            self._lu_transport = CachedLU(self.transport.static)
+            self.systems["transport"] = on_cells(
+                "transport", self.W, Nw_dt + 0.5 * (self.drift.data + self.kappa * L))
 
     def _stream_basis(self, Z):
         """Z, the discrete curl, restricted to a basis of the divergence-free
@@ -277,14 +274,11 @@ class Model:
     def D_rt(self):
         return self.D_r.T.tocsr()
 
-    @cached_property
-    def DDt(self):
-        # D D^T annihilates the constant pressure: pin dof 0
-        return (self.D_r @ self.D_rt)[1:, 1:].tocsr()
-
-    @cached_property
-    def pressure_lu(self):
-        return CachedLU(self.DDt)
+    def pressure_system(self):
+        if "pressure" not in self.systems:  # D D^T annihilates the constant pressure: pin dof 0
+            DDt = (self.D_r @ self.D_rt)[1:, 1:].tocsr()
+            self.systems["pressure"] = assemble.System("pressure", DDt)
+        return self.systems["pressure"]
 
     # -- scalar functionals -------------------------------------------------
 
@@ -315,10 +309,8 @@ class Model:
 
     def curl_h(self, u):
         """Weak curl recovery: find om~ with <om~, xi> = <u, curl xi>."""
-        r = self.Lct @ u.coefficients
         coef = np.zeros(self.W.dim)
-        sol, rep = lu_solve(self.Nw_c, r[self.iw], self._lu_curl)
-        coef[self.iw] = sol
+        coef[self.iw], rep = self.systems["curl"].solve((self.Lct @ u.coefficients)[self.iw])
         return Field(self.W, coef), rep
 
     def solve_transport(self, C, phi):
@@ -326,23 +318,21 @@ class Model:
         skew convection by the midpoint velocity.  With A = N/dt + K/2 the
         rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi: the midpoint m solves
         A m = (N/dt) phi, and phi' = 2 m - phi.  Reports the midpoint solve."""
-        A = self.transport.matrix(0.5, C)
         x = phi.coefficients
-        m, rep = lu_solve(A, self.Nw_dt @ x, self._lu_transport, x0=x)
+        m, rep = self.systems["transport"].solve(self.Nw_dt @ x, x0=x, scale=0.5, skew_values=C)
         return Field(self.W, 2.0 * m - x), rep
 
     def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
         """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic
         sources s, solved for the midpoint as in solve_transport, A m = (N/dt) om + s/2."""
-        A = self.vorticity.matrix(0.5, C)
         x = omega.coefficients[self.iw]
-        rhs = self.Nw_c_dt @ x
+        rhs = self.Nw_dt @ omega.coefficients  # omega is 0 off iw
         if phi_mid is not None:
-            rhs = rhs + 0.5 * (self.baroclinic @ phi_mid.coefficients)[self.iw]
+            rhs = rhs + 0.5 * (self.baroclinic @ phi_mid.coefficients)
         if omega_tilde is not None:
-            rhs = rhs + (0.5 * self.nu) * (self.neumann @ omega_tilde.coefficients)[self.iw]
+            rhs = rhs + (0.5 * self.nu) * (self.neumann @ omega_tilde.coefficients)
         coef = np.zeros(self.W.dim)
-        m, rep = lu_solve(A, rhs, self._lu_vorticity, x0=x)
+        m, rep = self.systems["vorticity"].solve(rhs[self.iw], x0=x, scale=0.5, skew_values=C)
         coef[self.iw] = 2.0 * m - x
         return Field(self.W, coef), rep
 
@@ -366,8 +356,7 @@ class Model:
              - self.nu * (self.Lc @ omega.coefficients))
         if b is not None:
             f = f + b
-        A = self.momentum.matrix(0.5 * dt, K, X)
-        psi, rep = lu_solve(A, dt * (self.Zt @ f), self._lu_momentum)
+        psi, rep = self.systems["momentum"].solve(dt * (self.Zt @ f), scale=0.5 * dt, skew_values=K, border=X)
         rep.residual /= dt
         return Field(self.U, self.Z @ psi), rep
 
@@ -384,7 +373,7 @@ class Model:
             r = r - b
         r = r[self.iu]
         p = np.zeros(self.Q.dim)
-        p[1:], rep = lu_solve(self.DDt, (self.D_r @ r)[1:], self.pressure_lu)
+        p[1:], rep = self.pressure_system().solve((self.D_r @ r)[1:])
         p = project_out_constant(p, self.MQ, self.ones_q, self.area)
         rep.residual = float(np.max(np.abs(r - self.D_rt @ p)))
         if rep.residual > RTOL * (1.0 + float(np.max(np.abs(r)))):
@@ -445,11 +434,11 @@ class LockInitialCondition:
     def build(self, model):
         delta = self.interface_width if self.interface_width else 2.0 * model.mesh.h_min()
         load = load_vector(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg)
-        coef, _ = lu_solve(model.Nw_dt, load / model.time.dt, model._lu_transport)
+        coef, rep = lu_solve(model.Nw_dt, load / model.time.dt, model.systems["transport"].lu)
         phi0 = Field(model.W, coef)
         u0 = Field(model.U, np.zeros(model.U.dim))
         om0 = Field(model.W, np.zeros(model.W.dim))
-        return u0, om0, phi0
+        return u0, om0, phi0, rep.fallback
 
 
 @dataclass
@@ -470,8 +459,8 @@ class TaylorGreenInitialCondition:
 
     def build(self, model):
         u0 = interpolate(model.U, self.velocity(0.0, model.physics.nu))
-        om0, _ = model.curl_h(u0)
-        return u0, om0, None
+        om0, rep = model.curl_h(u0)
+        return u0, om0, None, rep.fallback
 
 
 @dataclass
@@ -486,20 +475,21 @@ class RandomSolenoidalInitialCondition:
         u0 = Field(model.U, model.curl @ psi)
         scale = math.sqrt(2.0 * model.kinetic_energy(u0))
         u0 = Field(model.U, u0.coefficients / scale)  # unit L2 norm
-        om0, _ = model.curl_h(u0)
-        return u0, om0, None
+        om0, rep = model.curl_h(u0)
+        return u0, om0, None, rep.fallback
 
 
 @dataclass
 class StartupReport:
     iterations: int
     update: float
-    fallbacks: int = 0  # solves that missed RTOL against their static factor
+    fallbacks: int = 0  # solves that missed RTOL against their static factor, the IC's included
     pressure: object = None  # () -> (p, report): the last pass's pressure, solved on call
 
 
 def initialize(model, ic):
-    """Implicit startup: fixed-point iteration for u^{1/2} over [0, dt/2].
+    """Implicit startup: fixed-point iteration for u^{1/2} over [0, dt/2]
+    from ic.build(model) = (u0, omega0, phi0, fallbacks of its solves).
 
     Each pass solves the momentum step with the rotation frozen at the
     current vorticity iterate and (in turbidity mode) buoyancy frozen at
@@ -507,12 +497,11 @@ def initialize(model, ic):
     the midpoint velocity.  No pass solves a pressure: the report's
     `pressure` solves the last pass's when called (snapshot 0, check).
     """
-    u0, omega0, phi0 = ic.build(model)
+    u0, omega0, phi0, fallbacks = ic.build(model)
     b0 = model.buoyancy @ phi0.coefficients if phi0 is not None else None
     dt = 0.5 * model.time.dt
     omega_star = omega0
     u_prev = u0
-    fallbacks = 0
     for it in range(1, STARTUP_MAX_ITER + 1):
         u_new, rep = model.solve_momentum(omega_star, u0, dt, b=b0)
         fallbacks += rep.fallback
@@ -523,7 +512,8 @@ def initialize(model, ic):
         if rel <= STARTUP_TOL:
             break
         mid = Field(model.U, 0.5 * (u0.coefficients + u_new.coefficients))
-        omega_star, _ = model.curl_h(mid)
+        omega_star, rep = model.curl_h(mid)
+        fallbacks += rep.fallback
     else:
         raise StartupError(
             f"startup fixed point did not reach {STARTUP_TOL:.1e} within "

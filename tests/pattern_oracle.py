@@ -1,6 +1,6 @@
 """The sparsity patterns as first built, kept as oracles for
-assemble._Pattern and assemble.SkewSystem: the CSR pattern of a pair of
-dof maps from np.unique of the (row, column) keys, and a per-step
+assemble._Pattern and assemble.System.on_cells: the CSR pattern of a
+pair of dof maps from np.unique of the (row, column) keys, and a
 system's pattern from an np.lexsort of every entry, border included."""
 
 import numpy as np
@@ -19,9 +19,9 @@ def cell_pattern(row_dofs, col_dofs, shape):
     return inverse.reshape(C, na, nb), (uniq % shape[1]).astype(np.int32), indptr
 
 
-def skew_system(full, dim, static, dofs=None, corner=None):
-    """(data, indices, indptr, take) of the static part of a SkewSystem on
-    the cell pattern `full` of a space of `dim` dofs."""
+def system_pattern(full, dim, static, dofs=None, corner=None):
+    """(data, indices, indptr, take) of the static part of a System on the
+    cell pattern `full` of a space of `dim` dofs."""
     rows = np.repeat(np.arange(dim), np.diff(full.indptr))
     cols, src = full.indices, np.arange(full.nnz)
     if dofs is not None:

@@ -73,6 +73,7 @@ def test_zero_state_ledger_row():
                 Field(m.U, np.zeros(m.U.dim)),
                 Field(m.W, np.zeros(m.W.dim)),
                 phi0,
+                0,  # no solve, no fallback
             )
 
     state, _ = initialize(model, IC())

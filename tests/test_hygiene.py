@@ -1,5 +1,5 @@
-"""Dead-code and layering scans: no linter runs on this tree, so AST scans do
-five checks.
+"""Dead-code, layering and ownership scans: no linter runs on this tree, so
+AST scans do six checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
@@ -17,6 +17,8 @@ five checks.
   a string (`CSV_COLUMNS` and the benchmark read fields by name).
 - No module of `src/dualflow` imports, at the top or lazily, a module
   later than itself in the layer order `LAYERS`.
+- `CachedLU` is constructed only in `linsolve` and in `assemble.System`,
+  which owns each static factor of a run.
 """
 
 import ast
@@ -281,3 +283,39 @@ def test_no_upward_imports(module):
         upward = upward_imports(module, fh.read())
     assert not upward, f"{module} imports later layers: " + ", ".join(
         f"{name} (line {line})" for line, name in upward)
+
+
+def factor_constructions(source):
+    """(line, class) of each `CachedLU(...)` call in `source`, class the
+    name of the class it is made in, or None outside every class."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "CachedLU" in (getattr(child.func, "id", None),
+                                                             getattr(child.func, "attr", None)):
+                found.append((child.lineno, where))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scan_finds_every_factor_construction():
+    source = ("from .linsolve import CachedLU\nfrom . import linsolve\nclass System:\n"
+              "    def __init__(self, A):\n        self.lu = CachedLU(A)\n"
+              "class Model:\n    def __init__(self, A):\n        self.lu = linsolve.CachedLU(A)\n"
+              "lu = CachedLU(None)\n")
+    assert factor_constructions(source) == [(5, "System"), (8, "Model"), (9, None)]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_factors_are_built_by_systems_alone(module):
+    """A static factor belongs to the System it factors: outside linsolve,
+    whose fallback factors afresh, only assemble.System builds a CachedLU."""
+    with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
+        found = factor_constructions(fh.read())
+    outside = [(line, where) for line, where in found
+               if module != "linsolve" and (module, where) != ("assemble", "System")]
+    assert not outside, f"{module} constructs CachedLU outside linsolve and assemble.System: " + ", ".join(
+        f"{where or 'module level'} (line {line})" for line, where in outside)

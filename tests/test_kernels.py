@@ -317,11 +317,17 @@ def test_wall_mass_matches_oracle(channel_case, tag):
 
 
 def test_rotation_and_convection_exactly_skew(case):
-    """R, C and the rotation in stream-function space on the CG pattern."""
+    """R, C and the rotation in stream-function space on the CG pattern,
+    gathered by a model's own system on that whole pattern: transport on
+    a channel, vorticity on the torus, where no CG dof is fixed."""
     R = rotation_matrix(case.omega, case.U, case.q)
     C = convection_matrix(case.u, case.W, case.q)
     values = assemble.assemble_rotation(case.omega, case.U, case.q)
-    system = assemble.SkewSystem(case.W, np.zeros(len(values)))
+    mesh = case.W.mesh
+    physics = PhysicsConfig(mode="homogeneous", nu=0.01) if mesh.periodic else PhysicsConfig()
+    model = Model(mesh, case.N, physics, TimeConfig(dt=1e-3, t_end=1.0))
+    system = model.systems["vorticity" if mesh.periodic else "transport"]
+    assert system.static.shape == (case.W.dim, case.W.dim)
     for A in (R, C, skew_part(system, values)):
         assert abs(A).max() > 0
         assert abs(A + A.T).max() == 0.0

@@ -45,6 +45,6 @@ def momentum_skew(model, omega):
 
 
 def skew_part(system, values, border=None):
-    """K alone on the pattern of a per-step system (assemble.SkewSystem)."""
+    """K alone on the pattern of a per-step system (assemble.System)."""
     S = system.static
     return sp.csr_matrix((system.skew_values(values, border), S.indices, S.indptr), shape=S.shape)
