@@ -256,8 +256,12 @@ class System:
         above the diagonal, mirrored with a minus, so K is exactly skew.  The
         restriction keeps the cell pattern's CSR order, as `dofs` ascend,
         and each border entry is built after every entry left of it in its
-        row, so one stable sort on the rows alone places the border."""
+        row, so one stable sort on the rows alone places the border.
+        Without either the matrix is `static` on the cell pattern's own
+        index arrays: no copy."""
         full = _pattern(space, space)
+        if (dofs is None or len(dofs) == space.dim) and corner is None:
+            return cls(name, full.matrix(static))
         rows = np.repeat(np.arange(space.dim), np.diff(full.indptr))
         cols, src = full.indices, np.arange(full.nnz)
         if dofs is not None:

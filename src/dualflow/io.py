@@ -15,7 +15,7 @@ from .assemble import GRAVITY
 from .diagnostics import ACCUMULATORS, CSV_COLUMNS
 
 CHECKPOINT_MAGIC = "DUALFLOW-CKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def _fmt(x):
@@ -164,7 +164,8 @@ class CheckpointError(RuntimeError):
 
 
 # the fields of stepper.SimulationState, the state a step reads
-_FIELD_ORDER = ("u_half", "omega", "phi")
+_FIELD_ORDER = ("u_half", "omega", "phi", "phi_1", "phi_2", "omega_1", "omega_2",
+                "psi_0", "psi_1", "psi_2")
 
 # what each part of a run's identity covers
 IDENTITY = {
@@ -211,8 +212,8 @@ def save_checkpoint(path, state, engine, model):
     fields = {}
     for name in _FIELD_ORDER:
         fld = getattr(state, name)
-        if fld is not None:
-            fields[name] = np.ascontiguousarray(fld.coefficients, dtype="<f8")
+        if fld is not None:  # a Field, or an earlier level's coefficients
+            fields[name] = np.ascontiguousarray(getattr(fld, "coefficients", fld), dtype="<f8")
     scalars = {name: getattr(engine, name) for name in ACCUMULATORS}
     header = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
@@ -316,10 +317,11 @@ def load_checkpoint(path):
 def restore_state(data, model):
     """Rebuild a SimulationState from checkpoint data written by the same
     run: mode, degree, dt, identity and field lengths must all match, and
-    the fields must hold the mode's state: u_half, omega, and phi if and
-    only if in turbidity mode."""
+    the fields must hold the mode's state at its step k: u_half, omega,
+    and phi if and only if in turbidity mode, and each earlier level of
+    them that step k holds (stepper.SimulationState), and no other."""
     from .spaces import Field
-    from .stepper import SimulationState
+    from .stepper import HELD_FROM, SimulationState
 
     if data["mode"] != model.physics.mode:
         raise CheckpointError(
@@ -334,21 +336,25 @@ def restore_state(data, model):
             raise CheckpointError(
                 f"checkpoint {part} ({IDENTITY[part]}) does not match the configured run"
             )
+    k = data["k"]
     spaces = {"u_half": model.U, "omega": model.W}
+    lengths = dict.fromkeys(("omega_1", "omega_2"), len(model.iw))  # of the earlier levels
+    lengths.update(dict.fromkeys(("psi_0", "psi_1", "psi_2"), model.systems["momentum"].static.shape[0]))
     if model.physics.mode == "turbidity":
         spaces["phi"] = model.W
-    for name in spaces:
+        lengths.update(phi_1=model.W.dim, phi_2=model.W.dim)
+    held = [name for name in (*spaces, *lengths) if k >= HELD_FROM.get(name, 0)]
+    for name in held:
         if name not in data["fields"]:
             raise CheckpointError(f"checkpoint has no field {name!r}, which a "
-                                  f"{model.physics.mode} state needs")
+                                  f"{model.physics.mode} state at step {k} holds")
     kwargs = {}
     for name, coef in data["fields"].items():
-        if name not in spaces:
-            raise CheckpointError(f"checkpoint field {name!r} is not a state field")
-        space = spaces[name]
-        if len(coef) != space.dim:
-            raise CheckpointError(
-                f"field {name!r} has {len(coef)} dofs, expected {space.dim}"
-            )
-        kwargs[name] = Field(space, coef)
-    return SimulationState(k=data["k"], **kwargs)
+        if name not in held:
+            raise CheckpointError(f"checkpoint field {name!r} is not a field of a "
+                                  f"{model.physics.mode} state at step {k}")
+        dim = spaces[name].dim if name in spaces else lengths[name]
+        if len(coef) != dim:
+            raise CheckpointError(f"field {name!r} has {len(coef)} dofs, expected {dim}")
+        kwargs[name] = Field(spaces[name], coef) if name in spaces else coef
+    return SimulationState(k=k, **kwargs)

@@ -7,8 +7,9 @@ that differs from a static matrix S by a small term (S kept on A's
 pattern, zeros and all), is solved by refinement against the
 factor of S: from a given start x0, or else from x = S^-1 b, passes
 x += S^-1 (b - A x), one mat-vec with A and one triangular solve each.
-A warm start from a nearby x0 (the previous time level) saves the first
-triangular solve; a cold start takes refinements + 1 of them.
+A warm start from x0 saves the first triangular solve, and a closer x0
+saves passes (the steps extrapolate it from the earlier time levels);
+a cold start takes refinements + 1 of them.
 Refinement stops at the roundoff floor: once ||b - A x||_inf <= eps
 (||S||_inf ||x||_inf + ||b||_inf), or when a pass fails to halve the
 residual, or after MAX_REFINE passes; against A's own factor it takes

@@ -49,10 +49,19 @@ and its solve is refined against that factor (linsolve.lu_solve), one
 mat-vec and one triangular solve per pass, none without K (curl and
 pressure); a fallback factors the same matrix afresh, and a failure
 names its system.  Transport and vorticity solve for the midpoint m =
-(x^{k+1} + x^k)/2, A m = (N/dt) x^k + s/2 with s the sources, from x^k,
-which the state holds; momentum starts from S^-1 b, as a start from the
-previous stream function saves no pass.  Step 4 is solved multiplied by
-tau, so one factor of L on psi serves dt and dt/2.
+(x^{k+1} + x^k)/2, A m = (N/dt) x^k + s/2 with s the sources.  Step 4
+is solved multiplied by tau, so one factor of L on psi serves dt and
+dt/2.  Each pass cuts the error by a factor of about 500, so the passes
+count how far the start is from the solution: every per-step solve
+starts from the quadratic extrapolation of the levels before it, which
+the state holds,
+
+  m0 = 1.875 x^k - 1.25 x^{k-1} + 0.375 x^{k-2}
+  dt psi0 = 3 dt psi^{k+1/2} - 3 dt psi^{k-1/2} + dt psi^{k-3/2},
+
+or, in the first steps, from what history there is: two levels give the
+linear start, one itself, and momentum without one starts from S^-1 b,
+as in the startup's passes.  The start sets the cost, not the answer.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
@@ -79,6 +88,7 @@ consecutive states.
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import takewhile
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,12 +164,29 @@ class TimeConfig:
 
 @dataclass
 class SimulationState:
-    """The state a step reads, all that a checkpoint holds (io._FIELD_ORDER)."""
+    """The state a step reads, all that a checkpoint holds (io._FIELD_ORDER):
+    the fields at their levels, then the earlier levels that the step's
+    starts extrapolate from, as the solves' coefficient vectors.  A level
+    before the run's first is None: step k holds x^{k-j} from k >= j and
+    dt psi^{k+1/2-j} from k >= j + 1 (HELD_FROM; the startup's psi is
+    not kept)."""
 
     k: int
-    u_half: Field            # velocity at t^{k+1/2}
-    omega: Field             # vorticity at t^k
-    phi: Field = None        # particle concentration at t^k (turbidity mode)
+    u_half: Field                  # velocity at t^{k+1/2}
+    omega: Field                   # vorticity at t^k
+    phi: Field = None              # particle concentration at t^k (turbidity mode)
+    phi_1: np.ndarray = None       # phi^{k-1}
+    phi_2: np.ndarray = None       # phi^{k-2}
+    omega_1: np.ndarray = None     # omega^{k-1} on iw
+    omega_2: np.ndarray = None     # omega^{k-2} on iw
+    psi_0: np.ndarray = None       # dt psi^{k+1/2}, the momentum solve's unknowns
+    psi_1: np.ndarray = None       # dt psi^{k-1/2}
+    psi_2: np.ndarray = None       # dt psi^{k-3/2}
+
+
+# the first step whose state holds each earlier level, which a step hands
+# on and a restored state must hold (io.restore_state)
+HELD_FROM = {"phi_1": 1, "phi_2": 2, "omega_1": 1, "omega_2": 2, "psi_0": 1, "psi_1": 2, "psi_2": 3}
 
 
 class Model:
@@ -313,18 +340,20 @@ class Model:
         coef[self.iw], rep = self.systems["curl"].solve((self.Lct @ u.coefficients)[self.iw])
         return Field(self.W, coef), rep
 
-    def solve_transport(self, C, phi):
+    def solve_transport(self, C, phi, m0):
         """Particle step: midpoint skew transport plus diffusion, with C the
         skew convection by the midpoint velocity.  With A = N/dt + K/2 the
         rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi: the midpoint m solves
-        A m = (N/dt) phi, and phi' = 2 m - phi.  Reports the midpoint solve."""
+        A m = (N/dt) phi, from m0, and phi' = 2 m - phi.  Reports the
+        midpoint solve."""
         x = phi.coefficients
-        m, rep = self.systems["transport"].solve(self.Nw_dt @ x, x0=x, scale=0.5, skew_values=C)
+        m, rep = self.systems["transport"].solve(self.Nw_dt @ x, x0=m0, scale=0.5, skew_values=C)
         return Field(self.W, 2.0 * m - x), rep
 
-    def solve_vorticity(self, C, omega, phi_mid=None, omega_tilde=None):
+    def solve_vorticity(self, C, omega, m0, phi_mid=None, omega_tilde=None):
         """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic
-        sources s, solved for the midpoint as in solve_transport, A m = (N/dt) om + s/2."""
+        sources s, solved for the midpoint on iw from m0 as in solve_transport,
+        A m = (N/dt) om + s/2."""
         x = omega.coefficients[self.iw]
         rhs = self.Nw_dt @ omega.coefficients  # omega is 0 off iw
         if phi_mid is not None:
@@ -332,18 +361,18 @@ class Model:
         if omega_tilde is not None:
             rhs = rhs + (0.5 * self.nu) * (self.neumann @ omega_tilde.coefficients)
         coef = np.zeros(self.W.dim)
-        m, rep = self.systems["vorticity"].solve(rhs[self.iw], x0=x, scale=0.5, skew_values=C)
+        m, rep = self.systems["vorticity"].solve(rhs[self.iw], x0=m0, scale=0.5, skew_values=C)
         coef[self.iw] = 2.0 * m - x
         return Field(self.W, coef), rep
 
-    def solve_momentum(self, omega, u_old, dt, b=None):
+    def solve_momentum(self, omega, u_old, dt, b=None, psi0=None):
         """Momentum step with rotation at the midpoint velocity and the buoyancy
         vector b, solved for the stream function of u = Z psi multiplied by dt,
-        against the factor of Z^T M Z = L on psi.  The rotation is Z^T R Z
-        per cell and, on the torus, its harmonic columns from the static
-        border forms: two mat-vecs and <omega, 1>; R is applied per cell
-        to u_old alone.  Returns (u, report), with the residual of the
-        unscaled system."""
+        against the factor of Z^T M Z = L on psi, from psi0 if given.  The
+        rotation is Z^T R Z per cell and, on the torus, its harmonic columns
+        from the static border forms: two mat-vecs and <omega, 1>; R is
+        applied per cell to u_old alone.  Returns (u, dt psi, report), with
+        the residual of the unscaled system."""
         K = assemble.assemble_rotation(omega, self.U, self.qdeg)
         X = None
         if self.border is not None:
@@ -356,9 +385,10 @@ class Model:
              - self.nu * (self.Lc @ omega.coefficients))
         if b is not None:
             f = f + b
-        psi, rep = self.systems["momentum"].solve(dt * (self.Zt @ f), scale=0.5 * dt, skew_values=K, border=X)
+        psi, rep = self.systems["momentum"].solve(dt * (self.Zt @ f), x0=psi0, scale=0.5 * dt,
+                                                  skew_values=K, border=X)
         rep.residual /= dt
-        return Field(self.U, self.Z @ psi), rep
+        return Field(self.U, self.Z @ psi), psi, rep
 
     def pressure(self, omega, u_old, u, dt, b=None):
         """Step 4b for the momentum step from u_old to its solution u: p with zero
@@ -382,6 +412,20 @@ class Model:
         return Field(self.Q, p), rep
 
 
+def _extrapolate(levels, ahead):
+    """The start of a solve: the Lagrange polynomial through `levels`, the
+    values at t = 0, -1, -2, ... steps, newest first, of which a level
+    before the run's first is None and ends them, evaluated at t = ahead;
+    None without a level.  Three levels give the quadratic start, two the
+    linear one and one itself."""
+    held = list(takewhile(lambda x: x is not None, levels))
+    start = None
+    for j, x in enumerate(held):
+        term = math.prod((ahead + i) / (i - j) for i in range(len(held)) if i != j) * x
+        start = term if start is None else start + term
+    return start
+
+
 def _check_div(model, u, where):
     d = model.div_inf(u)
     if d > DIV_TOL:
@@ -390,29 +434,39 @@ def _check_div(model, u, where):
 
 def step(state, model):
     """Advance one step; returns (state, reports, omega_tilde): the new
-    state, the SolverReport of each solve by name and the weak curl of
+    state, which holds the levels its own step's starts read, the
+    SolverReport of each solve by name and the weak curl of
     step 1, om~ = curl_h u^{k+1/2}.  Without particles (homogeneous mode)
     steps 1-2 are skipped and omega_tilde is None.  The step keeps no
     budget."""
     u, omega, phi = state.u_half, state.omega, state.phi
     reports = {}
-    phi_new = phi_mid = omega_tilde = b = None
+    phi_k = phi_new = phi_mid = omega_tilde = b = None
+    omega_k = omega.coefficients[model.iw]
     try:
         # one skew convection C(u) serves both transport solves
         C = assemble.assemble_vorticity_convection(u, model.W, model.qdeg)
         if phi is not None:
+            phi_k = phi.coefficients
             omega_tilde, reports["curl"] = model.curl_h(u)                # step 1
-            phi_new, reports["transport"] = model.solve_transport(C, phi)  # step 2
-            phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi.coefficients))
+            phi_new, reports["transport"] = model.solve_transport(        # step 2
+                C, phi, _extrapolate((phi_k, state.phi_1, state.phi_2), 0.5))
+            phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi_k))
             b = model.buoyancy @ phi_new.coefficients
         omega_new, reports["vorticity"] = model.solve_vorticity(          # step 3
-            C, omega, phi_mid=phi_mid, omega_tilde=omega_tilde
+            C, omega, _extrapolate((omega_k, state.omega_1, state.omega_2), 0.5),
+            phi_mid=phi_mid, omega_tilde=omega_tilde
         )
-        u_new, reports["momentum"] = model.solve_momentum(omega_new, u, model.time.dt, b=b)  # step 4
+        u_new, psi, reports["momentum"] = model.solve_momentum(          # step 4
+            omega_new, u, model.time.dt, b=b,
+            psi0=_extrapolate((state.psi_0, state.psi_1, state.psi_2), 1.0))
         _check_div(model, u_new, "step 4")
     except SolverError as exc:
         raise SolverError(f"step {state.k + 1} failed: {exc}") from exc
-    return SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new), reports, omega_tilde
+    new = SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new,
+                          phi_1=phi_k, phi_2=state.phi_1, omega_1=omega_k, omega_2=state.omega_1,
+                          psi_0=psi, psi_1=state.psi_0, psi_2=state.psi_1)
+    return new, reports, omega_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +557,7 @@ def initialize(model, ic):
     omega_star = omega0
     u_prev = u0
     for it in range(1, STARTUP_MAX_ITER + 1):
-        u_new, rep = model.solve_momentum(omega_star, u0, dt, b=b0)
+        u_new, _, rep = model.solve_momentum(omega_star, u0, dt, b=b0)
         fallbacks += rep.fallback
         du = u_new.coefficients - u_prev.coefficients
         scale = float(np.linalg.norm(u_new.coefficients))

@@ -1,5 +1,5 @@
 """Dead-code, layering and ownership scans: no linter runs on this tree, so
-AST scans do six checks.
+AST scans do seven checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
@@ -19,6 +19,8 @@ AST scans do six checks.
   later than itself in the layer order `LAYERS`.
 - `CachedLU` is constructed only in `linsolve` and in `assemble.System`,
   which owns each static factor of a run.
+- `SimulationState` is constructed only in `stepper` and in
+  `io.restore_state`, which fill in the history a step's starts read.
 """
 
 import ast
@@ -285,17 +287,18 @@ def test_no_upward_imports(module):
         f"{name} (line {line})" for line, name in upward)
 
 
-def factor_constructions(source):
-    """(line, class) of each `CachedLU(...)` call in `source`, class the
-    name of the class it is made in, or None outside every class."""
+def constructions(source, name="CachedLU", scope=ast.ClassDef):
+    """(line, where) of each `name(...)` call in `source`, where the name
+    of the innermost `scope` node (a class, or a function) it is made in,
+    or None outside every one."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "CachedLU" in (getattr(child.func, "id", None),
-                                                             getattr(child.func, "attr", None)):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
                 found.append((child.lineno, where))
-            visit(child, child.name if isinstance(child, ast.ClassDef) else where)
+            visit(child, child.name if isinstance(child, scope) else where)
 
     visit(ast.parse(source), None)
     return found
@@ -306,7 +309,7 @@ def test_scan_finds_every_factor_construction():
               "    def __init__(self, A):\n        self.lu = CachedLU(A)\n"
               "class Model:\n    def __init__(self, A):\n        self.lu = linsolve.CachedLU(A)\n"
               "lu = CachedLU(None)\n")
-    assert factor_constructions(source) == [(5, "System"), (8, "Model"), (9, None)]
+    assert constructions(source) == [(5, "System"), (8, "Model"), (9, None)]
 
 
 @pytest.mark.parametrize("module", LAYERS)
@@ -314,8 +317,30 @@ def test_factors_are_built_by_systems_alone(module):
     """A static factor belongs to the System it factors: outside linsolve,
     whose fallback factors afresh, only assemble.System builds a CachedLU."""
     with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
-        found = factor_constructions(fh.read())
+        found = constructions(fh.read())
     outside = [(line, where) for line, where in found
                if module != "linsolve" and (module, where) != ("assemble", "System")]
     assert not outside, f"{module} constructs CachedLU outside linsolve and assemble.System: " + ", ".join(
+        f"{where or 'module level'} (line {line})" for line, where in outside)
+
+
+def test_scan_finds_every_state_construction():
+    source = ("from .stepper import SimulationState\nfrom . import stepper\n"
+              "def restore_state(data):\n    return SimulationState(k=0)\n"
+              "def other():\n    return stepper.SimulationState(k=1)\n")
+    assert constructions(source, "SimulationState", ast.FunctionDef) == [(4, "restore_state"),
+                                                                         (6, "other")]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_states_are_built_by_steps_and_restore_alone(module):
+    """A state carries the history its step's starts read: only stepper,
+    whose steps fill it in, and io.restore_state, which restores it from a
+    checkpoint, construct one.  A state built elsewhere without it would
+    still step, from other starts, and a resume would no longer be bitwise."""
+    with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
+        found = constructions(fh.read(), "SimulationState", ast.FunctionDef)
+    outside = [(line, where) for line, where in found
+               if module != "stepper" and (module, where) != ("io", "restore_state")]
+    assert not outside, f"{module} constructs SimulationState outside stepper and io.restore_state: " + ", ".join(
         f"{where or 'module level'} (line {line})" for line, where in outside)

@@ -237,22 +237,48 @@ def test_snapshots_bitwise_across_runs_and_resume(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes() == (resumed / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
+def test_resume_from_every_step_bitwise(tmp_path, mode):
+    """A resume from the checkpoint of any step, the first steps with less
+    history among them, reproduces the uninterrupted run's CSV and final
+    checkpoint byte for byte."""
+    def text(out, steps):
+        if mode == "turbidity":
+            return lock_cfg_text(out, t_end=steps * 1e-3, extra="checkpoint_every = 1")
+        return (TORUS_CFG.format(out=out, degree=2).replace("vtk_every = 1", "checkpoint_every = 1")
+                .replace("t_end = 3e-2", f"t_end = {steps}e-2"))
+
+    run(parse_config(text(tmp_path / "a", 5)), collect_rows=False)
+    for k in range(1, 5):
+        out = tmp_path / f"r{k}"
+        run(parse_config(text(out, k)), collect_rows=False)
+        run(parse_config(text(out, 5)), collect_rows=False,
+            checkpoint=str(out / f"checkpoint_{k:08d}.ckpt"))
+        for name in ("timeseries.csv", "checkpoint_final.ckpt"):
+            assert (out / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), (k, name)
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
+    """Three steps in, a state holds every earlier level its starts read,
+    and each field comes back bit for bit."""
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    state, _, _ = step(state, model)
+    for _ in range(3):
+        state, _, _ = step(state, model)
     path = str(tmp_path / "c.ckpt")
     dfio.save_checkpoint(path, state, eng, model)
     data = dfio.load_checkpoint(path)
     restored = dfio.restore_state(data, model)
     assert restored.k == state.k
-    assert list(data["fields"]) == ["u_half", "omega", "phi"]
+    assert list(data["fields"]) == list(dfio._FIELD_ORDER)
     for name in ("u_half", "omega", "phi"):
         a = getattr(state, name).coefficients
         b = getattr(restored, name).coefficients
         assert np.array_equal(a, b)
+    for name in dfio._FIELD_ORDER[3:]:
+        assert np.array_equal(getattr(state, name), getattr(restored, name)), name
     assert data["scalars"]["m_p0"] == eng.m_p0
 
 
@@ -280,6 +306,46 @@ def test_version_2_checkpoint_refused(tmp_path, monkeypatch):
     with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 2'") as exc:
         dfio.load_checkpoint(str(path))
     assert str(path) in str(exc.value)
+
+
+def test_version_3_checkpoint_refused(tmp_path, monkeypatch):
+    """A version-3 checkpoint, which held no history for the starts, is
+    refused by its version line, with a message that names it."""
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
+    state, _, _ = step(state, model)
+    path = tmp_path / "v3.ckpt"
+    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 3)
+    dfio.save_checkpoint(str(path), state, eng, model)
+    monkeypatch.undo()
+    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 3\n")
+    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 3'") as exc:
+        dfio.load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("k, name, change, message", [
+    (3, "omega_1", lambda st: st.omega_1[:-1], "field 'omega_1' has"),
+    (3, "psi_2", lambda st: None, "no field 'psi_2', which a turbidity state at step 3 holds"),
+    (1, "phi_2", lambda st: st.phi_1, "field 'phi_2' is not a field of a turbidity state at step 1"),
+], ids=["wrong_length", "missing_level", "level_before_step_0"])
+def test_checkpoint_history_refused(tmp_path, k, name, change, message):
+    """A checkpoint whose history does not fit its step is refused by
+    name: an earlier level of the wrong length, a level its step k holds
+    but the file does not, and a level before step 0."""
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
+    for _ in range(k):
+        state, _, _ = step(state, model)
+    bad = dataclasses.replace(state, **{name: change(state)})
+    path = str(tmp_path / "c.ckpt")
+    dfio.save_checkpoint(path, bad, eng, model)
+    with pytest.raises(dfio.CheckpointError, match=re.escape(message)):
+        dfio.restore_state(dfio.load_checkpoint(path), model)
 
 
 def test_checkpoint_rejects_dimension_mismatch(tmp_path):
@@ -321,9 +387,9 @@ def test_checkpoint_identity_in_header(tmp_path):
 
 @pytest.mark.parametrize("content, message", [
     (b"END\n", "not a dualflow checkpoint"),
-    (b"DUALFLOW-CKPT 3\nmode turbidity\ndegree 1\nk 0\nEND\n", "no 'dt' line"),
+    (b"DUALFLOW-CKPT 4\nmode turbidity\ndegree 1\nk 0\nEND\n", "no 'dt' line"),
     (b"DUALFLOW-CKPT x\nEND\n", "version line 'DUALFLOW-CKPT x'"),
-    (b"DUALFLOW-CKPT 3\nmode homogeneous\ndegree 1\nk 0\ndt 0x1.0p-7\nidentity mesh=0\n"
+    (b"DUALFLOW-CKPT 4\nmode homogeneous\ndegree 1\nk 0\ndt 0x1.0p-7\nidentity mesh=0\n"
      b"scalars Ev=0x0p+0 Es=0x0p+0 K_half0=0x0p+0 Ep0=0x0p+0 m_p0=0x0p+0 base_exchange=0x0p+0\n"
      b"fields u_half omega omega\ndims 1 1 1\nEND\n" + bytes(24), "fields line names omega twice"),
 ], ids=["end_only", "no_dt", "bad_version", "repeated_field"])
@@ -832,10 +898,18 @@ dir = {out}
 def test_run_log_counts_fallbacks(tmp_path, dt, per_step):
     """The progress line carries the running count of solves that missed
     the tolerance against their static factor and were factored afresh:
-    at dt = 1 the vorticity and stream function solves of every step and
-    the startup's momentum solves, at dt = 1e-2 none."""
-    lines = []
-    result = run(parse_config(BOX.format(dt=dt, t_end=3 * dt, out=tmp_path)), log=lines.append)
+    the startup's and every step's, as the steps report them.  At dt = 1
+    the startup's momentum solves fall back, and so do the vorticity and
+    stream function solves of the first step, which starts them from no
+    history; at dt = 1e-2 none does."""
+    lines, fallbacks = [], []
+
+    def on_step(prev, state, reports, row):
+        fallbacks.append(sum(rep.fallback for rep in reports.values()))
+
+    result = run(parse_config(BOX.format(dt=dt, t_end=3 * dt, out=tmp_path)), on_step=on_step,
+                 log=lines.append)
     assert (result.startup.fallbacks > 0) == (per_step > 0)
-    expected = result.startup.fallbacks + 3 * per_step
+    assert fallbacks[0] == per_step and (sum(fallbacks) > 0) == (per_step > 0)
+    expected = result.startup.fallbacks + sum(fallbacks)
     assert lines[-1].startswith("step 3/3") and lines[-1].endswith(f"fallbacks={expected}")

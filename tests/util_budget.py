@@ -23,13 +23,13 @@ def recording_step(state, model):
     seen = {}
     solve_vorticity, solve_momentum = model.solve_vorticity, model.solve_momentum
 
-    def vorticity(C, omega, phi_mid=None, omega_tilde=None):
+    def vorticity(C, omega, m0, phi_mid=None, omega_tilde=None):
         seen["phi_mid"] = phi_mid
-        return solve_vorticity(C, omega, phi_mid=phi_mid, omega_tilde=omega_tilde)
+        return solve_vorticity(C, omega, m0, phi_mid=phi_mid, omega_tilde=omega_tilde)
 
-    def momentum(omega, u_old, dt, b=None):
+    def momentum(omega, u_old, dt, b=None, psi0=None):
         seen["omega"], seen["b"] = omega, b
-        return solve_momentum(omega, u_old, dt, b=b)
+        return solve_momentum(omega, u_old, dt, b=b, psi0=psi0)
 
     model.solve_vorticity, model.solve_momentum = vorticity, momentum
     try:
