@@ -17,9 +17,12 @@ and the skew convection C(u) are assembled per step, both as CSR values
 on the (W, W) pattern: C itself, and R seen through the stream-function
 basis, Z^T R Z.  What R meets that is fixed is a static form in omega:
 on the torus the harmonic columns Z^T R e_j are directional gradient
-forms, which stepper.Model builds once.  R u is applied per cell; no
-U x U matrix is formed.  stepper.Model builds the static operators and
-the linear systems (System) once per run, and owns them.
+forms, which stepper.Model builds once.  A step applies R to no
+velocity: it solves for the midpoint of the stream function, whose load
+holds no rotation.  R u is applied per cell for the startup, whose u^0
+need not be Z psi, and for the pressure; no U x U matrix is formed.
+stepper.Model builds the static operators and the linear systems
+(System) once per run, and owns them.
 
 No form evaluates anything at quadrature points.  On an affine cell the
 maps to the reference cell reduce every form to per-cell geometry

@@ -15,7 +15,7 @@ from .assemble import GRAVITY
 from .diagnostics import ACCUMULATORS, CSV_COLUMNS
 
 CHECKPOINT_MAGIC = "DUALFLOW-CKPT"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def _fmt(x):
@@ -318,8 +318,10 @@ def restore_state(data, model):
     """Rebuild a SimulationState from checkpoint data written by the same
     run: mode, degree, dt, identity and field lengths must all match, and
     the fields must hold the mode's state at its step k: u_half, omega,
-    and phi if and only if in turbidity mode, and each earlier level of
-    them that step k holds (stepper.SimulationState), and no other."""
+    and phi if and only if in turbidity mode, psi_0, and each earlier
+    level of them that step k holds (stepper.SimulationState), and no
+    other; and u_half must be Z psi_0 bit for bit, since the step reads
+    psi_0 and the ledger u_half."""
     from .spaces import Field
     from .stepper import HELD_FROM, SimulationState
 
@@ -357,4 +359,6 @@ def restore_state(data, model):
         if len(coef) != dim:
             raise CheckpointError(f"field {name!r} has {len(coef)} dofs, expected {dim}")
         kwargs[name] = Field(spaces[name], coef) if name in spaces else coef
+    if not np.array_equal(model.Z @ kwargs["psi_0"], kwargs["u_half"].coefficients):
+        raise CheckpointError("checkpoint field 'u_half' is not Z psi_0 of its field 'psi_0'")
     return SimulationState(k=k, **kwargs)

@@ -20,8 +20,8 @@ assemble.System in Model.systems: it builds each once, from the fixed
 physics and time step, at construction but for the pressure system
 D D^T, which only snapshots solve: it is built on first use, and
 driver.run builds it in set-up when it writes snapshots.  A step
-assembles only C and the rotation and otherwise multiplies: the viscous
-vector l = Lc om, the curl rhs Lc^T u, the buoyancy b = B phi and the
+assembles only C and the rotation and otherwise multiplies, all in W
+but for the curl rhs Lc^T u: the momentum load (step 4a below) and the
 baroclinic and wall sources.  The weak curl Lc[a, k] = <curl w_k, u_a>
 is M Z: the curl of a CG function lies in RT exactly (the exact
 sequence below).
@@ -32,7 +32,7 @@ S + scale K:
 
   transport   S = N/dt + (drift + kappa L)/2,  K = C,          scale 1/2
   vorticity   S = (N/dt + nu L/2) on iw,       K = C on iw,    scale 1/2
-  momentum    S = Z^T M Z = L on psi,          K = Z^T R Z,    scale tau/2
+  momentum    S = Z^T M Z = L on psi,          K = Z^T R Z,    scale dt/2
 
 Each S is value arithmetic on the one (W, W) cell pattern, and each
 system gathers S, and each step K, onto its own pattern by one index.
@@ -43,38 +43,45 @@ H^T M H.  K is exactly skew: C, and Z^T R Z assembled per cell
 (assemble.assemble_rotation).  On the torus its border, the harmonic
 columns Z^T R H, is linear in omega alone, since H holds the constants
 e_x, e_y: (Z^T R e_j)_k = -<omega, e_j . grad w_k>, two static forms
-built once, and the corner e_x^T R e_y = -<omega, 1>.  R u is applied
-per cell, to the old velocity alone.  Each System factors its S once,
+built once, and the corner e_x^T R e_y = -<omega, 1>.  No step applies
+R to a velocity.  Each System factors its S once,
 and its solve is refined against that factor (linsolve.lu_solve), one
 mat-vec and one triangular solve per pass, none without K (curl and
 pressure); a fallback factors the same matrix afresh, and a failure
-names its system.  Transport and vorticity solve for the midpoint m =
-(x^{k+1} + x^k)/2, A m = (N/dt) x^k + s/2 with s the sources.  Step 4
-is solved multiplied by tau, so one factor of L on psi serves dt and
-dt/2.  Each pass cuts the error by a factor of about 500, so the passes
-count how far the start is from the solution: every per-step solve
-starts from the quadratic extrapolation of the levels before it, which
-the state holds,
+names its system.  All three solve for the midpoint m = (x^{k+1} +
+x^k)/2: transport and vorticity A m = (N/dt) x^k + s/2, with s the
+sources, and momentum step 4a below, multiplied by dt, so that one
+factor of L on psi serves dt and the startup's dt/2.  Each pass cuts
+the error by a factor of about 500, so the passes count how far the
+start is from the solution: every per-step solve starts from the mean
+of x^k and the quadratic extrapolation of the levels, which the state
+holds, to x^{k+1},
 
-  m0 = 1.875 x^k - 1.25 x^{k-1} + 0.375 x^{k-2}
-  dt psi0 = 3 dt psi^{k+1/2} - 3 dt psi^{k-1/2} + dt psi^{k-3/2},
+  m0 = 2 x^k - 1.5 x^{k-1} + 0.5 x^{k-2},
 
-or, in the first steps, from what history there is: two levels give the
-linear start, one itself, and momentum without one starts from S^-1 b,
-as in the startup's passes.  The start sets the cost, not the answer.
+which meets m to third order, or, in the first steps, from what history
+there is: two levels give 1.5 x^k - 0.5 x^{k-1}, one x^k itself.  For
+momentum x is psi^{k+1/2}.  The start sets the cost, not the answer.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
 CG_N -> RT_N -> DG_{N-1}, every discretely divergence-free velocity with
 zero normal trace is u = Z psi, with Z the discrete curl: on the channel
 psi ranges over the CG dofs off the walls, on the torus over all CG dofs
-but one plus the two constant (harmonic) velocities.  So
+but one plus the two constant (harmonic) velocities.  Every state holds
+psi^{k+1/2}, u^{k+1/2} = Z psi^{k+1/2} bit for bit, so the load's
+Z^T M u and Z^T R u are S psi and K psi, and with tau = dt/2
 
-  4a. stream function   Z^T (M/dt + R/2) Z psi = Z^T f,   u = Z psi
+  4a. stream function   (S + tau K) m = S psi^{k+1/2} + tau g,   psi^{k+3/2} = 2 m - psi^{k+1/2}
   4b. pressure          D D^T p = D (A u - f),  one dof pinned, zero mean
 
-with Z^T M Z static and Z^T R Z exactly skew.  D u = 0 holds by
-construction and is still checked to 1e-10 every step.  A step solves
-only 4a: Model.pressure solves 4b where a snapshot is written.
+with g = Z^T (B phi^{k+1} - nu Lc om^{k+1}) formed in W: Z^T Lc = L on
+the psi rows and zero on the torus's harmonic rows, and Z^T B = -Cb^T =
+Cb on the psi rows, whose functions vanish on the walls.  D u = 0 holds
+by construction and is still checked to 1e-10 every step.  A step
+solves only 4a: Model.pressure solves 4b where a snapshot is written.
+The startup's passes start from u^0, which need not be Z psi (the
+Taylor-Green u^0 is an RT interpolant): they keep the load Z^T f, R u^0
+applied per cell, and solve for psi itself.
 
 Both modes take this one step.  The homogeneous mode (periodic box, no
 particles) skips steps 1-2, the baroclinic and wall sources of step 3
@@ -165,11 +172,12 @@ class TimeConfig:
 @dataclass
 class SimulationState:
     """The state a step reads, all that a checkpoint holds (io._FIELD_ORDER):
-    the fields at their levels, then the earlier levels that the step's
-    starts extrapolate from, as the solves' coefficient vectors.  A level
-    before the run's first is None: step k holds x^{k-j} from k >= j and
-    dt psi^{k+1/2-j} from k >= j + 1 (HELD_FROM; the startup's psi is
-    not kept)."""
+    the fields at their levels, the stream function of u_half, which the
+    momentum step reads (u_half is Z psi_0 bit for bit; the ledger reads
+    u_half), then the earlier levels that the step's starts extrapolate
+    from, as the solves' coefficient vectors.  A level before the run's
+    first is None: step k holds x^{k-j} and psi^{k+1/2-j} from k >= j
+    (HELD_FROM)."""
 
     k: int
     u_half: Field                  # velocity at t^{k+1/2}
@@ -179,14 +187,14 @@ class SimulationState:
     phi_2: np.ndarray = None       # phi^{k-2}
     omega_1: np.ndarray = None     # omega^{k-1} on iw
     omega_2: np.ndarray = None     # omega^{k-2} on iw
-    psi_0: np.ndarray = None       # dt psi^{k+1/2}, the momentum solve's unknowns
-    psi_1: np.ndarray = None       # dt psi^{k-1/2}
-    psi_2: np.ndarray = None       # dt psi^{k-3/2}
+    psi_0: np.ndarray = None       # psi^{k+1/2}, the momentum solve's unknowns: u_half = Z psi_0
+    psi_1: np.ndarray = None       # psi^{k-1/2}
+    psi_2: np.ndarray = None       # psi^{k-3/2}
 
 
 # the first step whose state holds each earlier level, which a step hands
 # on and a restored state must hold (io.restore_state)
-HELD_FROM = {"phi_1": 1, "phi_2": 2, "omega_1": 1, "omega_2": 2, "psi_0": 1, "psi_1": 2, "psi_2": 3}
+HELD_FROM = {"phi_1": 1, "phi_2": 2, "omega_1": 1, "omega_2": 2, "psi_0": 0, "psi_1": 1, "psi_2": 2}
 
 
 class Model:
@@ -247,14 +255,14 @@ class Model:
         if mesh.periodic:
             self.harmonic = constant_velocities(self.U)
             corner = self.harmonic.T @ (self.M @ self.harmonic)
-        self.Z, psi_dofs = self._stream_basis(self.curl)
+        self.Z, self.psi_dofs = self._stream_basis(self.curl)
         self.Zt = self.Z.T.tocsr()
-        self.systems["momentum"] = on_cells("momentum", self.W, L, psi_dofs, corner)
+        self.systems["momentum"] = on_cells("momentum", self.W, L, self.psi_dofs, corner)
         if mesh.periodic:
             # the harmonic columns of Z^T R Z are static forms in omega:
             # (Z^T R e_j)_k = <omega x e_j, curl w_k> = <omega, -e_j . grad w_k>
             self.border = sp.vstack(
-                [assemble.assemble_directional_gradient(self.W, e, self.qdeg, transposed=True)[psi_dofs]
+                [assemble.assemble_directional_gradient(self.W, e, self.qdeg, transposed=True)[self.psi_dofs]
                  for e in ((-1.0, 0.0), (0.0, -1.0))], format="csr")
 
         if physics.mode == "turbidity":
@@ -365,26 +373,54 @@ class Model:
         coef[self.iw] = 2.0 * m - x
         return Field(self.W, coef), rep
 
-    def solve_momentum(self, omega, u_old, dt, b=None, psi0=None):
-        """Momentum step with rotation at the midpoint velocity and the buoyancy
-        vector b, solved for the stream function of u = Z psi multiplied by dt,
-        against the factor of Z^T M Z = L on psi, from psi0 if given.  The
-        rotation is Z^T R Z per cell and, on the torus, its harmonic columns
-        from the static border forms: two mat-vecs and <omega, 1>; R is
-        applied per cell to u_old alone.  Returns (u, dt psi, report), with
-        the residual of the unscaled system."""
+    def _rotation(self, omega):
+        """The momentum system's skew part at omega: Z^T R Z per cell and, on
+        the torus, its harmonic columns Z^T R H from the static border forms,
+        two mat-vecs, whose corner e_x^T R e_y is -<omega, 1>."""
         K = assemble.assemble_rotation(omega, self.U, self.qdeg)
-        X = None
-        if self.border is not None:
-            # the harmonic columns Z^T R H, whose corner e_x^T R e_y is -<omega, 1>
-            w = omega.coefficients
-            s = self.Nw_1 @ w
-            X = np.concatenate([(self.border @ w).reshape(2, -1).T, [[0.0, -s], [s, 0.0]]])
+        if self.border is None:
+            return K, None
+        w = omega.coefficients
+        s = self.Nw_1 @ w
+        return K, np.concatenate([(self.border @ w).reshape(2, -1).T, [[0.0, -s], [s, 0.0]]])
+
+    def solve_momentum(self, omega, psi, phi=None, m0=None):
+        """Momentum step from the stream function psi of u = Z psi, with the
+        rotation at omega and the buoyancy of phi: with tau = dt/2 its load
+        Z^T (M/dt - R/2) Z psi + g is S psi/dt - K psi/2 + g, so the
+        midpoint m solves (S + tau K) m = S psi + tau g, from m0, against
+        the factor of S, and psi' = 2 m - psi.  g = Z^T (B phi - nu Lc
+        omega) is formed in W: Z^T Lc = L on the psi rows, zero on the
+        torus's harmonic ones, and Z^T B = -Cb^T = Cb on the psi rows,
+        whose functions vanish on the walls.  Returns (u', psi', report of
+        the midpoint solve), with the residual divided by dt."""
+        dt = self.time.dt
+        system = self.systems["momentum"]
+        v = self.L @ omega.coefficients
+        v *= -self.nu
+        if phi is not None:
+            v += self.baroclinic @ phi.coefficients
+        rhs = system.static @ psi
+        rhs[:len(self.psi_dofs)] += (0.5 * dt) * v[self.psi_dofs]
+        K, X = self._rotation(omega)
+        m, rep = system.solve(rhs, x0=m0, scale=0.5 * dt, skew_values=K, border=X)
+        rep.residual /= dt
+        psi = 2.0 * m - psi
+        return Field(self.U, self.Z @ psi), psi, rep
+
+    def solve_startup_momentum(self, omega, u_old, dt, b=None, psi0=None):
+        """A startup pass's momentum step from a velocity u_old that need not
+        be Z psi (an RT interpolant), with the buoyancy vector b, solved,
+        multiplied by dt, for the psi of u = Z psi, from psi0 if given: the
+        load Z^T (M u_old/dt - R u_old/2 - nu Lc omega + b), R applied per
+        cell.  Returns (u, psi, report), with the residual of the unscaled
+        system."""
         uo = u_old.coefficients
         f = ((self.M @ uo) / dt - 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uo)
              - self.nu * (self.Lc @ omega.coefficients))
         if b is not None:
             f = f + b
+        K, X = self._rotation(omega)
         psi, rep = self.systems["momentum"].solve(dt * (self.Zt @ f), x0=psi0, scale=0.5 * dt,
                                                   skew_values=K, border=X)
         rep.residual /= dt
@@ -412,18 +448,18 @@ class Model:
         return Field(self.Q, p), rep
 
 
-def _extrapolate(levels, ahead):
-    """The start of a solve: the Lagrange polynomial through `levels`, the
-    values at t = 0, -1, -2, ... steps, newest first, of which a level
-    before the run's first is None and ends them, evaluated at t = ahead;
-    None without a level.  Three levels give the quadratic start, two the
-    linear one and one itself."""
+# the weights of a midpoint start by the number of levels held, newest first
+_MIDPOINT_WEIGHTS = {1: (1.0,), 2: (1.5, -0.5), 3: (2.0, -1.5, 0.5)}
+
+
+def _midpoint_start(levels):
+    """The start of a midpoint solve, m = (x' + x)/2, from `levels`, the
+    values x, x^{k-1}, x^{k-2}, newest first, of which a level before the
+    run's first is None and ends them: the mean of x and the Lagrange
+    extrapolation of the levels to x', which meets m to third order (the
+    polynomial at the midpoint itself meets m to second order only)."""
     held = list(takewhile(lambda x: x is not None, levels))
-    start = None
-    for j, x in enumerate(held):
-        term = math.prod((ahead + i) / (i - j) for i in range(len(held)) if i != j) * x
-        start = term if start is None else start + term
-    return start
+    return sum(w * x for w, x in zip(_MIDPOINT_WEIGHTS[len(held)], held))
 
 
 def _check_div(model, u, where):
@@ -441,7 +477,7 @@ def step(state, model):
     budget."""
     u, omega, phi = state.u_half, state.omega, state.phi
     reports = {}
-    phi_k = phi_new = phi_mid = omega_tilde = b = None
+    phi_k = phi_new = phi_mid = omega_tilde = None
     omega_k = omega.coefficients[model.iw]
     try:
         # one skew convection C(u) serves both transport solves
@@ -450,16 +486,15 @@ def step(state, model):
             phi_k = phi.coefficients
             omega_tilde, reports["curl"] = model.curl_h(u)                # step 1
             phi_new, reports["transport"] = model.solve_transport(        # step 2
-                C, phi, _extrapolate((phi_k, state.phi_1, state.phi_2), 0.5))
+                C, phi, _midpoint_start((phi_k, state.phi_1, state.phi_2)))
             phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi_k))
-            b = model.buoyancy @ phi_new.coefficients
         omega_new, reports["vorticity"] = model.solve_vorticity(          # step 3
-            C, omega, _extrapolate((omega_k, state.omega_1, state.omega_2), 0.5),
+            C, omega, _midpoint_start((omega_k, state.omega_1, state.omega_2)),
             phi_mid=phi_mid, omega_tilde=omega_tilde
         )
         u_new, psi, reports["momentum"] = model.solve_momentum(          # step 4
-            omega_new, u, model.time.dt, b=b,
-            psi0=_extrapolate((state.psi_0, state.psi_1, state.psi_2), 1.0))
+            omega_new, state.psi_0, phi=phi_new,
+            m0=_midpoint_start((state.psi_0, state.psi_1, state.psi_2)))
         _check_div(model, u_new, "step 4")
     except SolverError as exc:
         raise SolverError(f"step {state.k + 1} failed: {exc}") from exc
@@ -545,19 +580,22 @@ def initialize(model, ic):
     """Implicit startup: fixed-point iteration for u^{1/2} over [0, dt/2]
     from ic.build(model) = (u0, omega0, phi0, fallbacks of its solves).
 
-    Each pass solves the momentum step with the rotation frozen at the
-    current vorticity iterate and (in turbidity mode) buoyancy frozen at
-    phi^0; the vorticity iterate is then refreshed as the weak curl of
-    the midpoint velocity.  No pass solves a pressure: the report's
-    `pressure` solves the last pass's when called (snapshot 0, check).
+    Each pass solves the momentum step from u0, whose load is formed in
+    the velocity space (u0 need not be Z psi), with the rotation frozen at
+    the current vorticity iterate and (in turbidity mode) buoyancy frozen
+    at phi^0, from the previous pass's psi but for the first, cold; the
+    vorticity iterate is then refreshed as the weak curl of the midpoint
+    velocity.  The state holds the last pass's psi as psi_0.  No pass
+    solves a pressure: the report's `pressure` solves the last pass's
+    when called (snapshot 0, check).
     """
     u0, omega0, phi0, fallbacks = ic.build(model)
     b0 = model.buoyancy @ phi0.coefficients if phi0 is not None else None
     dt = 0.5 * model.time.dt
     omega_star = omega0
-    u_prev = u0
+    u_prev, psi = u0, None
     for it in range(1, STARTUP_MAX_ITER + 1):
-        u_new, _, rep = model.solve_momentum(omega_star, u0, dt, b=b0)
+        u_new, psi, rep = model.solve_startup_momentum(omega_star, u0, dt, b=b0, psi0=psi)
         fallbacks += rep.fallback
         du = u_new.coefficients - u_prev.coefficients
         scale = float(np.linalg.norm(u_new.coefficients))
@@ -574,7 +612,7 @@ def initialize(model, ic):
             f"{STARTUP_MAX_ITER} iterations (last update {rel:.3e})"
         )
     _check_div(model, u_prev, "startup")
-    return (SimulationState(k=0, u_half=u_prev, omega=omega0, phi=phi0),
+    return (SimulationState(k=0, u_half=u_prev, omega=omega0, phi=phi0, psi_0=psi),
             StartupReport(iterations=it, update=rel, fallbacks=fallbacks,
                           pressure=partial(model.pressure, omega_star, u0, u_prev, dt, b=b0)))
 

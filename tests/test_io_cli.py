@@ -326,6 +326,50 @@ def test_version_3_checkpoint_refused(tmp_path, monkeypatch):
     assert str(path) in str(exc.value)
 
 
+def test_version_4_checkpoint_refused(tmp_path, monkeypatch):
+    """A version-4 checkpoint, whose stream functions began a step later
+    (none at step 0), is refused by its version line, with a message that
+    names it."""
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
+    state, _, _ = step(state, model)
+    path = tmp_path / "v4.ckpt"
+    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 4)
+    dfio.save_checkpoint(str(path), state, eng, model)
+    monkeypatch.undo()
+    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 4\n")
+    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 4'") as exc:
+        dfio.load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["u_half", "psi_0"])
+@pytest.mark.parametrize("k", [0, 2])
+def test_checkpoint_velocity_not_its_stream_function_refused(tmp_path, k, name):
+    """A checkpoint whose u_half is not Z psi_0 bit for bit, one dof of
+    either off by one ulp, is refused naming both fields: the step reads
+    psi_0 and the ledger u_half.  The state as saved restores."""
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
+    for _ in range(k):
+        state, _, _ = step(state, model)
+    path = str(tmp_path / "c.ckpt")
+    dfio.save_checkpoint(path, state, eng, model)
+    assert np.array_equal(dfio.restore_state(dfio.load_checkpoint(path), model).psi_0, state.psi_0)
+    coef = getattr(state, name)
+    coef = np.array(getattr(coef, "coefficients", coef))
+    i = np.argmax(np.abs(coef))
+    coef[i] = np.nextafter(coef[i], np.inf)
+    bad = dataclasses.replace(state, **{name: Field(model.U, coef) if name == "u_half" else coef})
+    dfio.save_checkpoint(path, bad, eng, model)
+    with pytest.raises(dfio.CheckpointError, match=re.escape("field 'u_half' is not Z psi_0 of its field 'psi_0'")):
+        dfio.restore_state(dfio.load_checkpoint(path), model)
+
+
 @pytest.mark.parametrize("k, name, change, message", [
     (3, "omega_1", lambda st: st.omega_1[:-1], "field 'omega_1' has"),
     (3, "psi_2", lambda st: None, "no field 'psi_2', which a turbidity state at step 3 holds"),
@@ -385,11 +429,15 @@ def test_checkpoint_identity_in_header(tmp_path):
     assert set(data["identity"]) == set(dfio.IDENTITY)
 
 
+# the version line of a checkpoint this version reads
+HEAD = f"{dfio.CHECKPOINT_MAGIC} {dfio.CHECKPOINT_VERSION}\n".encode()
+
+
 @pytest.mark.parametrize("content, message", [
     (b"END\n", "not a dualflow checkpoint"),
-    (b"DUALFLOW-CKPT 4\nmode turbidity\ndegree 1\nk 0\nEND\n", "no 'dt' line"),
+    (HEAD + b"mode turbidity\ndegree 1\nk 0\nEND\n", "no 'dt' line"),
     (b"DUALFLOW-CKPT x\nEND\n", "version line 'DUALFLOW-CKPT x'"),
-    (b"DUALFLOW-CKPT 4\nmode homogeneous\ndegree 1\nk 0\ndt 0x1.0p-7\nidentity mesh=0\n"
+    (HEAD + b"mode homogeneous\ndegree 1\nk 0\ndt 0x1.0p-7\nidentity mesh=0\n"
      b"scalars Ev=0x0p+0 Es=0x0p+0 K_half0=0x0p+0 Ep0=0x0p+0 m_p0=0x0p+0 base_exchange=0x0p+0\n"
      b"fields u_half omega omega\ndims 1 1 1\nEND\n" + bytes(24), "fields line names omega twice"),
 ], ids=["end_only", "no_dt", "bad_version", "repeated_field"])

@@ -142,7 +142,7 @@ def test_uniform_force_on_torus_gives_uniform_drift():
     om0 = Field(model.W, np.zeros(model.W.dim))
     u0 = Field(model.U, np.zeros(model.U.dim))
     b = assemble_buoyancy(model.U, model.W, model.qdeg) @ phi0.coefficients
-    u_new, _, _ = model.solve_momentum(om0, u0, 0.5 * model.time.dt, b=b)
+    u_new, _, _ = model.solve_startup_momentum(om0, u0, 0.5 * model.time.dt, b=b)
     drift = interpolate(model.U, lambda x, y: (np.zeros_like(x), -np.ones_like(x)))
     expected = 0.5 * model.time.dt * drift.coefficients
     assert np.max(np.abs(u_new.coefficients - expected)) < 1e-10
@@ -407,23 +407,20 @@ checkpoint_every = 2
         assert len(pressures) == (3 if checkpoint is None else 2) * vtk_every
 
 
-def parent_start(levels, ahead):
-    """The starts before extrapolation: the midpoints from x^k, momentum cold."""
-    return levels[0] if ahead == 0.5 else None
-
-
 def test_extrapolated_starts_save_passes(monkeypatch):
-    """Every per-step solve starts from the quadratic extrapolation of the
-    state's history (linear, then the previous level, in the first steps).
+    """Every per-step solve, for a midpoint, starts from the mean of the
+    newest level and the quadratic extrapolation of the state's history
+    one step ahead (linear, then the level itself, in the first steps).
     Over steps 0-100 of configs/lock_exchange.cfg, from the driver's
     initial condition, each system makes fewer triangular solves per
-    solve than from the starts before it (transport and vorticity from
-    x^k, momentum cold), and the two runs agree to the solver tolerance.
+    solve than from the starts before extrapolation (transport and
+    vorticity from x^k, momentum cold), and the two runs agree to the
+    solver tolerance.
 
-    Measured, extrapolated against before: 2.88 against 3.52 transport,
-    3.00 against 3.96 vorticity and 2.02 against 3.72 momentum; over
-    steps 300-400, 4.00 against 5.00, 4.00 against 5.00 and 2.00 against
-    4.39.  The pins below keep about three quarters of each saving."""
+    Measured, extrapolated against before: 2.06 against 3.51 transport,
+    2.99 against 3.96 vorticity and 2.01 against 3.72 momentum; over
+    steps 300-400, 3.00 against 5.00, 3.00 against 5.00 and 2.00 against
+    4.38.  The pins below keep at least three quarters of each saving."""
     cfg = parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg"))
     model = build_model(cfg)
     state0, _ = initialize(model, make_initial_condition(cfg))
@@ -454,7 +451,9 @@ def test_extrapolated_starts_save_passes(monkeypatch):
     monkeypatch.setattr(linsolve.CachedLU, "solve", counted)
     monkeypatch.setattr(assemble.System, "solve", named)
     extrapolated, state = run()
-    monkeypatch.setattr(stepper, "_extrapolate", parent_start)
+    solve_momentum = model.solve_momentum
+    monkeypatch.setattr(stepper, "_midpoint_start", lambda levels: levels[0])
+    monkeypatch.setattr(model, "solve_momentum", lambda *args, m0, **kwargs: solve_momentum(*args, **kwargs))
     before, before_state = run()
     saving = {name: before[name] - extrapolated[name] for name in names}
     assert saving["transport"] >= 0.5 and saving["vorticity"] >= 0.75 and saving["momentum"] >= 1.25, saving
@@ -468,15 +467,14 @@ def test_a_wrong_history_moves_cost_not_the_answer(case, request, factorizations
     """A finite but wrong history, every earlier level off by 1e-3 of its
     size, gives a step whose solves still meet RTOL, at more passes, and
     whose state agrees with the clean step's to 1e-10: the start sets
-    only the cost.  A fallback, if any, is reported once per fresh factor."""
+    only the cost.  A fallback, if any, is reported once per fresh factor.
+    psi_0 is not history: the momentum step's load is formed from it."""
     model, state = request.getfixturevalue(case)
-    if state.psi_2 is None:
-        state, _, _ = step(state, model)  # the whole history
     rng = np.random.default_rng(11)
-    history = ("phi_1", "phi_2", "omega_1", "omega_2", "psi_0", "psi_1", "psi_2")
+    history = ("phi_1", "phi_2", "omega_1", "omega_2", "psi_1", "psi_2")
     wrong = {name: x + 1e-3 * np.max(np.abs(x)) * rng.uniform(-1.0, 1.0, len(x))
              for name in history if (x := getattr(state, name)) is not None}
-    assert len(wrong) == (7 if state.phi is not None else 5)
+    assert len(wrong) == (6 if state.phi is not None else 4)
     clean, clean_reports, _ = step(state, model)
     factorizations.clear()
     new, reports, _ = step(dataclasses.replace(state, **wrong), model)
@@ -721,15 +719,36 @@ def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
 
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_momentum_matches_saddle_oracle(case, request):
+    """The step's momentum solve, from the stream function psi_0 of u_half
+    with its load formed in W, is the velocity/pressure saddle system's
+    answer from u_half to 1e-12 relative, and its pressure to 1e-10."""
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
     b = model.buoyancy @ state.phi.coefficients if state.phi is not None else None
-    u, _, rep = model.solve_momentum(state.omega, state.u_half, dt, b=b)
+    u, _, rep = model.solve_momentum(state.omega, state.psi_0, phi=state.phi)
     p, _ = model.pressure(state.omega, state.u_half, u, dt, b=b)
     u_ref, p_ref = saddle_momentum(model, state.omega, state.u_half, dt, phi_buoy=state.phi)
     assert np.max(np.abs(u.coefficients[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
     assert np.max(np.abs(p.coefficients - p_ref)) <= 1e-10 * np.max(np.abs(p_ref))
     assert np.all(u.coefficients[model.u_fixed] == 0.0)
+    assert rep.residual <= 1e-10 * (1.0 + np.max(np.abs(u_ref)) / dt)
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_startup_momentum_matches_saddle_oracle(case, request):
+    """A startup pass's momentum solve, from a velocity that is not Z psi
+    (random on the free dofs) and over dt/2, is the velocity/pressure
+    saddle system's answer to 1e-12 relative."""
+    model, state = request.getfixturevalue(case)
+    dt = 0.5 * model.time.dt
+    u_old = np.zeros(model.U.dim)
+    u_old[model.iu] = np.random.default_rng(3).standard_normal(len(model.iu))
+    u_old = Field(model.U, u_old)
+    b = model.buoyancy @ state.phi.coefficients if state.phi is not None else None
+    u, psi, rep = model.solve_startup_momentum(state.omega, u_old, dt, b=b)
+    u_ref, _ = saddle_momentum(model, state.omega, u_old, dt, phi_buoy=state.phi)
+    assert np.max(np.abs(u.coefficients[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    assert np.array_equal(u.coefficients, model.Z @ psi)
     assert rep.residual <= 1e-10 * (1.0 + np.max(np.abs(u_ref)) / dt)
 
 
@@ -796,31 +815,24 @@ def test_stream_basis_structure(case, request):
 def test_torus_border_is_the_rotation_of_the_harmonic_velocities(pattern, N, monkeypatch):
     """The harmonic columns of the torus's momentum system, formed from the
     static border forms and <omega, 1>, are the oracle's per-cell Z^T R H
-    to 1e-14 relative, corner included, for a vorticity of nonzero mean.
-    A momentum solve applies R per cell once, to u_old, and its K is
-    exactly skew."""
+    to 1e-14 relative, corner included, for a vorticity of nonzero mean,
+    and the momentum solve's K is exactly skew."""
     mesh = build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 32, 32, pattern)
     model = Model(mesh, N, PhysicsConfig(mode="homogeneous", nu=0.01), TimeConfig(dt=1e-2, t_end=1.0))
     rng = np.random.default_rng(11)
     omega = Field(model.W, 1.0 + rng.standard_normal(model.W.dim))
-    u_old = Field(model.U, model.Z @ rng.standard_normal(model.Z.shape[1]))
-    systems, applied = [], []
+    psi = rng.standard_normal(model.Z.shape[1])
+    systems = []
     momentum = model.systems["momentum"]
-    matrix, apply_rotation = momentum.matrix, assemble.apply_rotation
+    matrix = momentum.matrix
 
     def recorded_matrix(scale, values, border=None):
         systems.append((values, border))
         return matrix(scale, values, border)
 
-    def recorded_rotation(omega, U, qdegree, u):
-        applied.append(u)
-        return apply_rotation(omega, U, qdegree, u)
-
     monkeypatch.setattr(momentum, "matrix", recorded_matrix)
-    monkeypatch.setattr(assemble, "apply_rotation", recorded_rotation)
-    model.solve_momentum(omega, u_old, model.time.dt)
+    model.solve_momentum(omega, psi)
     monkeypatch.undo()
-    assert len(applied) == 1 and applied[0] is u_old.coefficients
     [(values, X)] = systems
     _, oracle = momentum_skew(model, omega)
     m = len(oracle) - 2
@@ -1001,7 +1013,7 @@ def test_momentum_static_is_curlcurl_on_psi(case, request):
 def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
     """Without a fallback a step constructs one compressed sparse matrix per
     per-step system, holding its rotation or convection, and none of the
-    size of the velocity space: R is applied per cell."""
+    size of the velocity space: the momentum load is formed in W."""
     model, state = request.getfixturevalue(case)
     built = []
     init = _cs_matrix.__init__
@@ -1017,6 +1029,110 @@ def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
     names = ["momentum", "vorticity"] + (["transport"] if model.physics.mode == "turbidity" else [])
     assert (model.U.dim, model.U.dim) not in built
     assert sorted(built) == sorted(model.systems[name].static.shape for name in names)
+
+
+class Forbidden:
+    """Stands in for a matrix that a step must not touch: any product with
+    it, or any use of it, fails naming it."""
+
+    __array_ufunc__ = None  # so that x @ it reaches __rmatmul__
+
+    def __init__(self, name):
+        self.name = name
+
+    def __matmul__(self, other):
+        raise AssertionError(f"a step formed a product with {self.name}")
+
+    __rmatmul__ = __matmul__
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"a step used {self.name}.{attr}")
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_step_forms_no_velocity_space_load(case, request, monkeypatch):
+    """A step applies no rotation per cell and forms no product with the RT
+    mass M, the weak curl Lc or the buoyancy B: the momentum load comes
+    from psi^{k+1/2} and the W forms.  Its state is the same step's."""
+    model, state = request.getfixturevalue(case)
+    expected, _, _ = step(state, model)
+    applied = []
+    apply_rotation = assemble.apply_rotation
+
+    def recorded(*args):
+        applied.append(args)
+        return apply_rotation(*args)
+
+    monkeypatch.setattr(assemble, "apply_rotation", recorded)
+    for name in ("M", "Lc", "buoyancy"):
+        monkeypatch.setattr(model, name, Forbidden(name), raising=False)
+    new, _, _ = step(state, model)
+    monkeypatch.undo()
+    assert applied == []
+    for name in ("u_half", "omega", "phi"):
+        if getattr(new, name) is not None:
+            assert np.array_equal(getattr(new, name).coefficients, getattr(expected, name).coefficients)
+    assert np.array_equal(new.psi_0, expected.psi_0)
+
+
+def momentum_load_cases():
+    geom = ChannelGeometry(length=13.0, height=1.0, lock_length=1.0)
+    desk = build_channel_mesh(geom, 50, 5, "crisscross")
+    torus = build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 16, 16, "crisscross")
+    return {f"desk-N{N}": (desk, N, PhysicsConfig(mode="turbidity")) for N in (1, 2)} | {
+        f"torus-N{N}": (torus, N, PhysicsConfig(mode="homogeneous", nu=0.01)) for N in (1, 2)}
+
+
+@pytest.mark.parametrize("case", sorted(momentum_load_cases()))
+def test_momentum_load_identities(case):
+    """The W forms a step's momentum load is formed from are the
+    velocity-space products seen through Z, to 1e-14 relative: Z^T Lc = L
+    on the psi rows and zero on the torus's harmonic rows, and, with
+    particles, Z^T B = -Cb^T = Cb on the psi rows, whose functions vanish
+    on the walls."""
+    mesh, N, physics = momentum_load_cases()[case]
+    model = Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0))
+    n = len(model.psi_dofs)
+
+    def close(A, B):
+        A, B = sp.csr_matrix(A).toarray(), sp.csr_matrix(B).toarray()
+        return np.max(np.abs(A - B)) <= 1e-14 * np.max(np.abs(B))
+
+    ZtLc = model.Zt @ model.Lc
+    assert close(ZtLc[:n], model.L[model.psi_dofs])
+    assert np.max(np.abs(ZtLc[n:].toarray()), initial=0.0) <= 1e-14 * np.max(np.abs(model.L.data))
+    if physics.mode == "turbidity":
+        ZtB = model.Zt @ model.buoyancy
+        assert ZtB.shape[0] == n
+        assert close(ZtB, -model.baroclinic.T[model.psi_dofs])
+        assert close(ZtB, model.baroclinic[model.psi_dofs])
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_startup_passes_start_from_the_previous_pass(case, request, monkeypatch):
+    """Each startup pass after the first starts its momentum solve from the
+    previous pass's psi, the first cold, and the state hands the last
+    pass's psi on as psi_0, of which u_half is Z psi_0 bit for bit."""
+    model, _ = request.getfixturevalue(case)
+    ic = LockInitialCondition() if model.physics.mode == "turbidity" else RandomSolenoidalInitialCondition(seed=5)
+    solves = []
+    solve = assemble.System.solve
+
+    def recorded(system, rhs, x0=None, **kwargs):
+        x, rep = solve(system, rhs, x0=x0, **kwargs)
+        if system.name == "momentum":
+            solves.append((x0, x))
+        return x, rep
+
+    monkeypatch.setattr(assemble.System, "solve", recorded)
+    state, rep = initialize(model, ic)
+    monkeypatch.undo()
+    assert len(solves) == rep.iterations > 1
+    assert solves[0][0] is None
+    for (_, previous), (x0, _) in zip(solves, solves[1:]):
+        assert np.array_equal(x0, previous)
+    assert state.psi_0 is solves[-1][1]
+    assert np.array_equal(state.u_half.coefficients, model.Z @ state.psi_0)
 
 
 @pytest.mark.parametrize("N", [1, 2])

@@ -8,7 +8,7 @@ midpoint concentration it passed to the vorticity solve, and ||D u||_inf
 from its divergence gate.  The Engine now computes every term from the
 two states alone.  `recording_step` runs one step and returns the
 vectors its solves received; `step_budget` is the arithmetic the step
-did with them.
+once did with them.
 """
 
 import numpy as np
@@ -17,9 +17,10 @@ from dualflow.stepper import step
 
 
 def recording_step(state, model):
-    """stepper.step, returning (state, vectors): the vorticity the momentum
-    solve got, its buoyancy b and the midpoint phi of the vorticity solve
-    (b and phi_mid None without particles)."""
+    """stepper.step, returning (state, vectors): what the momentum solve
+    got, its vorticity, its stream function psi and its concentration phi,
+    and the midpoint phi of the vorticity solve (phi and phi_mid None
+    without particles)."""
     seen = {}
     solve_vorticity, solve_momentum = model.solve_vorticity, model.solve_momentum
 
@@ -27,9 +28,9 @@ def recording_step(state, model):
         seen["phi_mid"] = phi_mid
         return solve_vorticity(C, omega, m0, phi_mid=phi_mid, omega_tilde=omega_tilde)
 
-    def momentum(omega, u_old, dt, b=None, psi0=None):
-        seen["omega"], seen["b"] = omega, b
-        return solve_momentum(omega, u_old, dt, b=b, psi0=psi0)
+    def momentum(omega, psi, phi=None, m0=None):
+        seen["omega"], seen["psi"], seen["phi"] = omega, psi, phi
+        return solve_momentum(omega, psi, phi=phi, m0=m0)
 
     model.solve_vorticity, model.solve_momentum = vorticity, momentum
     try:
@@ -39,9 +40,10 @@ def recording_step(state, model):
     return new, seen
 
 
-def step_budget(model, prev, new, omega, b=None, phi_mid=None):
+def step_budget(model, prev, new, omega, phi=None, phi_mid=None):
     """eps_v, eps_s, exchange, mass_residual and div_inf of the step
-    prev -> new, from the step's own omega^{k+1}, b and phi_mid."""
+    prev -> new, from the step's own omega^{k+1}, phi^{k+1} and phi_mid,
+    with the buoyancy b = B phi^{k+1}."""
     dt = model.time.dt
     u, u_new = prev.u_half, new.u_half
     l_vec = model.Lc @ omega.coefficients
@@ -59,5 +61,5 @@ def step_budget(model, prev, new, omega, b=None, phi_mid=None):
         budget["eps_s"] = u_s * model.integral_w(phi_mid.coefficients) - model.kappa * float(
             model.grad_dot_g @ phi_mid.coefficients
         )
-        budget["exchange"] = float(b @ u_new.coefficients)
+        budget["exchange"] = float((model.buoyancy @ phi.coefficients) @ u_new.coefficients)
     return budget
