@@ -19,8 +19,8 @@ basis, Z^T R Z.  What R meets that is fixed is a static form in omega:
 on the torus the harmonic columns Z^T R e_j are directional gradient
 forms, which stepper.Model builds once.  A step applies R to no
 velocity: it solves for the midpoint of the stream function, whose load
-holds no rotation.  R u is applied per cell for the startup, whose u^0
-need not be Z psi, and for the pressure; no U x U matrix is formed.
+holds no rotation, and so does every startup pass.  R u is applied per
+cell for the pressure only; no U x U matrix is formed.
 stepper.Model builds the static operators and the linear systems
 (System) once per run, and owns them.
 

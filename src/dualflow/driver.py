@@ -8,7 +8,8 @@ A run writes, under the configured output directory:
 
 Resuming from a checkpoint at step k into the same directory first cuts
 the CSV back to its rows through step k, then appends to it, and
-reproduces the uninterrupted run bitwise.  Checkpoints are written
+reproduces the uninterrupted run bitwise; a checkpoint past t_end is
+refused before any output is touched.  Checkpoints are written
 atomically.
 """
 
@@ -71,13 +72,13 @@ def _maybe(log, msg):
         log(msg)
 
 
-def _write_snapshot(model, outdir, state, u_before, pressure, omega_tilde=None):
+def _write_snapshot(model, outdir, state, psi_before, pressure, omega_tilde=None):
     """Write the snapshot of step k with its pressure and om~ = curl_h of the
-    velocity the step started from (u^{1/2} at k = 0), solved here unless the
-    step solved it; returns the fallbacks of the solve made here."""
+    stream function the step started from (psi^{1/2} at k = 0), solved here
+    unless the step solved it; returns the fallbacks of the solve made here."""
     fallback = 0
     if omega_tilde is None:
-        omega_tilde, rep = model.curl_h(u_before)
+        omega_tilde, rep = model.curl_h(psi_before)
         fallback = rep.fallback
     dfio.write_vtk(state, os.path.join(outdir, f"snapshot_{state.k:08d}.vtk"), pressure, omega_tilde)
     return fallback
@@ -98,6 +99,10 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     if checkpoint is not None:
         data = dfio.load_checkpoint(checkpoint)
         state = dfio.restore_state(data, model)
+        if state.k > model.time.num_steps:  # refused before any output is touched
+            raise dfio.CheckpointError(
+                f"{checkpoint} is at step {state.k}, past t_end = {model.time.t_end:g} "
+                f"({model.time.num_steps} steps): there is nothing to resume")
         dfio.truncate_csv_for_resume(csv_path, state.k, out["csv_every"])
         engine = Engine.restored(model, data["scalars"])
         startup = None
@@ -118,7 +123,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     try:
         if startup is not None and out["vtk_every"] > 0:
             p, rep = startup.pressure()
-            fallbacks += rep.fallback + _write_snapshot(model, outdir, state, state.u_half, p)
+            fallbacks += rep.fallback + _write_snapshot(model, outdir, state, state.psi_0, p)
         while state.k < nsteps:
             prev = state
             state, reports, omega_tilde = step(state, model)
@@ -133,9 +138,9 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             if state.k % out["csv_every"] == 0:
                 writer.write_row(row)
             if out["vtk_every"] > 0 and state.k % out["vtk_every"] == 0:
-                b = None if state.phi is None else model.buoyancy @ state.phi.coefficients
-                p, rep = model.pressure(state.omega, prev.u_half, state.u_half, model.time.dt, b=b)
-                fallbacks += rep.fallback + _write_snapshot(model, outdir, state, prev.u_half, p,
+                p, rep = model.pressure(state.omega, prev.u_half, state.u_half, model.time.dt,
+                                        phi=state.phi)
+                fallbacks += rep.fallback + _write_snapshot(model, outdir, state, prev.psi_0, p,
                                                             omega_tilde)
             if out["checkpoint_every"] > 0 and state.k % out["checkpoint_every"] == 0:
                 dfio.save_checkpoint(

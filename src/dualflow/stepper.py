@@ -20,11 +20,12 @@ assemble.System in Model.systems: it builds each once, from the fixed
 physics and time step, at construction but for the pressure system
 D D^T, which only snapshots solve: it is built on first use, and
 driver.run builds it in set-up when it writes snapshots.  A step
-assembles only C and the rotation and otherwise multiplies, all in W
-but for the curl rhs Lc^T u: the momentum load (step 4a below) and the
+assembles only C and the rotation and otherwise multiplies, all in W:
+the weak curl's load, the momentum load (step 4a below) and the
 baroclinic and wall sources.  The weak curl Lc[a, k] = <curl w_k, u_a>
-is M Z: the curl of a CG function lies in RT exactly (the exact
-sequence below).
+is M Z, the curl of a CG function lying in RT exactly (the exact
+sequence below), so the weak curl of u = Z psi has the load Lc^T Z psi
+= L psi, with psi on its CG dofs.
 
 No matrix is factored inside the time loop, and the only sparse
 matrices formed there are the per-step systems, one CSR matrix each,
@@ -79,9 +80,9 @@ the psi rows and zero on the torus's harmonic rows, and Z^T B = -Cb^T =
 Cb on the psi rows, whose functions vanish on the walls.  D u = 0 holds
 by construction and is still checked to 1e-10 every step.  A step
 solves only 4a: Model.pressure solves 4b where a snapshot is written.
-The startup's passes start from u^0, which need not be Z psi (the
-Taylor-Green u^0 is an RT interpolant): they keep the load Z^T f, R u^0
-applied per cell, and solve for psi itself.
+The startup projects the initial velocity, which need not be Z psi (the
+Taylor-Green u^0 is an RT interpolant), onto psi^0 = S^-1 Z^T M u^0
+once, and each of its passes is 4a over dt/2 from psi^0.
 
 Both modes take this one step.  The homogeneous mode (periodic box, no
 particles) skips steps 1-2, the baroclinic and wall sources of step 3
@@ -233,7 +234,6 @@ class Model:
         self.MQ = assemble.assemble_mass(self.Q, self.qdeg)
         self.curl = assemble.curl_matrix(self.W, self.U)
         self.Lc = (self.M @ self.curl).tocsr()
-        self.Lct = self.Lc.T.tocsr()
         self.Nw_dt = (1.0 / time.dt) * self.Nw
 
         self.ones_w = constant_coefficients(self.W)
@@ -256,7 +256,6 @@ class Model:
             self.harmonic = constant_velocities(self.U)
             corner = self.harmonic.T @ (self.M @ self.harmonic)
         self.Z, self.psi_dofs = self._stream_basis(self.curl)
-        self.Zt = self.Z.T.tocsr()
         self.systems["momentum"] = on_cells("momentum", self.W, L, self.psi_dofs, corner)
         if mesh.periodic:
             # the harmonic columns of Z^T R Z are static forms in omega:
@@ -342,10 +341,15 @@ class Model:
 
     # -- sub-solves ----------------------------------------------------------
 
-    def curl_h(self, u):
-        """Weak curl recovery: find om~ with <om~, xi> = <u, curl xi>."""
+    def curl_h(self, psi):
+        """Weak curl recovery of u = Z psi: find om~ with <om~, xi> = <u,
+        curl xi>, whose load Lc^T Z psi is L psi with psi on psi_dofs: the
+        torus's harmonic amplitudes drop out, curls being orthogonal to the
+        constants."""
+        w = np.zeros(self.W.dim)
+        w[self.psi_dofs] = psi[:len(self.psi_dofs)]
         coef = np.zeros(self.W.dim)
-        coef[self.iw], rep = self.systems["curl"].solve((self.Lct @ u.coefficients)[self.iw])
+        coef[self.iw], rep = self.systems["curl"].solve((self.L @ w)[self.iw])
         return Field(self.W, coef), rep
 
     def solve_transport(self, C, phi, m0):
@@ -384,17 +388,17 @@ class Model:
         s = self.Nw_1 @ w
         return K, np.concatenate([(self.border @ w).reshape(2, -1).T, [[0.0, -s], [s, 0.0]]])
 
-    def solve_momentum(self, omega, psi, phi=None, m0=None):
-        """Momentum step from the stream function psi of u = Z psi, with the
-        rotation at omega and the buoyancy of phi: with tau = dt/2 its load
-        Z^T (M/dt - R/2) Z psi + g is S psi/dt - K psi/2 + g, so the
-        midpoint m solves (S + tau K) m = S psi + tau g, from m0, against
-        the factor of S, and psi' = 2 m - psi.  g = Z^T (B phi - nu Lc
-        omega) is formed in W: Z^T Lc = L on the psi rows, zero on the
-        torus's harmonic ones, and Z^T B = -Cb^T = Cb on the psi rows,
-        whose functions vanish on the walls.  Returns (u', psi', report of
-        the midpoint solve), with the residual divided by dt."""
-        dt = self.time.dt
+    def solve_momentum(self, omega, psi, phi=None, m0=None, dt=None):
+        """Momentum step over dt (the run's if None) from the stream function
+        psi of u = Z psi, with the rotation at omega and the buoyancy of
+        phi: with tau = dt/2 its load Z^T (M/dt - R/2) Z psi + g is S psi/dt
+        - K psi/2 + g, so the midpoint m solves (S + tau K) m = S psi + tau
+        g, from m0, against the factor of S, and psi' = 2 m - psi.  g = Z^T
+        (B phi - nu Lc omega) is formed in W: Z^T Lc = L on the psi rows,
+        zero on the torus's harmonic ones, and Z^T B = -Cb^T = Cb on the psi
+        rows, whose functions vanish on the walls.  Returns (u', psi',
+        report of the midpoint solve), with the residual divided by dt."""
+        dt = self.time.dt if dt is None else dt
         system = self.systems["momentum"]
         v = self.L @ omega.coefficients
         v *= -self.nu
@@ -408,35 +412,18 @@ class Model:
         psi = 2.0 * m - psi
         return Field(self.U, self.Z @ psi), psi, rep
 
-    def solve_startup_momentum(self, omega, u_old, dt, b=None, psi0=None):
-        """A startup pass's momentum step from a velocity u_old that need not
-        be Z psi (an RT interpolant), with the buoyancy vector b, solved,
-        multiplied by dt, for the psi of u = Z psi, from psi0 if given: the
-        load Z^T (M u_old/dt - R u_old/2 - nu Lc omega + b), R applied per
-        cell.  Returns (u, psi, report), with the residual of the unscaled
-        system."""
-        uo = u_old.coefficients
-        f = ((self.M @ uo) / dt - 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uo)
-             - self.nu * (self.Lc @ omega.coefficients))
-        if b is not None:
-            f = f + b
-        K, X = self._rotation(omega)
-        psi, rep = self.systems["momentum"].solve(dt * (self.Zt @ f), x0=psi0, scale=0.5 * dt,
-                                                  skew_values=K, border=X)
-        rep.residual /= dt
-        return Field(self.U, self.Z @ psi), psi, rep
-
-    def pressure(self, omega, u_old, u, dt, b=None):
+    def pressure(self, omega, u_old, u, dt, phi=None):
         """Step 4b for the momentum step from u_old to its solution u: p with zero
         mean and D_r^T p = r on the free dofs, r = M (u - u_old)/dt + R (u +
-        u_old)/2 + nu Lc omega - b the step's residual without its pressure,
-        which holds only if u solves the step.  Returns (p, report with
-        ||r - D_r^T p||_inf), or refuses when that exceeds RTOL (1 + ||r||_inf)."""
+        u_old)/2 + nu Lc omega - B phi the step's residual without its
+        pressure, which holds only if u solves the step.  Returns (p, report
+        with ||r - D_r^T p||_inf), or refuses when that exceeds RTOL (1 +
+        ||r||_inf)."""
         uo, uc = u_old.coefficients, u.coefficients
         r = ((self.M @ (uc - uo)) / dt + 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uc + uo)
              + self.nu * (self.Lc @ omega.coefficients))
-        if b is not None:
-            r = r - b
+        if phi is not None:
+            r = r - self.buoyancy @ phi.coefficients
         r = r[self.iu]
         p = np.zeros(self.Q.dim)
         p[1:], rep = self.pressure_system().solve((self.D_r @ r)[1:])
@@ -472,7 +459,7 @@ def step(state, model):
     """Advance one step; returns (state, reports, omega_tilde): the new
     state, which holds the levels its own step's starts read, the
     SolverReport of each solve by name and the weak curl of
-    step 1, om~ = curl_h u^{k+1/2}.  Without particles (homogeneous mode)
+    step 1, om~ = curl_h psi^{k+1/2}.  Without particles (homogeneous mode)
     steps 1-2 are skipped and omega_tilde is None.  The step keeps no
     budget."""
     u, omega, phi = state.u_half, state.omega, state.phi
@@ -484,7 +471,7 @@ def step(state, model):
         C = assemble.assemble_vorticity_convection(u, model.W, model.qdeg)
         if phi is not None:
             phi_k = phi.coefficients
-            omega_tilde, reports["curl"] = model.curl_h(u)                # step 1
+            omega_tilde, reports["curl"] = model.curl_h(state.psi_0)      # step 1
             phi_new, reports["transport"] = model.solve_transport(        # step 2
                 C, phi, _midpoint_start((phi_k, state.phi_1, state.phi_2)))
             phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi_k))
@@ -524,17 +511,15 @@ class LockInitialCondition:
         delta = self.interface_width if self.interface_width else 2.0 * model.mesh.h_min()
         load = load_vector(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg)
         coef, rep = lu_solve(model.Nw_dt, load / model.time.dt, model.systems["transport"].lu)
-        phi0 = Field(model.W, coef)
-        u0 = Field(model.U, np.zeros(model.U.dim))
-        om0 = Field(model.W, np.zeros(model.W.dim))
-        return u0, om0, phi0, rep.fallback
+        return Field(model.U, np.zeros(model.U.dim)), Field(model.W, coef), rep.fallback
 
 
 @dataclass
 class TaylorGreenInitialCondition:
     """Decaying vortex array on [0, 2pi]^2 with exact solution available.
 
-    The start is consistent, omega^0 = curl_h u^0: the exact vorticity,
+    u^0 is the RT interpolant, which initialize projects onto Z psi^0; the
+    start is consistent, omega^0 = curl_h psi^0: the exact vorticity,
     interpolated apart from u^0, made the error in time first order.
     """
 
@@ -547,9 +532,7 @@ class TaylorGreenInitialCondition:
         return fn
 
     def build(self, model):
-        u0 = interpolate(model.U, self.velocity(0.0, model.physics.nu))
-        om0, rep = model.curl_h(u0)
-        return u0, om0, None, rep.fallback
+        return interpolate(model.U, self.velocity(0.0, model.physics.nu)), None, 0
 
 
 @dataclass
@@ -563,9 +546,7 @@ class RandomSolenoidalInitialCondition:
         psi = rng.standard_normal(model.W.dim)
         u0 = Field(model.U, model.curl @ psi)
         scale = math.sqrt(2.0 * model.kinetic_energy(u0))
-        u0 = Field(model.U, u0.coefficients / scale)  # unit L2 norm
-        om0, rep = model.curl_h(u0)
-        return u0, om0, None, rep.fallback
+        return Field(model.U, u0.coefficients / scale), None, 0  # unit L2 norm
 
 
 @dataclass
@@ -578,24 +559,31 @@ class StartupReport:
 
 def initialize(model, ic):
     """Implicit startup: fixed-point iteration for u^{1/2} over [0, dt/2]
-    from ic.build(model) = (u0, omega0, phi0, fallbacks of its solves).
+    from ic.build(model) = (u0, phi0, fallbacks of its solves).
 
-    Each pass solves the momentum step from u0, whose load is formed in
-    the velocity space (u0 need not be Z psi), with the rotation frozen at
-    the current vorticity iterate and (in turbidity mode) buoyancy frozen
-    at phi^0, from the previous pass's psi but for the first, cold; the
-    vorticity iterate is then refreshed as the weak curl of the midpoint
-    velocity.  The state holds the last pass's psi as psi_0.  No pass
-    solves a pressure: the report's `pressure` solves the last pass's
-    when called (snapshot 0, check).
+    u0 is first projected onto the stream-function basis, psi0 = S^-1 Z^T M
+    u0, one solve against the momentum system's own factor, and replaced
+    by Z psi0 (the Taylor-Green u0 is an RT interpolant, not Z psi); the
+    vorticity starts as its weak curl, omega0 = curl_h psi0.  Each pass is
+    the step's momentum solve over dt/2 from psi0, with the rotation
+    frozen at the current vorticity iterate and (in turbidity mode)
+    buoyancy frozen at phi^0, from the previous pass's midpoint but for
+    the first, cold; the vorticity iterate is then refreshed as the weak
+    curl of the midpoint.  The state holds the last pass's psi as psi_0.
+    No pass solves a pressure: the report's `pressure` solves the last
+    pass's when called (snapshot 0, check).
     """
-    u0, omega0, phi0, fallbacks = ic.build(model)
-    b0 = model.buoyancy @ phi0.coefficients if phi0 is not None else None
+    u0, phi0, fallbacks = ic.build(model)
+    Z = model.Z
+    psi0, rep = model.systems["momentum"].solve(Z.T @ (model.M @ u0.coefficients))
+    u0 = Field(model.U, Z @ psi0)
+    omega0, crep = model.curl_h(psi0)
+    fallbacks += rep.fallback + crep.fallback
     dt = 0.5 * model.time.dt
     omega_star = omega0
-    u_prev, psi = u0, None
+    u_prev, m0 = u0, None
     for it in range(1, STARTUP_MAX_ITER + 1):
-        u_new, psi, rep = model.solve_startup_momentum(omega_star, u0, dt, b=b0, psi0=psi)
+        u_new, psi, rep = model.solve_momentum(omega_star, psi0, phi=phi0, m0=m0, dt=dt)
         fallbacks += rep.fallback
         du = u_new.coefficients - u_prev.coefficients
         scale = float(np.linalg.norm(u_new.coefficients))
@@ -603,8 +591,8 @@ def initialize(model, ic):
         u_prev = u_new
         if rel <= STARTUP_TOL:
             break
-        mid = Field(model.U, 0.5 * (u0.coefficients + u_new.coefficients))
-        omega_star, rep = model.curl_h(mid)
+        m0 = 0.5 * (psi + psi0)
+        omega_star, rep = model.curl_h(m0)
         fallbacks += rep.fallback
     else:
         raise StartupError(
@@ -614,5 +602,4 @@ def initialize(model, ic):
     _check_div(model, u_prev, "startup")
     return (SimulationState(k=0, u_half=u_prev, omega=omega0, phi=phi0, psi_0=psi),
             StartupReport(iterations=it, update=rel, fallbacks=fallbacks,
-                          pressure=partial(model.pressure, omega_star, u0, u_prev, dt, b=b0)))
-
+                          pressure=partial(model.pressure, omega_star, u0, u_prev, dt, phi=phi0)))

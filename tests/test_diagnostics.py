@@ -69,12 +69,7 @@ def test_zero_state_ledger_row():
 
     class IC:
         def build(self, m):
-            return (
-                Field(m.U, np.zeros(m.U.dim)),
-                Field(m.W, np.zeros(m.W.dim)),
-                phi0,
-                0,  # no solve, no fallback
-            )
+            return Field(m.U, np.zeros(m.U.dim)), phi0, 0  # no solve, no fallback
 
     state, _ = initialize(model, IC())
     eng = Engine(model, state)

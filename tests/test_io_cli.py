@@ -132,45 +132,46 @@ vtk_every = 1
 
 def test_homogeneous_vtk_writes_weak_curl_of_the_previous_velocity(tmp_path):
     """Without particles too, the snapshot of step k >= 1 carries the weak
-    curl of u^{k-1/2}, the velocity the step started from; snapshot 0 that
-    of u^{1/2}."""
+    curl of psi^{k-1/2}, the stream function of the velocity the step
+    started from; snapshot 0 that of psi^{1/2}."""
     out = tmp_path / "o"
     before = {}
     result = run(parse_config(TORUS_CFG.format(out=out, degree=1)),
-                 on_step=lambda prev, state, reports, row: before.update({state.k: prev.u_half}))
+                 on_step=lambda prev, state, reports, row: before.update({state.k: prev.psi_0}))
     model = result.model
     before[0] = before[1]  # u^{1/2}, the start of step 1
     vmap = model.mesh.render_vertex_map  # a torus is drawn with its seams doubled
-    for k, u in sorted(before.items()):
+    for k, psi in sorted(before.items()):
         written = read_vtk(out / f"snapshot_{k:08d}.vtk")["omega_tilde"]
         assert np.count_nonzero(written) == len(vmap)
-        assert np.array_equal(written, model.curl_h(u)[0].coefficients[vmap]), k
+        assert np.array_equal(written, model.curl_h(psi)[0].coefficients[vmap]), k
 
 
 def test_snapshot_step_reuses_the_weak_curl_of_its_step(tmp_path, monkeypatch):
-    """With particles a step solves om~ = curl_h u^{k+1/2} as its step 1,
+    """With particles a step solves om~ = curl_h psi^{k+1/2} as its step 1,
     and the snapshot of the step writes that om~: a run with a snapshot
-    every step solves curl_h once per step, once for snapshot 0 and once
-    per startup pass after the first, and each snapshot carries the weak
-    curl of the velocity its step started from, bit for bit."""
+    every step solves curl_h once per step, once for snapshot 0, once for
+    omega^0 and once per startup pass after the first, and each snapshot
+    carries the weak curl of the stream function its step started from,
+    bit for bit."""
     out = tmp_path / "o"
     calls = []
     curl_h = stepper.Model.curl_h
 
-    def counted(model, u):
-        calls.append(u)
-        return curl_h(model, u)
+    def counted(model, psi):
+        calls.append(psi)
+        return curl_h(model, psi)
 
     monkeypatch.setattr(stepper.Model, "curl_h", counted)
     before = {}
     result = run(parse_config(lock_cfg_text(out, t_end=0.003, degree=2, extra="vtk_every = 1")),
-                 on_step=lambda prev, state, reports, row: before.update({state.k: prev.u_half}))
+                 on_step=lambda prev, state, reports, row: before.update({state.k: prev.psi_0}))
     monkeypatch.undo()
-    assert len(calls) == (result.startup.iterations - 1) + 1 + 3
+    assert len(calls) == 1 + (result.startup.iterations - 1) + 1 + 3
     vmap = result.model.mesh.render_vertex_map
-    for k, u in sorted(before.items()):
+    for k, psi in sorted(before.items()):
         written = read_vtk(out / f"snapshot_{k:08d}.vtk")["omega_tilde"]
-        assert np.array_equal(written, result.model.curl_h(u)[0].coefficients[vmap]), k
+        assert np.array_equal(written, result.model.curl_h(psi)[0].coefficients[vmap]), k
 
 
 @pytest.mark.parametrize("text", [lock_cfg_text("o", degree=2), TORUS_CFG.format(out="o", degree=2)],
@@ -256,6 +257,20 @@ def test_resume_from_every_step_bitwise(tmp_path, mode):
             checkpoint=str(out / f"checkpoint_{k:08d}.ckpt"))
         for name in ("timeseries.csv", "checkpoint_final.ckpt"):
             assert (out / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), (k, name)
+
+
+def test_resume_past_t_end_refused_leaving_outputs_unchanged(tmp_path):
+    """A resume from a checkpoint past t_end takes no step and is refused,
+    naming the step and t_end, before it cuts the CSV or writes a
+    checkpoint: every output file is byte-unchanged."""
+    out = tmp_path / "o"
+    text = TORUS_CFG.format(out=out, degree=1).replace("vtk_every = 1", "checkpoint_every = 5")
+    run(parse_config(text.replace("t_end = 3e-2", "t_end = 10e-2")), collect_rows=False)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"timeseries.csv", "checkpoint_00000005.ckpt", "checkpoint_final.ckpt"} <= set(before)
+    with pytest.raises(dfio.CheckpointError, match=r"at step 5, past t_end = 0\.03 \(3 steps\)"):
+        run(parse_config(text), checkpoint=str(out / "checkpoint_00000005.ckpt"))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):

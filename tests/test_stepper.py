@@ -20,7 +20,7 @@ from dualflow.mesh import (
     build_periodic_rect_mesh,
     read_mesh_text,
 )
-from dualflow.spaces import Field, free_dofs, interpolate, wall_trace_dofs
+from dualflow.spaces import Field, free_dofs, wall_trace_dofs
 from dualflow.stepper import (
     LockInitialCondition,
     Model,
@@ -72,12 +72,7 @@ def record_solves(monkeypatch):
 class ZeroBuoyancyIC:
     def build(self, model):
         phi0 = project(model.W, lambda x, y: 0.0, model.qdeg)
-        return (
-            Field(model.U, np.zeros(model.U.dim)),
-            Field(model.W, np.zeros(model.W.dim)),
-            phi0,
-            0,  # no solve, no fallback
-        )
+        return Field(model.U, np.zeros(model.U.dim)), phi0, 0  # no solve, no fallback
 
 
 class ConstantConcentrationIC:
@@ -86,12 +81,7 @@ class ConstantConcentrationIC:
 
     def build(self, model):
         phi0 = project(model.W, lambda x, y: self.value, model.qdeg)
-        return (
-            Field(model.U, np.zeros(model.U.dim)),
-            Field(model.W, np.zeros(model.W.dim)),
-            phi0,
-            0,  # no solve, no fallback
-        )
+        return Field(model.U, np.zeros(model.U.dim)), phi0, 0  # no solve, no fallback
 
 
 def test_config_validation():
@@ -134,20 +124,6 @@ def test_startup_constant_phi_is_pressure_gradient_on_channel():
     assert np.max(np.abs(p.coefficients)) > 1e-4
 
 
-def test_uniform_force_on_torus_gives_uniform_drift():
-    """On a torus a uniform force is NOT a pressure gradient: it excites the
-    constant (harmonic) velocity mode, u = dt/2 * phi * e_g."""
-    model = homogeneous_model(nx=4, ny=4, box=1.0, dt=1e-3)
-    phi0 = project(model.W, lambda x, y: 1.0, model.qdeg)
-    om0 = Field(model.W, np.zeros(model.W.dim))
-    u0 = Field(model.U, np.zeros(model.U.dim))
-    b = assemble_buoyancy(model.U, model.W, model.qdeg) @ phi0.coefficients
-    u_new, _, _ = model.solve_startup_momentum(om0, u0, 0.5 * model.time.dt, b=b)
-    drift = interpolate(model.U, lambda x, y: (np.zeros_like(x), -np.ones_like(x)))
-    expected = 0.5 * model.time.dt * drift.coefficients
-    assert np.max(np.abs(u_new.coefficients - expected)) < 1e-10
-
-
 def test_startup_lock_exchange_converges_quickly():
     # 100-cell mesh, dt = 1e-3: well under the 20-iteration budget
     model = turbidity_model(nx=25, ny=2)
@@ -167,7 +143,9 @@ def test_startup_nonconvergence_reported(monkeypatch):
 
 def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
     """The startup passes solve no pressure; the report's pressure, when
-    called, solves that of the last pass once, against its own factor."""
+    called, solves that of the last pass once, against its own factor.
+    Before the passes the set-up projects u^0 onto the stream function
+    and takes the weak curl of its projection."""
     model = turbidity_model(nx=25, ny=2)
     calls = []
 
@@ -187,9 +165,10 @@ def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
     assert calls[0][0] is model.Nw_dt and calls[0][1] is model.systems["transport"].lu
     names = [name for name, _ in solves]
     assert names.count("pressure") == 1 and names[-1] == "pressure"
-    # then a momentum solve per pass, a weak curl between, and the pressure
-    assert names == ["momentum", "curl"] * (rep.iterations - 1) + ["momentum", "pressure"]
-    assert len(calls) + len(solves) == 1 + 2 * rep.iterations
+    # the projection and omega^0, then a momentum solve per pass, a weak
+    # curl between, and the pressure
+    assert names == ["momentum", "curl"] * rep.iterations + ["momentum", "pressure"]
+    assert len(calls) + len(solves) == 1 + 2 + 2 * rep.iterations
     assert p.space is model.Q
 
 
@@ -210,7 +189,7 @@ def test_lock_start_is_the_projection(N, monkeypatch):
 
     lu_solve = stepper.lu_solve
     monkeypatch.setattr(stepper, "lu_solve", recorded)
-    _, _, phi0, fallbacks = LockInitialCondition().build(model)
+    _, phi0, fallbacks = LockInitialCondition().build(model)
     delta = 2.0 * model.mesh.h_min()
     ref = project(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg).coefficients
     assert len(reports) == 1 and not reports[0].fallback and fallbacks == 0
@@ -221,8 +200,9 @@ def test_startup_counts_every_fallback(monkeypatch):
     """On the desk channel of configs/lock_exchange.cfg at dt = 0.15 the
     lock start misses the tolerance against the transport factor and falls
     back to a fresh one.  StartupReport.fallbacks counts every solve the
-    startup makes, the initial condition's and each pass's weak curl
-    included: as many fallbacks as a recording lu_solve sees."""
+    startup makes, the initial condition's, the set-up's projection and
+    weak curl and each pass's weak curl included: as many fallbacks as a
+    recording lu_solve sees."""
     geom = ChannelGeometry(length=13.0, height=1.0, lock_length=1.0)
     model = Model(build_channel_mesh(geom, 50, 5, "crisscross"), 2, PhysicsConfig(mode="turbidity"),
                   TimeConfig(dt=0.15, t_end=1.5))
@@ -238,7 +218,8 @@ def test_startup_counts_every_fallback(monkeypatch):
     monkeypatch.setattr(assemble, "lu_solve", recorded)
     _, rep = initialize(model, LockInitialCondition(interface_width=0.1))
     assert reports[0].fallback  # the lock start
-    assert len(reports) == 2 * rep.iterations  # the lock start, a momentum solve per pass, a curl between
+    # the lock start, the projection and omega^0, a momentum solve per pass, a curl between
+    assert len(reports) == 2 + 2 * rep.iterations
     assert rep.fallbacks == sum(r.fallback for r in reports) >= 1
 
 
@@ -717,38 +698,21 @@ def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
     return u, p
 
 
-@pytest.mark.parametrize("case", ["desk", "box"])
-def test_momentum_matches_saddle_oracle(case, request):
-    """The step's momentum solve, from the stream function psi_0 of u_half
-    with its load formed in W, is the velocity/pressure saddle system's
-    answer from u_half to 1e-12 relative, and its pressure to 1e-10."""
+@pytest.mark.parametrize("case, fraction", [("desk", 1.0), ("box", 1.0), ("desk", 0.5), ("box", 0.5)],
+                         ids=["desk", "box", "desk-half-dt", "box-half-dt"])
+def test_momentum_matches_saddle_oracle(case, fraction, request):
+    """The momentum solve, from the stream function psi_0 of u_half with its
+    load formed in W, over the run's dt and over the startup's dt/2, is
+    the velocity/pressure saddle system's answer from u_half to 1e-12
+    relative, and its pressure to 1e-10."""
     model, state = request.getfixturevalue(case)
-    dt = model.time.dt
-    b = model.buoyancy @ state.phi.coefficients if state.phi is not None else None
-    u, _, rep = model.solve_momentum(state.omega, state.psi_0, phi=state.phi)
-    p, _ = model.pressure(state.omega, state.u_half, u, dt, b=b)
+    dt = fraction * model.time.dt
+    u, _, rep = model.solve_momentum(state.omega, state.psi_0, phi=state.phi, dt=dt)
+    p, _ = model.pressure(state.omega, state.u_half, u, dt, phi=state.phi)
     u_ref, p_ref = saddle_momentum(model, state.omega, state.u_half, dt, phi_buoy=state.phi)
     assert np.max(np.abs(u.coefficients[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
     assert np.max(np.abs(p.coefficients - p_ref)) <= 1e-10 * np.max(np.abs(p_ref))
     assert np.all(u.coefficients[model.u_fixed] == 0.0)
-    assert rep.residual <= 1e-10 * (1.0 + np.max(np.abs(u_ref)) / dt)
-
-
-@pytest.mark.parametrize("case", ["desk", "box"])
-def test_startup_momentum_matches_saddle_oracle(case, request):
-    """A startup pass's momentum solve, from a velocity that is not Z psi
-    (random on the free dofs) and over dt/2, is the velocity/pressure
-    saddle system's answer to 1e-12 relative."""
-    model, state = request.getfixturevalue(case)
-    dt = 0.5 * model.time.dt
-    u_old = np.zeros(model.U.dim)
-    u_old[model.iu] = np.random.default_rng(3).standard_normal(len(model.iu))
-    u_old = Field(model.U, u_old)
-    b = model.buoyancy @ state.phi.coefficients if state.phi is not None else None
-    u, psi, rep = model.solve_startup_momentum(state.omega, u_old, dt, b=b)
-    u_ref, _ = saddle_momentum(model, state.omega, u_old, dt, phi_buoy=state.phi)
-    assert np.max(np.abs(u.coefficients[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
-    assert np.array_equal(u.coefficients, model.Z @ psi)
     assert rep.residual <= 1e-10 * (1.0 + np.max(np.abs(u_ref)) / dt)
 
 
@@ -761,13 +725,12 @@ def test_pressure_gate_holds_on_every_step(case, request):
     dt = model.time.dt
     for _ in range(5):
         new, _, _ = step(state, model)
-        b = None if new.phi is None else model.buoyancy @ new.phi.coefficients
-        p, rep = model.pressure(new.omega, state.u_half, new.u_half, dt, b=b)
+        p, rep = model.pressure(new.omega, state.u_half, new.u_half, dt, phi=new.phi)
         R = rotation_matrix(new.omega, model.U, model.qdeg)
         uo, u = state.u_half.coefficients, new.u_half.coefficients
         f = (model.M @ uo) / dt - 0.5 * (R @ uo) - model.nu * (model.Lc @ new.omega.coefficients)
-        if b is not None:
-            f = f + b
+        if new.phi is not None:
+            f = f + model.buoyancy @ new.phi.coefficients
         r = ((model.M @ u) / dt + 0.5 * (R @ u) - f)[model.iu]
         gate = linsolve.RTOL * (1.0 + np.max(np.abs(r)))
         assert np.max(np.abs(r - model.D_rt @ p.coefficients)) <= gate
@@ -780,9 +743,8 @@ def test_pressure_refuses_a_velocity_that_does_not_solve_the_step(case, request)
     """With u_old in place of the step's solution the momentum residual is
     not a pressure gradient, and no pressure is returned for it."""
     model, state = request.getfixturevalue(case)
-    b = None if state.phi is None else model.buoyancy @ state.phi.coefficients
     with pytest.raises(linsolve.SolverError, match="does not solve the momentum step"):
-        model.pressure(state.omega, state.u_half, state.u_half, model.time.dt, b=b)
+        model.pressure(state.omega, state.u_half, state.u_half, model.time.dt, phi=state.phi)
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
@@ -872,10 +834,10 @@ def test_per_step_operators_match_their_matrices(case, request, monkeypatch):
     new, systems = per_step_systems(model, state, monkeypatch)
     C = convection_matrix(state.u_half, model.W, model.qdeg)
     R = rotation_matrix(new.omega, model.U, model.qdeg)
-    G = model.Zt @ (R @ model.Z)
+    G = model.Z.T @ (R @ model.Z)
     L, iw = model.L, model.iw
     expected = {
-        "momentum": model.Zt @ model.M @ model.Z + (0.5 * dt) * (0.5 * (G - G.T)),
+        "momentum": model.Z.T @ model.M @ model.Z + (0.5 * dt) * (0.5 * (G - G.T)),
         "vorticity": model.Nw[iw][:, iw] / dt + 0.5 * model.nu * L[iw][:, iw] + 0.5 * C[iw][:, iw],
     }
     if model.physics.mode == "turbidity":
@@ -1000,7 +962,7 @@ def test_momentum_static_is_curlcurl_on_psi(case, request):
     m = len(psi)
     S = model.systems["momentum"].static
     assert (S[:m, :m] != model.L[psi][:, psi]).nnz == 0
-    ZMZ = model.Zt @ model.M @ model.Z
+    ZMZ = model.Z.T @ model.M @ model.Z
     assert S.shape == ZMZ.shape
     assert abs(S - ZMZ).max() <= 1e-14 * abs(ZMZ).max()
     if model.harmonic is not None:
@@ -1049,13 +1011,29 @@ class Forbidden:
         raise AssertionError(f"a step used {self.name}.{attr}")
 
 
+def case_ic(model):
+    """The initial condition of the desk and box fixtures."""
+    return LockInitialCondition() if model.physics.mode == "turbidity" else RandomSolenoidalInitialCondition(seed=5)
+
+
+def same_state(a, b):
+    for name in ("u_half", "omega", "phi"):
+        if getattr(b, name) is not None:
+            assert np.array_equal(getattr(a, name).coefficients, getattr(b, name).coefficients), name
+    assert np.array_equal(a.psi_0, b.psi_0)
+
+
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_step_forms_no_velocity_space_load(case, request, monkeypatch):
     """A step applies no rotation per cell and forms no product with the RT
     mass M, the weak curl Lc or the buoyancy B: the momentum load comes
-    from psi^{k+1/2} and the W forms.  Its state is the same step's."""
+    from psi^{k+1/2} and the W forms.  The startup applies no rotation
+    per cell and forms no product with Lc or B either: its passes take
+    the step's solve, and M only projects u^0.  Both states are the same
+    as without the checks, bit for bit."""
     model, state = request.getfixturevalue(case)
     expected, _, _ = step(state, model)
+    expected_start, _ = initialize(model, case_ic(model))
     applied = []
     apply_rotation = assemble.apply_rotation
 
@@ -1064,15 +1042,15 @@ def test_step_forms_no_velocity_space_load(case, request, monkeypatch):
         return apply_rotation(*args)
 
     monkeypatch.setattr(assemble, "apply_rotation", recorded)
-    for name in ("M", "Lc", "buoyancy"):
+    for name in ("Lc", "buoyancy"):
         monkeypatch.setattr(model, name, Forbidden(name), raising=False)
+    start, _ = initialize(model, case_ic(model))
+    monkeypatch.setattr(model, "M", Forbidden("M"))
     new, _, _ = step(state, model)
     monkeypatch.undo()
     assert applied == []
-    for name in ("u_half", "omega", "phi"):
-        if getattr(new, name) is not None:
-            assert np.array_equal(getattr(new, name).coefficients, getattr(expected, name).coefficients)
-    assert np.array_equal(new.psi_0, expected.psi_0)
+    same_state(start, expected_start)
+    same_state(new, expected)
 
 
 def momentum_load_cases():
@@ -1098,11 +1076,11 @@ def test_momentum_load_identities(case):
         A, B = sp.csr_matrix(A).toarray(), sp.csr_matrix(B).toarray()
         return np.max(np.abs(A - B)) <= 1e-14 * np.max(np.abs(B))
 
-    ZtLc = model.Zt @ model.Lc
+    ZtLc = model.Z.T @ model.Lc
     assert close(ZtLc[:n], model.L[model.psi_dofs])
     assert np.max(np.abs(ZtLc[n:].toarray()), initial=0.0) <= 1e-14 * np.max(np.abs(model.L.data))
     if physics.mode == "turbidity":
-        ZtB = model.Zt @ model.buoyancy
+        ZtB = model.Z.T @ model.buoyancy
         assert ZtB.shape[0] == n
         assert close(ZtB, -model.baroclinic.T[model.psi_dofs])
         assert close(ZtB, model.baroclinic[model.psi_dofs])
@@ -1110,11 +1088,11 @@ def test_momentum_load_identities(case):
 
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_startup_passes_start_from_the_previous_pass(case, request, monkeypatch):
-    """Each startup pass after the first starts its momentum solve from the
-    previous pass's psi, the first cold, and the state hands the last
-    pass's psi on as psi_0, of which u_half is Z psi_0 bit for bit."""
+    """After the projection of u^0 onto psi^0, each startup pass's momentum
+    solve starts from the previous pass's midpoint (psi + psi^0)/2, the
+    first cold, and the state hands the last pass's psi on as psi_0, of
+    which u_half is Z psi_0 bit for bit."""
     model, _ = request.getfixturevalue(case)
-    ic = LockInitialCondition() if model.physics.mode == "turbidity" else RandomSolenoidalInitialCondition(seed=5)
     solves = []
     solve = assemble.System.solve
 
@@ -1125,14 +1103,74 @@ def test_startup_passes_start_from_the_previous_pass(case, request, monkeypatch)
         return x, rep
 
     monkeypatch.setattr(assemble.System, "solve", recorded)
-    state, rep = initialize(model, ic)
+    state, rep = initialize(model, case_ic(model))
     monkeypatch.undo()
-    assert len(solves) == rep.iterations > 1
-    assert solves[0][0] is None
-    for (_, previous), (x0, _) in zip(solves, solves[1:]):
-        assert np.array_equal(x0, previous)
-    assert state.psi_0 is solves[-1][1]
+    (_, psi0), passes = solves[0], solves[1:]
+    assert len(passes) == rep.iterations > 1
+    assert passes[0][0] is None
+    for (_, previous), (x0, _) in zip(passes, passes[1:]):
+        assert np.array_equal(x0, 0.5 * ((2.0 * previous - psi0) + psi0))
+    assert np.array_equal(state.psi_0, 2.0 * passes[-1][1] - psi0)
     assert np.array_equal(state.u_half.coefficients, model.Z @ state.psi_0)
+
+
+@pytest.mark.parametrize("name", ["lock", "taylor_green", "random"])
+def test_startup_projects_u0_onto_the_stream_function(name, monkeypatch):
+    """initialize projects each initial condition's u^0 onto psi^0 in the
+    RT mass, its first momentum solve: Z^T M (u^0 - Z psi^0) vanishes to
+    1e-14 relative, and the lock's psi^0 is exactly 0.  The start's
+    vorticity is the weak curl of psi^0, for the lock exactly 0."""
+    if name == "lock":
+        model, ic = turbidity_model(), LockInitialCondition()
+    elif name == "taylor_green":
+        model, ic = homogeneous_model(nx=8, ny=8, nu=0.01), TaylorGreenInitialCondition()
+    else:
+        model, ic = homogeneous_model(nx=8, ny=8, nu=0.01), RandomSolenoidalInitialCondition(seed=5)
+    solves = []
+    solve = assemble.System.solve
+
+    def recorded(system, *args, **kwargs):
+        x, rep = solve(system, *args, **kwargs)
+        if system.name == "momentum":
+            solves.append(x)
+        return x, rep
+
+    monkeypatch.setattr(assemble.System, "solve", recorded)
+    state, _ = initialize(model, ic)
+    monkeypatch.undo()
+    psi0, u0 = solves[0], ic.build(model)[0].coefficients
+    Z, M = model.Z, model.M
+    gap, load = Z.T @ (M @ (u0 - Z @ psi0)), Z.T @ (M @ u0)
+    if name == "lock":
+        assert not np.any(psi0) and not np.any(state.omega.coefficients)
+    else:
+        assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(load))
+    assert np.array_equal(state.omega.coefficients, model.curl_h(psi0)[0].coefficients)
+
+
+@pytest.mark.parametrize("case", sorted(momentum_load_cases()))
+def test_weak_curl_load_is_the_curl_curl_of_psi(case):
+    """curl_h forms its load as L psi, psi on its CG dofs, to 1e-14
+    relative of the velocity-space load Lc^T Z psi it stands for, the
+    torus's harmonic amplitudes included."""
+    mesh, N, physics = momentum_load_cases()[case]
+    model = Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0))
+    psi = np.random.default_rng(4).standard_normal(model.Z.shape[1])
+    rhs = []
+    curl = model.systems["curl"]
+    solve = curl.solve
+
+    def recorded(b, *args, **kwargs):
+        rhs.append(b)
+        return solve(b, *args, **kwargs)
+
+    curl.solve = recorded
+    try:
+        model.curl_h(psi)
+    finally:
+        del curl.solve
+    oracle = (model.Lc.T @ (model.Z @ psi))[model.iw]
+    assert np.max(np.abs(rhs[0] - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -1165,16 +1203,20 @@ def test_elements_are_tabulated_at_reference_points_only(N, monkeypatch):
 
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_own_factor_solves_take_no_refinement(case, request, monkeypatch):
-    """The weak-curl and pressure systems are solved against factors of
-    themselves: the first solve is at the roundoff floor."""
+    """The weak-curl and pressure systems, and the startup's projection
+    onto the stream function, are solved against factors of themselves:
+    the first solve is at the roundoff floor."""
     model, state = request.getfixturevalue(case)
     solves = record_solves(monkeypatch)
-    model.curl_h(state.u_half)
+    initialize(model, case_ic(model))
+    setup = solves[:2]  # the projection and omega^0
+    assert [name for name, _ in setup] == ["momentum", "curl"]
+    solves.clear()
+    model.curl_h(state.psi_0)
     new, _, _ = step(state, model)
-    b = None if new.phi is None else model.buoyancy @ new.phi.coefficients
-    model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, b=b)
-    own = [rep for name, rep in solves if name in ("curl", "pressure")]
-    assert len(own) == (3 if model.physics.mode == "turbidity" else 2)
+    model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, phi=new.phi)
+    own = [rep for _, rep in setup] + [rep for name, rep in solves if name in ("curl", "pressure")]
+    assert len(own) == 2 + (3 if model.physics.mode == "turbidity" else 2)
     assert all(rep.refinements == 0 for rep in own)
 
 

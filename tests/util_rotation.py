@@ -41,7 +41,7 @@ def momentum_skew(model, omega):
         return values, None
     RH = np.column_stack([assemble.apply_rotation(omega, model.U, model.qdeg, h)
                           for h in model.harmonic.T])
-    return values, model.Zt @ RH
+    return values, model.Z.T @ RH
 
 
 def skew_part(system, values, border=None):
