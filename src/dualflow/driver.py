@@ -119,6 +119,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     fallbacks = startup.fallbacks if startup is not None else 0
     max_mass = max_gap = 0.0  # running maxima of the per-step identity gaps
     mark, mark_k = time.perf_counter(), state.k  # wall clock at the last progress line
+    passes = 0  # refinement passes of the steps since the last progress line
     writer = dfio.CsvWriter(csv_path)
     try:
         if startup is not None and out["vtk_every"] > 0:
@@ -128,6 +129,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             prev = state
             state, reports, omega_tilde = step(state, model)
             fallbacks += sum(rep.fallback for rep in reports.values())
+            passes += sum(rep.refinements for rep in reports.values())
             row = engine.update(prev, state)
             max_mass = max(max_mass, abs(row.mass_residual))
             max_gap = max(max_gap, abs(row.eres_gap))
@@ -148,11 +150,13 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
                 )
             if log is not None and (state.k % max(1, nsteps // 10) == 0 or state.k == nsteps):
                 now = time.perf_counter()
-                ms = 1e3 * (now - mark) / (state.k - mark_k)
-                mark, mark_k = now, state.k
+                steps = state.k - mark_k
+                ms, per_step = 1e3 * (now - mark) / steps, passes / steps
+                mark, mark_k, passes = now, state.k, 0
                 _maybe(log, f"step {state.k}/{nsteps}  t={row.t:.6g}  K={row.K:.6e}  "
                             f"div={row.div_inf:.2e}  max|mass_residual|={max_mass:.2e}  "
-                            f"max|eres_gap|={max_gap:.2e}  ms/step={ms:.3g}  fallbacks={fallbacks}")
+                            f"max|eres_gap|={max_gap:.2e}  ms/step={ms:.3g}  "
+                            f"passes/step={per_step:.3g}  fallbacks={fallbacks}")
     finally:
         writer.close()
     result.state = state

@@ -6,6 +6,7 @@ arrays are raw float64 (big-endian in VTK, little-endian in checkpoints),
 lossless by construction.
 """
 
+import dataclasses
 import hashlib
 import os
 
@@ -13,9 +14,11 @@ import numpy as np
 
 from .assemble import GRAVITY
 from .diagnostics import ACCUMULATORS, CSV_COLUMNS
+from .spaces import Field
+from .stepper import LEVELS, SimulationState
 
 CHECKPOINT_MAGIC = "DUALFLOW-CKPT"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def _fmt(x):
@@ -163,9 +166,17 @@ class CheckpointError(RuntimeError):
     pass
 
 
-# the fields of stepper.SimulationState, the state a step reads
-_FIELD_ORDER = ("u_half", "omega", "phi", "phi_1", "phi_2", "omega_1", "omega_2",
-                "psi_0", "psi_1", "psi_2")
+def _names(field, levels=LEVELS):
+    """The checkpoint names of a SimulationState field: itself, or for the
+    earlier levels x_past the first `levels` of x_1, x_2, ..., newest
+    first."""
+    if not field.endswith("_past"):
+        return (field,)
+    return tuple(f"{field[:-len('_past')]}_{j}" for j in range(1, levels + 1))
+
+
+# the fields of stepper.SimulationState, the state a step reads, by name
+_FIELD_ORDER = tuple(name for f in dataclasses.fields(SimulationState)[1:] for name in _names(f.name))
 
 # what each part of a run's identity covers
 IDENTITY = {
@@ -210,10 +221,11 @@ def save_checkpoint(path, state, engine, model):
     `path`, so a crash mid-write leaves the previous checkpoint intact.
     """
     fields = {}
-    for name in _FIELD_ORDER:
-        fld = getattr(state, name)
-        if fld is not None:  # a Field, or an earlier level's coefficients
-            fields[name] = np.ascontiguousarray(getattr(fld, "coefficients", fld), dtype="<f8")
+    for f in dataclasses.fields(state)[1:]:
+        value = getattr(state, f.name)  # a Field, coefficients, or earlier levels' coefficients
+        held = value if f.name.endswith("_past") else () if value is None else (value,)
+        for name, x in zip(_names(f.name), held):
+            fields[name] = np.ascontiguousarray(getattr(x, "coefficients", x), dtype="<f8")
     scalars = {name: getattr(engine, name) for name in ACCUMULATORS}
     header = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
@@ -318,13 +330,10 @@ def restore_state(data, model):
     """Rebuild a SimulationState from checkpoint data written by the same
     run: mode, degree, dt, identity and field lengths must all match, and
     the fields must hold the mode's state at its step k: u_half, omega,
-    and phi if and only if in turbidity mode, psi_0, and each earlier
-    level of them that step k holds (stepper.SimulationState), and no
-    other; and u_half must be Z psi_0 bit for bit, since the step reads
-    psi_0 and the ledger u_half."""
-    from .spaces import Field
-    from .stepper import HELD_FROM, SimulationState
-
+    and phi if and only if in turbidity mode, psi_0, and the min(k,
+    LEVELS) earlier levels of them that step k holds
+    (stepper.SimulationState), and no other; and u_half must be Z psi_0
+    bit for bit, since the step reads psi_0 and the ledger u_half."""
     if data["mode"] != model.physics.mode:
         raise CheckpointError(
             f"checkpoint mode {data['mode']!r} does not match configured {model.physics.mode!r}"
@@ -339,26 +348,29 @@ def restore_state(data, model):
                 f"checkpoint {part} ({IDENTITY[part]}) does not match the configured run"
             )
     k = data["k"]
+    held = min(k, LEVELS)
     spaces = {"u_half": model.U, "omega": model.W}
-    lengths = dict.fromkeys(("omega_1", "omega_2"), len(model.iw))  # of the earlier levels
-    lengths.update(dict.fromkeys(("psi_0", "psi_1", "psi_2"), model.systems["momentum"].static.shape[0]))
+    n_psi = model.systems["momentum"].static.shape[0]
+    lengths = {"psi_0": n_psi, **dict.fromkeys(_names("psi_past", held), n_psi),
+               **dict.fromkeys(_names("omega_past", held), len(model.iw))}
     if model.physics.mode == "turbidity":
         spaces["phi"] = model.W
-        lengths.update(phi_1=model.W.dim, phi_2=model.W.dim)
-    held = [name for name in (*spaces, *lengths) if k >= HELD_FROM.get(name, 0)]
-    for name in held:
+        lengths.update(dict.fromkeys(_names("phi_past", held), model.W.dim))
+    for name in (*spaces, *lengths):
         if name not in data["fields"]:
             raise CheckpointError(f"checkpoint has no field {name!r}, which a "
                                   f"{model.physics.mode} state at step {k} holds")
-    kwargs = {}
     for name, coef in data["fields"].items():
-        if name not in held:
+        if name not in spaces and name not in lengths:
             raise CheckpointError(f"checkpoint field {name!r} is not a field of a "
                                   f"{model.physics.mode} state at step {k}")
         dim = spaces[name].dim if name in spaces else lengths[name]
         if len(coef) != dim:
             raise CheckpointError(f"field {name!r} has {len(coef)} dofs, expected {dim}")
-        kwargs[name] = Field(spaces[name], coef) if name in spaces else coef
-    if not np.array_equal(model.Z @ kwargs["psi_0"], kwargs["u_half"].coefficients):
+    fields = data["fields"]
+    kwargs = {name: Field(space, fields[name]) for name, space in spaces.items()}
+    kwargs.update({past: tuple(fields[name] for name in _names(past, held) if name in lengths)
+                   for past in ("phi_past", "omega_past", "psi_past")})
+    if not np.array_equal(model.Z @ fields["psi_0"], kwargs["u_half"].coefficients):
         raise CheckpointError("checkpoint field 'u_half' is not Z psi_0 of its field 'psi_0'")
-    return SimulationState(k=k, **kwargs)
+    return SimulationState(k=k, psi_0=fields["psi_0"], **kwargs)

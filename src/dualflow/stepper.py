@@ -52,16 +52,23 @@ pressure); a fallback factors the same matrix afresh, and a failure
 names its system.  All three solve for the midpoint m = (x^{k+1} +
 x^k)/2: transport and vorticity A m = (N/dt) x^k + s/2, with s the
 sources, and momentum step 4a below, multiplied by dt, so that one
-factor of L on psi serves dt and the startup's dt/2.  Each pass cuts
-the error by a factor of about 500, so the passes count how far the
-start is from the solution: every per-step solve starts from the mean
-of x^k and the quadratic extrapolation of the levels, which the state
-holds, to x^{k+1},
+factor of L on psi serves dt and the startup's dt/2.  A pass cuts the
+residual by a factor of about 3700 (transport, vorticity) to 50000
+(momentum) on the desk, and of about 100 on the box, so the passes count
+how far the start is from the solution: every per-step solve starts
+from the mean of x^k and the Lagrange extrapolation to x^{k+1} of the n
+levels the state holds, x^k and up to LEVELS = 6 earlier ones,
 
-  m0 = 2 x^k - 1.5 x^{k-1} + 0.5 x^{k-2},
+  m0 = sum_j w_j x^{k-j},   w_0 = (1 + n)/2,   w_j = (-1)^j C(n, j + 1)/2,
 
-which meets m to third order, or, in the first steps, from what history
-there is: two levels give 1.5 x^k - 0.5 x^{k-1}, one x^k itself.  For
+which meets m to order n: from a full history
+
+  m0 = 4 x^k - 10.5 x^{k-1} + 17.5 x^{k-2} - 17.5 x^{k-3} + 10.5 x^{k-4}
+       - 3.5 x^{k-5} + 0.5 x^{k-6},
+
+close enough that one pass reaches the roundoff floor, and in the first
+steps from what history there is: three levels give 2 x^k - 1.5 x^{k-1}
++ 0.5 x^{k-2}, two 1.5 x^k - 0.5 x^{k-1}, one x^k itself.  For
 momentum x is psi^{k+1/2}.  The start sets the cost, not the answer.
 
 Step 4 is solved in the divergence-free subspace.  By the exact sequence
@@ -96,7 +103,6 @@ consecutive states.
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import takewhile
 
 import numpy as np
 import scipy.sparse as sp
@@ -176,26 +182,25 @@ class SimulationState:
     the fields at their levels, the stream function of u_half, which the
     momentum step reads (u_half is Z psi_0 bit for bit; the ledger reads
     u_half), then the earlier levels that the step's starts extrapolate
-    from, as the solves' coefficient vectors.  A level before the run's
-    first is None: step k holds x^{k-j} and psi^{k+1/2-j} from k >= j
-    (HELD_FROM)."""
+    from, as the solves' coefficient vectors, newest first: step k holds
+    min(k, LEVELS) of each, x^{k-1}, x^{k-2}, ... and psi^{k-1/2},
+    psi^{k-3/2}, ..., none before the run's first level."""
 
     k: int
     u_half: Field                  # velocity at t^{k+1/2}
     omega: Field                   # vorticity at t^k
     phi: Field = None              # particle concentration at t^k (turbidity mode)
-    phi_1: np.ndarray = None       # phi^{k-1}
-    phi_2: np.ndarray = None       # phi^{k-2}
-    omega_1: np.ndarray = None     # omega^{k-1} on iw
-    omega_2: np.ndarray = None     # omega^{k-2} on iw
+    phi_past: tuple = ()           # phi^{k-1}, phi^{k-2}, ...
+    omega_past: tuple = ()         # omega^{k-1}, omega^{k-2}, ... on iw
     psi_0: np.ndarray = None       # psi^{k+1/2}, the momentum solve's unknowns: u_half = Z psi_0
-    psi_1: np.ndarray = None       # psi^{k-1/2}
-    psi_2: np.ndarray = None       # psi^{k-3/2}
+    psi_past: tuple = ()           # psi^{k-1/2}, psi^{k-3/2}, ...
 
 
-# the first step whose state holds each earlier level, which a step hands
-# on and a restored state must hold (io.restore_state)
-HELD_FROM = {"phi_1": 1, "phi_2": 2, "omega_1": 1, "omega_2": 2, "psi_0": 0, "psi_1": 1, "psi_2": 2}
+# the earlier levels of each field that a state holds once the run is that
+# many steps in, which a step hands on and a restored state must hold
+# (io.restore_state).  Fewer leave the box at two passes per solve; more
+# amplify roundoff (the weights' magnitudes sum to 2^(n - 1))
+LEVELS = 6
 
 
 class Model:
@@ -435,18 +440,28 @@ class Model:
         return Field(self.Q, p), rep
 
 
-# the weights of a midpoint start by the number of levels held, newest first
-_MIDPOINT_WEIGHTS = {1: (1.0,), 2: (1.5, -0.5), 3: (2.0, -1.5, 0.5)}
+def _midpoint_weights(n):
+    """The weights of a midpoint start from n levels, newest first: the
+    Lagrange extrapolation from t = 0, -1, ..., 1 - n to t = 1 has the
+    weights (-1)^j C(n, j + 1), and the start is the mean of it and the
+    newest level.  Each is a multiple of 1/2, exact in floating point."""
+    return [0.5 * (1 + n), *(0.5 * (-1) ** j * math.comb(n, j + 1) for j in range(1, n))]
 
 
 def _midpoint_start(levels):
     """The start of a midpoint solve, m = (x' + x)/2, from `levels`, the
-    values x, x^{k-1}, x^{k-2}, newest first, of which a level before the
-    run's first is None and ends them: the mean of x and the Lagrange
-    extrapolation of the levels to x', which meets m to third order (the
-    polynomial at the midpoint itself meets m to second order only)."""
-    held = list(takewhile(lambda x: x is not None, levels))
-    return sum(w * x for w, x in zip(_MIDPOINT_WEIGHTS[len(held)], held))
+    values x, x^{k-1}, ..., newest first: the mean of x and the Lagrange
+    extrapolation of the n levels to x', which meets m to order n (the
+    polynomial at the midpoint itself meets it to order n - 1).  An
+    elementwise sum: no reduction, so its bits depend on the levels
+    alone."""
+    return sum(w * x for w, x in zip(_midpoint_weights(len(levels)), levels))
+
+
+def _push(x, past):
+    """The earlier levels a step hands on: x, then `past`, at most LEVELS
+    of them; none without x."""
+    return () if x is None else (x, *past)[:LEVELS]
 
 
 def _check_div(model, u, where):
@@ -473,21 +488,22 @@ def step(state, model):
             phi_k = phi.coefficients
             omega_tilde, reports["curl"] = model.curl_h(state.psi_0)      # step 1
             phi_new, reports["transport"] = model.solve_transport(        # step 2
-                C, phi, _midpoint_start((phi_k, state.phi_1, state.phi_2)))
+                C, phi, _midpoint_start((phi_k, *state.phi_past)))
             phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi_k))
         omega_new, reports["vorticity"] = model.solve_vorticity(          # step 3
-            C, omega, _midpoint_start((omega_k, state.omega_1, state.omega_2)),
+            C, omega, _midpoint_start((omega_k, *state.omega_past)),
             phi_mid=phi_mid, omega_tilde=omega_tilde
         )
         u_new, psi, reports["momentum"] = model.solve_momentum(          # step 4
             omega_new, state.psi_0, phi=phi_new,
-            m0=_midpoint_start((state.psi_0, state.psi_1, state.psi_2)))
+            m0=_midpoint_start((state.psi_0, *state.psi_past)))
         _check_div(model, u_new, "step 4")
     except SolverError as exc:
         raise SolverError(f"step {state.k + 1} failed: {exc}") from exc
     new = SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new,
-                          phi_1=phi_k, phi_2=state.phi_1, omega_1=omega_k, omega_2=state.omega_1,
-                          psi_0=psi, psi_1=state.psi_0, psi_2=state.psi_1)
+                          phi_past=_push(phi_k, state.phi_past),
+                          omega_past=_push(omega_k, state.omega_past),
+                          psi_0=psi, psi_past=_push(state.psi_0, state.psi_past))
     return new, reports, omega_tilde
 
 

@@ -240,20 +240,22 @@ def test_snapshots_bitwise_across_runs_and_resume(tmp_path):
 
 @pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
 def test_resume_from_every_step_bitwise(tmp_path, mode):
-    """A resume from the checkpoint of any step, the first steps with less
-    history among them, reproduces the uninterrupted run's CSV and final
-    checkpoint byte for byte."""
+    """A resume from the checkpoint of any step, each of the first steps
+    with less history and one with the full history among them,
+    reproduces the uninterrupted run's CSV and final checkpoint byte for
+    byte."""
     def text(out, steps):
         if mode == "turbidity":
             return lock_cfg_text(out, t_end=steps * 1e-3, extra="checkpoint_every = 1")
         return (TORUS_CFG.format(out=out, degree=2).replace("vtk_every = 1", "checkpoint_every = 1")
                 .replace("t_end = 3e-2", f"t_end = {steps}e-2"))
 
-    run(parse_config(text(tmp_path / "a", 5)), collect_rows=False)
-    for k in range(1, 5):
+    last = stepper.LEVELS + 2
+    run(parse_config(text(tmp_path / "a", last)), collect_rows=False)
+    for k in range(1, last):
         out = tmp_path / f"r{k}"
         run(parse_config(text(out, k)), collect_rows=False)
-        run(parse_config(text(out, 5)), collect_rows=False,
+        run(parse_config(text(out, last)), collect_rows=False,
             checkpoint=str(out / f"checkpoint_{k:08d}.ckpt"))
         for name in ("timeseries.csv", "checkpoint_final.ckpt"):
             assert (out / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), (k, name)
@@ -274,13 +276,13 @@ def test_resume_past_t_end_refused_leaving_outputs_unchanged(tmp_path):
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
-    """Three steps in, a state holds every earlier level its starts read,
+    """LEVELS steps in, a state holds every earlier level its starts read,
     and each field comes back bit for bit."""
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    for _ in range(3):
+    for _ in range(stepper.LEVELS):
         state, _, _ = step(state, model)
     path = str(tmp_path / "c.ckpt")
     dfio.save_checkpoint(path, state, eng, model)
@@ -292,17 +294,23 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         a = getattr(state, name).coefficients
         b = getattr(restored, name).coefficients
         assert np.array_equal(a, b)
-    for name in dfio._FIELD_ORDER[3:]:
-        assert np.array_equal(getattr(state, name), getattr(restored, name)), name
+    assert np.array_equal(state.psi_0, restored.psi_0)
+    for name in ("phi_past", "omega_past", "psi_past"):
+        a, b = getattr(state, name), getattr(restored, name)
+        assert len(a) == len(b) == stepper.LEVELS and all(map(np.array_equal, a, b)), name
     assert data["scalars"]["m_p0"] == eng.m_p0
 
 
 def test_state_is_what_a_checkpoint_holds():
     """SimulationState holds, besides its step k, exactly the fields a
-    checkpoint saves and a resume restores."""
+    checkpoint saves and a resume restores, each earlier level x^{k-j} of
+    a field x's history x_past as x_j."""
     names = [f.name for f in dataclasses.fields(SimulationState)]
     assert names[0] == "k"
-    assert tuple(names[1:]) == dfio._FIELD_ORDER
+    saved = [level for name in names[1:] for level in (
+        [f"{name[:-len('_past')]}_{j}" for j in range(1, stepper.LEVELS + 1)] if name.endswith("_past")
+        else [name])]
+    assert tuple(saved) == dfio._FIELD_ORDER
 
 
 def test_version_2_checkpoint_refused(tmp_path, monkeypatch):
@@ -360,6 +368,25 @@ def test_version_4_checkpoint_refused(tmp_path, monkeypatch):
     assert str(path) in str(exc.value)
 
 
+def test_version_5_checkpoint_refused(tmp_path, monkeypatch):
+    """A version-5 checkpoint, which held two earlier levels of each field
+    where a state now holds LEVELS, is refused by its version line, with a
+    message that names it."""
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
+    state, _, _ = step(state, model)
+    path = tmp_path / "v5.ckpt"
+    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 5)
+    dfio.save_checkpoint(str(path), state, eng, model)
+    monkeypatch.undo()
+    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 5\n")
+    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 5'") as exc:
+        dfio.load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("name", ["u_half", "psi_0"])
 @pytest.mark.parametrize("k", [0, 2])
 def test_checkpoint_velocity_not_its_stream_function_refused(tmp_path, k, name):
@@ -385,22 +412,28 @@ def test_checkpoint_velocity_not_its_stream_function_refused(tmp_path, k, name):
         dfio.restore_state(dfio.load_checkpoint(path), model)
 
 
+LEVELS = stepper.LEVELS
+
+
 @pytest.mark.parametrize("k, name, change, message", [
-    (3, "omega_1", lambda st: st.omega_1[:-1], "field 'omega_1' has"),
-    (3, "psi_2", lambda st: None, "no field 'psi_2', which a turbidity state at step 3 holds"),
-    (1, "phi_2", lambda st: st.phi_1, "field 'phi_2' is not a field of a turbidity state at step 1"),
+    (LEVELS + 1, "omega_past", lambda past: (*past[:-1], past[-1][:-1]), f"field 'omega_{LEVELS}' has"),
+    (LEVELS + 1, "psi_past", lambda past: past[:-1],
+     f"no field 'psi_{LEVELS}', which a turbidity state at step {LEVELS + 1} holds"),
+    (LEVELS - 1, "phi_past", lambda past: (*past, past[-1]),
+     f"field 'phi_{LEVELS}' is not a field of a turbidity state at step {LEVELS - 1}"),
 ], ids=["wrong_length", "missing_level", "level_before_step_0"])
 def test_checkpoint_history_refused(tmp_path, k, name, change, message):
     """A checkpoint whose history does not fit its step is refused by
-    name: an earlier level of the wrong length, a level its step k holds
-    but the file does not, and a level before step 0."""
+    name: the deepest earlier level of a full history of the wrong length
+    or missing, and one level more than step k < LEVELS holds, which
+    would lie before step 0."""
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
     for _ in range(k):
         state, _, _ = step(state, model)
-    bad = dataclasses.replace(state, **{name: change(state)})
+    bad = dataclasses.replace(state, **{name: change(getattr(state, name))})
     path = str(tmp_path / "c.ckpt")
     dfio.save_checkpoint(path, bad, eng, model)
     with pytest.raises(dfio.CheckpointError, match=re.escape(message)):
@@ -882,19 +915,25 @@ def test_cli_resume_after_crash_bitwise(tmp_path):
 
 def test_cli_progress_line_carries_identity_maxima(tmp_path):
     """`dualflow run` prints the running maxima of |mass_residual| and
-    |eres_gap|, the two per-step identity gaps of the time series, and
-    the mean wall ms/step since the previous progress line."""
+    |eres_gap|, the two per-step identity gaps of the time series, the
+    mean wall ms/step since the previous progress line and the mean
+    refinement passes per step since then, the steps' summed
+    SolverReport.refinements."""
     (tmp_path / "a.cfg").write_text(lock_cfg_text(tmp_path / "out", t_end=0.003))
     proc = run_cli(["run", "--config", str(tmp_path / "a.cfg")], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     last = [line for line in proc.stdout.splitlines() if line.startswith("step 3/3")][-1]
     fields = dict(item.split("=", 1) for item in last.split() if "=" in item)
-    rows = run(parse_config(lock_cfg_text(tmp_path / "ref", t_end=0.003))).rows
+    passes = []
+    rows = run(parse_config(lock_cfg_text(tmp_path / "ref", t_end=0.003)),
+               on_step=lambda prev, state, reports, row: passes.append(
+                   sum(rep.refinements for rep in reports.values()))).rows
     for name in ("mass_residual", "eres_gap"):
         worst = max(abs(getattr(row, name)) for row in rows)
         assert fields[f"max|{name}|"] == f"{worst:.2e}"
         assert worst > 0.0
     assert float(fields["ms/step"]) > 0.0
+    assert fields["passes/step"] == f"{passes[-1]:.3g}" and passes[-1] > 0
 
 
 def test_cli_homogeneous_taylor_green(tmp_path):
@@ -964,11 +1003,13 @@ def test_run_log_counts_fallbacks(tmp_path, dt, per_step):
     the startup's and every step's, as the steps report them.  At dt = 1
     the startup's momentum solves fall back, and so do the vorticity and
     stream function solves of the first step, which starts them from no
-    history; at dt = 1e-2 none does."""
-    lines, fallbacks = [], []
+    history; at dt = 1e-2 none does.  Before it, each line (one per step
+    here) carries its step's refinement passes, as passes/step."""
+    lines, fallbacks, passes = [], [], []
 
     def on_step(prev, state, reports, row):
         fallbacks.append(sum(rep.fallback for rep in reports.values()))
+        passes.append(sum(rep.refinements for rep in reports.values()))
 
     result = run(parse_config(BOX.format(dt=dt, t_end=3 * dt, out=tmp_path)), on_step=on_step,
                  log=lines.append)
@@ -976,3 +1017,5 @@ def test_run_log_counts_fallbacks(tmp_path, dt, per_step):
     assert fallbacks[0] == per_step and (sum(fallbacks) > 0) == (per_step > 0)
     expected = result.startup.fallbacks + sum(fallbacks)
     assert lines[-1].startswith("step 3/3") and lines[-1].endswith(f"fallbacks={expected}")
+    steps = [line.split() for line in lines if line.startswith("step ")]
+    assert [items[-2] for items in steps] == [f"passes/step={n:.3g}" for n in passes]
