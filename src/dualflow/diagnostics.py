@@ -121,17 +121,18 @@ class FrontTracker:
 
 
 class Engine:
-    """Accumulates the discrete budget along a run.  Without particles
-    (homogeneous mode) Ep, Es and the particle columns stay 0."""
+    """Accumulates the discrete budget along a run, reading each velocity
+    u = Z psi through psi, K = psi^T S psi / 2 (S = Z^T M Z); div_inf alone
+    reads u.  Without particles Ep, Es and the particle columns stay 0."""
 
     def __init__(self, model, state0):
         self._attach(model)
-        self.K_half0 = model.kinetic_energy(state0.u_half)
+        self.K_half0 = self._kinetic(state0.psi_0)
         self.Ev = self.Es = self.Ep0 = self.m_p0 = self.base_exchange = 0.0
         if self.turbidity:
             self.Ep0 = model.potential_energy(state0.phi)
             self.m_p0 = model.integral_w(state0.phi.coefficients)
-            self.base_exchange = self._exchange(state0)
+            self.base_exchange = self._on_psi(model.baroclinic, state0.phi.coefficients, state0.psi_0)
 
     @classmethod
     def restored(cls, model, scalars):
@@ -147,9 +148,13 @@ class Engine:
         self.turbidity = model.physics.mode == "turbidity"
         self.front = FrontTracker(model) if self.turbidity else None
 
-    def _exchange(self, state):
-        """<phi e_g, u> = (B phi) . u of a state: phi^k against u^{k+1/2}."""
-        return float((self.model.buoyancy @ state.phi.coefficients) @ state.u_half.coefficients)
+    def _kinetic(self, psi):
+        return 0.5 * float(psi @ (self.model.systems["momentum"].static @ psi))
+
+    def _on_psi(self, form, w, psi):
+        """(Lc w) . Z psi for the form L, (B w) . Z psi for Cb: Z^T Lc = L and
+        Z^T B = Cb on the psi rows, and Z^T Lc is zero on the harmonic ones."""
+        return float((form @ w)[self.model.psi_dofs] @ psi[:len(self.model.psi_dofs)])
 
     def update(self, prev_state, new_state):
         """Ledger row for the step prev_state -> new_state, every term from
@@ -160,9 +165,9 @@ class Engine:
         dt = model.time.dt
         if new_state.k != prev_state.k + 1:
             raise ValueError("ledger update needs consecutive states")
-        u_old, u = prev_state.u_half.coefficients, new_state.u_half.coefficients
-        eps_v = model.nu * float((model.Lc @ new_state.omega.coefficients) @ (0.5 * (u_old + u)))
-        K = model.kinetic_energy(new_state.u_half)
+        psi_mid = 0.5 * (prev_state.psi_0 + new_state.psi_0)
+        eps_v = model.nu * self._on_psi(model.L, new_state.omega.coefficients, psi_mid)
+        K = self._kinetic(new_state.psi_0)
         phi = new_state.phi
         Ep = eps_s = mass_residual = exchange = ratio = mdot_s = x_f = phi_min = phi_max = 0.0
         if self.turbidity:
@@ -171,7 +176,7 @@ class Engine:
             mass_residual = (model.integral_w(phi.coefficients - prev_state.phi.coefficients)
                              + dt * u_s * model.bottom_integral(phi_mid))
             eps_s = u_s * model.integral_w(phi_mid) - model.kappa * float(model.grad_dot_g @ phi_mid)
-            exchange = self._exchange(new_state)
+            exchange = self._on_psi(model.baroclinic, phi.coefficients, new_state.psi_0)
             Ep = model.potential_energy(phi)
             # the suspended mass ratio and the settling outflux -int_{Gamma3} phi u_s
             ratio = model.integral_w(phi.coefficients) / self.m_p0 if self.m_p0 != 0.0 else 0.0

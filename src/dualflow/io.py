@@ -18,7 +18,7 @@ from .spaces import Field
 from .stepper import LEVELS, SimulationState
 
 CHECKPOINT_MAGIC = "DUALFLOW-CKPT"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 def _fmt(x):
@@ -175,8 +175,8 @@ def _names(field, levels=LEVELS):
     return tuple(f"{field[:-len('_past')]}_{j}" for j in range(1, levels + 1))
 
 
-# the fields of stepper.SimulationState, the state a step reads, by name
-_FIELD_ORDER = tuple(name for f in dataclasses.fields(SimulationState)[1:] for name in _names(f.name))
+# the fields of stepper.SimulationState that a checkpoint holds: all but k and u_half = Z psi_0
+_SAVED = tuple(f.name for f in dataclasses.fields(SimulationState) if f.name not in ("k", "u_half"))
 
 # what each part of a run's identity covers
 IDENTITY = {
@@ -221,10 +221,10 @@ def save_checkpoint(path, state, engine, model):
     `path`, so a crash mid-write leaves the previous checkpoint intact.
     """
     fields = {}
-    for f in dataclasses.fields(state)[1:]:
-        value = getattr(state, f.name)  # a Field, coefficients, or earlier levels' coefficients
-        held = value if f.name.endswith("_past") else () if value is None else (value,)
-        for name, x in zip(_names(f.name), held):
+    for field in _SAVED:
+        value = getattr(state, field)  # a Field, coefficients, or earlier levels' coefficients
+        held = value if field.endswith("_past") else () if value is None else (value,)
+        for name, x in zip(_names(field), held):
             fields[name] = np.ascontiguousarray(getattr(x, "coefficients", x), dtype="<f8")
     scalars = {name: getattr(engine, name) for name in ACCUMULATORS}
     header = [
@@ -329,11 +329,9 @@ def load_checkpoint(path):
 def restore_state(data, model):
     """Rebuild a SimulationState from checkpoint data written by the same
     run: mode, degree, dt, identity and field lengths must all match, and
-    the fields must hold the mode's state at its step k: u_half, omega,
-    and phi if and only if in turbidity mode, psi_0, and the min(k,
-    LEVELS) earlier levels of them that step k holds
-    (stepper.SimulationState), and no other; and u_half must be Z psi_0
-    bit for bit, since the step reads psi_0 and the ledger u_half."""
+    the fields must be the mode's state at its step k and no other (see
+    _SAVED), with the min(k, LEVELS) earlier levels that step k holds.
+    u_half is Z psi_0, the step's own expression: the bits saved."""
     if data["mode"] != model.physics.mode:
         raise CheckpointError(
             f"checkpoint mode {data['mode']!r} does not match configured {model.physics.mode!r}"
@@ -349,28 +347,24 @@ def restore_state(data, model):
             )
     k = data["k"]
     held = min(k, LEVELS)
-    spaces = {"u_half": model.U, "omega": model.W}
-    n_psi = model.systems["momentum"].static.shape[0]
-    lengths = {"psi_0": n_psi, **dict.fromkeys(_names("psi_past", held), n_psi),
+    n_psi, n_w = model.systems["momentum"].static.shape[0], model.W.dim
+    lengths = {"omega": n_w, "psi_0": n_psi, **dict.fromkeys(_names("psi_past", held), n_psi),
                **dict.fromkeys(_names("omega_past", held), len(model.iw))}
     if model.physics.mode == "turbidity":
-        spaces["phi"] = model.W
-        lengths.update(dict.fromkeys(_names("phi_past", held), model.W.dim))
-    for name in (*spaces, *lengths):
+        lengths.update({"phi": n_w, **dict.fromkeys(_names("phi_past", held), n_w)})
+    for name in lengths:
         if name not in data["fields"]:
             raise CheckpointError(f"checkpoint has no field {name!r}, which a "
                                   f"{model.physics.mode} state at step {k} holds")
     for name, coef in data["fields"].items():
-        if name not in spaces and name not in lengths:
+        if name not in lengths:
             raise CheckpointError(f"checkpoint field {name!r} is not a field of a "
                                   f"{model.physics.mode} state at step {k}")
-        dim = spaces[name].dim if name in spaces else lengths[name]
-        if len(coef) != dim:
-            raise CheckpointError(f"field {name!r} has {len(coef)} dofs, expected {dim}")
+        if len(coef) != lengths[name]:
+            raise CheckpointError(f"field {name!r} has {len(coef)} dofs, expected {lengths[name]}")
     fields = data["fields"]
-    kwargs = {name: Field(space, fields[name]) for name, space in spaces.items()}
+    kwargs = {name: Field(model.W, fields[name]) for name in ("omega", "phi") if name in lengths}
     kwargs.update({past: tuple(fields[name] for name in _names(past, held) if name in lengths)
                    for past in ("phi_past", "omega_past", "psi_past")})
-    if not np.array_equal(model.Z @ fields["psi_0"], kwargs["u_half"].coefficients):
-        raise CheckpointError("checkpoint field 'u_half' is not Z psi_0 of its field 'psi_0'")
-    return SimulationState(k=k, psi_0=fields["psi_0"], **kwargs)
+    return SimulationState(k=k, u_half=Field(model.U, model.Z @ fields["psi_0"]),
+                           psi_0=fields["psi_0"], **kwargs)

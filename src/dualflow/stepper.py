@@ -18,8 +18,8 @@ dissipation.
 Model owns every static operator and every linear system, by name an
 assemble.System in Model.systems: it builds each once, from the fixed
 physics and time step, at construction but for the pressure system
-D D^T, which only snapshots solve: it is built on first use, and
-driver.run builds it in set-up when it writes snapshots.  A step
+D D^T and its residual's forms Lc and B, which only snapshots use: built
+on first use, by driver.run in set-up when it writes snapshots.  A step
 assembles only C and the rotation and otherwise multiplies, all in W:
 the weak curl's load, the momentum load (step 4a below) and the
 baroclinic and wall sources.  The weak curl Lc[a, k] = <curl w_k, u_a>
@@ -97,7 +97,7 @@ and the buoyancy of step 4, and uses a prescribed viscosity instead of
 Gr^(-1/2).  A step returns the new state, its solver reports and the
 weak curl of its step 1, which a snapshot of the step writes, and keeps
 no budget: diagnostics.Engine computes every ledger term from two
-consecutive states.
+consecutive states' stream functions and the same W forms.
 """
 
 import math
@@ -178,13 +178,12 @@ class TimeConfig:
 
 @dataclass
 class SimulationState:
-    """The state a step reads, all that a checkpoint holds (io._FIELD_ORDER):
-    the fields at their levels, the stream function of u_half, which the
-    momentum step reads (u_half is Z psi_0 bit for bit; the ledger reads
-    u_half), then the earlier levels that the step's starts extrapolate
-    from, as the solves' coefficient vectors, newest first: step k holds
-    min(k, LEVELS) of each, x^{k-1}, x^{k-2}, ... and psi^{k-1/2},
-    psi^{k-3/2}, ..., none before the run's first level."""
+    """The state a step reads, all that a checkpoint holds but u_half =
+    Z psi_0 (io._SAVED): the fields at their levels, psi_0, which the
+    momentum step and the ledger read, then the earlier levels that the
+    step's starts extrapolate from, as the solves' coefficient vectors,
+    newest first: step k holds min(k, LEVELS) of each, x^{k-1}, ... and
+    psi^{k-1/2}, ..., none before the run's first level."""
 
     k: int
     u_half: Field                  # velocity at t^{k+1/2}
@@ -206,7 +205,7 @@ LEVELS = 6
 class Model:
     """Spaces, static operators and the named linear systems of one run,
     all built once from the physics and time step it is constructed with:
-    at construction, but for the pressure system, built on first use."""
+    at construction, but for the pressure system and its Lc and B, on use."""
 
     def __init__(self, mesh, degree, physics, time):
         if physics.mode == "turbidity" and mesh.periodic:
@@ -238,7 +237,6 @@ class Model:
         self.D = assemble.assemble_div(self.U, self.Q, self.qdeg)
         self.MQ = assemble.assemble_mass(self.Q, self.qdeg)
         self.curl = assemble.curl_matrix(self.W, self.U)
-        self.Lc = (self.M @ self.curl).tocsr()
         self.Nw_dt = (1.0 / time.dt) * self.Nw
 
         self.ones_w = constant_coefficients(self.W)
@@ -273,7 +271,6 @@ class Model:
             self.drift = assemble.assemble_particle_drift(
                 physics.settling_velocity, self.U, self.W, self.qdeg, self.bdeg
             )
-            self.buoyancy = assemble.assemble_buoyancy(self.U, self.W, self.qdeg)
             self.baroclinic = assemble.assemble_baroclinic(self.W, self.qdeg)
             self.neumann = assemble.assemble_vorticity_neumann(self.W, self.bdeg)
             # B_bottom^T 1: the integral over Gamma3 of each CG function
@@ -302,8 +299,15 @@ class Model:
             )
         return Z, dofs
 
-    # -- the pressure system, built on first use: only snapshots solve it,
-    # and driver.run builds it in set-up for a run that writes them
+    # -- the pressure system and its residual's forms, built on first use
+
+    @cached_property
+    def Lc(self):
+        return (self.M @ self.curl).tocsr()  # the weak curl Lc[a, k] = <curl w_k, u_a>
+
+    @cached_property
+    def buoyancy(self):
+        return assemble.assemble_buoyancy(self.U, self.W, self.qdeg)
 
     @cached_property
     def D_r(self):
@@ -315,6 +319,7 @@ class Model:
 
     def pressure_system(self):
         if "pressure" not in self.systems:  # D D^T annihilates the constant pressure: pin dof 0
+            _ = self.Lc, (self.buoyancy if self.physics.mode == "turbidity" else None)
             DDt = (self.D_r @ self.D_rt)[1:, 1:].tocsr()
             self.systems["pressure"] = assemble.System("pressure", DDt)
         return self.systems["pressure"]
@@ -347,10 +352,9 @@ class Model:
     # -- sub-solves ----------------------------------------------------------
 
     def curl_h(self, psi):
-        """Weak curl recovery of u = Z psi: find om~ with <om~, xi> = <u,
-        curl xi>, whose load Lc^T Z psi is L psi with psi on psi_dofs: the
-        torus's harmonic amplitudes drop out, curls being orthogonal to the
-        constants."""
+        """Weak curl recovery of u = Z psi: om~ with <om~, xi> = <u, curl xi>,
+        whose load Lc^T Z psi is L psi, psi on psi_dofs (the torus's harmonic
+        amplitudes drop out: curls are orthogonal to the constants)."""
         w = np.zeros(self.W.dim)
         w[self.psi_dofs] = psi[:len(self.psi_dofs)]
         coef = np.zeros(self.W.dim)
@@ -394,15 +398,11 @@ class Model:
         return K, np.concatenate([(self.border @ w).reshape(2, -1).T, [[0.0, -s], [s, 0.0]]])
 
     def solve_momentum(self, omega, psi, phi=None, m0=None, dt=None):
-        """Momentum step over dt (the run's if None) from the stream function
-        psi of u = Z psi, with the rotation at omega and the buoyancy of
-        phi: with tau = dt/2 its load Z^T (M/dt - R/2) Z psi + g is S psi/dt
-        - K psi/2 + g, so the midpoint m solves (S + tau K) m = S psi + tau
-        g, from m0, against the factor of S, and psi' = 2 m - psi.  g = Z^T
-        (B phi - nu Lc omega) is formed in W: Z^T Lc = L on the psi rows,
-        zero on the torus's harmonic ones, and Z^T B = -Cb^T = Cb on the psi
-        rows, whose functions vanish on the walls.  Returns (u', psi',
-        report of the midpoint solve), with the residual divided by dt."""
+        """Momentum step 4a over dt (the run's if None) from the stream
+        function psi of u = Z psi, with the rotation at omega and the
+        buoyancy of phi: the midpoint m solves (S + tau K) m = S psi + tau g,
+        tau = dt/2, from m0 against the factor of S, and psi' = 2 m - psi.
+        Returns (u', psi', report of the midpoint solve), residual / dt."""
         dt = self.time.dt if dt is None else dt
         system = self.systems["momentum"]
         v = self.L @ omega.coefficients

@@ -106,7 +106,8 @@ def test_suspended_mass_constant_without_settling():
 def hand_built_state(model, k, phi):
     """A state at step k with zero velocity and vorticity and the given phi."""
     return SimulationState(k=k, u_half=Field(model.U, np.zeros(model.U.dim)),
-                           omega=Field(model.W, np.zeros(model.W.dim)), phi=phi)
+                           omega=Field(model.W, np.zeros(model.W.dim)), phi=phi,
+                           psi_0=np.zeros(model.Z.shape[1]))
 
 
 def test_zero_initial_mass_gives_zero_ratio():
@@ -259,14 +260,15 @@ def test_engine_row_equals_the_step_bookkeeping(case):
 def test_engine_row_from_two_hand_built_states():
     """A row needs nothing but two consecutive states: on random fields,
     with no step between them, each term is its formula, and the
-    divergence is measured, not taken from a gate."""
+    divergence is measured from u_half, not taken from a gate."""
     model = make_model(L=3.0, nx=6, ny=2)
     rng = np.random.default_rng(4)
 
     def random_state(k):
         return SimulationState(k=k, u_half=Field(model.U, rng.standard_normal(model.U.dim)),
                                omega=Field(model.W, rng.standard_normal(model.W.dim)),
-                               phi=Field(model.W, rng.standard_normal(model.W.dim)))
+                               phi=Field(model.W, rng.standard_normal(model.W.dim)),
+                               psi_0=rng.standard_normal(model.Z.shape[1]))
 
     prev, new = random_state(3), random_state(4)
     eng = Engine(model, prev)
@@ -277,3 +279,39 @@ def test_engine_row_from_two_hand_built_states():
     assert row.div_inf > 1e-10
     dt = model.time.dt
     assert row.eres_gap == row.E_res - 0.5 * dt * (row.exchange - eng.base_exchange)
+
+
+@pytest.mark.parametrize("case", ["channel", "box"])
+def test_stream_function_ledger_is_the_velocity_ledger(case):
+    """The ledger's terms, read from the stream functions and the W forms,
+    are the velocity-space ones of u = Z psi to roundoff, on random
+    fields: K = psi^T S psi / 2 is u^T M u / 2 to 1e-13 relative, and
+    eps_v and the exchange are nu (Lc om) . u_mid and (B phi) . u to 1e-13
+    of the sum of the magnitudes of their products."""
+    if case == "channel":
+        model = make_model(L=3.0, nx=6, ny=2, N=2)
+    else:
+        mesh = build_periodic_rect_mesh(1.0, 1.0, 4, 4, "left")
+        model = Model(mesh, 2, PhysicsConfig(mode="homogeneous", nu=0.1), TimeConfig(dt=0.1, t_end=1.0))
+    rng = np.random.default_rng(9)
+
+    def random_state(k):
+        psi = rng.standard_normal(model.Z.shape[1])
+        phi = Field(model.W, rng.standard_normal(model.W.dim)) if case == "channel" else None
+        return SimulationState(k=k, u_half=Field(model.U, model.Z @ psi), psi_0=psi, phi=phi,
+                               omega=Field(model.W, rng.standard_normal(model.W.dim)))
+
+    def dot(a, b):
+        return float(a @ b), float(np.abs(a) @ np.abs(b))
+
+    prev, new = random_state(0), random_state(1)
+    eng = Engine(model, prev)
+    row = eng.update(prev, new)
+    u, u_mid = new.u_half.coefficients, 0.5 * (prev.u_half.coefficients + new.u_half.coefficients)
+    expected = {"K": dot(u, 0.5 * (model.M @ u)),
+                "eps_v": dot(model.nu * (model.Lc @ new.omega.coefficients), u_mid)}
+    if case == "channel":
+        expected["exchange"] = dot(model.buoyancy @ new.phi.coefficients, u)
+    for name, (value, scale) in expected.items():
+        assert abs(getattr(row, name) - value) <= 1e-13 * scale, name
+    assert eng.K_half0 == pytest.approx(model.kinetic_energy(prev.u_half), rel=1e-13)

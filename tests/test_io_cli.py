@@ -289,7 +289,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     data = dfio.load_checkpoint(path)
     restored = dfio.restore_state(data, model)
     assert restored.k == state.k
-    assert list(data["fields"]) == list(dfio._FIELD_ORDER)
+    assert list(data["fields"]) == [name for field in dfio._SAVED for name in dfio._names(field)]
     for name in ("u_half", "omega", "phi"):
         a = getattr(state, name).coefficients
         b = getattr(restored, name).coefficients
@@ -302,15 +302,15 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 
 def test_state_is_what_a_checkpoint_holds():
-    """SimulationState holds, besides its step k, exactly the fields a
-    checkpoint saves and a resume restores, each earlier level x^{k-j} of
-    a field x's history x_past as x_j."""
+    """SimulationState holds, besides its step k and u_half = Z psi_0,
+    exactly the fields a checkpoint saves and a resume restores, each
+    earlier level x^{k-j} of a field x's history x_past as x_j."""
     names = [f.name for f in dataclasses.fields(SimulationState)]
-    assert names[0] == "k"
-    saved = [level for name in names[1:] for level in (
+    assert names[:2] == ["k", "u_half"]
+    saved = [level for name in names[2:] for level in (
         [f"{name[:-len('_past')]}_{j}" for j in range(1, stepper.LEVELS + 1)] if name.endswith("_past")
         else [name])]
-    assert tuple(saved) == dfio._FIELD_ORDER
+    assert saved == [name for field in dfio._SAVED for name in dfio._names(field)]
 
 
 def test_version_2_checkpoint_refused(tmp_path, monkeypatch):
@@ -387,29 +387,45 @@ def test_version_5_checkpoint_refused(tmp_path, monkeypatch):
     assert str(path) in str(exc.value)
 
 
-@pytest.mark.parametrize("name", ["u_half", "psi_0"])
-@pytest.mark.parametrize("k", [0, 2])
-def test_checkpoint_velocity_not_its_stream_function_refused(tmp_path, k, name):
-    """A checkpoint whose u_half is not Z psi_0 bit for bit, one dof of
-    either off by one ulp, is refused naming both fields: the step reads
-    psi_0 and the ledger u_half.  The state as saved restores."""
+def test_version_6_checkpoint_refused(tmp_path, monkeypatch):
+    """A version-6 checkpoint, which also held u_half, is refused by its
+    version line, with a message that names it."""
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
+    eng = Engine(model, state)
+    state, _, _ = step(state, model)
+    path = tmp_path / "v6.ckpt"
+    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 6)
+    monkeypatch.setattr(dfio, "_SAVED", ("u_half", *dfio._SAVED))
+    dfio.save_checkpoint(str(path), state, eng, model)
+    monkeypatch.undo()
+    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 6\n")
+    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 6'") as exc:
+        dfio.load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
+@pytest.mark.parametrize("k", [0, 2])
+def test_restored_velocity_is_its_stream_function(tmp_path, k, mode):
+    """A checkpoint holds no u_half: a restore sets it to Z psi_0, the
+    step's own expression, so it is the saved state's u_half bit for bit."""
+    text = lock_cfg_text(tmp_path / "o") if mode == "turbidity" else TORUS_CFG.format(out="o", degree=1)
+    model = build_model(parse_config(text))
+    ic = LockInitialCondition() if mode == "turbidity" else stepper.RandomSolenoidalInitialCondition(seed=3)
+    state, _ = initialize(model, ic)
     eng = Engine(model, state)
     for _ in range(k):
         state, _, _ = step(state, model)
     path = str(tmp_path / "c.ckpt")
     dfio.save_checkpoint(path, state, eng, model)
-    assert np.array_equal(dfio.restore_state(dfio.load_checkpoint(path), model).psi_0, state.psi_0)
-    coef = getattr(state, name)
-    coef = np.array(getattr(coef, "coefficients", coef))
-    i = np.argmax(np.abs(coef))
-    coef[i] = np.nextafter(coef[i], np.inf)
-    bad = dataclasses.replace(state, **{name: Field(model.U, coef) if name == "u_half" else coef})
-    dfio.save_checkpoint(path, bad, eng, model)
-    with pytest.raises(dfio.CheckpointError, match=re.escape("field 'u_half' is not Z psi_0 of its field 'psi_0'")):
-        dfio.restore_state(dfio.load_checkpoint(path), model)
+    data = dfio.load_checkpoint(path)
+    assert "u_half" not in data["fields"]
+    restored = dfio.restore_state(data, model).u_half
+    assert restored.space is model.U
+    assert np.array_equal(restored.coefficients, model.Z @ state.psi_0)
+    assert np.array_equal(restored.coefficients, state.u_half.coefficients)
 
 
 LEVELS = stepper.LEVELS
@@ -421,12 +437,14 @@ LEVELS = stepper.LEVELS
      f"no field 'psi_{LEVELS}', which a turbidity state at step {LEVELS + 1} holds"),
     (LEVELS - 1, "phi_past", lambda past: (*past, past[-1]),
      f"field 'phi_{LEVELS}' is not a field of a turbidity state at step {LEVELS - 1}"),
-], ids=["wrong_length", "missing_level", "level_before_step_0"])
-def test_checkpoint_history_refused(tmp_path, k, name, change, message):
+    (2, "u_half", lambda u: u, "field 'u_half' is not a field of a turbidity state at step 2"),
+], ids=["wrong_length", "missing_level", "level_before_step_0", "velocity"])
+def test_checkpoint_history_refused(tmp_path, monkeypatch, k, name, change, message):
     """A checkpoint whose history does not fit its step is refused by
     name: the deepest earlier level of a full history of the wrong length
     or missing, and one level more than step k < LEVELS holds, which
-    would lie before step 0."""
+    would lie before step 0.  So is a file that holds u_half besides
+    psi_0, which a state holds only as Z psi_0."""
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
@@ -435,7 +453,10 @@ def test_checkpoint_history_refused(tmp_path, k, name, change, message):
         state, _, _ = step(state, model)
     bad = dataclasses.replace(state, **{name: change(getattr(state, name))})
     path = str(tmp_path / "c.ckpt")
+    if name not in dfio._SAVED:
+        monkeypatch.setattr(dfio, "_SAVED", (name, *dfio._SAVED))
     dfio.save_checkpoint(path, bad, eng, model)
+    monkeypatch.undo()
     with pytest.raises(dfio.CheckpointError, match=re.escape(message)):
         dfio.restore_state(dfio.load_checkpoint(path), model)
 
@@ -487,7 +508,7 @@ HEAD = f"{dfio.CHECKPOINT_MAGIC} {dfio.CHECKPOINT_VERSION}\n".encode()
     (b"DUALFLOW-CKPT x\nEND\n", "version line 'DUALFLOW-CKPT x'"),
     (HEAD + b"mode homogeneous\ndegree 1\nk 0\ndt 0x1.0p-7\nidentity mesh=0\n"
      b"scalars Ev=0x0p+0 Es=0x0p+0 K_half0=0x0p+0 Ep0=0x0p+0 m_p0=0x0p+0 base_exchange=0x0p+0\n"
-     b"fields u_half omega omega\ndims 1 1 1\nEND\n" + bytes(24), "fields line names omega twice"),
+     b"fields omega psi_0 psi_0\ndims 1 1 1\nEND\n" + bytes(24), "fields line names psi_0 twice"),
 ], ids=["end_only", "no_dt", "bad_version", "repeated_field"])
 def test_malformed_checkpoint_refused(tmp_path, content, message):
     path = tmp_path / "bad.ckpt"
@@ -537,7 +558,7 @@ def test_resume_refuses_checkpoint_with_bad_number(tmp_path, pattern, replacemen
     assert (out / "timeseries.csv").read_bytes() == csv
 
 
-@pytest.mark.parametrize("field", ["u_half", "omega", "phi"])
+@pytest.mark.parametrize("field", ["omega", "phi", "psi_0"])
 def test_resume_refuses_checkpoint_with_non_finite_field(tmp_path, field):
     """A NaN in a checkpointed field is refused by name at load, before the
     CSV is cut back, not by a solver one or more steps into the resume."""
@@ -568,7 +589,7 @@ def test_cli_resume_malformed_checkpoint(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("field", ["u_half", "omega", "phi"])
+@pytest.mark.parametrize("field", ["omega", "phi", "psi_0"])
 def test_cli_resume_refuses_checkpoint_missing_a_state_field(tmp_path, field):
     """A checkpoint whose fields lack part of the turbidity state is refused
     with one error line naming the field, not a traceback at set-up or in

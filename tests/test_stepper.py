@@ -343,20 +343,25 @@ seed = 4
 def test_setup_factors_what_the_run_solves(mode, vtk_every, tmp_path, factorizations, monkeypatch):
     """driver.run factors each static system in set-up, and D D^T too if
     and only if it writes snapshots, fresh or resumed, before its budget
-    Engine exists; the lock start factors nothing of its own, and no step
-    factors anything.  A run without snapshots solves no pressure; one
-    with snapshots solves one per snapshot."""
+    Engine exists, and builds the forms of the pressure residual, Lc and,
+    with particles, B, with it: a run without snapshots builds neither.
+    The lock start factors nothing of its own, and no step factors
+    anything.  A run without snapshots solves no pressure; one with
+    snapshots solves one per snapshot."""
     static = 4 if mode == "turbidity" else 3  # curl, vorticity, momentum and transport
     at_engine, pressures = [], []
 
+    def built(model):
+        return "pressure" in model.systems, "Lc" in vars(model), "buoyancy" in vars(model)
+
     class Recorded(Engine):
         def __init__(self, model, state0):
-            at_engine.append((len(factorizations), "pressure" in model.systems))
+            at_engine.append((len(factorizations), *built(model)))
             super().__init__(model, state0)
 
         @classmethod
         def restored(cls, model, scalars):
-            at_engine.append((len(factorizations), "pressure" in model.systems))
+            at_engine.append((len(factorizations), *built(model)))
             return super().restored(model, scalars)
 
     def counted(model, *args, **kwargs):
@@ -382,9 +387,10 @@ checkpoint_every = 2
         pressures.clear()
         result = driver.run(parse_config(text.format(t_end=t_end)), checkpoint=checkpoint)
         expected = static + (vtk_every > 0)
-        assert at_engine.pop() == (expected, vtk_every > 0)
+        snapshots = (vtk_every > 0, vtk_every > 0, vtk_every > 0 and mode == "turbidity")
+        assert at_engine.pop() == (expected, *snapshots)
         assert len(factorizations) == expected  # and none after set-up
-        assert ("pressure" in result.model.systems) == (vtk_every > 0)
+        assert built(result.model) == snapshots
         assert len(pressures) == (3 if checkpoint is None else 2) * vtk_every
 
 
@@ -1075,8 +1081,8 @@ def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
 
 
 class Forbidden:
-    """Stands in for a matrix that a step must not touch: any product with
-    it, or any use of it, fails naming it."""
+    """Stands in for a matrix that a step or the ledger must not touch: any
+    product with it, or any use of it, fails naming it."""
 
     __array_ufunc__ = None  # so that x @ it reaches __rmatmul__
 
@@ -1084,12 +1090,12 @@ class Forbidden:
         self.name = name
 
     def __matmul__(self, other):
-        raise AssertionError(f"a step formed a product with {self.name}")
+        raise AssertionError(f"a product with {self.name} was formed")
 
     __rmatmul__ = __matmul__
 
     def __getattr__(self, attr):
-        raise AssertionError(f"a step used {self.name}.{attr}")
+        raise AssertionError(f"{self.name}.{attr} was used")
 
 
 def case_ic(model):
@@ -1110,11 +1116,14 @@ def test_step_forms_no_velocity_space_load(case, request, monkeypatch):
     mass M, the weak curl Lc or the buoyancy B: the momentum load comes
     from psi^{k+1/2} and the W forms.  The startup applies no rotation
     per cell and forms no product with Lc or B either: its passes take
-    the step's solve, and M only projects u^0.  Both states are the same
-    as without the checks, bit for bit."""
+    the step's solve, and M only projects u^0.  Nor does the ledger form
+    one, Engine.__init__ or Engine.update: it reads the stream functions.
+    Both states and the ledger row are the same as without the checks,
+    bit for bit."""
     model, state = request.getfixturevalue(case)
     expected, _, _ = step(state, model)
     expected_start, _ = initialize(model, case_ic(model))
+    expected_row = Engine(model, expected_start).update(state, expected)
     applied = []
     apply_rotation = assemble.apply_rotation
 
@@ -1128,10 +1137,12 @@ def test_step_forms_no_velocity_space_load(case, request, monkeypatch):
     start, _ = initialize(model, case_ic(model))
     monkeypatch.setattr(model, "M", Forbidden("M"))
     new, _, _ = step(state, model)
+    row = Engine(model, start).update(state, new)
     monkeypatch.undo()
     assert applied == []
     same_state(start, expected_start)
     same_state(new, expected)
+    assert row == expected_row
 
 
 def momentum_load_cases():

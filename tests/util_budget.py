@@ -1,11 +1,12 @@
 """The budget terms as a step once computed them, the oracle for the
 ledger of diagnostics.Engine.
 
-A step used to keep its own books: eps_v from the viscous vector
-l = Lc om^{k+1} it built for the momentum rhs, the exchange from its
-buoyancy b = B phi^{k+1}, eps_s and the particle-mass residual from the
-midpoint concentration it passed to the vorticity solve, and ||D u||_inf
-from its divergence gate.  The Engine now computes every term from the
+A step used to keep its own books: eps_v from the viscous vector it
+builds for the momentum load, L om^{k+1} on the psi rows (Z^T Lc = L),
+the exchange from its buoyancy, Cb phi^{k+1} on the psi rows (Z^T B =
+Cb), both against the stream functions, eps_s and the particle-mass
+residual from the midpoint concentration it passed to the vorticity
+solve, and ||D u||_inf from its divergence gate.  The Engine now computes every term from the
 two states alone.  `recording_step` runs one step and returns the
 vectors its solves received; `step_budget` is the arithmetic the step
 once did with them.
@@ -43,14 +44,15 @@ def recording_step(state, model):
 def step_budget(model, prev, new, omega, phi=None, phi_mid=None):
     """eps_v, eps_s, exchange, mass_residual and div_inf of the step
     prev -> new, from the step's own omega^{k+1}, phi^{k+1} and phi_mid,
-    with the buoyancy b = B phi^{k+1}."""
+    with the momentum load's vectors L omega^{k+1} and Cb phi^{k+1} on the
+    psi rows."""
     dt = model.time.dt
-    u, u_new = prev.u_half, new.u_half
-    l_vec = model.Lc @ omega.coefficients
+    rows, n = model.psi_dofs, len(model.psi_dofs)
+    l_vec = (model.L @ omega.coefficients)[rows]
     budget = {
-        "eps_v": model.nu * float(l_vec @ (0.5 * (u.coefficients + u_new.coefficients))),
+        "eps_v": model.nu * float(l_vec @ (0.5 * (prev.psi_0 + new.psi_0))[:n]),
         "eps_s": 0.0, "exchange": 0.0, "mass_residual": 0.0,
-        "div_inf": float(np.max(np.abs(model.D @ u_new.coefficients))),
+        "div_inf": float(np.max(np.abs(model.D @ new.u_half.coefficients))),
     }
     if phi_mid is not None:
         u_s = model.physics.settling_velocity
@@ -61,5 +63,5 @@ def step_budget(model, prev, new, omega, phi=None, phi_mid=None):
         budget["eps_s"] = u_s * model.integral_w(phi_mid.coefficients) - model.kappa * float(
             model.grad_dot_g @ phi_mid.coefficients
         )
-        budget["exchange"] = float((model.buoyancy @ phi.coefficients) @ u_new.coefficients)
+        budget["exchange"] = float((model.baroclinic @ phi.coefficients)[rows] @ new.psi_0[:n])
     return budget
