@@ -3,10 +3,11 @@
 CSV numbers use shortest round-trip formatting (Python repr), so rows
 are bitwise reproducible and resume-exact.  Snapshot and checkpoint
 arrays are raw float64 (big-endian in VTK, little-endian in checkpoints),
-lossless by construction.
+lossless by construction.  A checkpoint holds the named vectors of
+SimulationState.vectors() and the run's identity; which vectors a state
+holds, and of what length, is stepper.restore's to say.
 """
 
-import dataclasses
 import hashlib
 import os
 
@@ -14,11 +15,10 @@ import numpy as np
 
 from .assemble import GRAVITY
 from .diagnostics import ACCUMULATORS, CSV_COLUMNS
-from .spaces import Field
-from .stepper import LEVELS, SimulationState
+from .stepper import restore
 
 CHECKPOINT_MAGIC = "DUALFLOW-CKPT"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 def _fmt(x):
@@ -166,23 +166,10 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def _names(field, levels=LEVELS):
-    """The checkpoint names of a SimulationState field: itself, or for the
-    earlier levels x_past the first `levels` of x_1, x_2, ..., newest
-    first."""
-    if not field.endswith("_past"):
-        return (field,)
-    return tuple(f"{field[:-len('_past')]}_{j}" for j in range(1, levels + 1))
-
-
-# the fields of stepper.SimulationState that a checkpoint holds: all but k and u_half = Z psi_0
-_SAVED = tuple(f.name for f in dataclasses.fields(SimulationState) if f.name not in ("k", "u_half"))
-
-# what each part of a run's identity covers
+# what each part of a run's identity covers; the degree has a header line of its own
 IDENTITY = {
     "mesh": "vertex coordinates, cells and wall tags",
     "physics": "mode, viscosity, diffusivity, settling velocity and gravity",
-    "discretization": "degree and sign convention",
 }
 
 
@@ -198,8 +185,8 @@ def _digest(*items):
 def run_identity(model):
     """Digest of each IDENTITY part of the run `model` computes.
 
-    The mesh digest is computed once per mesh; the other two hash a few
-    numbers.
+    The mesh digest is computed once per mesh; the physics digest hashes
+    a few numbers.
     """
     mesh, phys = model.mesh, model.physics
     if "digest" not in mesh._cache:
@@ -209,23 +196,17 @@ def run_identity(model):
     return {
         "mesh": mesh._cache["digest"],
         "physics": _digest(phys.mode, model.nu, model.kappa, u_s, GRAVITY),
-        # the sign convention is fixed; hashed so older checkpoints still match
-        "discretization": _digest(model.degree, False),
     }
 
 
 def save_checkpoint(path, state, engine, model):
-    """Versioned header plus raw float64 dof vectors; lossless round trip.
+    """Versioned header plus raw float64 vectors, one per field of
+    state.vectors(); lossless round trip.
 
     Written to a temporary file in the same directory and renamed over
     `path`, so a crash mid-write leaves the previous checkpoint intact.
     """
-    fields = {}
-    for field in _SAVED:
-        value = getattr(state, field)  # a Field, coefficients, or earlier levels' coefficients
-        held = value if field.endswith("_past") else () if value is None else (value,)
-        for name, x in zip(_names(field), held):
-            fields[name] = np.ascontiguousarray(getattr(x, "coefficients", x), dtype="<f8")
+    fields = {name: np.ascontiguousarray(v, dtype="<f8") for name, v in state.vectors().items()}
     scalars = {name: getattr(engine, name) for name in ACCUMULATORS}
     header = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
@@ -328,10 +309,9 @@ def load_checkpoint(path):
 
 def restore_state(data, model):
     """Rebuild a SimulationState from checkpoint data written by the same
-    run: mode, degree, dt, identity and field lengths must all match, and
-    the fields must be the mode's state at its step k and no other (see
-    _SAVED), with the min(k, LEVELS) earlier levels that step k holds.
-    u_half is Z psi_0, the step's own expression: the bits saved."""
+    run: mode, degree, dt and identity must match, and stepper.restore
+    takes the fields, refusing any that are not the mode's state at step
+    k, which the CheckpointError names."""
     if data["mode"] != model.physics.mode:
         raise CheckpointError(
             f"checkpoint mode {data['mode']!r} does not match configured {model.physics.mode!r}"
@@ -345,26 +325,7 @@ def restore_state(data, model):
             raise CheckpointError(
                 f"checkpoint {part} ({IDENTITY[part]}) does not match the configured run"
             )
-    k = data["k"]
-    held = min(k, LEVELS)
-    n_psi, n_w = model.systems["momentum"].static.shape[0], model.W.dim
-    lengths = {"omega": n_w, "psi_0": n_psi, **dict.fromkeys(_names("psi_past", held), n_psi),
-               **dict.fromkeys(_names("omega_past", held), len(model.iw))}
-    if model.physics.mode == "turbidity":
-        lengths.update({"phi": n_w, **dict.fromkeys(_names("phi_past", held), n_w)})
-    for name in lengths:
-        if name not in data["fields"]:
-            raise CheckpointError(f"checkpoint has no field {name!r}, which a "
-                                  f"{model.physics.mode} state at step {k} holds")
-    for name, coef in data["fields"].items():
-        if name not in lengths:
-            raise CheckpointError(f"checkpoint field {name!r} is not a field of a "
-                                  f"{model.physics.mode} state at step {k}")
-        if len(coef) != lengths[name]:
-            raise CheckpointError(f"field {name!r} has {len(coef)} dofs, expected {lengths[name]}")
-    fields = data["fields"]
-    kwargs = {name: Field(model.W, fields[name]) for name in ("omega", "phi") if name in lengths}
-    kwargs.update({past: tuple(fields[name] for name in _names(past, held) if name in lengths)
-                   for past in ("phi_past", "omega_past", "psi_past")})
-    return SimulationState(k=k, u_half=Field(model.U, model.Z @ fields["psi_0"]),
-                           psi_0=fields["psi_0"], **kwargs)
+    try:
+        return restore(model, data["k"], data["fields"])
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {exc}") from None

@@ -18,7 +18,7 @@ dissipation.
 Model owns every static operator and every linear system, by name an
 assemble.System in Model.systems: it builds each once, from the fixed
 physics and time step, at construction but for the pressure system
-D D^T and its residual's forms Lc and B, which only snapshots use: built
+D D^T and its residual's buoyancy B, which only snapshots use: built
 on first use, by driver.run in set-up when it writes snapshots.  A step
 assembles only C and the rotation and otherwise multiplies, all in W:
 the weak curl's load, the momentum load (step 4a below) and the
@@ -101,7 +101,7 @@ consecutive states' stream functions and the same W forms.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -178,12 +178,13 @@ class TimeConfig:
 
 @dataclass
 class SimulationState:
-    """The state a step reads, all that a checkpoint holds but u_half =
-    Z psi_0 (io._SAVED): the fields at their levels, psi_0, which the
+    """The state a step reads: the fields at their levels, psi_0, which the
     momentum step and the ledger read, then the earlier levels that the
     step's starts extrapolate from, as the solves' coefficient vectors,
     newest first: step k holds min(k, LEVELS) of each, x^{k-1}, ... and
-    psi^{k-1/2}, ..., none before the run's first level."""
+    psi^{k-1/2}, ..., none before the run's first level.  A checkpoint
+    holds all of it but u_half = Z psi_0, as vectors() gives it and
+    restore() takes it back."""
 
     k: int
     u_half: Field                  # velocity at t^{k+1/2}
@@ -194,18 +195,57 @@ class SimulationState:
     psi_0: np.ndarray = None       # psi^{k+1/2}, the momentum solve's unknowns: u_half = Z psi_0
     psi_past: tuple = ()           # psi^{k-1/2}, psi^{k-3/2}, ...
 
+    def vectors(self):
+        """{name: coefficients} of every field but k and u_half, each
+        earlier-levels stack joined into one vector, newest level first; a
+        field that the mode or the step leaves empty is left out."""
+        out = {}
+        for f in fields(self)[2:]:  # all but k and u_half
+            x = getattr(self, f.name)
+            if isinstance(x, tuple):
+                x = np.concatenate(x) if x else None
+            if x is not None:
+                out[f.name] = getattr(x, "coefficients", x)
+        return out
+
 
 # the earlier levels of each field that a state holds once the run is that
 # many steps in, which a step hands on and a restored state must hold
-# (io.restore_state).  Fewer leave the box at two passes per solve; more
-# amplify roundoff (the weights' magnitudes sum to 2^(n - 1))
+# (restore).  Fewer leave the box at two passes per solve; more amplify
+# roundoff (the weights' magnitudes sum to 2^(n - 1))
 LEVELS = 6
+
+
+def restore(model, k, vectors):
+    """The state at step k of `model`'s run from its vectors(), with u_half
+    = Z psi_0, the step's own expression: the saved state's bits.  Raises
+    ValueError naming the step and the first field that is missing, extra
+    or of the wrong length."""
+    held, turbidity = min(k, LEVELS), model.physics.mode == "turbidity"
+    n_w, n_psi = model.W.dim, model.Z.shape[1]
+    sizes = {"omega": n_w, "phi": turbidity * n_w, "phi_past": turbidity * held * n_w,
+             "omega_past": held * len(model.iw), "psi_0": n_psi, "psi_past": held * n_psi}
+    lengths = {name: n for name, n in sizes.items() if n}
+    where = f"a {model.physics.mode} state at step {k}"
+    for name in {**lengths, **vectors}:
+        if name not in vectors:
+            raise ValueError(f"field {name!r}, which {where} holds, is missing")
+        if name not in lengths:
+            raise ValueError(f"field {name!r} is not a field of {where}")
+        if len(vectors[name]) != lengths[name]:
+            raise ValueError(f"field {name!r} has {len(vectors[name])} values where {where} "
+                             f"holds {lengths[name]}")
+    past = {name: tuple(np.split(vectors[name], held)) if name in lengths else ()
+            for name in ("phi_past", "omega_past", "psi_past")}
+    return SimulationState(k=k, u_half=Field(model.U, model.Z @ vectors["psi_0"]), psi_0=vectors["psi_0"],
+                           omega=Field(model.W, vectors["omega"]),
+                           phi=Field(model.W, vectors["phi"]) if turbidity else None, **past)
 
 
 class Model:
     """Spaces, static operators and the named linear systems of one run,
     all built once from the physics and time step it is constructed with:
-    at construction, but for the pressure system and its Lc and B, on use."""
+    at construction, but for the pressure system and its B, on use."""
 
     def __init__(self, mesh, degree, physics, time):
         if physics.mode == "turbidity" and mesh.periodic:
@@ -302,10 +342,6 @@ class Model:
     # -- the pressure system and its residual's forms, built on first use
 
     @cached_property
-    def Lc(self):
-        return (self.M @ self.curl).tocsr()  # the weak curl Lc[a, k] = <curl w_k, u_a>
-
-    @cached_property
     def buoyancy(self):
         return assemble.assemble_buoyancy(self.U, self.W, self.qdeg)
 
@@ -319,7 +355,7 @@ class Model:
 
     def pressure_system(self):
         if "pressure" not in self.systems:  # D D^T annihilates the constant pressure: pin dof 0
-            _ = self.Lc, (self.buoyancy if self.physics.mode == "turbidity" else None)
+            _ = self.buoyancy if self.physics.mode == "turbidity" else None
             DDt = (self.D_r @ self.D_rt)[1:, 1:].tocsr()
             self.systems["pressure"] = assemble.System("pressure", DDt)
         return self.systems["pressure"]
@@ -419,14 +455,15 @@ class Model:
 
     def pressure(self, omega, u_old, u, dt, phi=None):
         """Step 4b for the momentum step from u_old to its solution u: p with zero
-        mean and D_r^T p = r on the free dofs, r = M (u - u_old)/dt + R (u +
-        u_old)/2 + nu Lc omega - B phi the step's residual without its
-        pressure, which holds only if u solves the step.  Returns (p, report
-        with ||r - D_r^T p||_inf), or refuses when that exceeds RTOL (1 +
+        mean and D_r^T p = r on the free dofs, r = M ((u - u_old)/dt + nu
+        curl omega) + R (u + u_old)/2 - B phi the step's residual without
+        its pressure, which holds only if u solves the step.  One mass
+        product: M curl is the weak curl Lc.  Returns (p, report with
+        ||r - D_r^T p||_inf), or refuses when that exceeds RTOL (1 +
         ||r||_inf)."""
         uo, uc = u_old.coefficients, u.coefficients
-        r = ((self.M @ (uc - uo)) / dt + 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uc + uo)
-             + self.nu * (self.Lc @ omega.coefficients))
+        r = (self.M @ ((uc - uo) / dt + self.nu * (self.curl @ omega.coefficients))
+             + 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uc + uo))
         if phi is not None:
             r = r - self.buoyancy @ phi.coefficients
         r = r[self.iu]

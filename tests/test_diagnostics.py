@@ -309,7 +309,7 @@ def test_stream_function_ledger_is_the_velocity_ledger(case):
     row = eng.update(prev, new)
     u, u_mid = new.u_half.coefficients, 0.5 * (prev.u_half.coefficients + new.u_half.coefficients)
     expected = {"K": dot(u, 0.5 * (model.M @ u)),
-                "eps_v": dot(model.nu * (model.Lc @ new.omega.coefficients), u_mid)}
+                "eps_v": dot(model.nu * (model.M @ (model.curl @ new.omega.coefficients)), u_mid)}
     if case == "channel":
         expected["exchange"] = dot(model.buoyancy @ new.phi.coefficients, u)
     for name, (value, scale) in expected.items():

@@ -19,8 +19,8 @@ AST scans do seven checks.
   later than itself in the layer order `LAYERS`.
 - `CachedLU` is constructed only in `linsolve` and in `assemble.System`,
   which owns each static factor of a run.
-- `SimulationState` is constructed only in `stepper` and in
-  `io.restore_state`, which fill in the history a step's starts read.
+- `SimulationState` is constructed only in `stepper`, whose steps and
+  `restore` fill in the history a step's starts read.
 """
 
 import ast
@@ -335,12 +335,12 @@ def test_scan_finds_every_state_construction():
 @pytest.mark.parametrize("module", LAYERS)
 def test_states_are_built_by_steps_and_restore_alone(module):
     """A state carries the history its step's starts read: only stepper,
-    whose steps fill it in, and io.restore_state, which restores it from a
-    checkpoint, construct one.  A state built elsewhere without it would
-    still step, from other starts, and a resume would no longer be bitwise."""
+    whose steps fill it in and whose restore rebuilds it from a
+    checkpoint's vectors, constructs one.  A state built elsewhere without
+    it would still step, from other starts, and a resume would no longer
+    be bitwise."""
     with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
         found = constructions(fh.read(), "SimulationState", ast.FunctionDef)
-    outside = [(line, where) for line, where in found
-               if module != "stepper" and (module, where) != ("io", "restore_state")]
-    assert not outside, f"{module} constructs SimulationState outside stepper and io.restore_state: " + ", ".join(
+    outside = found if module != "stepper" else []
+    assert not outside, f"{module} constructs SimulationState outside stepper: " + ", ".join(
         f"{where or 'module level'} (line {line})" for line, where in outside)

@@ -17,6 +17,8 @@ from dualflow.stepper import LockInitialCondition, SimulationState, initialize, 
 from conftest import run_cli
 from util_vtk import read_vtk
 
+LEVELS = stepper.LEVELS
+
 
 def lock_cfg_text(outdir, t_end=0.003, nx=13, ny=2, degree=1, extra=""):
     return f"""
@@ -289,7 +291,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     data = dfio.load_checkpoint(path)
     restored = dfio.restore_state(data, model)
     assert restored.k == state.k
-    assert list(data["fields"]) == [name for field in dfio._SAVED for name in dfio._names(field)]
+    assert list(data["fields"]) == [f.name for f in dataclasses.fields(SimulationState)][2:]
     for name in ("u_half", "omega", "phi"):
         a = getattr(state, name).coefficients
         b = getattr(restored, name).coefficients
@@ -301,107 +303,56 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert data["scalars"]["m_p0"] == eng.m_p0
 
 
-def test_state_is_what_a_checkpoint_holds():
+def test_state_is_what_a_checkpoint_holds(tmp_path):
     """SimulationState holds, besides its step k and u_half = Z psi_0,
-    exactly the fields a checkpoint saves and a resume restores, each
-    earlier level x^{k-j} of a field x's history x_past as x_j."""
+    exactly the vectors() a checkpoint saves, each earlier-levels stack
+    x_past as one vector, newest level first, and stepper.restore takes
+    them back bit for bit, u_half as Z psi_0."""
+    model = build_model(parse_config(lock_cfg_text(tmp_path / "o")))
+    rng = np.random.default_rng(2)
+    n_w, n_psi = model.W.dim, model.Z.shape[1]
+    psi_0 = rng.standard_normal(n_psi)
+    state = SimulationState(
+        k=LEVELS + 1, u_half=Field(model.U, model.Z @ psi_0), psi_0=psi_0,
+        omega=Field(model.W, rng.standard_normal(n_w)), phi=Field(model.W, rng.standard_normal(n_w)),
+        phi_past=tuple(rng.standard_normal((LEVELS, n_w))),
+        omega_past=tuple(rng.standard_normal((LEVELS, len(model.iw)))),
+        psi_past=tuple(rng.standard_normal((LEVELS, n_psi))))
     names = [f.name for f in dataclasses.fields(SimulationState)]
-    assert names[:2] == ["k", "u_half"]
-    saved = [level for name in names[2:] for level in (
-        [f"{name[:-len('_past')]}_{j}" for j in range(1, stepper.LEVELS + 1)] if name.endswith("_past")
-        else [name])]
-    assert saved == [name for field in dfio._SAVED for name in dfio._names(field)]
+    vectors = state.vectors()
+    assert names[:2] == ["k", "u_half"] and list(vectors) == names[2:]
+    restored = stepper.restore(model, state.k, vectors)
+    for name in names[1:]:
+        a, b = getattr(state, name), getattr(restored, name)
+        if name.endswith("_past"):
+            assert np.array_equal(vectors[name], np.concatenate(a))
+            assert len(b) == LEVELS and all(map(np.array_equal, a, b)), name
+        else:
+            assert np.array_equal(getattr(a, "coefficients", a), getattr(b, "coefficients", b)), name
 
 
-def test_version_2_checkpoint_refused(tmp_path, monkeypatch):
-    """A version-2 checkpoint (which also held the pressure and the weak
-    curl) is refused by its version line, with a message that names it."""
+@pytest.mark.parametrize("version", [
+    2,  # also held the pressure and the weak curl
+    3,  # held no history for the starts
+    4,  # its stream functions began a step later (none at step 0)
+    5,  # held two earlier levels of each field where a state now holds LEVELS
+    6,  # also held u_half
+    7,  # held each earlier level as a vector of its own, and a discretization digest
+])
+def test_older_checkpoint_version_refused(tmp_path, monkeypatch, version):
+    """A checkpoint of an earlier version is refused by its version line,
+    with a message that names the version and the path."""
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
     state, _, _ = step(state, model)
-    path = tmp_path / "v2.ckpt"
-    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 2)
+    path = tmp_path / f"v{version}.ckpt"
+    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", version)
     dfio.save_checkpoint(str(path), state, eng, model)
     monkeypatch.undo()
-    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 2\n")
-    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 2'") as exc:
-        dfio.load_checkpoint(str(path))
-    assert str(path) in str(exc.value)
-
-
-def test_version_3_checkpoint_refused(tmp_path, monkeypatch):
-    """A version-3 checkpoint, which held no history for the starts, is
-    refused by its version line, with a message that names it."""
-    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
-    model = build_model(cfg)
-    state, _ = initialize(model, LockInitialCondition())
-    eng = Engine(model, state)
-    state, _, _ = step(state, model)
-    path = tmp_path / "v3.ckpt"
-    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 3)
-    dfio.save_checkpoint(str(path), state, eng, model)
-    monkeypatch.undo()
-    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 3\n")
-    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 3'") as exc:
-        dfio.load_checkpoint(str(path))
-    assert str(path) in str(exc.value)
-
-
-def test_version_4_checkpoint_refused(tmp_path, monkeypatch):
-    """A version-4 checkpoint, whose stream functions began a step later
-    (none at step 0), is refused by its version line, with a message that
-    names it."""
-    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
-    model = build_model(cfg)
-    state, _ = initialize(model, LockInitialCondition())
-    eng = Engine(model, state)
-    state, _, _ = step(state, model)
-    path = tmp_path / "v4.ckpt"
-    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 4)
-    dfio.save_checkpoint(str(path), state, eng, model)
-    monkeypatch.undo()
-    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 4\n")
-    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 4'") as exc:
-        dfio.load_checkpoint(str(path))
-    assert str(path) in str(exc.value)
-
-
-def test_version_5_checkpoint_refused(tmp_path, monkeypatch):
-    """A version-5 checkpoint, which held two earlier levels of each field
-    where a state now holds LEVELS, is refused by its version line, with a
-    message that names it."""
-    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
-    model = build_model(cfg)
-    state, _ = initialize(model, LockInitialCondition())
-    eng = Engine(model, state)
-    state, _, _ = step(state, model)
-    path = tmp_path / "v5.ckpt"
-    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 5)
-    dfio.save_checkpoint(str(path), state, eng, model)
-    monkeypatch.undo()
-    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 5\n")
-    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 5'") as exc:
-        dfio.load_checkpoint(str(path))
-    assert str(path) in str(exc.value)
-
-
-def test_version_6_checkpoint_refused(tmp_path, monkeypatch):
-    """A version-6 checkpoint, which also held u_half, is refused by its
-    version line, with a message that names it."""
-    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
-    model = build_model(cfg)
-    state, _ = initialize(model, LockInitialCondition())
-    eng = Engine(model, state)
-    state, _, _ = step(state, model)
-    path = tmp_path / "v6.ckpt"
-    monkeypatch.setattr(dfio, "CHECKPOINT_VERSION", 6)
-    monkeypatch.setattr(dfio, "_SAVED", ("u_half", *dfio._SAVED))
-    dfio.save_checkpoint(str(path), state, eng, model)
-    monkeypatch.undo()
-    assert path.read_bytes().startswith(b"DUALFLOW-CKPT 6\n")
-    with pytest.raises(dfio.CheckpointError, match="version line 'DUALFLOW-CKPT 6'") as exc:
+    assert path.read_bytes().startswith(f"DUALFLOW-CKPT {version}\n".encode())
+    with pytest.raises(dfio.CheckpointError, match=f"version line 'DUALFLOW-CKPT {version}'") as exc:
         dfio.load_checkpoint(str(path))
     assert str(path) in str(exc.value)
 
@@ -428,36 +379,37 @@ def test_restored_velocity_is_its_stream_function(tmp_path, k, mode):
     assert np.array_equal(restored.coefficients, state.u_half.coefficients)
 
 
-LEVELS = stepper.LEVELS
-
-
-@pytest.mark.parametrize("k, name, change, message", [
-    (LEVELS + 1, "omega_past", lambda past: (*past[:-1], past[-1][:-1]), f"field 'omega_{LEVELS}' has"),
-    (LEVELS + 1, "psi_past", lambda past: past[:-1],
-     f"no field 'psi_{LEVELS}', which a turbidity state at step {LEVELS + 1} holds"),
-    (LEVELS - 1, "phi_past", lambda past: (*past, past[-1]),
-     f"field 'phi_{LEVELS}' is not a field of a turbidity state at step {LEVELS - 1}"),
-    (2, "u_half", lambda u: u, "field 'u_half' is not a field of a turbidity state at step 2"),
-], ids=["wrong_length", "missing_level", "level_before_step_0", "velocity"])
-def test_checkpoint_history_refused(tmp_path, monkeypatch, k, name, change, message):
-    """A checkpoint whose history does not fit its step is refused by
-    name: the deepest earlier level of a full history of the wrong length
-    or missing, and one level more than step k < LEVELS holds, which
-    would lie before step 0.  So is a file that holds u_half besides
-    psi_0, which a state holds only as Z psi_0."""
+@pytest.mark.parametrize("k, vectors, message", [
+    (LEVELS + 1, lambda s: {**s.vectors(), "omega_past": s.vectors()["omega_past"][:-1]},
+     rf"field 'omega_past' has \d+ values where a turbidity state at step {LEVELS + 1} holds"),
+    (LEVELS + 1, lambda s: dataclasses.replace(s, psi_past=s.psi_past[:-1]).vectors(),
+     rf"field 'psi_past' has \d+ values where a turbidity state at step {LEVELS + 1} holds"),
+    (LEVELS - 1, lambda s: dataclasses.replace(s, phi_past=(*s.phi_past, s.phi_past[-1])).vectors(),
+     rf"field 'phi_past' has \d+ values where a turbidity state at step {LEVELS - 1} holds"),
+    (2, lambda s: dataclasses.replace(s, phi_past=()).vectors(),
+     "field 'phi_past', which a turbidity state at step 2 holds, is missing"),
+    (2, lambda s: {**s.vectors(), "u_half": s.u_half.coefficients},
+     "field 'u_half' is not a field of a turbidity state at step 2"),
+], ids=["wrong_length", "missing_level", "level_before_step_0", "missing_field", "velocity"])
+def test_checkpoint_history_refused(tmp_path, monkeypatch, k, vectors, message):
+    """A checkpoint whose fields do not fit its step is refused, naming
+    the field and the step: a full history's stack of the wrong length or
+    one level short, a stack one level longer than step k < LEVELS holds,
+    which would lie before step 0, and a stack that step k holds left
+    out.  So is a file that holds u_half besides psi_0, which a state
+    holds only as Z psi_0."""
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
     for _ in range(k):
         state, _, _ = step(state, model)
-    bad = dataclasses.replace(state, **{name: change(getattr(state, name))})
+    bad = vectors(state)
     path = str(tmp_path / "c.ckpt")
-    if name not in dfio._SAVED:
-        monkeypatch.setattr(dfio, "_SAVED", (name, *dfio._SAVED))
-    dfio.save_checkpoint(path, bad, eng, model)
+    monkeypatch.setattr(SimulationState, "vectors", lambda self: bad)
+    dfio.save_checkpoint(path, state, eng, model)
     monkeypatch.undo()
-    with pytest.raises(dfio.CheckpointError, match=re.escape(message)):
+    with pytest.raises(dfio.CheckpointError, match=message):
         dfio.restore_state(dfio.load_checkpoint(path), model)
 
 

@@ -35,6 +35,7 @@ from dualflow.stepper import (
 
 import pattern_oracle
 from saddle_oracle import solve_saddle
+from util_curl import weak_curl_matrix
 from util_project import project
 from util_rotation import convection_matrix, momentum_skew, rotation_matrix, skew_part
 from util_sim1 import sim1_mesh_text
@@ -343,8 +344,8 @@ seed = 4
 def test_setup_factors_what_the_run_solves(mode, vtk_every, tmp_path, factorizations, monkeypatch):
     """driver.run factors each static system in set-up, and D D^T too if
     and only if it writes snapshots, fresh or resumed, before its budget
-    Engine exists, and builds the forms of the pressure residual, Lc and,
-    with particles, B, with it: a run without snapshots builds neither.
+    Engine exists, and builds the pressure residual's buoyancy B, with
+    particles, with it: a run without snapshots builds neither.
     The lock start factors nothing of its own, and no step factors
     anything.  A run without snapshots solves no pressure; one with
     snapshots solves one per snapshot."""
@@ -352,7 +353,7 @@ def test_setup_factors_what_the_run_solves(mode, vtk_every, tmp_path, factorizat
     at_engine, pressures = [], []
 
     def built(model):
-        return "pressure" in model.systems, "Lc" in vars(model), "buoyancy" in vars(model)
+        return "pressure" in model.systems, "buoyancy" in vars(model)
 
     class Recorded(Engine):
         def __init__(self, model, state0):
@@ -387,7 +388,7 @@ checkpoint_every = 2
         pressures.clear()
         result = driver.run(parse_config(text.format(t_end=t_end)), checkpoint=checkpoint)
         expected = static + (vtk_every > 0)
-        snapshots = (vtk_every > 0, vtk_every > 0, vtk_every > 0 and mode == "turbidity")
+        snapshots = (vtk_every > 0, vtk_every > 0 and mode == "turbidity")
         assert at_engine.pop() == (expected, *snapshots)
         assert len(factorizations) == expected  # and none after set-up
         assert built(result.model) == snapshots
@@ -771,7 +772,7 @@ def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
     """Step 4 as the pinned-pressure velocity/pressure saddle system."""
     iu = model.iu
     R = rotation_matrix(omega, model.U, model.qdeg)
-    l = model.Lc @ omega.coefficients
+    l = weak_curl_matrix(model.U, model.W, model.qdeg) @ omega.coefficients
     R_r = R[iu][:, iu]
     Mdt = (1.0 / dt) * model.M[iu][:, iu]
     f = (Mdt - 0.5 * R_r) @ u_old.coefficients[iu] - model.nu * l[iu]
@@ -810,12 +811,13 @@ def test_pressure_gate_holds_on_every_step(case, request):
     oracle, and reports that residual."""
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
+    Lc = model.M @ model.curl
     for _ in range(5):
         new, _, _ = step(state, model)
         p, rep = model.pressure(new.omega, state.u_half, new.u_half, dt, phi=new.phi)
         R = rotation_matrix(new.omega, model.U, model.qdeg)
         uo, u = state.u_half.coefficients, new.u_half.coefficients
-        f = (model.M @ uo) / dt - 0.5 * (R @ uo) - model.nu * (model.Lc @ new.omega.coefficients)
+        f = (model.M @ uo) / dt - 0.5 * (R @ uo) - model.nu * (Lc @ new.omega.coefficients)
         if new.phi is not None:
             f = f + model.buoyancy @ new.phi.coefficients
         r = ((model.M @ u) / dt + 0.5 * (R @ u) - f)[model.iu]
@@ -1113,13 +1115,14 @@ def same_state(a, b):
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_step_forms_no_velocity_space_load(case, request, monkeypatch):
     """A step applies no rotation per cell and forms no product with the RT
-    mass M, the weak curl Lc or the buoyancy B: the momentum load comes
-    from psi^{k+1/2} and the W forms.  The startup applies no rotation
-    per cell and forms no product with Lc or B either: its passes take
-    the step's solve, and M only projects u^0.  Nor does the ledger form
-    one, Engine.__init__ or Engine.update: it reads the stream functions.
-    Both states and the ledger row are the same as without the checks,
-    bit for bit."""
+    mass M, the curl of CG in RT (so none with the weak curl M curl) or
+    the buoyancy B: the momentum load comes from psi^{k+1/2} and the W
+    forms.  The startup applies no rotation per cell and forms no product
+    with the curl or B either: its passes take the step's solve, and M
+    only projects u^0, which the initial condition built beforehand.  Nor
+    does the ledger form one, Engine.__init__ or Engine.update: it reads
+    the stream functions.  Both states and the ledger row are the same as
+    without the checks, bit for bit."""
     model, state = request.getfixturevalue(case)
     expected, _, _ = step(state, model)
     expected_start, _ = initialize(model, case_ic(model))
@@ -1131,10 +1134,13 @@ def test_step_forms_no_velocity_space_load(case, request, monkeypatch):
         applied.append(args)
         return apply_rotation(*args)
 
+    ic = case_ic(model)
+    built = ic.build(model)  # the random start builds u^0 from the curl
+    monkeypatch.setattr(ic, "build", lambda model: built)
     monkeypatch.setattr(assemble, "apply_rotation", recorded)
-    for name in ("Lc", "buoyancy"):
+    for name in ("curl", "buoyancy"):
         monkeypatch.setattr(model, name, Forbidden(name), raising=False)
-    start, _ = initialize(model, case_ic(model))
+    start, _ = initialize(model, ic)
     monkeypatch.setattr(model, "M", Forbidden("M"))
     new, _, _ = step(state, model)
     row = Engine(model, start).update(state, new)
@@ -1157,9 +1163,9 @@ def momentum_load_cases():
 def test_momentum_load_identities(case):
     """The W forms a step's momentum load is formed from are the
     velocity-space products seen through Z, to 1e-14 relative: Z^T Lc = L
-    on the psi rows and zero on the torus's harmonic rows, and, with
-    particles, Z^T B = -Cb^T = Cb on the psi rows, whose functions vanish
-    on the walls."""
+    on the psi rows and zero on the torus's harmonic rows, with Lc = M curl
+    the weak curl, and, with particles, Z^T B = -Cb^T = Cb on the psi
+    rows, whose functions vanish on the walls."""
     mesh, N, physics = momentum_load_cases()[case]
     model = Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0))
     n = len(model.psi_dofs)
@@ -1168,7 +1174,7 @@ def test_momentum_load_identities(case):
         A, B = sp.csr_matrix(A).toarray(), sp.csr_matrix(B).toarray()
         return np.max(np.abs(A - B)) <= 1e-14 * np.max(np.abs(B))
 
-    ZtLc = model.Z.T @ model.Lc
+    ZtLc = model.Z.T @ (model.M @ model.curl)
     assert close(ZtLc[:n], model.L[model.psi_dofs])
     assert np.max(np.abs(ZtLc[n:].toarray()), initial=0.0) <= 1e-14 * np.max(np.abs(model.L.data))
     if physics.mode == "turbidity":
@@ -1261,7 +1267,7 @@ def test_weak_curl_load_is_the_curl_curl_of_psi(case):
         model.curl_h(psi)
     finally:
         del curl.solve
-    oracle = (model.Lc.T @ (model.Z @ psi))[model.iw]
+    oracle = ((model.M @ model.curl).T @ (model.Z @ psi))[model.iw]
     assert np.max(np.abs(rhs[0] - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
