@@ -10,7 +10,7 @@ from .mesh import (
     build_periodic_rect_mesh,
     read_mesh_text,
 )
-from .spaces import Field, FunctionSpace, make_space, space_dimension
+from .spaces import FunctionSpace, make_space, space_dimension
 
 __all__ = [
     "ChannelGeometry",
@@ -18,7 +18,6 @@ __all__ = [
     "build_channel_mesh",
     "build_periodic_rect_mesh",
     "read_mesh_text",
-    "Field",
     "FunctionSpace",
     "make_space",
     "space_dimension",

@@ -56,7 +56,7 @@ from . import kernels
 from .elements import LOCAL_EDGES, form_tensor, reference_curl, skew_tensors
 from .linsolve import CachedLU, SolverError, lu_solve
 from .mesh import TAG_BOTTOM, TAG_TOP
-from .spaces import Field, constant_velocities
+from .spaces import constant_velocities
 
 GRAVITY = (0.0, -1.0)  # unit direction e_g of gravity
 
@@ -200,9 +200,10 @@ def curl_matrix(W, U):
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(U.dim, W.dim))
 
 
-def assemble_rotation(omega, U, qdegree):
-    """The rotation R[i, j] = <omega x u_j, u_i> of the momentum step, seen
-    through the discrete curl Z; no U x U matrix is formed.
+def assemble_rotation(omega, W, U, qdegree):
+    """The rotation R[i, j] = <omega x u_j, u_i> of the momentum step at the
+    W coefficients omega, seen through the discrete curl Z; no U x U
+    matrix is formed.
 
     Z is cell-local, Z_c = S_c Z_loc with S_c the RT signs, and R_c =
     S_c T(omega_c) S_c with T(omega_c) = sum_k omega_k T_R[k].  The signs
@@ -210,31 +211,30 @@ def assemble_rotation(omega, U, qdegree):
     contraction with T_Z (elements.skew_tensors), scattered on the (W, W)
     pattern like C.  Returns its CSR values, exactly skew.
     """
-    W = omega.space
     _, _, T_Z = skew_tensors(W.degree, U.degree, qdegree)
-    return _skew_values(W, omega.coefficients[W.cell_dofs], T_Z)
+    return _skew_values(W, omega[W.cell_dofs], T_Z)
 
 
-def apply_rotation(omega, U, qdegree, u):
-    """R u per cell, sum_c S_c T(omega_c) S_c u_c: one GEMM of T_R
+def apply_rotation(omega, W, U, qdegree, u):
+    """R u per cell for the W coefficients omega and U coefficients u,
+    sum_c S_c T(omega_c) S_c u_c: one GEMM of T_R
     (elements.skew_tensors) against the cells' outer products of omega
     and u coefficients, cells last so that the products run along
     contiguous rows; no matrix is formed."""
-    W = omega.space
     T_R = skew_tensors(W.degree, U.degree, qdegree)[0]
     s = U.cell_dof_signs
-    outer = (np.ascontiguousarray(omega.coefficients[W.cell_dofs].T)[:, None, :]
+    outer = (np.ascontiguousarray(omega[W.cell_dofs].T)[:, None, :]
              * np.ascontiguousarray((u[U.cell_dofs] * s).T)[None, :, :])
     v = (T_R @ outer.reshape(T_R.shape[1], -1)).T * s
     return np.bincount(U.cell_dofs.ravel(), weights=v.ravel(), minlength=U.dim)
 
 
-def assemble_vorticity_convection(u, W, qdegree):
+def assemble_vorticity_convection(u, U, W, qdegree):
     """The CSR values, on the (W, W) pattern, of the skew convection
-    C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)>, exactly skew."""
-    U = u.space
+    C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)> by the U coefficients
+    u, exactly skew."""
     _, T_C, _ = skew_tensors(W.degree, U.degree, qdegree)
-    return _skew_values(W, u.coefficients[U.cell_dofs] * U.cell_dof_signs, T_C)
+    return _skew_values(W, u[U.cell_dofs] * U.cell_dof_signs, T_C)
 
 
 class System:
@@ -348,10 +348,9 @@ def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
     """
     if u_s < 0:
         raise ValueError(f"settling speed must be nonnegative, got {u_s}")
-    e_g = Field(U, constant_velocities(U) @ GRAVITY)
     B1 = assemble_wall_mass(W, TAG_TOP, bdegree).data
     B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree).data
-    C = assemble_vorticity_convection(e_g, W, qdegree)
+    C = assemble_vorticity_convection(constant_velocities(U) @ GRAVITY, U, W, qdegree)
     return _pattern(W, W).matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * B3))
 
 

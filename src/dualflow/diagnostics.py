@@ -112,7 +112,7 @@ class FrontTracker:
         )
 
     def depth_averages(self, phi):
-        return self.sampler @ phi.coefficients
+        return self.sampler @ phi
 
     def position(self, phi):
         avg = self.depth_averages(phi)
@@ -131,8 +131,8 @@ class Engine:
         self.Ev = self.Es = self.Ep0 = self.m_p0 = self.base_exchange = 0.0
         if self.turbidity:
             self.Ep0 = model.potential_energy(state0.phi)
-            self.m_p0 = model.integral_w(state0.phi.coefficients)
-            self.base_exchange = self._on_psi(model.baroclinic, state0.phi.coefficients, state0.psi_0)
+            self.m_p0 = model.integral_w(state0.phi)
+            self.base_exchange = self._on_psi(model.baroclinic, state0.phi, state0.psi_0)
 
     @classmethod
     def restored(cls, model, scalars):
@@ -166,23 +166,23 @@ class Engine:
         if new_state.k != prev_state.k + 1:
             raise ValueError("ledger update needs consecutive states")
         psi_mid = 0.5 * (prev_state.psi_0 + new_state.psi_0)
-        eps_v = model.nu * self._on_psi(model.L, new_state.omega.coefficients, psi_mid)
+        eps_v = model.nu * self._on_psi(model.L, new_state.omega, psi_mid)
         K = self._kinetic(new_state.psi_0)
         phi = new_state.phi
         Ep = eps_s = mass_residual = exchange = ratio = mdot_s = x_f = phi_min = phi_max = 0.0
         if self.turbidity:
             u_s = model.physics.settling_velocity
-            phi_mid = 0.5 * (phi.coefficients + prev_state.phi.coefficients)
-            mass_residual = (model.integral_w(phi.coefficients - prev_state.phi.coefficients)
+            phi_mid = 0.5 * (phi + prev_state.phi)
+            mass_residual = (model.integral_w(phi - prev_state.phi)
                              + dt * u_s * model.bottom_integral(phi_mid))
             eps_s = u_s * model.integral_w(phi_mid) - model.kappa * float(model.grad_dot_g @ phi_mid)
-            exchange = self._on_psi(model.baroclinic, phi.coefficients, new_state.psi_0)
+            exchange = self._on_psi(model.baroclinic, phi, new_state.psi_0)
             Ep = model.potential_energy(phi)
             # the suspended mass ratio and the settling outflux -int_{Gamma3} phi u_s
-            ratio = model.integral_w(phi.coefficients) / self.m_p0 if self.m_p0 != 0.0 else 0.0
-            mdot_s = -u_s * model.bottom_integral(phi.coefficients)
+            ratio = model.integral_w(phi) / self.m_p0 if self.m_p0 != 0.0 else 0.0
+            mdot_s = -u_s * model.bottom_integral(phi)
             x_f = self.front.position(phi)
-            phi_min, phi_max = float(phi.coefficients.min()), float(phi.coefficients.max())
+            phi_min, phi_max = float(phi.min()), float(phi.max())
         self.Ev += dt * eps_v
         self.Es += dt * eps_s
         E_res = K + Ep + self.Ev + self.Es - self.K_half0 - self.Ep0

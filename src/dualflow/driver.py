@@ -80,7 +80,7 @@ def _write_snapshot(model, outdir, state, psi_before, pressure, omega_tilde=None
     if omega_tilde is None:
         omega_tilde, rep = model.curl_h(psi_before)
         fallback = rep.fallback
-    dfio.write_vtk(state, os.path.join(outdir, f"snapshot_{state.k:08d}.vtk"), pressure, omega_tilde)
+    dfio.write_vtk(model, os.path.join(outdir, f"snapshot_{state.k:08d}.vtk"), state, pressure, omega_tilde)
     return fallback
 
 

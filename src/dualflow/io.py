@@ -105,8 +105,10 @@ def read_csv(path):
 # Legacy VTK
 
 
-def write_vtk(state, path, pressure, omega_tilde):
-    """Binary legacy-VTK snapshot of one simulation state, with its pressure and weak curl.
+def write_vtk(model, path, state, pressure, omega_tilde):
+    """Binary legacy-VTK snapshot of one state of `model`'s run, with its
+    pressure (Q coefficients) and weak curl (W coefficients, or None),
+    each field read through the model's spaces.
 
     Point data: phi, omega, omega_tilde sampled at mesh vertices (CG
     vertex dofs).  Cell data: pressure reduced to its cell mean and
@@ -115,15 +117,13 @@ def write_vtk(state, path, pressure, omega_tilde):
     Each array follows its keyword line as big-endian float64 (int32 for
     CELLS and CELL_TYPES, as the format requires), then a newline.
     """
-    u = state.u_half
-    U = u.space
-    mesh = U.mesh
+    U, mesh = model.U, model.mesh
     nv, nc = len(mesh.render_vertices), len(mesh.render_cells)
 
     def point_scalar(fld):
         if fld is None:
             return np.zeros(nv)
-        return fld.coefficients[mesh.render_vertex_map]  # CG vertex dofs come first
+        return fld[mesh.render_vertex_map]  # CG vertex dofs come first
 
     def section(keywords, a, dtype=">f8"):
         return f"{keywords}\n".encode() + np.ascontiguousarray(a, dtype).tobytes() + b"\n"
@@ -144,10 +144,10 @@ def write_vtk(state, path, pressure, omega_tilde):
     head, rval = mesh._cache[key]
 
     J, det, _ = mesh.jacobians()
-    ref = (U.cell_dof_signs * u.coefficients[U.cell_dofs]) @ rval  # reference field at each centroid, (C, 2)
+    ref = (U.cell_dof_signs * state.u_half[U.cell_dofs]) @ rval  # reference field at each centroid, (C, 2)
     vel = (J @ ref[:, :, None])[..., 0] / det[:, None]
 
-    p_cell = pressure.coefficients[pressure.space.cell_dofs].mean(axis=1)  # DG_0 reduction
+    p_cell = pressure[model.Q.cell_dofs].mean(axis=1)  # DG_0 reduction
 
     parts = [head]
     parts += [section(f"SCALARS {name} double 1\nLOOKUP_TABLE default", point_scalar(fld))

@@ -76,21 +76,6 @@ def make_space(mesh, family, degree):
     return space
 
 
-@dataclass
-class Field:
-    """Coefficient vector bound to a function space."""
-
-    space: FunctionSpace
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.space.dim,):
-            raise ValueError(
-                f"coefficient length {self.coefficients.shape} does not match space dim {self.space.dim}"
-            )
-
-
 def constant_coefficients(space):
     """Coefficients of the constant function 1 (Lagrange-type scalar spaces)."""
     if space.family == "RT":
@@ -177,8 +162,8 @@ def constant_velocities(U):
 
 
 def interpolate(space, fn):
-    """Canonical interpolation of an analytic function: the element's dof
-    functionals applied to fn in every cell.  A CG or DG dof is the value
+    """The coefficient vector of the canonical interpolant of an analytic
+    function: the element's dof functionals applied to fn in every cell.  A CG or DG dof is the value
     at a node; an RT dof is RTElement.dofs of the Piola pullback det J
     J^-1 f at the element's dof points, times the RT sign.  A dof shared
     by several cells is written by each; the writes agree for a
@@ -196,4 +181,4 @@ def interpolate(space, fn):
         local = _call_scalar(fn, x[..., 0], x[..., 1])
     coef = np.zeros(space.dim)
     coef[space.cell_dofs] = local
-    return Field(space, coef)
+    return coef

@@ -15,6 +15,11 @@ diffusion, and R the (exactly skew) rotation.  The skewness of R and C
 is what keeps kinetic energy and enstrophy free of artificial
 dissipation.
 
+Every discrete field is a float64 coefficient vector, on W = CG_N
+(omega, phi, om~), U = RT_N (u), Q = DG_{N-1} (p) or the stream-function
+unknowns (psi): SimulationState holds them, and Model's solves and
+functionals take and return them; the spaces are Model's.
+
 Model owns every static operator and every linear system, by name an
 assemble.System in Model.systems: it builds each once, from the fixed
 physics and time step, at construction but for the pressure system
@@ -111,7 +116,6 @@ from . import assemble
 from .linsolve import RTOL, SolverError, lu_solve, project_out_constant
 from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS
 from .spaces import (
-    Field,
     constant_coefficients,
     constant_velocities,
     free_dofs,
@@ -178,34 +182,35 @@ class TimeConfig:
 
 @dataclass
 class SimulationState:
-    """The state a step reads: the fields at their levels, psi_0, which the
-    momentum step and the ledger read, then the earlier levels that the
-    step's starts extrapolate from, as the solves' coefficient vectors,
+    """The state a step reads, every field a float64 coefficient vector: the
+    fields at their levels, psi_0, which the momentum step and the ledger
+    read, then the earlier levels that the step's starts extrapolate from,
     newest first: step k holds min(k, LEVELS) of each, x^{k-1}, ... and
     psi^{k-1/2}, ..., none before the run's first level.  A checkpoint
     holds all of it but u_half = Z psi_0, as vectors() gives it and
     restore() takes it back."""
 
     k: int
-    u_half: Field                  # velocity at t^{k+1/2}
-    omega: Field                   # vorticity at t^k
-    phi: Field = None              # particle concentration at t^k (turbidity mode)
+    u_half: np.ndarray             # velocity at t^{k+1/2}, on U
+    omega: np.ndarray              # vorticity at t^k, on W
+    phi: np.ndarray = None         # particle concentration at t^k, on W (turbidity mode)
     phi_past: tuple = ()           # phi^{k-1}, phi^{k-2}, ...
     omega_past: tuple = ()         # omega^{k-1}, omega^{k-2}, ... on iw
     psi_0: np.ndarray = None       # psi^{k+1/2}, the momentum solve's unknowns: u_half = Z psi_0
     psi_past: tuple = ()           # psi^{k-1/2}, psi^{k-3/2}, ...
 
     def vectors(self):
-        """{name: coefficients} of every field but k and u_half, each
-        earlier-levels stack joined into one vector, newest level first; a
-        field that the mode or the step leaves empty is left out."""
+        """{name: vector} of every field but k and u_half, the state's own
+        arrays, each earlier-levels stack joined into one vector, newest
+        level first; a field that the mode or the step leaves empty is left
+        out."""
         out = {}
         for f in fields(self)[2:]:  # all but k and u_half
             x = getattr(self, f.name)
             if isinstance(x, tuple):
                 x = np.concatenate(x) if x else None
             if x is not None:
-                out[f.name] = getattr(x, "coefficients", x)
+                out[f.name] = x
         return out
 
 
@@ -217,10 +222,10 @@ LEVELS = 6
 
 
 def restore(model, k, vectors):
-    """The state at step k of `model`'s run from its vectors(), with u_half
-    = Z psi_0, the step's own expression: the saved state's bits.  Raises
-    ValueError naming the step and the first field that is missing, extra
-    or of the wrong length."""
+    """The state at step k of `model`'s run from its vectors(), which it
+    holds as they are, with u_half = Z psi_0, the step's own expression:
+    the saved state's bits.  Raises ValueError naming the step and the
+    first field that is missing, extra or of the wrong length."""
     held, turbidity = min(k, LEVELS), model.physics.mode == "turbidity"
     n_w, n_psi = model.W.dim, model.Z.shape[1]
     sizes = {"omega": n_w, "phi": turbidity * n_w, "phi_past": turbidity * held * n_w,
@@ -237,15 +242,16 @@ def restore(model, k, vectors):
                              f"holds {lengths[name]}")
     past = {name: tuple(np.split(vectors[name], held)) if name in lengths else ()
             for name in ("phi_past", "omega_past", "psi_past")}
-    return SimulationState(k=k, u_half=Field(model.U, model.Z @ vectors["psi_0"]), psi_0=vectors["psi_0"],
-                           omega=Field(model.W, vectors["omega"]),
-                           phi=Field(model.W, vectors["phi"]) if turbidity else None, **past)
+    return SimulationState(k=k, u_half=model.Z @ vectors["psi_0"], psi_0=vectors["psi_0"],
+                           omega=vectors["omega"], phi=vectors["phi"] if turbidity else None, **past)
 
 
 class Model:
     """Spaces, static operators and the named linear systems of one run,
     all built once from the physics and time step it is constructed with:
-    at construction, but for the pressure system and its B, on use."""
+    at construction, but for the pressure system and its B, on use.  Its
+    solves and functionals read and return coefficient vectors on W, U
+    and Q."""
 
     def __init__(self, mesh, degree, physics, time):
         if physics.mode == "turbidity" and mesh.periodic:
@@ -283,7 +289,7 @@ class Model:
         self.ones_q = constant_coefficients(self.Q)
         self.area = mesh.total_area()
         self.Nw_1 = self.Nw @ self.ones_w  # <w_i, 1>
-        y = interpolate(self.W, lambda x, y: y).coefficients  # exact: y lies in CG_N
+        y = interpolate(self.W, lambda x, y: y)  # exact: y lies in CG_N
         self.Nw_y = self.Nw @ y  # <w_i, y>
 
         # the static parts below are values on the (W, W) cell pattern,
@@ -360,42 +366,42 @@ class Model:
             self.systems["pressure"] = assemble.System("pressure", DDt)
         return self.systems["pressure"]
 
-    # -- scalar functionals -------------------------------------------------
+    # -- scalar functionals of coefficient vectors ---------------------------
 
     def integral_w(self, coef):
         """<f, 1> for a CG coefficient vector."""
         return float(self.Nw_1 @ coef)
 
     def kinetic_energy(self, u):
-        return 0.5 * float(u.coefficients @ (self.M @ u.coefficients))
+        return 0.5 * float(u @ (self.M @ u))
 
     def enstrophy(self, omega):
-        return 0.5 * float(omega.coefficients @ (self.Nw @ omega.coefficients))
+        return 0.5 * float(omega @ (self.Nw @ omega))
 
     def total_vorticity(self, omega):
-        return self.integral_w(omega.coefficients)
+        return self.integral_w(omega)
 
     def potential_energy(self, phi):
-        return float(phi.coefficients @ self.Nw_y)
+        return float(phi @ self.Nw_y)
 
     def bottom_integral(self, coef):
         """int over Gamma3 of a CG field (assembly quadrature)."""
         return float(self.bottom_weights @ coef)
 
     def div_inf(self, u):
-        return float(np.max(np.abs(self.D @ u.coefficients)))
+        return float(np.max(np.abs(self.D @ u)))
 
-    # -- sub-solves ----------------------------------------------------------
+    # -- sub-solves: coefficient vectors in, coefficient vectors out ---------
 
     def curl_h(self, psi):
-        """Weak curl recovery of u = Z psi: om~ with <om~, xi> = <u, curl xi>,
+        """Weak curl recovery of u = Z psi: om~ on W with <om~, xi> = <u, curl xi>,
         whose load Lc^T Z psi is L psi, psi on psi_dofs (the torus's harmonic
         amplitudes drop out: curls are orthogonal to the constants)."""
         w = np.zeros(self.W.dim)
         w[self.psi_dofs] = psi[:len(self.psi_dofs)]
         coef = np.zeros(self.W.dim)
         coef[self.iw], rep = self.systems["curl"].solve((self.L @ w)[self.iw])
-        return Field(self.W, coef), rep
+        return coef, rep
 
     def solve_transport(self, C, phi, m0):
         """Particle step: midpoint skew transport plus diffusion, with C the
@@ -403,35 +409,32 @@ class Model:
         rhs (N/dt - K/2) phi is 2 (N/dt) phi - A phi: the midpoint m solves
         A m = (N/dt) phi, from m0, and phi' = 2 m - phi.  Reports the
         midpoint solve."""
-        x = phi.coefficients
-        m, rep = self.systems["transport"].solve(self.Nw_dt @ x, x0=m0, scale=0.5, skew_values=C)
-        return Field(self.W, 2.0 * m - x), rep
+        m, rep = self.systems["transport"].solve(self.Nw_dt @ phi, x0=m0, scale=0.5, skew_values=C)
+        return 2.0 * m - phi, rep
 
     def solve_vorticity(self, C, omega, m0, phi_mid=None, omega_tilde=None):
         """Vorticity step: skew convection C, midpoint viscosity, wall/baroclinic
         sources s, solved for the midpoint on iw from m0 as in solve_transport,
         A m = (N/dt) om + s/2."""
-        x = omega.coefficients[self.iw]
-        rhs = self.Nw_dt @ omega.coefficients  # omega is 0 off iw
+        rhs = self.Nw_dt @ omega  # omega is 0 off iw
         if phi_mid is not None:
-            rhs = rhs + 0.5 * (self.baroclinic @ phi_mid.coefficients)
+            rhs = rhs + 0.5 * (self.baroclinic @ phi_mid)
         if omega_tilde is not None:
-            rhs = rhs + (0.5 * self.nu) * (self.neumann @ omega_tilde.coefficients)
+            rhs = rhs + (0.5 * self.nu) * (self.neumann @ omega_tilde)
         coef = np.zeros(self.W.dim)
         m, rep = self.systems["vorticity"].solve(rhs[self.iw], x0=m0, scale=0.5, skew_values=C)
-        coef[self.iw] = 2.0 * m - x
-        return Field(self.W, coef), rep
+        coef[self.iw] = 2.0 * m - omega[self.iw]
+        return coef, rep
 
     def _rotation(self, omega):
         """The momentum system's skew part at omega: Z^T R Z per cell and, on
         the torus, its harmonic columns Z^T R H from the static border forms,
         two mat-vecs, whose corner e_x^T R e_y is -<omega, 1>."""
-        K = assemble.assemble_rotation(omega, self.U, self.qdeg)
+        K = assemble.assemble_rotation(omega, self.W, self.U, self.qdeg)
         if self.border is None:
             return K, None
-        w = omega.coefficients
-        s = self.Nw_1 @ w
-        return K, np.concatenate([(self.border @ w).reshape(2, -1).T, [[0.0, -s], [s, 0.0]]])
+        s = self.Nw_1 @ omega
+        return K, np.concatenate([(self.border @ omega).reshape(2, -1).T, [[0.0, -s], [s, 0.0]]])
 
     def solve_momentum(self, omega, psi, phi=None, m0=None, dt=None):
         """Momentum step 4a over dt (the run's if None) from the stream
@@ -441,17 +444,17 @@ class Model:
         Returns (u', psi', report of the midpoint solve), residual / dt."""
         dt = self.time.dt if dt is None else dt
         system = self.systems["momentum"]
-        v = self.L @ omega.coefficients
+        v = self.L @ omega
         v *= -self.nu
         if phi is not None:
-            v += self.baroclinic @ phi.coefficients
+            v += self.baroclinic @ phi
         rhs = system.static @ psi
         rhs[:len(self.psi_dofs)] += (0.5 * dt) * v[self.psi_dofs]
         K, X = self._rotation(omega)
         m, rep = system.solve(rhs, x0=m0, scale=0.5 * dt, skew_values=K, border=X)
         rep.residual /= dt
         psi = 2.0 * m - psi
-        return Field(self.U, self.Z @ psi), psi, rep
+        return self.Z @ psi, psi, rep
 
     def pressure(self, omega, u_old, u, dt, phi=None):
         """Step 4b for the momentum step from u_old to its solution u: p with zero
@@ -461,11 +464,10 @@ class Model:
         product: M curl is the weak curl Lc.  Returns (p, report with
         ||r - D_r^T p||_inf), or refuses when that exceeds RTOL (1 +
         ||r||_inf)."""
-        uo, uc = u_old.coefficients, u.coefficients
-        r = (self.M @ ((uc - uo) / dt + self.nu * (self.curl @ omega.coefficients))
-             + 0.5 * assemble.apply_rotation(omega, self.U, self.qdeg, uc + uo))
+        r = (self.M @ ((u - u_old) / dt + self.nu * (self.curl @ omega))
+             + 0.5 * assemble.apply_rotation(omega, self.W, self.U, self.qdeg, u + u_old))
         if phi is not None:
-            r = r - self.buoyancy @ phi.coefficients
+            r = r - self.buoyancy @ phi
         r = r[self.iu]
         p = np.zeros(self.Q.dim)
         p[1:], rep = self.pressure_system().solve((self.D_r @ r)[1:])
@@ -474,7 +476,7 @@ class Model:
         if rep.residual > RTOL * (1.0 + float(np.max(np.abs(r)))):
             raise SolverError(f"pressure: ||r - D^T p||_inf = {rep.residual:.3e}: "
                               "the velocity does not solve the momentum step")
-        return Field(self.Q, p), rep
+        return p, rep
 
 
 def _midpoint_weights(n):
@@ -516,17 +518,16 @@ def step(state, model):
     budget."""
     u, omega, phi = state.u_half, state.omega, state.phi
     reports = {}
-    phi_k = phi_new = phi_mid = omega_tilde = None
-    omega_k = omega.coefficients[model.iw]
+    phi_new = phi_mid = omega_tilde = None
+    omega_k = omega[model.iw]
     try:
         # one skew convection C(u) serves both transport solves
-        C = assemble.assemble_vorticity_convection(u, model.W, model.qdeg)
+        C = assemble.assemble_vorticity_convection(u, model.U, model.W, model.qdeg)
         if phi is not None:
-            phi_k = phi.coefficients
             omega_tilde, reports["curl"] = model.curl_h(state.psi_0)      # step 1
             phi_new, reports["transport"] = model.solve_transport(        # step 2
-                C, phi, _midpoint_start((phi_k, *state.phi_past)))
-            phi_mid = Field(model.W, 0.5 * (phi_new.coefficients + phi_k))
+                C, phi, _midpoint_start((phi, *state.phi_past)))
+            phi_mid = 0.5 * (phi_new + phi)
         omega_new, reports["vorticity"] = model.solve_vorticity(          # step 3
             C, omega, _midpoint_start((omega_k, *state.omega_past)),
             phi_mid=phi_mid, omega_tilde=omega_tilde
@@ -538,7 +539,7 @@ def step(state, model):
     except SolverError as exc:
         raise SolverError(f"step {state.k + 1} failed: {exc}") from exc
     new = SimulationState(k=state.k + 1, u_half=u_new, omega=omega_new, phi=phi_new,
-                          phi_past=_push(phi_k, state.phi_past),
+                          phi_past=_push(phi, state.phi_past),
                           omega_past=_push(omega_k, state.omega_past),
                           psi_0=psi, psi_past=_push(state.psi_0, state.psi_past))
     return new, reports, omega_tilde
@@ -564,7 +565,7 @@ class LockInitialCondition:
         delta = self.interface_width if self.interface_width else 2.0 * model.mesh.h_min()
         load = load_vector(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg)
         coef, rep = lu_solve(model.Nw_dt, load / model.time.dt, model.systems["transport"].lu)
-        return Field(model.U, np.zeros(model.U.dim)), Field(model.W, coef), rep.fallback
+        return np.zeros(model.U.dim), coef, rep.fallback
 
 
 @dataclass
@@ -597,9 +598,9 @@ class RandomSolenoidalInitialCondition:
     def build(self, model):
         rng = np.random.default_rng(self.seed)
         psi = rng.standard_normal(model.W.dim)
-        u0 = Field(model.U, model.curl @ psi)
+        u0 = model.curl @ psi
         scale = math.sqrt(2.0 * model.kinetic_energy(u0))
-        return Field(model.U, u0.coefficients / scale), None, 0  # unit L2 norm
+        return u0 / scale, None, 0  # unit L2 norm
 
 
 @dataclass
@@ -612,7 +613,8 @@ class StartupReport:
 
 def initialize(model, ic):
     """Implicit startup: fixed-point iteration for u^{1/2} over [0, dt/2]
-    from ic.build(model) = (u0, phi0, fallbacks of its solves).
+    from ic.build(model) = (u0 on U, phi0 on W or None, fallbacks of its
+    solves).
 
     u0 is first projected onto the stream-function basis, psi0 = S^-1 Z^T M
     u0, one solve against the momentum system's own factor, and replaced
@@ -628,8 +630,8 @@ def initialize(model, ic):
     """
     u0, phi0, fallbacks = ic.build(model)
     Z = model.Z
-    psi0, rep = model.systems["momentum"].solve(Z.T @ (model.M @ u0.coefficients))
-    u0 = Field(model.U, Z @ psi0)
+    psi0, rep = model.systems["momentum"].solve(Z.T @ (model.M @ u0))
+    u0 = Z @ psi0
     omega0, crep = model.curl_h(psi0)
     fallbacks += rep.fallback + crep.fallback
     dt = 0.5 * model.time.dt
@@ -638,9 +640,8 @@ def initialize(model, ic):
     for it in range(1, STARTUP_MAX_ITER + 1):
         u_new, psi, rep = model.solve_momentum(omega_star, psi0, phi=phi0, m0=m0, dt=dt)
         fallbacks += rep.fallback
-        du = u_new.coefficients - u_prev.coefficients
-        scale = float(np.linalg.norm(u_new.coefficients))
-        rel = float(np.linalg.norm(du)) / (scale if scale > 0 else 1.0)
+        scale = float(np.linalg.norm(u_new))
+        rel = float(np.linalg.norm(u_new - u_prev)) / (scale if scale > 0 else 1.0)
         u_prev = u_new
         if rel <= STARTUP_TOL:
             break

@@ -25,7 +25,7 @@ from dualflow.mesh import (
     build_periodic_rect_mesh,
 )
 from dualflow.quadrature import interval_rule
-from dualflow.spaces import Field, make_space, space_dimension
+from dualflow.spaces import make_space, space_dimension
 from dualflow.stepper import (
     Model,
     PhysicsConfig,
@@ -88,10 +88,10 @@ def run6(tmp_path_factory):
         # settling outflux used in the mass identity
         if new.k % 100 == 0:
             model = checks["model"]
-            phi_mid = 0.5 * (prev.phi.coefficients + new.phi.coefficients)
+            phi_mid = 0.5 * (prev.phi + new.phi)
             oracle = independent_bottom_integral(model, phi_mid)
             gap = abs(
-                model.integral_w(new.phi.coefficients - prev.phi.coefficients)
+                model.integral_w(new.phi - prev.phi)
                 + model.time.dt * model.physics.settling_velocity * oracle
             )
             checks["max_oracle_gap"] = max(checks["max_oracle_gap"], gap)
@@ -172,9 +172,8 @@ def test_criterion_2_de_rham_exactness(acceptance):
             Q = make_space(mesh, "DG", N - 1)
             D = assemble_div(U, Q, 2 * N + 2)
             for _ in range(5):
-                psi = Field(W, rng.standard_normal(W.dim))
-                u = discrete_curl(psi, U)
-                assert np.max(np.abs(D @ u.coefficients)) <= 1e-12
+                u = discrete_curl(rng.standard_normal(W.dim), W, U)
+                assert np.max(np.abs(D @ u)) <= 1e-12
                 count += 1
     assert count == 50
     elapsed = time.perf_counter() - t0
@@ -229,7 +228,7 @@ def taylor_green_l2_error(nx):
     import util_fields as kernels
 
     tab = volume_tab(model.U, 8)
-    uq = kernels.field_vec(model.U.cell_dofs, state.u_half.coefficients, tab.val)
+    uq = kernels.field_vec(model.U.cell_dofs, state.u_half, tab.val)
     ex, ey = exact(tab.points[..., 0], tab.points[..., 1])
     err = float(np.sqrt(np.sum(tab.weights * ((uq[..., 0] - ex) ** 2 + (uq[..., 1] - ey) ** 2))))
     return err, max(divs)

@@ -1,11 +1,13 @@
 """The names the step-time benchmark's tracer (perfbench/spans.py) wraps
-and measures must exist in the package.
+and measures must exist in the package, and what its workloads
+(perfbench/workloads.py) read of a run must still be there.
 
-The tracer is loaded read-only from its file.  A deletion or rename that
-would break a traced benchmark run (`perfbench/run.py --trace 1`) fails
-here instead.
+Both files are loaded read-only.  A deletion or rename that would break
+a traced benchmark run (`perfbench/run.py --trace 1`), or a workload's
+output checks, fails here instead.
 """
 
+import copy
 import importlib
 import importlib.util
 import inspect
@@ -20,8 +22,7 @@ from dualflow import io as dfio
 from dualflow.config import parse_config
 from dualflow.linsolve import lu_solve
 
-SPANS_FILE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 TINY = """
 [mesh]
@@ -46,12 +47,16 @@ dir = {out}
 """
 
 
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return load_perfbench("spans")
 
 
 def test_every_layer_is_a_module(spans):
@@ -149,3 +154,30 @@ def test_engine_set_up_fires_once_per_run(tmp_path, monkeypatch):
     fired.clear()
     driver.run(cfg, collect_rows=False, checkpoint=str(tmp_path / "checkpoint_final.ckpt"))
     assert fired == ["restored"]
+
+
+def test_periodic_drift_checks_read_the_state(tmp_path):
+    """periodic_inviscid checks the inviscid drift of K, the enstrophy and
+    the total vorticity of every row against model.kinetic_energy,
+    enstrophy and total_vorticity of the step-0 state's u_half and
+    omega: on a short run of its own configuration each check is
+    evaluated on every row and none fails."""
+    workloads = load_perfbench("workloads")
+    workload = workloads.PeriodicInviscid(os.path.dirname(PERFBENCH), seed=1)
+    cfg = copy.deepcopy(workload.config)
+    cfg.time["t_end"] = 3 * cfg.time["dt"]
+    cfg.output["dir"] = str(tmp_path)
+    rows, first = [], []
+
+    def on_step(prev, state, reports, row):
+        rows.append(row)
+        if prev.k == 0:
+            first.append(prev)
+
+    result = driver.run(cfg, on_step=on_step, collect_rows=False)
+    checks, rep = workloads.Checks(), workloads.Rep()
+    workload.extra_checks(checks, rep, result, rows, first[0])
+    drift = ("kinetic_energy_drift", "enstrophy_drift", "vorticity_drift")
+    assert len(rows) == 3
+    assert {name: checks.counts.get(name) for name in drift} == {name: [3, 0] for name in drift}
+    assert rep.failures == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
-from dualflow.spaces import Field, constant_coefficients
+from dualflow.spaces import constant_coefficients
 from dualflow.stepper import (
     LockInitialCondition,
     Model,
@@ -43,9 +43,9 @@ def eps_s_ref1(model, phi, u_s, kappa):
     A cross-literature comparison of the budget's eps_s; never part of a run.
     """
     gdot = gradient_dot(model.W, model.qdeg)
-    grad_term = float(gdot @ phi.coefficients)  # <grad phi, e_g>
+    grad_term = float(gdot @ phi)  # <grad phi, e_g>
     grad_y = -grad_term  # grad y = (0,1) = -e_g, exactly, at every quadrature point
-    flux = float(weighted_flux(model.W, lambda x, y: y, model.bdeg) @ phi.coefficients)
+    flux = float(weighted_flux(model.W, lambda x, y: y, model.bdeg) @ phi)
     return -u_s * grad_term - kappa * (grad_y - flux)
 
 
@@ -69,7 +69,7 @@ def test_zero_state_ledger_row():
 
     class IC:
         def build(self, m):
-            return Field(m.U, np.zeros(m.U.dim)), phi0, 0  # no solve, no fallback
+            return np.zeros(m.U.dim), phi0, 0  # no solve, no fallback
 
     state, _ = initialize(model, IC())
     eng = Engine(model, state)
@@ -83,11 +83,11 @@ def test_suspended_mass_starts_at_one_and_decays():
     model = make_model()
     state, _ = initialize(model, LockInitialCondition())
     eng = Engine(model, state)
-    assert abs(model.integral_w(state.phi.coefficients) / eng.m_p0 - 1.0) < 1e-14
+    assert abs(model.integral_w(state.phi) / eng.m_p0 - 1.0) < 1e-14
     prev = state
     state, _, _ = step(state, model)
     row = eng.update(prev, state)
-    phi_mid_bottom = model.bottom_integral(0.5 * (state.phi.coefficients + prev.phi.coefficients))
+    phi_mid_bottom = model.bottom_integral(0.5 * (state.phi + prev.phi))
     expected = 1.0 - model.time.dt * model.physics.settling_velocity * phi_mid_bottom / eng.m_p0
     assert abs(row.m_p_ratio - expected) < 1e-10
 
@@ -105,8 +105,8 @@ def test_suspended_mass_constant_without_settling():
 
 def hand_built_state(model, k, phi):
     """A state at step k with zero velocity and vorticity and the given phi."""
-    return SimulationState(k=k, u_half=Field(model.U, np.zeros(model.U.dim)),
-                           omega=Field(model.W, np.zeros(model.W.dim)), phi=phi,
+    return SimulationState(k=k, u_half=np.zeros(model.U.dim),
+                           omega=np.zeros(model.W.dim), phi=phi,
                            psi_0=np.zeros(model.Z.shape[1]))
 
 
@@ -114,7 +114,7 @@ def test_zero_initial_mass_gives_zero_ratio():
     """With no particles at the start the mass ratio is undefined; an
     Engine started from phi^0 = 0 writes 0 and raises nothing."""
     model = make_model()
-    zero = Field(model.W, np.zeros(model.W.dim))
+    zero = np.zeros(model.W.dim)
     eng = Engine(model, hand_built_state(model, 0, zero))
     assert eng.m_p0 == 0.0
     phi1 = project(model.W, lambda x, y: 1.0, model.qdeg)
@@ -124,7 +124,7 @@ def test_zero_initial_mass_gives_zero_ratio():
 def test_sedimentation_rate_examples():
     """The row's mdot_s is the settling outflux -u_s int_{Gamma3} phi."""
     model = make_model(L=13.0, u_s=0.02)
-    zero = Field(model.W, np.zeros(model.W.dim))
+    zero = np.zeros(model.W.dim)
     phi1 = project(model.W, lambda x, y: 1.0, model.qdeg)
     eng = Engine(model, hand_built_state(model, 0, phi1))
     assert eng.update(hand_built_state(model, 0, phi1), hand_built_state(model, 1, zero)).mdot_s == 0.0
@@ -135,9 +135,9 @@ def test_sedimentation_rate_examples():
 
 def test_front_position_trivial_cases():
     model = make_model(nx=52, ny=4)
-    zero = Field(model.W, np.zeros(model.W.dim))
+    zero = np.zeros(model.W.dim)
     assert FrontTracker(model).position(zero) == pytest.approx(-1.0)
-    ones = Field(model.W, constant_coefficients(model.W))
+    ones = constant_coefficients(model.W)
     assert FrontTracker(model).position(ones) == pytest.approx(12.0)
     # sharp lock indicator (nodal, ringing-free): front within one column of x = 0
     from dualflow.spaces import interpolate
@@ -201,14 +201,13 @@ def test_eps_s_ref1_matches_budget_form_on_torus():
     model = Model(mesh, 2, phys, TimeConfig(dt=0.1, t_end=1.0))
     rng = np.random.default_rng(0)
     coef = rng.standard_normal(model.W.dim)
-    phi = Field(model.W, coef)
     ones = constant_coefficients(model.W)
     mean = model.integral_w(coef) / model.area
-    phi = Field(model.W, coef - mean * ones)
+    phi = coef - mean * ones
     u_s, kappa = 0.02, 1e-3
     ref1 = eps_s_ref1(model, phi, u_s, kappa)
     gdot = gradient_dot(model.W, model.qdeg)
-    budget_form = u_s * model.integral_w(phi.coefficients) - kappa * float(gdot @ phi.coefficients)
+    budget_form = u_s * model.integral_w(phi) - kappa * float(gdot @ phi)
     assert abs(ref1 - budget_form) < 1e-10
 
 
@@ -265,15 +264,15 @@ def test_engine_row_from_two_hand_built_states():
     rng = np.random.default_rng(4)
 
     def random_state(k):
-        return SimulationState(k=k, u_half=Field(model.U, rng.standard_normal(model.U.dim)),
-                               omega=Field(model.W, rng.standard_normal(model.W.dim)),
-                               phi=Field(model.W, rng.standard_normal(model.W.dim)),
+        return SimulationState(k=k, u_half=rng.standard_normal(model.U.dim),
+                               omega=rng.standard_normal(model.W.dim),
+                               phi=rng.standard_normal(model.W.dim),
                                psi_0=rng.standard_normal(model.Z.shape[1]))
 
     prev, new = random_state(3), random_state(4)
     eng = Engine(model, prev)
     row = eng.update(prev, new)
-    phi_mid = Field(model.W, 0.5 * (new.phi.coefficients + prev.phi.coefficients))
+    phi_mid = 0.5 * (new.phi + prev.phi)
     for name, value in step_budget(model, prev, new, new.omega, new.phi, phi_mid).items():
         assert getattr(row, name) == value != 0.0, name
     assert row.div_inf > 1e-10
@@ -297,9 +296,9 @@ def test_stream_function_ledger_is_the_velocity_ledger(case):
 
     def random_state(k):
         psi = rng.standard_normal(model.Z.shape[1])
-        phi = Field(model.W, rng.standard_normal(model.W.dim)) if case == "channel" else None
-        return SimulationState(k=k, u_half=Field(model.U, model.Z @ psi), psi_0=psi, phi=phi,
-                               omega=Field(model.W, rng.standard_normal(model.W.dim)))
+        phi = rng.standard_normal(model.W.dim) if case == "channel" else None
+        return SimulationState(k=k, u_half=model.Z @ psi, psi_0=psi, phi=phi,
+                               omega=rng.standard_normal(model.W.dim))
 
     def dot(a, b):
         return float(a @ b), float(np.abs(a) @ np.abs(b))
@@ -307,11 +306,11 @@ def test_stream_function_ledger_is_the_velocity_ledger(case):
     prev, new = random_state(0), random_state(1)
     eng = Engine(model, prev)
     row = eng.update(prev, new)
-    u, u_mid = new.u_half.coefficients, 0.5 * (prev.u_half.coefficients + new.u_half.coefficients)
+    u, u_mid = new.u_half, 0.5 * (prev.u_half + new.u_half)
     expected = {"K": dot(u, 0.5 * (model.M @ u)),
-                "eps_v": dot(model.nu * (model.M @ (model.curl @ new.omega.coefficients)), u_mid)}
+                "eps_v": dot(model.nu * (model.M @ (model.curl @ new.omega)), u_mid)}
     if case == "channel":
-        expected["exchange"] = dot(model.buoyancy @ new.phi.coefficients, u)
+        expected["exchange"] = dot(model.buoyancy @ new.phi, u)
     for name, (value, scale) in expected.items():
         assert abs(getattr(row, name) - value) <= 1e-13 * scale, name
     assert eng.K_half0 == pytest.approx(model.kinetic_energy(prev.u_half), rel=1e-13)

@@ -27,7 +27,7 @@ from dualflow.mesh import (
     build_periodic_rect_mesh,
     read_mesh_text,
 )
-from dualflow.spaces import Field, make_space
+from dualflow.spaces import make_space
 from dualflow.stepper import Model, PhysicsConfig, TimeConfig
 
 from util_curl import weak_curl, weak_curl_matrix
@@ -105,22 +105,20 @@ def o_div(U, Q, q):
     return o_matrix(Q.cell_dofs, U.cell_dofs, local, (Q.dim, U.dim))
 
 
-def o_rotation_ops(omega, U, q):
-    W = omega.space
+def o_rotation_ops(omega, W, U, q):
     utab, wtab = volume_tab(U, q), volume_tab(W, q)
-    wq = o_field_scalar(W.cell_dofs, omega.coefficients, wtab.val)
+    wq = o_field_scalar(W.cell_dofs, omega, wtab.val)
     R = o_matrix(U.cell_dofs, U.cell_dofs, o_rotation(utab.weights, wq, utab.val), (U.dim, U.dim))
-    gw = o_field_scalar_grad(W.cell_dofs, omega.coefficients, wtab.grad)
+    gw = o_field_scalar_grad(W.cell_dofs, omega, wtab.grad)
     curl_w = np.stack([gw[..., 1], -gw[..., 0]], axis=-1)
     local = np.einsum("cq,cqd,cqad->ca", utab.weights, curl_w, utab.val)
     return R, o_vector(U.cell_dofs, local, U.dim)
 
 
-def o_convection_matrix(u, extra, W, q):
-    U = u.space
+def o_convection_matrix(u, extra, U, W, q):
     utab, wtab = volume_tab(U, q), volume_tab(W, q)
-    uq = o_field_vec(U.cell_dofs, u.coefficients, utab.val) + np.asarray(extra)[None, None, :]
-    duq = o_field_div(U.cell_dofs, u.coefficients, utab.div)
+    uq = o_field_vec(U.cell_dofs, u, utab.val) + np.asarray(extra)[None, None, :]
+    duq = o_field_div(U.cell_dofs, u, utab.div)
     local = o_convection(wtab.weights, wtab.val, wtab.grad, uq, duq)
     return o_matrix(W.cell_dofs, W.cell_dofs, local, (W.dim, W.dim))
 
@@ -131,34 +129,31 @@ def o_wall_mass(W, tag, b):
     return o_matrix(tab.dofs, tab.dofs, local, (W.dim, W.dim))
 
 
-def o_particle(u, u_s, W, q, b):
-    Gm = o_convection_matrix(u, (G[0] * u_s, G[1] * u_s), W, q)
+def o_particle(u, u_s, U, W, q, b):
+    Gm = o_convection_matrix(u, (G[0] * u_s, G[1] * u_s), U, W, q)
     A = 0.5 * (Gm.T - Gm)
     return A + 0.5 * u_s * (o_wall_mass(W, TAG_TOP, b) + o_wall_mass(W, TAG_BOTTOM, b))
 
 
-def o_buoyancy(phi, U, q):
-    W = phi.space
+def o_buoyancy(phi, W, U, q):
     utab, wtab = volume_tab(U, q), volume_tab(W, q)
-    pq = o_field_scalar(W.cell_dofs, phi.coefficients, wtab.val)
+    pq = o_field_scalar(W.cell_dofs, phi, wtab.val)
     F = np.stack([pq * G[0], pq * G[1]], axis=-1)
     local = np.einsum("cq,cqd,cqad->ca", utab.weights, F, utab.val)
     return o_vector(U.cell_dofs, local, U.dim)
 
 
 def o_baroclinic(phi, W, q):
-    P = phi.space
-    ptab, wtab = volume_tab(P, q), volume_tab(W, q)
-    gp = o_field_scalar_grad(P.cell_dofs, phi.coefficients, ptab.grad)
+    wtab = volume_tab(W, q)
+    gp = o_field_scalar_grad(W.cell_dofs, phi, wtab.grad)
     fq = gp[..., 0] * G[1] - gp[..., 1] * G[0]
     local = np.einsum("cq,qa->ca", wtab.weights * fq, wtab.val)
     return o_vector(W.cell_dofs, local, W.dim)
 
 
-def o_curl_rhs(u, W, q):
-    U = u.space
+def o_curl_rhs(u, U, W, q):
     utab, wtab = volume_tab(U, q), volume_tab(W, q)
-    F = o_field_vec(U.cell_dofs, u.coefficients, utab.val)
+    F = o_field_vec(U.cell_dofs, u, utab.val)
     rot = F[..., 0, None] * wtab.grad[..., 1] - F[..., 1, None] * wtab.grad[..., 0]
     local = np.einsum("cq,cqa->ca", wtab.weights, rot)
     return o_vector(W.cell_dofs, local, W.dim)
@@ -168,7 +163,7 @@ def o_neumann(omega, W, b):
     out = np.zeros(W.dim)
     for tag in (TAG_TOP, TAG_BOTTOM):
         tab = wall_tab(W, tag, b)
-        g = np.einsum("eqnd,en->eqd", tab.grad, omega.coefficients[tab.dofs])
+        g = np.einsum("eqnd,en->eqd", tab.grad, omega[tab.dofs])
         gn = np.einsum("eqd,ed->eq", g, tab.normals)
         local = np.einsum("eq,eqa->ea", tab.weights * gn, tab.val)
         out += o_vector(tab.dofs, local, W.dim)
@@ -188,9 +183,9 @@ class Case:
         self.q = 2 * N + 2
         self.b = N + 2
         rng = np.random.default_rng(seed)
-        self.omega = Field(self.W, rng.standard_normal(self.W.dim))
-        self.phi = Field(self.W, rng.standard_normal(self.W.dim))
-        self.u = Field(self.U, rng.standard_normal(self.U.dim))
+        self.omega = rng.standard_normal(self.W.dim)
+        self.phi = rng.standard_normal(self.W.dim)
+        self.u = rng.standard_normal(self.U.dim)
 
 
 @pytest.fixture(scope="module")
@@ -262,35 +257,34 @@ def test_weak_curl_is_mass_times_curl(case):
 def test_rotation_and_viscous_vector_match_oracle(case):
     """R, as tests/util_rotation.py scatters it and as the step applies it
     per cell, and the viscous vector."""
-    R = rotation_matrix(case.omega, case.U, case.q)
-    l = weak_curl(case.U, case.W, case.q) @ case.omega.coefficients
-    R_ref, l_ref = o_rotation_ops(case.omega, case.U, case.q)
+    R = rotation_matrix(case.omega, case.W, case.U, case.q)
+    l = weak_curl(case.U, case.W, case.q) @ case.omega
+    R_ref, l_ref = o_rotation_ops(case.omega, case.W, case.U, case.q)
     assert_close(R, R_ref)
     assert_close(l, l_ref)
-    u = case.u.coefficients
-    assert_close(assemble.apply_rotation(case.omega, case.U, case.q, u), R_ref @ u)
+    assert_close(assemble.apply_rotation(case.omega, case.W, case.U, case.q, case.u), R_ref @ case.u)
 
 
 def test_convection_matches_oracle(case):
     """C, skewed cell by cell, is the skew part of the oracle's assembled G."""
-    C = convection_matrix(case.u, case.W, case.q)
-    G = o_convection_matrix(case.u, (0.0, 0.0), case.W, case.q)
+    C = convection_matrix(case.u, case.U, case.W, case.q)
+    G = o_convection_matrix(case.u, (0.0, 0.0), case.U, case.W, case.q)
     assert_close(C, 0.5 * (G.T - G))
 
 
 def test_particle_operator_matches_oracle(case):
     """The transport operator as the step builds it: skew(G(u)) + drift."""
     u_s = 0.02
-    A = convection_matrix(case.u, case.W, case.q)
+    A = convection_matrix(case.u, case.U, case.W, case.q)
     A = A + assemble.assemble_particle_drift(u_s, case.U, case.W, case.q, case.b)
-    assert_close(A, o_particle(case.u, u_s, case.W, case.q, case.b))
+    assert_close(A, o_particle(case.u, u_s, case.U, case.W, case.q, case.b))
 
 
 def test_sources_match_oracle(case):
-    phi, u = case.phi.coefficients, case.u.coefficients
-    assert_close(assemble.assemble_buoyancy(case.U, case.W, case.q) @ phi, o_buoyancy(case.phi, case.U, case.q))
-    assert_close(assemble.assemble_baroclinic(case.W, case.q) @ phi, o_baroclinic(case.phi, case.W, case.q))
-    assert_close(weak_curl(case.U, case.W, case.q).T @ u, o_curl_rhs(case.u, case.W, case.q))
+    phi, u = case.phi, case.u
+    assert_close(assemble.assemble_buoyancy(case.U, case.W, case.q) @ phi, o_buoyancy(phi, case.W, case.U, case.q))
+    assert_close(assemble.assemble_baroclinic(case.W, case.q) @ phi, o_baroclinic(phi, case.W, case.q))
+    assert_close(weak_curl(case.U, case.W, case.q).T @ u, o_curl_rhs(u, case.U, case.W, case.q))
 
 
 def test_gradient_dot_matches_oracle(channel_case):
@@ -304,7 +298,7 @@ def test_gradient_dot_matches_oracle(channel_case):
 
 def test_vorticity_neumann_matches_oracle(channel_case):
     c = channel_case
-    got = assemble.assemble_vorticity_neumann(c.W, c.b) @ c.omega.coefficients
+    got = assemble.assemble_vorticity_neumann(c.W, c.b) @ c.omega
     assert_close(got, o_neumann(c.omega, c.W, c.b))
 
 
@@ -320,9 +314,9 @@ def test_rotation_and_convection_exactly_skew(case):
     """R, C and the rotation in stream-function space on the CG pattern,
     gathered by a model's own system on that whole pattern: transport on
     a channel, vorticity on the torus, where no CG dof is fixed."""
-    R = rotation_matrix(case.omega, case.U, case.q)
-    C = convection_matrix(case.u, case.W, case.q)
-    values = assemble.assemble_rotation(case.omega, case.U, case.q)
+    R = rotation_matrix(case.omega, case.W, case.U, case.q)
+    C = convection_matrix(case.u, case.U, case.W, case.q)
+    values = assemble.assemble_rotation(case.omega, case.W, case.U, case.q)
     mesh = case.W.mesh
     physics = PhysicsConfig(mode="homogeneous", nu=0.01) if mesh.periodic else PhysicsConfig()
     model = Model(mesh, case.N, physics, TimeConfig(dt=1e-3, t_end=1.0))

@@ -18,7 +18,6 @@ from dualflow.mesh import (
 )
 from dualflow.quadrature import interval_rule
 from dualflow.spaces import (
-    Field,
     constant_coefficients,
     interpolate,
     make_space,
@@ -77,9 +76,9 @@ def test_div_of_curl_vanishes(channel):
     W, U, Q = spaces_for(channel, 1)
     D = assemble_div(U, Q, 4)
     rng = np.random.default_rng(0)
-    psi = Field(W, rng.standard_normal(W.dim))
-    u = discrete_curl(psi, U)
-    assert np.max(np.abs(D @ u.coefficients)) < 1e-12
+    psi = rng.standard_normal(W.dim)
+    u = discrete_curl(psi, W, U)
+    assert np.max(np.abs(D @ u)) < 1e-12
 
 
 def test_div_pairing_divergence_theorem(square2):
@@ -88,7 +87,7 @@ def test_div_pairing_divergence_theorem(square2):
     u = interpolate(U, lambda x, y: (x, y))
     ones = constant_coefficients(Q)
     # <div u, 1> = 2 * area by the divergence theorem
-    assert abs(ones @ (D @ u.coefficients) - 2.0 * 1.0) < 1e-12
+    assert abs(ones @ (D @ u) - 2.0 * 1.0) < 1e-12
 
 
 def test_curlcurl_kernel_and_symmetry(channel):
@@ -116,12 +115,12 @@ def test_curlcurl_linear_energy(square2):
     L = assemble_curlcurl(W, 4)
     om = interpolate(W, lambda x, y: x)
     # curl(x) = (0, -1), so the curl-curl energy equals the area
-    assert abs(om.coefficients @ (L @ om.coefficients) - 1.0) < 1e-13
+    assert abs(om @ (L @ om) - 1.0) < 1e-13
 
 
 def test_rotation_zero_for_zero_vorticity(channel):
     W, U, _ = spaces_for(channel, 1)
-    R = rotation_matrix(Field(W, np.zeros(W.dim)), U, 4)
+    R = rotation_matrix(np.zeros(W.dim), W, U, 4)
     assert abs(R).max() == 0.0
     assert np.max(np.abs(weak_curl(U, W, 4) @ np.zeros(W.dim))) == 0.0
 
@@ -130,8 +129,8 @@ def test_rotation_zero_for_zero_vorticity(channel):
 def test_rotation_skew(channel, N):
     W, U, _ = spaces_for(channel, N)
     rng = np.random.default_rng(N)
-    om = Field(W, rng.standard_normal(W.dim))
-    R = rotation_matrix(om, U, 2 * N + 2)
+    om = rng.standard_normal(W.dim)
+    R = rotation_matrix(om, W, U, 2 * N + 2)
     assert abs(R + R.T).max() <= 1e-13 * max(abs(R).max(), 1e-30)
     for _ in range(5):
         u = rng.standard_normal(U.dim)
@@ -142,25 +141,25 @@ def test_rotation_constant_fields(square2):
     """With omega=1: <1 x (1,0), (1,0)> = 0 and <1 x (1,0), (0,1)> = 1."""
     W, U, _ = spaces_for(square2, 1)
     om = project(W, lambda x, y: 1.0)
-    R = rotation_matrix(om, U, 4)
+    R = rotation_matrix(om, W, U, 4)
     ex = interpolate(U, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     ey = interpolate(U, lambda x, y: (np.zeros_like(x), np.ones_like(x)))
-    assert abs(ex.coefficients @ (R @ ex.coefficients)) < 1e-12
-    assert abs(ey.coefficients @ (R @ ex.coefficients) - 1.0) < 1e-12
+    assert abs(ex @ (R @ ex)) < 1e-12
+    assert abs(ey @ (R @ ex) - 1.0) < 1e-12
 
 
 def test_viscous_vector_rigid_rotation(channel):
     """l(omega) = <curl omega, v>; for omega = x, curl omega = (0, -1)."""
     W, U, _ = spaces_for(channel, 1)
     om = interpolate(W, lambda x, y: x)
-    l = weak_curl(U, W, 4) @ om.coefficients
+    l = weak_curl(U, W, 4) @ om
     ey = interpolate(U, lambda x, y: (np.zeros_like(x), np.ones_like(x)))
-    assert abs(ey.coefficients @ l + channel.total_area()) < 1e-12
+    assert abs(ey @ l + channel.total_area()) < 1e-12
 
 
 def test_vorticity_convection_zero_velocity(channel):
     W, U, _ = spaces_for(channel, 1)
-    C = convection_matrix(Field(U, np.zeros(U.dim)), W, 4)
+    C = convection_matrix(np.zeros(U.dim), U, W, 4)
     assert abs(C).max() == 0.0
 
 
@@ -168,8 +167,8 @@ def test_vorticity_convection_zero_velocity(channel):
 def test_vorticity_convection_skew_part(channel, N):
     W, U, _ = spaces_for(channel, N)
     rng = np.random.default_rng(N + 10)
-    u = Field(U, rng.standard_normal(U.dim))
-    C = convection_matrix(u, W, 2 * N + 2)
+    u = rng.standard_normal(U.dim)
+    C = convection_matrix(u, U, W, 2 * N + 2)
     assert abs(C + C.T).max() == 0.0  # exact by construction
     assert (C + C.T).count_nonzero() == 0
     for _ in range(5):
@@ -185,7 +184,7 @@ def solenoidal_velocity(mesh, N, rng):
     U = make_space(mesh, "RT", N)
     coef = rng.standard_normal(W.dim)
     coef[wall_trace_dofs(W, (1, 2, 3, 4))] = 0.0  # psi = 0 on the boundary
-    return discrete_curl(Field(W, coef), U)
+    return discrete_curl(coef, W, U)
 
 
 def test_vorticity_convection_conserves_constants(channel):
@@ -193,22 +192,22 @@ def test_vorticity_convection_conserves_constants(channel):
     W, U, _ = spaces_for(channel, 2)
     rng = np.random.default_rng(8)
     u = solenoidal_velocity(channel, 2, rng)
-    C = convection_matrix(u, W, 6)
+    C = convection_matrix(u, U, W, 6)
     ones = constant_coefficients(W)
     om = rng.standard_normal(W.dim)
     # pairing the transport with the constant test function: pure boundary flux
     assert abs(ones @ (C @ om)) < 1e-12 * np.max(np.abs(om))
 
 
-def particle_transport(u, u_s, W, qdegree, bdegree):
+def particle_transport(u, u_s, U, W, qdegree, bdegree):
     """The particle transport operator as the step builds it."""
-    C = convection_matrix(u, W, qdegree)
-    return C + assemble_particle_drift(u_s, u.space, W, qdegree, bdegree)
+    C = convection_matrix(u, U, W, qdegree)
+    return C + assemble_particle_drift(u_s, U, W, qdegree, bdegree)
 
 
 def test_particle_convection_zero_inputs(channel):
     W, U, _ = spaces_for(channel, 1)
-    A = particle_transport(Field(U, np.zeros(U.dim)), 0.0, W, 4, 3)
+    A = particle_transport(np.zeros(U.dim), 0.0, U, W, 4, 3)
     assert abs(A).max() == 0.0
     with pytest.raises(ValueError):
         assemble_particle_drift(-0.1, U, W, 4, 3)
@@ -222,10 +221,10 @@ def test_particle_mass_identity(channel, N):
     rng = np.random.default_rng(N + 3)
     u = solenoidal_velocity(channel, N, rng)
     u_s = 0.02
-    A = particle_transport(u, u_s, W, 2 * N + 2, N + 2)
-    phi = Field(W, rng.standard_normal(W.dim))
+    A = particle_transport(u, u_s, U, W, 2 * N + 2, N + 2)
+    phi = rng.standard_normal(W.dim)
     ones = constant_coefficients(W)
-    got = ones @ (A @ phi.coefficients)
+    got = ones @ (A @ phi)
 
     # independent oracle: bottom-wall quadrature with a different rule
     t, wq = interval_rule(2 * N + 5)
@@ -240,7 +239,7 @@ def test_particle_mass_identity(channel, N):
         ra, rb = REF_VERTICES[a], REF_VERTICES[b]
         rpts = ra[None, :] + t[:, None] * (rb - ra)[None, :]
         vals, _ = W.element.tabulate(rpts)
-        phi_e = vals @ phi.coefficients[W.cell_dofs[c]]
+        phi_e = vals @ phi[W.cell_dofs[c]]
         total += length * np.sum(wq * phi_e)
     assert abs(got - u_s * total) < 1e-12 * max(1.0, abs(got))
 
@@ -250,9 +249,9 @@ def test_buoyancy_examples(square2):
     B = assemble_buoyancy(U, W, 4)
     assert np.max(np.abs(B @ np.zeros(W.dim))) == 0.0
     phi1 = project(W, lambda x, y: 1.0)
-    b = B @ phi1.coefficients
+    b = B @ phi1
     vdown = interpolate(U, lambda x, y: (np.zeros_like(x), -np.ones_like(x)))
-    assert abs(vdown.coefficients @ b - 1.0) < 1e-12
+    assert abs(vdown @ b - 1.0) < 1e-12
 
 
 def test_buoyancy_baroclinic_compatibility():
@@ -265,11 +264,11 @@ def test_buoyancy_baroclinic_compatibility():
     W = make_space(mesh, "CG", 2)
     U = make_space(mesh, "RT", 2)
     rng = np.random.default_rng(11)
-    phi = Field(W, rng.standard_normal(W.dim))
-    psi = Field(W, rng.standard_normal(W.dim))
-    u = discrete_curl(psi, U)
-    lhs = u.coefficients @ (assemble_buoyancy(U, W, 6) @ phi.coefficients)
-    rhs = psi.coefficients @ (assemble_baroclinic(W, 6) @ phi.coefficients)
+    phi = rng.standard_normal(W.dim)
+    psi = rng.standard_normal(W.dim)
+    u = discrete_curl(psi, W, U)
+    lhs = u @ (assemble_buoyancy(U, W, 6) @ phi)
+    rhs = psi @ (assemble_baroclinic(W, 6) @ phi)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -277,11 +276,11 @@ def test_baroclinic_examples(channel):
     W = make_space(channel, "CG", 1)
     ones = constant_coefficients(W)
     Cb = assemble_baroclinic(W, 4)
-    c = Cb @ project(W, lambda x, y: x + 0 * y).coefficients
+    c = Cb @ project(W, lambda x, y: x + 0 * y)
     assert abs(ones @ c + channel.total_area()) < 1e-12  # -int d(phi)/dx = -area
-    cy = Cb @ project(W, lambda x, y: y).coefficients
+    cy = Cb @ project(W, lambda x, y: y)
     assert np.max(np.abs(cy)) < 1e-13
-    cc = Cb @ project(W, lambda x, y: 3.7).coefficients
+    cc = Cb @ project(W, lambda x, y: 3.7)
     assert np.max(np.abs(cc)) < 1e-13
 
 
@@ -292,7 +291,7 @@ def test_curl_rhs_examples(channel):
     assert np.max(np.abs(r0)) == 0.0
     # rigid rotation has curl 2: pairing with interior test functions = 2 int(xi)
     u = interpolate(U, lambda x, y: (-y, x))
-    r = LcT @ u.coefficients
+    r = LcT @ u
     M = assemble_mass(W, 4)
     integrals = M @ constant_coefficients(W)
     from dualflow.spaces import wall_trace_dofs
@@ -312,9 +311,9 @@ def test_curl_rhs_mean_on_torus():
     W = make_space(mesh, "CG", 1)
     U = make_space(mesh, "RT", 1)
     rng = np.random.default_rng(2)
-    psi = Field(W, rng.standard_normal(W.dim))
-    u = discrete_curl(psi, U)
-    r = weak_curl(U, W, 4).T @ u.coefficients
+    psi = rng.standard_normal(W.dim)
+    u = discrete_curl(psi, W, U)
+    r = weak_curl(U, W, 4).T @ u
     M = assemble_mass(W, 4)
     om, _ = lu_solve(M, r)
     ones = constant_coefficients(W)
@@ -324,17 +323,17 @@ def test_curl_rhs_mean_on_torus():
 def test_vorticity_neumann_examples(channel):
     W = make_space(channel, "CG", 2)
     Nn = assemble_vorticity_neumann(W, 4)
-    g = Nn @ project(W, lambda x, y: 4.2).coefficients
+    g = Nn @ project(W, lambda x, y: 4.2)
     assert np.max(np.abs(g)) < 1e-12
-    gx = Nn @ interpolate(W, lambda x, y: x).coefficients
+    gx = Nn @ interpolate(W, lambda x, y: x)
     assert np.max(np.abs(gx)) < 1e-13
     ones = constant_coefficients(W)
     wall_len = channel.bbox[1] - channel.bbox[0]
     # grad(y^2).n is 2 on the top wall (y = 1) and 0 on the bottom wall;
     # grad((1-y)^2).n is 0 on the top wall and 2 on the bottom wall (n = -e_y)
-    g_top = Nn @ interpolate(W, lambda x, y: y**2).coefficients
-    g_bot = Nn @ interpolate(W, lambda x, y: (1.0 - y) ** 2).coefficients
+    g_top = Nn @ interpolate(W, lambda x, y: y**2)
+    g_bot = Nn @ interpolate(W, lambda x, y: (1.0 - y) ** 2)
     assert abs(ones @ g_top - 2.0 * wall_len) < 1e-12
     assert abs(ones @ g_bot - 2.0 * wall_len) < 1e-12
     # grad(y).n is +1 on the top wall and -1 on the bottom wall
-    assert abs(ones @ (Nn @ interpolate(W, lambda x, y: y).coefficients)) < 1e-12
+    assert abs(ones @ (Nn @ interpolate(W, lambda x, y: y))) < 1e-12

@@ -12,7 +12,6 @@ from dualflow.mesh import (
     read_mesh_text,
 )
 from dualflow.spaces import (
-    Field,
     constant_coefficients,
     constant_velocities,
     interpolate,
@@ -36,12 +35,11 @@ def reference_coords(mesh, cell, point):
     return Jinv[cell] @ (np.asarray(point, dtype=float) - mesh.cell_coords[cell, 0])
 
 
-def evaluate_in_cell(field, cell, point):
-    """A field at a physical point, from one given cell's basis."""
-    space = field.space
+def evaluate_in_cell(space, field, cell, point):
+    """A field of `space` at a physical point, from one given cell's basis."""
     mesh = space.mesh
     ref = reference_coords(mesh, cell, point)[None, :]
-    coefs = field.coefficients[space.cell_dofs[cell]]
+    coefs = field[space.cell_dofs[cell]]
     rval, _ = space.element.tabulate(ref)
     if space.family == "RT":
         J, det, _ = mesh.jacobians()
@@ -51,14 +49,14 @@ def evaluate_in_cell(field, cell, point):
     return float(rval[0] @ coefs)
 
 
-def evaluate(field, point, tol=1e-10):
-    """A field at a physical point, from the first cell that contains it
-    (a brute-force search over every cell)."""
-    mesh = field.space.mesh
+def evaluate(space, field, point, tol=1e-10):
+    """A field of `space` at a physical point, from the first cell that
+    contains it (a brute-force search over every cell)."""
+    mesh = space.mesh
     for c in range(mesh.num_cells):
         ref = reference_coords(mesh, c, point)
         if ref.min() >= -tol and ref.sum() <= 1.0 + tol:
-            return evaluate_in_cell(field, c, point)
+            return evaluate_in_cell(space, field, c, point)
     raise ValueError(f"point {point} lies outside the mesh")
 
 
@@ -79,20 +77,19 @@ def torus():
     return build_periodic_rect_mesh(1.0, 1.0, 4, 4, "right")
 
 
-def l2_error(field, fn, qdegree=8):
-    space = field.space
+def l2_error(space, field, fn, qdegree=8):
     tab = volume_tab(space, qdegree)
     x, y = tab.points[..., 0], tab.points[..., 1]
     if space.family == "RT":
         import util_fields as kernels
 
-        uq = kernels.field_vec(space.cell_dofs, field.coefficients, tab.val)
+        uq = kernels.field_vec(space.cell_dofs, field, tab.val)
         fx, fy = fn(x, y)
         err = (uq[..., 0] - fx) ** 2 + (uq[..., 1] - fy) ** 2
     else:
         import util_fields as kernels
 
-        vq = kernels.field_scalar(space.cell_dofs, field.coefficients, tab.val)
+        vq = kernels.field_scalar(space.cell_dofs, field, tab.val)
         err = (vq - fn(x, y)) ** 2
     return float(np.sqrt(np.sum(tab.weights * err)))
 
@@ -169,12 +166,12 @@ def test_space_dimension_equals_the_closed_forms():
 
 def test_project_constant_cg1(channel):
     f = project(make_space(channel, "CG", 1), lambda x, y: 1.0)
-    assert np.allclose(f.coefficients, 1.0, atol=1e-12)
+    assert np.allclose(f, 1.0, atol=1e-12)
 
 
 def test_project_linear_cg1_gives_vertex_coordinates(channel):
     f = project(make_space(channel, "CG", 1), lambda x, y: x)
-    assert np.allclose(f.coefficients, channel.vertices[:, 0], atol=1e-12)
+    assert np.allclose(f, channel.vertices[:, 0], atol=1e-12)
 
 
 def project_rt(U, fn, qdegree=8):
@@ -189,19 +186,21 @@ def project_rt(U, fn, qdegree=8):
     local = np.einsum("cq,cqnd,cqd->cn", tab.weights, tab.val, F)
     rhs = np.zeros(U.dim)
     np.add.at(rhs, U.cell_dofs.ravel(), local.ravel())
-    return Field(U, lu_solve(assemble_mass(U, qdegree), rhs)[0])
+    return lu_solve(assemble_mass(U, qdegree), rhs)[0]
 
 
 def test_project_reproduces_rt1_member(channel):
     # (x, y) = 0 + 1*(x,y) lies in the local RT_1 space on every cell
-    f = project_rt(make_space(channel, "RT", 1), lambda x, y: (x, y))
-    assert l2_error(f, lambda x, y: (x, y)) < 1e-12
+    U = make_space(channel, "RT", 1)
+    f = project_rt(U, lambda x, y: (x, y))
+    assert l2_error(U, f, lambda x, y: (x, y)) < 1e-12
 
 
 def test_project_reproduces_rt2_member(channel):
     # rigid rotation is linear, hence inside RT_2
-    f = project_rt(make_space(channel, "RT", 2), lambda x, y: (y, -x))
-    assert l2_error(f, lambda x, y: (y, -x)) < 1e-12
+    U = make_space(channel, "RT", 2)
+    f = project_rt(U, lambda x, y: (y, -x))
+    assert l2_error(U, f, lambda x, y: (y, -x)) < 1e-12
 
 
 def test_project_refuses_rt(channel):
@@ -213,7 +212,7 @@ def test_project_refuses_rt(channel):
 def test_interpolate_reproduces_rt_members(channel, degree):
     U = make_space(channel, "RT", degree)
     f = interpolate(U, lambda x, y: (x, y))
-    assert l2_error(f, lambda x, y: (x, y)) < 1e-12
+    assert l2_error(U, f, lambda x, y: (x, y)) < 1e-12
 
 
 def edge_loop_interpolate(U, fn):
@@ -275,25 +274,26 @@ def test_interpolate_rt_matches_edge_loop(mesh_kind, field, degree, channel, tor
     }[mesh_kind]()
     U = make_space(mesh, "RT", degree)
     expected = edge_loop_interpolate(U, INTERPOLANDS[field])
-    got = interpolate(U, INTERPOLANDS[field]).coefficients
+    got = interpolate(U, INTERPOLANDS[field])
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_evaluate_constant_field(channel):
-    f = project(make_space(channel, "CG", 2), lambda x, y: 2.5)
+    W = make_space(channel, "CG", 2)
+    f = project(W, lambda x, y: 2.5)
     for p in [(-0.3, 0.4), (1.2, 0.9), (0.0, 0.0)]:
-        assert abs(evaluate(f, p) - 2.5) < 1e-11
+        assert abs(evaluate(W, f, p) - 2.5) < 1e-11
 
 
 def test_evaluate_vertex_consistency(channel):
     W = make_space(channel, "CG", 1)
     rng = np.random.default_rng(5)
-    f = Field(W, rng.standard_normal(W.dim))
+    f = rng.standard_normal(W.dim)
     # a vertex shared by several cells gives the same value from each
     v = channel.cells[4, 0]
     p = channel.vertices[v]
     cells = [c for c in range(channel.num_cells) if v in channel.cells[c]]
-    vals = [evaluate_in_cell(f, c, p) for c in cells]
+    vals = [evaluate_in_cell(W, f, c, p) for c in cells]
     assert np.ptp(vals) < 1e-12
 
 
@@ -301,7 +301,7 @@ def test_evaluate_vertex_consistency(channel):
 def test_rt_normal_continuity_tangential_jump(channel, degree):
     U = make_space(channel, "RT", degree)
     rng = np.random.default_rng(42)
-    f = Field(U, rng.standard_normal(U.dim))
+    f = rng.standard_normal(U.dim)
     interior = np.flatnonzero(channel.edge_cells[:, 1] >= 0)
     jumps_t = []
     for e in interior[:12]:
@@ -311,8 +311,8 @@ def test_rt_normal_continuity_tangential_jump(channel, degree):
         tang = channel.vertices[vb] - channel.vertices[va]
         tang = tang / np.hypot(*tang)
         nrm = np.array([tang[1], -tang[0]])
-        u0 = evaluate_in_cell(f, c0, mid)
-        u1 = evaluate_in_cell(f, c1, mid)
+        u0 = evaluate_in_cell(U, f, c0, mid)
+        u1 = evaluate_in_cell(U, f, c1, mid)
         assert abs((u0 - u1) @ nrm) < 1e-12
         jumps_t.append(abs((u0 - u1) @ tang))
     assert max(jumps_t) > 1e-3  # tangential component genuinely jumps
@@ -331,14 +331,15 @@ def test_de_rham_curl_exactness(mesh_kind, degree, channel, torus):
     D = assemble_div(U, Q, 2 * degree + 2)
     rng = np.random.default_rng(degree)
     for _ in range(5):
-        psi = Field(W, rng.standard_normal(W.dim))
-        u = discrete_curl(psi, U)
-        assert np.max(np.abs(D @ u.coefficients)) < 1e-12
+        psi = rng.standard_normal(W.dim)
+        u = discrete_curl(psi, W, U)
+        assert np.max(np.abs(D @ u)) < 1e-12
 
 
-def edge_loop_curl(psi, U):
-    """The discrete curl one edge at a time, through the physical geometry:
-    the oracle for the metric-free curl matrix."""
+def edge_loop_curl(psi, W, U):
+    """The discrete curl of the W coefficients psi one edge at a time,
+    through the physical geometry: the oracle for the metric-free curl
+    matrix."""
     mesh = U.mesh
     N = U.degree
     coef = np.zeros(U.dim)
@@ -354,19 +355,19 @@ def edge_loop_curl(psi, U):
         tang = pb - pa
         length = float(np.hypot(*tang))
         normal = np.array([tang[1], -tang[0]]) / length
-        _, rgrad = psi.space.element.tabulate(ra[None, :] + t1[:, None] * (rb - ra)[None, :])
+        _, rgrad = W.element.tabulate(ra[None, :] + t1[:, None] * (rb - ra)[None, :])
         grad = np.einsum("qne,ed->qnd", rgrad, Jinv[c])
-        gpsi = np.einsum("qnd,n->qd", grad, psi.coefficients[psi.space.cell_dofs[c]])
+        gpsi = np.einsum("qnd,n->qd", grad, psi[W.cell_dofs[c]])
         un = gpsi[:, 1] * normal[0] - gpsi[:, 0] * normal[1]
         for m in range(N):
             leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
             coef[N * e + m] = length * np.sum(w1 * un * leg)
     if U.element.n_interior:
         qdeg = 2 * N + 2
-        wtab = volume_tab(psi.space, qdeg)
+        wtab = volume_tab(W, qdeg)
         rule = triangle_rule(qdeg)
         J, det, Jinv = mesh.jacobians()
-        gpsi = np.einsum("cqnd,cn->cqd", wtab.grad, psi.coefficients[psi.space.cell_dofs])
+        gpsi = np.einsum("cqnd,cn->cqd", wtab.grad, psi[W.cell_dofs])
         F = np.stack([gpsi[..., 1], -gpsi[..., 0]], axis=-1)
         pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
         moments = np.einsum("q,cqe->ce", rule.weights, pull)
@@ -386,9 +387,9 @@ def test_curl_matrix_matches_edge_loop(mesh_kind, degree, channel, torus):
     W = make_space(mesh, "CG", degree)
     U = make_space(mesh, "RT", degree)
     rng = np.random.default_rng(degree)
-    psi = Field(W, rng.standard_normal(W.dim))
-    expected = edge_loop_curl(psi, U)
-    assert np.max(np.abs(discrete_curl(psi, U).coefficients - expected)) <= 1e-14 * np.max(np.abs(expected))
+    psi = rng.standard_normal(W.dim)
+    expected = edge_loop_curl(psi, W, U)
+    assert np.max(np.abs(discrete_curl(psi, W, U) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -401,9 +402,9 @@ def test_div_rt_lands_in_dg(channel, degree):
     Q = make_space(channel, "DG", degree - 1)
     qdeg = 2 * degree + 2
     rng = np.random.default_rng(3)
-    u = Field(U, rng.standard_normal(U.dim))
+    u = rng.standard_normal(U.dim)
     utab = volume_tab(U, qdeg)
-    duq = kernels.field_div(U.cell_dofs, u.coefficients, utab.div)
+    duq = kernels.field_div(U.cell_dofs, u, utab.div)
     # project into DG via mass solve
     from dualflow.linsolve import lu_solve
 
@@ -479,9 +480,8 @@ def test_wall_trace_dofs_take_every_edge_dof():
 def test_constant_representable_on_periodic(torus):
     W = make_space(torus, "CG", 2)
     ones = constant_coefficients(W)
-    f = Field(W, ones)
     for p in [(0.1, 0.2), (0.99, 0.99), (0.5, 0.0)]:
-        assert abs(evaluate(f, p) - 1.0) < 1e-12
+        assert abs(evaluate(W, ones, p) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("mesh", ["left", "crisscross", "desk"])
@@ -498,5 +498,5 @@ def test_constant_velocities_are_the_interpolated_constants(mesh, degree):
     U = make_space(mesh, "RT", degree)
     H = constant_velocities(U)
     for j, e in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        ref = interpolate(U, lambda x, y: e).coefficients
+        ref = interpolate(U, lambda x, y: e)
         assert np.abs(H[:, j] - ref).max() <= 1e-15 * np.abs(ref).max()

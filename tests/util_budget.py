@@ -48,20 +48,20 @@ def step_budget(model, prev, new, omega, phi=None, phi_mid=None):
     psi rows."""
     dt = model.time.dt
     rows, n = model.psi_dofs, len(model.psi_dofs)
-    l_vec = (model.L @ omega.coefficients)[rows]
+    l_vec = (model.L @ omega)[rows]
     budget = {
         "eps_v": model.nu * float(l_vec @ (0.5 * (prev.psi_0 + new.psi_0))[:n]),
         "eps_s": 0.0, "exchange": 0.0, "mass_residual": 0.0,
-        "div_inf": float(np.max(np.abs(model.D @ new.u_half.coefficients))),
+        "div_inf": float(np.max(np.abs(model.D @ new.u_half))),
     }
     if phi_mid is not None:
         u_s = model.physics.settling_velocity
         budget["mass_residual"] = (
-            model.integral_w(new.phi.coefficients - prev.phi.coefficients)
-            + dt * u_s * model.bottom_integral(phi_mid.coefficients)
+            model.integral_w(new.phi - prev.phi)
+            + dt * u_s * model.bottom_integral(phi_mid)
         )
-        budget["eps_s"] = u_s * model.integral_w(phi_mid.coefficients) - model.kappa * float(
-            model.grad_dot_g @ phi_mid.coefficients
+        budget["eps_s"] = u_s * model.integral_w(phi_mid) - model.kappa * float(
+            model.grad_dot_g @ phi_mid
         )
-        budget["exchange"] = float((model.baroclinic @ phi.coefficients)[rows] @ new.psi_0[:n])
+        budget["exchange"] = float((model.baroclinic @ phi)[rows] @ new.psi_0[:n])
     return budget

@@ -11,14 +11,14 @@ import numpy as np
 
 from dualflow import assemble
 from dualflow.assemble import curl_matrix
-from dualflow.spaces import Field
 
 from util_tabulate import volume_tab
 
 
-def discrete_curl(psi, rt_space):
-    """Exact RT representation of the vector curl (d/dy, -d/dx) of a CG field."""
-    return Field(rt_space, curl_matrix(psi.space, rt_space) @ psi.coefficients)
+def discrete_curl(psi, W, U):
+    """Exact U (RT) coefficients of the vector curl (d/dy, -d/dx) of the W
+    (CG) coefficients psi."""
+    return curl_matrix(W, U) @ psi
 
 
 def weak_curl(U, W, qdegree):
