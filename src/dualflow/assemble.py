@@ -46,7 +46,10 @@ function i against trial function j.
 The skew operators are skew *by construction*: Z^T R Z and C scatter
 the local entries a < b at (a, b) and, in the same cell order, at
 (b, a), and subtract the second sum from the first, so quadratic
-invariants are conserved to round-off regardless of quadrature.
+invariants are conserved to round-off regardless of quadrature.  No
+function here takes a quadrature degree: `elements` integrates each
+polynomial integrand exactly, at the rule of its degree; only what
+meets an analytic field, in `spaces`, keeps a chosen rule.
 """
 
 import numpy as np
@@ -135,14 +138,14 @@ def _skew_values(space, coef, tensor):
     return kernels.scatter_matrix(pos_ab, P, nnz) - kernels.scatter_matrix(pos_ba, P, nnz)
 
 
-def _form(test, trial, coef, qdegree, derivative=(False, False), cells=None):
+def _form(test, trial, coef, derivative=(False, False), cells=None):
     """The (test, trial) matrix whose cells' local matrices are coef @ T,
     RT signs applied, T = elements.form_tensor of the two spaces' bases
     (each differentiated if `derivative` says so): one row of coef per
     cell or, on a wall, per edge, `cells` its owner, against the tensor
     of the three local edges."""
     T = form_tensor((test.family, test.degree, derivative[0]),
-                    (trial.family, trial.degree, derivative[1]), qdegree, cells is not None)
+                    (trial.family, trial.degree, derivative[1]), cells is not None)
     which = slice(None) if cells is None else cells
     local = kernels.contraction(coef, T).reshape(len(coef), test.element.ndof, trial.element.ndof)
     local *= test.cell_dof_signs[which, :, None] * trial.cell_dof_signs[which, None, :]
@@ -153,31 +156,31 @@ def _form(test, trial, coef, qdegree, derivative=(False, False), cells=None):
     return _pattern(test, trial).build(local, cells)
 
 
-def assemble_mass(space, qdegree):
+def assemble_mass(space):
     """Mass matrix <trial, test>; SPD for CG/DG/RT alike: det J M-hat on a
     scalar space, J^T J / det J against the reference tensor on RT."""
     J, det, _ = space.mesh.jacobians()
     coef = (np.swapaxes(J, 1, 2) @ J).reshape(-1, 4) / det[:, None] if space.family == "RT" \
         else det[:, None]
-    return _form(space, space, coef, qdegree)
+    return _form(space, space, coef)
 
 
-def assemble_curlcurl(space, qdegree):
+def assemble_curlcurl(space):
     """<curl trial, curl test> on a scalar space; equals the stiffness form,
     det J J^-1 J^-T against the reference gradients."""
     _, det, Jinv = space.mesh.jacobians()
     coef = (det[:, None, None] * (Jinv @ np.swapaxes(Jinv, 1, 2))).reshape(-1, 4)
-    return _form(space, space, coef, qdegree, (True, True))
+    return _form(space, space, coef, (True, True))
 
 
-def assemble_div(U, Q, qdegree):
+def assemble_div(U, Q):
     """Divergence pairing D[q, u] = <div u, q>, metric-free: det J cancels
     the Piola 1/det J."""
     if U.mesh is not Q.mesh:
         raise ValueError("velocity and pressure spaces live on different meshes")
     if Q.degree != U.degree - 1:
         raise ValueError(f"incompatible pair RT_{U.degree} / DG_{Q.degree}")
-    return _form(Q, U, np.ones((U.mesh.num_cells, 1)), qdegree, (False, True))
+    return _form(Q, U, np.ones((U.mesh.num_cells, 1)), (False, True))
 
 
 def curl_matrix(W, U):
@@ -200,7 +203,7 @@ def curl_matrix(W, U):
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(U.dim, W.dim))
 
 
-def assemble_rotation(omega, W, U, qdegree):
+def assemble_rotation(omega, W, U):
     """The rotation R[i, j] = <omega x u_j, u_i> of the momentum step at the
     W coefficients omega, seen through the discrete curl Z; no U x U
     matrix is formed.
@@ -211,17 +214,17 @@ def assemble_rotation(omega, W, U, qdegree):
     contraction with T_Z (elements.skew_tensors), scattered on the (W, W)
     pattern like C.  Returns its CSR values, exactly skew.
     """
-    _, _, T_Z = skew_tensors(W.degree, U.degree, qdegree)
+    _, _, T_Z = skew_tensors(W.degree, U.degree)
     return _skew_values(W, omega[W.cell_dofs], T_Z)
 
 
-def apply_rotation(omega, W, U, qdegree, u):
+def apply_rotation(omega, W, U, u):
     """R u per cell for the W coefficients omega and U coefficients u,
     sum_c S_c T(omega_c) S_c u_c: one GEMM of T_R
     (elements.skew_tensors) against the cells' outer products of omega
     and u coefficients, cells last so that the products run along
     contiguous rows; no matrix is formed."""
-    T_R = skew_tensors(W.degree, U.degree, qdegree)[0]
+    T_R = skew_tensors(W.degree, U.degree)[0]
     s = U.cell_dof_signs
     outer = (np.ascontiguousarray(omega[W.cell_dofs].T)[:, None, :]
              * np.ascontiguousarray((u[U.cell_dofs] * s).T)[None, :, :])
@@ -229,11 +232,11 @@ def apply_rotation(omega, W, U, qdegree, u):
     return np.bincount(U.cell_dofs.ravel(), weights=v.ravel(), minlength=U.dim)
 
 
-def assemble_vorticity_convection(u, U, W, qdegree):
+def assemble_vorticity_convection(u, U, W):
     """The CSR values, on the (W, W) pattern, of the skew convection
     C = (G^T - G)/2 with G[a,b] = <w_b, div(u w_a)> by the U coefficients
     u, exactly skew."""
-    _, T_C, _ = skew_tensors(W.degree, U.degree, qdegree)
+    _, T_C, _ = skew_tensors(W.degree, U.degree)
     return _skew_values(W, u[U.cell_dofs] * U.cell_dof_signs, T_C)
 
 
@@ -326,15 +329,14 @@ def _wall(space, tag):
     return cells, np.eye(3)[loc], mesh.cell_coords[cells, b] - mesh.cell_coords[cells, a]
 
 
-def assemble_wall_mass(space, tag, qdegree):
+def assemble_wall_mass(space, tag):
     """Boundary mass matrix <trial, test> over one tagged wall: the edge
     length against the owner's local edge's reference tensor."""
     cells, onehot, tang = _wall(space, tag)
-    return _form(space, space, onehot * np.hypot(tang[:, 0], tang[:, 1])[:, None], qdegree,
-                 cells=cells)
+    return _form(space, space, onehot * np.hypot(tang[:, 0], tang[:, 1])[:, None], cells=cells)
 
 
-def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
+def assemble_particle_drift(u_s, U, W):
     """Static part of the particle transport operator: the skew convection
     u_s C(I e_g) by the settling drift, I e_g the gravity direction in U
     (spaces.constant_velocities: RT holds constants), plus the settling terms
@@ -348,36 +350,35 @@ def assemble_particle_drift(u_s, U, W, qdegree, bdegree):
     """
     if u_s < 0:
         raise ValueError(f"settling speed must be nonnegative, got {u_s}")
-    B1 = assemble_wall_mass(W, TAG_TOP, bdegree).data
-    B3 = assemble_wall_mass(W, TAG_BOTTOM, bdegree).data
-    C = assemble_vorticity_convection(constant_velocities(U) @ GRAVITY, U, W, qdegree)
+    B1 = assemble_wall_mass(W, TAG_TOP).data
+    B3 = assemble_wall_mass(W, TAG_BOTTOM).data
+    C = assemble_vorticity_convection(constant_velocities(U) @ GRAVITY, U, W)
     return _pattern(W, W).matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * B3))
 
 
-def assemble_buoyancy(U, W, qdegree):
+def assemble_buoyancy(U, W):
     """B[i, k] = <w_k e_g, u_i>; the buoyancy vector is b = B phi.  The
     Piola J / det J and the weight's det J leave e_g^T J."""
-    return _form(U, W, np.asarray(GRAVITY) @ U.mesh.jacobians()[0], qdegree)
+    return _form(U, W, np.asarray(GRAVITY) @ U.mesh.jacobians()[0])
 
 
-def assemble_directional_gradient(W, v, qdegree, transposed=False):
+def assemble_directional_gradient(W, v, transposed=False):
     """G[i, k] = <grad w_k . v, w_i> for a constant direction v, or, if
     `transposed`, G^T, the test side differentiated: det J J^-1 v against
     the reference gradients."""
     _, det, Jinv = W.mesh.jacobians()
-    return _form(W, W, det[:, None] * (Jinv @ np.asarray(v, dtype=float)), qdegree,
-                 (transposed, not transposed))
+    return _form(W, W, det[:, None] * (Jinv @ np.asarray(v, dtype=float)), (transposed, not transposed))
 
 
-def assemble_baroclinic(W, qdegree):
+def assemble_baroclinic(W):
     """Cb[i, k] = <grad w_k x e_g, w_i>; the source c = Cb phi is
     <grad phi x e_g, w_i>, with e_g=(0,-1) this is -d(phi)/dx.
     grad w x e_g = grad w . e_g^perp, e_g^perp = (g_y, -g_x): the
     directional gradient along e_g^perp."""
-    return assemble_directional_gradient(W, (GRAVITY[1], -GRAVITY[0]), qdegree)
+    return assemble_directional_gradient(W, (GRAVITY[1], -GRAVITY[0]))
 
 
-def assemble_vorticity_neumann(W, bdegree):
+def assemble_vorticity_neumann(W):
     """Nn[i, k] = <w_i, grad(w_k).n> over the top and bottom walls; the
     wall source is g = Nn omega_tilde.
 
@@ -393,7 +394,7 @@ def assemble_vorticity_neumann(W, bdegree):
         cells, onehot, tang = _wall(W, tag)
         ln = np.einsum("ced,cd->ce", W.mesh.jacobians()[2][cells], tang[:, ::-1] * [1.0, -1.0])
         coef = (onehot[:, :, None] * ln[:, None, :]).reshape(len(cells), -1)
-        values += _form(W, W, coef, bdegree, (False, True), cells).data
+        values += _form(W, W, coef, (False, True), cells).data
     Nn = pattern.matrix(values).copy()  # the pattern's arrays stay intact
     Nn.eliminate_zeros()
     return Nn

@@ -1,16 +1,16 @@
 """Run orchestration: configuration -> mesh -> model -> time loop -> outputs.
 
 A run writes, under the configured output directory:
-  timeseries.csv            one budget row per csv_every steps (append-only)
+  timeseries.csv            one budget row per csv_every steps
   snapshot_XXXXXXXX.vtk     legacy-VTK field dumps every vtk_every steps
   checkpoint_XXXXXXXX.ckpt  state dumps every checkpoint_every steps
   checkpoint_final.ckpt     always written on normal completion
 
-Resuming from a checkpoint at step k into the same directory first cuts
-the CSV back to its rows through step k, then appends to it, and
-reproduces the uninterrupted run bitwise; a checkpoint past t_end is
-refused before any output is touched.  Checkpoints are written
-atomically.
+A fresh run writes every file anew, the CSV too.  Resuming from a
+checkpoint at step k into the same directory first cuts the CSV back to
+its rows through step k, then appends to it, and reproduces the
+uninterrupted run bitwise; a checkpoint past t_end is refused before
+any output is touched.  Checkpoints are written atomically.
 """
 
 import os
@@ -120,7 +120,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     max_mass = max_gap = 0.0  # running maxima of the per-step identity gaps
     mark, mark_k = time.perf_counter(), state.k  # wall clock at the last progress line
     passes = 0  # refinement passes of the steps since the last progress line
-    writer = dfio.CsvWriter(csv_path)
+    writer = dfio.CsvWriter(csv_path, append=checkpoint is not None)
     try:
         if startup is not None and out["vtk_every"] > 0:
             p, rep = startup.pressure()

@@ -34,7 +34,12 @@ maps in `spaces` rely on exactly this.
 Assembly tabulates the elements here alone, at reference points: the
 reference tensors of the forms (form_tensor for the static bilinear
 forms, skew_tensors for the per-step skew ones) are built once per
-degree, and `assemble` contracts them with per-cell geometry.
+degree, each exact at the rule of its integrand's polynomial degree,
+which no caller chooses (_degree: CG_N and DG_N lie in P_N, RT_N in
+P_N^2, and a derivative lowers it by one), and `assemble` contracts them
+with per-cell geometry.  Only the RT dofs keep a chosen rule:
+spaces.interpolate applies them to analytic fields, which no rule
+integrates exactly.
 """
 
 import functools
@@ -144,10 +149,10 @@ class RTElement:
         degree-2N+2 triangle rule."""
         N = self.degree
         t, wt = interval_rule(2 * N + 3)
-        rule = triangle_rule(2 * N + 2)
+        pts, wts = triangle_rule(2 * N + 2)
         points = np.concatenate(
             [REF_VERTICES[a] + t[:, None] * (REF_VERTICES[b] - REF_VERTICES[a]) for a, b in LOCAL_EDGES]
-            + ([rule.points] if self.n_interior else []))
+            + ([pts] if self.n_interior else []))
         w = np.zeros((self.ndof, len(points), 2))
         for e, (a, b) in enumerate(LOCAL_EDGES):
             tx, ty = REF_VERTICES[b] - REF_VERTICES[a]
@@ -155,7 +160,7 @@ class RTElement:
                 # length (f . n), n = (t_y, -t_x) / length, against Legendre m
                 w[row, e * len(t):(e + 1) * len(t)] = np.multiply.outer(wt * (2.0 * t - 1.0) ** m, [ty, -tx])
         for k, row in enumerate(self.interior_dofs):
-            w[row, 3 * len(t):, k] = rule.weights
+            w[row, 3 * len(t):, k] = wts
         return points, w.reshape(self.ndof, -1).T
 
     def dofs(self, samples):
@@ -212,25 +217,26 @@ def reference_curl(cg, rt):
 
 
 @functools.lru_cache(maxsize=None)
-def skew_tensors(cg_degree, rt_degree, qdegree):
+def skew_tensors(cg_degree, rt_degree):
     """Reference tensors of the rotation, the convection and the rotation
     in stream-function space, metric-free on affine cells (see assemble),
     each skew in (a, b), with w the CG and r the RT reference basis:
       T_R[k, a, b] = sum_q w_q w_k (r_a,y r_b,x - r_a,x r_b,y)
       T_C[k, a, b] = skew_ab sum_q w_q (r_k . grad w_a + div r_k w_a) w_b
       T_Z[k, a, b] = (Z^T T_R[k] Z)[a, b],  Z = reference_curl
+    at the rule of degree cg + 2 rt, that of w_k r_a r_b, exact for both.
     T_C and T_Z, which are scattered, are kept as their entries a < b,
     T[k, p] for the p-th pair of np.triu_indices(n, 1).  T_R, which is
     applied per cell, is kept whole and laid out for one GEMM,
     T_R[a, k n + b]: T(omega_c) x_c = T_R @ (omega_c (x) x_c).  Read-only."""
     cg, rt = get_element("CG", cg_degree), get_element("RT", rt_degree)
-    rule = triangle_rule(qdegree)
-    w, wg = cg.tabulate(rule.points)
-    r, rdiv = rt.tabulate(rule.points)
-    E = np.einsum("q,qk,qa,qb->kab", rule.weights, w, r[..., 1], r[..., 0])
+    pts, wts = triangle_rule(cg_degree + 2 * rt_degree)
+    w, wg = cg.tabulate(pts)
+    r, rdiv = rt.tabulate(pts)
+    E = np.einsum("q,qk,qa,qb->kab", wts, w, r[..., 1], r[..., 0])
     E = E - np.transpose(E, (0, 2, 1))
-    G = (np.einsum("q,qk,qa,qb->kab", rule.weights, rdiv, w, w)
-         + np.einsum("q,qkd,qad,qb->kab", rule.weights, r, wg, w))
+    G = (np.einsum("q,qk,qa,qb->kab", wts, rdiv, w, w)
+         + np.einsum("q,qkd,qad,qb->kab", wts, r, wg, w))
     Z = reference_curl(cg, rt)
     S = np.einsum("am,kab,bn->kmn", Z, E, Z)
     T_R = np.ascontiguousarray(np.transpose(E, (1, 0, 2))).reshape(rt.ndof, -1)
@@ -240,6 +246,11 @@ def skew_tensors(cg_degree, rt_degree, qdegree):
     for T in (T_R, T_C, T_Z):
         T.flags.writeable = False
     return T_R, T_C, T_Z
+
+
+def _degree(factor):
+    """The polynomial degree of a factor (family, degree, derivative)."""
+    return factor[1] - factor[2]
 
 
 def _table(factor, points):
@@ -252,23 +263,24 @@ def _table(factor, points):
 
 
 @functools.lru_cache(maxsize=None)
-def form_tensor(test, trial, qdegree, on_edges=False):
+def form_tensor(test, trial, on_edges=False):
     """Reference tensor of the bilinear form of two factors, each (family,
     degree, derivative) as in _table, laid out for one GEMM:
 
       T[e m_b + f, a n_b + b] = sum_q w_q A[q, e, a] B[q, f, b]
 
-    with A the test's and B the trial's table, at the degree-`qdegree`
-    triangle rule, or, `on_edges`, at the interval rule on each local edge
-    in turn, the three blocks stacked along the first axis.  An edge's
-    weights sum to 1, not to its reference length.  Read-only."""
+    with A the test's and B the trial's table, integrated exactly: at the
+    triangle rule of the product's degree (_degree), or, `on_edges`, at
+    the interval rule of that degree on each local edge in turn, the three
+    blocks stacked along the first axis.  An edge's weights sum to 1, not
+    to its reference length.  Read-only."""
+    qdegree = max(1, _degree(test) + _degree(trial))
     if on_edges:
         t, w = interval_rule(qdegree)
         rules = [(REF_VERTICES[a] + t[:, None] * (REF_VERTICES[b] - REF_VERTICES[a]), w)
                  for a, b in LOCAL_EDGES]
     else:
-        rule = triangle_rule(qdegree)
-        rules = [(rule.points, rule.weights)]
+        rules = [triangle_rule(qdegree)]
     blocks = []
     for pts, w in rules:
         A, B = _table(test, pts), _table(trial, pts)

@@ -28,13 +28,12 @@ def _fmt(x):
 
 
 class CsvWriter:
-    """Append-only fixed-schema CSV; one row per emitted step."""
+    """Fixed-schema CSV, one row per emitted step: written anew from its
+    header, or, `append`ing (a resume), after the rows already there."""
 
-    def __init__(self, path):
-        self.path = path
-        exists = os.path.exists(path) and os.path.getsize(path) > 0
-        self._fh = open(path, "a", encoding="utf-8", newline="")
-        if not exists:
+    def __init__(self, path, append=False):
+        self._fh = open(path, "a" if append else "w", encoding="utf-8", newline="")
+        if self._fh.tell() == 0:
             self._fh.write(",".join(CSV_COLUMNS) + "\n")
             self._fh.flush()
 

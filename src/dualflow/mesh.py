@@ -330,6 +330,9 @@ def read_mesh_text(text, geom):
     if len(tokens) != need:
         raise MeshError(f"mesh file has {len(tokens)} fields, expected {need}")
     vals = _numbers(tokens[3:3 + 2 * nv], float, 2, "vertex")
+    if not np.isfinite(vals).all():
+        i = np.flatnonzero(~np.isfinite(vals).all(axis=1))[0]
+        raise MeshError(f"mesh vertex {i} has a non-finite coordinate: {vals[i, 0]:g} {vals[i, 1]:g}")
     cells = _numbers(tokens[3 + 2 * nv:], np.int64, 3, "cell")
     if nc < 1:
         raise MeshError("mesh file has no cells")

@@ -6,21 +6,10 @@ and exactness for any requested polynomial degree.  The reference
 triangle has vertices (0,0), (1,0), (0,1) and area 1/2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 MAX_DEGREE = 50
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points and weights on the reference triangle."""
-
-    points: np.ndarray  # (n, 2)
-    weights: np.ndarray  # (n,)
-    degree: int
 
 
 def _check_degree(degree):
@@ -37,22 +26,19 @@ def interval_rule(degree):
 
 
 def triangle_rule(degree):
-    """Rule on the reference triangle exact for total degree <= degree.
+    """Points (n, 2) and weights (n,) of a rule on the reference triangle
+    exact for total degree <= degree.
 
     Uses the map (u,v) -> (u(1-v), v) from the unit square; the Jacobian
     factor (1-v) is absorbed into a Gauss-Jacobi rule in v.
     """
-    _check_degree(degree)
-    n = (degree + 2) // 2
-    xu, wu = roots_legendre(n)
-    xu = 0.5 * (xu + 1.0)
-    wu = 0.5 * wu
+    xu, wu = interval_rule(degree)
     # Gauss-Jacobi with weight (1-x) on [-1,1]; mapped to (1-v) dv on [0,1].
-    xv, wv = roots_jacobi(n, 1.0, 0.0)
+    xv, wv = roots_jacobi(len(xu), 1.0, 0.0)
     xv = 0.5 * (xv + 1.0)
     wv = 0.25 * wv
 
     uu, vv = np.meshgrid(xu, xv, indexing="ij")
     pts = np.column_stack([(uu * (1.0 - vv)).ravel(), vv.ravel()])
     wts = np.outer(wu, wv).ravel()
-    return QuadratureRule(points=pts, weights=wts, degree=degree)
+    return pts, wts

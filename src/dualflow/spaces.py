@@ -134,14 +134,15 @@ def _points(mesh, ref):
 
 def load_vector(space, fn, qdegree):
     """The load vector <f, w_i> of an analytic function on a scalar space,
-    by a degree-`qdegree` rule: the right-hand side of its L2 projection."""
+    the right-hand side of its L2 projection, by a degree-`qdegree` rule:
+    no rule integrates f exactly, so the degree is the caller's choice."""
     if space.family == "RT":
         raise ValueError("the L2 load of an RT space is not supported; interpolate instead")
-    rule = triangle_rule(qdegree)
-    x = _points(space.mesh, rule.points)
+    pts, wts = triangle_rule(qdegree)
+    x = _points(space.mesh, pts)
     f = _call_scalar(fn, x[..., 0], x[..., 1])
-    wf = np.multiply.outer(space.mesh.jacobians()[1], rule.weights) * f
-    local = np.einsum("cq,qn->cn", wf, space.element.tabulate(rule.points)[0])
+    wf = np.multiply.outer(space.mesh.jacobians()[1], wts) * f
+    local = np.einsum("cq,qn->cn", wf, space.element.tabulate(pts)[0])
     rhs = np.zeros(space.dim)
     np.add.at(rhs, space.cell_dofs.ravel(), local.ravel())
     return rhs

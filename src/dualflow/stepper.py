@@ -268,8 +268,6 @@ class Model:
         self.W = make_space(mesh, "CG", degree)
         self.U = make_space(mesh, "RT", degree)
         self.Q = make_space(mesh, "DG", degree - 1)
-        self.qdeg = 2 * degree + 2
-        self.bdeg = degree + 2
 
         # both are empty on a torus
         self.u_fixed = normal_trace_dofs(self.U)
@@ -277,11 +275,11 @@ class Model:
         self.iu = free_dofs(self.U, self.u_fixed)
         self.iw = free_dofs(self.W, self.w_fixed)
 
-        self.M = assemble.assemble_mass(self.U, self.qdeg)
-        self.Nw = assemble.assemble_mass(self.W, self.qdeg)
-        self.L = assemble.assemble_curlcurl(self.W, self.qdeg)
-        self.D = assemble.assemble_div(self.U, self.Q, self.qdeg)
-        self.MQ = assemble.assemble_mass(self.Q, self.qdeg)
+        self.M = assemble.assemble_mass(self.U)
+        self.Nw = assemble.assemble_mass(self.W)
+        self.L = assemble.assemble_curlcurl(self.W)
+        self.D = assemble.assemble_div(self.U, self.Q)
+        self.MQ = assemble.assemble_mass(self.Q)
         self.curl = assemble.curl_matrix(self.W, self.U)
         self.Nw_dt = (1.0 / time.dt) * self.Nw
 
@@ -310,17 +308,15 @@ class Model:
             # the harmonic columns of Z^T R Z are static forms in omega:
             # (Z^T R e_j)_k = <omega x e_j, curl w_k> = <omega, -e_j . grad w_k>
             self.border = sp.vstack(
-                [assemble.assemble_directional_gradient(self.W, e, self.qdeg, transposed=True)[self.psi_dofs]
+                [assemble.assemble_directional_gradient(self.W, e, transposed=True)[self.psi_dofs]
                  for e in ((-1.0, 0.0), (0.0, -1.0))], format="csr")
 
         if physics.mode == "turbidity":
-            self.drift = assemble.assemble_particle_drift(
-                physics.settling_velocity, self.U, self.W, self.qdeg, self.bdeg
-            )
-            self.baroclinic = assemble.assemble_baroclinic(self.W, self.qdeg)
-            self.neumann = assemble.assemble_vorticity_neumann(self.W, self.bdeg)
+            self.drift = assemble.assemble_particle_drift(physics.settling_velocity, self.U, self.W)
+            self.baroclinic = assemble.assemble_baroclinic(self.W)
+            self.neumann = assemble.assemble_vorticity_neumann(self.W)
             # B_bottom^T 1: the integral over Gamma3 of each CG function
-            self.bottom_weights = assemble.assemble_wall_mass(self.W, TAG_BOTTOM, self.bdeg).T @ self.ones_w
+            self.bottom_weights = assemble.assemble_wall_mass(self.W, TAG_BOTTOM).T @ self.ones_w
             self.grad_dot_g = -(self.L @ y)  # <grad w_i, e_g>, e_g = -grad y
             self.systems["transport"] = on_cells(
                 "transport", self.W, Nw_dt + 0.5 * (self.drift.data + self.kappa * L))
@@ -349,7 +345,7 @@ class Model:
 
     @cached_property
     def buoyancy(self):
-        return assemble.assemble_buoyancy(self.U, self.W, self.qdeg)
+        return assemble.assemble_buoyancy(self.U, self.W)
 
     @cached_property
     def D_r(self):
@@ -430,7 +426,7 @@ class Model:
         """The momentum system's skew part at omega: Z^T R Z per cell and, on
         the torus, its harmonic columns Z^T R H from the static border forms,
         two mat-vecs, whose corner e_x^T R e_y is -<omega, 1>."""
-        K = assemble.assemble_rotation(omega, self.W, self.U, self.qdeg)
+        K = assemble.assemble_rotation(omega, self.W, self.U)
         if self.border is None:
             return K, None
         s = self.Nw_1 @ omega
@@ -465,7 +461,7 @@ class Model:
         ||r - D_r^T p||_inf), or refuses when that exceeds RTOL (1 +
         ||r||_inf)."""
         r = (self.M @ ((u - u_old) / dt + self.nu * (self.curl @ omega))
-             + 0.5 * assemble.apply_rotation(omega, self.W, self.U, self.qdeg, u + u_old))
+             + 0.5 * assemble.apply_rotation(omega, self.W, self.U, u + u_old))
         if phi is not None:
             r = r - self.buoyancy @ phi
         r = r[self.iu]
@@ -522,7 +518,7 @@ def step(state, model):
     omega_k = omega[model.iw]
     try:
         # one skew convection C(u) serves both transport solves
-        C = assemble.assemble_vorticity_convection(u, model.U, model.W, model.qdeg)
+        C = assemble.assemble_vorticity_convection(u, model.U, model.W)
         if phi is not None:
             omega_tilde, reports["curl"] = model.curl_h(state.psi_0)      # step 1
             phi_new, reports["transport"] = model.solve_transport(        # step 2
@@ -563,7 +559,8 @@ class LockInitialCondition:
 
     def build(self, model):
         delta = self.interface_width if self.interface_width else 2.0 * model.mesh.h_min()
-        load = load_vector(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg)
+        load = load_vector(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)),
+                           2 * model.degree + 2)
         coef, rep = lu_solve(model.Nw_dt, load / model.time.dt, model.systems["transport"].lu)
         return np.zeros(model.U.dim), coef, rep.fallback
 

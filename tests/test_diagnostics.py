@@ -42,10 +42,10 @@ def eps_s_ref1(model, phi, u_s, kappa):
 
     A cross-literature comparison of the budget's eps_s; never part of a run.
     """
-    gdot = gradient_dot(model.W, model.qdeg)
+    gdot = gradient_dot(model.W, 2 * model.degree + 2)
     grad_term = float(gdot @ phi)  # <grad phi, e_g>
     grad_y = -grad_term  # grad y = (0,1) = -e_g, exactly, at every quadrature point
-    flux = float(weighted_flux(model.W, lambda x, y: y, model.bdeg) @ phi)
+    flux = float(weighted_flux(model.W, lambda x, y: y, model.degree + 2) @ phi)
     return -u_s * grad_term - kappa * (grad_y - flux)
 
 
@@ -59,13 +59,13 @@ def make_model(L=13.0, nx=26, ny=2, N=1, u_s=0.02, dt=1e-3, lock=1.0, height=1.0
 def test_potential_energy_constant_phi():
     # phi = 1 on a unit-height channel of length L: Ep = int y = L/2
     model = make_model(L=3.0, nx=6, ny=2, lock=1.0)
-    phi = project(model.W, lambda x, y: 1.0, model.qdeg)
+    phi = project(model.W, lambda x, y: 1.0)
     assert abs(model.potential_energy(phi) - 1.5) < 1e-12
 
 
 def test_zero_state_ledger_row():
     model = make_model(u_s=0.0)
-    phi0 = project(model.W, lambda x, y: 0.0, model.qdeg)
+    phi0 = project(model.W, lambda x, y: 0.0)
 
     class IC:
         def build(self, m):
@@ -117,7 +117,7 @@ def test_zero_initial_mass_gives_zero_ratio():
     zero = np.zeros(model.W.dim)
     eng = Engine(model, hand_built_state(model, 0, zero))
     assert eng.m_p0 == 0.0
-    phi1 = project(model.W, lambda x, y: 1.0, model.qdeg)
+    phi1 = project(model.W, lambda x, y: 1.0)
     assert eng.update(hand_built_state(model, 0, zero), hand_built_state(model, 1, phi1)).m_p_ratio == 0.0
 
 
@@ -125,7 +125,7 @@ def test_sedimentation_rate_examples():
     """The row's mdot_s is the settling outflux -u_s int_{Gamma3} phi."""
     model = make_model(L=13.0, u_s=0.02)
     zero = np.zeros(model.W.dim)
-    phi1 = project(model.W, lambda x, y: 1.0, model.qdeg)
+    phi1 = project(model.W, lambda x, y: 1.0)
     eng = Engine(model, hand_built_state(model, 0, phi1))
     assert eng.update(hand_built_state(model, 0, phi1), hand_built_state(model, 1, zero)).mdot_s == 0.0
     # bottom wall has length 13: mdot_s = -0.02 * 13 = -0.26
@@ -186,10 +186,10 @@ def test_front_sampler_refuses_a_point_outside_the_mesh(channel_with_hole):
 def test_eps_s_ref1_examples():
     model = make_model(L=2.0, nx=4, ny=2, lock=1.0, u_s=0.02)
     u_s, kappa = model.physics.settling_velocity, model.kappa
-    const = project(model.W, lambda x, y: 0.8, model.qdeg)
+    const = project(model.W, lambda x, y: 0.8)
     assert abs(eps_s_ref1(model, const, u_s, kappa)) < 1e-12
     # phi = 1 - y on a unit-height channel: value = -u_s * area... per unit area
-    phi = project(model.W, lambda x, y: 1.0 - y, model.qdeg)
+    phi = project(model.W, lambda x, y: 1.0 - y)
     # -u_s <e_g, grad phi> = -u_s * area; diffusive bracket vanishes
     assert abs(eps_s_ref1(model, phi, u_s, kappa) + 0.02 * model.area) < 1e-12
 
@@ -206,7 +206,7 @@ def test_eps_s_ref1_matches_budget_form_on_torus():
     phi = coef - mean * ones
     u_s, kappa = 0.02, 1e-3
     ref1 = eps_s_ref1(model, phi, u_s, kappa)
-    gdot = gradient_dot(model.W, model.qdeg)
+    gdot = gradient_dot(model.W, 2 * model.degree + 2)
     budget_form = u_s * model.integral_w(phi) - kappa * float(gdot @ phi)
     assert abs(ref1 - budget_form) < 1e-10
 

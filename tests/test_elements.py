@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
+from dualflow import assemble, elements
 from dualflow.elements import (
     LOCAL_EDGES,
     REF_VERTICES,
+    TABULATED,
     RTElement,
     ScalarElement,
     UnsupportedElementError,
+    _degree,
+    _table,
     entity_dofs,
+    form_tensor,
     get_element,
     reference_curl,
     skew_tensors,
 )
+from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
 from dualflow.quadrature import interval_rule, triangle_rule
+from dualflow.stepper import Model, PhysicsConfig, TimeConfig
 
 from util_layout import rt_monomial_table
 
@@ -79,10 +86,10 @@ def test_rt_dof_duality(degree):
             leg = np.ones_like(t) if m == 0 else 2 * t - 1
             V[elem.edge_dofs[e][m], :] = length * np.einsum("q,qj->j", wt * leg, un)
     if elem.n_interior:
-        rule = triangle_rule(2 * degree + 2)
-        vals, _ = elem.tabulate(rule.points)
-        V[elem.interior_dofs[0], :] = np.einsum("q,qj->j", rule.weights, vals[:, :, 0])
-        V[elem.interior_dofs[1], :] = np.einsum("q,qj->j", rule.weights, vals[:, :, 1])
+        points, weights = triangle_rule(2 * degree + 2)
+        vals, _ = elem.tabulate(points)
+        V[elem.interior_dofs[0], :] = np.einsum("q,qj->j", weights, vals[:, :, 0])
+        V[elem.interior_dofs[1], :] = np.einsum("q,qj->j", weights, vals[:, :, 1])
     assert np.allclose(V, np.eye(n), atol=1e-12)
 
 
@@ -161,33 +168,105 @@ def test_rt_monomials_equal_the_old_table(degree, where):
     are the old hand table's, byte for byte, as C-contiguous arrays (the
     einsum of skew_tensors takes another path on a strided array)."""
     elem = get_element("RT", degree)
-    pts = elem.dof_points if where == "dof_points" else triangle_rule(9).points
+    pts = elem.dof_points if where == "dof_points" else triangle_rule(9)[0]
     for new, old in zip(elem._monomials(pts), rt_monomial_table(degree, pts)):
         assert new.flags.c_contiguous
         assert new.dtype == old.dtype and new.shape == old.shape
         assert new.tobytes() == old.tobytes()
 
 
+def at_rule(tensor, degree, *args):
+    """The reference tensor `tensor` (form_tensor or skew_tensors) of
+    `args`, integrated at the degree-`degree` rules instead of the ones
+    `elements` derives, and not cached.  The elements are built first, so
+    that their dof functionals keep their own rules."""
+    for family, degrees in TABULATED.items():
+        for d in degrees:
+            get_element(family, d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elements, "triangle_rule", lambda _: triangle_rule(degree))
+        patch.setattr(elements, "interval_rule", lambda _: interval_rule(degree))
+        return tensor.__wrapped__(*args)
+
+
+def assert_same(T, ref, rtol=1e-14):
+    assert np.max(np.abs(T - ref)) <= rtol * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_skew_tensors_exact_memoized_and_read_only(degree):
-    """The step's degree-2N+2 rule integrates both reference forms exactly
-    (integrand degrees 3N and 3N-1), so a higher rule changes nothing
+    """The derived rule, of degree 3N, that of w_k r_a r_b, integrates
+    both reference forms exactly, so the degree-3N+4 rule changes nothing
     beyond roundoff; T_Z is T_R seen through the reference curl; the
     tensors are built once and cannot be written."""
-    T_R, T_C, T_Z = skew_tensors(degree, degree, 2 * degree + 2)
+    T_R, T_C, T_Z = skew_tensors(degree, degree)
     n_rt, n_cg = get_element("RT", degree).ndof, get_element("CG", degree).ndof
     assert T_R.shape == (n_rt, n_cg * n_rt)
     assert T_C.shape == (n_rt, n_cg * (n_cg - 1) // 2)
     assert T_Z.shape == (n_cg, n_cg * (n_cg - 1) // 2)
-    for T, ref in zip((T_R, T_C, T_Z), skew_tensors(degree, degree, 12)):
-        assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for T, ref in zip((T_R, T_C, T_Z), at_rule(skew_tensors, 3 * degree + 4, degree, degree)):
+        assert_same(T, ref, 1e-13)
     full = T_R.reshape(n_rt, n_cg, n_rt).transpose(1, 0, 2)  # T(e_k)[a, b]
     assert np.array_equal(full, -full.transpose(0, 2, 1))
     Z = reference_curl(get_element("CG", degree), get_element("RT", degree))
     a, b = np.triu_indices(n_cg, 1)
-    ref = np.stack([Z.T @ T @ Z for T in full])[:, a, b]
-    assert np.max(np.abs(T_Z - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert skew_tensors(degree, degree, 2 * degree + 2)[0] is T_R
+    assert_same(T_Z, np.stack([Z.T @ T @ Z for T in full])[:, a, b])
+    assert skew_tensors(degree, degree)[0] is T_R
     for T in (T_R, T_C, T_Z):
         with pytest.raises(ValueError):
             T[0, 0] = 1.0
+
+
+def assembled_forms(N, monkeypatch):
+    """The arguments (test, trial, on_edges) of every form tensor that the
+    models of degree N assemble: a turbidity channel's and a torus's, each
+    with its pressure system's buoyancy."""
+    seen = set()
+
+    def recorded(*args):
+        seen.add(args)
+        return form_tensor(*args)
+
+    monkeypatch.setattr(assemble, "form_tensor", recorded)
+    channel = build_channel_mesh(ChannelGeometry(length=2.0, height=1.0, lock_length=1.0), 4, 2, "crisscross")
+    torus = build_periodic_rect_mesh(1.0, 1.0, 3, 3, "left")
+    for mesh, physics in ((channel, PhysicsConfig()), (torus, PhysicsConfig(mode="homogeneous"))):
+        Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0)).buoyancy  # built on first use
+    monkeypatch.undo()
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_form_tensors_integrate_exactly(N, monkeypatch):
+    """Every form tensor a model assembles, on the cell and on its edges,
+    is the same at the rule `elements` derives from its integrand's
+    degree as at the degree-3N+4 rule, to 1e-13: the derived rule is
+    exact."""
+    forms = assembled_forms(N, monkeypatch)
+    assert {on_edges for *_, on_edges in forms} == {False, True} and len(forms) >= 10
+    for args in forms:
+        assert_same(form_tensor(*args), at_rule(form_tensor, 3 * N + 4, *args), 1e-13)
+
+
+FACTORS = [(family, degree, derivative) for family, degrees in TABULATED.items() for degree in degrees
+           for derivative in ((False,) if family == "DG" else (False, True))]
+
+
+@pytest.mark.parametrize("factor", FACTORS, ids=[f"{f}{d}{'-d' * der}" for f, d, der in FACTORS])
+def test_factor_degree_is_exact(factor):
+    """_degree is a factor's polynomial degree, no more and no less: along
+    a line through the cell, every entry of its table is a polynomial of
+    that degree, and not all are of a lower one."""
+    t = np.linspace(0.0, 1.0, 9)
+    table = _table(factor, [0.1, 0.2] + t[:, None] * [0.5, 0.3]).reshape(len(t), -1)
+    scale = np.max(np.abs(table))
+
+    def misfit(degree):
+        if degree < 0:
+            return scale
+        fit = np.polynomial.polynomial.polyfit(t, table, degree)
+        return np.max(np.abs(np.polynomial.polynomial.polyval(t, fit).T - table))
+
+    degree = _degree(factor)
+    assert misfit(degree) <= 1e-12 * scale
+    assert misfit(degree - 1) > 1e-6 * scale

@@ -1,5 +1,5 @@
 """Dead-code, layering and ownership scans: no linter runs on this tree, so
-AST scans do seven checks.
+AST scans do eight checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
@@ -21,6 +21,9 @@ AST scans do seven checks.
   which owns each static factor of a run.
 - `SimulationState` is constructed only in `stepper`, whose steps and
   `restore` fill in the history a step's starts read.
+- No public function of `dualflow.elements`, `dualflow.kernels` or
+  `dualflow.assemble` takes a quadrature degree: `elements` derives the
+  rule of every form from its integrand's polynomial degree.
 """
 
 import ast
@@ -344,3 +347,35 @@ def test_states_are_built_by_steps_and_restore_alone(module):
     outside = found if module != "stepper" else []
     assert not outside, f"{module} constructs SimulationState outside stepper: " + ", ".join(
         f"{where or 'module level'} (line {line})" for line, where in outside)
+
+
+QUADRATURE_PARAMETERS = ("qdegree", "bdegree", "qdeg")
+
+
+def quadrature_parameters(source):
+    """(line, function, parameter) of each parameter of a public
+    module-level function of `source` named in QUADRATURE_PARAMETERS."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            found += [(node.lineno, node.name, p.arg) for p in params if p.arg in QUADRATURE_PARAMETERS]
+    return found
+
+
+def test_scan_finds_a_quadrature_parameter():
+    source = ("def assemble_mass(space, qdegree):\n    pass\n"
+              "def drift(u_s, U, W, *, bdegree=3):\n    pass\n"
+              "def _form(test, qdeg):\n    pass\n"
+              "def assemble_div(U, Q):\n    pass\n")
+    assert quadrature_parameters(source) == [(1, "assemble_mass", "qdegree"), (3, "drift", "bdegree")]
+
+
+@pytest.mark.parametrize("module", ["elements", "kernels", "assemble"])
+def test_no_quadrature_degree_parameters(module):
+    """Every form is integrated exactly, at the rule `elements` derives
+    from its integrand's degree: no caller chooses one."""
+    with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
+        found = quadrature_parameters(fh.read())
+    assert not found, f"{module} functions take a quadrature degree: " + ", ".join(
+        f"{name}({param}) (line {line})" for line, name, param in found)

@@ -66,6 +66,17 @@ def test_csv_roundtrip_exact(tmp_path):
         assert row.K == K
 
 
+def test_fresh_run_writes_the_csv_anew(tmp_path):
+    """A run without a checkpoint writes its CSV from the header, as it
+    writes its snapshots and final checkpoint anew: two fresh runs into one
+    directory leave the bytes of one."""
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    run(cfg, collect_rows=False)
+    once = (tmp_path / "o" / "timeseries.csv").read_bytes()
+    run(cfg, collect_rows=False)
+    assert (tmp_path / "o" / "timeseries.csv").read_bytes() == once
+
+
 def test_vtk_zero_state(tmp_path):
     cfg = parse_config(lock_cfg_text(tmp_path / "o"))
     model = build_model(cfg)

@@ -44,7 +44,7 @@ def test_lu_mass_solve_gives_ones(channel):
 
 def test_lu_report_is_truthful(channel):
     W = make_space(channel, "CG", 2)
-    M = assemble_mass(W, 6)
+    M = assemble_mass(W)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(W.dim)
     x, rep = lu_solve(M, b)
@@ -70,7 +70,7 @@ def test_lu_singular_reported():
 
 def test_cached_lu_reuse(channel, monkeypatch):
     W = make_space(channel, "CG", 1)
-    M = assemble_mass(W, 4).tocsc()
+    M = assemble_mass(W).tocsc()
     cached = CachedLU(M)
 
     def no_factorization(*args, **kwargs):
@@ -89,7 +89,7 @@ def mass_plus_skew(channel, scale):
     skew term, its entries up to `scale` times the largest static one;
     returns (static, static + skew)."""
     W = make_space(channel, "CG", 2)
-    M = assemble_mass(W, 6).tocsr()
+    M = assemble_mass(W).tocsr()
     G = sp.random(W.dim, W.dim, density=0.01, random_state=7, format="csr")
     return M, (M + (scale * abs(M).max() * (G - G.T)).tocsr()).tocsr()
 
@@ -148,7 +148,7 @@ def test_own_factor_stops_at_the_roundoff_floor(channel):
     """Against the factor of A itself the first solve is already at
     eps (||A|| ||x|| + ||b||): no refinement pass."""
     W = make_space(channel, "CG", 2)
-    M = assemble_mass(W, 6)
+    M = assemble_mass(W)
     factor = CachedLU(M)
     assert factor.norm == abs(M).sum(axis=1).max()
     b = np.random.default_rng(6).standard_normal(W.dim)
@@ -206,7 +206,7 @@ def test_own_factor_ignores_the_start(channel):
     """Against A's own factor no pass is taken, so x0 = 0 would come back
     unsolved: the start is ignored and the solve is the cold one."""
     W = make_space(channel, "CG", 2)
-    M = assemble_mass(W, 6)
+    M = assemble_mass(W)
     factor = CachedLU(M)
     b = np.random.default_rng(9).standard_normal(W.dim)
     x_cold, cold = lu_solve(M, b, factor)
@@ -246,10 +246,9 @@ def test_lu_rejects_a_bad_start(x0, message):
 def saddle_blocks(channel, N=1):
     U = make_space(channel, "RT", N)
     Q = make_space(channel, "DG", N - 1)
-    qdeg = 2 * N + 2
-    M = assemble_mass(U, qdeg)
-    D = assemble_div(U, Q, qdeg)
-    MQ = assemble_mass(Q, qdeg)
+    M = assemble_mass(U)
+    D = assemble_div(U, Q)
+    MQ = assemble_mass(Q)
     iu = free_dofs(U, normal_trace_dofs(U))
     A = M[iu][:, iu]
     Dr = D[:, iu].tocsr()
@@ -286,7 +285,7 @@ def test_saddle_lu_matches_schur_oracle(channel):
 
 def test_project_out_constant(channel):
     Q = make_space(channel, "DG", 0)
-    MQ = assemble_mass(Q, 2)
+    MQ = assemble_mass(Q)
     ones = constant_coefficients(Q)
     area = channel.total_area()
     const = 3.0 * ones
@@ -301,7 +300,7 @@ def test_project_out_constant(channel):
 def test_project_out_constant_y_mean(channel):
     # mean of y over the unit-height channel is 1/2
     Q = make_space(channel, "DG", 1)
-    MQ = assemble_mass(Q, 4)
+    MQ = assemble_mass(Q)
     ones = constant_coefficients(Q)
     area = channel.total_area()
     from dualflow.spaces import interpolate

@@ -171,6 +171,18 @@ def test_import_names_a_bad_number(vertex, cell, message):
         read_mesh_text(text, geom)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_import_refuses_non_finite_vertex(value):
+    """A non-finite coordinate of an interior vertex, which no wall check
+    sees, is refused with the vertex's index, not left to make the area
+    nan and the mass matrix singular."""
+    geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
+    text = f"5 8 4\n-0.5 0\n0.5 0\n0.5 1\n-0.5 1\n0 {value}\n0 1 4\n1 2 4\n2 3 4\n3 0 4"
+    read_mesh_text(text.replace(value, "0.5", 1), geom)
+    with pytest.raises(MeshError, match=f"mesh vertex 4 has a non-finite coordinate: 0 {value}"):
+        read_mesh_text(text, geom)
+
+
 def test_import_refuses_edge_in_three_cells():
     geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
     text = "5 7 3\n-0.5 0\n0.5 0\n0 1\n0 0.5\n0 0.25\n0 1 2\n0 1 3\n0 1 4"

@@ -186,7 +186,7 @@ def project_rt(U, fn, qdegree=8):
     local = np.einsum("cq,cqnd,cqd->cn", tab.weights, tab.val, F)
     rhs = np.zeros(U.dim)
     np.add.at(rhs, U.cell_dofs.ravel(), local.ravel())
-    return lu_solve(assemble_mass(U, qdegree), rhs)[0]
+    return lu_solve(assemble_mass(U), rhs)[0]
 
 
 def test_project_reproduces_rt1_member(channel):
@@ -240,12 +240,12 @@ def edge_loop_interpolate(U, fn):
         leg = np.ones_like(t1) if m == 0 else 2.0 * t1 - 1.0
         coef[m:N * mesh.num_edges:N] = flux @ (w1 * leg)
     if U.element.n_interior:
-        rule = triangle_rule(2 * N + 2)
+        points, weights = triangle_rule(2 * N + 2)
         J, det, Jinv = mesh.jacobians()
-        xq = mesh.cell_coords[:, 0, None, :] + np.einsum("cde,qe->cqd", J, rule.points)
+        xq = mesh.cell_coords[:, 0, None, :] + np.einsum("cde,qe->cqd", J, points)
         F = np.stack(np.broadcast_arrays(*fn(xq[..., 0], xq[..., 1]), xq[..., 0])[:2], axis=-1)
         pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
-        coef[N * mesh.num_edges:] = np.einsum("q,cqe->ce", rule.weights, pull).ravel()
+        coef[N * mesh.num_edges:] = np.einsum("q,cqe->ce", weights, pull).ravel()
     return coef
 
 
@@ -328,7 +328,7 @@ def test_de_rham_curl_exactness(mesh_kind, degree, channel, torus):
     W = make_space(mesh, "CG", degree)
     U = make_space(mesh, "RT", degree)
     Q = make_space(mesh, "DG", degree - 1)
-    D = assemble_div(U, Q, 2 * degree + 2)
+    D = assemble_div(U, Q)
     rng = np.random.default_rng(degree)
     for _ in range(5):
         psi = rng.standard_normal(W.dim)
@@ -365,12 +365,12 @@ def edge_loop_curl(psi, W, U):
     if U.element.n_interior:
         qdeg = 2 * N + 2
         wtab = volume_tab(W, qdeg)
-        rule = triangle_rule(qdeg)
+        points, weights = triangle_rule(qdeg)
         J, det, Jinv = mesh.jacobians()
         gpsi = np.einsum("cqnd,cn->cqd", wtab.grad, psi[W.cell_dofs])
         F = np.stack([gpsi[..., 1], -gpsi[..., 0]], axis=-1)
         pull = np.einsum("c,ced,cqd->cqe", det, Jinv, F)
-        moments = np.einsum("q,cqe->ce", rule.weights, pull)
+        moments = np.einsum("q,cqe->ce", weights, pull)
         ni = U.element.n_interior
         for k in range(ni):
             coef[N * mesh.num_edges + ni * np.arange(mesh.num_cells) + k] = moments[:, k]
@@ -412,7 +412,7 @@ def test_div_rt_lands_in_dg(channel, degree):
     rhs = np.zeros(Q.dim)
     local = np.einsum("cq,qn->cn", utab.weights * duq, qtab.val)
     np.add.at(rhs, Q.cell_dofs.ravel(), local.ravel())
-    M = assemble_mass(Q, qdeg)
+    M = assemble_mass(Q)
     coef, _ = lu_solve(M, rhs)
     dq = kernels.field_scalar(Q.cell_dofs, coef, qtab.val)
     assert np.max(np.abs(dq - duq)) < 1e-12 * max(1.0, np.max(np.abs(duq)))

@@ -72,7 +72,7 @@ def record_solves(monkeypatch):
 
 class ZeroBuoyancyIC:
     def build(self, model):
-        phi0 = project(model.W, lambda x, y: 0.0, model.qdeg)
+        phi0 = project(model.W, lambda x, y: 0.0)
         return np.zeros(model.U.dim), phi0, 0  # no solve, no fallback
 
 
@@ -81,7 +81,7 @@ class ConstantConcentrationIC:
         self.value = value
 
     def build(self, model):
-        phi0 = project(model.W, lambda x, y: self.value, model.qdeg)
+        phi0 = project(model.W, lambda x, y: self.value)
         return np.zeros(model.U.dim), phi0, 0  # no solve, no fallback
 
 
@@ -192,7 +192,7 @@ def test_lock_start_is_the_projection(N, monkeypatch):
     monkeypatch.setattr(stepper, "lu_solve", recorded)
     _, phi0, fallbacks = LockInitialCondition().build(model)
     delta = 2.0 * model.mesh.h_min()
-    ref = project(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)), model.qdeg)
+    ref = project(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)))
     assert len(reports) == 1 and not reports[0].fallback and fallbacks == 0
     assert np.max(np.abs(phi0 - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -771,13 +771,13 @@ def sim1_2():
 def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
     """Step 4 as the pinned-pressure velocity/pressure saddle system."""
     iu = model.iu
-    R = rotation_matrix(omega, model.W, model.U, model.qdeg)
-    l = weak_curl_matrix(model.U, model.W, model.qdeg) @ omega
+    R = rotation_matrix(omega, model.W, model.U)
+    l = weak_curl_matrix(model.U, model.W, 2 * model.degree + 2) @ omega
     R_r = R[iu][:, iu]
     Mdt = (1.0 / dt) * model.M[iu][:, iu]
     f = (Mdt - 0.5 * R_r) @ u_old[iu] - model.nu * l[iu]
     if phi_buoy is not None:
-        f = f + (assemble_buoyancy(model.U, model.W, model.qdeg) @ phi_buoy)[iu]
+        f = f + (assemble_buoyancy(model.U, model.W) @ phi_buoy)[iu]
     A = (Mdt + 0.5 * R_r).tocsr()
     # one refinement pass always: near the hydrostatic start of the desk
     # run the unrefined block LU is off by up to 5e-12 of max|u|, and one
@@ -815,7 +815,7 @@ def test_pressure_gate_holds_on_every_step(case, request):
     for _ in range(5):
         new, _, _ = step(state, model)
         p, rep = model.pressure(new.omega, state.u_half, new.u_half, dt, phi=new.phi)
-        R = rotation_matrix(new.omega, model.W, model.U, model.qdeg)
+        R = rotation_matrix(new.omega, model.W, model.U)
         uo, u = state.u_half, new.u_half
         f = (model.M @ uo) / dt - 0.5 * (R @ uo) - model.nu * (Lc @ new.omega)
         if new.phi is not None:
@@ -907,7 +907,7 @@ def per_step_systems(model, state, monkeypatch):
     monkeypatch.setattr(assemble.System, "matrix", recorded)
     new, _, _ = step(state, model)
     monkeypatch.undo()
-    C = assemble_vorticity_convection(state.u_half, model.U, model.W, model.qdeg)
+    C = assemble_vorticity_convection(state.u_half, model.U, model.W)
     skew = {"transport": (C,), "vorticity": (C,), "momentum": momentum_skew(model, new.omega)}
     return new, {name: (A, skew_part(model.systems[name], *skew[name])) for name, A in seen.items()}
 
@@ -921,8 +921,8 @@ def test_per_step_operators_match_their_matrices(case, request, monkeypatch):
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
     new, systems = per_step_systems(model, state, monkeypatch)
-    C = convection_matrix(state.u_half, model.U, model.W, model.qdeg)
-    R = rotation_matrix(new.omega, model.W, model.U, model.qdeg)
+    C = convection_matrix(state.u_half, model.U, model.W)
+    R = rotation_matrix(new.omega, model.W, model.U)
     G = model.Z.T @ (R @ model.Z)
     L, iw = model.L, model.iw
     expected = {

@@ -21,9 +21,9 @@ def discrete_curl(psi, W, U):
     return curl_matrix(W, U) @ psi
 
 
-def weak_curl(U, W, qdegree):
+def weak_curl(U, W):
     """The weak curl as the step forms it, M Z."""
-    return assemble.assemble_mass(U, qdegree) @ curl_matrix(W, U)
+    return assemble.assemble_mass(U) @ curl_matrix(W, U)
 
 
 def weak_curl_matrix(U, W, qdegree):

@@ -16,19 +16,19 @@ from dualflow import assemble
 from dualflow.elements import skew_tensors
 
 
-def rotation_matrix(omega, W, U, qdegree):
+def rotation_matrix(omega, W, U):
     """R(omega) on U x U for the W coefficients omega, exactly skew."""
     n, k = U.element.ndof, W.element.ndof
-    T_R = skew_tensors(W.degree, U.degree, qdegree)[0].reshape(n, k, n)  # T(e_k)[a, b]
+    T_R = skew_tensors(W.degree, U.degree)[0].reshape(n, k, n)  # T(e_k)[a, b]
     s = U.cell_dof_signs
     local = np.einsum("ck,akb->cab", omega[W.cell_dofs], T_R) * s[:, :, None] * s[:, None, :]
     return assemble._pattern(U, U).build(local)
 
 
-def convection_matrix(u, U, W, qdegree):
+def convection_matrix(u, U, W):
     """C(u) on W x W for the U coefficients u, from its CSR values
     (assemble_vorticity_convection)."""
-    return assemble._pattern(W, W).matrix(assemble.assemble_vorticity_convection(u, U, W, qdegree))
+    return assemble._pattern(W, W).matrix(assemble.assemble_vorticity_convection(u, U, W))
 
 
 def momentum_skew(model, omega):
@@ -36,10 +36,10 @@ def momentum_skew(model, omega):
     step assembles them and, on the torus, the harmonic columns Z^T R H
     with R applied per cell to each column of H, the oracle of the static
     border forms the step uses."""
-    values = assemble.assemble_rotation(omega, model.W, model.U, model.qdeg)
+    values = assemble.assemble_rotation(omega, model.W, model.U)
     if model.harmonic is None:
         return values, None
-    RH = np.column_stack([assemble.apply_rotation(omega, model.W, model.U, model.qdeg, h)
+    RH = np.column_stack([assemble.apply_rotation(omega, model.W, model.U, h)
                           for h in model.harmonic.T])
     return values, model.Z.T @ RH
 

@@ -45,19 +45,19 @@ class EdgeTab:
 
 def volume_tab(space, qdegree):
     """Physical tabulation of `space` at the degree-`qdegree` triangle rule."""
-    rule = triangle_rule(qdegree)
+    points, weights = triangle_rule(qdegree)
     J, det, Jinv = space.mesh.jacobians()
-    wdet = np.multiply.outer(det, rule.weights)
+    wdet = np.multiply.outer(det, weights)
     p0 = space.mesh.cell_coords[:, 0, :]
-    xq = p0[:, None, :] + np.einsum("cde,qe->cqd", J, rule.points)
+    xq = p0[:, None, :] + np.einsum("cde,qe->cqd", J, points)
     if space.family == "RT":
-        rval, rdiv = space.element.tabulate(rule.points)
+        rval, rdiv = space.element.tabulate(points)
         val = np.einsum("cde,qne->cqnd", J, rval) / det[:, None, None, None]
         div = rdiv[None, :, :] / det[:, None, None]
         val *= space.cell_dof_signs[:, None, :, None]
         div = div * space.cell_dof_signs[:, None, :]
         return VolumeTab(weights=wdet, points=xq, val=val, div=div)
-    rval, rgrad = space.element.tabulate(rule.points)
+    rval, rgrad = space.element.tabulate(points)
     grad = np.einsum("qne,ced->cqnd", rgrad, Jinv)
     return VolumeTab(weights=wdet, points=xq, val=rval, grad=grad)
 
