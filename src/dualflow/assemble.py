@@ -19,8 +19,15 @@ basis, Z^T R Z.  What R meets that is fixed is a static form in omega:
 on the torus the harmonic columns Z^T R e_j are directional gradient
 forms, which stepper.Model builds once.  A step applies R to no
 velocity: it solves for the midpoint of the stream function, whose load
-holds no rotation, and so does every startup pass.  R u is applied per
-cell for the pressure only; no U x U matrix is formed.
+holds no rotation, and so does every startup pass.
+
+The forms with the RT test space that a run only applies, never
+factors, the mass M, the buoyancy B and the rotation R, are never
+assembled: VelocityForms applies them per cell, from the per-cell data
+alone, in one GEMM and one scatter (the pressure residual, the kinetic
+energy, the startup projection Z^T M u^0 and the torus corner H^T M H).
+The only velocity-space matrices built here are the divergence D and
+the topological curl Z; no U x U or U x W matrix is formed.
 stepper.Model builds the static operators and the linear systems
 (System) once per run, and owns them.
 
@@ -138,14 +145,19 @@ def _skew_values(space, coef, tensor):
     return kernels.scatter_matrix(pos_ab, P, nnz) - kernels.scatter_matrix(pos_ba, P, nnz)
 
 
+def _tensor(test, trial, derivative=(False, False), on_edges=False):
+    """elements.form_tensor of the (test, trial) bases."""
+    return form_tensor((test.family, test.degree, derivative[0]),
+                       (trial.family, trial.degree, derivative[1]), on_edges)
+
+
 def _form(test, trial, coef, derivative=(False, False), cells=None):
     """The (test, trial) matrix whose cells' local matrices are coef @ T,
     RT signs applied, T = elements.form_tensor of the two spaces' bases
     (each differentiated if `derivative` says so): one row of coef per
     cell or, on a wall, per edge, `cells` its owner, against the tensor
     of the three local edges."""
-    T = form_tensor((test.family, test.degree, derivative[0]),
-                    (trial.family, trial.degree, derivative[1]), cells is not None)
+    T = _tensor(test, trial, derivative, cells is not None)
     which = slice(None) if cells is None else cells
     local = kernels.contraction(coef, T).reshape(len(coef), test.element.ndof, trial.element.ndof)
     local *= test.cell_dof_signs[which, :, None] * trial.cell_dof_signs[which, None, :]
@@ -156,13 +168,26 @@ def _form(test, trial, coef, derivative=(False, False), cells=None):
     return _pattern(test, trial).build(local, cells)
 
 
+def _mass_coefficients(space):
+    """The per-cell coefficients (C, k) of the mass form: J^T J / det J on
+    RT, det J on a scalar space."""
+    J, det, _ = space.mesh.jacobians()
+    return (np.swapaxes(J, 1, 2) @ J).reshape(-1, 4) / det[:, None] if space.family == "RT" \
+        else det[:, None]
+
+
 def assemble_mass(space):
     """Mass matrix <trial, test>; SPD for CG/DG/RT alike: det J M-hat on a
     scalar space, J^T J / det J against the reference tensor on RT."""
-    J, det, _ = space.mesh.jacobians()
-    coef = (np.swapaxes(J, 1, 2) @ J).reshape(-1, 4) / det[:, None] if space.family == "RT" \
-        else det[:, None]
-    return _form(space, space, coef)
+    return _form(space, space, _mass_coefficients(space))
+
+
+def assemble_integrals(space):
+    """<w_i, 1> for a scalar space, each cell's det J times the reference
+    integrals, summed per dof; no matrix is formed."""
+    n = space.element.ndof
+    local = _mass_coefficients(space) * _tensor(space, space).reshape(n, n).sum(axis=1)
+    return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.dim)
 
 
 def assemble_curlcurl(space):
@@ -218,18 +243,69 @@ def assemble_rotation(omega, W, U):
     return _skew_values(W, omega[W.cell_dofs], T_Z)
 
 
-def apply_rotation(omega, W, U, u):
-    """R u per cell for the W coefficients omega and U coefficients u,
-    sum_c S_c T(omega_c) S_c u_c: one GEMM of T_R
-    (elements.skew_tensors) against the cells' outer products of omega
-    and u coefficients, cells last so that the products run along
-    contiguous rows; no matrix is formed."""
-    T_R = skew_tensors(W.degree, U.degree)[0]
-    s = U.cell_dof_signs
-    outer = (np.ascontiguousarray(omega[W.cell_dofs].T)[:, None, :]
-             * np.ascontiguousarray((u[U.cell_dofs] * s).T)[None, :, :])
-    v = (T_R @ outer.reshape(T_R.shape[1], -1)).T * s
-    return np.bincount(U.cell_dofs.ravel(), weights=v.ravel(), minlength=U.dim)
+def _applied(test, trial):
+    """elements.form_tensor of a (test, trial) form laid out for one GEMM
+    against the cells' outer products (per-cell data k) x (trial
+    coefficient b), cells last: T[a, k n_b + b]."""
+    na, nb = test.element.ndof, trial.element.ndof
+    return np.ascontiguousarray(_tensor(test, trial).reshape(-1, na, nb).transpose(1, 0, 2)).reshape(na, -1)
+
+
+class VelocityForms:
+    """The forms with the RT test space that a run only applies, never
+    factors: the mass M[i, j] = <u_j, u_i>, the rotation R[i, j] = <omega
+    x u_j, u_i> and the buoyancy B[i, k] = <w_k e_g, u_i>.  No U x U or
+    U x W matrix and no pattern is formed: each is applied per cell, its
+    reference tensor laid out for one GEMM against the cells' outer
+    products of per-cell data and the coefficients it acts on (T_R of
+    elements.skew_tensors against the omega coefficients, the mass and
+    buoyancy form_tensors against the geometry J^T J / det J and e_g^T J),
+    cells last so that the products run along contiguous rows, with the
+    RT signs S_c on both sides: M_c = S_c M(J_c) S_c, B_c = S_c B(J_c),
+    R_c = S_c T(omega_c) S_c.  Building it forms the per-cell geometry
+    alone."""
+
+    def __init__(self, W, U):
+        J, det, _ = U.mesh.jacobians()
+        self.U = U
+        self.dofs, self.w_dofs = np.ascontiguousarray(U.cell_dofs.T), np.ascontiguousarray(W.cell_dofs.T)
+        self.signs = np.ascontiguousarray(U.cell_dof_signs.T)
+        self.T_R = skew_tensors(W.degree, U.degree)[0]
+        self.T_M, self.T_B = _applied(U, U), _applied(U, W)
+        self.mass = np.ascontiguousarray(_mass_coefficients(U).T)
+        self.gravity = np.ascontiguousarray((np.asarray(GRAVITY) @ J).T)
+
+    def _cells(self, a=None, omega=None, v=None, phi=None):
+        """Each cell's share (n, C) of M a + R(omega) v + B phi, of the terms
+        given: one GEMM of the stacked tensors against the stacked outer
+        products."""
+        terms = []
+        if a is not None:
+            terms.append((self.T_M, self.mass, a[self.dofs] * self.signs))
+        if omega is not None:
+            terms.append((self.T_R, omega[self.w_dofs], v[self.dofs] * self.signs))
+        if phi is not None:
+            terms.append((self.T_B, self.gravity, phi[self.w_dofs]))
+        T = np.hstack([t[0] for t in terms])
+        X = np.empty((T.shape[1], self.dofs.shape[1]))
+        start = 0
+        for _, data, x in terms:
+            stop = start + len(data) * len(x)
+            np.multiply(data[:, None, :], x[None, :, :], out=X[start:stop].reshape(len(data), len(x), -1))
+            start = stop
+        r = T @ X
+        r *= self.signs
+        return r
+
+    def apply(self, a=None, omega=None, v=None, phi=None):
+        """M a + R(omega) v + B phi, of the terms given: the cells' shares in
+        one scatter."""
+        r = self._cells(a, omega, v, phi)
+        return np.bincount(self.dofs.ravel(), weights=r.ravel(), minlength=self.U.dim)
+
+    def energy(self, u):
+        """u^T M u / 2, the cells' quadratic forms summed; nothing is scattered."""
+        return 0.5 * float(np.sum(u[self.dofs] * self._cells(a=u)))
 
 
 def assemble_vorticity_convection(u, U, W):
@@ -354,12 +430,6 @@ def assemble_particle_drift(u_s, U, W):
     B3 = assemble_wall_mass(W, TAG_BOTTOM).data
     C = assemble_vorticity_convection(constant_velocities(U) @ GRAVITY, U, W)
     return _pattern(W, W).matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * B3))
-
-
-def assemble_buoyancy(U, W):
-    """B[i, k] = <w_k e_g, u_i>; the buoyancy vector is b = B phi.  The
-    Piola J / det J and the weight's det J leave e_g^T J."""
-    return _form(U, W, np.asarray(GRAVITY) @ U.mesh.jacobians()[0])
 
 
 def assemble_directional_gradient(W, v, transposed=False):

@@ -133,7 +133,8 @@ def lu_solve(A, b, factor=None, x0=None):
     return x, SolverReport(refinements=passes, residual=res, fallback=fallback)
 
 
-def project_out_constant(q, mass_q, ones_q, area):
-    """Shift a pressure-like coefficient vector to zero mean."""
-    mean = float(ones_q @ (mass_q @ q)) / area
-    return q - mean * ones_q
+def project_out_constant(q, integrals, area):
+    """Shift a pressure-like coefficient vector of a Lagrange-type space,
+    whose constants are all ones, to zero mean: `integrals` holds
+    <q_i, 1>, so the mean is one dot product."""
+    return q - float(integrals @ q) / area

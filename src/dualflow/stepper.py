@@ -23,14 +23,19 @@ functionals take and return them; the spaces are Model's.
 Model owns every static operator and every linear system, by name an
 assemble.System in Model.systems: it builds each once, from the fixed
 physics and time step, at construction but for the pressure system
-D D^T and its residual's buoyancy B, which only snapshots use: built
-on first use, by driver.run in set-up when it writes snapshots.  A step
-assembles only C and the rotation and otherwise multiplies, all in W:
-the weak curl's load, the momentum load (step 4a below) and the
-baroclinic and wall sources.  The weak curl Lc[a, k] = <curl w_k, u_a>
-is M Z, the curl of a CG function lying in RT exactly (the exact
-sequence below), so the weak curl of u = Z psi has the load Lc^T Z psi
-= L psi, with psi on its CG dofs.
+D D^T and the integrals <q_i, 1> of its mean, which only snapshots use:
+built on first use, by driver.run in set-up when it writes snapshots.
+Of the velocity space it assembles only D and the topological curl Z:
+the RT mass M, the buoyancy B and the rotation R are applied per cell
+(Model.velocity, an assemble.VelocityForms), for the pressure residual,
+the kinetic energy, the startup projection and the torus corner, and
+nothing in the time step applies them.  A step assembles only C and
+the rotation and otherwise multiplies, all in W: the weak curl's load,
+the momentum load (step 4a below) and the baroclinic and wall sources.
+The weak curl Lc[a, k] = <curl w_k, u_a> is M Z, which no run forms,
+the curl of a CG function lying in RT exactly (the exact sequence
+below), so the weak curl of u = Z psi has the load Lc^T Z psi = L psi,
+with psi on its CG dofs.
 
 No matrix is factored inside the time loop, and the only sparse
 matrices formed there are the per-step systems, one CSR matrix each,
@@ -130,6 +135,7 @@ MODES = ("turbidity", "homogeneous")
 DIV_TOL = 1e-10
 STARTUP_TOL = 1e-10      # relative update at which the startup fixed point stops
 STARTUP_MAX_ITER = 25    # startup passes before StartupError
+STEP_TOL = 1e-9          # a t_end within STEP_TOL steps of a whole number of steps is that number
 
 
 class StartupError(RuntimeError):
@@ -177,7 +183,7 @@ class TimeConfig:
 
     @property
     def num_steps(self):
-        return max(1, int(math.floor(self.t_end / self.dt + 1e-9)))
+        return max(1, int(math.floor(self.t_end / self.dt + STEP_TOL)))
 
 
 @dataclass
@@ -249,7 +255,8 @@ def restore(model, k, vectors):
 class Model:
     """Spaces, static operators and the named linear systems of one run,
     all built once from the physics and time step it is constructed with:
-    at construction, but for the pressure system and its B, on use.  Its
+    at construction, but for the pressure system and its mean's
+    integrals, on use.  Its
     solves and functionals read and return coefficient vectors on W, U
     and Q."""
 
@@ -275,16 +282,14 @@ class Model:
         self.iu = free_dofs(self.U, self.u_fixed)
         self.iw = free_dofs(self.W, self.w_fixed)
 
-        self.M = assemble.assemble_mass(self.U)
+        self.velocity = assemble.VelocityForms(self.W, self.U)  # M, R and B, applied per cell
         self.Nw = assemble.assemble_mass(self.W)
         self.L = assemble.assemble_curlcurl(self.W)
         self.D = assemble.assemble_div(self.U, self.Q)
-        self.MQ = assemble.assemble_mass(self.Q)
         self.curl = assemble.curl_matrix(self.W, self.U)
         self.Nw_dt = (1.0 / time.dt) * self.Nw
 
         self.ones_w = constant_coefficients(self.W)
-        self.ones_q = constant_coefficients(self.Q)
         self.area = mesh.total_area()
         self.Nw_1 = self.Nw @ self.ones_w  # <w_i, 1>
         y = interpolate(self.W, lambda x, y: y)  # exact: y lies in CG_N
@@ -301,7 +306,7 @@ class Model:
         self.harmonic = corner = self.border = None
         if mesh.periodic:
             self.harmonic = constant_velocities(self.U)
-            corner = self.harmonic.T @ (self.M @ self.harmonic)
+            corner = self.harmonic.T @ np.column_stack([self.velocity.apply(a=h) for h in self.harmonic.T])
         self.Z, self.psi_dofs = self._stream_basis(self.curl)
         self.systems["momentum"] = on_cells("momentum", self.W, L, self.psi_dofs, corner)
         if mesh.periodic:
@@ -341,11 +346,7 @@ class Model:
             )
         return Z, dofs
 
-    # -- the pressure system and its residual's forms, built on first use
-
-    @cached_property
-    def buoyancy(self):
-        return assemble.assemble_buoyancy(self.U, self.W)
+    # -- the pressure system and its mean, built on first use
 
     @cached_property
     def D_r(self):
@@ -357,9 +358,9 @@ class Model:
 
     def pressure_system(self):
         if "pressure" not in self.systems:  # D D^T annihilates the constant pressure: pin dof 0
-            _ = self.buoyancy if self.physics.mode == "turbidity" else None
             DDt = (self.D_r @ self.D_rt)[1:, 1:].tocsr()
             self.systems["pressure"] = assemble.System("pressure", DDt)
+            self.q_integrals = assemble.assemble_integrals(self.Q)  # <q_i, 1>, for the mean
         return self.systems["pressure"]
 
     # -- scalar functionals of coefficient vectors ---------------------------
@@ -369,7 +370,7 @@ class Model:
         return float(self.Nw_1 @ coef)
 
     def kinetic_energy(self, u):
-        return 0.5 * float(u @ (self.M @ u))
+        return self.velocity.energy(u)
 
     def enstrophy(self, omega):
         return 0.5 * float(omega @ (self.Nw @ omega))
@@ -456,18 +457,17 @@ class Model:
         """Step 4b for the momentum step from u_old to its solution u: p with zero
         mean and D_r^T p = r on the free dofs, r = M ((u - u_old)/dt + nu
         curl omega) + R (u + u_old)/2 - B phi the step's residual without
-        its pressure, which holds only if u solves the step.  One mass
-        product: M curl is the weak curl Lc.  Returns (p, report with
-        ||r - D_r^T p||_inf), or refuses when that exceeds RTOL (1 +
-        ||r||_inf)."""
-        r = (self.M @ ((u - u_old) / dt + self.nu * (self.curl @ omega))
-             + 0.5 * assemble.apply_rotation(omega, self.W, self.U, u + u_old))
-        if phi is not None:
-            r = r - self.buoyancy @ phi
+        its pressure, which holds only if u solves the step.  r is one
+        per-cell pass of the velocity forms (VelocityForms.apply: one GEMM,
+        one scatter), and the mean one dot product with <q_i, 1>.
+        Returns (p, report with ||r - D_r^T p||_inf), or refuses when that
+        exceeds RTOL (1 + ||r||_inf)."""
+        r = self.velocity.apply(a=(u - u_old) / dt + self.nu * (self.curl @ omega),
+                                omega=omega, v=0.5 * (u + u_old), phi=None if phi is None else -phi)
         r = r[self.iu]
         p = np.zeros(self.Q.dim)
         p[1:], rep = self.pressure_system().solve((self.D_r @ r)[1:])
-        p = project_out_constant(p, self.MQ, self.ones_q, self.area)
+        p = project_out_constant(p, self.q_integrals, self.area)
         rep.residual = float(np.max(np.abs(r - self.D_rt @ p)))
         if rep.residual > RTOL * (1.0 + float(np.max(np.abs(r)))):
             raise SolverError(f"pressure: ||r - D^T p||_inf = {rep.residual:.3e}: "
@@ -627,7 +627,7 @@ def initialize(model, ic):
     """
     u0, phi0, fallbacks = ic.build(model)
     Z = model.Z
-    psi0, rep = model.systems["momentum"].solve(Z.T @ (model.M @ u0))
+    psi0, rep = model.systems["momentum"].solve(Z.T @ model.velocity.apply(a=u0))
     u0 = Z @ psi0
     omega0, crep = model.curl_h(psi0)
     fallbacks += rep.fallback + crep.fallback

@@ -13,10 +13,10 @@ import scipy.sparse.linalg as spla
 from dualflow.linsolve import SolverError, SolverReport, project_out_constant
 
 
-def solve_saddle(A, D, f, mass_q, ones_q, area, rtol=1e-10, strategy="lu", max_refine=2):
+def solve_saddle(A, D, f, integrals, area, rtol=1e-10, strategy="lu", max_refine=2):
     """A must have an SPD symmetric part and D full row rank up to the
     constant pressure mode, which is removed by pinning dof 0 and
-    restored as a zero-mean pressure."""
+    restored as a zero-mean pressure (integrals: <q_i, 1>)."""
     nu, npr = A.shape[0], D.shape[0]
     refinements = 0
     if strategy == "lu":
@@ -51,7 +51,7 @@ def solve_saddle(A, D, f, mass_q, ones_q, area, rtol=1e-10, strategy="lu", max_r
     else:
         raise ValueError(f"unknown saddle strategy {strategy!r}")
 
-    p = project_out_constant(p, mass_q, ones_q, area)
+    p = project_out_constant(p, integrals, area)
     res_mom = float(np.max(np.abs(A @ u - D.T @ p - f))) if nu else 0.0
     res_div = float(np.max(np.abs(D @ u))) if npr else 0.0
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):

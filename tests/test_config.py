@@ -1,6 +1,7 @@
 import pytest
 
 from dualflow.config import ConfigError, parse_config
+from dualflow.stepper import TimeConfig
 
 BASELINE = """\
 # paper-scale baseline parameters
@@ -167,6 +168,27 @@ def test_validation_names_offending_key_and_line(key, old, new):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert str(exc.value).startswith(f"line {text.splitlines().index(bad) + 1}: {key}:")
+
+
+@pytest.mark.parametrize("dt, t_end, steps", [("0.3", "0.9", 3), ("0.3", "0.9000000000001", 3),
+                                               ("1e-3", "0.003", 3), ("0.25", "2.9999999999", 12)])
+def test_whole_number_of_steps_accepted(dt, t_end, steps):
+    """t_end / dt within 1e-9 steps of a whole number, as TimeConfig.num_steps
+    counts the steps, is that many steps."""
+    text = HOMOGENEOUS.replace("dt = 1e-3", f"dt = {dt}").replace("t_end = 0.5", f"t_end = {t_end}")
+    assert TimeConfig(**parse_config(text).time).num_steps == steps
+
+
+@pytest.mark.parametrize("dt, t_end", [("0.3", "1.0"), ("1e-3", "0.0105"), ("0.25", "0.9")])
+def test_partial_last_step_refused_at_line(dt, t_end):
+    """A t_end that is not a whole number of steps would be cut short
+    without a word (dt = 0.3, t_end = 1.0 ran 3 steps, to t = 0.9): it is
+    refused at its line."""
+    text = HOMOGENEOUS.replace("dt = 1e-3", f"dt = {dt}").replace("t_end = 0.5", f"t_end = {t_end}")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    line = text.splitlines().index(f"t_end = {t_end}") + 1
+    assert str(exc.value).startswith(f"line {line}: time.t_end: must be a whole number of time steps")
 
 
 NONFINITE = [  # (key, the config's line, its replacement)

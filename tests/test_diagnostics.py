@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualflow.assemble import assemble_mass
 from dualflow.mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh
 from dualflow.spaces import constant_coefficients
 from dualflow.stepper import (
@@ -18,6 +19,7 @@ from dualflow.mesh import WALL_TAGS
 
 from util_budget import recording_step, step_budget
 from util_project import project
+from util_rotation import buoyancy_matrix
 from util_tabulate import gradient_dot, wall_tab
 
 
@@ -307,10 +309,11 @@ def test_stream_function_ledger_is_the_velocity_ledger(case):
     eng = Engine(model, prev)
     row = eng.update(prev, new)
     u, u_mid = new.u_half, 0.5 * (prev.u_half + new.u_half)
-    expected = {"K": dot(u, 0.5 * (model.M @ u)),
-                "eps_v": dot(model.nu * (model.M @ (model.curl @ new.omega)), u_mid)}
+    M = assemble_mass(model.U)
+    expected = {"K": dot(u, 0.5 * (M @ u)),
+                "eps_v": dot(model.nu * (M @ (model.curl @ new.omega)), u_mid)}
     if case == "channel":
-        expected["exchange"] = dot(model.buoyancy @ new.phi, u)
+        expected["exchange"] = dot(buoyancy_matrix(model.U, model.W) @ new.phi, u)
     for name, (value, scale) in expected.items():
         assert abs(getattr(row, name) - value) <= 1e-13 * scale, name
     assert eng.K_half0 == pytest.approx(model.kinetic_energy(prev.u_half), rel=1e-13)

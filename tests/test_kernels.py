@@ -28,10 +28,18 @@ from dualflow.mesh import (
     read_mesh_text,
 )
 from dualflow.spaces import make_space
-from dualflow.stepper import Model, PhysicsConfig, TimeConfig
+from dualflow.stepper import (
+    LockInitialCondition,
+    Model,
+    PhysicsConfig,
+    RandomSolenoidalInitialCondition,
+    TimeConfig,
+    initialize,
+    step,
+)
 
 from util_curl import weak_curl, weak_curl_matrix
-from util_rotation import convection_matrix, rotation_matrix, skew_part
+from util_rotation import buoyancy_matrix, convection_matrix, rotation_matrix, skew_part
 from util_sim1 import sim1_mesh_text
 from util_tabulate import gradient_dot, volume_tab, wall_tab
 
@@ -264,7 +272,8 @@ def test_rotation_and_viscous_vector_match_oracle(case):
     R_ref, l_ref = o_rotation_ops(case.omega, case.W, case.U, case.q)
     assert_close(R, R_ref)
     assert_close(l, l_ref)
-    assert_close(assemble.apply_rotation(case.omega, case.W, case.U, case.u), R_ref @ case.u)
+    forms = assemble.VelocityForms(case.W, case.U)
+    assert_close(forms.apply(omega=case.omega, v=case.u), R_ref @ case.u)
 
 
 def test_convection_matches_oracle(case):
@@ -284,7 +293,9 @@ def test_particle_operator_matches_oracle(case):
 
 def test_sources_match_oracle(case):
     phi, u = case.phi, case.u
-    assert_close(assemble.assemble_buoyancy(case.U, case.W) @ phi, o_buoyancy(phi, case.W, case.U, case.q))
+    forms = assemble.VelocityForms(case.W, case.U)
+    assert_close(forms.apply(phi=phi), o_buoyancy(phi, case.W, case.U, case.q))
+    assert_close(forms.apply(a=u), o_mass(case.U, case.q) @ u)
     assert_close(assemble.assemble_baroclinic(case.W) @ phi, o_baroclinic(phi, case.W, case.q))
     assert_close(weak_curl(case.U, case.W).T @ u, o_curl_rhs(u, case.U, case.W, case.q))
 
@@ -327,3 +338,86 @@ def test_rotation_and_convection_exactly_skew(case):
         assert abs(A).max() > 0
         assert abs(A + A.T).max() == 0.0
         assert (A + A.T).count_nonzero() == 0
+
+
+# ---------------------------------------------------------------------------
+# the velocity forms a Model applies per cell (assemble.VelocityForms),
+# against the matrices they stand for, to 1e-14 relative
+
+APPLIED = ["channel-N1", "channel-N2", "torus-N1", "torus-N2"]
+
+
+@pytest.fixture(scope="module", params=APPLIED)
+def applied(request):
+    """A Model two steps in, and the states before and after the second
+    step: the desk channel (a lock start) at N = 1 and 2, and the 32 x 32
+    torus of the benchmark's periodic box (a random solenoidal start)."""
+    where, N = request.param.split("-N")
+    if where == "channel":
+        mesh = build_channel_mesh(ChannelGeometry(length=13.0, height=1.0, lock_length=1.0), 50, 5, "crisscross")
+        physics, ic = PhysicsConfig(mode="turbidity"), LockInitialCondition(0.1)
+    else:
+        mesh = build_periodic_rect_mesh(2 * np.pi, 2 * np.pi, 32, 32, "left")
+        physics, ic = PhysicsConfig(mode="homogeneous", nu=0.01), RandomSolenoidalInitialCondition(seed=1)
+    model = Model(mesh, int(N), physics, TimeConfig(dt=1e-2, t_end=1.0))
+    state, _ = initialize(model, ic)
+    prev, _, _ = step(state, model)
+    new, _, _ = step(prev, model)
+    return model, prev, new
+
+
+def close(got, ref, scale=None, rtol=1e-14):
+    scale = np.max(np.abs(ref)) if scale is None else scale
+    assert np.max(np.abs(got - ref)) <= rtol * scale, f"error {np.max(np.abs(got - ref)):.3e} at {scale:.3e}"
+
+
+def test_applied_mass_and_buoyancy_match_their_oracles(applied):
+    """M u against the assembled RT mass and B phi against the quadrature
+    oracle o_buoyancy, on random fields."""
+    model, _, _ = applied
+    rng = np.random.default_rng(6)
+    u, phi = rng.standard_normal(model.U.dim), rng.standard_normal(model.W.dim)
+    close(model.velocity.apply(a=u), assemble.assemble_mass(model.U) @ u)
+    close(model.velocity.apply(phi=phi), o_buoyancy(phi, model.W, model.U, 2 * model.degree + 2))
+
+
+def test_kinetic_energy_is_the_mass_form(applied):
+    """K = u^T M u / 2, summed per cell, is the assembled form's, for the
+    state's velocity and a random one."""
+    model, _, new = applied
+    M = assemble.assemble_mass(model.U)
+    for u in (new.u_half, np.random.default_rng(7).standard_normal(model.U.dim)):
+        close(model.kinetic_energy(u), 0.5 * float(u @ (M @ u)))
+
+
+@pytest.mark.parametrize("applied", [name for name in APPLIED if name.startswith("torus")], indirect=True)
+def test_torus_corner_is_the_harmonic_mass(applied):
+    """The momentum static's corner on the torus is H^T M H."""
+    model, _, _ = applied
+    H = model.harmonic
+    S = model.systems["momentum"].static
+    close(S[-2:, -2:].toarray(), H.T @ (assemble.assemble_mass(model.U) @ H))
+
+
+def test_pressure_residual_is_the_assembled_expression(applied, monkeypatch):
+    """The residual that Model.pressure forms in one per-cell pass is
+    M ((u - u_old)/dt + nu curl omega) + R (u + u_old)/2 - B phi with M, R
+    and B assembled, to 1e-14 of the sum of its terms' magnitudes."""
+    model, prev, new = applied
+    residuals = []
+    apply = model.velocity.apply
+
+    def recorded(**terms):
+        residuals.append(apply(**terms))
+        return residuals[-1]
+
+    monkeypatch.setattr(model.velocity, "apply", recorded)
+    dt = model.time.dt
+    model.pressure(new.omega, prev.u_half, new.u_half, dt, phi=new.phi)
+    monkeypatch.undo()
+    terms = [assemble.assemble_mass(model.U) @ ((new.u_half - prev.u_half) / dt + model.nu * (model.curl @ new.omega)),
+             0.5 * (rotation_matrix(new.omega, model.W, model.U) @ (new.u_half + prev.u_half))]
+    if new.phi is not None:
+        terms.append(-(buoyancy_matrix(model.U, model.W) @ new.phi))
+    assert len(residuals) == 1
+    close(residuals[0], sum(terms), scale=np.max(sum(np.abs(t) for t in terms)))

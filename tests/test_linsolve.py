@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dualflow import linsolve
-from dualflow.assemble import assemble_div, assemble_mass
+from dualflow.assemble import assemble_div, assemble_integrals, assemble_mass
 from dualflow.linsolve import CachedLU, SolverError, lu_solve, project_out_constant
 from dualflow.mesh import ChannelGeometry, build_channel_mesh
 from dualflow.spaces import (
@@ -248,63 +248,68 @@ def saddle_blocks(channel, N=1):
     Q = make_space(channel, "DG", N - 1)
     M = assemble_mass(U)
     D = assemble_div(U, Q)
-    MQ = assemble_mass(Q)
     iu = free_dofs(U, normal_trace_dofs(U))
     A = M[iu][:, iu]
     Dr = D[:, iu].tocsr()
-    ones = constant_coefficients(Q)
-    return A, Dr, MQ, ones, channel.total_area(), U, iu
+    return A, Dr, assemble_integrals(Q), channel.total_area(), Q
 
 
 def test_saddle_zero_rhs(channel):
-    A, Dr, MQ, ones, area, _, _ = saddle_blocks(channel)
-    u, p, rep = solve_saddle(A, Dr, np.zeros(A.shape[0]), MQ, ones, area)
+    A, Dr, integrals, area, _ = saddle_blocks(channel)
+    u, p, rep = solve_saddle(A, Dr, np.zeros(A.shape[0]), integrals, area)
     assert np.max(np.abs(u)) < 1e-14
     assert np.max(np.abs(p)) < 1e-14
 
 
 def test_saddle_postconditions_random_rhs(channel):
-    A, Dr, MQ, ones, area, _, _ = saddle_blocks(channel)
+    A, Dr, integrals, area, Q = saddle_blocks(channel)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(A.shape[0])
-    u, p, rep = solve_saddle(A, Dr, f, MQ, ones, area)
+    u, p, rep = solve_saddle(A, Dr, f, integrals, area)
     assert np.max(np.abs(Dr @ u)) <= 1e-10 * (1 + abs(f).max())
-    assert abs(ones @ (MQ @ p)) <= 1e-12 * max(1.0, abs(p).max())
+    assert abs(constant_coefficients(Q) @ (assemble_mass(Q) @ p)) <= 1e-12 * max(1.0, abs(p).max())
     assert rep.residual <= 1e-10 * (1 + abs(f).max())
 
 
 def test_saddle_lu_matches_schur_oracle(channel):
-    A, Dr, MQ, ones, area, _, _ = saddle_blocks(channel)
+    A, Dr, integrals, area, _ = saddle_blocks(channel)
     rng = np.random.default_rng(4)
     f = rng.standard_normal(A.shape[0])
-    u1, p1, _ = solve_saddle(A, Dr, f, MQ, ones, area, strategy="lu")
-    u2, p2, _ = solve_saddle(A, Dr, f, MQ, ones, area, strategy="schur")
+    u1, p1, _ = solve_saddle(A, Dr, f, integrals, area, strategy="lu")
+    u2, p2, _ = solve_saddle(A, Dr, f, integrals, area, strategy="schur")
     assert np.max(np.abs(u1 - u2)) < 1e-9
     assert np.max(np.abs(p1 - p2)) < 1e-9
+
+
+@pytest.mark.parametrize("family, degree", [("DG", 0), ("DG", 1), ("CG", 1), ("CG", 2)])
+def test_integrals_are_the_mass_against_one(channel, family, degree):
+    """assemble_integrals, <w_i, 1> per cell with no matrix, is M 1 to 1e-14."""
+    space = make_space(channel, family, degree)
+    ref = assemble_mass(space) @ constant_coefficients(space)
+    assert np.max(np.abs(assemble_integrals(space) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_project_out_constant(channel):
     Q = make_space(channel, "DG", 0)
     MQ = assemble_mass(Q)
+    integrals = assemble_integrals(Q)
     ones = constant_coefficients(Q)
     area = channel.total_area()
     const = 3.0 * ones
-    assert np.max(np.abs(project_out_constant(const, MQ, ones, area))) < 1e-13
+    assert np.max(np.abs(project_out_constant(const, integrals, area))) < 1e-13
     rng = np.random.default_rng(5)
     q = rng.standard_normal(Q.dim)
-    q0 = project_out_constant(q, MQ, ones, area)
+    q0 = project_out_constant(q, integrals, area)
     assert abs(ones @ (MQ @ q0)) < 1e-12
-    assert np.max(np.abs(project_out_constant(q0, MQ, ones, area) - q0)) < 1e-14
+    assert np.max(np.abs(project_out_constant(q0, integrals, area) - q0)) < 1e-14
 
 
 def test_project_out_constant_y_mean(channel):
     # mean of y over the unit-height channel is 1/2
     Q = make_space(channel, "DG", 1)
-    MQ = assemble_mass(Q)
-    ones = constant_coefficients(Q)
     area = channel.total_area()
     from dualflow.spaces import interpolate
 
     qy = interpolate(Q, lambda x, y: y)
-    shifted = project_out_constant(qy, MQ, ones, area)
+    shifted = project_out_constant(qy, assemble_integrals(Q), area)
     assert np.allclose(qy - shifted, 0.5, atol=1e-12)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dualflow.assemble import (
+    VelocityForms,
     assemble_baroclinic,
-    assemble_buoyancy,
     assemble_curlcurl,
     assemble_div,
     assemble_mass,
@@ -246,10 +246,10 @@ def test_particle_mass_identity(channel, N):
 
 def test_buoyancy_examples(square2):
     W, U, _ = spaces_for(square2, 1)
-    B = assemble_buoyancy(U, W)
-    assert np.max(np.abs(B @ np.zeros(W.dim))) == 0.0
+    forms = VelocityForms(W, U)
+    assert np.max(np.abs(forms.apply(phi=np.zeros(W.dim)))) == 0.0
     phi1 = project(W, lambda x, y: 1.0)
-    b = B @ phi1
+    b = forms.apply(phi=phi1)
     vdown = interpolate(U, lambda x, y: (np.zeros_like(x), -np.ones_like(x)))
     assert abs(vdown @ b - 1.0) < 1e-12
 
@@ -267,7 +267,7 @@ def test_buoyancy_baroclinic_compatibility():
     phi = rng.standard_normal(W.dim)
     psi = rng.standard_normal(W.dim)
     u = discrete_curl(psi, W, U)
-    lhs = u @ (assemble_buoyancy(U, W) @ phi)
+    lhs = u @ VelocityForms(W, U).apply(phi=phi)
     rhs = psi @ (assemble_baroclinic(W) @ phi)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 

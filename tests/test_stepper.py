@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import importlib.util
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse._compressed import _cs_matrix
 
 from dualflow import assemble, driver, elements, linsolve, stepper
-from dualflow.assemble import assemble_buoyancy, assemble_vorticity_convection
+from dualflow.assemble import assemble_mass, assemble_vorticity_convection
 from dualflow.config import parse_config, parse_config_file
 from dualflow.diagnostics import Engine
 from dualflow.driver import build_model, make_initial_condition
@@ -37,7 +38,7 @@ import pattern_oracle
 from saddle_oracle import solve_saddle
 from util_curl import weak_curl_matrix
 from util_project import project
-from util_rotation import convection_matrix, momentum_skew, rotation_matrix, skew_part
+from util_rotation import buoyancy_matrix, convection_matrix, momentum_skew, rotation_matrix, skew_part
 from util_sim1 import sim1_mesh_text
 from util_tabulate import volume_tab
 
@@ -344,25 +345,23 @@ seed = 4
 def test_setup_factors_what_the_run_solves(mode, vtk_every, tmp_path, factorizations, monkeypatch):
     """driver.run factors each static system in set-up, and D D^T too if
     and only if it writes snapshots, fresh or resumed, before its budget
-    Engine exists, and builds the pressure residual's buoyancy B, with
-    particles, with it: a run without snapshots builds neither.
-    The lock start factors nothing of its own, and no step factors
-    anything.  A run without snapshots solves no pressure; one with
+    Engine exists.  The lock start factors nothing of its own, and no
+    step factors anything.  A run without snapshots solves no pressure; one with
     snapshots solves one per snapshot."""
     static = 4 if mode == "turbidity" else 3  # curl, vorticity, momentum and transport
     at_engine, pressures = [], []
 
     def built(model):
-        return "pressure" in model.systems, "buoyancy" in vars(model)
+        return "pressure" in model.systems
 
     class Recorded(Engine):
         def __init__(self, model, state0):
-            at_engine.append((len(factorizations), *built(model)))
+            at_engine.append((len(factorizations), built(model)))
             super().__init__(model, state0)
 
         @classmethod
         def restored(cls, model, scalars):
-            at_engine.append((len(factorizations), *built(model)))
+            at_engine.append((len(factorizations), built(model)))
             return super().restored(model, scalars)
 
     def counted(model, *args, **kwargs):
@@ -388,8 +387,8 @@ checkpoint_every = 2
         pressures.clear()
         result = driver.run(parse_config(text.format(t_end=t_end)), checkpoint=checkpoint)
         expected = static + (vtk_every > 0)
-        snapshots = (vtk_every > 0, vtk_every > 0 and mode == "turbidity")
-        assert at_engine.pop() == (expected, *snapshots)
+        snapshots = vtk_every > 0
+        assert at_engine.pop() == (expected, snapshots)
         assert len(factorizations) == expected  # and none after set-up
         assert built(result.model) == snapshots
         assert len(pressures) == (3 if checkpoint is None else 2) * vtk_every
@@ -774,15 +773,15 @@ def saddle_momentum(model, omega, u_old, dt, phi_buoy=None):
     R = rotation_matrix(omega, model.W, model.U)
     l = weak_curl_matrix(model.U, model.W, 2 * model.degree + 2) @ omega
     R_r = R[iu][:, iu]
-    Mdt = (1.0 / dt) * model.M[iu][:, iu]
+    Mdt = (1.0 / dt) * assemble_mass(model.U)[iu][:, iu]
     f = (Mdt - 0.5 * R_r) @ u_old[iu] - model.nu * l[iu]
     if phi_buoy is not None:
-        f = f + (assemble_buoyancy(model.U, model.W) @ phi_buoy)[iu]
+        f = f + (buoyancy_matrix(model.U, model.W) @ phi_buoy)[iu]
     A = (Mdt + 0.5 * R_r).tocsr()
     # one refinement pass always: near the hydrostatic start of the desk
     # run the unrefined block LU is off by up to 5e-12 of max|u|, and one
     # pass takes it to 1e-14 of the step's answer
-    u, p, _ = solve_saddle(A, model.D_r, f, model.MQ, model.ones_q, model.area, rtol=0.0, max_refine=1)
+    u, p, _ = solve_saddle(A, model.D_r, f, assemble.assemble_integrals(model.Q), model.area, rtol=0.0, max_refine=1)
     return u, p
 
 
@@ -811,16 +810,17 @@ def test_pressure_gate_holds_on_every_step(case, request):
     oracle, and reports that residual."""
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
-    Lc = model.M @ model.curl
+    M, B = assemble_mass(model.U), buoyancy_matrix(model.U, model.W)
+    Lc = M @ model.curl
     for _ in range(5):
         new, _, _ = step(state, model)
         p, rep = model.pressure(new.omega, state.u_half, new.u_half, dt, phi=new.phi)
         R = rotation_matrix(new.omega, model.W, model.U)
         uo, u = state.u_half, new.u_half
-        f = (model.M @ uo) / dt - 0.5 * (R @ uo) - model.nu * (Lc @ new.omega)
+        f = (M @ uo) / dt - 0.5 * (R @ uo) - model.nu * (Lc @ new.omega)
         if new.phi is not None:
-            f = f + model.buoyancy @ new.phi
-        r = ((model.M @ u) / dt + 0.5 * (R @ u) - f)[model.iu]
+            f = f + B @ new.phi
+        r = ((M @ u) / dt + 0.5 * (R @ u) - f)[model.iu]
         gate = linsolve.RTOL * (1.0 + np.max(np.abs(r)))
         assert np.max(np.abs(r - model.D_rt @ p)) <= gate
         assert rep.residual <= gate and not rep.fallback
@@ -926,7 +926,7 @@ def test_per_step_operators_match_their_matrices(case, request, monkeypatch):
     G = model.Z.T @ (R @ model.Z)
     L, iw = model.L, model.iw
     expected = {
-        "momentum": model.Z.T @ model.M @ model.Z + (0.5 * dt) * (0.5 * (G - G.T)),
+        "momentum": model.Z.T @ assemble_mass(model.U) @ model.Z + (0.5 * dt) * (0.5 * (G - G.T)),
         "vorticity": model.Nw[iw][:, iw] / dt + 0.5 * model.nu * L[iw][:, iw] + 0.5 * C[iw][:, iw],
     }
     if model.physics.mode == "turbidity":
@@ -944,7 +944,7 @@ def static_data(model):
     """{name: CSR values} of each system's static part, by the value
     arithmetic of its defining form on the (W, W) cell pattern, gathered
     by the system's take; on the torus the momentum static's border is
-    zero but for the corner H^T M H."""
+    zero but for the corner H^T M H, M applied per cell."""
     Nw_dt, L = model.Nw_dt.data, model.L.data
     values = {"curl": model.Nw.data, "vorticity": Nw_dt + 0.5 * (model.nu * L), "momentum": L}
     if model.physics.mode == "turbidity":
@@ -952,7 +952,8 @@ def static_data(model):
     if model.harmonic is not None:
         H = model.harmonic
         m = model.systems["momentum"].static.shape[0] - H.shape[1]
-        values["momentum"] = np.concatenate([L, np.zeros(2 * m * H.shape[1]), (H.T @ (model.M @ H)).ravel()])
+        MH = np.column_stack([model.velocity.apply(a=h) for h in H.T])
+        values["momentum"] = np.concatenate([L, np.zeros(2 * m * H.shape[1]), (H.T @ MH).ravel()])
     takes = {name: model.systems[name].take for name in values}
     return {name: v if takes[name] is None else v[takes[name]] for name, v in values.items()}
 
@@ -1022,7 +1023,7 @@ def test_patterns_match_their_oracles(case, N, monkeypatch):
     monkeypatch.setattr(assemble.System, "on_cells", recorded)
     mesh, physics = oracle_case(case)
     Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0))
-    assert len(patterns) == sum(key[0] == "pattern" for key in mesh._cache) >= 4
+    assert len(patterns) == sum(key[0] == "pattern" for key in mesh._cache) == 2
     for pattern, (pos, indices, indptr) in patterns:
         assert np.array_equal(pattern.pos, pos)
         assert np.array_equal(pattern.indices, indices) and np.array_equal(pattern.indptr, indptr)
@@ -1033,6 +1034,37 @@ def test_patterns_match_their_oracles(case, N, monkeypatch):
         assert np.array_equal(S.data, data)
         assert np.array_equal(S.indices, indices) and np.array_equal(S.indptr, indptr)
         assert (system.take is None and take is None) or np.array_equal(system.take, take)
+
+
+def set_up_config(case, outdir):
+    """One step of the desk configuration writing a snapshot every step, or
+    of the step-time benchmark's periodic box (perfbench/workloads.py)."""
+    if case == "desk":
+        cfg = parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg"))
+        cfg.output["vtk_every"] = 1
+    else:
+        path = os.path.join(CONFIGS, "..", "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        cfg = parse_config(workloads.PERIODIC_CFG.format(seed=1))
+    cfg.time["t_end"] = cfg.time["dt"]
+    cfg.output["dir"] = str(outdir)
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_run_builds_only_the_cg_and_divergence_patterns(case, tmp_path):
+    """A run's set-up, its snapshots' pressures included, builds two cell
+    patterns, CG x CG and DG x RT (the divergence D): M, B and R are
+    applied per cell and the pressure's mean takes the integrals <q_i, 1>,
+    so no RT x RT, RT x CG or DG x DG pattern is built."""
+    result = driver.run(set_up_config(case, tmp_path), collect_rows=False)
+    N = result.model.degree
+    patterns = {key for key in result.model.mesh._cache if key[0] == "pattern"}
+    assert patterns == {("pattern", "CG", N, "CG", N), ("pattern", "DG", N - 1, "RT", N)}
+    if case == "desk":
+        assert "pressure" in result.model.systems and len(os.listdir(tmp_path)) > 1
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
@@ -1051,13 +1083,15 @@ def test_momentum_static_is_curlcurl_on_psi(case, request):
     m = len(psi)
     S = model.systems["momentum"].static
     assert (S[:m, :m] != model.L[psi][:, psi]).nnz == 0
-    ZMZ = model.Z.T @ model.M @ model.Z
+    M = assemble_mass(model.U)
+    ZMZ = model.Z.T @ M @ model.Z
     assert S.shape == ZMZ.shape
     assert abs(S - ZMZ).max() <= 1e-14 * abs(ZMZ).max()
     if model.harmonic is not None:
         assert S[:m, m:].count_nonzero() == 0 and S[m:, :m].count_nonzero() == 0
         H = model.harmonic
-        assert np.array_equal(S[m:, m:].toarray(), H.T @ (model.M @ H))
+        HMH = H.T @ (M @ H)
+        assert np.max(np.abs(S[m:, m:].toarray() - HMH)) <= 1e-14 * np.max(np.abs(HMH))
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
@@ -1114,38 +1148,37 @@ def same_state(a, b):
 
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_step_forms_no_velocity_space_load(case, request, monkeypatch):
-    """A step applies no rotation per cell and forms no product with the RT
-    mass M, the curl of CG in RT (so none with the weak curl M curl) or
-    the buoyancy B: the momentum load comes from psi^{k+1/2} and the W
-    forms.  The startup applies no rotation per cell and forms no product
-    with the curl or B either: its passes take the step's solve, and M
-    only projects u^0, which the initial condition built beforehand.  Nor
-    does the ledger form one, Engine.__init__ or Engine.update: it reads
-    the stream functions.  Both states and the ledger row are the same as
-    without the checks, bit for bit."""
+    """A step applies none of the per-cell velocity forms (the RT mass M,
+    the rotation R, the buoyancy B) and forms no product with the curl of
+    CG in RT (so none with the weak curl M curl): the momentum load comes
+    from psi^{k+1/2} and the W forms.  The startup forms no product with
+    the curl either and applies M alone, once, to project u^0, which the
+    initial condition built beforehand: its passes take the step's solve.
+    Nor does the ledger apply one, Engine.__init__ or Engine.update: it
+    reads the stream functions.  Both states and the ledger row are the
+    same as without the checks, bit for bit."""
     model, state = request.getfixturevalue(case)
     expected, _, _ = step(state, model)
     expected_start, _ = initialize(model, case_ic(model))
     expected_row = Engine(model, expected_start).update(state, expected)
     applied = []
-    apply_rotation = assemble.apply_rotation
+    apply = model.velocity.apply
 
-    def recorded(*args):
-        applied.append(args)
-        return apply_rotation(*args)
+    def recorded(**terms):
+        applied.append(sorted(terms))
+        return apply(**terms)
 
     ic = case_ic(model)
     built = ic.build(model)  # the random start builds u^0 from the curl
     monkeypatch.setattr(ic, "build", lambda model: built)
-    monkeypatch.setattr(assemble, "apply_rotation", recorded)
-    for name in ("curl", "buoyancy"):
-        monkeypatch.setattr(model, name, Forbidden(name), raising=False)
+    monkeypatch.setattr(model.velocity, "apply", recorded)
+    monkeypatch.setattr(model, "curl", Forbidden("curl"))
     start, _ = initialize(model, ic)
-    monkeypatch.setattr(model, "M", Forbidden("M"))
+    monkeypatch.setattr(model, "velocity", Forbidden("velocity"))
     new, _, _ = step(state, model)
     row = Engine(model, start).update(state, new)
     monkeypatch.undo()
-    assert applied == []
+    assert applied == [["a"]]
     same_state(start, expected_start)
     same_state(new, expected)
     assert row == expected_row
@@ -1174,11 +1207,11 @@ def test_momentum_load_identities(case):
         A, B = sp.csr_matrix(A).toarray(), sp.csr_matrix(B).toarray()
         return np.max(np.abs(A - B)) <= 1e-14 * np.max(np.abs(B))
 
-    ZtLc = model.Z.T @ (model.M @ model.curl)
+    ZtLc = model.Z.T @ (assemble_mass(model.U) @ model.curl)
     assert close(ZtLc[:n], model.L[model.psi_dofs])
     assert np.max(np.abs(ZtLc[n:].toarray()), initial=0.0) <= 1e-14 * np.max(np.abs(model.L.data))
     if physics.mode == "turbidity":
-        ZtB = model.Z.T @ model.buoyancy
+        ZtB = model.Z.T @ buoyancy_matrix(model.U, model.W)
         assert ZtB.shape[0] == n
         assert close(ZtB, -model.baroclinic.T[model.psi_dofs])
         assert close(ZtB, model.baroclinic[model.psi_dofs])
@@ -1237,7 +1270,7 @@ def test_startup_projects_u0_onto_the_stream_function(name, monkeypatch):
     state, _ = initialize(model, ic)
     monkeypatch.undo()
     psi0, u0 = solves[0], ic.build(model)[0]
-    Z, M = model.Z, model.M
+    Z, M = model.Z, assemble_mass(model.U)
     gap, load = Z.T @ (M @ (u0 - Z @ psi0)), Z.T @ (M @ u0)
     if name == "lock":
         assert not np.any(psi0) and not np.any(state.omega)
@@ -1267,7 +1300,7 @@ def test_weak_curl_load_is_the_curl_curl_of_psi(case):
         model.curl_h(psi)
     finally:
         del curl.solve
-    oracle = ((model.M @ model.curl).T @ (model.Z @ psi))[model.iw]
+    oracle = ((assemble_mass(model.U) @ model.curl).T @ (model.Z @ psi))[model.iw]
     assert np.max(np.abs(rhs[0] - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 

@@ -1,12 +1,14 @@
-"""The rotation R[i, j] = <omega x u_j, u_i> as a U x U matrix, and the
-convection C as a W x W matrix, for tests that compare the package's
-per-step forms with the matrices they stand for.
+"""The rotation R[i, j] = <omega x u_j, u_i> as a U x U matrix, the
+buoyancy B[i, k] = <w_k e_g, u_i> as a U x W matrix and the convection
+C as a W x W matrix, for tests that compare the package's forms with
+the matrices they stand for.
 
-The package never forms R: the momentum step sees it through the
-stream-function basis, Z^T R Z, and applies R u per cell
-(assemble.assemble_rotation, assemble.apply_rotation).  R here scatters
-the same cell matrices, S_c T(omega_c) S_c, each exactly skew, in cell
-order, so R is exactly skew too.
+The package forms neither R nor B: the momentum step sees R through the
+stream-function basis, Z^T R Z (assemble.assemble_rotation), and the
+pressure applies R and B per cell (assemble.VelocityForms).  R here
+scatters the same cell matrices, S_c T(omega_c) S_c, each exactly skew,
+in cell order, so R is exactly skew too; B is the matrix the package
+once assembled, on the (U, W) cell pattern.
 """
 
 import numpy as np
@@ -25,6 +27,11 @@ def rotation_matrix(omega, W, U):
     return assemble._pattern(U, U).build(local)
 
 
+def buoyancy_matrix(U, W):
+    """B on U x W: e_g^T J against the reference tensor, RT signs applied."""
+    return assemble._form(U, W, np.asarray(assemble.GRAVITY) @ U.mesh.jacobians()[0])
+
+
 def convection_matrix(u, U, W):
     """C(u) on W x W for the U coefficients u, from its CSR values
     (assemble_vorticity_convection)."""
@@ -39,8 +46,7 @@ def momentum_skew(model, omega):
     values = assemble.assemble_rotation(omega, model.W, model.U)
     if model.harmonic is None:
         return values, None
-    RH = np.column_stack([assemble.apply_rotation(omega, model.W, model.U, h)
-                          for h in model.harmonic.T])
+    RH = np.column_stack([model.velocity.apply(omega=omega, v=h) for h in model.harmonic.T])
     return values, model.Z.T @ RH
 
 
