@@ -9,7 +9,7 @@ their line number.
 import math
 from dataclasses import dataclass
 
-from .stepper import STEP_TOL
+from .stepper import whole_steps
 
 
 class ConfigError(ValueError):
@@ -184,9 +184,9 @@ def _validate(cfg, lines_of):
         err("time", "dt", "must be positive")
     if time["t_end"] < time["dt"]:
         err("time", "t_end", "must be at least one time step")
-    steps = time["t_end"] / time["dt"]
-    if steps - math.floor(steps + STEP_TOL) > STEP_TOL:
-        err("time", "t_end", f"must be a whole number of time steps, got t_end / dt = {steps:.10g}")
+    if whole_steps(time["dt"], time["t_end"]) is None:
+        err("time", "t_end", "must be a whole number of time steps, "
+            f"got t_end / dt = {time['t_end'] / time['dt']:.10g}")
     init = cfg["initial"]
     if init["kind"] is None:
         init["kind"] = "lock" if phys["mode"] == "turbidity" else "taylor_green"

@@ -85,30 +85,44 @@ class FrontTracker:
         self.xmin = xmin
         num_columns = max(2, int(round((xmax - xmin) / mesh.h_min())))
         self.columns = np.linspace(xmin, xmax, num_columns + 1)
+        n = len(self.columns)
         t, w = interval_rule(2 * FRONT_SAMPLES - 1)
         ys = ymin + t * (ymax - ymin)
-        lo, hi = mesh.cell_coords[..., 0].min(axis=1), mesh.cell_coords[..., 0].max(axis=1)
+        cx = mesh.cell_coords[..., 0]
+        lo = np.minimum(np.minimum(cx[:, 0], cx[:, 1]), cx[:, 2])
+        hi = np.maximum(np.maximum(cx[:, 0], cx[:, 1]), cx[:, 2])
         reach = 4 * LOCATE_TOL * (hi - lo)  # a hit within LOCATE_TOL is within 3 LOCATE_TOL widths
-        col, cand = np.nonzero((lo - reach <= self.columns[:, None]) & (self.columns[:, None] <= hi + reach))
-        # every (column, candidate cell) pair gets the reference coordinates of the column's points
-        pts = np.stack(np.broadcast_arrays(self.columns[col, None], ys), axis=-1)  # (pairs, ys, 2)
+        # each cell's candidate columns are a run, lo - reach <= column <= hi + reach;
+        # the (column, candidate cell) pairs run column by column, cells ascending
+        first_col = np.searchsorted(self.columns, lo - reach)
+        runs = np.searchsorted(self.columns, hi + reach, "right") - first_col
+        cell = np.repeat(np.arange(len(runs)), runs)
+        col = first_col[cell] + np.arange(len(cell)) - (np.cumsum(runs) - runs)[cell]
+        order = np.argsort(col, kind="stable")
+        col, cand = col[order], cell[order]
+        # reference coordinates Jinv (p - p0), affine in y along a column: (pairs, ys) each
         _, _, Jinv = mesh.jacobians()
-        refs = (Jinv[cand, None] @ (pts - mesh.cell_coords[cand, None, 0])[..., None])[..., 0]
-        pair, k = np.nonzero((refs >= -LOCATE_TOL).all(axis=-1) & (refs.sum(axis=-1) <= 1.0 + LOCATE_TOL))
-        # pairs run column by column, cells ascending: a point's first hit is its lowest cell
+        J, p0 = Jinv[cand], mesh.cell_coords[cand, 0]
+        dx = (self.columns[col] - p0[:, 0])[:, None]
+        dy = ys - p0[:, 1, None]
+        r0 = J[:, 0, 0, None] * dx + J[:, 0, 1, None] * dy
+        r1 = J[:, 1, 0, None] * dx + J[:, 1, 1, None] * dy
+        pair, k = np.nonzero((r0 >= -LOCATE_TOL) & (r1 >= -LOCATE_TOL) & (r0 + r1 <= 1.0 + LOCATE_TOL))
+        # a point's first hit is its lowest cell
         found, first = np.unique(col[pair] * len(ys) + k, return_index=True)
-        missing = np.setdiff1d(np.arange(len(self.columns) * len(ys)), found)
-        if len(missing):
-            x, y = self.columns[missing[0] // len(ys)], ys[missing[0] % len(ys)]
+        if len(found) < n * len(ys):
+            p = np.setdiff1d(np.arange(n * len(ys)), found)[0]
+            x, y = self.columns[p // len(ys)], ys[p % len(ys)]
             raise ValueError(f"front sample point ({x}, {y}) not inside the mesh")
         pair, k = pair[first], k[first]
-        bv, _ = space.element.tabulate(refs[pair, k])  # (points, cell dofs)
-        # one sparse apply per step: row i = depth average over column i
-        rows = np.repeat(np.arange(len(self.columns)), len(ys) * bv.shape[1])
-        vals = np.tile(w, len(self.columns))[:, None] * bv
+        bv, _ = space.element.tabulate(np.stack([r0[pair, k], r1[pair, k]], axis=-1))  # (points, cell dofs)
+        # one sparse apply per step: row i = depth average over column i,
+        # its samples' cell dofs in sample order
+        row_len = len(ys) * bv.shape[1]
         self.sampler = sp.csr_matrix(
-            (vals.ravel(), (rows, space.cell_dofs[cand[pair]].ravel())),
-            shape=(len(self.columns), space.dim),
+            ((np.tile(w, n)[:, None] * bv).ravel(), space.cell_dofs[cand[pair]].ravel(),
+             np.arange(0, n * row_len + 1, row_len)),
+            shape=(n, space.dim),
         )
 
     def depth_averages(self, phi):

@@ -142,6 +142,13 @@ class StartupError(RuntimeError):
     pass
 
 
+def whole_steps(dt, t_end):
+    """The number of steps of length dt to t_end, or None if t_end / dt is
+    not within STEP_TOL of a whole number."""
+    n = math.floor(t_end / dt + STEP_TOL)
+    return n if t_end / dt - n <= STEP_TOL else None
+
+
 @dataclass(frozen=True)
 class PhysicsConfig:
     mode: str = "turbidity"
@@ -180,10 +187,13 @@ class TimeConfig:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one time step")
+        if whole_steps(self.dt, self.t_end) is None:
+            raise ValueError("t_end must be a whole number of time steps, "
+                             f"got t_end / dt = {self.t_end / self.dt:.10g}")
 
     @property
     def num_steps(self):
-        return max(1, int(math.floor(self.t_end / self.dt + STEP_TOL)))
+        return whole_steps(self.dt, self.t_end)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dualflow.stepper import (
     initialize,
     step,
 )
-from dualflow.diagnostics import Engine, FrontTracker
+from dualflow.diagnostics import FRONT_THRESHOLD, Engine, FrontTracker
 from dualflow.mesh import WALL_TAGS
 
 from util_budget import recording_step, step_budget
@@ -173,16 +175,103 @@ def test_depth_averages_of_a_linear_field(imported):
     assert np.max(np.abs(tracker.depth_averages(phi) - expected)) < 1e-12
 
 
-def test_front_sampler_refuses_a_point_outside_the_mesh(channel_with_hole):
-    """The column x = 0.5 crosses the hole: its sample points in
-    (0.5, 1) lie in no cell."""
+@pytest.mark.parametrize("case", ["desk", "imported", "on_edges"])
+def test_front_sampler_matches_its_oracle(case):
+    """The sampler as first built (tests/front_oracle.py) gives the same
+    columns, evaluates each point in the same cell, so that the stored
+    entries are the same, and gives the same weights at roundoff.  On the
+    `left` 52 x 3 channel every column runs along vertical edges, so
+    nearly every point lies in two cells, and the lowest one wins."""
     from types import SimpleNamespace
+
+    from front_oracle import front_sampler
+    from util_sim1 import sim1_mesh_text
+
+    from dualflow.mesh import read_mesh_text
+    from dualflow.spaces import make_space
+
+    geom = ChannelGeometry(length=13.0, height=1.0, lock_length=1.0)
+    if case == "imported":
+        mesh = read_mesh_text(*sim1_mesh_text())
+    elif case == "desk":
+        mesh = build_channel_mesh(geom, 50, 5, "crisscross")
+    else:
+        mesh = build_channel_mesh(geom, 52, 3, "left")
+    W = make_space(mesh, "CG", 2)
+    tracker = FrontTracker(SimpleNamespace(mesh=mesh, W=W))
+    columns, sampler = front_sampler(mesh, W)
+    assert np.array_equal(tracker.columns, columns)
+    ours = tracker.sampler.copy()
+    for m in (ours, sampler):
+        m.sum_duplicates()
+    assert np.array_equal(ours.indptr, sampler.indptr) and np.array_equal(ours.indices, sampler.indices)
+    assert np.abs(ours.data - sampler.data).max() <= 1e-14
+
+
+def test_front_positions_match_the_oracle_on_the_desk():
+    """Over 200 steps of configs/lock_exchange.cfg the front is in the
+    column the oracle sampler puts it in, step by step, and the depth
+    averages agree at roundoff."""
+    import os
+
+    from front_oracle import front_sampler
+
+    from dualflow.config import parse_config_file
+    from dualflow.driver import build_model, make_initial_condition
+
+    cfg = parse_config_file(os.path.join(os.path.dirname(__file__), "..", "configs", "lock_exchange.cfg"))
+    model = build_model(cfg)
+    tracker = FrontTracker(model)
+    columns, sampler = front_sampler(model.mesh, model.W)
+    state, _ = initialize(model, make_initial_condition(cfg))
+    for _ in range(200):
+        state, _, _ = step(state, model)
+        averages = sampler @ state.phi
+        assert np.abs(tracker.depth_averages(state.phi) - averages).max() <= 1e-14
+        assert tracker.position(state.phi) == columns[np.flatnonzero(averages >= FRONT_THRESHOLD)[-1]]
+
+
+def refusals(mesh):
+    """The messages of the ValueErrors of FrontTracker and of its oracle
+    on `mesh`, with a CG1 space."""
+    from types import SimpleNamespace
+
+    from front_oracle import front_sampler
 
     from dualflow.spaces import make_space
 
+    W = make_space(mesh, "CG", 1)
+    with pytest.raises(ValueError) as oracle:
+        front_sampler(mesh, W)
+    with pytest.raises(ValueError) as exc:
+        FrontTracker(SimpleNamespace(mesh=mesh, W=W))
+    return str(exc.value), str(oracle.value)
+
+
+def test_front_sampler_refuses_a_point_outside_the_mesh(channel_with_hole):
+    """The column x = 0.5 crosses the hole: its sample points in
+    (0.5, 1) lie in no cell.  The refusal names the point the oracle
+    names."""
+    ours, oracle = refusals(channel_with_hole)
+    assert re.fullmatch(r"front sample point \(0\.5, 0\.\d+\) not inside the mesh", ours)
+    assert ours == oracle
+
+
+def test_front_sampler_refuses_a_column_in_a_gap(channel_with_hole):
+    """With the middle column of quads taken out, no cell is a candidate
+    for the column x = 0.5: its first sample point is refused, as the
+    oracle refuses it."""
+    from dualflow.elements import LOCAL_EDGES
+    from dualflow.mesh import _finalize
+
     mesh = channel_with_hole
-    with pytest.raises(ValueError, match=r"front sample point \(0\.5, 0\.\d+\) not inside the mesh"):
-        FrontTracker(SimpleNamespace(mesh=mesh, W=make_space(mesh, "CG", 1)))
+    keep = np.abs(mesh.cell_coords.mean(axis=1)[:, 0] - 0.5) > 0.5
+    cells = mesh.cells[keep]
+    pairs = np.stack([np.sort(cells[:, [a, b]], axis=1) for a, b in LOCAL_EDGES], axis=1)
+    gap = _finalize(mesh.vertices, cells, mesh.cell_coords[keep],
+                    pairs[..., 0] * mesh.num_vertices + pairs[..., 1], periodic=False)
+    ours, oracle = refusals(gap)
+    assert ours.startswith("front sample point (0.5, 0.0") and ours == oracle
 
 
 def test_eps_s_ref1_examples():

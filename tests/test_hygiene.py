@@ -1,5 +1,5 @@
 """Dead-code, layering and ownership scans: no linter runs on this tree, so
-AST scans do eight checks.
+AST scans do nine checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
@@ -19,6 +19,8 @@ AST scans do eight checks.
   later than itself in the layer order `LAYERS`.
 - `CachedLU` is constructed only in `linsolve` and in `assemble.System`,
   which owns each static factor of a run.
+- `splu` is called only in `linsolve.CachedLU.__init__`, once, so every
+  factor is made with the same SuperLU settings.
 - `SimulationState` is constructed only in `stepper`, whose steps and
   `restore` fill in the history a step's starts read.
 - No public function of `dualflow.elements`, `dualflow.kernels` or
@@ -291,9 +293,9 @@ def test_no_upward_imports(module):
 
 
 def constructions(source, name="CachedLU", scope=ast.ClassDef):
-    """(line, where) of each `name(...)` call in `source`, where the name
-    of the innermost `scope` node (a class, or a function) it is made in,
-    or None outside every one."""
+    """(line, where) of each `name(...)` call in `source`, where the dotted
+    names of the `scope` nodes (classes, functions, or a tuple of both)
+    it is made in, outermost first, or None outside every one."""
     found = []
 
     def visit(node, where):
@@ -301,7 +303,10 @@ def constructions(source, name="CachedLU", scope=ast.ClassDef):
             if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
                                                         getattr(child.func, "attr", None)):
                 found.append((child.lineno, where))
-            visit(child, child.name if isinstance(child, scope) else where)
+            inner = where
+            if isinstance(child, scope):
+                inner = child.name if where is None else f"{where}.{child.name}"
+            visit(child, inner)
 
     visit(ast.parse(source), None)
     return found
@@ -325,6 +330,29 @@ def test_factors_are_built_by_systems_alone(module):
                if module != "linsolve" and (module, where) != ("assemble", "System")]
     assert not outside, f"{module} constructs CachedLU outside linsolve and assemble.System: " + ", ".join(
         f"{where or 'module level'} (line {line})" for line, where in outside)
+
+
+def test_scan_finds_every_factorization():
+    source = ("import scipy.sparse.linalg as spla\nclass CachedLU:\n    def __init__(self, A):\n"
+              "        self._lu = spla.splu(A, relax=1)\n"
+              "    def refactor(self, A):\n        return spla.splu(A)\n"
+              "def factor(A):\n    return splu(A)\n")
+    assert constructions(source, "splu", (ast.ClassDef, ast.FunctionDef)) == [
+        (4, "CachedLU.__init__"), (6, "CachedLU.refactor"), (8, "factor")]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_factors_are_made_by_cached_lu_alone(module):
+    """Every sparse LU factor of the package is made by one call, in
+    linsolve.CachedLU.__init__, so the SuperLU settings cannot fork."""
+    with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
+        found = constructions(fh.read(), "splu", (ast.ClassDef, ast.FunctionDef))
+    outside = [(line, where) for line, where in found
+               if (module, where) != ("linsolve", "CachedLU.__init__")]
+    assert not outside, f"{module} calls splu outside linsolve.CachedLU.__init__: " + ", ".join(
+        f"{where or 'module level'} (line {line})" for line, where in outside)
+    if module == "linsolve":
+        assert len(found) == 1
 
 
 def test_scan_finds_every_state_construction():

@@ -99,6 +99,15 @@ def test_config_validation():
         TimeConfig(dt=1e-3, t_end=1e-4)
 
 
+@pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (1e-3, 0.0105), (0.25, 0.9)])
+def test_partial_last_step_refused_by_time_config(dt, t_end):
+    """A Model built from the API keeps the config's rule: a t_end that is
+    not a whole number of steps (dt = 0.3, t_end = 1.0 ran 3 steps, to
+    t = 0.9) is refused, not cut short."""
+    with pytest.raises(ValueError, match="whole number of time steps"):
+        TimeConfig(dt=dt, t_end=t_end)
+
+
 def test_mode_mesh_mismatch_rejected():
     geom = ChannelGeometry(length=2.0, height=1.0, lock_length=0.5)
     mesh = build_channel_mesh(geom, 4, 2)
@@ -1361,6 +1370,31 @@ def test_pressure_factor_fill_below_colamd(desk, factorizations):
     linsolve.spla.splu(DDt.tocsc(), permc_spec="COLAMD")
     ours, colamd = factorizations
     assert ours.nnz < colamd.nnz
+
+
+@pytest.mark.parametrize("name", ["curl", "vorticity", "momentum", "transport", "pressure", "torus momentum"])
+def test_factor_settings_change_time_alone(desk, factorizations, name):
+    """CachedLU's SuperLU panel size and relaxation leave the factor's
+    fill and its answers as scipy's defaults have them, under the same
+    ordering of the same matrix (its exact zeros dropped): the torus
+    momentum system has its dense border.  The right side is S x for a
+    random x: the pinned D D^T is so conditioned that for a random right
+    side either factor's solution is off by 2e-12 of its size."""
+    if name == "torus momentum":
+        system = homogeneous_model(nx=32, ny=32).systems["momentum"]
+    else:
+        model, _ = desk
+        system = model.pressure_system() if name == "pressure" else model.systems[name]
+    csc = system.static.tocsc(copy=True)
+    csc.eliminate_zeros()
+    factorizations.clear()
+    ours = linsolve.CachedLU(system.static)
+    linsolve.spla.splu(csc, permc_spec="MMD_AT_PLUS_A")
+    tuned, default = factorizations
+    assert tuned.L.nnz + tuned.U.nnz == default.L.nnz + default.U.nnz
+    b = system.static @ np.random.default_rng(7).standard_normal(csc.shape[0])
+    x = default.solve(b)
+    assert np.abs(ours.solve(b) - x).max() <= 1e-13 * np.abs(x).max()
 
 
 def test_stream_basis_sizes(desk):
