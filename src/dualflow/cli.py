@@ -4,10 +4,8 @@ import argparse
 import sys
 
 from .config import ConfigError, parse_config_file
-from .elements import UnsupportedElementError
 from .io import CheckpointError
 from .linsolve import SolverError
-from .mesh import MeshError
 from .spaces import space_dimension
 from .stepper import StartupError
 
@@ -35,11 +33,11 @@ def _cmd_run(args):
 
 
 def _cmd_check(args):
-    from .driver import build_model, make_initial_condition
-    from .stepper import initialize
+    from .driver import build_model
+    from .stepper import initial_condition, initialize
 
     cfg = _load(args)
-    _, startup = initialize(build_model(cfg), make_initial_condition(cfg))
+    _, startup = initialize(build_model(cfg), initial_condition(cfg.initial))
     startup.pressure()
     print("config OK; mesh, spaces and the startup validated")
     return 0
@@ -95,8 +93,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MeshError, UnsupportedElementError, SolverError, StartupError,
-            CheckpointError, OSError, ValueError) as exc:
+    except (ValueError, SolverError, StartupError, CheckpointError, OSError) as exc:
+        # every refused input (configuration, parameter, mesh, element) is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,15 +1,19 @@
 """Run configuration: INI-style text with strict validation.
 
-Format: `[section]` headers, `key = value` lines, `#` comments.  Unknown
-sections or keys, keys the chosen mode never reads, type mismatches,
-non-finite floats and constraint violations are fatal and reported with
-their line number.
+Format: `[section]` headers, `key = value` lines, `#` comments.  This
+module keeps the file's own rules: grammar, types, finite floats,
+unknown, duplicate and unread keys, required keys, the initial-condition
+kind against the mode, `degree >= 1` and the output cadences.  Every
+other value has one owner (PhysicsConfig, TimeConfig, ChannelGeometry,
+mesh.check_grid, the initial condition), built here once, whose
+ParameterError is reported as `line N: section.key: reason`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .stepper import whole_steps
+from .mesh import ChannelGeometry, ParameterError, check_grid
+from .stepper import INITIAL_CONDITIONS, PhysicsConfig, TimeConfig, initial_condition
 
 
 class ConfigError(ValueError):
@@ -48,7 +52,7 @@ SCHEMA = {
     },
     "initial": {
         "interface_width": (float, None),
-        "kind": (str, None),  # lock | taylor_green | random; default by mode
+        "kind": (str, None),  # a key of stepper.INITIAL_CONDITIONS; default by mode
         "seed": (int, 0),
     },
     "output": {
@@ -64,7 +68,7 @@ UNREAD = {
     "turbidity": (("physics", "nu"),),
     "homogeneous": (("physics", "grashof"), ("physics", "schmidt"),
                     ("physics", "settling_velocity"), ("mesh", "lock_length"),
-                    ("mesh", "import"), ("initial", "interface_width")),
+                    ("mesh", "import")),
 }
 
 # keys an imported mesh never reads
@@ -110,12 +114,7 @@ def parse_config(text):
             raise ConfigError(f"duplicate key {section}.{key}", lineno)
         typ, _default = SCHEMA[section][key]
         try:
-            if typ is int:
-                parsed = int(val)
-            elif typ is float:
-                parsed = float(val)
-            else:
-                parsed = val
+            parsed = typ(val)
         except ValueError:
             raise ConfigError(
                 f"{section}.{key}: expected {typ.__name__}, got {val!r}", lineno
@@ -127,16 +126,10 @@ def parse_config(text):
 
     cfg = {}
     for sec, keys in SCHEMA.items():
-        out = {}
-        got = values.get(sec, {})
-        for key, (typ, default) in keys.items():
-            if key in got:
-                out[key] = got[key]
-            elif default is REQUIRED:
+        cfg[sec] = {key: values.get(sec, {}).get(key, default) for key, (_, default) in keys.items()}
+        for key, value in cfg[sec].items():
+            if value is REQUIRED:
                 raise ConfigError(f"required key {sec}.{key} is missing")
-            else:
-                out[key] = default
-        cfg[sec] = out
 
     _validate(cfg, lines_of)
     return RunConfig(**cfg)
@@ -146,62 +139,45 @@ def _validate(cfg, lines_of):
     def err(sec, key, msg):
         raise ConfigError(f"{sec}.{key}: {msg}", lines_of.get((sec, key)))
 
-    mesh, phys, time = cfg["mesh"], cfg["physics"], cfg["time"]
-    if phys["mode"] not in UNREAD:
-        err("physics", "mode", f"must be turbidity or homogeneous, got {phys['mode']!r}")
-    for sec, key in UNREAD[phys["mode"]]:
-        if (sec, key) in lines_of:
-            err(sec, key, f"is not read in {phys['mode']} mode")
-    for key in ("length", "height"):
-        if mesh[key] <= 0:
-            err("mesh", key, "channel extents must be positive")
-    if phys["mode"] == "turbidity" and not (mesh["length"] > mesh["lock_length"] > 0):
-        err("mesh", "lock_length", "need length > lock_length > 0")
-    if mesh["import"] is not None:
-        for sec, key in IMPORT_UNREAD:
+    def unread(keys, where):
+        for sec, key in keys:
             if (sec, key) in lines_of:
-                err(sec, key, "is not read with mesh.import")
+                err(sec, key, f"is not read {where}")
+
+    def ask(sec, owner, *args, **kwargs):
+        try:
+            owner(*args, **kwargs)
+        except ParameterError as exc:
+            err(sec, exc.name, exc.reason)
+
+    mesh, phys, init = cfg["mesh"], cfg["physics"], cfg["initial"]
+    unread(UNREAD.get(phys["mode"], ()), f"in {phys['mode']} mode")
+    ask("physics", PhysicsConfig, **phys)
+    torus = phys["mode"] == "homogeneous"
+    if not torus:
+        ask("mesh", ChannelGeometry, mesh["length"], mesh["height"], mesh["lock_length"])
+    if mesh["import"] is not None:
+        unread(IMPORT_UNREAD, "with mesh.import")
     else:
-        if mesh["pattern"] not in ("left", "right", "crisscross"):
-            err("mesh", "pattern", f"unknown pattern {mesh['pattern']!r}")
-        min_n = 2 if phys["mode"] == "homogeneous" else 1
         for key in ("nx", "ny"):
             if mesh[key] is None:
                 raise ConfigError(f"required key mesh.{key} is missing")
-            if mesh[key] < min_n:
-                err("mesh", key, f"resolution must be at least {min_n} in each direction")
-    if phys["grashof"] <= 0:
-        err("physics", "grashof", "must be positive")
-    if phys["schmidt"] <= 0:
-        err("physics", "schmidt", "must be positive")
-    if phys["settling_velocity"] < 0:
-        err("physics", "settling_velocity", "must be nonnegative")
-    if phys["nu"] < 0:
-        err("physics", "nu", "must be nonnegative")
+        ask("mesh", check_grid, mesh["nx"], mesh["ny"], mesh["pattern"],
+            torus=(mesh["length"], mesh["height"]) if torus else None)
     if cfg["discretization"]["degree"] < 1:
         err("discretization", "degree", "must be at least 1")
-    if time["dt"] <= 0:
-        err("time", "dt", "must be positive")
-    if time["t_end"] < time["dt"]:
-        err("time", "t_end", "must be at least one time step")
-    if whole_steps(time["dt"], time["t_end"]) is None:
-        err("time", "t_end", "must be a whole number of time steps, "
-            f"got t_end / dt = {time['t_end'] / time['dt']:.10g}")
-    init = cfg["initial"]
+    ask("time", TimeConfig, **cfg["time"])
     if init["kind"] is None:
-        init["kind"] = "lock" if phys["mode"] == "turbidity" else "taylor_green"
-    if init["kind"] not in ("lock", "taylor_green", "random"):
+        init["kind"] = "taylor_green" if torus else "lock"
+    if init["kind"] not in INITIAL_CONDITIONS:
         err("initial", "kind", f"unknown initial condition {init['kind']!r}")
-    if phys["mode"] == "turbidity" and init["kind"] != "lock":
+    if not torus and init["kind"] != "lock":
         err("initial", "kind", "turbidity mode uses the lock initial condition")
-    if phys["mode"] == "homogeneous" and init["kind"] == "lock":
+    if torus and init["kind"] == "lock":
         err("initial", "kind", "homogeneous mode has no particles: use taylor_green or random")
-    if init["kind"] != "random" and ("initial", "seed") in lines_of:
-        err("initial", "seed", "is read only by kind = random")
-    if init["seed"] < 0:
-        err("initial", "seed", "must be nonnegative")
-    if init["interface_width"] is not None and init["interface_width"] <= 0:
-        err("initial", "interface_width", "must be positive")
+    read = [f.name for f in fields(INITIAL_CONDITIONS[init["kind"]])] + ["kind"]
+    unread([("initial", key) for key in init if key not in read], f"by kind = {init['kind']}")
+    ask("initial", initial_condition, init)
     out = cfg["output"]
     if out["csv_every"] < 1:
         err("output", "csv_every", "must be at least 1")

@@ -17,15 +17,9 @@ linearly in dt.  Without particles Ep = Es = 0 and the right side is 0,
 so `eres_gap` is E_res itself.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-CSV_COLUMNS = (
-    "step", "t", "K", "Ep", "eps_v", "eps_s", "Ev", "Es", "E_res",
-    "enstrophy", "total_vorticity", "m_p_ratio", "mdot_s", "x_f",
-    "phi_min", "phi_max", "div_inf",
-)
 
 # the Engine's running scalars, saved in checkpoints in this order
 ACCUMULATORS = ("Ev", "Es", "K_half0", "Ep0", "m_p0", "base_exchange")
@@ -54,13 +48,18 @@ class LedgerRow:
     phi_min: float
     phi_max: float
     div_inf: float
-    # audit fields (not part of the CSV schema)
+    # the audit fields, AUDIT_FIELDS, which the CSV does not hold
     mass_residual: float = 0.0
     eres_gap: float = 0.0
     exchange: float = 0.0
 
     def csv_values(self):
         return [getattr(self, name) for name in CSV_COLUMNS]
+
+
+AUDIT_FIELDS = ("mass_residual", "eres_gap", "exchange")
+# the CSV schema: every other ledger field, in order
+CSV_COLUMNS = tuple(f.name for f in fields(LedgerRow) if f.name not in AUDIT_FIELDS)
 
 
 class FrontTracker:

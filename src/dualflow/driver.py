@@ -20,16 +20,7 @@ from dataclasses import dataclass, field
 from . import io as dfio
 from .diagnostics import Engine
 from .mesh import ChannelGeometry, build_channel_mesh, build_periodic_rect_mesh, read_mesh_text
-from .stepper import (
-    LockInitialCondition,
-    Model,
-    PhysicsConfig,
-    RandomSolenoidalInitialCondition,
-    TaylorGreenInitialCondition,
-    TimeConfig,
-    initialize,
-    step,
-)
+from .stepper import Model, PhysicsConfig, TimeConfig, initial_condition, initialize, step
 
 
 def build_mesh(cfg):
@@ -46,15 +37,6 @@ def build_mesh(cfg):
 def build_model(cfg):
     mesh = build_mesh(cfg)
     return Model(mesh, cfg.discretization["degree"], PhysicsConfig(**cfg.physics), TimeConfig(**cfg.time))
-
-
-def make_initial_condition(cfg):
-    kind = cfg.initial["kind"]
-    if kind == "lock":
-        return LockInitialCondition(interface_width=cfg.initial["interface_width"])
-    if kind == "taylor_green":
-        return TaylorGreenInitialCondition()
-    return RandomSolenoidalInitialCondition(seed=cfg.initial["seed"])
 
 
 @dataclass
@@ -108,7 +90,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
         startup = None
         _maybe(log, f"resumed from {checkpoint} at step {state.k}")
     else:
-        state, startup = initialize(model, make_initial_condition(cfg))
+        state, startup = initialize(model, initial_condition(cfg.initial))
         engine = Engine(model, state)
         _maybe(log, f"startup converged in {startup.iterations} iterations "
                     f"(last update {startup.update:.3e})")

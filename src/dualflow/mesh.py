@@ -34,6 +34,19 @@ class MeshError(ValueError):
     pass
 
 
+class ParameterError(ValueError):
+    """A value refused by the one object that owns its rule: `name` is the
+    parameter, `reason` what is wrong with the value."""
+
+    def __init__(self, name, reason):
+        self.name, self.reason = name, reason
+        super().__init__(f"{name} {reason}")
+
+
+class MeshParameterError(ParameterError, MeshError):
+    """A parameter refused by the mesh's own rules."""
+
+
 @dataclass(frozen=True)
 class ChannelGeometry:
     """Nondimensional channel: length, height, and lock length.
@@ -47,12 +60,12 @@ class ChannelGeometry:
     lock_length: float = 1.0
 
     def __post_init__(self):
-        if not (self.length > self.lock_length > 0.0):
-            raise MeshError(
-                f"need length > lock_length > 0, got length={self.length}, lock_length={self.lock_length}"
-            )
-        if self.height <= 0.0:
-            raise MeshError(f"height must be positive, got {self.height}")
+        for name, value in (("length", self.length), ("height", self.height)):
+            if not value > 0.0:
+                raise MeshParameterError(name, f"must be positive, got {value}")
+        if not self.length > self.lock_length > 0.0:
+            raise MeshParameterError("lock_length", f"must lie in (0, length), got {self.lock_length} "
+                                     f"with length = {self.length}")
 
     @property
     def xmin(self):
@@ -129,15 +142,29 @@ class Mesh:
         return float(np.min(np.hypot(d[..., 0], d[..., 1])))
 
 
-def _quad_triangles(pattern):
-    """Triangles of one quad in corner order (sw, se, ne, nw[, centroid])."""
-    if pattern == "left":
-        return [(0, 1, 2), (0, 2, 3)]
-    if pattern == "right":
-        return [(0, 1, 3), (1, 2, 3)]
-    if pattern == "crisscross":
-        return [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]
-    raise MeshError(f"unknown pattern {pattern!r} (expected left, right or crisscross)")
+# the triangles of one quad per pattern, in corner order (sw, se, ne, nw[, centroid])
+QUAD_TRIANGLES = {
+    "left": [(0, 1, 2), (0, 2, 3)],
+    "right": [(0, 1, 3), (1, 2, 3)],
+    "crisscross": [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)],
+}
+
+
+def check_grid(nx, ny, pattern, torus=None):
+    """The grid rule, which both builders apply first: `pattern` is a key of
+    QUAD_TRIANGLES and a channel has at least 1 x 1 quads; a torus, of
+    extents `torus` = (length, height), has positive extents and at least
+    2 x 2 quads, as one column would wrap an edge onto itself."""
+    least = 1 if torus is None else 2
+    for name, n in (("nx", nx), ("ny", ny)):
+        if not n >= least:
+            raise MeshParameterError(name, f"must be at least {least}, got {n}")
+    if pattern not in QUAD_TRIANGLES:
+        raise MeshParameterError("pattern", f"must be one of {', '.join(QUAD_TRIANGLES)}, "
+                                 f"got {pattern!r}")
+    for name, extent in zip(("length", "height"), torus or ()):
+        if not extent > 0.0:
+            raise MeshParameterError(name, f"must be positive, got {extent}")
 
 
 def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
@@ -158,7 +185,7 @@ def _build_structured(xmin, xmax, ymin, ymax, nx, ny, pattern, periodic):
     ncy = ny if periodic else ny + 1
 
     n_grid = ncx * ncy
-    tris = np.asarray(_quad_triangles(pattern))
+    tris = np.asarray(QUAD_TRIANGLES[pattern])
     use_centroid = pattern == "crisscross"
 
     # corners (sw, se, ne, nw, centroid) of every quad, quads in (j, i) order;
@@ -214,8 +241,6 @@ def _finalize(vertices, cells, cell_coords, edge_keys, periodic):
     _, first, inverse = np.unique(edge_keys.ravel(), return_index=True, return_inverse=True)
     cell_edges = inverse.reshape(-1, 3).astype(np.int64)
     va, vb = cells[:, [0, 1, 2]].ravel(), cells[:, [1, 2, 0]].ravel()  # LOCAL_EDGES, (cell, local) order
-    if np.any(va == vb):
-        raise MeshError("degenerate edge after periodic identification (need nx, ny >= 2)")
     lo_hi = np.stack([np.minimum(va, vb), np.maximum(va, vb)], axis=1)
     edges = lo_hi[first]  # each edge as its first (cell, local) occurrence sees it
     if np.any(edges[inverse] != lo_hi):
@@ -276,8 +301,7 @@ def _tag_boundary(mesh, tol=1e-9):
 
 def build_channel_mesh(geom, nx, ny, pattern="left"):
     """Structured triangulation of the channel with tagged walls."""
-    if nx < 1 or ny < 1:
-        raise MeshError(f"resolution must be at least 1x1, got {nx}x{ny}")
+    check_grid(nx, ny, pattern)
     mesh = _build_structured(geom.xmin, geom.xmax, 0.0, geom.height, nx, ny, pattern, periodic=False)
     mesh.geometry = geom
     _tag_boundary(mesh)
@@ -285,11 +309,9 @@ def build_channel_mesh(geom, nx, ny, pattern="left"):
 
 
 def build_periodic_rect_mesh(lx, ly, nx, ny, pattern="left"):
-    """Doubly periodic rectangle [0,lx] x [0,ly]; no boundary remains."""
-    if nx < 2 or ny < 2:
-        raise MeshError(f"periodic meshes need nx, ny >= 2, got {nx}x{ny}")
-    if lx <= 0 or ly <= 0:
-        raise MeshError("periodic rectangle needs positive extents")
+    """Doubly periodic rectangle [0,lx] x [0,ly]; no boundary remains.  The
+    grid rule names lx and ly as the torus's length and height."""
+    check_grid(nx, ny, pattern, torus=(lx, ly))
     mesh = _build_structured(0.0, lx, 0.0, ly, nx, ny, pattern, periodic=True)
     if np.any(mesh.edge_cells[:, 1] < 0):
         raise MeshError("periodic identification left boundary edges behind")

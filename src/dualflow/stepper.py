@@ -119,7 +119,7 @@ import scipy.sparse as sp
 
 from . import assemble
 from .linsolve import RTOL, SolverError, lu_solve, project_out_constant
-from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS
+from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS, ParameterError
 from .spaces import (
     constant_coefficients,
     constant_velocities,
@@ -142,13 +142,6 @@ class StartupError(RuntimeError):
     pass
 
 
-def whole_steps(dt, t_end):
-    """The number of steps of length dt to t_end, or None if t_end / dt is
-    not within STEP_TOL of a whole number."""
-    n = math.floor(t_end / dt + STEP_TOL)
-    return n if t_end / dt - n <= STEP_TOL else None
-
-
 @dataclass(frozen=True)
 class PhysicsConfig:
     mode: str = "turbidity"
@@ -159,14 +152,13 @@ class PhysicsConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "turbidity":
-            if self.grashof <= 0 or self.schmidt <= 0:
-                raise ValueError("Grashof and Schmidt numbers must be positive")
-            if self.settling_velocity < 0:
-                raise ValueError("settling velocity must be nonnegative")
-        elif self.nu < 0:
-            raise ValueError("viscosity must be nonnegative")
+            raise ParameterError("mode", f"must be one of {', '.join(MODES)}, got {self.mode!r}")
+        for name, value in (("grashof", self.grashof), ("schmidt", self.schmidt)):
+            if not value > 0:
+                raise ParameterError(name, f"must be positive, got {value}")
+        for name, value in (("settling_velocity", self.settling_velocity), ("nu", self.nu)):
+            if not value >= 0:
+                raise ParameterError(name, f"must be nonnegative, got {value}")
 
     @property
     def effective_viscosity(self):
@@ -183,17 +175,23 @@ class TimeConfig:
     t_end: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least one time step")
-        if whole_steps(self.dt, self.t_end) is None:
-            raise ValueError("t_end must be a whole number of time steps, "
-                             f"got t_end / dt = {self.t_end / self.dt:.10g}")
+        if not self.dt > 0:
+            raise ParameterError("dt", f"must be positive, got {self.dt}")
+        if not self.t_end >= self.dt:
+            raise ParameterError("t_end", f"must be at least one time step, got {self.t_end}")
+        if self.num_steps is None:
+            raise ParameterError("t_end", "must be a whole number of time steps, "
+                                 f"got t_end / dt = {self.t_end / self.dt:.10g}")
 
     @property
     def num_steps(self):
-        return whole_steps(self.dt, self.t_end)
+        """The steps of length dt to t_end; None, which construction refuses,
+        if t_end / dt is not finite or not within STEP_TOL of a whole number."""
+        ratio = self.t_end / self.dt
+        if not math.isfinite(ratio):
+            return None
+        n = math.floor(ratio + STEP_TOL)
+        return n if ratio - n <= STEP_TOL else None
 
 
 @dataclass
@@ -567,8 +565,12 @@ class LockInitialCondition:
 
     interface_width: float = None
 
+    def __post_init__(self):
+        if self.interface_width is not None and not self.interface_width > 0:
+            raise ParameterError("interface_width", f"must be positive, got {self.interface_width}")
+
     def build(self, model):
-        delta = self.interface_width if self.interface_width else 2.0 * model.mesh.h_min()
+        delta = 2.0 * model.mesh.h_min() if self.interface_width is None else self.interface_width
         load = load_vector(model.W, lambda x, y: 0.5 * (1.0 - np.tanh(x / delta)),
                            2 * model.degree + 2)
         coef, rep = lu_solve(model.Nw_dt, load / model.time.dt, model.systems["transport"].lu)
@@ -602,12 +604,28 @@ class RandomSolenoidalInitialCondition:
 
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.seed >= 0:
+            raise ParameterError("seed", f"must be nonnegative, got {self.seed}")
+
     def build(self, model):
         rng = np.random.default_rng(self.seed)
         psi = rng.standard_normal(model.W.dim)
         u0 = model.curl @ psi
         scale = math.sqrt(2.0 * model.kinetic_energy(u0))
         return u0 / scale, None, 0  # unit L2 norm
+
+
+# the initial conditions by the name a configuration gives them
+INITIAL_CONDITIONS = {"lock": LockInitialCondition, "taylor_green": TaylorGreenInitialCondition,
+                      "random": RandomSolenoidalInitialCondition}
+
+
+def initial_condition(params):
+    """The initial condition of kind params["kind"], built from the entries
+    of `params` that it reads, its fields."""
+    cls = INITIAL_CONDITIONS[params["kind"]]
+    return cls(**{f.name: params[f.name] for f in fields(cls)})
 
 
 @dataclass

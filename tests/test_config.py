@@ -1,7 +1,17 @@
+import math
+
 import pytest
 
 from dualflow.config import ConfigError, parse_config
-from dualflow.stepper import TimeConfig
+from dualflow.mesh import ChannelGeometry, ParameterError, build_channel_mesh, build_periodic_rect_mesh
+from dualflow.stepper import (
+    INITIAL_CONDITIONS,
+    LockInitialCondition,
+    PhysicsConfig,
+    RandomSolenoidalInitialCondition,
+    TimeConfig,
+    initial_condition,
+)
 
 BASELINE = """\
 # paper-scale baseline parameters
@@ -272,3 +282,78 @@ def test_grid_keys_refused_with_imported_mesh_at_line(key, added):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert str(exc.value).startswith(f"line {text.splitlines().index(added) + 1}: {key}:")
+
+
+TAU = 2 * math.pi
+DESK = ChannelGeometry(13.0, 1.0, 1.0)
+OWNED = [  # (key, config, its line, the line that breaks the rule, the owner given the same value)
+    ("physics.mode", HOMOGENEOUS, "mode = homogeneous", "mode = turbulent",
+     lambda: PhysicsConfig(mode="turbulent")),
+    ("physics.grashof", BASELINE, "grashof = 5e6", "grashof = 0", lambda: PhysicsConfig(grashof=0.0)),
+    ("physics.schmidt", BASELINE, "schmidt = 1.0", "schmidt = -1", lambda: PhysicsConfig(schmidt=-1.0)),
+    ("physics.settling_velocity", BASELINE, "settling_velocity = 0.02", "settling_velocity = -0.1",
+     lambda: PhysicsConfig(settling_velocity=-0.1)),
+    ("physics.nu", HOMOGENEOUS, "nu = 0.01", "nu = -0.01",
+     lambda: PhysicsConfig(mode="homogeneous", nu=-0.01)),
+    ("time.dt", HOMOGENEOUS, "dt = 1e-3", "dt = 0", lambda: TimeConfig(0.0, 0.5)),
+    ("time.t_end", HOMOGENEOUS, "t_end = 0.5", "t_end = 1e-4", lambda: TimeConfig(1e-3, 1e-4)),
+    ("time.t_end", HOMOGENEOUS, "t_end = 0.5", "t_end = 0.5005", lambda: TimeConfig(1e-3, 0.5005)),
+    ("mesh.length", BASELINE, "length = 13.0", "length = 0", lambda: ChannelGeometry(0.0, 1.0, 1.0)),
+    ("mesh.height", BASELINE, "height = 1.0", "height = 0", lambda: ChannelGeometry(13.0, 0.0, 1.0)),
+    ("mesh.lock_length", BASELINE, "lock_length = 1.0", "lock_length = 0",
+     lambda: ChannelGeometry(13.0, 1.0, 0.0)),
+    ("mesh.lock_length", BASELINE, "lock_length = 1.0", "lock_length = 13.0",
+     lambda: ChannelGeometry(13.0, 1.0, 13.0)),
+    ("mesh.nx", BASELINE, "nx = 50", "nx = 0", lambda: build_channel_mesh(DESK, 0, 5, "crisscross")),
+    ("mesh.ny", BASELINE, "ny = 5", "ny = -2", lambda: build_channel_mesh(DESK, 50, -2, "crisscross")),
+    ("mesh.pattern", BASELINE, "pattern = crisscross", "pattern = diagonal",
+     lambda: build_channel_mesh(DESK, 50, 5, "diagonal")),
+    ("mesh.nx", HOMOGENEOUS, "nx = 16", "nx = 1", lambda: build_periodic_rect_mesh(TAU, TAU, 1, 16)),
+    ("mesh.pattern", HOMOGENEOUS, "ny = 16", "ny = 16\npattern = diagonal",
+     lambda: build_periodic_rect_mesh(TAU, TAU, 16, 16, "diagonal")),
+    ("mesh.length", HOMOGENEOUS, "length = 6.283185307179586", "length = 0",
+     lambda: build_periodic_rect_mesh(0.0, TAU, 16, 16)),
+    ("mesh.height", HOMOGENEOUS, "height = 6.283185307179586", "height = -1",
+     lambda: build_periodic_rect_mesh(TAU, -1.0, 16, 16)),
+    ("initial.interface_width", BASELINE, "dir = out", "dir = out\n[initial]\ninterface_width = 0",
+     lambda: LockInitialCondition(interface_width=0.0)),
+    ("initial.interface_width", BASELINE, "dir = out", "dir = out\n[initial]\ninterface_width = -0.1",
+     lambda: LockInitialCondition(interface_width=-0.1)),
+    ("initial.seed", HOMOGENEOUS, "t_end = 0.5", "t_end = 0.5\n[initial]\nkind = random\nseed = -1",
+     lambda: RandomSolenoidalInitialCondition(seed=-1)),
+]
+
+
+@pytest.mark.parametrize("key, base, old, new, owner", OWNED,
+                         ids=[f"{case[0]}-{case[3].splitlines()[-1]}" for case in OWNED])
+def test_each_rule_is_its_owners_at_both_entry_points(key, base, old, new, owner):
+    """The config file refuses the value at its line with the `section.key:`
+    prefix, and the object that owns the rule refuses the same value with
+    a ValueError naming the parameter; the file's message is the owner's."""
+    text = base.replace(old, new, 1)
+    assert text != base
+    bad = new.splitlines()[-1]
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(text)
+    with pytest.raises(ValueError) as from_owner:
+        owner()
+    assert isinstance(from_owner.value, ParameterError)
+    assert from_owner.value.name == key.split(".")[1]
+    line = text.splitlines().index(bad) + 1
+    assert str(from_file.value) == f"line {line}: {key}: {from_owner.value.reason}"
+
+
+@pytest.mark.parametrize("kind", sorted(INITIAL_CONDITIONS))
+def test_initial_condition_kinds_come_from_one_table(kind):
+    """Every kind of the table parses in a mode that runs it, and the driver
+    builds that kind's class from the table."""
+    base = BASELINE if kind == "lock" else HOMOGENEOUS
+    cfg = parse_config(base + f"\n[initial]\nkind = {kind}\n")
+    assert type(initial_condition(cfg.initial)) is INITIAL_CONDITIONS[kind]
+
+
+def test_unknown_initial_condition_refused_at_line():
+    text = HOMOGENEOUS + "\n[initial]\nkind = vortex\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(f"line {text.splitlines().index('kind = vortex') + 1}: initial.kind:")

@@ -217,13 +217,14 @@ def test_front_positions_match_the_oracle_on_the_desk():
     from front_oracle import front_sampler
 
     from dualflow.config import parse_config_file
-    from dualflow.driver import build_model, make_initial_condition
+    from dualflow.driver import build_model
+    from dualflow.stepper import initial_condition
 
     cfg = parse_config_file(os.path.join(os.path.dirname(__file__), "..", "configs", "lock_exchange.cfg"))
     model = build_model(cfg)
     tracker = FrontTracker(model)
     columns, sampler = front_sampler(model.mesh, model.W)
-    state, _ = initialize(model, make_initial_condition(cfg))
+    state, _ = initialize(model, initial_condition(cfg.initial))
     for _ in range(200):
         state, _, _ = step(state, model)
         averages = sampler @ state.phi

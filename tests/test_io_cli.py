@@ -9,7 +9,7 @@ from dualflow import cli, stepper
 from dualflow import io as dfio
 from dualflow.config import parse_config
 from dualflow.driver import build_model, run
-from dualflow.diagnostics import CSV_COLUMNS, Engine
+from dualflow.diagnostics import AUDIT_FIELDS, CSV_COLUMNS, Engine, LedgerRow
 from dualflow.linsolve import SolverError
 from dualflow.stepper import LockInitialCondition, SimulationState, initialize, step
 
@@ -53,6 +53,15 @@ def test_run_single_step_csv(tmp_path):
     lines = (out / "timeseries.csv").read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2  # header + exactly one data row
+
+
+def test_csv_schema_is_the_ledger_row():
+    """The CSV holds every ledger field that is not an audit field, in the
+    row's order, so that a new field cannot miss the file or the header
+    check of a resume; every audit field is a field of the row."""
+    names = [f.name for f in dataclasses.fields(LedgerRow)]
+    assert set(AUDIT_FIELDS) <= set(names)
+    assert list(CSV_COLUMNS) == [name for name in names if name not in AUDIT_FIELDS]
 
 
 def test_csv_roundtrip_exact(tmp_path):

@@ -131,6 +131,27 @@ def test_degenerate_inputs_rejected():
         build_periodic_rect_mesh(1.0, 1.0, 1, 4)
 
 
+@pytest.mark.parametrize("lx, ly, nx, ny, pattern, name", [
+    (float("nan"), 1.0, 4, 4, "left", "length"),
+    (1.0, float("nan"), 4, 4, "left", "height"),
+    (1.0, 1.0, 4, 4, "diagonal", "pattern"),
+], ids=["nan-length", "nan-height", "pattern"])
+def test_periodic_builder_applies_the_grid_rule(lx, ly, nx, ny, pattern, name):
+    """build_periodic_rect_mesh(nan, 1.0, 4, 4) built a mesh: `lx <= 0`
+    let NaN through."""
+    with pytest.raises(MeshError, match=f"^{name} must be"):
+        build_periodic_rect_mesh(lx, ly, nx, ny, pattern)
+
+
+@pytest.mark.parametrize("length, height, lock_length, name", [
+    (float("nan"), 1.0, 1.0, "length"), (13.0, float("nan"), 1.0, "height"),
+    (13.0, 1.0, float("nan"), "lock_length"),
+])
+def test_channel_geometry_refuses_nan(length, height, lock_length, name):
+    with pytest.raises(MeshError, match=f"^{name} must"):
+        ChannelGeometry(length, height, lock_length)
+
+
 def test_coordinate_frame():
     geom = ChannelGeometry(length=13.0, height=1.0, lock_length=1.0)
     mesh = build_channel_mesh(geom, 13, 1, "left")

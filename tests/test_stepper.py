@@ -12,7 +12,7 @@ from dualflow import assemble, driver, elements, linsolve, stepper
 from dualflow.assemble import assemble_mass, assemble_vorticity_convection
 from dualflow.config import parse_config, parse_config_file
 from dualflow.diagnostics import Engine
-from dualflow.driver import build_model, make_initial_condition
+from dualflow.driver import build_model
 from dualflow.mesh import (
     TAG_BOTTOM,
     WALL_TAGS,
@@ -30,6 +30,7 @@ from dualflow.stepper import (
     StartupError,
     TaylorGreenInitialCondition,
     TimeConfig,
+    initial_condition,
     initialize,
     step,
 )
@@ -106,6 +107,38 @@ def test_partial_last_step_refused_by_time_config(dt, t_end):
     t = 0.9) is refused, not cut short."""
     with pytest.raises(ValueError, match="whole number of time steps"):
         TimeConfig(dt=dt, t_end=t_end)
+
+
+@pytest.mark.parametrize("mode, name", [("turbidity", "grashof"), ("turbidity", "schmidt"),
+                                        ("turbidity", "settling_velocity"), ("homogeneous", "nu")])
+def test_physics_refuses_nan(mode, name):
+    """NaN fails every comparison, so a rule written as `x <= 0 is bad`
+    lets it through to the viscosity; each rule is written so that NaN
+    fails it."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        PhysicsConfig(mode=mode, **{name: float("nan")})
+
+
+@pytest.mark.parametrize("dt, t_end, name", [(1e-3, float("inf"), "t_end"), (float("nan"), 1.0, "dt"),
+                                             (1e-3, float("nan"), "t_end"), (float("inf"), 1.0, "t_end")])
+def test_time_config_refuses_non_finite_values_with_value_error(dt, t_end, name):
+    """t_end = inf overflowed the step count (OverflowError) and dt = nan
+    failed converting NaN to an integer: both are refused by name."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        TimeConfig(dt=dt, t_end=t_end)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1, float("nan")])
+def test_lock_refuses_a_width_that_is_not_positive(width):
+    """A negative width mirrored the lock (suspended mass 12 where it is 1)
+    and 0 silently meant the default width."""
+    with pytest.raises(ValueError, match="^interface_width must be positive"):
+        LockInitialCondition(interface_width=width)
+
+
+def test_random_start_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be nonnegative"):
+        RandomSolenoidalInitialCondition(seed=-1)
 
 
 def test_mode_mesh_mismatch_rejected():
@@ -460,7 +493,7 @@ def test_extrapolated_starts_save_passes(monkeypatch):
     4.41.  The pins below keep at least three quarters of each saving."""
     cfg = parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg"))
     model = build_model(cfg)
-    state0, _ = initialize(model, make_initial_condition(cfg))
+    state0, _ = initialize(model, initial_condition(cfg.initial))
     names = ("transport", "vorticity", "momentum")
     solves, _ = count_triangular_solves(monkeypatch)
 
@@ -523,7 +556,7 @@ def test_full_history_takes_one_pass(case, monkeypatch):
     else:
         cfg = parse_config(PERIODIC_INVISCID)
     model = build_model(cfg)
-    state, _ = initialize(model, make_initial_condition(cfg))
+    state, _ = initialize(model, initial_condition(cfg.initial))
     for _ in range(10):
         state, _, _ = step(state, model)
     assert len(state.psi_past) == stepper.LEVELS
@@ -739,7 +772,7 @@ def desk():
     """configs/lock_exchange.cfg (N=2, 1000 cells) two steps into the run."""
     cfg = parse_config_file(os.path.join(CONFIGS, "lock_exchange.cfg"))
     model = build_model(cfg)
-    state, _ = initialize(model, make_initial_condition(cfg))
+    state, _ = initialize(model, initial_condition(cfg.initial))
     for _ in range(2):
         state, _, _ = step(state, model)
     return model, state
