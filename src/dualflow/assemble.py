@@ -4,7 +4,9 @@ Every function here builds and returns; none keeps what it builds.  The
 only thing cached is a matrix sparsity pattern, computed once per
 (test space, trial space) pair of dof maps and kept on the mesh;
 repeated assembly only refills the CSR value array, in a fixed cell
-order, so all operators are bitwise reproducible.
+order, so all operators are bitwise reproducible.  A run builds one,
+the (W, W) pattern: the divergence D, whose entries are no sums, is
+written row by row without one.
 
 Every (W, W) matrix built here lies on the one cell pattern of W, its
 exact zeros kept, wall forms included (each wall edge's local matrix is
@@ -29,7 +31,8 @@ energy, the startup projection Z^T M u^0 and the torus corner H^T M H).
 The only velocity-space matrices built here are the divergence D and
 the topological curl Z; no U x U or U x W matrix is formed.
 stepper.Model builds the static operators and the linear systems
-(System) once per run, and owns them.
+(System) once per run, and owns them; a per-step System refills the
+values of its one CSR matrix each step.
 
 No form evaluates anything at quadrature points.  On an affine cell the
 maps to the reference cell reduce every form to per-cell geometry
@@ -64,7 +67,7 @@ import scipy.sparse as sp
 
 from . import kernels
 from .elements import LOCAL_EDGES, form_tensor, reference_curl, skew_tensors
-from .linsolve import CachedLU, SolverError, lu_solve
+from .linsolve import CachedLU, ScaledLU, SolverError, lu_solve
 from .mesh import TAG_BOTTOM, TAG_TOP
 from .spaces import constant_velocities
 
@@ -151,12 +154,11 @@ def _tensor(test, trial, derivative=(False, False), on_edges=False):
                        (trial.family, trial.degree, derivative[1]), on_edges)
 
 
-def _form(test, trial, coef, derivative=(False, False), cells=None):
-    """The (test, trial) matrix whose cells' local matrices are coef @ T,
-    RT signs applied, T = elements.form_tensor of the two spaces' bases
-    (each differentiated if `derivative` says so): one row of coef per
-    cell or, on a wall, per edge, `cells` its owner, against the tensor
-    of the three local edges."""
+def _local(test, trial, coef, derivative=(False, False), cells=None):
+    """The local matrices coef @ T, RT signs applied, T =
+    elements.form_tensor of the two spaces' bases (each differentiated if
+    `derivative` says so): one row of coef per cell or, on a wall, per
+    edge, `cells` its owner, against the tensor of the three local edges."""
     T = _tensor(test, trial, derivative, cells is not None)
     which = slice(None) if cells is None else cells
     local = kernels.contraction(coef, T).reshape(len(coef), test.element.ndof, trial.element.ndof)
@@ -165,7 +167,13 @@ def _form(test, trial, coef, derivative=(False, False), cells=None):
     # and P2 mass forms) are made exactly zero, so that a factor drops them
     size = np.abs(local)
     local[size <= 1e-14 * size.max(axis=(1, 2), keepdims=True)] = 0.0
-    return _pattern(test, trial).build(local, cells)
+    return local
+
+
+def _form(test, trial, coef, derivative=(False, False), cells=None):
+    """The (test, trial) matrix of the local matrices of _local, summed on
+    the pair's pattern."""
+    return _pattern(test, trial).build(_local(test, trial, coef, derivative, cells), cells)
 
 
 def _mass_coefficients(space):
@@ -200,12 +208,24 @@ def assemble_curlcurl(space):
 
 def assemble_div(U, Q):
     """Divergence pairing D[q, u] = <div u, q>, metric-free: det J cancels
-    the Piola 1/det J."""
+    the Piola 1/det J.
+
+    A DG function lives on one cell, so row q of D is its cell's local
+    row, on that cell's RT dofs, and no entry is a sum: the CSR arrays
+    are written row by row, each cell's RT dofs sorted once, zeros kept,
+    with no pattern."""
     if U.mesh is not Q.mesh:
         raise ValueError("velocity and pressure spaces live on different meshes")
     if Q.degree != U.degree - 1:
         raise ValueError(f"incompatible pair RT_{U.degree} / DG_{Q.degree}")
-    return _form(Q, U, np.ones((U.mesh.num_cells, 1)), (False, True))
+    local = _local(Q, U, np.ones((U.mesh.num_cells, 1)), (False, True))
+    n = U.element.ndof
+    order = np.argsort(U.cell_dofs, axis=1)
+    data, indices = np.empty((Q.dim, n)), np.empty((Q.dim, n), dtype=np.int32)
+    data[Q.cell_dofs] = np.take_along_axis(local, order[:, None, :], axis=2)
+    indices[Q.cell_dofs] = np.take_along_axis(U.cell_dofs, order, axis=1)[:, None, :]
+    indptr = n * np.arange(Q.dim + 1, dtype=np.int32)
+    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(Q.dim, U.dim))
 
 
 def curl_matrix(W, U):
@@ -318,12 +338,15 @@ def assemble_vorticity_convection(u, U, W):
 
 class System:
     """One named linear system of a run: its CSR pattern, its static part
-    S, the CachedLU of S and the solve.  A per-step system is S + scale K,
-    with K given each step as values on the cell pattern (skew_values)."""
+    S, the factor its solves refine against (a CachedLU of S, or another
+    system's, see sharing_factor) and the solve.  A per-step system is S +
+    scale K, with K given each step as values on the cell pattern
+    (skew_values), refilled into the one CSR matrix the system owns."""
 
-    def __init__(self, name, static, take=None):
+    def __init__(self, name, static, take=None, lu=None):
         self.name, self.static, self.take = name, static, take  # take: see on_cells
-        self.lu = CachedLU(static)
+        self.lu = CachedLU(static) if lu is None else lu
+        self._A = sp.csr_matrix((static.data.copy(), static.indices, static.indptr), shape=static.shape)
 
     @classmethod
     def on_cells(cls, name, space, static, dofs=None, corner=None):
@@ -370,24 +393,42 @@ class System:
         matrix = sp.csr_matrix((static[src], cols.astype(np.int32), indptr), shape=(size, size))
         return cls(name, matrix, None if np.array_equal(src, np.arange(len(src))) else src)
 
-    def skew_values(self, values, border=None):
-        """K's CSR values on this pattern."""
+    def sharing_factor(self, name, static, c):
+        """The System `name` on this border-free system's restriction, its
+        index arrays and take, with `static`, values on the cell pattern,
+        near c S: refined against this system's factor as one of c S
+        (linsolve.ScaledLU), so that it factors nothing of its own."""
+        S = self.static
+        data = static if self.take is None else static[self.take]
+        return System(name, sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape), self.take,
+                      ScaledLU(self.lu, c))
+
+    def skew_values(self, values, border=None, out=None):
+        """K's CSR values on this pattern, written into `out` if given."""
         if border is not None:
             m = len(border) - border.shape[1]
             corner = np.triu(border[m:], 1)
             values = np.concatenate([values, border[:m].ravel(), -border[:m].ravel(),
                                      (corner - corner.T).ravel()])
-        return values if self.take is None else values[self.take]
+        if out is None:
+            return values if self.take is None else values[self.take]
+        if self.take is None:
+            np.copyto(out, values)
+        else:
+            np.take(values, self.take, out=out, mode="clip")  # in range: "raise" would buffer out
+        return out
 
     def matrix(self, scale, values, border=None):
-        """S + scale K, with K given as in skew_values."""
-        S = self.static
-        data = scale * self.skew_values(values, border)
-        data += S.data
-        return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
+        """S + scale K, with K given as in skew_values: the system's own CSR
+        matrix, its values refilled in place (K gathered, scaled, plus S),
+        so that a step builds no matrix; the previous call's is overwritten."""
+        data = self.skew_values(values, border, out=self._A.data)
+        data *= scale
+        data += self.static.data
+        return self._A
 
     def solve(self, rhs, x0=None, scale=None, skew_values=None, border=None):
-        """(x, report) of (S + scale K) x = rhs, refined against S's factor from x0 if given."""
+        """(x, report) of (S + scale K) x = rhs, refined against the system's factor from x0 if given."""
         A = self.static if skew_values is None else self.matrix(scale, skew_values, border)
         try:
             return lu_solve(A, rhs, self.lu, x0=x0)
@@ -412,11 +453,13 @@ def assemble_wall_mass(space, tag):
     return _form(space, space, onehot * np.hypot(tang[:, 0], tang[:, 1])[:, None], cells=cells)
 
 
-def assemble_particle_drift(u_s, U, W):
+def assemble_particle_drift(u_s, U, W, bottom):
     """Static part of the particle transport operator: the skew convection
     u_s C(I e_g) by the settling drift, I e_g the gravity direction in U
     (spaces.constant_velocities: RT holds constants), plus the settling terms
-    u_s (B_top + B_bottom) / 2 on the top and bottom walls.
+    u_s (B_top + B_bottom) / 2 on the top and bottom walls, with `bottom`
+    B_bottom = assemble_wall_mass(W, TAG_BOTTOM), which the caller also
+    integrates over the bottom wall with.
 
     The transport operator is C(u) + this drift: the volume part is the
     skew part of <w_b, div(u_p w_a)> with u_p = u + u_s e_g, which is
@@ -427,9 +470,8 @@ def assemble_particle_drift(u_s, U, W):
     if u_s < 0:
         raise ValueError(f"settling speed must be nonnegative, got {u_s}")
     B1 = assemble_wall_mass(W, TAG_TOP).data
-    B3 = assemble_wall_mass(W, TAG_BOTTOM).data
     C = assemble_vorticity_convection(constant_velocities(U) @ GRAVITY, U, W)
-    return _pattern(W, W).matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * B3))
+    return _pattern(W, W).matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * bottom.data))
 
 
 def assemble_directional_gradient(W, v, transposed=False):

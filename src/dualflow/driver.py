@@ -103,13 +103,17 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     mark, mark_k = time.perf_counter(), state.k  # wall clock at the last progress line
     passes = 0  # refinement passes of the steps since the last progress line
     writer = dfio.CsvWriter(csv_path, append=checkpoint is not None)
+    # snapshot 0 of a fresh run is written once step 1 has solved its om~,
+    # curl_h psi^{1/2} (solved for the snapshot without particles)
+    snapshot_0 = startup is not None and out["vtk_every"] > 0
     try:
-        if startup is not None and out["vtk_every"] > 0:
-            p, rep = startup.pressure()
-            fallbacks += rep.fallback + _write_snapshot(model, outdir, state, state.psi_0, p)
         while state.k < nsteps:
             prev = state
             state, reports, omega_tilde = step(state, model)
+            if snapshot_0:
+                p, rep = startup.pressure()
+                fallbacks += rep.fallback + _write_snapshot(model, outdir, prev, prev.psi_0, p, omega_tilde)
+                snapshot_0 = False
             fallbacks += sum(rep.fallback for rep in reports.values())
             passes += sum(rep.refinements for rep in reports.values())
             row = engine.update(prev, state)

@@ -8,7 +8,9 @@ pattern, zeros and all), is solved by refinement against the
 factor of S: from a given start x0, or else from x = S^-1 b, passes
 x += S^-1 (b - A x), one mat-vec with A and one triangular solve each.
 A warm start from x0 saves the first triangular solve, and a closer x0
-saves passes; a cold start takes refinements + 1 of them.  Each pass
+saves passes; a cold start takes refinements + 1 of them.  A factor of
+N serves a matrix near c N too, seen through a ScaledLU as N^-1 / c: the
+weak curl's mass N serves the vorticity system, near N/dt.  Each pass
 cuts the residual by the contraction of I - S^-1 A, about 1/3700 for the
 desk's transport and vorticity systems and 1/50000 for its momentum
 system (of the order of 1/100 on the periodic box), so a start that
@@ -84,6 +86,23 @@ class CachedLU:
 
     def solve(self, rhs):
         return self._lu.solve(rhs)
+
+
+class ScaledLU:
+    """A CachedLU of N seen as a factor of c N, c > 0, for a matrix near c N:
+    solve(r) = N^-1 r / c, and the norm c ||N||_inf keeps the roundoff
+    floor of refinement.  It is the exact factor of no matrix a solve is
+    given (matrix is None), so every solve against it refines, and a miss
+    falls back to a fresh factor as against any other."""
+
+    matrix = None
+
+    def __init__(self, lu, c):
+        self.lu, self.c = lu, c
+        self.norm = c * lu.norm
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs) / self.c
 
 
 def _inf(r):

@@ -37,16 +37,18 @@ the curl of a CG function lying in RT exactly (the exact sequence
 below), so the weak curl of u = Z psi has the load Lc^T Z psi = L psi,
 with psi on its CG dofs.
 
-No matrix is factored inside the time loop, and the only sparse
-matrices formed there are the per-step systems, one CSR matrix each,
-S + scale K:
+No matrix is factored or formed inside the time loop: each per-step
+system owns one CSR matrix, S + scale K, whose values a step refills in
+place,
 
   transport   S = N/dt + (drift + kappa L)/2,  K = C,          scale 1/2
   vorticity   S = (N/dt + nu L/2) on iw,       K = C on iw,    scale 1/2
   momentum    S = Z^T M Z = L on psi,          K = Z^T R Z,    scale dt/2
 
 Each S is value arithmetic on the one (W, W) cell pattern, and each
-system gathers S, and each step K, onto its own pattern by one index.
+system gathers S, and each step K, onto its own pattern by one index;
+the vorticity system takes the weak curl's restriction to iw, its index
+arrays and that index.
 The momentum S is L: by the exact sequence below Z^T M Z is the
 curl-curl form, and on the torus the curls are orthogonal to the
 constant velocities H, so its border is zero but for the corner
@@ -55,11 +57,13 @@ H^T M H.  K is exactly skew: C, and Z^T R Z assembled per cell
 columns Z^T R H, is linear in omega alone, since H holds the constants
 e_x, e_y: (Z^T R e_j)_k = -<omega, e_j . grad w_k>, two static forms
 built once, and the corner e_x^T R e_y = -<omega, 1>.  No step applies
-R to a velocity.  Each System factors its S once,
+R to a velocity.  Each System but vorticity factors its S once,
 and its solve is refined against that factor (linsolve.lu_solve), one
 mat-vec and one triangular solve per pass, none without K (curl and
-pressure); a fallback factors the same matrix afresh, and a failure
-names its system.  All three solve for the midpoint m = (x^{k+1} +
+pressure).  The vorticity S is near N/dt, N/dt itself when nu = 0, so
+it refines against the weak curl's factor of N seen as one of N/dt
+(linsolve.ScaledLU), and a run factors one matrix fewer.  A fallback
+factors the same matrix afresh, and a failure names its system.  All three solve for the midpoint m = (x^{k+1} +
 x^k)/2: transport and vorticity A m = (N/dt) x^k + s/2, with s the
 sources, and momentum step 4a below, multiplied by dt, so that one
 factor of L on psi serves dt and the startup's dt/2.  A pass cuts the
@@ -304,11 +308,13 @@ class Model:
         self.Nw_y = self.Nw @ y  # <w_i, y>
 
         # the static parts below are values on the (W, W) cell pattern,
-        # which Nw, L and the drift lie on; a step adds a skew part
+        # which Nw, L and the drift lie on; a step adds a skew part.  The
+        # vorticity static, near N/dt, refines against the weak curl's N
         Nw_dt, L = self.Nw_dt.data, self.L.data
         on_cells = assemble.System.on_cells
-        self.systems = {"curl": on_cells("curl", self.W, self.Nw.data, self.iw),
-                        "vorticity": on_cells("vorticity", self.W, Nw_dt + 0.5 * (self.nu * L), self.iw)}
+        curl = on_cells("curl", self.W, self.Nw.data, self.iw)
+        self.systems = {"curl": curl, "vorticity": curl.sharing_factor(
+            "vorticity", Nw_dt + 0.5 * (self.nu * L), 1.0 / time.dt)}
 
         # the constant (harmonic) velocities e_x, e_y, which the torus's stream function misses
         self.harmonic = corner = self.border = None
@@ -325,11 +331,12 @@ class Model:
                  for e in ((-1.0, 0.0), (0.0, -1.0))], format="csr")
 
         if physics.mode == "turbidity":
-            self.drift = assemble.assemble_particle_drift(physics.settling_velocity, self.U, self.W)
+            bottom = assemble.assemble_wall_mass(self.W, TAG_BOTTOM)
+            self.drift = assemble.assemble_particle_drift(physics.settling_velocity, self.U, self.W, bottom)
             self.baroclinic = assemble.assemble_baroclinic(self.W)
             self.neumann = assemble.assemble_vorticity_neumann(self.W)
             # B_bottom^T 1: the integral over Gamma3 of each CG function
-            self.bottom_weights = assemble.assemble_wall_mass(self.W, TAG_BOTTOM).T @ self.ones_w
+            self.bottom_weights = bottom.T @ self.ones_w
             self.grad_dot_g = -(self.L @ y)  # <grad w_i, e_g>, e_g = -grad y
             self.systems["transport"] = on_cells(
                 "transport", self.W, Nw_dt + 0.5 * (self.drift.data + self.kappa * L))

@@ -1,9 +1,18 @@
 """The sparsity patterns as first built, kept as oracles for
-assemble._Pattern and assemble.System.on_cells: the CSR pattern of a
-pair of dof maps from np.unique of the (row, column) keys, and a
-system's pattern from an np.lexsort of every entry, border included."""
+assemble._Pattern, assemble.System.on_cells and assemble.assemble_div:
+the CSR pattern of a pair of dof maps from np.unique of the (row,
+column) keys, a system's pattern from an np.lexsort of every entry,
+border included, and the divergence summed on its (DG, RT) cell
+pattern."""
 
 import numpy as np
+
+from dualflow import assemble
+
+
+def divergence(U, Q):
+    """D[q, u] = <div u, q> as a form summed on the (Q, U) cell pattern."""
+    return assemble._form(Q, U, np.ones((U.mesh.num_cells, 1)), (False, True))
 
 
 def cell_pattern(row_dofs, col_dofs, shape):

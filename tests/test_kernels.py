@@ -287,7 +287,8 @@ def test_particle_operator_matches_oracle(case):
     """The transport operator as the step builds it: skew(G(u)) + drift."""
     u_s = 0.02
     A = convection_matrix(case.u, case.U, case.W)
-    A = A + assemble.assemble_particle_drift(u_s, case.U, case.W)
+    bottom = assemble.assemble_wall_mass(case.W, TAG_BOTTOM)
+    A = A + assemble.assemble_particle_drift(u_s, case.U, case.W, bottom)
     assert_close(A, o_particle(case.u, u_s, case.U, case.W, case.q, case.b))
 
 

@@ -9,6 +9,7 @@ from dualflow.assemble import (
     assemble_mass,
     assemble_particle_drift,
     assemble_vorticity_neumann,
+    assemble_wall_mass,
 )
 from dualflow.mesh import (
     TAG_BOTTOM,
@@ -202,7 +203,7 @@ def test_vorticity_convection_conserves_constants(channel):
 def particle_transport(u, u_s, U, W):
     """The particle transport operator as the step builds it."""
     C = convection_matrix(u, U, W)
-    return C + assemble_particle_drift(u_s, U, W)
+    return C + assemble_particle_drift(u_s, U, W, assemble_wall_mass(W, TAG_BOTTOM))
 
 
 def test_particle_convection_zero_inputs(channel):
@@ -210,7 +211,7 @@ def test_particle_convection_zero_inputs(channel):
     A = particle_transport(np.zeros(U.dim), 0.0, U, W)
     assert abs(A).max() == 0.0
     with pytest.raises(ValueError):
-        assemble_particle_drift(-0.1, U, W)
+        assemble_particle_drift(-0.1, U, W, assemble_wall_mass(W, TAG_BOTTOM))
 
 
 @pytest.mark.parametrize("N", [1, 2])

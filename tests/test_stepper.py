@@ -21,7 +21,7 @@ from dualflow.mesh import (
     build_periodic_rect_mesh,
     read_mesh_text,
 )
-from dualflow.spaces import free_dofs, wall_trace_dofs
+from dualflow.spaces import free_dofs, make_space, wall_trace_dofs
 from dualflow.stepper import (
     LockInitialCondition,
     Model,
@@ -385,12 +385,13 @@ seed = 4
 @pytest.mark.parametrize("vtk_every", [0, 1])
 @pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
 def test_setup_factors_what_the_run_solves(mode, vtk_every, tmp_path, factorizations, monkeypatch):
-    """driver.run factors each static system in set-up, and D D^T too if
+    """driver.run factors each static system in set-up but the vorticity
+    system, which refines against the weak curl's factor, and D D^T too if
     and only if it writes snapshots, fresh or resumed, before its budget
     Engine exists.  The lock start factors nothing of its own, and no
     step factors anything.  A run without snapshots solves no pressure; one with
     snapshots solves one per snapshot."""
-    static = 4 if mode == "turbidity" else 3  # curl, vorticity, momentum and transport
+    static = 3 if mode == "turbidity" else 2  # curl, momentum and transport
     at_engine, pressures = [], []
 
     def built(model):
@@ -612,7 +613,7 @@ def test_large_step_falls_back_to_a_fresh_factor(monkeypatch, factorizations):
     def recorded(A, b, factor=None, x0=None):
         before = len(factorizations)
         x, rep = lu_solve(A, b, factor, x0=x0)
-        solves.append((A, b, x, rep, len(factorizations) - before))
+        solves.append((A.copy(), b, x, rep, len(factorizations) - before))  # A is refilled each step
         return x, rep
 
     lu_solve = assemble.lu_solve
@@ -1045,7 +1046,8 @@ def test_patterns_match_their_oracles(case, N, monkeypatch):
     """Every cell pattern and every per-step system pattern a Model builds
     is the one np.unique and np.lexsort built (tests/pattern_oracle.py):
     the same scatter positions, CSR arrays, static values and take, the
-    torus's momentum border included."""
+    torus's momentum border included, and the vorticity system's, which
+    on_cells does not build: it takes the weak curl's restriction."""
     patterns, systems = [], []
 
     class Pattern(assemble._Pattern):
@@ -1064,18 +1066,52 @@ def test_patterns_match_their_oracles(case, N, monkeypatch):
     monkeypatch.setattr(assemble, "_Pattern", Pattern)
     monkeypatch.setattr(assemble.System, "on_cells", recorded)
     mesh, physics = oracle_case(case)
-    Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0))
-    assert len(patterns) == sum(key[0] == "pattern" for key in mesh._cache) == 2
+    model = Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0))
+    assert len(patterns) == sum(key[0] == "pattern" for key in mesh._cache) == 1
     for pattern, (pos, indices, indptr) in patterns:
         assert np.array_equal(pattern.pos, pos)
         assert np.array_equal(pattern.indices, indices) and np.array_equal(pattern.indptr, indptr)
-    assert len(systems) == (4 if physics.mode == "turbidity" else 3)
+    assert len(systems) == (3 if physics.mode == "turbidity" else 2)
     assert any(corner is not None for _, corner, _ in systems) == mesh.periodic
+    full = assemble._pattern(model.W, model.W)
+    vorticity = model.Nw_dt.data + 0.5 * (model.nu * model.L.data)
+    systems.append((model.systems["vorticity"], None,
+                    pattern_oracle.system_pattern(full, model.W.dim, vorticity, model.iw)))
     for system, _, (data, indices, indptr, take) in systems:
         S = system.static
         assert np.array_equal(S.data, data)
         assert np.array_equal(S.indices, indices) and np.array_equal(S.indptr, indptr)
         assert (system.take is None and take is None) or np.array_equal(system.take, take)
+
+
+@pytest.mark.parametrize("case, N", [("desk", 1), ("desk", 2), ("torus", 1), ("torus", 2), ("sim1", 2)])
+def test_divergence_matches_its_pattern_oracle(case, N):
+    """D, written row by row without a pattern, is the form summed on its
+    (DG, RT) cell pattern (tests/pattern_oracle.py) byte for byte: its
+    values, indices and row pointers, dtypes included."""
+    mesh, _ = oracle_case(case)
+    U, Q = make_space(mesh, "RT", N), make_space(mesh, "DG", N - 1)
+    D, oracle = assemble.assemble_div(U, Q), pattern_oracle.divergence(U, Q)
+    assert D.shape == oracle.shape
+    for name in ("data", "indices", "indptr"):
+        ours, theirs = getattr(D, name), getattr(oracle, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["desk", "box"])
+def test_vorticity_refines_against_the_weak_curls_factor(case, request):
+    """The vorticity system factors nothing of its own: it refines against
+    the weak curl's factor of N seen as one of N/dt, and its solve matches
+    a solve against a factor of its own static to 1e-13 of its size."""
+    model, state = request.getfixturevalue(case)
+    system = model.systems["vorticity"]
+    assert system.lu.lu is model.systems["curl"].lu and system.lu.c == 1.0 / model.time.dt
+    C = assemble_vorticity_convection(state.u_half, model.U, model.W)
+    rhs = (model.Nw_dt @ state.omega)[model.iw]
+    x, rep = system.solve(rhs, scale=0.5, skew_values=C)
+    y, own = linsolve.lu_solve(system.matrix(0.5, C), rhs, linsolve.CachedLU(system.static))
+    assert not rep.fallback and not own.fallback and rep.refinements >= 1
+    assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
 
 
 def set_up_config(case, outdir):
@@ -1096,17 +1132,35 @@ def set_up_config(case, outdir):
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
-def test_run_builds_only_the_cg_and_divergence_patterns(case, tmp_path):
-    """A run's set-up, its snapshots' pressures included, builds two cell
-    patterns, CG x CG and DG x RT (the divergence D): M, B and R are
-    applied per cell and the pressure's mean takes the integrals <q_i, 1>,
-    so no RT x RT, RT x CG or DG x DG pattern is built."""
+def test_run_builds_only_the_cg_pattern(case, tmp_path):
+    """A run's set-up, its snapshots' pressures included, builds one cell
+    pattern, CG x CG: the divergence D is written row by row, M, B and R
+    are applied per cell and the pressure's mean takes the integrals
+    <q_i, 1>, so no DG x RT, RT x RT, RT x CG or DG x DG pattern is built."""
     result = driver.run(set_up_config(case, tmp_path), collect_rows=False)
     N = result.model.degree
     patterns = {key for key in result.model.mesh._cache if key[0] == "pattern"}
-    assert patterns == {("pattern", "CG", N, "CG", N), ("pattern", "DG", N - 1, "RT", N)}
+    assert patterns == {("pattern", "CG", N, "CG", N)}
     if case == "desk":
         assert "pressure" in result.model.systems and len(os.listdir(tmp_path)) > 1
+
+
+def test_snapshot_0_takes_the_weak_curl_of_step_1(tmp_path, monkeypatch):
+    """One desk step writing a snapshot every step solves curl_h once for
+    omega^0, once per startup pass after the first and once in step 1,
+    whose om~ = curl_h psi^{1/2} snapshot 0 writes: it solves none of its
+    own."""
+    calls = []
+    curl_h = Model.curl_h
+
+    def counted(model, psi):
+        calls.append(psi)
+        return curl_h(model, psi)
+
+    monkeypatch.setattr(Model, "curl_h", counted)
+    result = driver.run(set_up_config("desk", tmp_path), collect_rows=False)
+    assert {"snapshot_00000000.vtk", "snapshot_00000001.vtk"} <= set(os.listdir(tmp_path))
+    assert len(calls) == 1 + (result.startup.iterations - 1) + 1
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])
@@ -1138,9 +1192,9 @@ def test_momentum_static_is_curlcurl_on_psi(case, request):
 
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
-    """Without a fallback a step constructs one compressed sparse matrix per
-    per-step system, holding its rotation or convection, and none of the
-    size of the velocity space: the momentum load is formed in W."""
+    """Without a fallback a step constructs no compressed sparse matrix:
+    each per-step system refills its own matrix with its rotation or
+    convection, and the momentum load is formed in W."""
     model, state = request.getfixturevalue(case)
     built = []
     init = _cs_matrix.__init__
@@ -1153,9 +1207,7 @@ def test_step_builds_only_rotation_and_convection(case, request, monkeypatch):
     _, reports, _ = step(state, model)
     monkeypatch.undo()
     assert not any(rep.fallback for rep in reports.values())
-    names = ["momentum", "vorticity"] + (["transport"] if model.physics.mode == "turbidity" else [])
-    assert (model.U.dim, model.U.dim) not in built
-    assert sorted(built) == sorted(model.systems[name].static.shape for name in names)
+    assert built == []
 
 
 class Forbidden:
@@ -1405,7 +1457,7 @@ def test_pressure_factor_fill_below_colamd(desk, factorizations):
     assert ours.nnz < colamd.nnz
 
 
-@pytest.mark.parametrize("name", ["curl", "vorticity", "momentum", "transport", "pressure", "torus momentum"])
+@pytest.mark.parametrize("name", ["curl", "momentum", "transport", "pressure", "torus momentum"])
 def test_factor_settings_change_time_alone(desk, factorizations, name):
     """CachedLU's SuperLU panel size and relaxation leave the factor's
     fill and its answers as scipy's defaults have them, under the same
