@@ -1,16 +1,17 @@
 """Run configuration: INI-style text with strict validation.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  This
-module keeps the file's own rules: grammar, types, finite floats,
-unknown, duplicate and unread keys, required keys, the initial-condition
-kind against the mode, `degree >= 1` and the output cadences.  Every
-other value has one owner (PhysicsConfig, TimeConfig, ChannelGeometry,
-mesh.check_grid, the initial condition), built here once, whose
-ParameterError is reported as `line N: section.key: reason`.
+module keeps the file's own rules: grammar, empty values, types, finite
+floats, unknown, duplicate and unread keys, required keys, the
+initial-condition kind against the mode, `degree >= 1` and the output
+cadences.  Every other value has one owner (PhysicsConfig, TimeConfig,
+ChannelGeometry, mesh.check_grid, the initial condition), built here
+once, whose ParameterError is reported as `line N: section.key: reason`.
+A key that is an owner's dataclass field has that field's type and default.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .mesh import ChannelGeometry, ParameterError, check_grid
 from .stepper import INITIAL_CONDITIONS, PhysicsConfig, TimeConfig, initial_condition
@@ -23,37 +24,31 @@ class ConfigError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-# (type, default) per key; REQUIRED means the key must be present.
+# (type, default) per key, its field's where a dataclass owns the key; REQUIRED means the key must be present.
 REQUIRED = object()
+
+
+def _owned(*owners):
+    """The owners' dataclass fields as keys: (type, default), REQUIRED if none."""
+    return {f.name: (f.type, REQUIRED if f.default is MISSING else f.default) for o in owners for f in fields(o)}
+
 
 SCHEMA = {
     "mesh": {
-        "length": (float, REQUIRED),
-        "height": (float, 1.0),
-        "lock_length": (float, 1.0),
+        **_owned(ChannelGeometry),
         "nx": (int, None),  # required unless the mesh is imported
         "ny": (int, None),
         "pattern": (str, "left"),
         "import": (str, None),
     },
-    "physics": {
-        "mode": (str, "turbidity"),
-        "grashof": (float, 5.0e6),
-        "schmidt": (float, 1.0),
-        "settling_velocity": (float, 0.02),
-        "nu": (float, 0.0),
-    },
+    "physics": _owned(PhysicsConfig),
     "discretization": {
         "degree": (int, 2),
     },
-    "time": {
-        "dt": (float, REQUIRED),
-        "t_end": (float, REQUIRED),
-    },
+    "time": _owned(TimeConfig),
     "initial": {
-        "interface_width": (float, None),
         "kind": (str, None),  # a key of stepper.INITIAL_CONDITIONS; default by mode
-        "seed": (int, 0),
+        **_owned(*INITIAL_CONDITIONS.values()),
     },
     "output": {
         "dir": (str, "out"),
@@ -112,6 +107,8 @@ def parse_config(text):
             raise ConfigError(f"unknown key {section}.{key}", lineno)
         if key in values[section]:
             raise ConfigError(f"duplicate key {section}.{key}", lineno)
+        if not val:
+            raise ConfigError(f"{section}.{key}: empty value", lineno)
         typ, _default = SCHEMA[section][key]
         try:
             parsed = typ(val)

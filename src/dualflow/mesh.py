@@ -284,7 +284,8 @@ def _finalize(vertices, cells, cell_coords, edge_keys, periodic):
 
 def _tag_boundary(mesh, tol=1e-9):
     """Tag each boundary edge with the wall of `mesh.geometry` its midpoint
-    lies on, first match of top, right, bottom, left; refuse any other."""
+    lies on, first match of top, right, bottom, left; refuse any other,
+    and a mesh with no edge on some wall."""
     geom = mesh.geometry
     bnd = np.flatnonzero(mesh.edge_cells[:, 1] < 0)
     c = mesh.edge_cells[bnd, 0]
@@ -296,6 +297,9 @@ def _tag_boundary(mesh, tol=1e-9):
     if not tags.all():
         k = np.argmin(tags)
         raise MeshError(f"boundary edge {bnd[k]} at {mid[k]} does not lie on a channel wall")
+    for tag, wall in zip(WALL_TAGS, ("top", "right", "bottom", "left")):
+        if tag not in tags:
+            raise MeshError(f"no boundary edge lies on the {wall} wall of the channel")
     mesh.edge_tags[bnd] = tags
 
 
@@ -338,8 +342,8 @@ def read_mesh_text(text, geom):
 
     The mesh must fill the channel `geom`, [-lock_length, length - lock_length]
     x [0, height]: every boundary edge must lie on one of its walls
-    (tolerance 1e-9), which also tags it.  Negatively oriented cells are
-    reoriented.
+    (tolerance 1e-9), which also tags it, and every wall must have one.
+    Negatively oriented cells are reoriented.
     """
     tokens = text.split()
     if len(tokens) < 3:
@@ -348,6 +352,8 @@ def read_mesh_text(text, geom):
         nv, ne, nc = (int(t) for t in tokens[:3])
     except ValueError as exc:
         raise MeshError(f"bad mesh header: {exc}") from None
+    if min(nv, ne, nc) < 0:
+        raise MeshError(f"bad mesh header: counts must be nonnegative, got 'V E C' = {nv} {ne} {nc}")
     need = 3 + 2 * nv + 3 * nc
     if len(tokens) != need:
         raise MeshError(f"mesh file has {len(tokens)} fields, expected {need}")

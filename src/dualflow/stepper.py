@@ -367,14 +367,10 @@ class Model:
     def D_r(self):
         return self.D if self.mesh.periodic else self.D[:, self.iu].tocsr()  # a torus fixes no dof
 
-    @cached_property
-    def D_rt(self):
-        return self.D_r.T.tocsr()
-
     def pressure_system(self):
         if "pressure" not in self.systems:  # D D^T annihilates the constant pressure: pin dof 0
-            DDt = (self.D_r @ self.D_rt)[1:, 1:].tocsr()
-            self.systems["pressure"] = assemble.System("pressure", DDt)
+            P = self.D_r[1:]
+            self.systems["pressure"] = assemble.System("pressure", P @ P.T)
             self.q_integrals = assemble.assemble_integrals(self.Q)  # <q_i, 1>, for the mean
         return self.systems["pressure"]
 
@@ -483,7 +479,7 @@ class Model:
         p = np.zeros(self.Q.dim)
         p[1:], rep = self.pressure_system().solve((self.D_r @ r)[1:])
         p = project_out_constant(p, self.q_integrals, self.area)
-        rep.residual = float(np.max(np.abs(r - self.D_rt @ p)))
+        rep.residual = float(np.max(np.abs(r - self.D_r.T @ p)))
         if rep.residual > RTOL * (1.0 + float(np.max(np.abs(r)))):
             raise SolverError(f"pressure: ||r - D^T p||_inf = {rep.residual:.3e}: "
                               "the velocity does not solve the momentum step")

@@ -1,11 +1,11 @@
-"""The sparsity patterns as first built, kept as oracles for
-assemble._Pattern, assemble.System.on_cells and assemble.assemble_div:
-the CSR pattern of a pair of dof maps from np.unique of the (row,
-column) keys, a system's pattern from an np.lexsort of every entry,
-border included, and the divergence summed on its (DG, RT) cell
-pattern."""
+"""Oracles for assemble._Pattern, assemble.System.on_cells and
+assemble.assemble_div, each built another way: the CSR pattern of a pair
+of dof maps from np.unique of the (row, column) keys, a system's pattern
+by scipy slicing and sp.bmat, and the divergence summed on its (DG, RT)
+cell pattern."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from dualflow import assemble
 
@@ -30,27 +30,21 @@ def cell_pattern(row_dofs, col_dofs, shape):
 
 def system_pattern(full, dim, static, dofs=None, corner=None):
     """(data, indices, indptr, take) of the static part of a System on the
-    cell pattern `full` of a space of `dim` dofs."""
-    rows = np.repeat(np.arange(dim), np.diff(full.indptr))
-    cols, src = full.indices, np.arange(full.nnz)
+    cell pattern `full` of a space of `dim` dofs, built by scipy: the CSR
+    matrix of pattern positions plus 1 is sliced to `dofs`, and a border
+    of `len(corner)` rows and columns, numbered on after the pattern as
+    `System.on_cells` numbers K's border values, is added with sp.bmat.
+    Its values minus 1 are `take`."""
+    M = sp.csr_matrix((np.arange(1, full.nnz + 1), full.indices, full.indptr), shape=(dim, dim))
     if dofs is not None:
-        where = np.full(dim, -1)
-        where[dofs] = np.arange(len(dofs))
-        keep = (where[rows] >= 0) & (where[cols] >= 0)
-        rows, cols, src = where[rows[keep]], where[cols[keep]], src[keep]
-    m = dim if dofs is None else len(dofs)
-    border = 0 if corner is None else len(corner)
-    size = m + border
-    if border:
-        r, j = np.divmod(np.arange(m * border), border)
-        ci, cj = np.divmod(np.arange(border * border), border)
-        rows = np.concatenate([rows, r, m + j, m + ci])
-        cols = np.concatenate([cols, m + j, r, m + cj])
-        src = np.concatenate([src, full.nnz + np.arange(2 * m * border + border * border)])
+        M = M[dofs][:, dofs]
+    if corner is not None:
+        m, border = M.shape[0], len(corner)
+        first = full.nnz + 1 + np.arange(3) * m * border  # X, -X^T, then the corner
+        X = np.arange(m * border).reshape(m, border)
+        M = sp.bmat([[M, sp.csr_matrix(first[0] + X)],
+                     [sp.csr_matrix(first[1] + X.T), sp.csr_matrix(first[2] + X[:border])]], format="csr")
+        M.sort_indices()
         static = np.concatenate([static, np.zeros(2 * m * border), np.ravel(corner)])
-    order = np.lexsort((cols, rows))
-    rows, cols, src = rows[order], cols[order], src[order]
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    take = None if np.array_equal(src, np.arange(len(src))) else src
-    return static[src], cols.astype(np.int32), indptr, take
+    take = M.data - 1
+    return static[take], M.indices, M.indptr, None if np.array_equal(take, np.arange(M.nnz)) else take

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from dualflow.config import ConfigError, parse_config
+from dualflow.config import REQUIRED, SCHEMA, ConfigError, parse_config
 from dualflow.mesh import ChannelGeometry, ParameterError, build_channel_mesh, build_periodic_rect_mesh
 from dualflow.stepper import (
     INITIAL_CONDITIONS,
@@ -357,3 +358,32 @@ def test_unknown_initial_condition_refused_at_line():
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert str(exc.value).startswith(f"line {text.splitlines().index('kind = vortex') + 1}: initial.kind:")
+
+
+OWNERS = {"mesh": (ChannelGeometry,), "physics": (PhysicsConfig,), "time": (TimeConfig,),
+          "initial": tuple(INITIAL_CONDITIONS.values())}
+UNOWNED = {"mesh": {"nx", "ny", "pattern", "import"}, "physics": set(), "time": set(), "initial": {"kind"}}
+
+
+@pytest.mark.parametrize("section", sorted(OWNERS))
+def test_owned_keys_take_their_owners_types_and_defaults(section):
+    """Each field of a section's owners is a key of the section with the
+    field's type and default (REQUIRED without one); the section's other
+    keys are the ones no dataclass owns."""
+    owned = {f.name: f for owner in OWNERS[section] for f in dataclasses.fields(owner)}
+    for name, f in owned.items():
+        typ, default = SCHEMA[section][name]
+        assert typ is f.type
+        assert (default is REQUIRED) if f.default is dataclasses.MISSING else (default == f.default)
+    assert set(SCHEMA[section]) - set(owned) == UNOWNED[section]
+
+
+@pytest.mark.parametrize("section, key", [(sec, key) for sec, keys in SCHEMA.items() for key in keys],
+                         ids=[f"{sec}.{key}" for sec, keys in SCHEMA.items() for key in keys])
+def test_empty_value_refused_at_its_line(section, key):
+    """`key =` sets no value: it is refused at its line, for every key, not
+    read as an empty string or left to its type's parse."""
+    text = f"# nothing set\n[{section}]\n{key} =   # unset\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == f"line 3: {section}.{key}: empty value"

@@ -843,6 +843,17 @@ def test_cli_missing_mesh_import_names_file(tmp_path):
     assert "No such file" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_cli_check_refuses_empty_mesh_import_at_its_line(tmp_path):
+    """`import =` sets no mesh: refused at its line by the configuration,
+    not read as an import by config and as none by the mesh builder."""
+    text = lock_cfg_text(tmp_path / "o").replace("nx = 13\nny = 2", "import =")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    proc = run_cli(["check", "--config", str(cfgfile)], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: line {text.splitlines().index('import =') + 1}: mesh.import: empty value\n"
+
+
 def test_cli_run_and_resume_bitwise(tmp_path):
     # uninterrupted run
     cfg_a = tmp_path / "a.cfg"

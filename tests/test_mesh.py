@@ -181,6 +181,21 @@ def test_import_rejects_bad_header():
         read_mesh_text("4 99 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3", geom)
 
 
+def test_import_refuses_negative_header_count():
+    """A negative count is refused as a bad header, not left to numpy's
+    reshape of the fields it miscounts."""
+    with pytest.raises(MeshError, match=r"bad mesh header: counts must be nonnegative, got 'V E C' = 3 3 -1"):
+        read_mesh_text("3 3 -1 0 0 1", ChannelGeometry(13.0, 1.0, 1.0))
+
+
+def test_import_refuses_a_wall_with_no_edge():
+    """One triangle listed twice closes every edge: with no boundary edge
+    at all it does not fill the channel, and is refused naming the first
+    wall it misses rather than left to the model's connectivity check."""
+    with pytest.raises(MeshError, match="no boundary edge lies on the top wall"):
+        read_mesh_text("3 3 2  -1 0  12 0  -1 1   0 1 2  0 1 2", ChannelGeometry(13.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("vertex, cell, message", [
     ("-1 abc", "0 2 3", "mesh vertex 3 has a bad number 'abc'"),
     ("-1 1", "0 3.5 3", "mesh cell 1 has a bad number '3.5'"),

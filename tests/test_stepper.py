@@ -865,7 +865,7 @@ def test_pressure_gate_holds_on_every_step(case, request):
             f = f + B @ new.phi
         r = ((M @ u) / dt + 0.5 * (R @ u) - f)[model.iu]
         gate = linsolve.RTOL * (1.0 + np.max(np.abs(r)))
-        assert np.max(np.abs(r - model.D_rt @ p)) <= gate
+        assert np.max(np.abs(r - model.D_r.T @ p)) <= gate
         assert rep.residual <= gate and not rep.fallback
         state = new
 
@@ -1044,7 +1044,7 @@ def oracle_case(case):
 @pytest.mark.parametrize("case, N", [("desk", 1), ("desk", 2), ("torus", 1), ("torus", 2), ("sim1", 2)])
 def test_patterns_match_their_oracles(case, N, monkeypatch):
     """Every cell pattern and every per-step system pattern a Model builds
-    is the one np.unique and np.lexsort built (tests/pattern_oracle.py):
+    is the one np.unique and scipy built (tests/pattern_oracle.py):
     the same scatter positions, CSR arrays, static values and take, the
     torus's momentum border included, and the vorticity system's, which
     on_cells does not build: it takes the weak curl's restriction."""
