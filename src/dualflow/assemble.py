@@ -32,7 +32,9 @@ The only velocity-space matrices built here are the divergence D and
 the topological curl Z; no U x U or U x W matrix is formed.
 stepper.Model builds the static operators and the linear systems
 (System) once per run, and owns them; a per-step System refills the
-values of its one CSR matrix each step.
+values of its one CSR matrix each step.  The snapshot pressure has no
+system: PressureTree solves D_r^T p = r by local solves on a spanning
+tree of the cells, and factors nothing.
 
 No form evaluates anything at quadrature points.  On an affine cell the
 maps to the reference cell reduce every form to per-cell geometry
@@ -68,7 +70,7 @@ import scipy.sparse as sp
 from . import kernels
 from .elements import LOCAL_EDGES, form_tensor, reference_curl, skew_tensors
 from .linsolve import CachedLU, ScaledLU, SolverError, lu_solve
-from .mesh import TAG_BOTTOM, TAG_TOP
+from .mesh import TAG_BOTTOM, TAG_TOP, MeshError
 from .spaces import constant_velocities
 
 GRAVITY = (0.0, -1.0)  # unit direction e_g of gravity
@@ -163,10 +165,15 @@ def _local(test, trial, coef, derivative=(False, False), cells=None):
     which = slice(None) if cells is None else cells
     local = kernels.contraction(coef, T).reshape(len(coef), test.element.ndof, trial.element.ndof)
     local *= test.cell_dof_signs[which, :, None] * trial.cell_dof_signs[which, None, :]
-    # entries zero but for rounding (on right triangles the P1 curl-curl
-    # and P2 mass forms) are made exactly zero, so that a factor drops them
+    return _exact_zeros(local)
+
+
+def _exact_zeros(local):
+    """The local matrices (..., a, b) with each entry zero but for rounding
+    made exactly zero, in place: on right triangles the P1 curl-curl and
+    P2 mass forms have some, and a factor drops them."""
     size = np.abs(local)
-    local[size <= 1e-14 * size.max(axis=(1, 2), keepdims=True)] = 0.0
+    local[size <= 1e-14 * size.max(axis=(-2, -1), keepdims=True)] = 0.0
     return local
 
 
@@ -434,6 +441,79 @@ class System:
             return lu_solve(A, rhs, self.lu, x0=x0)
         except SolverError as exc:
             raise SolverError(f"{self.name}: {exc}") from exc
+
+
+class PressureTree:
+    """D_r^T p = r, D_r the divergence D on the `free` RT dofs, solved for a
+    right side r that is a discrete gradient, by local solves along a
+    spanning tree of the cells: nothing is factored.
+
+    D is metric-free, so each cell's block is one reference matrix B, the
+    cell's RT signs on its columns.  A DG function is, per cell, a
+    constant c plus a part whose values sum to 0, and the constant meets
+    no RT interior dof and no edge moment but moment 0, the edge's flux.
+    So the interior dofs fix the zero-sum part, by one inverse of
+    [B_b^T; 1^T] per element (at N = 1 there are none and the part is 0).
+    Moment 0 of an edge then fixes the jump of c across it: on each edge
+    of a breadth-first tree of the cell graph from cell 0, c = c_parent +
+    t / a, with t the residual of that equation without c and a the flux
+    of the cell's constant through the edge.  The jumps are summed from
+    the root by pointer jumping, about log2(depth) vectorized rounds
+    m += m[anc], the ancestor arrays built once.  The other equations
+    hold because r is a gradient: the caller checks them, and fixes the
+    constant.  A cell graph in several pieces has a constant pressure per
+    piece, which no tree fixes: it is refused."""
+
+    def __init__(self, D_r, U, Q, free):
+        from scipy.sparse import csgraph  # about 5 ms and 1 MB, which a run without snapshots never spends
+
+        mesh = U.mesh
+        C = mesh.num_cells
+        B = _exact_zeros(_tensor(Q, U, (False, True)).reshape(Q.element.ndof, U.element.ndof).copy())
+        row = np.full(U.dim, -1)  # each free RT dof's equation
+        row[free] = np.arange(len(free))
+
+        interior = U.element.interior_dofs
+        self.local = np.linalg.inv(np.vstack([B[:, interior].T, np.ones(len(B))]))[:, :len(interior)].T
+        self.interior = row[U.cell_dofs[:, interior]]
+
+        inner = mesh.edge_cells[mesh.edge_cells[:, 1] >= 0]
+        graph = sp.csr_matrix((np.ones(len(inner)), inner.T), shape=(C, C))
+        order, parent = csgraph.breadth_first_order(graph, 0, directed=False)
+        if len(order) < C:
+            cut = np.setdiff1d(np.arange(C), order)[0]
+            raise MeshError(f"the cell graph is not connected: no chain of interior edges joins "
+                            f"cell {cut} to cell 0, so the pressure has a constant of its own there")
+        # the local edge from each cell but the root to its parent
+        ends = mesh.edge_cells[mesh.cell_edges]
+        across = np.where(ends[..., 0] == np.arange(C)[:, None], ends[..., 1], ends[..., 0])
+        child = order[1:]
+        loc = np.argmax(across[child] == parent[child, None], axis=1)
+        col = np.asarray(U.element.edge_dofs)[loc, 0]  # moment 0
+        self.edge = np.zeros(C, dtype=np.int64)
+        self.edge[child] = row[U.cell_dofs[child, col]]
+        self.inverse_flux = np.zeros(C)
+        self.inverse_flux[child] = 1.0 / (U.cell_dof_signs[child, col] * B.sum(axis=0)[col])
+        anc = np.zeros(C, dtype=np.int64)
+        anc[child] = parent[child]
+        self.ancestors = []
+        while anc.any():
+            self.ancestors.append(anc)
+            anc = anc[anc]
+
+        self.D_r, self.q_dofs = D_r, Q.cell_dofs
+        self.cell = np.empty(Q.dim, dtype=np.int64)  # each DG dof's cell
+        self.cell[Q.cell_dofs] = np.arange(C)[:, None]
+
+    def solve(self, r):
+        """p with D_r^T p = r, if r is a discrete gradient, and 0 as cell 0's constant."""
+        p = np.zeros(len(self.cell))
+        p[self.q_dofs] = r[self.interior] @ self.local
+        m = (r - self.D_r.T @ p)[self.edge] * self.inverse_flux
+        for anc in self.ancestors:
+            m += m[anc]
+        p += m[self.cell]
+        return p
 
 
 def _wall(space, tag):

@@ -76,7 +76,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "timeseries.csv")
     if out["vtk_every"] > 0:
-        model.pressure_system()  # factored in set-up, so that no snapshot step pays for it
+        model.pressure_tree  # built in set-up, so that no snapshot step pays for it
 
     if checkpoint is not None:
         data = dfio.load_checkpoint(checkpoint)

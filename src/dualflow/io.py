@@ -261,7 +261,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: checkpoint header has no {key!r} line")
         try:
             return convert(meta[key])
-        except ValueError:
+        except (ValueError, OverflowError):  # a hex float past the largest float overflows
             raise CheckpointError(f"{path}: bad checkpoint header line "
                                   f"{key + ' ' + meta[key]!r}") from None
 

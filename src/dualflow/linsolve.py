@@ -25,7 +25,7 @@ factored afresh and solved from scratch, and the report says so
 are reported with zero mean (project_out_constant).
 
 SuperLU factors with a panel size and a supernode relaxation of one
-column (PANEL_SIZE, RELAX): the CG and DG systems of this 2-D scheme
+column (PANEL_SIZE, RELAX): the CG systems of this 2-D scheme
 make small supernodes, and SuperLU's default panels and relaxation,
 several columns wide, suit larger ones.  L and U have the same entries
 (the defaults' relaxed supernodes also store explicit zeros), a factor

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import LOCAL_EDGES
+from .elements import LOCAL_EDGES, TABULATED, entity_dofs
 
 TAG_TOP = 1
 TAG_RIGHT = 2
@@ -150,11 +150,20 @@ QUAD_TRIANGLES = {
 }
 
 
+# int32 CSR indices hold the divergence D (assemble.assemble_div) of at
+# most MAX_CELLS cells: at the highest tabulated degree N a cell's block
+# is (DG_{N-1} x RT_N) dofs, 3 x 8 at N = 2, each count 3 v + 3 e + c
+MAX_CELLS = np.iinfo(np.int32).max // max(
+    int(np.dot((3, 3, 1), entity_dofs("DG", N - 1)) * np.dot((3, 3, 1), entity_dofs("RT", N)))
+    for N in TABULATED["RT"])
+
+
 def check_grid(nx, ny, pattern, torus=None):
     """The grid rule, which both builders apply first: `pattern` is a key of
     QUAD_TRIANGLES and a channel has at least 1 x 1 quads; a torus, of
     extents `torus` = (length, height), has positive extents and at least
-    2 x 2 quads, as one column would wrap an edge onto itself."""
+    2 x 2 quads, as one column would wrap an edge onto itself.  Either has
+    at most MAX_CELLS cells, the larger count named."""
     least = 1 if torus is None else 2
     for name, n in (("nx", nx), ("ny", ny)):
         if not n >= least:
@@ -162,6 +171,12 @@ def check_grid(nx, ny, pattern, torus=None):
     if pattern not in QUAD_TRIANGLES:
         raise MeshParameterError("pattern", f"must be one of {', '.join(QUAD_TRIANGLES)}, "
                                  f"got {pattern!r}")
+    cells = nx * ny * len(QUAD_TRIANGLES[pattern])
+    if cells > MAX_CELLS:
+        raise MeshParameterError("nx" if nx >= ny else "ny",
+                                 f"makes too large a grid: {nx} x {ny} {pattern} quads are {cells} "
+                                 f"cells, and int32 sparse indices hold the divergence of at most "
+                                 f"{MAX_CELLS}")
     for name, extent in zip(("length", "height"), torus or ()):
         if not extent > 0.0:
             raise MeshParameterError(name, f"must be positive, got {extent}")

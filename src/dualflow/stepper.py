@@ -22,11 +22,12 @@ functionals take and return them; the spaces are Model's.
 
 Model owns every static operator and every linear system, by name an
 assemble.System in Model.systems: it builds each once, from the fixed
-physics and time step, at construction but for the pressure system
-D D^T and the integrals <q_i, 1> of its mean, which only snapshots use:
-built on first use, by driver.run in set-up when it writes snapshots.
-Of the velocity space it assembles only D and the topological curl Z:
-the RT mass M, the buoyancy B and the rotation R are applied per cell
+physics and time step, at its construction.  The pressure, which only
+snapshots use, has no system: it is solved on a spanning tree of the
+cells (assemble.PressureTree), which Model builds on first use and
+driver.run in set-up when it writes snapshots.  Of the velocity space
+it assembles only D and the topological curl Z: the RT mass M, the
+buoyancy B and the rotation R are applied per cell
 (Model.velocity, an assemble.VelocityForms), for the pressure residual,
 the kinetic energy, the startup projection and the torus corner, and
 nothing in the time step applies them.  A step assembles only C and
@@ -59,9 +60,9 @@ e_x, e_y: (Z^T R e_j)_k = -<omega, e_j . grad w_k>, two static forms
 built once, and the corner e_x^T R e_y = -<omega, 1>.  No step applies
 R to a velocity.  Each System but vorticity factors its S once,
 and its solve is refined against that factor (linsolve.lu_solve), one
-mat-vec and one triangular solve per pass, none without K (curl and
-pressure).  The vorticity S is near N/dt, N/dt itself when nu = 0, so
-it refines against the weak curl's factor of N seen as one of N/dt
+mat-vec and one triangular solve per pass, none without K (curl).  The
+vorticity S is near N/dt, N/dt itself when nu = 0, so it refines
+against the weak curl's factor of N seen as one of N/dt
 (linsolve.ScaledLU), and a run factors one matrix fewer.  A fallback
 factors the same matrix afresh, and a failure names its system.  All three solve for the midpoint m = (x^{k+1} +
 x^k)/2: transport and vorticity A m = (N/dt) x^k + s/2, with s the
@@ -94,13 +95,15 @@ psi^{k+1/2}, u^{k+1/2} = Z psi^{k+1/2} bit for bit, so the load's
 Z^T M u and Z^T R u are S psi and K psi, and with tau = dt/2
 
   4a. stream function   (S + tau K) m = S psi^{k+1/2} + tau g,   psi^{k+3/2} = 2 m - psi^{k+1/2}
-  4b. pressure          D D^T p = D (A u - f),  one dof pinned, zero mean
+  4b. pressure          D_r^T p = A u - f on the free dofs,  zero mean
 
 with g = Z^T (B phi^{k+1} - nu Lc om^{k+1}) formed in W: Z^T Lc = L on
 the psi rows and zero on the torus's harmonic rows, and Z^T B = -Cb^T =
 Cb on the psi rows, whose functions vanish on the walls.  D u = 0 holds
 by construction and is still checked to 1e-10 every step.  A step
-solves only 4a: Model.pressure solves 4b where a snapshot is written.
+solves only 4a: Model.pressure solves 4b where a snapshot is written,
+exactly and with nothing factored, as its right side is a discrete
+gradient: cell by cell along a spanning tree of the cells.
 The startup projects the initial velocity, which need not be Z psi (the
 Taylor-Green u^0 is an RT interpolant), onto psi^0 = S^-1 Z^T M u^0
 once, and each of its passes is 4a over dt/2 from psi^0.
@@ -122,7 +125,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assemble
-from .linsolve import RTOL, SolverError, lu_solve, project_out_constant
+from .linsolve import RTOL, SolverError, SolverReport, lu_solve, project_out_constant
 from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS, ParameterError
 from .spaces import (
     constant_coefficients,
@@ -163,6 +166,17 @@ class PhysicsConfig:
         for name, value in (("settling_velocity", self.settling_velocity), ("nu", self.nu)):
             if not value >= 0:
                 raise ParameterError(name, f"must be nonnegative, got {value}")
+        # the rates they give: Gr Sc^2 can leave the floats where neither value does
+        for name, rate, formula in (("grashof", "viscosity Gr^(-1/2)", lambda: 1.0 / math.sqrt(self.grashof)),
+                                    ("schmidt", "particle diffusivity (Gr Sc^2)^(-1/2)",
+                                     lambda: self.particle_diffusivity)):
+            try:
+                finite = 0.0 < formula() < math.inf
+            except (OverflowError, ZeroDivisionError):
+                finite = False
+            if not finite:
+                raise ParameterError(name, f"must give a finite positive {rate}, which grashof = "
+                                     f"{self.grashof} and schmidt = {self.schmidt} do not")
 
     @property
     def effective_viscosity(self):
@@ -266,11 +280,10 @@ def restore(model, k, vectors):
 
 class Model:
     """Spaces, static operators and the named linear systems of one run,
-    all built once from the physics and time step it is constructed with:
-    at construction, but for the pressure system and its mean's
-    integrals, on use.  Its
-    solves and functionals read and return coefficient vectors on W, U
-    and Q."""
+    all built at construction from the physics and time step it is
+    constructed with; the pressure's tree of cells and its D_r, on first
+    use.  Its solves and functionals read and return coefficient vectors
+    on W, U and Q."""
 
     def __init__(self, mesh, degree, physics, time):
         if physics.mode == "turbidity" and mesh.periodic:
@@ -304,6 +317,7 @@ class Model:
         self.ones_w = constant_coefficients(self.W)
         self.area = mesh.total_area()
         self.Nw_1 = self.Nw @ self.ones_w  # <w_i, 1>
+        self.q_integrals = assemble.assemble_integrals(self.Q)  # <q_i, 1>, for the pressure's mean
         y = interpolate(self.W, lambda x, y: y)  # exact: y lies in CG_N
         self.Nw_y = self.Nw @ y  # <w_i, y>
 
@@ -361,18 +375,15 @@ class Model:
             )
         return Z, dofs
 
-    # -- the pressure system and its mean, built on first use
+    # -- the pressure's divergence and spanning tree, built on first use
 
     @cached_property
     def D_r(self):
         return self.D if self.mesh.periodic else self.D[:, self.iu].tocsr()  # a torus fixes no dof
 
-    def pressure_system(self):
-        if "pressure" not in self.systems:  # D D^T annihilates the constant pressure: pin dof 0
-            P = self.D_r[1:]
-            self.systems["pressure"] = assemble.System("pressure", P @ P.T)
-            self.q_integrals = assemble.assemble_integrals(self.Q)  # <q_i, 1>, for the mean
-        return self.systems["pressure"]
+    @cached_property
+    def pressure_tree(self):
+        return assemble.PressureTree(self.D_r, self.U, self.Q, self.iu)
 
     # -- scalar functionals of coefficient vectors ---------------------------
 
@@ -470,17 +481,16 @@ class Model:
         curl omega) + R (u + u_old)/2 - B phi the step's residual without
         its pressure, which holds only if u solves the step.  r is one
         per-cell pass of the velocity forms (VelocityForms.apply: one GEMM,
-        one scatter), and the mean one dot product with <q_i, 1>.
+        one scatter), p the solve on the tree of cells (PressureTree), and
+        the mean one dot product with <q_i, 1>.
         Returns (p, report with ||r - D_r^T p||_inf), or refuses when that
         exceeds RTOL (1 + ||r||_inf)."""
         r = self.velocity.apply(a=(u - u_old) / dt + self.nu * (self.curl @ omega),
                                 omega=omega, v=0.5 * (u + u_old), phi=None if phi is None else -phi)
         r = r[self.iu]
-        p = np.zeros(self.Q.dim)
-        p[1:], rep = self.pressure_system().solve((self.D_r @ r)[1:])
-        p = project_out_constant(p, self.q_integrals, self.area)
-        rep.residual = float(np.max(np.abs(r - self.D_r.T @ p)))
-        if rep.residual > RTOL * (1.0 + float(np.max(np.abs(r)))):
+        p = project_out_constant(self.pressure_tree.solve(r), self.q_integrals, self.area)
+        rep = SolverReport(refinements=0, residual=float(np.max(np.abs(r - self.D_r.T @ p))))
+        if not rep.residual <= RTOL * (1.0 + float(np.max(np.abs(r)))):
             raise SolverError(f"pressure: ||r - D^T p||_inf = {rep.residual:.3e}: "
                               "the velocity does not solve the momentum step")
         return p, rep

@@ -4,7 +4,13 @@ import math
 import pytest
 
 from dualflow.config import REQUIRED, SCHEMA, ConfigError, parse_config
-from dualflow.mesh import ChannelGeometry, ParameterError, build_channel_mesh, build_periodic_rect_mesh
+from dualflow.mesh import (
+    ChannelGeometry,
+    ParameterError,
+    build_channel_mesh,
+    build_periodic_rect_mesh,
+    check_grid,
+)
 from dualflow.stepper import (
     INITIAL_CONDITIONS,
     LockInitialCondition,
@@ -292,6 +298,8 @@ OWNED = [  # (key, config, its line, the line that breaks the rule, the owner gi
      lambda: PhysicsConfig(mode="turbulent")),
     ("physics.grashof", BASELINE, "grashof = 5e6", "grashof = 0", lambda: PhysicsConfig(grashof=0.0)),
     ("physics.schmidt", BASELINE, "schmidt = 1.0", "schmidt = -1", lambda: PhysicsConfig(schmidt=-1.0)),
+    ("physics.schmidt", BASELINE, "schmidt = 1.0", "schmidt = 1e-300", lambda: PhysicsConfig(schmidt=1e-300)),
+    ("physics.schmidt", BASELINE, "schmidt = 1.0", "schmidt = 1e300", lambda: PhysicsConfig(schmidt=1e300)),
     ("physics.settling_velocity", BASELINE, "settling_velocity = 0.02", "settling_velocity = -0.1",
      lambda: PhysicsConfig(settling_velocity=-0.1)),
     ("physics.nu", HOMOGENEOUS, "nu = 0.01", "nu = -0.01",
@@ -307,6 +315,8 @@ OWNED = [  # (key, config, its line, the line that breaks the rule, the owner gi
      lambda: ChannelGeometry(13.0, 1.0, 13.0)),
     ("mesh.nx", BASELINE, "nx = 50", "nx = 0", lambda: build_channel_mesh(DESK, 0, 5, "crisscross")),
     ("mesh.ny", BASELINE, "ny = 5", "ny = -2", lambda: build_channel_mesh(DESK, 50, -2, "crisscross")),
+    # the rule alone: a builder without it would allocate the grid
+    ("mesh.nx", BASELINE, "nx = 50", "nx = 2147483648", lambda: check_grid(2147483648, 5, "crisscross")),
     ("mesh.pattern", BASELINE, "pattern = crisscross", "pattern = diagonal",
      lambda: build_channel_mesh(DESK, 50, 5, "diagonal")),
     ("mesh.nx", HOMOGENEOUS, "nx = 16", "nx = 1", lambda: build_periodic_rect_mesh(TAU, TAU, 1, 16)),

@@ -220,7 +220,7 @@ def test_skew_tensors_exact_memoized_and_read_only(degree):
 def assembled_forms(N, monkeypatch):
     """The arguments (test, trial, on_edges) of every form tensor that the
     models of degree N assemble: a turbidity channel's and a torus's, each
-    with its pressure system and the integrals <q_i, 1> of its mean."""
+    with its pressure tree and the integrals <q_i, 1> of its mean."""
     seen = set()
 
     def recorded(*args):
@@ -231,7 +231,7 @@ def assembled_forms(N, monkeypatch):
     channel = build_channel_mesh(ChannelGeometry(length=2.0, height=1.0, lock_length=1.0), 4, 2, "crisscross")
     torus = build_periodic_rect_mesh(1.0, 1.0, 3, 3, "left")
     for mesh, physics in ((channel, PhysicsConfig()), (torus, PhysicsConfig(mode="homogeneous"))):
-        Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0)).pressure_system()  # built on first use
+        Model(mesh, N, physics, TimeConfig(dt=1e-3, t_end=1.0)).pressure_tree  # built on first use
     monkeypatch.undo()
     return sorted(seen)
 

@@ -1,5 +1,5 @@
 """Dead-code, layering and ownership scans: no linter runs on this tree, so
-AST scans do nine checks.
+AST scans do ten checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
@@ -19,6 +19,8 @@ AST scans do nine checks.
   later than itself in the layer order `LAYERS`.
 - `CachedLU` is constructed only in `linsolve` and in `assemble.System`,
   which owns each static factor of a run.
+- Outside `assemble`, a `System` is built only in `stepper.Model.__init__`:
+  no factor is made on first use.
 - `splu` is called only in `linsolve.CachedLU.__init__`, once, so every
   factor is made with the same SuperLU settings.
 - `SimulationState` is constructed only in `stepper`, whose steps and
@@ -329,6 +331,39 @@ def test_factors_are_built_by_systems_alone(module):
     outside = [(line, where) for line, where in found
                if module != "linsolve" and (module, where) != ("assemble", "System")]
     assert not outside, f"{module} constructs CachedLU outside linsolve and assemble.System: " + ", ".join(
+        f"{where or 'module level'} (line {line})" for line, where in outside)
+
+
+SYSTEM_BUILDERS = ("System", "on_cells", "sharing_factor")
+
+
+def system_constructions(source):
+    """(line, where) of each call in `source` that builds a System: the
+    class itself or one of its constructors in SYSTEM_BUILDERS, `where`
+    the dotted names of the classes and functions it is made in."""
+    return sorted(found for name in SYSTEM_BUILDERS
+                  for found in constructions(source, name, (ast.ClassDef, ast.FunctionDef)))
+
+
+def test_scan_finds_every_system_construction():
+    source = ("from . import assemble\nclass Model:\n    def __init__(self, W):\n"
+              "        curl = assemble.System.on_cells('curl', W, None)\n"
+              "        self.systems = {'vorticity': curl.sharing_factor('vorticity', None, 1.0)}\n"
+              "    def pressure_system(self):\n        return assemble.System('pressure', None)\n")
+    assert system_constructions(source) == [(4, "Model.__init__"), (5, "Model.__init__"),
+                                            (7, "Model.pressure_system")]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_systems_are_built_at_model_construction(module):
+    """Every System of a run, and so every static factor, is built when
+    its stepper.Model is: none is built on first use, by a step, a
+    snapshot or a run helper."""
+    with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
+        found = system_constructions(fh.read())
+    outside = [(line, where) for line, where in found
+               if module != "assemble" and (module, where) != ("stepper", "Model.__init__")]
+    assert not outside, f"{module} builds a System outside stepper.Model.__init__: " + ", ".join(
         f"{where or 'module level'} (line {line})" for line, where in outside)
 
 

@@ -496,6 +496,25 @@ def test_checkpoint_with_header_line_lost_refused(tmp_path, old, new, message):
         dfio.load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("old, new, line", [
+    (rb"\ndt \S+\n", b"\ndt 0x1.47ae147ae147bp+99997\n", r"'dt 0x1\.47ae147ae147bp\+99997'"),
+    (rb" Ev=\S+", b" Ev=0x1p+99999", r"'scalars .*Ev=0x1p\+99999.*'"),
+], ids=["dt", "Ev"])
+def test_checkpoint_hex_float_past_the_largest_float_refused(tmp_path, old, new, line):
+    """float.fromhex raises OverflowError, not ValueError, for a hex float
+    past the largest float: the line is refused like any bad number."""
+    cfg = parse_config(lock_cfg_text(tmp_path / "o"))
+    model = build_model(cfg)
+    state, _ = initialize(model, LockInitialCondition())
+    path = tmp_path / "c.ckpt"
+    dfio.save_checkpoint(str(path), state, Engine(model, state), model)
+    edited, count = re.subn(old, new, path.read_bytes(), count=1)
+    assert count == 1
+    path.write_bytes(edited)
+    with pytest.raises(dfio.CheckpointError, match=rf"c\.ckpt: bad checkpoint header line {line}$"):
+        dfio.load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("pattern, replacement, message", [
     (rb"\nk 2\n", b"\nk -3\n", r"c\.ckpt: bad checkpoint header line 'k -3'"),
     (rb"\ndt \S+\n", b"\ndt nan\n", "time step does not match"),
@@ -731,6 +750,19 @@ def test_cli_check_solves_the_startup_pressure(tmp_path, monkeypatch, capsys):
     assert cli.main(["check", "--config", str(cfgfile)]) == 1
     assert "error: pressure: refused" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("schmidt", ["1e-300", "1e300"])
+def test_cli_check_refuses_a_schmidt_number_without_a_finite_diffusivity(tmp_path, capsys, schmidt):
+    """Sc = 1e-300 underflows Gr Sc^2 to 0 and Sc = 1e300 overflows Sc^2:
+    each is refused at its line, not met by a ZeroDivisionError or an
+    OverflowError traceback from the diffusivity."""
+    text = lock_cfg_text(tmp_path / "o").replace("grashof = 5e6", f"grashof = 5e6\nschmidt = {schmidt}")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert cli.main(["check", "--config", str(cfgfile)]) == 1
+    line = text.splitlines().index(f"schmidt = {schmidt}") + 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}: physics.schmidt: must give a finite")
 
 
 def test_cli_bad_config_exit_code(tmp_path):

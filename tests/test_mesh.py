@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+from dualflow.assemble import assemble_div
 from dualflow.elements import LOCAL_EDGES
 from dualflow.mesh import (
+    MAX_CELLS,
     TAG_BOTTOM,
     TAG_LEFT,
     TAG_RIGHT,
     TAG_TOP,
     ChannelGeometry,
     MeshError,
+    MeshParameterError,
     build_channel_mesh,
     build_periodic_rect_mesh,
     read_mesh_text,
+    check_grid,
 )
+from dualflow.spaces import make_space
 
 
 def mesh_text(vertices, cells, num_edges):
@@ -281,3 +286,23 @@ def test_render_arrays_match_cells(pattern, nx, ny):
 def test_edge_incidence_is_consistent(pattern, nx, ny):
     assert_incidence_consistent(build_channel_mesh(ChannelGeometry(length=3.0, height=1.0, lock_length=1.0), nx, ny, pattern))
     assert_incidence_consistent(build_periodic_rect_mesh(2.0, 1.0, nx, ny, pattern))
+
+
+def test_grid_past_int32_divergence_indices_refused():
+    """The divergence at N = 2 has 3 x 8 entries per cell, written with
+    int32 CSR indices: a grid of more than MAX_CELLS cells, which those
+    cannot hold, is refused by the grid rule, naming the larger count,
+    before anything is built (nx = 2147483648 died in the builder with
+    a MemoryError)."""
+    small = build_channel_mesh(ChannelGeometry(2.0), 2, 1, "left")
+    D = assemble_div(make_space(small, "RT", 2), make_space(small, "DG", 1))
+    per_cell = D.nnz // small.num_cells
+    assert per_cell == 24 and MAX_CELLS * per_cell <= np.iinfo(np.int32).max < (MAX_CELLS + 1) * per_cell
+    check_grid(MAX_CELLS // 4, 1, "crisscross")  # the largest grid passes
+    for nx, ny, pattern, name in ((MAX_CELLS // 4 + 1, 1, "crisscross", "nx"), (2147483648, 5, "left", "nx"),
+                                  (3, 2147483648, "right", "ny")):
+        with pytest.raises(MeshParameterError, match=f"^{name} makes too large a grid"):
+            check_grid(nx, ny, pattern)
+    with pytest.raises(MeshParameterError, match="^ny makes too large a grid"):
+        check_grid(2, MAX_CELLS, "left", torus=(1.0, 1.0))
+

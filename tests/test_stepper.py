@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 from scipy.sparse._compressed import _cs_matrix
 
 from dualflow import assemble, driver, elements, linsolve, stepper
@@ -17,6 +18,8 @@ from dualflow.mesh import (
     TAG_BOTTOM,
     WALL_TAGS,
     ChannelGeometry,
+    MeshError,
+    _finalize,
     build_channel_mesh,
     build_periodic_rect_mesh,
     read_mesh_text,
@@ -36,6 +39,7 @@ from dualflow.stepper import (
 )
 
 import pattern_oracle
+from pressure_oracle import pinned_pressure
 from saddle_oracle import solve_saddle
 from util_curl import weak_curl_matrix
 from util_project import project
@@ -187,9 +191,9 @@ def test_startup_nonconvergence_reported(monkeypatch):
 
 def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
     """The startup passes solve no pressure; the report's pressure, when
-    called, solves that of the last pass once, against its own factor.
-    Before the passes the set-up projects u^0 onto the stream function
-    and takes the weak curl of its projection."""
+    called, solves that of the last pass on the cell tree, which it builds
+    then, and solves no System.  Before the passes the set-up projects u^0
+    onto the stream function and takes the weak curl of its projection."""
     model = turbidity_model(nx=25, ny=2)
     calls = []
 
@@ -201,18 +205,17 @@ def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
     monkeypatch.setattr(stepper, "lu_solve", counted)
     solves = record_solves(monkeypatch)
     state, rep = initialize(model, LockInitialCondition())
-    assert "pressure" not in model.systems  # D D^T is not built yet
+    assert "pressure_tree" not in vars(model)  # the tree is not built yet
     p, _ = rep.pressure()
-    assert rep.iterations > 1
+    assert rep.iterations > 1 and "pressure_tree" in vars(model)
     # the lock start's projection, against the transport factor
     assert len(calls) == 1
     assert calls[0][0] is model.Nw_dt and calls[0][1] is model.systems["transport"].lu
     names = [name for name, _ in solves]
-    assert names.count("pressure") == 1 and names[-1] == "pressure"
-    # the projection and omega^0, then a momentum solve per pass, a weak
-    # curl between, and the pressure
-    assert names == ["momentum", "curl"] * rep.iterations + ["momentum", "pressure"]
-    assert len(calls) + len(solves) == 1 + 2 + 2 * rep.iterations
+    # the projection and omega^0, then a momentum solve per pass and a weak
+    # curl between; the pressure solves no System
+    assert names == ["momentum", "curl"] * rep.iterations + ["momentum"]
+    assert len(calls) + len(solves) == 1 + 1 + 2 * rep.iterations
     assert p.shape == (model.Q.dim,)
 
 
@@ -386,16 +389,17 @@ seed = 4
 @pytest.mark.parametrize("mode", ["turbidity", "homogeneous"])
 def test_setup_factors_what_the_run_solves(mode, vtk_every, tmp_path, factorizations, monkeypatch):
     """driver.run factors each static system in set-up but the vorticity
-    system, which refines against the weak curl's factor, and D D^T too if
-    and only if it writes snapshots, fresh or resumed, before its budget
-    Engine exists.  The lock start factors nothing of its own, and no
+    system, which refines against the weak curl's factor, before its
+    budget Engine exists, and builds the pressure's cell tree there too if
+    and only if it writes snapshots, fresh or resumed: the pressure
+    factors nothing.  The lock start factors nothing of its own, and no
     step factors anything.  A run without snapshots solves no pressure; one with
     snapshots solves one per snapshot."""
     static = 3 if mode == "turbidity" else 2  # curl, momentum and transport
     at_engine, pressures = [], []
 
     def built(model):
-        return "pressure" in model.systems
+        return "pressure_tree" in vars(model)
 
     class Recorded(Engine):
         def __init__(self, model, state0):
@@ -429,10 +433,9 @@ checkpoint_every = 2
         factorizations.clear()
         pressures.clear()
         result = driver.run(parse_config(text.format(t_end=t_end)), checkpoint=checkpoint)
-        expected = static + (vtk_every > 0)
         snapshots = vtk_every > 0
-        assert at_engine.pop() == (expected, snapshots)
-        assert len(factorizations) == expected  # and none after set-up
+        assert at_engine.pop() == (static, snapshots)
+        assert len(factorizations) == static  # and none after set-up
         assert built(result.model) == snapshots
         assert len(pressures) == (3 if checkpoint is None else 2) * vtk_every
 
@@ -891,6 +894,74 @@ def test_pressure_divergence_is_on_the_free_velocities(case, request):
         assert abs(model.D_r - model.D[:, model.iu]).max() == 0.0
 
 
+def pressure_case(kind, N):
+    """A channel or a torus model of degree N, and the states before and
+    after its third step."""
+    if kind == "channel":
+        model, ic = turbidity_model(N=N), LockInitialCondition()
+    else:
+        model, ic = homogeneous_model(N=N, nu=0.01), RandomSolenoidalInitialCondition(seed=5)
+    new, _ = initialize(model, ic)
+    for _ in range(3):
+        state, (new, _, _) = new, step(new, model)
+    return model, state, new
+
+
+def oracle_residual(model, state, new):
+    """The momentum residual of the step from state to new without its
+    pressure, on the free dofs, from the assembled M, R and B."""
+    dt, M = model.time.dt, assemble_mass(model.U)
+    R = rotation_matrix(new.omega, model.W, model.U)
+    f = (M @ state.u_half) / dt - 0.5 * (R @ state.u_half) - model.nu * (M @ (model.curl @ new.omega))
+    if new.phi is not None:
+        f = f + buoyancy_matrix(model.U, model.W) @ new.phi
+    return ((M @ new.u_half) / dt + 0.5 * (R @ new.u_half) - f)[model.iu]
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("kind", ["channel", "torus"])
+def test_tree_pressure_matches_the_pinned_oracle(kind, N):
+    """The pressure solved on the tree of cells is the pinned D_r D_r^T
+    solve's (tests/pressure_oracle.py) to 1e-10 relative."""
+    model, state, new = pressure_case(kind, N)
+    p, _ = model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, phi=new.phi)
+    ref = pinned_pressure(model.D_r, oracle_residual(model, state, new),
+                          assemble.assemble_integrals(model.Q), model.area)
+    assert np.max(np.abs(p - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_tree_pressure_gate_holds_on_a_long_channel():
+    """On a 128 x 1 channel the tree from cell 0 is over 200 cells deep,
+    and the jumps summed along it still give a pressure that passes the
+    unchanged gate, RTOL (1 + ||r||_inf), over every equation."""
+    model = turbidity_model(nx=128, ny=1, N=2)
+    inner = model.mesh.edge_cells[model.mesh.edge_cells[:, 1] >= 0]
+    graph = sp.csr_matrix((np.ones(len(inner)), inner.T), shape=(model.mesh.num_cells,) * 2)
+    assert csgraph.shortest_path(graph, directed=False, unweighted=True, indices=0).max() >= 200
+    state, _ = initialize(model, LockInitialCondition())
+    for _ in range(3):
+        new, _, _ = step(state, model)
+        p, rep = model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, phi=new.phi)
+        r = oracle_residual(model, state, new)
+        gate = linsolve.RTOL * (1.0 + np.max(np.abs(r)))
+        assert np.max(np.abs(r - model.D_r.T @ p)) <= gate and rep.residual <= gate
+        state = new
+
+
+def test_pressure_tree_refuses_a_disconnected_cell_graph():
+    """A mesh of two pieces that share no edge has a constant pressure per
+    piece, which no tree of cells fixes: it is refused, not solved."""
+    full = build_channel_mesh(ChannelGeometry(length=3.0, height=1.0, lock_length=1.0), 3, 1, "left")
+    keep = np.abs(full.cell_coords.mean(axis=1)[:, 0] - 0.5) > 0.5  # the middle column goes
+    cells = full.cells[keep]
+    pairs = np.stack([np.sort(cells[:, [a, b]], axis=1) for a, b in elements.LOCAL_EDGES], axis=1)
+    mesh = _finalize(full.vertices, cells, full.cell_coords[keep],
+                     pairs[..., 0] * full.num_vertices + pairs[..., 1], periodic=False)
+    U, Q = make_space(mesh, "RT", 1), make_space(mesh, "DG", 0)
+    with pytest.raises(MeshError, match="cell graph is not connected"):
+        assemble.PressureTree(assemble.assemble_div(U, Q), U, Q, np.arange(U.dim))
+
+
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_stream_basis_structure(case, request):
     model, state = request.getfixturevalue(case)
@@ -1135,14 +1206,15 @@ def set_up_config(case, outdir):
 def test_run_builds_only_the_cg_pattern(case, tmp_path):
     """A run's set-up, its snapshots' pressures included, builds one cell
     pattern, CG x CG: the divergence D is written row by row, M, B and R
-    are applied per cell and the pressure's mean takes the integrals
-    <q_i, 1>, so no DG x RT, RT x RT, RT x CG or DG x DG pattern is built."""
+    are applied per cell, the pressure is solved on a tree of cells and
+    its mean takes the integrals <q_i, 1>, so no DG x RT, RT x RT, RT x CG
+    or DG x DG pattern is built."""
     result = driver.run(set_up_config(case, tmp_path), collect_rows=False)
     N = result.model.degree
     patterns = {key for key in result.model.mesh._cache if key[0] == "pattern"}
     assert patterns == {("pattern", "CG", N, "CG", N)}
     if case == "desk":
-        assert "pressure" in result.model.systems and len(os.listdir(tmp_path)) > 1
+        assert "pressure_tree" in vars(result.model) and len(os.listdir(tmp_path)) > 1
 
 
 def test_snapshot_0_takes_the_weak_curl_of_step_1(tmp_path, monkeypatch):
@@ -1428,9 +1500,9 @@ def test_elements_are_tabulated_at_reference_points_only(N, monkeypatch):
 
 @pytest.mark.parametrize("case", ["desk", "box"])
 def test_own_factor_solves_take_no_refinement(case, request, monkeypatch):
-    """The weak-curl and pressure systems, and the startup's projection
-    onto the stream function, are solved against factors of themselves:
-    the first solve is at the roundoff floor."""
+    """The weak-curl system, and the startup's projection onto the stream
+    function, are solved against factors of themselves: the first solve
+    is at the roundoff floor."""
     model, state = request.getfixturevalue(case)
     solves = record_solves(monkeypatch)
     initialize(model, case_ic(model))
@@ -1438,38 +1510,24 @@ def test_own_factor_solves_take_no_refinement(case, request, monkeypatch):
     assert [name for name, _ in setup] == ["momentum", "curl"]
     solves.clear()
     model.curl_h(state.psi_0)
-    new, _, _ = step(state, model)
-    model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, phi=new.phi)
-    own = [rep for _, rep in setup] + [rep for name, rep in solves if name in ("curl", "pressure")]
-    assert len(own) == 2 + (3 if model.physics.mode == "turbidity" else 2)
+    step(state, model)
+    own = [rep for _, rep in setup] + [rep for name, rep in solves if name == "curl"]
+    assert len(own) == 2 + (2 if model.physics.mode == "turbidity" else 1)
     assert all(rep.refinements == 0 for rep in own)
 
 
-def test_pressure_factor_fill_below_colamd(desk, factorizations):
-    """D D^T is structurally symmetric, so CachedLU's minimum-degree
-    ordering on A^T + A fills less than scipy's default COLAMD."""
-    model, _ = desk
-    DDt = model.pressure_system().static
-    factorizations.clear()
-    linsolve.CachedLU(DDt)
-    linsolve.spla.splu(DDt.tocsc(), permc_spec="COLAMD")
-    ours, colamd = factorizations
-    assert ours.nnz < colamd.nnz
-
-
-@pytest.mark.parametrize("name", ["curl", "momentum", "transport", "pressure", "torus momentum"])
+@pytest.mark.parametrize("name", ["curl", "momentum", "transport", "torus momentum"])
 def test_factor_settings_change_time_alone(desk, factorizations, name):
     """CachedLU's SuperLU panel size and relaxation leave the factor's
     fill and its answers as scipy's defaults have them, under the same
     ordering of the same matrix (its exact zeros dropped): the torus
     momentum system has its dense border.  The right side is S x for a
-    random x: the pinned D D^T is so conditioned that for a random right
-    side either factor's solution is off by 2e-12 of its size."""
+    random x."""
     if name == "torus momentum":
         system = homogeneous_model(nx=32, ny=32).systems["momentum"]
     else:
         model, _ = desk
-        system = model.pressure_system() if name == "pressure" else model.systems[name]
+        system = model.systems[name]
     csc = system.static.tocsc(copy=True)
     csc.eliminate_zeros()
     factorizations.clear()
