@@ -221,10 +221,6 @@ def assemble_div(U, Q):
     row, on that cell's RT dofs, and no entry is a sum: the CSR arrays
     are written row by row, each cell's RT dofs sorted once, zeros kept,
     with no pattern."""
-    if U.mesh is not Q.mesh:
-        raise ValueError("velocity and pressure spaces live on different meshes")
-    if Q.degree != U.degree - 1:
-        raise ValueError(f"incompatible pair RT_{U.degree} / DG_{Q.degree}")
     local = _local(Q, U, np.ones((U.mesh.num_cells, 1)), (False, True))
     n = U.element.ndof
     order = np.argsort(U.cell_dofs, axis=1)
@@ -547,8 +543,6 @@ def assemble_particle_drift(u_s, U, W, bottom):
     against the constant test function reduces the operator to the
     bottom-wall settling outflux, which conserves particle mass.
     """
-    if u_s < 0:
-        raise ValueError(f"settling speed must be nonnegative, got {u_s}")
     B1 = assemble_wall_mass(W, TAG_TOP).data
     C = assemble_vorticity_convection(constant_velocities(U) @ GRAVITY, U, W)
     return _pattern(W, W).matrix(u_s * C + u_s * (0.5 * B1 + 0.5 * bottom.data))

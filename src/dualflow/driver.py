@@ -111,8 +111,7 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             prev = state
             state, reports, omega_tilde = step(state, model)
             if snapshot_0:
-                p, rep = startup.pressure()
-                fallbacks += rep.fallback + _write_snapshot(model, outdir, prev, prev.psi_0, p, omega_tilde)
+                fallbacks += _write_snapshot(model, outdir, prev, prev.psi_0, startup.pressure(), omega_tilde)
                 snapshot_0 = False
             fallbacks += sum(rep.fallback for rep in reports.values())
             passes += sum(rep.refinements for rep in reports.values())
@@ -126,10 +125,8 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
             if state.k % out["csv_every"] == 0:
                 writer.write_row(row)
             if out["vtk_every"] > 0 and state.k % out["vtk_every"] == 0:
-                p, rep = model.pressure(state.omega, prev.u_half, state.u_half, model.time.dt,
-                                        phi=state.phi)
-                fallbacks += rep.fallback + _write_snapshot(model, outdir, state, prev.psi_0, p,
-                                                            omega_tilde)
+                p = model.pressure(state.omega, prev.u_half, state.u_half, model.time.dt, phi=state.phi)
+                fallbacks += _write_snapshot(model, outdir, state, prev.psi_0, p, omega_tilde)
             if out["checkpoint_every"] > 0 and state.k % out["checkpoint_every"] == 0:
                 dfio.save_checkpoint(
                     os.path.join(outdir, f"checkpoint_{state.k:08d}.ckpt"), state, engine, model

@@ -331,10 +331,7 @@ def build_periodic_rect_mesh(lx, ly, nx, ny, pattern="left"):
     """Doubly periodic rectangle [0,lx] x [0,ly]; no boundary remains.  The
     grid rule names lx and ly as the torus's length and height."""
     check_grid(nx, ny, pattern, torus=(lx, ly))
-    mesh = _build_structured(0.0, lx, 0.0, ly, nx, ny, pattern, periodic=True)
-    if np.any(mesh.edge_cells[:, 1] < 0):
-        raise MeshError("periodic identification left boundary edges behind")
-    return mesh
+    return _build_structured(0.0, lx, 0.0, ly, nx, ny, pattern, periodic=True)
 
 
 def _numbers(tokens, dtype, width, entity):
@@ -383,11 +380,16 @@ def read_mesh_text(text, geom):
         raise MeshError("cell vertex index out of range")
 
     coords = vals[cells]
-    d1 = coords[:, 1, :] - coords[:, 0, :]
-    d2 = coords[:, 2, :] - coords[:, 0, :]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    # zero area to rounding, |det| within eps of the longest edge squared (a
+    # needle past the floats too): the inverse Jacobian overflows or is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = coords[:, 1, :] - coords[:, 0, :]
+        d2 = coords[:, 2, :] - coords[:, 0, :]
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        longest = np.max([np.sum(d * d, axis=1) for d in (d1, d2, d2 - d1)], axis=0)
+        flat = ~(np.abs(det) > np.finfo(float).eps * longest)
     flip = det < 0
-    if np.any(det == 0):
+    if np.any(flat):
         raise MeshError("degenerate (zero-area) cell in mesh file")
     cells[flip] = cells[flip][:, [0, 2, 1]]
     coords = vals[cells]

@@ -103,7 +103,8 @@ Cb on the psi rows, whose functions vanish on the walls.  D u = 0 holds
 by construction and is still checked to 1e-10 every step.  A step
 solves only 4a: Model.pressure solves 4b where a snapshot is written,
 exactly and with nothing factored, as its right side is a discrete
-gradient: cell by cell along a spanning tree of the cells.
+gradient: cell by cell along a spanning tree of the cells, with no
+report, as nothing there refines or falls back.
 The startup projects the initial velocity, which need not be Z psi (the
 Taylor-Green u^0 is an RT interpolant), onto psi^0 = S^-1 Z^T M u^0
 once, and each of its passes is 4a over dt/2 from psi^0.
@@ -125,7 +126,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assemble
-from .linsolve import RTOL, SolverError, SolverReport, lu_solve, project_out_constant
+from .linsolve import RTOL, SolverError, lu_solve, project_out_constant
 from .mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, WALL_TAGS, ParameterError
 from .spaces import (
     constant_coefficients,
@@ -321,6 +322,13 @@ class Model:
         y = interpolate(self.W, lambda x, y: y)  # exact: y lies in CG_N
         self.Nw_y = self.Nw @ y  # <w_i, y>
 
+        # the constant (harmonic) velocities e_x, e_y, which the torus's stream function misses
+        self.harmonic = corner = self.border = None
+        if mesh.periodic:
+            self.harmonic = constant_velocities(self.U)
+            corner = self.harmonic.T @ np.column_stack([self.velocity.apply(a=h) for h in self.harmonic.T])
+        self.Z, self.psi_dofs = self._stream_basis(self.curl)
+
         # the static parts below are values on the (W, W) cell pattern,
         # which Nw, L and the drift lie on; a step adds a skew part.  The
         # vorticity static, near N/dt, refines against the weak curl's N
@@ -329,13 +337,6 @@ class Model:
         curl = on_cells("curl", self.W, self.Nw.data, self.iw)
         self.systems = {"curl": curl, "vorticity": curl.sharing_factor(
             "vorticity", Nw_dt + 0.5 * (self.nu * L), 1.0 / time.dt)}
-
-        # the constant (harmonic) velocities e_x, e_y, which the torus's stream function misses
-        self.harmonic = corner = self.border = None
-        if mesh.periodic:
-            self.harmonic = constant_velocities(self.U)
-            corner = self.harmonic.T @ np.column_stack([self.velocity.apply(a=h) for h in self.harmonic.T])
-        self.Z, self.psi_dofs = self._stream_basis(self.curl)
         self.systems["momentum"] = on_cells("momentum", self.W, L, self.psi_dofs, corner)
         if mesh.periodic:
             # the harmonic columns of Z^T R Z are static forms in omega:
@@ -373,6 +374,9 @@ class Model:
                 f"{expected} divergence-free velocities: a channel mesh must be simply "
                 "connected and a periodic one a torus"
             )
+        if not expected:
+            raise ValueError(f"every CG{self.degree} dof of the channel lies on a wall: the "
+                             "stream-function basis is empty, and no velocity but zero is divergence-free")
         return Z, dofs
 
     # -- the pressure's divergence and spanning tree, built on first use
@@ -483,17 +487,16 @@ class Model:
         per-cell pass of the velocity forms (VelocityForms.apply: one GEMM,
         one scatter), p the solve on the tree of cells (PressureTree), and
         the mean one dot product with <q_i, 1>.
-        Returns (p, report with ||r - D_r^T p||_inf), or refuses when that
-        exceeds RTOL (1 + ||r||_inf)."""
+        Refuses p when ||r - D_r^T p||_inf exceeds RTOL (1 + ||r||_inf)."""
         r = self.velocity.apply(a=(u - u_old) / dt + self.nu * (self.curl @ omega),
                                 omega=omega, v=0.5 * (u + u_old), phi=None if phi is None else -phi)
         r = r[self.iu]
         p = project_out_constant(self.pressure_tree.solve(r), self.q_integrals, self.area)
-        rep = SolverReport(refinements=0, residual=float(np.max(np.abs(r - self.D_r.T @ p))))
-        if not rep.residual <= RTOL * (1.0 + float(np.max(np.abs(r)))):
-            raise SolverError(f"pressure: ||r - D^T p||_inf = {rep.residual:.3e}: "
+        residual = float(np.max(np.abs(r - self.D_r.T @ p)))
+        if not residual <= RTOL * (1.0 + float(np.max(np.abs(r)))):
+            raise SolverError(f"pressure: ||r - D^T p||_inf = {residual:.3e}: "
                               "the velocity does not solve the momentum step")
-        return p, rep
+        return p
 
 
 def _midpoint_weights(n):
@@ -646,7 +649,7 @@ class StartupReport:
     iterations: int
     update: float
     fallbacks: int = 0  # solves that missed RTOL against their static factor, the IC's included
-    pressure: object = None  # () -> (p, report): the last pass's pressure, solved on call
+    pressure: object = None  # () -> p: the last pass's pressure, solved on call
 
 
 def initialize(model, ic):

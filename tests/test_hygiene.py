@@ -1,5 +1,5 @@
 """Dead-code, layering and ownership scans: no linter runs on this tree, so
-AST scans do ten checks.
+AST scans do twelve checks.
 
 - Every name a module of `src/dualflow` or `tests` imports is read
   somewhere in that module (or listed in its `__all__`).
@@ -25,6 +25,10 @@ AST scans do ten checks.
   factor is made with the same SuperLU settings.
 - `SimulationState` is constructed only in `stepper`, whose steps and
   `restore` fill in the history a step's starts read.
+- `SolverReport` is constructed only in `linsolve`: only a solve against
+  a factor reports.
+- No module of `src/dualflow` calls `np.add.at`: `np.bincount` is the one
+  scatter-add.
 - No public function of `dualflow.elements`, `dualflow.kernels` or
   `dualflow.assemble` takes a quadrature degree: `elements` derives the
   rule of every form from its integrand's polynomial degree.
@@ -410,6 +414,50 @@ def test_states_are_built_by_steps_and_restore_alone(module):
     outside = found if module != "stepper" else []
     assert not outside, f"{module} constructs SimulationState outside stepper: " + ", ".join(
         f"{where or 'module level'} (line {line})" for line, where in outside)
+
+
+def test_scan_finds_every_report_construction():
+    source = ("from .linsolve import SolverReport\nfrom . import linsolve\n"
+              "def lu_solve(A, b):\n    return SolverReport(refinements=0, residual=0.0)\n"
+              "class Model:\n    def pressure(self):\n        return linsolve.SolverReport(0, 0.0)\n")
+    assert constructions(source, "SolverReport", (ast.ClassDef, ast.FunctionDef)) == [
+        (4, "lu_solve"), (7, "Model.pressure")]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_reports_are_made_by_solves_alone(module):
+    """A SolverReport says how a solve against a factor went: only linsolve,
+    which refines and falls back, makes one.  What solves nothing, as the
+    snapshot pressure on its tree of cells, reports nothing."""
+    with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
+        found = constructions(fh.read(), "SolverReport", (ast.ClassDef, ast.FunctionDef))
+    outside = found if module != "linsolve" else []
+    assert not outside, f"{module} constructs SolverReport outside linsolve: " + ", ".join(
+        f"{where or 'module level'} (line {line})" for line, where in outside)
+
+
+def add_at_calls(source):
+    """Line of each `<x>.add.at(...)` call in `source`: numpy's unbuffered
+    scatter-add, np.add.at or numpy.add.at."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "at" and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "add"]
+
+
+def test_scan_finds_an_add_at():
+    source = ("import numpy as np\nimport numpy\nnp.add.at(a, i, v)\nnp.add(a, v)\n"
+              "x.at(i)\nnumpy.add.at(a, i, v)\nnp.bincount(i, weights=v)\n")
+    assert add_at_calls(source) == [3, 6]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_scatters_are_bincounts(module):
+    """np.bincount with weights is the package's one scatter-add: no
+    np.add.at, so every sum over cells has the one idiom."""
+    with open(os.path.join(ROOT, f"src/dualflow/{module}.py"), encoding="utf-8") as fh:
+        found = add_at_calls(fh.read())
+    assert not found, f"{module} scatters with np.add.at at lines {found}"
 
 
 QUADRATURE_PARAMETERS = ("qdegree", "bdegree", "qdeg")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import re
 
@@ -11,6 +12,7 @@ from dualflow.config import parse_config
 from dualflow.driver import build_model, run
 from dualflow.diagnostics import AUDIT_FIELDS, CSV_COLUMNS, Engine, LedgerRow
 from dualflow.linsolve import SolverError
+from dualflow.mesh import QUAD_TRIANGLES
 from dualflow.stepper import LockInitialCondition, SimulationState, initialize, step
 
 from conftest import run_cli
@@ -740,7 +742,7 @@ def test_cli_check_solves_the_startup_pressure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(stepper.Model, "pressure", recorded)
     assert cli.main(["check", "--config", str(cfgfile)]) == 0
     assert len(solved) == 1
-    model, (p, _) = solved[0]
+    model, p = solved[0]
     assert p.shape == (model.Q.dim,)  # a DG pressure
 
     def refused(model, *args, **kwargs):
@@ -884,6 +886,37 @@ def test_cli_check_refuses_empty_mesh_import_at_its_line(tmp_path):
     proc = run_cli(["check", "--config", str(cfgfile)], cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stderr == f"error: line {text.splitlines().index('import =') + 1}: mesh.import: empty value\n"
+
+
+@pytest.mark.parametrize("kind", ["channel", "torus"])
+def test_cli_check_small_grids_pass_or_refuse_an_empty_stream_basis(tmp_path, capsys, kind):
+    """Every channel of up to 3 x 2 quads and every torus of up to 3 x 3, of
+    each pattern, at degrees 1 and 2, passes check, or is refused because
+    no CG dof lies off the walls: a two-triangle channel one quad wide or
+    high at degree 1, which has no interior vertex.  None dies inside
+    numpy in a System built on no dofs."""
+    if kind == "channel":
+        grids = itertools.product((1, 2, 3), (1, 2))
+    else:
+        grids = itertools.product((2, 3), (2, 3))
+    cfgfile = tmp_path / "run.cfg"
+    refused = []
+    for (nx, ny), pattern, degree in itertools.product(grids, QUAD_TRIANGLES, (1, 2)):
+        if kind == "channel":
+            text = lock_cfg_text(tmp_path / "o", nx=nx, ny=ny, degree=degree)
+        else:
+            text = TORUS_CFG.format(degree=degree, out=tmp_path / "o").replace(
+                "nx = 4\nny = 4", f"nx = {nx}\nny = {ny}")
+        cfgfile.write_text(text.replace("[physics]", f"pattern = {pattern}\n\n[physics]", 1))
+        code = cli.main(["check", "--config", str(cfgfile)])
+        err = capsys.readouterr().err
+        assert code == 0 or "the stream-function basis is empty" in err, (nx, ny, pattern, degree, err)
+        if code:
+            refused.append((nx, ny, pattern, degree))
+    walled = [(nx, ny, pattern, 1) for nx, ny in itertools.product((1, 2, 3), (1, 2))
+              for pattern in ("left", "right") if min(nx, ny) == 1]
+    assert sorted(refused) == (sorted(walled) if kind == "channel" else [])
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_and_resume_bitwise(tmp_path):

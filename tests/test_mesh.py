@@ -224,6 +224,21 @@ def test_import_refuses_non_finite_vertex(value):
         read_mesh_text(text, geom)
 
 
+@pytest.mark.parametrize("y", [1e-300, 1e300])
+def test_import_refuses_a_cell_flat_to_rounding(y):
+    """The right wall's middle vertex moved to y = 1e-300, or along the
+    wall to y = 1e300, leaves a cell whose area is zero to rounding against
+    its longest edge squared: refused as degenerate, not left to overflow
+    the inverse Jacobian and make a System's factor singular."""
+    geom = ChannelGeometry(length=3.0, height=1.0, lock_length=1.0)
+    base = build_channel_mesh(geom, 3, 2, "left")
+    vertices = base.vertices.copy()
+    assert np.array_equal(vertices[7], [2.0, 0.5])
+    vertices[7, 1] = y
+    with pytest.raises(MeshError, match="degenerate"):
+        read_mesh_text(mesh_text(vertices, base.cells, base.num_edges), geom)
+
+
 def test_import_refuses_edge_in_three_cells():
     geom = ChannelGeometry(length=1.0, height=1.0, lock_length=0.5)
     text = "5 7 3\n-0.5 0\n0.5 0\n0 1\n0 0.5\n0 0.25\n0 1 2\n0 1 3\n0 1 4"

@@ -52,12 +52,3 @@ def test_interval_rule_exactness():
         t, w = interval_rule(d)
         for p in range(d + 1):
             assert abs(np.sum(w * t**p) - 1.0 / (p + 1)) < 1e-14
-
-
-def test_unsupported_degree_rejected():
-    with pytest.raises(ValueError):
-        triangle_rule(0)
-    with pytest.raises(ValueError):
-        triangle_rule(-3)
-    with pytest.raises(ValueError):
-        triangle_rule(1000)

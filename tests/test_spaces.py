@@ -203,11 +203,6 @@ def test_project_reproduces_rt2_member(channel):
     assert l2_error(U, f, lambda x, y: (y, -x)) < 1e-12
 
 
-def test_project_refuses_rt(channel):
-    with pytest.raises(ValueError, match="interpolate instead"):
-        project(make_space(channel, "RT", 1), lambda x, y: (x, y))
-
-
 @pytest.mark.parametrize("degree", [1, 2])
 def test_interpolate_reproduces_rt_members(channel, degree):
     U = make_space(channel, "RT", degree)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 from scipy.sparse._compressed import _cs_matrix
 
@@ -167,7 +168,7 @@ def test_startup_constant_phi_is_pressure_gradient_on_channel():
     model = turbidity_model()
     state, rep = initialize(model, ConstantConcentrationIC(1.0))
     assert np.max(np.abs(state.u_half)) < 1e-10
-    p, _ = rep.pressure()
+    p = rep.pressure()
     # the pressure picked up the hydrostatic head (nonzero, linear in y)
     assert np.max(np.abs(p)) > 1e-4
 
@@ -206,7 +207,7 @@ def test_startup_solves_one_pressure_of_its_last_pass(monkeypatch):
     solves = record_solves(monkeypatch)
     state, rep = initialize(model, LockInitialCondition())
     assert "pressure_tree" not in vars(model)  # the tree is not built yet
-    p, _ = rep.pressure()
+    p = rep.pressure()
     assert rep.iterations > 1 and "pressure_tree" in vars(model)
     # the lock start's projection, against the transport factor
     assert len(calls) == 1
@@ -658,6 +659,40 @@ def test_homogeneous_inviscid_conservation_short():
     assert abs(model.total_vorticity(state.omega) - tv0) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_inviscid_step_runs_backwards(N):
+    """Time reversal.  At nu = 0 each sub-step is a midpoint rule, and the
+    convection and the rotation are linear in u and omega, so the step
+    from the negated state (-omega^n, -psi^{n-1/2}) retraces the forward
+    run: n steps later omega is -omega^0 and the last psi is -psi^{1/2}.
+
+    The bound: the 2n steps are exact but for roundoff.  Each solve stops
+    at the roundoff floor, ||b - A x||_inf <= eps (||A|| ||x|| + ||b||),
+    about 2 eps ||A|| ||x||, which leaves a relative error of at most
+    2 kappa eps, kappa the condition of the worst system a step solves:
+    the stream function's S, a stiffness matrix, next to the vorticity's
+    N/dt + C/2, near a mass matrix.  The inviscid step conserves K and
+    enstrophy, so it does not grow these errors, and the 2n steps add up
+    to at most 4 n kappa eps, with kappa the 1-norm condition of S,
+    estimated from its factor (S is symmetric)."""
+    model = homogeneous_model(nx=32, ny=32, N=N, nu=0.0, dt=1e-2)
+    start, _ = initialize(model, RandomSolenoidalInitialCondition(seed=1))
+    n = 100
+    state = start
+    for _ in range(n):
+        state, _, _ = step(state, model)
+    assert np.max(np.abs(state.omega - start.omega)) >= 0.1 * np.max(np.abs(start.omega))  # it moved
+    back = stepper.restore(model, 0, {"omega": -state.omega, "psi_0": -state.psi_past[0]})
+    for _ in range(n):
+        back, _, _ = step(back, model)
+    system = model.systems["momentum"]
+    inverse = spla.LinearOperator(system.static.shape, matvec=system.lu.solve, rmatvec=system.lu.solve)
+    kappa = system.lu.norm * spla.onenormest(inverse)
+    bound = 4 * n * kappa * linsolve.EPS
+    assert np.max(np.abs(back.omega + start.omega)) <= bound * np.max(np.abs(start.omega))
+    assert np.max(np.abs(back.psi_past[0] + start.psi_0)) <= bound * np.max(np.abs(start.psi_0))
+
+
 def test_homogeneous_viscous_decay_tracks_exact_rate():
     ic = TaylorGreenInitialCondition()
     model = homogeneous_model(nx=16, ny=16, nu=0.01, dt=1e-2)
@@ -841,7 +876,7 @@ def test_momentum_matches_saddle_oracle(case, fraction, request):
     model, state = request.getfixturevalue(case)
     dt = fraction * model.time.dt
     u, _, rep = model.solve_momentum(state.omega, state.psi_0, phi=state.phi, dt=dt)
-    p, _ = model.pressure(state.omega, state.u_half, u, dt, phi=state.phi)
+    p = model.pressure(state.omega, state.u_half, u, dt, phi=state.phi)
     u_ref, p_ref = saddle_momentum(model, state.omega, state.u_half, dt, phi_buoy=state.phi)
     assert np.max(np.abs(u[model.iu] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
     assert np.max(np.abs(p - p_ref)) <= 1e-10 * np.max(np.abs(p_ref))
@@ -853,14 +888,14 @@ def test_momentum_matches_saddle_oracle(case, fraction, request):
 def test_pressure_gate_holds_on_every_step(case, request):
     """The pressure of each step solves D_r^T p = r to RTOL (1 + ||r||_inf),
     with r the step's momentum residual, here built from the rotation
-    oracle, and reports that residual."""
+    oracle."""
     model, state = request.getfixturevalue(case)
     dt = model.time.dt
     M, B = assemble_mass(model.U), buoyancy_matrix(model.U, model.W)
     Lc = M @ model.curl
     for _ in range(5):
         new, _, _ = step(state, model)
-        p, rep = model.pressure(new.omega, state.u_half, new.u_half, dt, phi=new.phi)
+        p = model.pressure(new.omega, state.u_half, new.u_half, dt, phi=new.phi)
         R = rotation_matrix(new.omega, model.W, model.U)
         uo, u = state.u_half, new.u_half
         f = (M @ uo) / dt - 0.5 * (R @ uo) - model.nu * (Lc @ new.omega)
@@ -869,7 +904,6 @@ def test_pressure_gate_holds_on_every_step(case, request):
         r = ((M @ u) / dt + 0.5 * (R @ u) - f)[model.iu]
         gate = linsolve.RTOL * (1.0 + np.max(np.abs(r)))
         assert np.max(np.abs(r - model.D_r.T @ p)) <= gate
-        assert rep.residual <= gate and not rep.fallback
         state = new
 
 
@@ -924,7 +958,7 @@ def test_tree_pressure_matches_the_pinned_oracle(kind, N):
     """The pressure solved on the tree of cells is the pinned D_r D_r^T
     solve's (tests/pressure_oracle.py) to 1e-10 relative."""
     model, state, new = pressure_case(kind, N)
-    p, _ = model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, phi=new.phi)
+    p = model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, phi=new.phi)
     ref = pinned_pressure(model.D_r, oracle_residual(model, state, new),
                           assemble.assemble_integrals(model.Q), model.area)
     assert np.max(np.abs(p - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -941,10 +975,10 @@ def test_tree_pressure_gate_holds_on_a_long_channel():
     state, _ = initialize(model, LockInitialCondition())
     for _ in range(3):
         new, _, _ = step(state, model)
-        p, rep = model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, phi=new.phi)
+        p = model.pressure(new.omega, state.u_half, new.u_half, model.time.dt, phi=new.phi)
         r = oracle_residual(model, state, new)
         gate = linsolve.RTOL * (1.0 + np.max(np.abs(r)))
-        assert np.max(np.abs(r - model.D_r.T @ p)) <= gate and rep.residual <= gate
+        assert np.max(np.abs(r - model.D_r.T @ p)) <= gate
         state = new
 
 
