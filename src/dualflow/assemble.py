@@ -32,9 +32,10 @@ The only velocity-space matrices built here are the divergence D and
 the topological curl Z; no U x U or U x W matrix is formed.
 stepper.Model builds the static operators and the linear systems
 (System) once per run, and owns them; a per-step System refills the
-values of its one CSR matrix each step.  The snapshot pressure has no
-system: PressureTree solves D_r^T p = r by local solves on a spanning
-tree of the cells, and factors nothing.
+values of its one CSR matrix in place each step, and writes them
+nowhere else.  The snapshot pressure has no system: PressureTree solves
+D_r^T p = r by local solves on a spanning tree of the cells, and
+factors nothing.
 
 No form evaluates anything at quadrature points.  On an affine cell the
 maps to the reference cell reduce every form to per-cell geometry
@@ -113,10 +114,6 @@ class _Pattern:
         pos = self.pos if cells is None else self.pos[cells]
         return kernels.scatter_matrix(pos, local, self.nnz)
 
-    def build(self, local, cells=None):
-        """The matrix of the local matrices, as in values."""
-        return self.matrix(self.values(local, cells))
-
     def matrix(self, data):
         """The matrix with the CSR values `data` on this pattern."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
@@ -180,7 +177,8 @@ def _exact_zeros(local):
 def _form(test, trial, coef, derivative=(False, False), cells=None):
     """The (test, trial) matrix of the local matrices of _local, summed on
     the pair's pattern."""
-    return _pattern(test, trial).build(_local(test, trial, coef, derivative, cells), cells)
+    pattern = _pattern(test, trial)
+    return pattern.matrix(pattern.values(_local(test, trial, coef, derivative, cells), cells))
 
 
 def _mass_coefficients(space):
@@ -355,8 +353,9 @@ class System:
     def on_cells(cls, name, space, static, dofs=None, corner=None):
         """The System on the (space, space) cell pattern restricted to
         `dofs` (ascending; all of them if None), then, with a `corner`,
-        len(corner) dense border rows and columns; `static`, S's values on
-        the cell pattern, and K's are gathered onto it by `take`, built once.
+        which comes with `dofs`, len(corner) dense border rows and columns;
+        `static`, S's values on the cell pattern, and K's are gathered onto
+        it by `take`, built once.
 
         S's border is zero but for its `corner`.  K's border comes as its
         columns X (rows in this system's order, the last len(corner) of them
@@ -371,13 +370,11 @@ class System:
         if (dofs is None or len(dofs) == space.dim) and corner is None:
             return cls(name, full.matrix(static))
         rows = np.repeat(np.arange(space.dim), np.diff(full.indptr))
-        cols, src = full.indices, np.arange(full.nnz)
-        if dofs is not None:
-            where = np.full(space.dim, -1)
-            where[dofs] = np.arange(len(dofs))
-            keep = (where[rows] >= 0) & (where[cols] >= 0)
-            rows, cols, src = where[rows[keep]], where[cols[keep]], src[keep]
-        m = space.dim if dofs is None else len(dofs)
+        where = np.full(space.dim, -1)
+        where[dofs] = np.arange(len(dofs))
+        keep = (where[rows] >= 0) & (where[full.indices] >= 0)
+        rows, cols, src = where[rows[keep]], where[full.indices[keep]], np.flatnonzero(keep)
+        m = len(dofs)
         border = 0 if corner is None else len(corner)
         size = m + border
         if border:
@@ -406,15 +403,13 @@ class System:
         return System(name, sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape), self.take,
                       ScaledLU(self.lu, c))
 
-    def skew_values(self, values, border=None, out=None):
-        """K's CSR values on this pattern, written into `out` if given."""
+    def skew_values(self, values, border, out):
+        """K's CSR values on this pattern, written into `out`."""
         if border is not None:
             m = len(border) - border.shape[1]
             corner = np.triu(border[m:], 1)
             values = np.concatenate([values, border[:m].ravel(), -border[:m].ravel(),
                                      (corner - corner.T).ravel()])
-        if out is None:
-            return values if self.take is None else values[self.take]
         if self.take is None:
             np.copyto(out, values)
         else:

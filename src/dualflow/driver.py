@@ -2,7 +2,8 @@
 
 A run writes, under the configured output directory:
   timeseries.csv            one budget row per csv_every steps
-  snapshot_XXXXXXXX.vtk     legacy-VTK field dumps every vtk_every steps
+  snapshot_XXXXXXXX.vtk     legacy-VTK field dumps every vtk_every steps,
+                            snapshot 0 of a fresh run before step 1
   checkpoint_XXXXXXXX.ckpt  state dumps every checkpoint_every steps
   checkpoint_final.ckpt     always written on normal completion
 
@@ -57,7 +58,8 @@ def _maybe(log, msg):
 def _write_snapshot(model, outdir, state, psi_before, pressure, omega_tilde=None):
     """Write the snapshot of step k with its pressure and om~ = curl_h of the
     stream function the step started from (psi^{1/2} at k = 0), solved here
-    unless the step solved it; returns the fallbacks of the solve made here."""
+    unless the step solved it (step k's step 1, with particles); returns the
+    fallbacks of the solve made here."""
     fallback = 0
     if omega_tilde is None:
         omega_tilde, rep = model.curl_h(psi_before)
@@ -102,17 +104,13 @@ def run(cfg, on_step=None, log=None, collect_rows=True, checkpoint=None):
     max_mass = max_gap = 0.0  # running maxima of the per-step identity gaps
     mark, mark_k = time.perf_counter(), state.k  # wall clock at the last progress line
     passes = 0  # refinement passes of the steps since the last progress line
+    if startup is not None and out["vtk_every"] > 0:
+        fallbacks += _write_snapshot(model, outdir, state, state.psi_0, startup.pressure())
     writer = dfio.CsvWriter(csv_path, append=checkpoint is not None)
-    # snapshot 0 of a fresh run is written once step 1 has solved its om~,
-    # curl_h psi^{1/2} (solved for the snapshot without particles)
-    snapshot_0 = startup is not None and out["vtk_every"] > 0
     try:
         while state.k < nsteps:
             prev = state
             state, reports, omega_tilde = step(state, model)
-            if snapshot_0:
-                fallbacks += _write_snapshot(model, outdir, prev, prev.psi_0, startup.pressure(), omega_tilde)
-                snapshot_0 = False
             fallbacks += sum(rep.fallback for rep in reports.values())
             passes += sum(rep.refinements for rep in reports.values())
             row = engine.update(prev, state)

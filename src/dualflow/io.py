@@ -90,12 +90,18 @@ def truncate_csv_for_resume(path, k, csv_every):
 
 
 def read_csv(path):
-    """CSV rows as a dict of numpy arrays keyed by column name."""
+    """CSV rows as a dict of numpy arrays keyed by column name; a row whose
+    field count is not the header's (a torn row) raises ValueError naming
+    the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         data = [[] for _ in header]
-        for line in fh:
-            for slot, tok in zip(data, line.strip().split(",")):
+        for number, line in enumerate(fh, start=2):
+            tokens = line.strip().split(",")
+            if len(tokens) != len(header):
+                raise ValueError(f"{path}, line {number}: {len(tokens)} fields where the header "
+                                 f"has {len(header)}")
+            for slot, tok in zip(data, tokens):
                 slot.append(float(tok))
     return {name: np.asarray(col) for name, col in zip(header, data)}
 

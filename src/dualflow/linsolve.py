@@ -19,10 +19,12 @@ six earlier time levels.
 Refinement stops at the roundoff floor: once ||b - A x||_inf <= eps
 (||S||_inf ||x||_inf + ||b||_inf), or when a pass fails to halve the
 residual, or after MAX_REFINE passes; against A's own factor it takes
-none and starts cold.  If that misses the postcondition, the same A is
-factored afresh and solved from scratch, and the report says so
-(`fallback`).  Pressure-like vectors are defined up to a constant and
-are reported with zero mean (project_out_constant).
+none and starts cold.  Every solve is given its factor; if that misses
+the postcondition (a start that is not finite misses it too), the same
+A is factored afresh and solved from scratch, and the report says so
+(`fallback`): the only factor made in a solve.  Pressure-like vectors
+are defined up to a constant and are reported with zero mean
+(project_out_constant).
 
 SuperLU factors with a panel size and a supernode relaxation of one
 column (PANEL_SIZE, RELAX): the CG systems of this 2-D scheme
@@ -76,7 +78,7 @@ class CachedLU:
 
     def __init__(self, matrix):
         self.matrix = matrix
-        self.norm = float(abs(matrix).sum(axis=1).max()) if matrix.shape[0] else 0.0
+        self.norm = float(abs(matrix).sum(axis=1).max())
         csc = matrix.tocsc(copy=True)
         csc.eliminate_zeros()
         try:
@@ -106,7 +108,7 @@ class ScaledLU:
 
 
 def _inf(r):
-    return float(abs(r).max()) if r.size else 0.0
+    return float(abs(r).max())
 
 
 def _refine(A, b, factor, x0=None):
@@ -136,31 +138,20 @@ def _refine(A, b, factor, x0=None):
     return x, passes, res
 
 
-def lu_solve(A, b, factor=None, x0=None):
+def lu_solve(A, b, factor, x0=None):
     """Solve A x = b by refinement against `factor`, a CachedLU of A or of
-    a matrix near it, starting from `x0` if given; without a factor, A is
-    factored here.
+    a matrix near it, starting from `x0` if given (which may come back as
+    x).
 
     Postcondition: ||Ax - b||_inf <= RTOL * (1 + ||b||_inf), or SolverError.
-    A factor that misses it is replaced by a fresh factor of A, solved
-    from scratch, and the report has fallback=True.
+    A factor that misses it, a non-finite x0's included, is replaced by a
+    fresh factor of A, solved from scratch, and the report has
+    fallback=True.
     """
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise SolverError(f"matrix is not square: {A.shape}")
-    if b.shape != (n,):
-        raise SolverError("rhs length does not match matrix")
-    if x0 is not None:
-        x0 = np.array(x0, dtype=float)  # a copy: x may be returned as is
-        if x0.shape != (n,):
-            raise SolverError("starting vector length does not match matrix")
-        if not np.all(np.isfinite(x0)):
-            raise SolverError("starting vector has non-finite values")
     target = RTOL * (1.0 + _inf(b))
-    x, passes, res = _refine(A, b, factor, x0) if factor is not None else (None, 0, np.inf)
-    fallback = factor is not None and not res <= target
-    if not res <= target:
+    x, passes, res = _refine(A, b, factor, x0)
+    fallback = not res <= target
+    if fallback:
         x, more, res = _refine(A, b, CachedLU(A))
         passes += more
     if not np.all(np.isfinite(x)):

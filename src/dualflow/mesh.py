@@ -318,6 +318,24 @@ def _tag_boundary(mesh, tol=1e-9):
     mesh.edge_tags[bnd] = tags
 
 
+def _check_tiles(mesh, tol=1e-9):
+    """Refuse an imported mesh that does not tile its channel: a vertex
+    outside the channel (tolerance `tol`), or cells whose areas do not sum
+    to the channel's to a relative `tol`, as when cells fold over others
+    while every boundary edge still lies on a wall's line."""
+    geom = mesh.geometry
+    x, y = mesh.vertices.T
+    outside = (x < geom.xmin - tol) | (x > geom.xmax + tol) | (y < -tol) | (y > geom.height + tol)
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise MeshError(f"mesh vertex {i} at ({x[i]:g}, {y[i]:g}) lies outside the channel "
+                        f"[{geom.xmin:g}, {geom.xmax:g}] x [0, {geom.height:g}]")
+    area, channel = mesh.total_area(), geom.length * geom.height
+    if not abs(area - channel) <= tol * channel:
+        raise MeshError(f"the mesh's cells cover an area of {area:.12g}, not the channel's "
+                        f"{channel:.12g}: they do not tile it")
+
+
 def build_channel_mesh(geom, nx, ny, pattern="left"):
     """Structured triangulation of the channel with tagged walls."""
     check_grid(nx, ny, pattern)
@@ -354,8 +372,10 @@ def read_mesh_text(text, geom):
 
     The mesh must fill the channel `geom`, [-lock_length, length - lock_length]
     x [0, height]: every boundary edge must lie on one of its walls
-    (tolerance 1e-9), which also tags it, and every wall must have one.
-    Negatively oriented cells are reoriented.
+    (tolerance 1e-9), which also tags it, and every wall must have one;
+    then every vertex must lie in the channel (tolerance 1e-9) and the
+    cells' areas must sum to the channel's (relative 1e-9).  Negatively
+    oriented cells are reoriented.
     """
     tokens = text.split()
     if len(tokens) < 3:
@@ -402,4 +422,5 @@ def read_mesh_text(text, geom):
         raise MeshError(f"mesh header declares {ne} edges but connectivity gives {mesh.num_edges}")
     mesh.geometry = geom
     _tag_boundary(mesh)
+    _check_tiles(mesh)
     return mesh

@@ -8,7 +8,7 @@ the constant is restored as zero mean (integrals: <q_i, 1>).
 
 import numpy as np
 
-from dualflow.linsolve import lu_solve, project_out_constant
+from dualflow.linsolve import CachedLU, lu_solve, project_out_constant
 
 
 def pinned_pressure(D_r, r, integrals, area):
@@ -16,5 +16,6 @@ def pinned_pressure(D_r, r, integrals, area):
     when r is a discrete gradient."""
     P = D_r[1:]
     p = np.zeros(D_r.shape[0])
-    p[1:], _ = lu_solve((P @ P.T).tocsr(), P @ r)
+    PPt = (P @ P.T).tocsr()
+    p[1:], _ = lu_solve(PPt, P @ r, CachedLU(PPt))
     return project_out_constant(p, integrals, area)

@@ -5,7 +5,11 @@ that owner documents; no mutation ends in any other exception.
 - Mesh files: token mutations of a small channel mesh in the import
   format, through `mesh.read_mesh_text` and then `stepper.Model` at
   degree 1.  Most change the token count and are refused by it; the
-  swaps and replacements that keep it reach the geometry and the Model.
+  swaps and replacements that keep it reach the geometry and the Model,
+  and every mesh accepted tiles the channel.
+- Run configurations: line mutations of a small channel and a small
+  torus configuration, through `dualflow check`.  Each ends in exit 0,
+  or in exit 1 with an `error:` line; a traceback fails.
 """
 
 import collections
@@ -13,6 +17,7 @@ import random
 
 import pytest
 
+from dualflow import cli
 from dualflow.mesh import ChannelGeometry, MeshError, build_channel_mesh, read_mesh_text
 from dualflow.stepper import Model, PhysicsConfig, TimeConfig
 
@@ -57,6 +62,8 @@ def build(text):
     try:
         mesh = read_mesh_text(text, GEOMETRY)
         Model(mesh, 1, PhysicsConfig(), TimeConfig(dt=1e-3, t_end=1e-3))
+        channel = GEOMETRY.length * GEOMETRY.height
+        assert abs(mesh.total_area() - channel) <= 1e-9 * channel, mesh.total_area()
     except MeshError:
         return "MeshError"
     except ValueError as exc:
@@ -81,3 +88,114 @@ def test_mutated_mesh_file_builds_or_is_refused(seed):
         except Exception as exc:
             pytest.fail(f"mutant {n} {ops}: {type(exc).__name__}: {exc}\n{text}")
     assert outcomes["model"] > 0 and outcomes["MeshError"] > 0, outcomes
+
+
+CHANNEL_CFG = """
+[mesh]
+length = 3.0
+height = 1.0
+lock_length = 1.0
+nx = 3
+ny = 2
+pattern = left
+
+[physics]
+mode = turbidity
+grashof = 5e6
+schmidt = 1.0
+settling_velocity = 0.02
+
+[discretization]
+degree = 1
+
+[time]
+dt = 1e-3
+t_end = 2e-3
+
+[initial]
+kind = lock
+interface_width = 0.1
+
+[output]
+dir = out
+csv_every = 1
+vtk_every = 1
+checkpoint_every = 0
+"""
+
+TORUS_CFG = """
+[mesh]
+length = 6.283185307179586
+height = 6.283185307179586
+nx = 4
+ny = 4
+pattern = left
+
+[physics]
+mode = homogeneous
+nu = 0.01
+
+[discretization]
+degree = 1
+
+[time]
+dt = 1e-2
+t_end = 2e-2
+
+[initial]
+kind = random
+seed = 3
+
+[output]
+csv_every = 1
+"""
+
+CONFIG_MUTANTS = 300  # per configuration: about 3 s in all
+# replacement values: empty, not finite, past the floats, a signed zero,
+# number spellings Python's int and float read differently, and the mode
+# and kind names; the largest size, nx = 1_000, is a grid of a few
+# thousand cells
+VALUES = ("", "nan", "1e400", "-0.0", "0x10", "1_000",
+          "turbidity", "homogeneous", "lock", "taylor_green", "random")
+
+
+def mutate_config(rng, lines):
+    """One deletion, duplication or swap of lines, or one value replaced
+    from VALUES; and the op done."""
+    lines = list(lines)
+    op = rng.choice(("delete", "duplicate", "swap", "replace"))
+    i, j = rng.sample(range(len(lines)), 2)
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        i = rng.choice([k for k, line in enumerate(lines) if "=" in line])
+        lines[i] = f"{lines[i].partition('=')[0]}= {rng.choice(VALUES)}"
+    return lines, (op, i, j)
+
+
+@pytest.mark.parametrize("text", [CHANNEL_CFG, TORUS_CFG], ids=["channel", "torus"])
+def test_mutated_config_checks_or_is_refused(text, tmp_path, capsys):
+    lines = text.strip().splitlines()
+    path = tmp_path / "run.cfg"
+
+    def check(mutant):
+        """(exit code, stderr) of `dualflow check` on the lines `mutant`."""
+        path.write_text("\n".join(mutant) + "\n", encoding="utf-8")
+        return cli.main(["check", "--config", str(path)]), capsys.readouterr().err
+
+    assert check(lines) == (0, "")
+    rng = random.Random(0)
+    outcomes = collections.Counter()
+    for n in range(CONFIG_MUTANTS):
+        mutant, op = mutate_config(rng, lines)
+        try:
+            code, err = check(mutant)
+        except Exception as exc:
+            pytest.fail(f"mutant {n} {op}: {type(exc).__name__}: {exc}\n" + "\n".join(mutant))
+        assert (code, err[:7]) in ((0, ""), (1, "error: ")), (n, op, code, err)
+        outcomes[code] += 1
+    assert outcomes[0] > 0 and outcomes[1] > 0, outcomes

@@ -171,11 +171,11 @@ def test_homogeneous_vtk_writes_weak_curl_of_the_previous_velocity(tmp_path):
 
 def test_snapshot_step_reuses_the_weak_curl_of_its_step(tmp_path, monkeypatch):
     """With particles a step solves om~ = curl_h psi^{k+1/2} as its step 1,
-    and the snapshot of the step writes that om~, snapshot 0 step 1's: a
-    run with a snapshot every step solves curl_h once per step, once for
-    omega^0 and once per startup pass after the first, and each snapshot
-    carries the weak curl of the stream function its step started from,
-    bit for bit."""
+    and the snapshot of the step writes that om~; snapshot 0 solves its
+    own, curl_h psi^{1/2}: a run with a snapshot every step solves curl_h
+    once per step, once for snapshot 0, once for omega^0 and once per
+    startup pass after the first, and each snapshot carries the weak curl
+    of the stream function its step started from, bit for bit."""
     out = tmp_path / "o"
     calls = []
     curl_h = stepper.Model.curl_h
@@ -189,7 +189,7 @@ def test_snapshot_step_reuses_the_weak_curl_of_its_step(tmp_path, monkeypatch):
     result = run(parse_config(lock_cfg_text(out, t_end=0.003, degree=2, extra="vtk_every = 1")),
                  on_step=lambda prev, state, reports, row: before.update({state.k: prev.psi_0}))
     monkeypatch.undo()
-    assert len(calls) == 1 + (result.startup.iterations - 1) + 3
+    assert len(calls) == 1 + (result.startup.iterations - 1) + 1 + 3
     vmap = result.model.mesh.render_vertex_map
     for k, psi in sorted(before.items()):
         written = read_vtk(out / f"snapshot_{k:08d}.vtk")["omega_tilde"]
@@ -675,6 +675,19 @@ def test_resume_csv_cut_back_to_checkpoint_step(tmp_path):
     dfio.truncate_csv_for_resume(str(tmp_path / "none.csv"), 1, 2)
     with pytest.raises(dfio.CheckpointError, match="missing"):
         dfio.truncate_csv_for_resume(str(tmp_path / "none.csv"), 3, 1)
+
+
+def test_read_csv_refuses_a_torn_row(tmp_path):
+    """A row with fewer fields than the header, or more, is refused with
+    the file and its line, not read into columns of different lengths."""
+    path = tmp_path / "t.csv"
+    path.write_text("step,t,K\n1,0.1,2.5\n")
+    assert dfio.read_csv(str(path))["K"].tolist() == [2.5]
+    for torn in ("2,0.2", "2,0.2,2.5,7"):
+        path.write_text(f"step,t,K\n1,0.1,2.5\n{torn}\n")
+        fields = len(torn.split(","))
+        with pytest.raises(ValueError, match=rf"t\.csv, line 3: {fields} fields where the header has 3"):
+            dfio.read_csv(str(path))
 
 
 @pytest.mark.parametrize("steps,torn", [((1, 2), None), ((1, 2), "3,0.00"), ((), None)])

@@ -257,6 +257,24 @@ def test_import_must_fill_the_configured_channel():
         read_mesh_text(mesh_text(moved, base.cells, base.num_edges), geom)
 
 
+def test_import_must_tile_the_channel():
+    """Boundary edges on the walls' lines do not make a mesh tile its
+    channel.  In a 3 x 2 channel of length 3, vertex 7 moved from (2, 0.5)
+    up the right wall's line to (2, 3) keeps every boundary midpoint on a
+    wall, and its cells cover 5.0: refused, naming the vertex.  Interior
+    vertex 5 moved from (0, 0.5) past vertex 6 to (1.5, 0.5) folds cells
+    over others inside the channel, which cover 3.5: refused, with both
+    areas."""
+    geom = ChannelGeometry(length=3.0, height=1.0, lock_length=1.0)
+    base = build_channel_mesh(geom, 3, 2, "left")
+    for vertex, to, message in ((7, (2.0, 3.0), r"vertex 7 at \(2, 3\) lies outside the channel"),
+                                (5, (1.5, 0.5), "cover an area of 3.5, not the channel's 3")):
+        moved = base.vertices.copy()
+        moved[vertex] = to
+        with pytest.raises(MeshError, match=message):
+            read_mesh_text(mesh_text(moved, base.cells, base.num_edges), geom)
+
+
 def test_import_refuses_orphan_vertex():
     """Vertex 4 is listed but no cell uses it: refused with its index, not
     left to fail later in the dof map."""

@@ -178,7 +178,7 @@ def project_rt(U, fn, qdegree=8):
     """L2 projection of an analytic vector function onto an RT space, by
     per-cell quadrature: the package projects scalars alone."""
     from dualflow.assemble import assemble_mass
-    from dualflow.linsolve import lu_solve
+    from dualflow.linsolve import CachedLU, lu_solve
 
     tab = volume_tab(U, qdegree)
     fx, fy = fn(tab.points[..., 0], tab.points[..., 1])
@@ -186,7 +186,8 @@ def project_rt(U, fn, qdegree=8):
     local = np.einsum("cq,cqnd,cqd->cn", tab.weights, tab.val, F)
     rhs = np.zeros(U.dim)
     np.add.at(rhs, U.cell_dofs.ravel(), local.ravel())
-    return lu_solve(assemble_mass(U), rhs)[0]
+    M = assemble_mass(U)
+    return lu_solve(M, rhs, CachedLU(M))[0]
 
 
 def test_project_reproduces_rt1_member(channel):
@@ -401,14 +402,14 @@ def test_div_rt_lands_in_dg(channel, degree):
     utab = volume_tab(U, qdeg)
     duq = kernels.field_div(U.cell_dofs, u, utab.div)
     # project into DG via mass solve
-    from dualflow.linsolve import lu_solve
+    from dualflow.linsolve import CachedLU, lu_solve
 
     qtab = volume_tab(Q, qdeg)
     rhs = np.zeros(Q.dim)
     local = np.einsum("cq,qn->cn", utab.weights * duq, qtab.val)
     np.add.at(rhs, Q.cell_dofs.ravel(), local.ravel())
     M = assemble_mass(Q)
-    coef, _ = lu_solve(M, rhs)
+    coef, _ = lu_solve(M, rhs, CachedLU(M))
     dq = kernels.field_scalar(Q.cell_dofs, coef, qtab.val)
     assert np.max(np.abs(dq - duq)) < 1e-12 * max(1.0, np.max(np.abs(duq)))
 

@@ -1251,22 +1251,42 @@ def test_run_builds_only_the_cg_pattern(case, tmp_path):
         assert "pressure_tree" in vars(result.model) and len(os.listdir(tmp_path)) > 1
 
 
-def test_snapshot_0_takes_the_weak_curl_of_step_1(tmp_path, monkeypatch):
-    """One desk step writing a snapshot every step solves curl_h once for
-    omega^0, once per startup pass after the first and once in step 1,
-    whose om~ = curl_h psi^{1/2} snapshot 0 writes: it solves none of its
-    own."""
-    calls = []
-    curl_h = Model.curl_h
+def test_snapshot_0_is_written_before_step_1(tmp_path, monkeypatch):
+    """A fresh run writes snapshot 0 before step 1, with the weak curl
+    om~ = curl_h psi^{1/2} solved for it: one desk step writing a snapshot
+    every step solves curl_h once for omega^0, once per startup pass after
+    the first, once for snapshot 0 and once in step 1, whose om~ snapshot 1
+    writes.  A run whose step 1 fails keeps its snapshot 0, byte for byte."""
+    events = []
+    curl_h, write_vtk, step = Model.curl_h, driver.dfio.write_vtk, driver.step
 
-    def counted(model, psi):
-        calls.append(psi)
+    def counted_curl(model, psi):
+        events.append("curl_h")
         return curl_h(model, psi)
 
-    monkeypatch.setattr(Model, "curl_h", counted)
-    result = driver.run(set_up_config("desk", tmp_path), collect_rows=False)
-    assert {"snapshot_00000000.vtk", "snapshot_00000001.vtk"} <= set(os.listdir(tmp_path))
-    assert len(calls) == 1 + (result.startup.iterations - 1) + 1
+    def recorded_vtk(model, path, *args):
+        events.append(os.path.basename(path))
+        return write_vtk(model, path, *args)
+
+    def recorded_step(state, model):
+        events.append("step")
+        return step(state, model)
+
+    monkeypatch.setattr(Model, "curl_h", counted_curl)
+    monkeypatch.setattr(driver.dfio, "write_vtk", recorded_vtk)
+    monkeypatch.setattr(driver, "step", recorded_step)
+    result = driver.run(set_up_config("desk", tmp_path / "ok"), collect_rows=False)
+    assert events == (["curl_h"] * result.startup.iterations + ["curl_h", "snapshot_00000000.vtk"]
+                      + ["step", "curl_h", "snapshot_00000001.vtk"])
+
+    def failing(state, model):
+        raise linsolve.SolverError(f"step {state.k + 1} failed: momentum: LU residual too large")
+
+    monkeypatch.setattr(driver, "step", failing)
+    with pytest.raises(linsolve.SolverError, match="step 1 failed"):
+        driver.run(set_up_config("desk", tmp_path / "failed"), collect_rows=False)
+    kept = (tmp_path / "failed" / "snapshot_00000000.vtk").read_bytes()
+    assert kept == (tmp_path / "ok" / "snapshot_00000000.vtk").read_bytes()
 
 
 @pytest.mark.parametrize("case", ["desk", "box"])

@@ -37,4 +37,5 @@ def weak_curl_matrix(U, W, qdegree):
     utab, wtab = volume_tab(U, qdegree), volume_tab(W, qdegree)
     curl = np.stack([wtab.grad[..., 1], -wtab.grad[..., 0]], axis=-1)
     local = np.einsum("cq,cqad,cqbd->cab", utab.weights, utab.val, curl)
-    return assemble._pattern(U, W).build(local)
+    pattern = assemble._pattern(U, W)
+    return pattern.matrix(pattern.values(local))

@@ -24,7 +24,8 @@ def rotation_matrix(omega, W, U):
     T_R = skew_tensors(W.degree, U.degree)[0].reshape(n, k, n)  # T(e_k)[a, b]
     s = U.cell_dof_signs
     local = np.einsum("ck,akb->cab", omega[W.cell_dofs], T_R) * s[:, :, None] * s[:, None, :]
-    return assemble._pattern(U, U).build(local)
+    pattern = assemble._pattern(U, U)
+    return pattern.matrix(pattern.values(local))
 
 
 def buoyancy_matrix(U, W):
@@ -53,4 +54,5 @@ def momentum_skew(model, omega):
 def skew_part(system, values, border=None):
     """K alone on the pattern of a per-step system (assemble.System)."""
     S = system.static
-    return sp.csr_matrix((system.skew_values(values, border), S.indices, S.indptr), shape=S.shape)
+    data = system.skew_values(values, border, out=np.empty(S.nnz))
+    return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
